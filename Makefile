@@ -30,9 +30,16 @@ fuzz-crash:
 
 # WAL crash matrix: consistent power cuts across the page store AND the
 # log (torn page writes, torn log appends, mid-checkpoint cuts) must
-# recover every acknowledged commit or fail loudly.
+# recover every acknowledged commit or fail loudly. In ./internal/db the
+# same for the sharded database's one log: a transaction spanning shards
+# cut at every byte of its append and between fsync, the per-shard
+# applies, the shard syncs, the header stamps and the log reset (all keys
+# or none, on every shard), the legacy-sidecar migration, the log-fault
+# poison and the commit-vs-checkpoint stress; the root package's SIGKILL
+# drill does it once more on real files through dbserver.
 wal-crash:
-	$(GO) test -count=1 -run 'WAL|TornTail|Txn' ./internal/core ./internal/wal
+	$(GO) test -count=1 -run 'WAL|TornTail|Txn|Sharded(Crash|Replay|LogFault|Legacy|CommitCheckpoint|Directory)' ./internal/core ./internal/wal ./internal/db
+	$(GO) test -count=1 -run 'TestDBServerKillRecover' .
 
 fuzz-wal-crash:
 	$(GO) test -run=NONE -fuzz=FuzzWALCrashRecovery -fuzztime=30s ./internal/core

@@ -1,8 +1,11 @@
 // Command dbserver serves a sharded hash database over TCP: the
 // package's network front end. Keys hash across N shards, each its own
-// WAL-backed linear-hash table with a private buffer pool, so writes
-// from many connections apply in parallel instead of serializing on
-// one table lock. The wire protocol is the small RESP-like text
+// linear-hash table with a private buffer pool, so writes from many
+// connections apply in parallel instead of serializing on one table
+// lock; the shards share one write-ahead log per database (DIR/wal), so
+// a TXN costs one append and one fsync however many shards its keys
+// land on, and is atomic across them. The wire protocol is the small
+// RESP-like text
 // protocol of internal/server (GET/PUT/DEL/BATCH/TXN/STATS); try it by
 // hand with nc:
 //
@@ -15,8 +18,9 @@
 //	-shards N         shard count (default 8; fixed at directory creation)
 //	-dir PATH         database directory; empty serves memory-resident
 //	                  shards (data lost on exit)
-//	-wal              write-ahead logs per shard, enabling TXN (default
-//	                  true; -wal=false serves a txn-less store)
+//	-wal              write-ahead log, one per database (DIR/wal),
+//	                  enabling TXN (default true; -wal=false serves a
+//	                  txn-less store unless the directory already has one)
 //	-cache N          buffer pool bytes per shard
 //	-bsize N          bucket size for new shards
 //	-ffactor N        fill factor for new shards
@@ -31,9 +35,12 @@
 //	                  on /debug/oplog and in STATS, and the slowest
 //	                  request ledgers on /debug/oplog/exemplars
 //
-// SIGINT/SIGTERM shut down gracefully: stop accepting, drain in-flight
-// commands and pending coalesced writes, then sync and close every
-// shard.
+// At start the directory is recovered if it needs it (a SIGKILLed or
+// power-cut server: every shard back to its last checkpoint through the
+// strict gate, then the log's committed transactions replayed) and one
+// line per shard says what was found. SIGINT/SIGTERM shut down
+// gracefully: stop accepting, drain in-flight commands and pending
+// coalesced writes, then checkpoint and close every shard and the log.
 package main
 
 import (
@@ -54,7 +61,7 @@ func main() {
 	addr := flag.String("addr", ":7700", "listen address")
 	shards := flag.Int("shards", 8, "shard count (fixed when the directory is created)")
 	dir := flag.String("dir", "", "database directory; empty = memory-resident")
-	wal := flag.Bool("wal", true, "write-ahead log per shard (enables TXN)")
+	wal := flag.Bool("wal", true, "one write-ahead log for the database, DIR/wal (enables TXN)")
 	cache := flag.Int("cache", 0, "buffer pool bytes per shard")
 	bsize := flag.Int("bsize", 0, "bucket size for new shards")
 	ffactor := flag.Int("ffactor", 0, "fill factor for new shards")
@@ -71,12 +78,17 @@ func main() {
 	// One registry spans the stack: every shard's engine metrics
 	// aggregate into it, and the server's connection counters join them.
 	reg := metrics.New()
-	d, err := db.OpenSharded(*dir, *shards, &db.Config{Hash: &core.Options{
+	d, recovered, err := db.RecoverSharded(*dir, *shards, &db.Config{Hash: &core.Options{
 		Bsize: *bsize, Ffactor: *ffactor, Nelem: *nelem, CacheSize: *cache,
 		WAL: *wal, Metrics: reg,
 	}})
 	if err != nil {
 		fatal(err)
+	}
+	if *dir != "" {
+		for i, rep := range recovered {
+			fmt.Fprintf(os.Stderr, "dbserver: shard %d: %v\n", i, rep)
+		}
 	}
 
 	// The op-ledger recorder spans the stack like the registry: the

@@ -195,7 +195,7 @@ func TestHeaderRejectsGarbage(t *testing.T) {
 		func(b []byte) { le.PutUint32(b[36:], 99) },          // ovflPoint
 		func(b []byte) { le.PutUint64(b[44:], 1<<63) },       // negative nkeys
 		func(b []byte) { le.PutUint32(b[52:], 9) },           // hdrPages
-		func(b []byte) { le.PutUint32(b[hdrCrcOff-20:], 4) }, // unknown flags
+		func(b []byte) { le.PutUint32(b[hdrCrcOff-20:], 8) }, // unknown flags
 	}
 	for i, f := range corrupt {
 		buf := make([]byte, headerSize)

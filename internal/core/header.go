@@ -69,6 +69,12 @@ const (
 	// Opening a flagged table without its log would silently roll back
 	// acknowledged commits; Open refuses, or auto-attaches the sidecar.
 	hdrWAL = 1 << 1
+	// hdrSharedLog marks the table as one shard of a db.Sharded database:
+	// its commits live in the directory's shared log (Options.SharedLog),
+	// not in a sidecar. Stamped like hdrWAL, and instead of it. Opening a
+	// flagged table on its own would bless it without the log that holds
+	// its acknowledged commits, so Open refuses with ErrSharedLog.
+	hdrSharedLog = 1 << 2
 )
 
 type header struct {
@@ -198,7 +204,7 @@ func (h *header) validate() error {
 	if h.nkeys < 0 {
 		return fmt.Errorf("%w: negative key count", ErrCorrupt)
 	}
-	if h.flags&^uint32(hdrDirty|hdrWAL) != 0 {
+	if h.flags&^uint32(hdrDirty|hdrWAL|hdrSharedLog) != 0 {
 		return fmt.Errorf("%w: unknown header flags %#x", ErrCorrupt, h.flags)
 	}
 	want := (uint32(headerSize) + h.bsize - 1) / h.bsize

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -113,6 +114,16 @@ type Options struct {
 	// log fsyncs, the sequential-I/O counterpart of Cost. Zero charges
 	// nothing.
 	WALCost wal.CostModel
+	// SharedLog attaches the table to a write-ahead log its caller owns
+	// and shares between tables. It is the seam db.Sharded is built on and
+	// has no other user: the owner appends and fsyncs one commit covering
+	// several tables, then hands each table its ops through ApplyCommitted;
+	// at a checkpoint it quiesces its committers, stamps one LSN into
+	// every table with Checkpoint, and only then resets the log. The table
+	// therefore never appends to, scans, resets or closes the log itself,
+	// Begin refuses with ErrSharedLog, and Sync flushes pages without
+	// moving the header's checkpoint LSN. Overrides WAL and WALDevice.
+	SharedLog *wal.Log
 	// DisableFilter stops reads from consulting the per-bucket tag
 	// filters (see filter.go). The filter bytes are still maintained by
 	// every write — they are persistent page state, and a table mutated
@@ -282,6 +293,7 @@ type Table struct {
 	// commit applied only partially (see Txn.Commit).
 	wal        *wal.Log
 	walOwnDev  bool
+	walShared  bool // wal is Options.SharedLog: the caller's, never reset or closed here
 	appliedLSN atomic.Uint64
 	walPending []wal.Txn
 	walErrMu   sync.Mutex
@@ -399,25 +411,31 @@ func Open(path string, o *Options) (*Table, error) {
 	// before the *first* checkpoint, when walLSN is still zero.
 	// Path-backed tables auto-attach the sidecar log; a store-backed
 	// table needs its device handed in. walLSN != 0 is kept as a belt
-	// for pre-flag files.
-	if (t.hdr.flags&hdrWAL != 0 || t.hdr.walLSN != 0) && !opts.WAL && opts.WALDevice == nil {
+	// for pre-flag files. hdrSharedLog says the same about a log this
+	// table cannot find by itself.
+	switch {
+	case opts.SharedLog != nil:
+		err = t.attachSharedLog(opts.SharedLog)
+	case t.hdr.flags&hdrSharedLog != 0:
+		err = fmt.Errorf("hash: %s is one shard of a sharded database and its commits live in that directory's log; open the directory %s instead (dbserver -dir, db.OpenSharded): %w",
+			path, filepath.Dir(path), ErrSharedLog)
+	case opts.WAL || opts.WALDevice != nil:
+		err = t.openWAL(&opts)
+	case t.hdr.flags&hdrWAL != 0 || t.hdr.walLSN != 0:
 		if t.path == "" {
-			if t.ownStore {
-				t.store.Close()
-			}
-			return nil, fmt.Errorf("hash: table is wal-managed (checkpoint %d) but no log device was provided: %w",
+			err = fmt.Errorf("hash: table is wal-managed (checkpoint %d) but no log device was provided: %w",
 				t.hdr.walLSN, ErrUnrecoverable)
+			break
 		}
 		opts.WAL = true
+		err = t.openWAL(&opts)
 	}
-	if opts.WAL || opts.WALDevice != nil {
-		if err := t.openWAL(&opts); err != nil {
-			t.closeWAL()
-			if t.ownStore {
-				t.store.Close()
-			}
-			return nil, err
+	if err != nil {
+		t.closeWAL()
+		if t.ownStore {
+			t.store.Close()
 		}
+		return nil, err
 	}
 
 	t.scratch.New = func() any { return make([]byte, t.hdr.bsize) }
@@ -442,7 +460,7 @@ func Open(path string, o *Options) (*Table, error) {
 	t.m.init(opts.Metrics)
 	t.pool.RegisterMetrics(t.m.reg, "buffer_")
 	t.store.Stats().Register(t.m.reg, "pagefile_")
-	if t.wal != nil {
+	if t.wal != nil && !t.walShared {
 		t.wal.RegisterMetrics(t.m.reg)
 	}
 	t.m.setShape(t.hdr.nkeys, t.hdr.maxBucket)
@@ -541,6 +559,25 @@ func (t *Table) openWAL(opts *Options) error {
 		// normalize it so the next commit appends to a clean file.
 		if err := t.wal.Reset(t.hdr.walLSN, t.hdr.syncEpoch); err != nil {
 			return fmt.Errorf("hash: reset wal: %w", err)
+		}
+	}
+	return nil
+}
+
+// attachSharedLog is openWAL for Options.SharedLog: the owner has opened
+// and scanned the log and replays it itself, so the table only adopts the
+// handle and durably stamps hdrSharedLog (replacing a legacy hdrWAL — the
+// owner drains and removes a sidecar before it attaches the shared log).
+func (t *Table) attachSharedLog(l *wal.Log) error {
+	t.wal, t.walShared = l, true
+	t.appliedLSN.Store(t.hdr.walLSN)
+	if !t.readonly && t.hdr.flags&(hdrWAL|hdrSharedLog) != hdrSharedLog {
+		t.hdr.flags = t.hdr.flags&^hdrWAL | hdrSharedLog
+		if err := t.writeHeader(t.hdr.dirty()); err != nil {
+			return err
+		}
+		if err := t.store.Sync(); err != nil {
+			return fmt.Errorf("hash: stamp shared-log flag: %w", err)
 		}
 	}
 	return nil
@@ -1954,7 +1991,10 @@ func (t *Table) syncLocked() error {
 	t.hdr.nkeys = t.nkeysA.Load()
 	t.hdr.pairSum = t.pairSumA.Load()
 	applied := uint64(0)
-	if t.wal != nil {
+	if t.wal != nil && !t.walShared {
+		// A shared log's owner picks the checkpoint LSN (Checkpoint): this
+		// table's appliedLSN can run ahead of a lower-LSN commit that is
+		// durable in the log but not yet applied here.
 		applied = t.appliedLSN.Load()
 		if t.hdr.walLSN != applied {
 			t.hdr.walLSN = applied
@@ -2004,7 +2044,7 @@ func (t *Table) syncLocked() error {
 // a scan-and-skip at the next open. A reset failure is returned loudly
 // but does not undo the sync — the pages and header are already durable.
 func (t *Table) checkpointWAL(applied uint64) error {
-	if t.wal == nil || t.walDamaged() != nil || t.wal.LastLSN() > applied {
+	if t.wal == nil || t.walShared || t.walDamaged() != nil || t.wal.LastLSN() > applied {
 		return nil
 	}
 	logBytes := t.wal.Size()
@@ -2139,7 +2179,7 @@ func (t *Table) Geometry() Geometry {
 // fsyncs, joins, simulated I/O time). ok is false when the table has no
 // write-ahead log.
 func (t *Table) WALStats() (st wal.Stats, ok bool) {
-	if t.wal == nil {
+	if t.wal == nil || t.walShared {
 		return wal.Stats{}, false
 	}
 	return t.wal.Stats(), true
@@ -2149,7 +2189,7 @@ func (t *Table) WALStats() (st wal.Stats, ok bool) {
 // Together with Geometry().WalLSN — the checkpoint LSN — it measures
 // checkpoint lag: the commits a crash would have to replay.
 func (t *Table) WALLastLSN() uint64 {
-	if t.wal == nil {
+	if t.wal == nil || t.walShared {
 		return 0
 	}
 	return t.wal.LastLSN()

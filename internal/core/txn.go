@@ -27,6 +27,10 @@ var (
 	// ErrNoWAL reports a transaction attempt on a table opened without
 	// Options.WAL.
 	ErrNoWAL = errors.New("hash: transactions require Options.WAL")
+	// ErrSharedLog reports a per-table operation — opening the file on its
+	// own, Begin — on a table whose write-ahead log belongs to a sharded
+	// database (Options.SharedLog): commits go through the owner.
+	ErrSharedLog = errors.New("hash: table's write-ahead log is owned by a sharded database")
 	// ErrTxnDone reports reuse of a committed or rolled-back Txn.
 	ErrTxnDone = errors.New("hash: transaction already committed or rolled back")
 )
@@ -56,6 +60,9 @@ func (t *Table) Begin() (*Txn, error) {
 	}
 	if t.wal == nil {
 		return nil, ErrNoWAL
+	}
+	if t.walShared {
+		return nil, ErrSharedLog
 	}
 	if err := t.walDamaged(); err != nil {
 		return nil, err
@@ -139,16 +146,24 @@ func (x *Txn) Commit() error {
 	return err
 }
 
-func (t *Table) commitOps(ops []wal.Op, led *oplog.Ledger) error {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+// commitReady gates both halves of a commit. The caller holds t.mu
+// shared.
+func (t *Table) commitReady() error {
 	if err := t.checkWritable(); err != nil {
 		return err
 	}
 	if t.wal == nil {
 		return ErrNoWAL
 	}
-	if err := t.walDamaged(); err != nil {
+	return t.walDamaged()
+}
+
+// commitOps is the sidecar-log commit: make the ops durable in this
+// table's own log, then apply them.
+func (t *Table) commitOps(ops []wal.Op, led *oplog.Ledger) error {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if err := t.commitReady(); err != nil {
 		return err
 	}
 	// Bumped even if the attempt fails partway, like putInner: group
@@ -162,16 +177,45 @@ func (t *Table) commitOps(ops []wal.Op, led *oplog.Ledger) error {
 	if err := t.wal.SyncToOp(led, end); err != nil {
 		return fmt.Errorf("hash: txn fsync: %w", err)
 	}
-	// The transaction is durable. Everything from here on is replayable
-	// from the log, so a failure below must freeze appliedLSN (via the
-	// damage poison) rather than roll anything back.
+	return t.applyCommitted(commitLSN, ops, led)
+}
+
+// ApplyCommitted applies ops — this table's share of a transaction that
+// is already durable in the shared log (Options.SharedLog) at commitLSN —
+// under the striped latches, as one unit. It is the second half of
+// Commit, exposed for the log's owner and nothing else: the owner has
+// appended and fsynced before calling, and keeps the commit in the log
+// until a Checkpoint at or above commitLSN has succeeded on every table
+// it touched. On error the table refuses further commits (the damage
+// poison) and the owner must do the same for the whole database.
+func (t *Table) ApplyCommitted(led *oplog.Ledger, commitLSN uint64, ops []wal.Op) error {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if !t.walShared {
+		return fmt.Errorf("hash: ApplyCommitted: %w", ErrNoWAL)
+	}
+	if err := t.commitReady(); err != nil {
+		return err
+	}
+	defer t.mutSeq.Add(1)
+	return t.applyCommitted(commitLSN, ops, led)
+}
+
+// applyCommitted applies a durable commit. Everything here is replayable
+// from the log, so a failure must freeze appliedLSN (via the damage
+// poison) rather than roll anything back. The caller holds t.mu shared.
+func (t *Table) applyCommitted(commitLSN uint64, ops []wal.Op, led *oplog.Ledger) error {
 	if err := t.applyTxn(ops, led); err != nil {
 		err = fmt.Errorf("hash: committed transaction %d applied partially (reopen or Recover to converge): %w", commitLSN, err)
 		t.setWALDamaged(err)
 		return err
 	}
-	t.appliedLSN.Store(commitLSN)
-	t.m.txnCommits.Inc()
+	if t.walShared {
+		t.raiseAppliedLSN(commitLSN)
+	} else {
+		t.appliedLSN.Store(commitLSN)
+		t.m.txnCommits.Inc()
+	}
 
 	// Split trigger, as after putInner: the latches are released, the
 	// split takes its own.
@@ -190,6 +234,46 @@ func (t *Table) commitOps(ops []wal.Op, led *oplog.Ledger) error {
 	}
 	t.m.setShape(t.nkeysA.Load(), t.geo.Load())
 	return nil
+}
+
+// Checkpoint is Sync for a shared-log table: the two-phase flush, with
+// lsn stamped into the header as the checkpoint LSN — every commit at or
+// below it that touches this table is in the pages once it returns. Only
+// the log's owner can know such an LSN (it must have quiesced its
+// committers first), which is why plain Sync on a shared-log table leaves
+// the stamp alone. The log itself is untouched.
+func (t *Table) Checkpoint(lsn uint64) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if err := t.checkOpen(); err != nil {
+		return err
+	}
+	if !t.walShared {
+		return fmt.Errorf("hash: Checkpoint: %w", ErrNoWAL)
+	}
+	if t.readonly {
+		return nil
+	}
+	// A table frozen by a partial apply keeps its old stamp: the failed
+	// commit must stay above it so that recovery replays it.
+	if lsn > t.hdr.walLSN && !t.needsRecovery && t.walDamaged() == nil {
+		t.hdr.walLSN = lsn
+		t.dirtyHdr.Store(true)
+		t.raiseAppliedLSN(lsn)
+	}
+	return t.syncLocked()
+}
+
+// raiseAppliedLSN moves a shared-log table's appliedLSN up to lsn.
+// Committers sharing the log apply out of LSN order, so it keeps the
+// max; the figure is informational — the owner picks checkpoint LSNs.
+func (t *Table) raiseAppliedLSN(lsn uint64) {
+	for {
+		cur := t.appliedLSN.Load()
+		if cur >= lsn || t.appliedLSN.CompareAndSwap(cur, lsn) {
+			return
+		}
+	}
 }
 
 // txnTarget is one op's routing state during application.

@@ -87,8 +87,8 @@ type DB interface {
 	// durable and visible as one unit by Commit. Real on the hash method
 	// when it was opened with a write-ahead log (core.Options.WAL —
 	// without one Begin reports core.ErrNoWAL); btree and recno report
-	// ErrNoTxn. Sharded databases return a routing transaction that is
-	// atomic within each shard (see Sharded.Begin).
+	// ErrNoTxn. Sharded databases commit through their one log: atomic
+	// across shards (see Sharded.Begin).
 	Begin() (Txn, error)
 	// Seq returns a cursor over every pair. Hash yields bucket order,
 	// Btree ascending key order, Recno record order.
@@ -162,11 +162,17 @@ type HashStats struct {
 	Prefetches      int64
 	PrefetchedPages int64
 	// Write-ahead log activity; all zero for a table without a log.
-	WalLSN     uint64 // checkpoint LSN from the header
-	WalLastLSN uint64 // last appended commit LSN
-	// WalCheckpointLag counts the committed transactions a crash right
-	// now would replay: WalLastLSN - WalLSN (summed across shards).
+	// A sharded database has one log for all shards: its aggregate
+	// carries every figure below once, and an entry of Stats.Shards only
+	// that shard's own WalLSN stamp and WalAppliedLSN.
+	WalLSN        uint64 // checkpoint LSN from the header
+	WalAppliedLSN uint64 // last commit applied to the table's memory
+	WalLastLSN    uint64 // last appended commit LSN
+	// WalCheckpointLag counts the LSNs a crash right now would replay:
+	// WalLastLSN - WalLSN.
 	WalCheckpointLag uint64
+	// TxnCommits counts committed transactions — on a sharded database,
+	// wire transactions, however many shards each touched.
 	TxnCommits       int64
 	WalAppends       int64
 	WalFsyncs        int64
@@ -364,10 +370,11 @@ func (d *hashDB) Stats() (Stats, error) {
 			FilterPageSkips:      snap.Counter(core.MetricFilterPageSkips),
 			Prefetches:           snap.Counter(core.MetricPrefetches),
 			PrefetchedPages:      snap.Counter(core.MetricPrefetchedPages),
-			WalLSN:               d.t.Geometry().WalLSN,
 			TxnCommits:           snap.Counter(core.MetricTxnCommits),
 		},
 	}
+	g := d.t.Geometry()
+	s.Hash.WalLSN, s.Hash.WalAppliedLSN = g.WalLSN, g.AppliedLSN
 	if ws, ok := d.t.WALStats(); ok {
 		s.Hash.WalAppends = ws.Appends
 		s.Hash.WalFsyncs = ws.Fsyncs

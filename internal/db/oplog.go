@@ -119,11 +119,7 @@ func (s *Sharded) PutBatchOp(led *oplog.Ledger, pairs []Pair) error {
 		return s.shards[0].PutBatchOp(led, pairs)
 	}
 	st := oplog.Clock()
-	per := make([][]Pair, len(s.shards))
-	for _, p := range pairs {
-		i := shardOf(p.Key, len(s.shards))
-		per[i] = append(per[i], p)
-	}
+	per := splitByShard(pairs, len(s.shards), pairKey)
 	led.Since(oplog.PhaseRoute, st)
 	return s.fanOut(func(i int, sh *hashDB) error {
 		if len(per[i]) == 0 {
@@ -138,21 +134,14 @@ func (s *Sharded) BeginOp(led *oplog.Ledger) (Txn, error) {
 	if err != nil {
 		return nil, err
 	}
-	x.(*shardedTxn).SetOplog(led)
+	x.(*shardedTxn).led = led
 	return x, nil
 }
 
-// SetOplog attaches led to every current and future sub-transaction, so
-// a sharded Commit's per-shard WAL and latch time accumulates on one
-// ledger.
-func (x *shardedTxn) SetOplog(led *oplog.Ledger) {
-	x.led = led
-	for _, t := range x.sub {
-		if o, ok := t.(oplogTxn); ok {
-			o.SetOplog(led)
-		}
-	}
-}
+// SetOplog attaches led to the transaction: Commit charges its one log
+// append and one fsync (lead or join), the routing split and each touched
+// shard's latch wait to it — once per wire transaction.
+func (x *shardedTxn) SetOplog(led *oplog.Ledger) { x.led = led }
 
 // --- instrumented wrapper ---
 
@@ -185,7 +174,7 @@ func OplogRecorder(d DB) *oplog.Recorder {
 }
 
 type opDB struct {
-	DB // pass-through for Seq, Len, Sync, Stats, Close, PutNew
+	DB  // pass-through for Seq, Len, Sync, Stats, Close, PutNew
 	ops OpDB
 	rec *oplog.Recorder
 }

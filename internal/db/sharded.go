@@ -9,21 +9,27 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"unixhash/internal/core"
 	"unixhash/internal/metrics"
 	"unixhash/internal/oplog"
+	"unixhash/internal/wal"
 )
 
-// Sharded is a hash database partitioned into N independent shards:
-// every shard is its own WAL-capable hash table with its own buffer
-// pool, lock hierarchy and (file-backed) page file, and every key is
-// routed to exactly one shard by an independent 64-bit hash. Because
-// the shards share nothing, whole-table exclusive sections — PutBatch's
-// single-lock epoch, Sync's two-phase flush, a split pass — run in
-// parallel across shards, multiplying the single-table write throughput
-// for a multi-client load (the dbserver front end is the intended
-// driver).
+// Sharded is a hash database partitioned into N shards: every shard is
+// its own hash table with its own buffer pool, lock hierarchy and
+// (file-backed) page file, and every key is routed to exactly one shard
+// by an independent 64-bit hash. Whole-table exclusive sections —
+// PutBatch's single-lock epoch, Sync's two-phase flush, a split pass —
+// therefore run in parallel across shards, multiplying the single-table
+// write throughput for a multi-client load (the dbserver front end is the
+// intended driver).
+//
+// What the shards do share is the write-ahead log: one wal.Log per
+// database (dir/wal; a memory device when dir is empty), owned by the
+// Sharded, not by any table — one append and one group fsync per
+// transaction, whatever shards it touches (sharded_log.go, DESIGN.md §12).
 //
 // Sharded implements DB, so everything written against the uniform
 // interface (CLIs, the network server, ServeTelemetry) works unchanged.
@@ -33,21 +39,45 @@ import (
 //
 // Cross-shard semantics, where they differ from a single table:
 //
-//   - Begin returns a transaction that routes ops to per-shard
-//     sub-transactions. Commit is atomic within each shard (one WAL
-//     commit record per shard) but not across shards: a crash between
-//     shard commits can leave some shards committed and others not.
+//   - Begin returns a transaction that is atomic across shards: after a
+//     power cut either every key of a committed transaction is there or
+//     none is, on every shard (one commit frame in the one log).
+//   - Sync is a database-wide checkpoint: it waits out in-flight commits,
+//     flushes every shard stamping the same LSN, then truncates the log.
 //   - Seq yields shard 0's pairs, then shard 1's, and so on; within a
 //     shard the usual bucket order applies.
 type Sharded struct {
-	dir    string
-	shards []*hashDB
-	reg    *metrics.Registry
+	dir      string
+	shards   []*hashDB
+	reg      *metrics.Registry
+	readonly bool
+
+	// log is the directory log, nil when the database was opened without
+	// logging (Begin then reports core.ErrNoWAL). ownLog records that
+	// Close must close its device. commits counts wire transactions in
+	// the shared registry (the shards do not count their subsets).
+	log     *wal.Log
+	ownLog  bool
+	commits *metrics.Counter
+
+	// ckpt orders commits against checkpoints: a commit holds it shared
+	// from its log append until its last shard has applied, Sync and Close
+	// hold it exclusively — so when a checkpoint reads the log's last LSN,
+	// every commit at or below it is in the shards' memory, and Log.Reset
+	// never runs with a commit in flight. It ranks above every table lock.
+	ckpt    sync.RWMutex
+	closed  bool          // guarded by ckpt
+	ckptLSN atomic.Uint64 // LSN of the last completed checkpoint
+	// damaged poisons the commit path after a failed append, fsync or
+	// apply: the log may hold a commit that was never acknowledged or only
+	// partly applied, so commits are refused and the log is kept as it is
+	// until a reopen replays it.
+	damaged atomic.Pointer[error]
 }
 
 // MaxShards bounds OpenSharded's shard count. Each shard costs a buffer
-// pool, a page file (plus a WAL file when logging) and a goroutine per
-// fan-out call; past a few dozen shards the returns are already gone.
+// pool, a page file and a goroutine per fan-out call; past a few dozen
+// shards the returns are already gone.
 const MaxShards = 1024
 
 // ErrShardMismatch reports opening a sharded directory with a different
@@ -60,68 +90,25 @@ const shardMarker = "SHARDS"
 
 // OpenSharded opens (or creates) a hash database of nshards shards. An
 // empty dir is memory-resident, like Open; otherwise dir is created if
-// needed and shard i lives in dir/shard-NNN.db (with a sidecar .wal
-// when cfg enables logging). Only the Hash config is consulted; its
-// options apply to each shard individually (CacheSize budgets one
-// shard's pool; Nelem is split across shards). A shared metrics
-// registry is used for every shard — the caller's cfg.Hash.Metrics if
-// set, else a private one — so the database reports one aggregated
-// /metrics view. Options that cannot be sharded (Store, TelemetryAddr)
-// are rejected; serve telemetry with ServeTelemetry instead.
+// needed, shard i lives in dir/shard-NNN.db and — when cfg enables
+// logging (WAL or WALDevice, the latter naming the one log's device) or
+// the directory already has one — the log in dir/wal. Only the Hash
+// config is consulted; its options apply to each shard individually
+// (CacheSize budgets one shard's pool; Nelem is split across shards). A
+// shared metrics registry is used for every shard — the caller's
+// cfg.Hash.Metrics if set, else a private one — so the database reports
+// one aggregated /metrics view. Options that cannot be sharded (Store,
+// TelemetryAddr) are rejected; serve telemetry with ServeTelemetry
+// instead.
+//
+// A directory that was not closed cleanly — a dirty shard, or committed
+// transactions in the log that a shard's pages do not yet hold — fails
+// with core.ErrNeedsRecovery; RecoverSharded opens it. A directory
+// written before the log moved up (per-shard shard-NNN.db.wal sidecars)
+// is migrated on first writable open.
 func OpenSharded(dir string, nshards int, cfg *Config) (*Sharded, error) {
-	var c Config
-	if cfg != nil {
-		c = *cfg
-	}
-	if nshards < 1 || nshards > MaxShards {
-		return nil, fmt.Errorf("%w: hash option Shards: %d must be in [1, %d]", ErrBadOptions, nshards, MaxShards)
-	}
-	if err := validate(Hash, c); err != nil {
-		return nil, err
-	}
-	var base core.Options
-	if c.Hash != nil {
-		base = *c.Hash
-	}
-	if base.Store != nil {
-		return nil, fmt.Errorf("%w: hash option Store: cannot share one store across %d shards", ErrBadOptions, nshards)
-	}
-	if base.TelemetryAddr != "" {
-		return nil, fmt.Errorf("%w: hash option TelemetryAddr: serve a sharded database with db.ServeTelemetry", ErrBadOptions)
-	}
-	if base.Metrics == nil {
-		base.Metrics = metrics.New()
-	}
-	// Split the expected element count across shards so presizing builds
-	// each shard at its final geometry rather than N full-sized tables.
-	if base.Nelem > 0 {
-		base.Nelem = (base.Nelem + nshards - 1) / nshards
-	}
-
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o777); err != nil {
-			return nil, fmt.Errorf("db: sharded open: %w", err)
-		}
-		if err := checkShardMarker(dir, nshards, base.ReadOnly); err != nil {
-			return nil, err
-		}
-	}
-
-	s := &Sharded{dir: dir, reg: base.Metrics, shards: make([]*hashDB, 0, nshards)}
-	for i := 0; i < nshards; i++ {
-		path := ""
-		if dir != "" {
-			path = filepath.Join(dir, fmt.Sprintf("shard-%03d.db", i))
-		}
-		opts := base
-		t, err := core.Open(path, &opts)
-		if err != nil {
-			s.Close()
-			return nil, fmt.Errorf("db: sharded open: shard %d: %w", i, err)
-		}
-		s.shards = append(s.shards, &hashDB{t})
-	}
-	return s, nil
+	s, _, err := openSharded(dir, nshards, cfg, nil, false)
+	return s, err
 }
 
 // checkShardMarker reconciles nshards with the directory's marker file:
@@ -187,20 +174,30 @@ func (s *Sharded) Put(key, data []byte) error             { return s.shard(key).
 func (s *Sharded) PutNew(key, data []byte) error          { return s.shard(key).PutNew(key, data) }
 func (s *Sharded) Delete(key []byte) error                { return s.shard(key).Delete(key) }
 
+// splitByShard partitions items by the shard their key routes to,
+// preserving order within each shard.
+func splitByShard[T any](items []T, n int, key func(T) []byte) [][]T {
+	if n == 1 {
+		return [][]T{items}
+	}
+	per := make([][]T, n)
+	for _, it := range items {
+		i := shardOf(key(it), n)
+		per[i] = append(per[i], it)
+	}
+	return per
+}
+
+func pairKey(p Pair) []byte  { return p.Key }
+func opKey(op wal.Op) []byte { return op.Key }
+
 // PutBatch partitions the batch by destination shard and applies the
 // sub-batches concurrently, one PutBatch (one lock epoch, one deferred
 // split pass) per involved shard. In-batch last-wins dedupe holds: a
 // duplicate key lands in one shard, where the table's own batch dedupe
 // applies.
 func (s *Sharded) PutBatch(pairs []Pair) error {
-	if len(s.shards) == 1 {
-		return s.shards[0].PutBatch(pairs)
-	}
-	per := make([][]Pair, len(s.shards))
-	for _, p := range pairs {
-		i := shardOf(p.Key, len(s.shards))
-		per[i] = append(per[i], p)
-	}
+	per := splitByShard(pairs, len(s.shards), pairKey)
 	return s.fanOut(func(i int, sh *hashDB) error {
 		if len(per[i]) == 0 {
 			return nil
@@ -229,15 +226,33 @@ func (s *Sharded) fanOut(fn func(i int, sh *hashDB) error) error {
 	return errors.Join(errs...)
 }
 
-// Sync flushes every shard to stable storage, concurrently.
+// Sync flushes every shard to stable storage, concurrently. With a log
+// it is the database's checkpoint (see checkpointLocked).
 func (s *Sharded) Sync() error {
-	return s.fanOut(func(_ int, sh *hashDB) error { return sh.Sync() })
+	if s.log == nil || s.readonly {
+		return s.fanOut(func(_ int, sh *hashDB) error { return sh.Sync() })
+	}
+	s.ckpt.Lock()
+	defer s.ckpt.Unlock()
+	if s.closed {
+		return core.ErrClosed
+	}
+	return s.checkpointLocked(false)
 }
 
-// Close flushes and closes every shard (all of them, even if one
-// fails), concurrently.
+// Close checkpoints (so a graceful stop leaves the log at header size)
+// and closes every shard — all of them, even if one fails — then the log.
 func (s *Sharded) Close() error {
-	return s.fanOut(func(_ int, sh *hashDB) error { return sh.Close() })
+	s.ckpt.Lock()
+	defer s.ckpt.Unlock()
+	if s.closed {
+		return nil
+	}
+	var err error
+	if s.log != nil && !s.readonly {
+		err = s.checkpointLocked(false)
+	}
+	return errors.Join(err, s.closeFiles())
 }
 
 // Len sums the shards' pair counts.
@@ -299,9 +314,14 @@ func (c *shardedCursor) Value() []byte {
 func (c *shardedCursor) Err() error { return c.err }
 
 // Stats aggregates every shard into the uniform totals and attaches the
-// per-shard breakdown in Shards.
+// per-shard breakdown in Shards. The operation counters (Gets, Puts,
+// TxnCommits, ...) live in the registry all shards share, so every
+// shard's view of them is already the database total and the aggregate
+// takes them once; the shape figures (buckets, chains, fill) are summed.
+// The log is the database's, so its figures appear in the aggregate only:
+// a shard reports its own checkpoint stamp and applied LSN and no log I/O.
 func (s *Sharded) Stats() (Stats, error) {
-	agg := Stats{Method: Hash, Hash: &HashStats{}, Shards: make([]Stats, 0, len(s.shards))}
+	agg := Stats{Method: Hash, Shards: make([]Stats, 0, len(s.shards))}
 	for _, sh := range s.shards {
 		st, err := sh.Stats()
 		if err != nil {
@@ -312,175 +332,148 @@ func (s *Sharded) Stats() (Stats, error) {
 		agg.PageSize = st.PageSize
 		agg.CacheHits += st.CacheHits
 		agg.CacheMisses += st.CacheMisses
-		addHashStats(agg.Hash, st.Hash)
+		if agg.Hash == nil {
+			h := *st.Hash
+			h.ChainDist = append([]int(nil), h.ChainDist...)
+			h.AvgFill *= float64(h.Buckets) // bucket-weighted; divided out below
+			agg.Hash = &h
+		} else {
+			addShape(agg.Hash, st.Hash)
+		}
 		agg.Shards = append(agg.Shards, st)
 	}
 	if t := agg.CacheHits + agg.CacheMisses; t > 0 {
 		agg.CacheHitRatio = float64(agg.CacheHits) / float64(t)
 	}
-	// AvgFill is re-weighted by bucket count below; undo the running sum.
-	if b := int64(agg.Hash.Buckets); b > 0 {
-		agg.Hash.AvgFill /= float64(b)
+	h := agg.Hash
+	if h.Buckets > 0 {
+		h.AvgFill /= float64(h.Buckets)
 	}
-	// Rates do not sum; rederive the aggregate from the summed counters.
-	agg.Hash.FilterHitRate = filterHitRate(agg.Hash)
+	if s.log != nil {
+		ws := s.log.Stats()
+		h.WalAppends, h.WalFsyncs, h.WalFsyncJoins = ws.Appends, ws.Fsyncs, ws.FsyncJoins
+		h.WalAppendedBytes, h.WalIOTimeNS = ws.AppendedBytes, int64(ws.IOTime)
+		h.WalLSN, h.WalLastLSN = s.ckptLSN.Load(), s.log.LastLSN()
+		if h.WalLastLSN > h.WalLSN {
+			h.WalCheckpointLag = h.WalLastLSN - h.WalLSN
+		}
+	}
 	return agg, nil
 }
 
-// addHashStats folds one shard's hash detail into the aggregate.
-// AvgFill accumulates bucket-weighted (divided out by the caller);
-// MaxChain takes the max; ChainDist merges elementwise; WalLSN reports
-// the furthest shard checkpoint.
-func addHashStats(agg, sh *HashStats) {
+// addShape folds one more shard's table shape into the aggregate: sums,
+// except MaxChain (max), ChainDist (elementwise), AvgFill (accumulated
+// bucket-weighted) and WalAppliedLSN (the furthest shard).
+func addShape(agg, sh *HashStats) {
 	agg.AvgFill += sh.AvgFill * float64(sh.Buckets)
 	agg.Buckets += sh.Buckets
 	agg.OverflowPages += sh.OverflowPages
 	agg.BigPairPages += sh.BigPairPages
 	agg.BitmapPages += sh.BitmapPages
 	agg.EmptyBuckets += sh.EmptyBuckets
-	if sh.MaxChain > agg.MaxChain {
-		agg.MaxChain = sh.MaxChain
-	}
+	agg.MaxChain = max(agg.MaxChain, sh.MaxChain)
 	for len(agg.ChainDist) < len(sh.ChainDist) {
 		agg.ChainDist = append(agg.ChainDist, 0)
 	}
 	for i, n := range sh.ChainDist {
 		agg.ChainDist[i] += n
 	}
-	agg.Gets += sh.Gets
-	agg.GetMisses += sh.GetMisses
-	agg.Puts += sh.Puts
-	agg.Deletes += sh.Deletes
-	agg.SplitsControlled += sh.SplitsControlled
-	agg.SplitsUncontrolled += sh.SplitsUncontrolled
-	agg.OvflAllocs += sh.OvflAllocs
-	agg.OvflFrees += sh.OvflFrees
-	agg.Syncs += sh.Syncs
-	agg.FilterHits += sh.FilterHits
-	agg.FilterSkips += sh.FilterSkips
-	agg.FilterFalsePositives += sh.FilterFalsePositives
-	agg.FilterPageSkips += sh.FilterPageSkips
-	agg.Prefetches += sh.Prefetches
-	agg.PrefetchedPages += sh.PrefetchedPages
-	if sh.WalLSN > agg.WalLSN {
-		agg.WalLSN = sh.WalLSN
-	}
-	if sh.WalLastLSN > agg.WalLastLSN {
-		agg.WalLastLSN = sh.WalLastLSN
-	}
-	agg.WalCheckpointLag += sh.WalCheckpointLag
-	agg.TxnCommits += sh.TxnCommits
-	agg.WalAppends += sh.WalAppends
-	agg.WalFsyncs += sh.WalFsyncs
-	agg.WalFsyncJoins += sh.WalFsyncJoins
-	agg.WalAppendedBytes += sh.WalAppendedBytes
-	agg.WalIOTimeNS += sh.WalIOTimeNS
+	agg.WalAppliedLSN = max(agg.WalAppliedLSN, sh.WalAppliedLSN)
 }
 
-// Begin starts a routing transaction: each op lands in a per-shard
-// sub-transaction, begun lazily on first touch. Commit commits the
-// sub-transactions in shard order — atomic within each shard, not
-// across shards (a crash mid-commit can leave a prefix of the shards
-// committed; each shard individually is still all-or-nothing and
-// crash-consistent through its own log).
+// Begin starts a transaction over the whole database. Ops buffer in the
+// transaction; Commit appends all of them under one commit frame to the
+// one log, fsyncs once (sharing the fsync with concurrent committers on
+// any shards), and then applies each shard's subset under that shard's
+// bucket latches. The commit is atomic across shards for durability —
+// after a crash all of its keys are there or none — and atomic per shard
+// for visibility: a concurrent reader may see one shard's part a moment
+// before another's.
 func (s *Sharded) Begin() (Txn, error) {
 	// Surface "no WAL" (or read-only, closed...) at Begin rather than at
-	// the first Put, matching the single-table contract.
-	probe, err := s.shards[0].Begin()
+	// Commit, matching the single-table contract.
+	s.ckpt.RLock()
+	err := s.commitReady()
+	s.ckpt.RUnlock()
 	if err != nil {
 		return nil, err
 	}
-	x := &shardedTxn{s: s, sub: make([]Txn, len(s.shards))}
-	x.sub[0] = probe
-	return x, nil
+	return &shardedTxn{s: s}, nil
 }
 
 type shardedTxn struct {
 	s    *Sharded
-	sub  []Txn
+	ops  []wal.Op
 	led  *oplog.Ledger
 	done bool
 }
 
-func (x *shardedTxn) forKey(key []byte) (Txn, error) {
-	i := 0
-	if len(x.s.shards) > 1 {
-		i = shardOf(key, len(x.s.shards))
+func (x *shardedTxn) buffer(op wal.Op) error {
+	if x.done {
+		return core.ErrTxnDone
 	}
-	if x.sub[i] == nil {
-		t, err := x.s.shards[i].Begin()
-		if err != nil {
-			return nil, err
-		}
-		if x.led != nil {
-			if o, ok := t.(oplogTxn); ok {
-				o.SetOplog(x.led)
-			}
-		}
-		x.sub[i] = t
+	if len(op.Key) == 0 {
+		return core.ErrEmptyKey
 	}
-	return x.sub[i], nil
+	x.ops = append(x.ops, op)
+	return nil
 }
 
 func (x *shardedTxn) Put(key, data []byte) error {
-	if x.done {
-		return core.ErrTxnDone
-	}
-	t, err := x.forKey(key)
-	if err != nil {
-		return err
-	}
-	return t.Put(key, data)
+	return x.buffer(wal.Op{Key: append([]byte(nil), key...), Data: append([]byte(nil), data...)})
 }
 
 func (x *shardedTxn) Delete(key []byte) error {
-	if x.done {
-		return core.ErrTxnDone
-	}
-	t, err := x.forKey(key)
-	if err != nil {
-		return err
-	}
-	return t.Delete(key)
-}
-
-func (x *shardedTxn) Commit() error {
-	if x.done {
-		return core.ErrTxnDone
-	}
-	x.done = true
-	for i, t := range x.sub {
-		if t == nil {
-			continue
-		}
-		if err := t.Commit(); err != nil {
-			// Shards before i are durably committed; roll the rest back
-			// so their buffered ops cannot leak into a later reuse.
-			for _, rest := range x.sub[i+1:] {
-				if rest != nil {
-					_ = rest.Rollback()
-				}
-			}
-			return fmt.Errorf("db: sharded commit: shard %d: %w", i, err)
-		}
-	}
-	return nil
+	return x.buffer(wal.Op{Delete: true, Key: append([]byte(nil), key...)})
 }
 
 func (x *shardedTxn) Rollback() error {
 	if x.done {
 		return core.ErrTxnDone
 	}
+	x.done, x.ops = true, nil
+	return nil
+}
+
+// Commit makes the transaction durable, then visible. A log failure
+// (append or fsync) acknowledges nothing and applies nothing; an apply
+// failure leaves a durable commit partly visible. Either way the
+// database refuses further commits until it is reopened, because the log
+// now holds something the live shards do not agree with.
+func (x *shardedTxn) Commit() error {
+	if x.done {
+		return core.ErrTxnDone
+	}
 	x.done = true
-	var errs []error
-	for _, t := range x.sub {
-		if t != nil {
-			if err := t.Rollback(); err != nil {
-				errs = append(errs, err)
-			}
+	if len(x.ops) == 0 {
+		return nil
+	}
+	s, led := x.s, x.led
+	s.ckpt.RLock()
+	defer s.ckpt.RUnlock()
+	if err := s.commitReady(); err != nil {
+		return err
+	}
+	lsn, end, err := s.log.AppendOp(led, x.ops)
+	if err == nil {
+		err = s.log.SyncToOp(led, end)
+	}
+	if err != nil {
+		return s.poison(fmt.Errorf("db: sharded commit: log: %w", err))
+	}
+	st := oplog.Clock()
+	per := splitByShard(x.ops, len(s.shards), opKey)
+	led.Since(oplog.PhaseRoute, st)
+	for i, ops := range per {
+		if len(ops) == 0 {
+			continue
+		}
+		if err := s.shards[i].t.ApplyCommitted(led, lsn, ops); err != nil {
+			return s.poison(fmt.Errorf("db: sharded commit: shard %d: %w", i, err))
 		}
 	}
-	return errors.Join(errs...)
+	s.commits.Inc()
+	return nil
 }
 
 // shardKeys reports how an example key set distributes over n shards —

@@ -2,16 +2,19 @@ package server
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"unixhash/internal/core"
 	"unixhash/internal/db"
 	"unixhash/internal/metrics"
+	"unixhash/internal/wal"
 )
 
 // client is a minimal test-side speaker of the wire protocol.
@@ -243,6 +246,58 @@ func TestServerTxnWithoutWAL(t *testing.T) {
 		t.Fatalf("TXN BEGIN without WAL = %q, want -ERR", got)
 	}
 	c.expect("+PONG", "PING") // connection survives
+}
+
+// failSyncDev is a log device whose fsync can be made to fail.
+type failSyncDev struct {
+	*wal.MemDevice
+	fail atomic.Bool
+}
+
+func (d *failSyncDev) Sync() error {
+	if d.fail.Load() {
+		return errors.New("injected fsync failure")
+	}
+	return d.MemDevice.Sync()
+}
+
+// TestServerTxnLogFault: a commit whose log fsync fails answers -ERR,
+// is not visible to anyone, and the database refuses transactions from
+// every connection afterwards — while reads and plain writes go on and
+// no connection is dropped.
+func TestServerTxnLogFault(t *testing.T) {
+	dev := &failSyncDev{MemDevice: wal.NewMemDevice()}
+	d, err := db.OpenSharded("", 2, &db.Config{Hash: &core.Options{WALDevice: dev}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	s := startServer(t, d, nil)
+	a, b := dial(t, s.Addr()), dial(t, s.Addr())
+
+	a.expect("+OK", "TXN", "BEGIN")
+	a.expect("+QUEUED", "PUT", "k1", "good")
+	a.expect("+OK", "TXN", "COMMIT")
+
+	dev.fail.Store(true)
+	a.expect("+OK", "TXN", "BEGIN")
+	a.expect("+QUEUED", "PUT", "k1", "lost")
+	a.expect("+QUEUED", "PUT", "k2", "lost")
+	if got := a.do("TXN", "COMMIT"); !strings.HasPrefix(got, "-ERR") || !strings.Contains(got, "injected fsync failure") {
+		t.Fatalf("commit on a failing log = %q, want -ERR naming the fault", got)
+	}
+	b.expect("$good", "GET", "k1")
+	b.expect("$nil", "GET", "k2")
+
+	dev.fail.Store(false) // the device heals; the refusal stays
+	for _, c := range []*client{a, b} {
+		if got := c.do("TXN", "BEGIN"); !strings.HasPrefix(got, "-ERR") {
+			t.Fatalf("TXN BEGIN after a log fault = %q, want -ERR", got)
+		}
+		c.expect("+PONG", "PING")
+	}
+	b.expect("+OK", "PUT", "k3", "plain")
+	a.expect("$plain", "GET", "k3")
 }
 
 func TestServerShutdownDrains(t *testing.T) {

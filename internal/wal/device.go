@@ -122,7 +122,9 @@ func (d *FileDevice) Close() error {
 // MemDevice
 
 // MemDevice is a Device kept entirely in memory, used by memory-resident
-// tables, benchmarks and tests.
+// tables, benchmarks and tests. The buffer grows with append's amortised
+// doubling, so a long run of tail appends copies O(n) bytes in total
+// rather than the whole log on every write.
 type MemDevice struct {
 	mu  sync.Mutex
 	buf []byte
@@ -157,12 +159,24 @@ func (d *MemDevice) WriteAt(p []byte, off int64) (int, error) {
 	}
 	end := off + int64(len(p))
 	if end > int64(len(d.buf)) {
-		grown := make([]byte, end)
-		copy(grown, d.buf)
-		d.buf = grown
+		d.resize(end)
 	}
 	copy(d.buf[off:end], p)
 	return len(p), nil
+}
+
+// resize sets the length to size, zero-filling any bytes it exposes (a
+// Truncate may have left stale data between len and cap). Caller holds mu.
+func (d *MemDevice) resize(size int64) {
+	old := len(d.buf)
+	if size > int64(cap(d.buf)) {
+		d.buf = append(d.buf, make([]byte, size-int64(old))...)
+		return
+	}
+	d.buf = d.buf[:size]
+	if int(size) > old {
+		clear(d.buf[old:])
+	}
 }
 
 // Size implements Device.
@@ -176,16 +190,10 @@ func (d *MemDevice) Size() (int64, error) {
 func (d *MemDevice) Truncate(size int64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	switch {
-	case size < 0:
+	if size < 0 {
 		return fmt.Errorf("wal: negative truncate size %d", size)
-	case size <= int64(len(d.buf)):
-		d.buf = d.buf[:size]
-	default:
-		grown := make([]byte, size)
-		copy(grown, d.buf)
-		d.buf = grown
 	}
+	d.resize(size)
 	return nil
 }
 
