@@ -4,7 +4,7 @@ GO ?= go
 # -race is slow, so check races where the locks actually live.
 RACE_PKGS = ./internal/core ./internal/buffer ./internal/db ./internal/trace ./internal/server ./internal/oplog
 
-.PHONY: check build vet test race crash fuzz-crash wal-crash fuzz-wal-crash bench concurrency metrics bulkload txn misses serve serveload oplog telemetry clean
+.PHONY: check build vet test race crash fuzz-crash wal-crash fuzz-wal-crash bench bench-history metrics misses serve telemetry loc clean
 
 check: vet build test race crash
 
@@ -47,25 +47,18 @@ fuzz-wal-crash:
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem .
 
-concurrency:
-	$(GO) run ./cmd/hashbench -quick concurrency
+# One line of history per call: benchmark/'s `all` summary (commit, host
+# facts, every end-to-end metric per workload) appended to the tracked
+# BENCH_history.jsonl. A line is a record, not a verdict: claims are
+# judged by alternating pairs (benchmark/README.md).
+SEED ?= 1
+bench-history:
+	bash benchmark/run.sh --workload all --seed $(SEED) | tr -d '\n' >> BENCH_history.jsonl; echo >> BENCH_history.jsonl
 
 # Instrumented workload; refreshes BENCH_metrics.json with the full
 # metric registry (splits, chain probes, cache behaviour, sync latency).
 metrics:
 	$(GO) run ./cmd/hashbench metrics
-
-# Batched write pipeline vs looped Put; refreshes BENCH_bulkload.json
-# and fails if PutBatch regresses below looped Put (gate 1.0). The full
-# 1M-key sweep; CI runs the 100k smoke variant.
-bulkload:
-	$(GO) run ./cmd/hashbench -check 1.0 bulkload
-
-# Durable single Put via WAL commit vs the full sync protocol; refreshes
-# BENCH_txn.json and fails if the WAL is not at least 10x cheaper on the
-# simulated cost model (the acceptance bar).
-txn:
-	$(GO) run ./cmd/hashbench -check 10 txn
 
 # Negative-lookup latency vs overflow-chain depth, tag filter on vs off,
 # plus a cold scan through the vectored chain read-ahead; refreshes
@@ -80,25 +73,19 @@ misses:
 serve:
 	$(GO) run ./cmd/dbserver -addr :7700 -telemetry :7701
 
-# Network front end benchmark: pipelined write throughput at 1 vs 8
-# shards over real TCP plus a mixed workload with window latency
-# percentiles; refreshes BENCH_serve.json and fails if 8 shards buy
-# less than 3x the single-shard aggregate write throughput.
-serveload:
-	$(GO) run ./cmd/hashbench -check 3.0 serveload
-
-# Op-ledger overhead contract: the serveload mixed phase ledger-off vs
-# ledger-on; refreshes BENCH_obs.json and fails if attribution costs
-# more than 5% of mixed throughput or the exemplars' phase sums stray
-# more than 10% from end-to-end latency.
-oplog:
-	$(GO) run ./cmd/hashbench -check 0.95 oplog
-
 # Telemetry smoke: start a live traced workload with the telemetry
 # server up, scrape every endpoint (including a 1s CPU profile) and
 # watch it through dbcli hashmon; fails on any non-200 or empty body.
 telemetry:
 	$(GO) test -count=1 -run TestTelemetryEndToEnd -v .
 
+# Non-test Go lines per top-level package (benchmark/ is the judge, not
+# the judged, and is left out), so "less code" is a recorded number.
+loc:
+	@for d in cmd examples $$(find internal -mindepth 1 -maxdepth 1 -type d | sort); do \
+		printf '%7d  %s\n' $$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) $$d; \
+	done
+	@printf '%7d  total (non-test Go outside benchmark/)\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -exec cat {} + | wc -l)
+
 clean:
-	rm -f BENCH_concurrency.json BENCH_metrics.json BENCH_bulkload.json BENCH_txn.json BENCH_serve.json BENCH_misses.json BENCH_obs.json
+	rm -f BENCH_metrics.json BENCH_misses.json

@@ -8,6 +8,8 @@ package unixhash
 
 import (
 	"fmt"
+	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"unixhash/internal/bench"
@@ -474,16 +476,13 @@ func BenchmarkGetBuf(b *testing.B) {
 	}
 }
 
-// BenchmarkGetParallel measures read scaling over a warm table: every
-// goroutine takes the shared table lock and its bucket's pool shard
-// only. On a multi-core machine throughput should grow with
-// GOMAXPROCS; -cpu=1,2,4,8 sweeps the curve.
-func BenchmarkGetParallel(b *testing.B) {
+// warmTable opens a memory table holding benchDict with every page
+// resident: the fixture of the Parallel benchmarks.
+func warmTable(b *testing.B) *core.Table {
 	t, err := core.Open("", &core.Options{CacheSize: 8 << 20, Nelem: benchN})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer t.Close()
 	for _, p := range benchDict {
 		if err := t.Put(p.Key, p.Data); err != nil {
 			b.Fatal(err)
@@ -494,6 +493,16 @@ func BenchmarkGetParallel(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	return t
+}
+
+// BenchmarkGetParallel measures read scaling over a warm table: every
+// goroutine takes the shared table lock and its bucket's pool shard
+// only. On a multi-core machine throughput should grow with
+// GOMAXPROCS; -cpu=1,2,4,8 sweeps the curve.
+func BenchmarkGetParallel(b *testing.B) {
+	t := warmTable(b)
+	defer t.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -508,6 +517,39 @@ func BenchmarkGetParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkPutParallel is the write side of the same curve: every
+// operation rewrites an existing pair, so the table never grows and the
+// points stay comparable across -cpu values. uniform spreads the writers
+// over all buckets (they meet only on the shared table lock and the
+// stripe latches); zipf piles them onto a few hot buckets.
+func BenchmarkPutParallel(b *testing.B) {
+	for _, dist := range []string{"uniform", "zipf"} {
+		zipf := dist == "zipf"
+		b.Run(dist, func(b *testing.B) {
+			t := warmTable(b)
+			defer t.Close()
+			var seed atomic.Int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				rng := rand.New(rand.NewSource(seed.Add(1)))
+				zf := rand.NewZipf(rng, 1.3, 4, uint64(len(benchDict)-1))
+				for pb.Next() {
+					i := rng.Intn(len(benchDict))
+					if zipf {
+						i = int(zf.Uint64())
+					}
+					p := benchDict[i]
+					if err := t.Put(p.Key, p.Data); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+		})
+	}
 }
 
 // BenchmarkGetParallelMixed is the 95% read / 5% write workload: reads

@@ -99,6 +99,12 @@ func main() {
 		rec = oplog.NewRecorder(reg, d.NShards())
 	}
 
+	// Catch signals before announcing the address: a supervisor (or the
+	// SIGKILL drill) that stops the server the moment it is "serving" must
+	// get the graceful path, not the default action.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+
 	s, err := server.Serve(*addr, server.Options{DB: d, Metrics: reg, Oplog: rec})
 	if err != nil {
 		d.Close()
@@ -123,8 +129,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dbserver: telemetry http://%s\n", ts.Addr())
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Fprintln(os.Stderr, "dbserver: shutting down")
 	if err := s.Close(); err != nil {

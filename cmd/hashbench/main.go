@@ -9,62 +9,29 @@
 //	hashbench fig8b           Figure 8b: password DB vs ndbm and hsearch
 //	hashbench methods         hash vs btree under the same workload
 //	hashbench ablate          ablations: split policy, hash functions
-//	hashbench concurrency     read + write scaling at 1-8 goroutines
-//	                          (read-only, mixed, write-heavy, hot-key);
-//	                          writes BENCH_concurrency.json
 //	hashbench metrics         instrumented workload; writes
 //	                          BENCH_metrics.json
-//	hashbench bulkload        batched write pipeline vs looped Put; writes
-//	                          BENCH_bulkload.json
-//	hashbench txn             durable single Put via WAL commit vs full
-//	                          sync, with commit latency percentiles;
-//	                          writes BENCH_txn.json
-//	hashbench misses          negative-lookup latency vs overflow-chain
-//	                          depth with the per-bucket tag filter on
-//	                          vs off, plus a cold scan through the
-//	                          vectored chain read-ahead; writes
-//	                          BENCH_misses.json
+//	hashbench misses          negative-lookup cost vs overflow-chain depth
+//	                          with the per-bucket tag filter on vs off,
+//	                          plus a cold scan through the vectored
+//	                          chain read-ahead; writes BENCH_misses.json
 //	hashbench serve           live traced workload with the telemetry
 //	                          endpoint up (watch with dbcli hashmon)
-//	hashbench serveload       the network front end over real TCP:
-//	                          pipelined write throughput at 1 vs 8
-//	                          shards plus a mixed workload with window
-//	                          latency percentiles; writes
-//	                          BENCH_serve.json
-//	hashbench oplog           op-ledger overhead contract: the mixed
-//	                          phase ledger-off vs ledger-on, with the
-//	                          recorder's phase breakdown and exemplar
-//	                          phase coverage; writes BENCH_obs.json
-//	hashbench all             everything above except concurrency,
-//	                          metrics, bulkload, txn, serve,
-//	                          serveload and oplog
+//	hashbench all             fig5 through ablate
+//
+// Every figure is user CPU plus simulated I/O (pagefile.CostModel
+// charges accumulated in IOTime; nothing sleeps). Whether a change made
+// the shipped server faster or slower is benchmark/'s question (see
+// benchmark/README.md), not this tool's.
 //
 // Flags:
 //
 //	-n N      dictionary size (default: the paper's 24474; smaller is
-//	          faster and preserves the shapes). For bulkload, the key
-//	          ceiling: points above N keys are skipped (0 = all, up
-//	          to 1M).
+//	          faster and preserves the shapes)
 //	-quick    shorthand for -n 4000
-//	-check X  bulkload: exit nonzero if the PutBatch speedup at the
-//	          largest size falls below X, or if presized PutBatch
-//	          does not beat unsized. concurrency: exit nonzero if the
-//	          8-goroutine write-heavy speedup falls below X (skipped
-//	          on GOMAXPROCS=1 hosts). txn: exit nonzero if the WAL
-//	          durable-put speedup over full sync falls below X.
-//	          serveload: exit nonzero if the 8-shard aggregate write
-//	          throughput speedup over 1 shard falls below X. oplog:
-//	          exit nonzero if ledger-on throughput falls below X of
-//	          ledger-off, or the exemplars' phase sums stray more
-//	          than 10% from end-to-end latency. misses:
-//	          exit nonzero if a filtered depth-4 miss costs more than
-//	          X times a depth-0 miss, or the scan phase prefetched no
-//	          pages. The CI regression gates.
-//	-conns M  serveload: client connection count (default 8)
-//	-pipeline D
-//	          serveload: commands pipelined per window (default 64)
-//	-mix P    serveload: write percentage of the mixed phase
-//	          (default 30)
+//	-check X  misses only: exit nonzero if a filtered depth-4 miss costs
+//	          more than X times a depth-0 miss, or the scan phase
+//	          prefetched no pages (the CI gate)
 //	-telemetry ADDR
 //	          serve only: telemetry listen address (":0" picks a free
 //	          port; the first output line reports the choice)
@@ -83,12 +50,9 @@ import (
 func main() {
 	n := flag.Int("n", 0, "dictionary size (0 = the paper's 24474 keys)")
 	quick := flag.Bool("quick", false, "use a 4000-key dictionary")
-	check := flag.Float64("check", 0, "bulkload/concurrency: fail below this speedup (0 = no gate)")
+	check := flag.Float64("check", 0, "misses: fail if a filtered depth-4 miss costs more than this many depth-0 misses (0 = no gate)")
 	telemetry := flag.String("telemetry", "127.0.0.1:0", "serve: telemetry listen address")
 	dur := flag.Duration("dur", 0, "serve: workload duration (0 = until killed)")
-	conns := flag.Int("conns", 0, "serveload: client connections (0 = 8)")
-	pipeline := flag.Int("pipeline", 0, "serveload: pipeline depth (0 = 64)")
-	mix := flag.Int("mix", 0, "serveload: mixed-phase write percentage (0 = 30)")
 	flag.Usage = usage
 	flag.Parse()
 	if *quick && *n == 0 {
@@ -153,25 +117,6 @@ func main() {
 				count = 24474
 			}
 			fmt.Print(bench.FormatHashFuncs(hf, count))
-		case "concurrency":
-			res, err := bench.Concurrency(*n, 0)
-			if err != nil {
-				return err
-			}
-			fmt.Print(res)
-			data, err := res.JSON()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile("BENCH_concurrency.json", data, 0o644); err != nil {
-				return err
-			}
-			fmt.Println("\nwrote BENCH_concurrency.json")
-			if *check > 0 {
-				if err := res.Gate(*check); err != nil {
-					return err
-				}
-			}
 		case "metrics":
 			res, err := bench.MetricsRun(*n)
 			if err != nil {
@@ -186,48 +131,6 @@ func main() {
 				return err
 			}
 			fmt.Println("\nwrote BENCH_metrics.json")
-		case "bulkload":
-			res, err := bench.Bulkload(*n)
-			if err != nil {
-				return err
-			}
-			fmt.Print(res)
-			data, err := res.JSON()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile("BENCH_bulkload.json", data, 0o644); err != nil {
-				return err
-			}
-			fmt.Println("\nwrote BENCH_bulkload.json")
-			if *check > 0 {
-				if err := res.Gate(*check); err != nil {
-					return err
-				}
-				fmt.Printf("gate passed: batch speedup %.2fx >= %.2fx, presized beats unsized\n",
-					res.SpeedupAtMax, *check)
-			}
-		case "txn":
-			res, err := bench.Txn(*n)
-			if err != nil {
-				return err
-			}
-			fmt.Print(res)
-			data, err := res.JSON()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile("BENCH_txn.json", data, 0o644); err != nil {
-				return err
-			}
-			fmt.Println("\nwrote BENCH_txn.json")
-			if *check > 0 {
-				if err := res.Gate(*check); err != nil {
-					return err
-				}
-				fmt.Printf("gate passed: WAL durable-put speedup %.2fx >= %.2fx\n",
-					res.WalSpeedup, *check)
-			}
 		case "misses":
 			res, err := bench.Misses(*n)
 			if err != nil {
@@ -251,48 +154,6 @@ func main() {
 			}
 		case "serve":
 			return bench.Serve(*n, *telemetry, *dur, os.Stdout)
-		case "oplog":
-			res, err := bench.Oplog(*conns, *pipeline, *mix)
-			if err != nil {
-				return err
-			}
-			fmt.Print(res)
-			data, err := res.JSON()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile("BENCH_obs.json", data, 0o644); err != nil {
-				return err
-			}
-			fmt.Println("\nwrote BENCH_obs.json")
-			if *check > 0 {
-				if err := res.Gate(*check); err != nil {
-					return err
-				}
-				fmt.Printf("gate passed: ledger-on throughput %.2fx >= %.2fx, median phase coverage %.2f\n",
-					res.ThroughputRatio, *check, res.Coverage.Median)
-			}
-		case "serveload":
-			res, err := bench.Serveload(*conns, *pipeline, *mix)
-			if err != nil {
-				return err
-			}
-			fmt.Print(res)
-			data, err := res.JSON()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile("BENCH_serve.json", data, 0o644); err != nil {
-				return err
-			}
-			fmt.Println("\nwrote BENCH_serve.json")
-			if *check > 0 {
-				if err := res.Gate(*check); err != nil {
-					return err
-				}
-				fmt.Printf("gate passed: 8-shard write speedup %.2fx >= %.2fx\n",
-					res.WriteSpeedup, *check)
-			}
 		default:
 			return fmt.Errorf("unknown experiment %q", name)
 		}
@@ -319,7 +180,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, `usage: hashbench [-n N | -quick] {fig5|fig6|fig7|fig8a|fig8b|methods|ablate|concurrency|metrics|bulkload|txn|misses|serve|serveload|oplog|all}
+	fmt.Fprintf(os.Stderr, `usage: hashbench [-n N | -quick] {fig5|fig6|fig7|fig8a|fig8b|methods|ablate|metrics|misses|serve|all}
 
 Regenerates the evaluation figures of "A New Hashing Package for UNIX"
 (Seltzer & Yigit, USENIX Winter 1991). See EXPERIMENTS.md for the

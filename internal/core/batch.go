@@ -86,9 +86,6 @@ func (t *Table) putBatchLocked(pairs []Pair, led *oplog.Ledger) error {
 		return nil
 	}
 	t.tr.Emit(trace.EvBatchBegin, uint64(len(pairs)), 0, 0, 0)
-	// Bumped even on a failed batch: pages may already have been
-	// mutated, and group commit must only ever over-sync.
-	defer t.mutSeq.Add(1)
 	// One durable dirty mark covers the whole batch.
 	if err := t.markDirty(); err != nil {
 		return err

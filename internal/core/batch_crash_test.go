@@ -25,7 +25,7 @@ import (
 func crashBatchWorkload(t *testing.T, batches, perBatch int) (*pagefile.CrashStore, []crashSnap) {
 	t.Helper()
 	cs := pagefile.NewCrash(pagefile.NewMem(128, pagefile.CostModel{}))
-	opts := &Options{Store: cs, Bsize: 128, Ffactor: 4, CacheSize: 1024, GroupCommit: true}
+	opts := &Options{Store: cs, Bsize: 128, Ffactor: 4, CacheSize: 1024}
 	tbl := mustOpen(t, "", opts)
 
 	model := map[string]string{}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -372,95 +371,6 @@ func TestBatchWriterArenaStaging(t *testing.T) {
 		if len(v) != 700 || v[0] != b || v[699] != b {
 			t.Fatalf("Get %q: staged bytes corrupted (len %d, first %d, want %d)", key, len(v), v[0], b)
 		}
-	}
-}
-
-// TestGroupCommitJoins: with GroupCommit, a Sync covering no new
-// mutations joins the previous one instead of issuing another fsync.
-func TestGroupCommitJoins(t *testing.T) {
-	tbl := mustOpen(t, "", &Options{Bsize: 256, Ffactor: 8, GroupCommit: true})
-	defer tbl.Close()
-
-	if err := tbl.Put([]byte("k"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	syncsAfterFirst := tbl.Store().Stats().Snapshot().Syncs
-	// No mutation since: this Sync must join, not touch the store.
-	if err := tbl.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if got := tbl.Store().Stats().Snapshot().Syncs; got != syncsAfterFirst {
-		t.Errorf("joined Sync performed store syncs (%d -> %d)", syncsAfterFirst, got)
-	}
-	snap, err := tbl.MetricsSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := snap.Counter(MetricGroupJoins); got != 1 {
-		t.Errorf("group commit joins = %d, want 1", got)
-	}
-	// A new mutation makes the next Sync lead again.
-	if err := tbl.Put([]byte("k2"), []byte("v2")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if got := tbl.Store().Stats().Snapshot().Syncs; got == syncsAfterFirst {
-		t.Error("Sync after new mutation did not reach the store")
-	}
-}
-
-// TestGroupCommitConcurrent hammers PutBatch + shared Sync from many
-// goroutines (run under -race in CI) and verifies every batch that
-// Synced successfully is fully readable afterwards.
-func TestGroupCommitConcurrent(t *testing.T) {
-	tbl := mustOpen(t, "", &Options{Bsize: 256, Ffactor: 8, GroupCommit: true, CacheSize: 1 << 20})
-	defer tbl.Close()
-
-	const writers = 8
-	const perWriter = 300
-	var wg sync.WaitGroup
-	errs := make(chan error, writers)
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			lo := w * perWriter
-			for chunk := 0; chunk < 3; chunk++ {
-				base := lo + chunk*perWriter/3
-				if err := tbl.PutBatch(batchPairs(base, base+perWriter/3, "gc")); err != nil {
-					errs <- fmt.Errorf("writer %d: %w", w, err)
-					return
-				}
-				if err := tbl.Sync(); err != nil {
-					errs <- fmt.Errorf("writer %d sync: %w", w, err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if got := tbl.Len(); got != writers*perWriter {
-		t.Fatalf("Len = %d, want %d", got, writers*perWriter)
-	}
-	if err := tbl.Check(); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := tbl.MetricsSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	syncCalls := snap.Counter(MetricSyncs) + snap.Counter(MetricGroupJoins)
-	if syncCalls == 0 {
-		t.Error("no syncs recorded")
 	}
 }
 

@@ -28,7 +28,6 @@ const (
 	MetricBatchPuts       = "hash_batch_puts_total"
 	MetricBatchPairs      = "hash_batch_pairs_total"
 	MetricPresizes        = "hash_presizes_total"
-	MetricGroupJoins      = "hash_group_commit_joins_total"
 	MetricSyncs           = "hash_syncs_total"
 	MetricSyncLatency     = "hash_sync_seconds"
 	MetricKeys            = "hash_keys"
@@ -79,7 +78,6 @@ type tableMetrics struct {
 	batchPuts          *metrics.Counter
 	batchPairs         *metrics.Counter
 	presizes           *metrics.Counter
-	gcJoins            *metrics.Counter
 	syncs              *metrics.Counter
 	syncLatency        *metrics.Histogram
 	keys               *metrics.Gauge
@@ -122,7 +120,6 @@ func (m *tableMetrics) init(reg *metrics.Registry) {
 	m.batchPuts = reg.Counter(MetricBatchPuts)
 	m.batchPairs = reg.Counter(MetricBatchPairs)
 	m.presizes = reg.Counter(MetricPresizes)
-	m.gcJoins = reg.Counter(MetricGroupJoins)
 	m.syncs = reg.Counter(MetricSyncs)
 	m.syncLatency = reg.Histogram(MetricSyncLatency)
 	m.keys = reg.Gauge(MetricKeys)

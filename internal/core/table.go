@@ -55,13 +55,6 @@ type Options struct {
 	// Cost is the simulated I/O cost model for stores the table creates
 	// itself. Zero means no simulated cost.
 	Cost pagefile.CostModel
-	// GroupCommit makes Sync a shared operation: concurrent syncers whose
-	// mutations are already covered by an in-flight or completed sync
-	// return without issuing another fsync, so N batch writers calling
-	// Sync pay for one durable flush instead of N. The durability
-	// guarantee is unchanged — a Sync never returns before every mutation
-	// that preceded it is on stable storage.
-	GroupCommit bool
 	// ControlledOnly disables uncontrolled (overflow-triggered) splits,
 	// leaving only the fill-factor policy — dynahash's behaviour. It
 	// exists for the ablation benchmarks of the paper's hybrid split
@@ -110,10 +103,6 @@ type Options struct {
 	// benchmarks). Implies WAL. The caller retains ownership: Close
 	// leaves the device open.
 	WALDevice wal.Device
-	// WALCost is the simulated I/O cost model charged to log appends and
-	// log fsyncs, the sequential-I/O counterpart of Cost. Zero charges
-	// nothing.
-	WALCost wal.CostModel
 	// SharedLog attaches the table to a write-ahead log its caller owns
 	// and shares between tables. It is the seam db.Sharded is built on and
 	// has no other user: the owner appends and fsyncs one commit covering
@@ -264,26 +253,6 @@ type Table struct {
 	// operation takes its own so concurrent readers never share one.
 	scratch sync.Pool
 
-	// Group commit (Options.GroupCommit). mutSeq counts completed write
-	// attempts. Since PR 6 it is bumped under the *shared* table lock
-	// (deferred in putInner/deleteInner/Commit), so a load taken before a
-	// leader acquires the exclusive lock is a lower bound on what that
-	// leader's syncLocked will cover: the exclusive acquisition waits out
-	// every in-flight shared-phase writer, including the deferred bump.
-	// gc coordinates the leader/follower protocol in syncShared; round
-	// and lastErr let followers of a failed round report the leader's
-	// error instead of dog-piling fresh fsyncs onto a failing store.
-	groupCommit bool
-	mutSeq      atomic.Uint64
-	gc          struct {
-		mu       sync.Mutex
-		cond     *sync.Cond
-		inflight bool   // a leader is running syncLocked
-		synced   uint64 // highest mutSeq value durably covered
-		round    uint64 // completed leader rounds (successful or not)
-		lastErr  error  // outcome of the most recent round
-	}
-
 	// Write-ahead log state (Options.WAL). appliedLSN is the commit LSN
 	// of the last transaction whose effects are in the table (memory or
 	// pages); syncLocked folds it into hdr.walLSN at checkpoint.
@@ -336,9 +305,8 @@ func Open(path string, o *Options) (*Table, error) {
 		return nil, err
 	}
 
-	t := &Table{hash: opts.Hash, path: path, readonly: opts.ReadOnly, controlledOnly: opts.ControlledOnly, groupCommit: opts.GroupCommit, tr: opts.Trace,
+	t := &Table{hash: opts.Hash, path: path, readonly: opts.ReadOnly, controlledOnly: opts.ControlledOnly, tr: opts.Trace,
 		filtersOn: !opts.DisableFilter, prefetchOn: !opts.DisableReadAhead}
-	t.gc.cond = sync.NewCond(&t.gc.mu)
 	t.split.cond = sync.NewCond(&t.split.mu)
 
 	existing := false
@@ -502,7 +470,7 @@ func (t *Table) openWAL(opts *Options) error {
 		dev = fd
 		t.walOwnDev = true
 	}
-	l, sr, err := wal.Open(dev, opts.WALCost, t.tr)
+	l, sr, err := wal.Open(dev, wal.CostModel{}, t.tr)
 	if err != nil {
 		if t.walOwnDev {
 			dev.Close()
@@ -1208,10 +1176,6 @@ func (t *Table) putInner(key, data []byte, replace bool, led *oplog.Ledger) erro
 		return ErrEmptyKey
 	}
 	t.m.puts.Inc()
-	// Bumped even if the attempt fails partway: pages may already have
-	// been mutated, and group commit must only ever over-sync, never
-	// under-sync.
-	defer t.mutSeq.Add(1)
 
 	h := t.hash(key)
 	big := t.isBig(len(key), len(data))
@@ -1560,7 +1524,6 @@ func (t *Table) deleteInner(key []byte, led *oplog.Ledger) error {
 		return ErrEmptyKey
 	}
 	t.m.dels.Inc()
-	defer t.mutSeq.Add(1)
 	if err := t.markDirty(); err != nil {
 		return err
 	}
@@ -1863,8 +1826,6 @@ func (t *Table) Len() int {
 }
 
 // Sync flushes all dirty pages, bitmaps and the header to the store.
-// With Options.GroupCommit, concurrent Syncs share one durable flush
-// (see syncShared).
 func (t *Table) Sync() error {
 	if t.tr == nil {
 		return t.syncImpl()
@@ -1876,19 +1837,6 @@ func (t *Table) Sync() error {
 }
 
 func (t *Table) syncImpl() error {
-	if t.groupCommit {
-		t.mu.RLock()
-		err := t.checkOpen()
-		ro := t.readonly
-		t.mu.RUnlock()
-		if err != nil {
-			return err
-		}
-		if ro {
-			return nil
-		}
-		return t.syncShared()
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if err := t.checkOpen(); err != nil {
@@ -1898,62 +1846,6 @@ func (t *Table) syncImpl() error {
 		return nil
 	}
 	return t.syncLocked()
-}
-
-// syncShared is the group-commit protocol. Each caller snapshots the
-// mutation sequence number it needs covered; if a completed sync already
-// covers it the call returns immediately (a "join"), if a sync is in
-// flight the caller waits for it, and otherwise the caller elects itself
-// leader and runs one syncLocked on behalf of everyone waiting. A
-// leader's sync covers every mutation sequenced before it took the table
-// lock, so a successful round satisfies all joined followers at the cost
-// of a single fsync pair. A follower that waited out a round whose leader
-// failed gets that leader's error: the store just refused an fsync, and a
-// retry-as-leader from every waiter would turn one failure into a stampede
-// of doomed flush attempts against a poisoned store (each burning its own
-// FlushAll and fsync). The next explicit Sync call still retries the
-// protocol from scratch.
-func (t *Table) syncShared() error {
-	want := t.mutSeq.Load()
-	t.gc.mu.Lock()
-	for {
-		if t.gc.synced >= want {
-			t.gc.mu.Unlock()
-			t.m.gcJoins.Inc()
-			return nil
-		}
-		if !t.gc.inflight {
-			break
-		}
-		round := t.gc.round
-		t.gc.cond.Wait()
-		if t.gc.round != round && t.gc.synced < want && t.gc.lastErr != nil {
-			err := t.gc.lastErr
-			t.gc.mu.Unlock()
-			return err
-		}
-	}
-	t.gc.inflight = true
-	t.gc.mu.Unlock()
-
-	t.mu.Lock()
-	covered := t.mutSeq.Load()
-	err := t.checkOpen()
-	if err == nil && !t.readonly {
-		err = t.syncLocked()
-	}
-	t.mu.Unlock()
-
-	t.gc.mu.Lock()
-	t.gc.inflight = false
-	t.gc.round++
-	t.gc.lastErr = err
-	if err == nil && covered > t.gc.synced {
-		t.gc.synced = covered
-	}
-	t.gc.cond.Broadcast()
-	t.gc.mu.Unlock()
-	return err
 }
 
 // syncLocked is the ordered two-phase durability protocol. Phase one

@@ -166,9 +166,6 @@ func (t *Table) commitOps(ops []wal.Op, led *oplog.Ledger) error {
 	if err := t.commitReady(); err != nil {
 		return err
 	}
-	// Bumped even if the attempt fails partway, like putInner: group
-	// commit must only ever over-sync.
-	defer t.mutSeq.Add(1)
 
 	commitLSN, end, err := t.wal.AppendOp(led, ops)
 	if err != nil {
@@ -197,7 +194,6 @@ func (t *Table) ApplyCommitted(led *oplog.Ledger, commitLSN uint64, ops []wal.Op
 	if err := t.commitReady(); err != nil {
 		return err
 	}
-	defer t.mutSeq.Add(1)
 	return t.applyCommitted(commitLSN, ops, led)
 }
 

@@ -42,6 +42,16 @@ func RecoverSharded(dir string, nshards int, cfg *Config) (*Sharded, []core.Reco
 	return openSharded(dir, nshards, cfg, nil, true)
 }
 
+// OpenShardedStores is OpenSharded for a memory-resident database whose
+// shard i lives on stores[i] instead of a store the table creates. The
+// caller keeps ownership of the stores: Close leaves them open. It is the
+// seam for tests outside this package that need to watch, slow or fail
+// one shard's page I/O under the real router.
+func OpenShardedStores(stores []pagefile.Store, cfg *Config) (*Sharded, error) {
+	s, _, err := openSharded("", len(stores), cfg, stores, false)
+	return s, err
+}
+
 // openSharded is the one open path. stores, when set, backs shard i with
 // stores[i] instead of a file or memory — the crash tests' seam.
 func openSharded(dir string, nshards int, cfg *Config, stores []pagefile.Store, recover bool) (*Sharded, []core.RecoveryReport, error) {
@@ -112,7 +122,7 @@ func openSharded(dir string, nshards int, cfg *Config, stores []pagefile.Store, 
 			}
 			dev, s.ownLog = fd, true
 		}
-		l, sr, err := wal.Open(dev, base.WALCost, base.Trace)
+		l, sr, err := wal.Open(dev, wal.CostModel{}, base.Trace)
 		if err != nil {
 			if s.ownLog {
 				dev.Close()

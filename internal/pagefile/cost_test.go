@@ -3,34 +3,12 @@ package pagefile
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestDefaultCostModel(t *testing.T) {
 	c := DefaultCostModel()
 	if c.ReadCost <= 0 || c.WriteCost <= 0 {
 		t.Fatalf("default cost model = %+v", c)
-	}
-	if c.Sleep {
-		t.Fatal("default cost model sleeps")
-	}
-}
-
-func TestSleepingCostModel(t *testing.T) {
-	// With Sleep set, operations really take at least their cost.
-	s := NewMem(64, CostModel{WriteCost: 5 * time.Millisecond, Sleep: true})
-	start := time.Now()
-	buf := make([]byte, 64)
-	for i := uint32(0); i < 4; i++ {
-		if err := s.WritePage(i, buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
-		t.Fatalf("4 sleeping writes took %v, want >= 20ms", elapsed)
-	}
-	if got := s.Stats().Snapshot().IOTime; got != 20*time.Millisecond {
-		t.Fatalf("IOTime = %v", got)
 	}
 }
 

@@ -78,14 +78,12 @@ type VectorReader interface {
 }
 
 // CostModel assigns a simulated cost to each I/O operation, standing in
-// for the 1991 disk the paper measured. Costs accumulate in Stats.IOTime;
-// if Sleep is set the store also really sleeps, making wall-clock elapsed
-// time track the simulation (useful for demos, off for benchmarks).
+// for the 1991 disk the paper measured. Costs only accumulate in
+// Stats.IOTime; no operation waits for them.
 type CostModel struct {
 	ReadCost  time.Duration
 	WriteCost time.Duration
 	SyncCost  time.Duration
-	Sleep     bool
 }
 
 // DefaultCostModel approximates a late-1980s SCSI disk: dominated by
@@ -178,9 +176,6 @@ func (s *Stats) addRead(n int) {
 	s.BytesRead += int64(n)
 	s.IOTime += s.cost.ReadCost
 	s.mu.Unlock()
-	if s.cost.Sleep && s.cost.ReadCost > 0 {
-		time.Sleep(s.cost.ReadCost)
-	}
 }
 
 func (s *Stats) addWrite(n int) {
@@ -189,9 +184,6 @@ func (s *Stats) addWrite(n int) {
 	s.BytesWritten += int64(n)
 	s.IOTime += s.cost.WriteCost
 	s.mu.Unlock()
-	if s.cost.Sleep && s.cost.WriteCost > 0 {
-		time.Sleep(s.cost.WriteCost)
-	}
 }
 
 func (s *Stats) addSync() {
@@ -199,9 +191,6 @@ func (s *Stats) addSync() {
 	s.Syncs++
 	s.IOTime += s.cost.SyncCost
 	s.mu.Unlock()
-	if s.cost.Sleep && s.cost.SyncCost > 0 {
-		time.Sleep(s.cost.SyncCost)
-	}
 }
 
 // addWriteVec accounts a vectored write of npages pages (n bytes total)
@@ -217,9 +206,6 @@ func (s *Stats) addWriteVec(npages, n int) {
 	s.BytesWritten += int64(n)
 	s.IOTime += time.Duration(npages) * s.cost.WriteCost
 	s.mu.Unlock()
-	if s.cost.Sleep && s.cost.WriteCost > 0 {
-		time.Sleep(time.Duration(npages) * s.cost.WriteCost)
-	}
 }
 
 // addReadVec accounts a vectored read exactly as npages individual page
@@ -233,9 +219,6 @@ func (s *Stats) addReadVec(npages, n int) {
 	s.BytesRead += int64(n)
 	s.IOTime += time.Duration(npages) * s.cost.ReadCost
 	s.mu.Unlock()
-	if s.cost.Sleep && s.cost.ReadCost > 0 {
-		time.Sleep(time.Duration(npages) * s.cost.ReadCost)
-	}
 }
 
 func (s *Stats) addError() {

@@ -2,9 +2,11 @@ package server
 
 import (
 	"bufio"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,6 +16,8 @@ import (
 	"unixhash/internal/core"
 	"unixhash/internal/db"
 	"unixhash/internal/metrics"
+	"unixhash/internal/oplog"
+	"unixhash/internal/pagefile"
 	"unixhash/internal/wal"
 )
 
@@ -196,6 +200,179 @@ func TestServerPipelining(t *testing.T) {
 	coalesced := reg.Snapshot().Counter("server_puts_coalesced_total")
 	if coalesced < run {
 		t.Fatalf("server_puts_coalesced_total = %d, want >= %d", coalesced, run)
+	}
+}
+
+// slowReadStore adds a fixed delay to every page read, so a request's
+// ledgered phases (the buffer-pool fault brackets the read) dominate the
+// scheduling noise between them and phase sums can be compared with
+// end-to-end time.
+type slowReadStore struct {
+	pagefile.Store
+	delay *atomic.Int64 // nanoseconds; shared, so a test can load fast and serve slow
+}
+
+func (s slowReadStore) ReadPage(pageno uint32, buf []byte) error {
+	time.Sleep(time.Duration(s.delay.Load()))
+	return s.Store.ReadPage(pageno, buf)
+}
+
+// TestServerOplogAccounting drives every ledgered dispatch branch — the
+// path dbserver runs by default (-oplog=true) — over one pipelined
+// connection and checks the recorder against what was sent: one ledger
+// per command (one per coalesced PUT flush, not per PUT), a shard on
+// every single-key ledger, and phases that explain the elapsed time
+// without holes or double counting.
+func TestServerOplogAccounting(t *testing.T) {
+	const (
+		nshards  = 2
+		bsize    = 512
+		perShard = 200 // preloaded keys: ~25 buckets against an 8-page pool
+	)
+	var readDelay atomic.Int64
+	stores := make([]pagefile.Store, nshards)
+	for i := range stores {
+		stores[i] = slowReadStore{pagefile.NewMem(bsize, pagefile.CostModel{}), &readDelay}
+	}
+	// The smallest pool, so requests for the preloaded keys fault.
+	d, err := db.OpenShardedStores(stores, &db.Config{Hash: &core.Options{WAL: true, Bsize: bsize, Ffactor: 8, CacheSize: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+
+	// Sort candidate keys by shard with the router itself. A batch that
+	// spans shards fans out and charges its one ledger from both
+	// goroutines at once, so its phase sum may legitimately exceed its
+	// elapsed time; each batch below stays inside one shard.
+	var byShard [nshards][]string
+	for i := 0; len(byShard[0]) < perShard+20 || len(byShard[1]) < perShard+20; i++ {
+		k := fmt.Sprintf("key-%04d", i)
+		var led oplog.Ledger
+		led.StartOp(oplog.CmdGet, []byte(k))
+		if _, err := d.GetBufOp(&led, []byte(k), nil); !errors.Is(err, db.ErrNotFound) {
+			t.Fatalf("probe %s: %v", k, err)
+		}
+		byShard[led.Shard()] = append(byShard[led.Shard()], k)
+	}
+	take := func(shard, n int) []string {
+		ks := byShard[shard][:n]
+		byShard[shard] = byShard[shard][n:]
+		return ks
+	}
+	preloaded := append(take(0, perShard), take(1, perShard)...)
+	var pre []db.Pair
+	for _, k := range preloaded {
+		pre = append(pre, db.Pair{Key: []byte(k), Data: []byte("old-" + k)})
+	}
+	if err := d.PutBatch(pre); err != nil {
+		t.Fatal(err)
+	}
+	readDelay.Store(int64(time.Millisecond))
+
+	rec := oplog.NewRecorder(nil, nshards)
+	s, err := Serve("127.0.0.1:0", Options{DB: d, Oplog: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	c := dial(t, s.Addr())
+
+	// One pipeline window (well under the client's 4 KiB write buffer,
+	// so it leaves in one segment and the only coalescing barriers are
+	// the non-PUT commands below).
+	var want []string
+	sent := map[string]int64{}
+	cmd := func(name, reply string, args ...string) {
+		c.send(args...)
+		want = append(want, reply)
+		sent[name]++
+	}
+	for _, k := range preloaded[:3] {
+		cmd("get", "$old-"+k, "GET", k)
+	}
+	cmd("get", "$nil", "GET", "absent-1")
+	cmd("get", "$nil", "GET", "absent-2")
+	run1 := take(0, 6)
+	for _, k := range run1 { // coalesced flush 1, ended by the GET
+		c.send("PUT", k, "v1")
+		want = append(want, "+OK")
+	}
+	sent["put"]++
+	cmd("get", "$v1", "GET", run1[5])
+	for _, k := range take(1, 4) { // coalesced flush 2, ended by the DEL
+		c.send("PUT", k, "v2")
+		want = append(want, "+OK")
+	}
+	sent["put"]++
+	cmd("delete", ":1", "DEL", preloaded[perShard+7])
+	cmd("delete", ":0", "DEL", "absent-3")
+	batch := []string{"BATCH"}
+	for _, k := range take(1, 5) {
+		batch = append(batch, k, "b")
+	}
+	cmd("batch", ":5", batch...)
+	c.send("TXN", "BEGIN")
+	c.send("PUT", take(0, 1)[0], "t")
+	c.send("PUT", take(1, 1)[0], "t")
+	c.send("DEL", preloaded[4])
+	want = append(want, "+OK", "+QUEUED", "+QUEUED", "+QUEUED")
+	cmd("txn", "+OK", "TXN", "COMMIT")
+	for i, w := range want {
+		if got := c.recv(); got != w {
+			t.Fatalf("reply %d = %q, want %q", i, got, w)
+		}
+	}
+	// STATS goes in its own window, so the summary it embeds already
+	// holds everything above.
+	stats := c.do("STATS")
+	sent["stats"]++
+	var doc struct {
+		Oplog *oplog.Summary
+	}
+	if err := json.Unmarshal([]byte(strings.TrimPrefix(stats, "$")), &doc); err != nil {
+		t.Fatalf("STATS is not JSON: %v", err)
+	}
+	if doc.Oplog == nil || len(doc.Oplog.Commands) == 0 {
+		t.Fatalf("STATS does not embed the oplog summary: %.200q", stats)
+	}
+	s.Close() // drained: the last reply-flush ledger is recorded
+
+	got := map[string]int64{}
+	for _, cs := range rec.Snapshot().Commands {
+		got[cs.Cmd] = cs.Count
+	}
+	for name, n := range sent {
+		if got[name] != n {
+			t.Errorf("recorder counted %d %s ledgers, sent %d", got[name], name, n)
+		}
+	}
+	if got["other"] == 0 {
+		t.Error("no reply-flush ledger recorded")
+	}
+
+	var ratios []float64
+	seen := map[string]bool{}
+	for _, e := range rec.Exemplars() {
+		seen[e.Cmd] = true
+		if (e.Cmd == "get" || e.Cmd == "delete") && (e.Shard < 0 || e.Shard >= nshards) {
+			t.Errorf("%s exemplar %q carries shard %d", e.Cmd, e.Key, e.Shard)
+		}
+		if e.PhaseUS > 1.1*e.ElapsedUS {
+			t.Errorf("%s exemplar: phases sum to %.0fus of %.0fus elapsed (double counting)", e.Cmd, e.PhaseUS, e.ElapsedUS)
+		}
+		if e.Cmd != "stats" && e.ElapsedUS > 0 { // stats marshalling is deliberately unattributed
+			ratios = append(ratios, e.PhaseUS/e.ElapsedUS)
+		}
+	}
+	for name := range sent {
+		if !seen[name] {
+			t.Errorf("no %s exemplar retained", name)
+		}
+	}
+	sort.Float64s(ratios)
+	if med := ratios[len(ratios)/2]; med < 0.9 || med > 1.1 {
+		t.Errorf("median phase_sum/elapsed over %d exemplars = %.2f, want within [0.9, 1.1]: %v", len(ratios), med, ratios)
 	}
 }
 

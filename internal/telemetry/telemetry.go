@@ -123,9 +123,10 @@ func NewHandler(o Options) http.Handler {
 		evs := o.Tracer.Events(max, types...)
 		writeJSON(w, struct {
 			NextSeq uint64        `json:"next_seq"`
+			Dropped uint64        `json:"dropped"`
 			Count   int           `json:"count"`
 			Events  []trace.Event `json:"events"`
-		}{o.Tracer.Ring().Next(), len(evs), evs})
+		}{o.Tracer.Ring().Next(), o.Tracer.Ring().Dropped(), len(evs), evs})
 	})
 
 	mux.HandleFunc("/debug/slowops", func(w http.ResponseWriter, r *http.Request) {

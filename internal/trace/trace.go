@@ -12,8 +12,10 @@
 //
 //   - Emitting an event is wait-free and allocation-free: one atomic
 //     fetch-add claims a sequence number, and the slot's words are
-//     published with a seqlock protocol (claim marker, payload stores,
-//     commit store), so writers never block each other or readers.
+//     published with a seqlock protocol (compare-and-swap claim, payload
+//     stores, commit store), so writers never block each other or
+//     readers; a writer that loses its slot to one a full lap away
+//     drops its event and counts it.
 //   - A nil *Tracer is fully functional and free: every method nil-checks
 //     its receiver, so instrumented code paths pay a single pointer
 //     comparison when tracing is disabled — no atomics, no time calls,
@@ -289,11 +291,13 @@ type slot struct {
 const busyBit = uint64(1) << 63
 
 // Ring is the fixed-size, lock-free event buffer. The capacity is a
-// power of two; new events overwrite the oldest.
+// power of two; new events overwrite the oldest, except that a writer
+// racing the one a full lap away drops its event (counted by Dropped).
 type Ring struct {
-	slots []slot
-	mask  uint64
-	next  atomic.Uint64
+	slots   []slot
+	mask    uint64
+	next    atomic.Uint64
+	dropped atomic.Uint64
 }
 
 // NewRing creates a ring holding at least capacity events (rounded up to
@@ -312,14 +316,29 @@ func (r *Ring) Cap() int { return len(r.slots) }
 // Next reports the sequence number the next emitted event will receive.
 func (r *Ring) Next() uint64 { return r.next.Load() }
 
-// emit claims the next sequence number and publishes one event.
-func (r *Ring) emit(typ Type, now int64, dur int64, a0, a1, a2, a3 uint64) uint64 {
+// Dropped reports how many events were given a sequence number but not
+// stored, because the writer found its slot still owned by the writer one
+// lap behind or already holding a newer event (see emit).
+func (r *Ring) Dropped() uint64 { return r.dropped.Load() }
+
+// emit claims the next sequence number and publishes one event, or drops
+// it; the second result says which.
+func (r *Ring) emit(typ Type, now int64, dur int64, a0, a1, a2, a3 uint64) (uint64, bool) {
 	s := r.next.Add(1) - 1
 	sl := &r.slots[s&r.mask]
-	// Claim: readers that loaded the previous generation's commit value
-	// re-check it after copying and reject the slot once this store (or
-	// any payload store ordered after it) lands between their loads.
-	sl.commit.Store(s | busyBit)
+	// Claim with one CAS from a published, older commit value, so exactly
+	// one writer owns the payload words until its final store. A writer
+	// preempted mid-publish can be lapped by the one Cap() sequence
+	// numbers later; a blind store here would let the two interleave
+	// payload words, or let the older publish its stale commit last.
+	// Losing the slot drops the event instead of waiting: emit stays
+	// wait-free. Readers that loaded the previous commit value re-check
+	// it after copying and reject the slot once the claim lands.
+	c := sl.commit.Load()
+	if c&busyBit != 0 || c > s || !sl.commit.CompareAndSwap(c, s|busyBit) {
+		r.dropped.Add(1)
+		return s, false
+	}
 	sl.w[0].Store(uint64(now))
 	sl.w[1].Store(uint64(typ))
 	sl.w[2].Store(uint64(dur))
@@ -328,7 +347,7 @@ func (r *Ring) emit(typ Type, now int64, dur int64, a0, a1, a2, a3 uint64) uint6
 	sl.w[5].Store(a2)
 	sl.w[6].Store(a3)
 	sl.commit.Store(s + 1)
-	return s
+	return s, true
 }
 
 // read copies the event with sequence s if it is still intact.

@@ -82,8 +82,8 @@ var (
 
 // CostModel charges simulated latencies to log I/O, mirroring
 // pagefile.CostModel so benchmarks can compare a seek-bound page flush
-// against a sequential log append on the same footing. Zero values charge
-// nothing.
+// against a sequential log append on the same footing. Charges only
+// accumulate in Stats.IOTime; zero values charge nothing.
 type CostModel struct {
 	// AppendCost per Append call: a sequential write at the tail, no
 	// seek, so typically one to two orders of magnitude below a random
@@ -92,9 +92,6 @@ type CostModel struct {
 	// SyncCost per device fsync: settles a short sequential tail, so
 	// cheaper than fsyncing scattered dirty pages.
 	SyncCost time.Duration
-	// Sleep actually sleeps for the simulated durations when true;
-	// otherwise they are only accounted in Stats.IOTime.
-	Sleep bool
 }
 
 // Stats counts log activity. IOTime accumulates the simulated CostModel
@@ -147,9 +144,9 @@ type ScanResult struct {
 }
 
 // Log is an append-only redo log over a Device. All methods are safe for
-// concurrent use; Append serializes writers while SyncTo runs the same
-// leader/follower group-fsync protocol as the table's GroupCommit, so
-// concurrent committers share one device fsync.
+// concurrent use; Append serializes writers while SyncTo runs a
+// leader/follower group-fsync protocol, so concurrent committers share
+// one device fsync.
 type Log struct {
 	dev  Device
 	cost CostModel
@@ -565,9 +562,6 @@ func (l *Log) RegisterMetrics(reg *metrics.Registry) {
 func (l *Log) Close() error { return l.dev.Close() }
 
 func (l *Log) charge(d time.Duration, f func(*Stats)) {
-	if l.cost.Sleep && d > 0 {
-		time.Sleep(d)
-	}
 	l.stMu.Lock()
 	f(&l.st)
 	l.st.IOTime += d
