@@ -4,9 +4,15 @@ GO ?= go
 # -race is slow, so check races where the locks actually live.
 RACE_PKGS = ./internal/core ./internal/buffer ./internal/db ./internal/trace ./internal/server ./internal/oplog
 
-.PHONY: check build vet test race crash fuzz-crash wal-crash fuzz-wal-crash bench bench-history metrics misses serve telemetry loc clean
+.PHONY: check fmt build vet test race crash fuzz-crash wal-crash fuzz-wal-crash bench bench-history metrics misses serve telemetry loc clean
 
-check: vet build test race crash
+check: fmt vet build test race crash
+
+# Fails, naming the files, when any Go source outside the benchmark's
+# build directory is not gofmt-clean.
+fmt:
+	@out=$$(find . -name '*.go' ! -path './.bench_build/*' -exec gofmt -l {} +); \
+	if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -7,10 +7,14 @@
 package unixhash
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"unixhash/internal/bench"
 	"unixhash/internal/btree"
@@ -584,6 +588,113 @@ func BenchmarkGetParallelMixed(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkGetBesideWrites records what a reader pays for the write
+// entry point running beside it: one goroutine writes fresh keys in a
+// loop (single Put, PutBatch of 32, or a 32-op transaction) while b.N
+// timed GetBufs of resident keys run on the benchmark goroutine. ns/op is
+// the reader's mean; p99-ns/op its tail (each Get is timed, so the mean
+// includes two clock reads); writes/s the writer's rate over the same
+// interval. A finding-recorder for CHANGES.md, not a gate: run with
+// -cpu 2 so reader and writer each have a CPU.
+func BenchmarkGetBesideWrites(b *testing.B) {
+	const (
+		batch = 32
+		// The key numbers wrap here, so a long run turns into rewrites
+		// before the 256-byte pages run out of overflow addresses
+		// (ROADMAP item 3; ~500k batched keys on this fixture).
+		freshKeys = 400_000
+	)
+	keyOf := func(buf []byte, n uint64) []byte {
+		buf[0] = 'w'
+		binary.BigEndian.PutUint64(buf[1:], n%freshKeys)
+		return buf[:9]
+	}
+	val := make([]byte, 16)
+	writers := []struct {
+		name  string
+		write func(t *core.Table, n uint64) (uint64, error) // returns the next fresh key number
+	}{
+		{"idle", nil},
+		{"put", func(t *core.Table, n uint64) (uint64, error) {
+			var kb [9]byte
+			return n + 1, t.Put(keyOf(kb[:], n), val)
+		}},
+		{"putbatch32", func(t *core.Table, n uint64) (uint64, error) {
+			var kb [batch][9]byte
+			var pairs [batch]core.Pair
+			for i := range pairs {
+				pairs[i] = core.Pair{Key: keyOf(kb[i][:], n+uint64(i)), Data: val}
+			}
+			return n + batch, t.PutBatch(pairs[:])
+		}},
+		{"txn32", func(t *core.Table, n uint64) (uint64, error) {
+			x, err := t.Begin()
+			if err != nil {
+				return n, err
+			}
+			var kb [9]byte
+			for i := uint64(0); i < batch; i++ {
+				if err := x.Put(keyOf(kb[:], n+i), val); err != nil {
+					return n, err
+				}
+			}
+			return n + batch, x.Commit()
+		}},
+	}
+	for _, w := range writers {
+		w := w
+		b.Run(w.name, func(b *testing.B) {
+			t, err := core.Open("", &core.Options{CacheSize: 8 << 20, Nelem: benchN, WAL: w.name == "txn32"})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer t.Close()
+			for _, p := range benchDict {
+				if err := t.Put(p.Key, p.Data); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var stop atomic.Bool
+			var written atomic.Uint64
+			var wg sync.WaitGroup
+			if w.write != nil {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for n := uint64(0); !stop.Load(); {
+						next, err := w.write(t, n)
+						if err != nil {
+							b.Error(err)
+							return
+						}
+						n = next
+						written.Store(n)
+					}
+				}()
+			}
+			lat := make([]int32, b.N)
+			dst := make([]byte, 0, 256)
+			b.ResetTimer()
+			w0, t0 := written.Load(), time.Now()
+			for i := range lat {
+				p := benchDict[i%len(benchDict)]
+				s := time.Now()
+				if dst, err = t.GetBuf(p.Key, dst); err != nil {
+					b.Fatal(err)
+				}
+				lat[i] = int32(min(time.Since(s), 1<<31-1))
+			}
+			elapsed, w1 := time.Since(t0), written.Load()
+			b.StopTimer()
+			stop.Store(true)
+			wg.Wait()
+			slices.Sort(lat)
+			b.ReportMetric(float64(lat[len(lat)*99/100]), "p99-ns/op")
+			b.ReportMetric(float64(w1-w0)/elapsed.Seconds(), "writes/s")
+		})
+	}
 }
 
 func BenchmarkBigPut(b *testing.B) {

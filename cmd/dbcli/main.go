@@ -61,8 +61,8 @@ import (
 
 	"unixhash/internal/core"
 	"unixhash/internal/db"
-	"unixhash/internal/oplog"
 	"unixhash/internal/metrics"
+	"unixhash/internal/oplog"
 )
 
 func main() {

@@ -226,10 +226,12 @@ func TestMethodsComparison(t *testing.T) {
 		}
 	}
 	// The classic tradeoff: hashing touches fewer pages per random
-	// lookup than the log-depth btree (with a 1 MB pool both serve
-	// reads from memory, so compare via read ops during create+read).
-	if hash.Read.Elapsed > bt.Read.Elapsed+bt.Read.Elapsed/2 {
-		t.Errorf("hash reads (%v) much slower than btree (%v)", hash.Read.Elapsed, bt.Read.Elapsed)
+	// lookup than the log-depth btree. Counted page reads over
+	// create+read, not wall clock: the count is deterministic, and with
+	// a 1 MB pool both methods serve most of it from memory.
+	hashReads, btReads := hash.Create.Reads+hash.Read.Reads, bt.Create.Reads+bt.Read.Reads
+	if hashReads > btReads+btReads/2 {
+		t.Errorf("hash page reads (%d) far above btree's (%d)", hashReads, btReads)
 	}
 	if hash.Pages == 0 || bt.Pages == 0 {
 		t.Error("page counts missing")

@@ -2,23 +2,25 @@ package core
 
 import (
 	"bytes"
-	"fmt"
-	"sort"
+	"cmp"
+	"slices"
 
-	"unixhash/internal/buffer"
 	"unixhash/internal/oplog"
 	"unixhash/internal/trace"
 )
 
-// Batched write pipeline. PutBatch ingests many key/data pairs under a
-// single acquisition of the table lock: the pairs are grouped by
-// destination bucket, each bucket's chain is walked exactly once
-// (removing stale copies and packing new pairs page by page), and the
-// split work the inserts imply is deferred to one pass at the end of
-// the batch. An empty table takes a presize fast path that expands
-// straight to the final bucket count — the same geometry Nelem would
-// have produced at create time — instead of splitting one generation
-// at a time. See DESIGN.md §10.
+// The write path. Every mutation of a bucket chain on behalf of a caller
+// is a write set — puts and deletes that become visible as a unit — and
+// there is one way to apply one: applySet write-latches the stripes the
+// set touches, in ascending order, and hands each bucket's ops to
+// applyBucket, which walks that chain exactly once. Put, PutNew and
+// Delete are a set of one; PutBatch is a set of puts; a committed
+// transaction (txn.go) is the same call with an LSN stamped after it.
+// The split work a set earns is settled afterwards, with the latches
+// released, through the cooperative splitter in latch.go. The table lock
+// is held shared throughout: the only exclusive step on the write path is
+// PutBatch presizing an empty table, released before any pair is applied.
+// See DESIGN.md §7 and §10.
 
 // Pair is one key/data pair for batched insertion.
 type Pair struct {
@@ -27,11 +29,12 @@ type Pair struct {
 }
 
 // PutBatch stores every pair with Put (replace) semantics. The whole
-// batch is applied under one table lock acquisition: concurrent
-// readers observe either none or all of it. When a key appears more
-// than once in the batch the last occurrence wins, matching the
-// sequential-Put outcome. An empty key anywhere in the batch rejects
-// the entire batch with ErrEmptyKey before anything is written.
+// batch is applied in one latch epoch over the stripes it touches:
+// concurrent readers observe either none or all of it, and readers of
+// other stripes are not delayed. When a key appears more than once in
+// the batch the last occurrence wins, matching the sequential-Put
+// outcome. An empty key anywhere in the batch rejects the entire batch
+// with ErrEmptyKey before anything is written.
 func (t *Table) PutBatch(pairs []Pair) error {
 	if t.tr == nil {
 		return t.putBatch(pairs, nil)
@@ -42,9 +45,9 @@ func (t *Table) PutBatch(pairs []Pair) error {
 	return err
 }
 
-// PutBatchOp is PutBatch with an op ledger: the table-lock wait, the
-// deferred split pass, and the pool traffic of the distribution pass are
-// charged to led, and the batch's trace-event span is recorded on it.
+// PutBatchOp is PutBatch with an op ledger: the stripe-latch wait, the
+// split pass and the pool traffic of the bucket passes are charged to
+// led, and the batch's trace-event span is recorded on it.
 func (t *Table) PutBatchOp(led *oplog.Ledger, pairs []Pair) error {
 	if led == nil {
 		return t.PutBatch(pairs)
@@ -61,19 +64,8 @@ func (t *Table) PutBatchOp(led *oplog.Ledger, pairs []Pair) error {
 }
 
 func (t *Table) putBatch(pairs []Pair, led *oplog.Ledger) error {
-	var st int64
-	if led != nil {
-		st = oplog.Clock()
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if led != nil {
-		led.Since(oplog.PhaseLatchWait, st)
-	}
-	return t.putBatchLocked(pairs, led)
-}
-
-func (t *Table) putBatchLocked(pairs []Pair, led *oplog.Ledger) error {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	if err := t.checkWritable(); err != nil {
 		return err
 	}
@@ -86,75 +78,34 @@ func (t *Table) putBatchLocked(pairs []Pair, led *oplog.Ledger) error {
 		return nil
 	}
 	t.tr.Emit(trace.EvBatchBegin, uint64(len(pairs)), 0, 0, 0)
-	// One durable dirty mark covers the whole batch.
-	if err := t.markDirty(); err != nil {
+	if t.nkeysA.Load() == 0 {
+		// Presize moves the geometry without a split to publish it, so it
+		// alone needs every bucket operation quiesced. The window between
+		// the two lock holds is harmless: presize re-checks emptiness, and
+		// the table may have been closed in it.
+		t.mu.RUnlock()
+		err := t.presize(len(pairs))
+		t.mu.RLock()
+		if err == nil {
+			err = t.checkWritable()
+		}
+		if err != nil {
+			return err
+		}
+	}
+
+	ops := make([]writeOp, len(pairs))
+	for i := range pairs {
+		ops[i] = writeOp{key: pairs[i].Key, data: pairs[i].Data}
+	}
+	buckets, err := t.applySet(ops, true, led)
+	if err != nil {
 		return err
 	}
-
-	// Presize fast path: an empty table jumps straight to the bucket
-	// count the batch implies, so no pair is ever placed in a bucket
-	// that a later split would move it out of.
-	if t.nkeysA.Load() == 0 {
-		t.presizeLocked(len(pairs))
-	}
-
-	// Group the pairs by destination bucket. Splits are deferred to the
-	// end of the batch, so the bucket mapping is stable throughout the
-	// distribution pass; sorting by bucket number makes the pass touch
-	// primary pages in ascending file order.
-	type slot struct {
-		bucket uint32
-		idx    int
-	}
-	order := make([]slot, len(pairs))
-	for i := range pairs {
-		order[i] = slot{bucket: t.calcBucket(t.hash(pairs[i].Key)), idx: i}
-	}
-	sort.SliceStable(order, func(a, b int) bool { return order[a].bucket < order[b].bucket })
-
-	groups := 0
-	idxs := make([]int, 0, 64)
-	for lo := 0; lo < len(order); {
-		hi := lo
-		idxs = idxs[:0]
-		for hi < len(order) && order[hi].bucket == order[lo].bucket {
-			idxs = append(idxs, order[hi].idx)
-			hi++
-		}
-		if err := t.putBucketGroup(order[lo].bucket, pairs, idxs, led); err != nil {
-			return err
-		}
-		groups++
-		lo = hi
-	}
-	t.dirtyHdr.Store(true)
-	t.tr.Emit(trace.EvBatchPhase, trace.BatchPhaseDistribute, uint64(groups), 0, 0)
-
-	// Deferred split pass: all the fill-factor splits the batch earned,
-	// in one sweep, plus at most one uncontrolled split if the batch
-	// grew an overflow chain and the fill factor did not already force
-	// growth — the same hybrid policy as the single-Put path, settled
-	// once per batch instead of once per insert.
-	uncontrolled := t.addedOvfl.Swap(false) && !t.controlledOnly
-	splits := 0
-	var splitSt int64
-	if led != nil {
-		splitSt = oplog.Clock()
-	}
-	for t.nkeysA.Load() > int64(t.hdr.ffactor)*int64(t.hdr.maxBucket+1) {
-		if err := t.expand(false); err != nil {
-			return err
-		}
-		splits++
-	}
-	if splits == 0 && uncontrolled {
-		if err := t.expand(true); err != nil {
-			return err
-		}
-		splits++
-	}
-	if led != nil && splits > 0 {
-		led.Since(oplog.PhaseSplitAssist, splitSt)
+	t.tr.Emit(trace.EvBatchPhase, trace.BatchPhaseDistribute, uint64(buckets), 0, 0)
+	splits, err := t.settleSplits(led)
+	if err != nil {
+		return err
 	}
 	t.tr.Emit(trace.EvBatchPhase, trace.BatchPhaseSplits, uint64(splits), 0, 0)
 
@@ -162,30 +113,32 @@ func (t *Table) putBatchLocked(pairs []Pair, led *oplog.Ledger) error {
 	t.m.puts.Add(int64(len(pairs)))
 	t.m.batchPuts.Inc()
 	t.m.batchPairs.Add(int64(len(pairs)))
-	t.m.setShape(t.nkeysA.Load(), t.hdr.maxBucket)
 	t.tr.Emit(trace.EvBatchEnd, uint64(len(pairs)), uint64(splits), 0, 0)
 	return nil
 }
 
-// presizeLocked expands an empty table's geometry straight to the
-// bucket count that storing n keys at the configured fill factor
-// implies — the computation initHeader performs for Options.Nelem —
-// skipping the one-generation-at-a-time split sequence. With no keys
-// there is nothing to redistribute, so only the header changes: masks,
-// maxBucket and the overflow split point advance together (carrying
-// the cumulative spares count forward across skipped generations,
-// exactly as expand does), preserving every existing overflow page
-// address. A target at or below the current size is a no-op.
-func (t *Table) presizeLocked(n int) {
-	if t.nkeysA.Load() != 0 {
-		return
+// presize expands an empty table's geometry straight to the bucket
+// count that storing n keys at the configured fill factor implies — the
+// computation initHeader performs for Options.Nelem — so no pair of the
+// batch is ever placed in a bucket a later split would move it out of.
+// With no keys there is nothing to redistribute, so only the header
+// changes: masks, maxBucket and the overflow split point advance together
+// (carrying the cumulative spares count forward across skipped
+// generations, exactly as growGeometry does), preserving every existing
+// overflow page address. A table that has keys, or is already that
+// large, is left alone.
+func (t *Table) presize(n int) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if err := t.checkWritable(); err != nil {
+		return err
 	}
 	want := nextPow2(uint32((int64(n) + int64(t.hdr.ffactor) - 1) / int64(t.hdr.ffactor)))
-	if want < 1 {
-		want = 1
+	if t.nkeysA.Load() != 0 || want <= t.hdr.maxBucket+1 {
+		return nil
 	}
-	if want <= t.hdr.maxBucket+1 {
-		return
+	if err := t.markDirty(); err != nil {
+		return err
 	}
 	t.hdr.maxBucket = want - 1
 	t.hdr.lowMask = want - 1
@@ -199,262 +152,179 @@ func (t *Table) presizeLocked(n int) {
 	t.publishGeo()
 	t.dirtyHdr.Store(true)
 	t.m.presizes.Inc()
-	t.m.setShape(t.nkeysA.Load(), t.hdr.maxBucket)
+	t.m.setShape(0, t.hdr.maxBucket)
 	t.tr.Emit(trace.EvBatchPhase, trace.BatchPhasePresize, uint64(want), 0, 0)
-}
-
-// pendingPair tracks one deduplicated batch pair during a bucket pass.
-type pendingPair struct {
-	idx      int  // index into the batch (last occurrence of the key)
-	inserted bool // new copy has been placed on a page
-	removed  bool // stale copy from before the batch has been removed
-}
-
-// fltOp records one tag-filter mutation — a key's hash and its chain
-// position — deferred until a bucket pass can settle them all on the
-// primary page in a single pin.
-type fltOp struct {
-	h   uint32
-	pos int
-}
-
-// putBucketGroup applies the batch pairs at idxs (all hashing to
-// bucket) in one walk of the bucket's chain. Each page is visited
-// exactly once: stale copies of batch keys found on it are removed
-// first, then pending pairs are packed into the space. Pairs that do
-// not fit anywhere on the existing chain go onto fresh overflow pages
-// appended at the tail.
-func (t *Table) putBucketGroup(bucket uint32, pairs []Pair, idxs []int, led *oplog.Ledger) error {
-	// Deduplicate within the group, last occurrence winning — the
-	// outcome sequential Puts would produce. Small groups use a linear
-	// scan; large ones (a batch concentrated on few buckets) a map.
-	pending := make([]pendingPair, 0, len(idxs))
-	var byKey map[string]int
-	if len(idxs) > 16 {
-		byKey = make(map[string]int, len(idxs))
-	}
-	for _, i := range idxs {
-		k := pairs[i].Key
-		at := -1
-		if byKey != nil {
-			if j, ok := byKey[string(k)]; ok {
-				at = j
-			}
-		} else {
-			for j := range pending {
-				if bytes.Equal(pairs[pending[j].idx].Key, k) {
-					at = j
-					break
-				}
-			}
-		}
-		if at >= 0 {
-			pending[at].idx = i
-		} else {
-			pending = append(pending, pendingPair{idx: i})
-			if byKey != nil {
-				byKey[string(k)] = len(pending) - 1
-			}
-		}
-	}
-	// findPending locates the pending entry for a key found on a page.
-	findPending := func(k []byte) int {
-		if byKey != nil {
-			if j, ok := byKey[string(k)]; ok {
-				return j
-			}
-			return -1
-		}
-		for j := range pending {
-			if bytes.Equal(pairs[pending[j].idx].Key, k) {
-				return j
-			}
-		}
-		return -1
-	}
-
-	// stale describes one on-page entry superseded by the batch.
-	type stale struct {
-		entry int // entry index on the page
-		ref   oaddr
-		sum   uint64 // regular pairs: fingerprint captured during the scan
-		pi    int
-	}
-	left := len(pending)
-	pos := -1
-	var tailAddr buffer.Addr
-	var rems []stale
-	// Filter maintenance is incremental, like the single-Put path: stale
-	// removals and placements are recorded with their chain positions
-	// during the walk (the batch never unlinks pages, so positions stay
-	// valid) and settled on the primary in one pin at the end. The keys'
-	// hashes come from the in-memory batch, so big refs need no re-read.
-	var fRems, fAdds []fltOp
-
-	err := t.walkChainOp(led, bucket, func(buf *buffer.Buf) (bool, error) {
-		pos++
-		pg := page(buf.Page)
-		tailAddr = buf.Addr
-
-		// Pass 1 over the page: find entries the batch replaces. The
-		// page is not modified during forEach; removals are applied
-		// after, in descending entry order so indices stay valid.
-		rems = rems[:0]
-		var inner error
-		ferr := pg.forEach(func(i int, e entry) bool {
-			switch e.kind {
-			case entryRegular:
-				if pi := findPending(e.key); pi >= 0 && !pending[pi].removed {
-					rems = append(rems, stale{entry: i, sum: pairHash(e.key, e.data), pi: pi})
-				}
-			case entryBig:
-				bk, err := t.bigKey(e.ref)
-				if err != nil {
-					inner = err
-					return false
-				}
-				if pi := findPending(bk); pi >= 0 && !pending[pi].removed {
-					rems = append(rems, stale{entry: i, ref: e.ref, pi: pi})
-				}
-			}
-			return true
-		})
-		if ferr != nil {
-			return false, ferr
-		}
-		if inner != nil {
-			return false, inner
-		}
-		for j := len(rems) - 1; j >= 0; j-- {
-			r := rems[j]
-			sum := r.sum
-			if r.ref != 0 {
-				// Fingerprint the replaced big pair before its chain is
-				// freed.
-				old, err := t.readBigData(r.ref, nil)
-				if err != nil {
-					return false, err
-				}
-				sum = pairHash(pairs[pending[r.pi].idx].Key, old)
-				if err := t.freeBigChain(r.ref); err != nil {
-					return false, err
-				}
-			}
-			if err := pg.removeEntry(r.entry); err != nil {
-				return false, err
-			}
-			buf.Dirty.Store(true)
-			t.nkeysA.Add(-1)
-			t.xorPairSum(sum)
-			pending[r.pi].removed = true
-			fRems = append(fRems, fltOp{h: t.hash(pairs[pending[r.pi].idx].Key), pos: pos})
-		}
-
-		// Pass 2: pack pending pairs into whatever space the page has
-		// (including space the removals just opened).
-		if left > 0 {
-			if err := t.packPending(buf, pairs, pending, &left, pos, &fAdds); err != nil {
-				return false, err
-			}
-		}
-		// Always walk to the end: stale copies of batch keys may sit on
-		// later pages even when every pair has been placed.
-		return false, nil
-	})
-	if err != nil {
-		return err
-	}
-
-	// Whatever did not fit on the existing chain goes onto fresh
-	// overflow pages appended at the tail.
-	if left > 0 {
-		tail, err := t.fetchAddrOp(led, tailAddr, bucket)
-		if err != nil {
-			return err
-		}
-		tailPos := pos
-		for left > 0 {
-			nb, err := t.appendOvfl(tail)
-			if err != nil {
-				t.pool.Put(tail)
-				return err
-			}
-			tailPos++
-			before := left
-			if err := t.packPending(nb, pairs, pending, &left, tailPos, &fAdds); err != nil {
-				t.pool.Put(nb)
-				t.pool.Put(tail)
-				return err
-			}
-			if left == before {
-				t.pool.Put(nb)
-				t.pool.Put(tail)
-				return fmt.Errorf("%w: pair does not fit on empty page", ErrCorrupt)
-			}
-			t.pool.Put(tail)
-			tail = nb
-		}
-		t.pool.Put(tail)
-	}
-
-	// Settle the deferred filter ops on the primary in one pin. Removals
-	// first: a replaced key's old tag must leave before its new one (at a
-	// possibly different position) lands, or the remove could cancel the
-	// wrong byte.
-	if len(fRems) > 0 || len(fAdds) > 0 {
-		pb, err := t.getBucketPageOp(led, bucket)
-		if err != nil {
-			return err
-		}
-		fpg := page(pb.Page)
-		for _, op := range fRems {
-			fpg.filterRemove(op.h, op.pos)
-		}
-		for _, op := range fAdds {
-			fpg.filterAdd(op.h, op.pos)
-		}
-		pb.Dirty.Store(true)
-		t.pool.Put(pb)
-	}
 	return nil
 }
 
-// packPending inserts every uninserted pending pair that fits on buf's
-// page, decrementing *left and keeping nkeys and the pair checksum
-// current. Big pairs are written to their chain first, then referenced.
-// Each placement records a filter add at pos (buf's chain position) in
-// *adds for the caller to settle on the primary.
-func (t *Table) packPending(buf *buffer.Buf, pairs []Pair, pending []pendingPair, left *int, pos int, adds *[]fltOp) error {
-	pg := page(buf.Page)
-	for pi := range pending {
-		p := &pending[pi]
-		if p.inserted {
+// writeOp is one element of a write set: a put of key → data, or a
+// delete of key.
+type writeOp struct {
+	key, data []byte
+	hash      uint32
+	bucket    uint32
+	seq       int32 // position in the caller's set: the last op on a key wins
+	ref       oaddr // put of a big pair: its chain, written before the latches are taken
+	del       bool
+	dead      bool // superseded by a later op on the same key
+	found     bool // the copy that predates the set was on the chain and is removed
+	placed    bool // put: the new copy is on a page
+}
+
+// fits reports whether the put's new copy — a big pair's ref, or the pair
+// itself — can be added to pg.
+func (op *writeOp) fits(pg page) bool {
+	if op.ref != 0 {
+		return pg.fitsRef()
+	}
+	return pg.fitsRegular(len(op.key), len(op.data))
+}
+
+// addTo adds the put's new copy to pg; the caller has checked fits.
+func (op *writeOp) addTo(pg page) {
+	if op.ref != 0 {
+		pg.addRef(op.ref)
+	} else {
+		pg.addRegular(op.key, op.data)
+	}
+}
+
+// applySet applies ops to the live table as one unit and reports how
+// many buckets it touched. Big-pair chains are written first, outside
+// any latch (they are private until their ref lands, so chain I/O never
+// extends a latch hold); then every involved stripe is write-latched in
+// ascending order, the routes are revalidated against the split pointer,
+// and each bucket's ops are applied in one pass over its chain. A route
+// invalidated by a concurrent split backs off, helps the split, and
+// retries — lockBucket's protocol extended to a set of buckets. replace
+// is false only for PutNew. The caller holds t.mu shared; ops is
+// reordered, and on return each op's found/placed say what happened to it.
+// On error the set may be partly applied.
+func (t *Table) applySet(ops []writeOp, replace bool, led *oplog.Ledger) (buckets int, err error) {
+	for i := range ops {
+		ops[i].hash, ops[i].seq = t.hash(ops[i].key), int32(i)
+	}
+	defer func() {
+		if err == nil {
+			return
+		}
+		// Chains whose ref never landed are unreachable; reclaim them.
+		for i := range ops {
+			if ops[i].ref != 0 && !ops[i].placed {
+				_ = t.freeBigChain(ops[i].ref)
+			}
+		}
+	}()
+	for {
+		geo := t.geo.Load()
+		var stripes stripeSet
+		for i := range ops {
+			ops[i].bucket = routeBucket(ops[i].hash, geo)
+			stripes.add(ops[i].bucket)
+		}
+		if len(ops) > 1 {
+			// Bucket order keeps each bucket's ops together and the passes
+			// in ascending file order; hash order within a bucket puts the
+			// ops on one key side by side and lets a large group be
+			// searched by hash.
+			slices.SortFunc(ops, func(a, b writeOp) int {
+				if a.bucket != b.bucket {
+					return cmp.Compare(a.bucket, b.bucket)
+				}
+				if a.hash != b.hash {
+					return cmp.Compare(a.hash, b.hash)
+				}
+				return cmp.Compare(a.seq, b.seq)
+			})
+			for i := len(ops) - 2; i >= 0; i-- {
+				for j := i + 1; j < len(ops) && ops[j].hash == ops[i].hash; j++ {
+					if !ops[j].dead && bytes.Equal(ops[j].key, ops[i].key) {
+						ops[i].dead = true
+						break
+					}
+				}
+			}
+		}
+		for i := range ops {
+			op := &ops[i]
+			if !op.del && !op.dead && op.ref == 0 && t.isBig(len(op.key), len(op.data)) {
+				// The file is durably marked dirty before the chain's
+				// writes can reach the store.
+				if err = t.markDirty(); err != nil {
+					return 0, err
+				}
+				if op.ref, err = t.putBigPair(op.key, op.data); err != nil {
+					return 0, err
+				}
+			}
+		}
+
+		var st int64
+		if led != nil {
+			st = oplog.Clock()
+		}
+		t.latchStripes(stripes, true)
+		if led != nil {
+			led.Since(oplog.PhaseLatchWait, st)
+		}
+		// Revalidate under the latches: a split may have moved a route or
+		// may still be redistributing one of the buckets.
+		conflict := -1
+		for i := range ops {
+			if b := ops[i].bucket; routeBucket(ops[i].hash, t.geo.Load()) != b || t.splitInvolves(b) {
+				conflict = int(b)
+				break
+			}
+		}
+		if conflict >= 0 {
+			t.latchStripes(stripes, false)
+			if t.splitInvolves(uint32(conflict)) {
+				t.helpSplit(uint32(conflict))
+			}
 			continue
 		}
-		k, d := pairs[p.idx].Key, pairs[p.idx].Data
-		if t.isBig(len(k), len(d)) {
-			if !pg.fitsRef() {
-				continue
+		for lo := 0; lo < len(ops) && err == nil; buckets++ {
+			hi := lo + 1
+			for hi < len(ops) && ops[hi].bucket == ops[lo].bucket {
+				hi++
 			}
-			ref, err := t.putBigPair(k, d)
-			if err != nil {
-				return err
-			}
-			pg.addRef(ref)
-		} else {
-			if !pg.fitsRegular(len(k), len(d)) {
-				continue
-			}
-			pg.addRegular(k, d)
+			err = t.applyBucket(ops[lo:hi], replace, led)
+			lo = hi
 		}
-		buf.Dirty.Store(true)
-		p.inserted = true
-		*left--
-		t.nkeysA.Add(1)
-		t.xorPairSum(pairHash(k, d))
-		*adds = append(*adds, fltOp{h: t.hash(k), pos: pos})
+		t.dirtyHdr.Store(true)
+		t.latchStripes(stripes, false)
+		return buckets, err
 	}
-	return nil
+}
+
+// settleSplits runs the hybrid split policy once a write set has
+// unlatched — each split takes its own pair of latches — and reports the
+// splits it performed: one uncontrolled split if the set grew an overflow
+// chain, then fill-factor splits until the trigger clears or another
+// writer's split is in flight (that writer, or the next, carries on:
+// the controlled trigger re-fires while nkeys stays high).
+func (t *Table) settleSplits(led *oplog.Ledger) (splits int, err error) {
+	var st int64
+	uncontrolled := t.addedOvfl.Swap(false) && !t.controlledOnly
+	for uncontrolled || t.nkeysA.Load() > int64(t.hdr.ffactor)*int64(t.geo.Load()+1) {
+		if led != nil && splits == 0 {
+			st = oplog.Clock()
+		}
+		ran, err := t.maybeExpand(uncontrolled)
+		if err != nil {
+			return splits, err
+		}
+		if !ran {
+			break
+		}
+		splits++
+		uncontrolled = false
+	}
+	if led != nil && splits > 0 {
+		led.Since(oplog.PhaseSplitAssist, st)
+	}
+	t.m.setShape(t.nkeysA.Load(), t.geo.Load())
+	return splits, nil
 }
 
 // DefaultBatchSize is the flush threshold a BatchWriter uses when the

@@ -5,7 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"unixhash/internal/buffer"
+	"unixhash/internal/pagefile"
 )
 
 func batchPairs(lo, hi int, tag string) []Pair {
@@ -303,6 +309,130 @@ func TestPresizeAfterDrain(t *testing.T) {
 	}
 	if got := tbl.Len(); got != 5000 {
 		t.Fatalf("Len = %d, want 5000", got)
+	}
+}
+
+// hookStore calls onRead before a page read reaches the wrapped store,
+// so a test can park one on a channel.
+type hookStore struct {
+	pagefile.Store
+	onRead func(pageno uint32)
+}
+
+func (h *hookStore) ReadPage(pageno uint32, buf []byte) error {
+	h.onRead(pageno)
+	return h.Store.ReadPage(pageno, buf)
+}
+
+// TestBatchDoesNotQuiesceReaders parks a PutBatch inside the bucket
+// applier — the store read of one overflow page of its bucket's chain
+// blocks on a channel — and checks who waits for it: a reader of a
+// resident key on another stripe must not (the batch holds the table
+// lock shared and only its own stripes), a reader of the parked bucket
+// must, and once released it sees the batch's value. Buckets 0 and 1
+// also sit on different pool shards, which matters because a store read
+// runs under its shard's lock.
+func TestBatchDoesNotQuiesceReaders(t *testing.T) {
+	var parkPage atomic.Int64 // physical page whose read parks; -1 = none
+	parkPage.Store(-1)
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	store := &hookStore{Store: pagefile.NewMem(256, pagefile.CostModel{}), onRead: func(pageno uint32) {
+		if int64(pageno) == parkPage.Load() {
+			once.Do(func() { close(parked) })
+			<-release
+		}
+	}}
+	tbl := mustOpen(t, "", &Options{
+		Store: store, Bsize: 256, CacheSize: 1 << 20,
+		Nelem: 4 << 16, Ffactor: 1 << 16, ControlledOnly: true, // four buckets, never split
+	})
+	defer tbl.Close()
+	if tbl.pool.ShardCount() < 16 {
+		t.Fatalf("pool has %d shards; buckets 0 and 1 must not share one", tbl.pool.ShardCount())
+	}
+
+	// Keys by bucket: bucket 0 gets a chain, bucket 1 one resident key.
+	var chainKeys [][]byte
+	var otherKey []byte
+	for i := 0; len(chainKeys) < 16 || otherKey == nil; i++ {
+		switch k := key(i); routeBucket(tbl.hash(k), tbl.geo.Load()) {
+		case 0:
+			chainKeys = append(chainKeys, k)
+		case 1:
+			otherKey = k
+		}
+	}
+	old, new_ := bytes.Repeat([]byte{'o'}, 90), bytes.Repeat([]byte{'n'}, 90)
+	for _, k := range append(chainKeys[:12:12], otherKey) {
+		if err := tbl.Put(k, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var pages []uint32
+	if err := tbl.walkChain(0, func(b *buffer.Buf) (bool, error) {
+		if b.Addr.Ovfl {
+			pages = append(pages, tbl.hdr.oaddrToPage(oaddr(b.Addr.N)))
+		}
+		return false, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(pages) < 3 {
+		t.Fatalf("bucket 0 has %d overflow pages, want a chain", len(pages))
+	}
+	if err := tbl.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.pool.InvalidateAll(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tbl.Get(otherKey); err != nil { // resident again
+		t.Fatal(err)
+	}
+	parkPage.Store(int64(pages[2]))
+
+	// The batch: replaces every key of the chain and adds fresh ones, all
+	// in bucket 0.
+	var pairs []Pair
+	for _, k := range chainKeys {
+		pairs = append(pairs, Pair{Key: k, Data: new_})
+	}
+	batchDone := make(chan error, 1)
+	go func() { batchDone <- tbl.PutBatch(pairs) }()
+	<-parked
+
+	get := func(k []byte) chan error {
+		done := make(chan error, 1)
+		go func() {
+			v, err := tbl.GetBuf(k, nil)
+			if err == nil && k[0] != otherKey[0] && !bytes.Equal(v, new_) {
+				err = fmt.Errorf("read %.8q...: not the batch's value", v)
+			}
+			done <- err
+		}()
+		return done
+	}
+	select {
+	case err := <-get(otherKey):
+		if err != nil {
+			t.Errorf("Get on another stripe beside a parked batch: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("Get of a resident key on another stripe blocked behind a parked PutBatch")
+	}
+	inBucket := get(chainKeys[0])
+	select {
+	case err := <-inBucket:
+		t.Errorf("Get in the parked bucket returned (%v) before the batch finished", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	if err := <-batchDone; err != nil {
+		t.Fatalf("PutBatch: %v", err)
+	}
+	if err := <-inBucket; err != nil {
+		t.Errorf("Get in the parked bucket after release: %v", err)
 	}
 }
 

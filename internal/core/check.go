@@ -99,6 +99,13 @@ func (t *Table) checkAllocated(o oaddr) error {
 	return nil
 }
 
+// fltOp is one key as a bucket walk found it — its hash and chain
+// position — for validation against the primary's tag filter.
+type fltOp struct {
+	h   uint32
+	pos int
+}
+
 // checkBucket walks one bucket's chain, accumulating the key count and
 // the XOR pair fingerprint, then validates the primary page's tag
 // filter against the keys the walk actually found.

@@ -31,7 +31,7 @@ import (
 //	OADDR_TO_PAGE(o)  = BUCKET_TO_PAGE((1 << o.split()) - 1) + o.pagenum()
 const (
 	magic   = 0x061561 // the 4.4BSD hash magic
-	version = 5 // v5 reserves the in-page tag-filter region (see filter.go)
+	version = 5        // v5 reserves the in-page tag-filter region (see filter.go)
 
 	// hdrCrcOff is the offset of the trailing CRC-32; the checksum
 	// covers every header byte before it.

@@ -84,8 +84,11 @@ func (it *Iterator) nextOnPage() (bool, error) {
 		buf, err = t.pool.GetOwned(ovflBufAddr(it.o), it.bucket, false)
 	}
 	if err != nil {
-		// A never-written primary page of a pre-sized table is empty.
-		if it.o == 0 && errors.Is(err, pagefile.ErrNotAllocated) {
+		// A never-written primary page of a pre-sized table is empty. An
+		// overflow page that is gone was unlinked or split away under the
+		// cursor between two Next calls: the rest of that chain is
+		// skipped, as concurrent mutation is documented to allow.
+		if errors.Is(err, pagefile.ErrNotAllocated) {
 			return false, nil
 		}
 		return false, err

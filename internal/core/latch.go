@@ -12,33 +12,36 @@ import (
 
 // Bucket-granular write concurrency.
 //
-// The table lock no longer serializes writers: Get, Put and Delete take
-// it shared and latch only the stripe covering the one bucket chain they
-// touch. The split pointer (hdr.maxBucket) is published through a single
-// atomic (t.geo) that every operation routes against, seqlock-style: an
-// operation routes, latches the stripe, then re-checks the route — if a
-// split moved its bucket boundary in between, it unlatches and retries.
-// Splits themselves are incremental and cooperative: the writer that
-// trips the split policy empties the old bucket under both bucket
-// latches, publishes the gathered pairs as a shared job, and moves them
-// back in bounded chunks; any writer that lands on one of the two
+// The table lock does not serialize writers: every Get and every write
+// set (Put, Delete, PutBatch, a transaction commit — see applySet in
+// batch.go) takes it shared and latches only the stripes covering the
+// bucket chains it touches. The split pointer (hdr.maxBucket) is
+// published through a single atomic (t.geo) that every operation routes
+// against, seqlock-style: an operation routes, latches, then re-checks
+// the route — if a split moved a bucket boundary in between, it unlatches
+// and retries. Splits themselves are incremental and cooperative: the
+// writer that trips the split policy empties the old bucket under both
+// bucket latches, publishes the gathered pairs as a shared job, and moves
+// them back in bounded chunks; any writer that lands on one of the two
 // involved buckets claims chunks of its own instead of queueing, so no
 // writer ever stalls the world behind a rehash.
 //
 // The lock order, top to bottom (never taken upward):
 //
-//	t.mu (shared for bucket ops, exclusive for Sync/Close/PutBatch/...)
+//	t.mu (shared for bucket ops and write sets, exclusive for Sync/
+//	  Close/Check/presize/...)
 //	→ wal.Log.mu (txn commit appends while holding t.mu shared)
-//	→ t.splitMu (one split at a time)
-//	→ bucket stripe latches (single ops take two at most; a txn commit
-//	  takes every stripe its ops route to — always in ascending stripe
-//	  index, so multi-latch acquisition cannot deadlock single ops
-//	  or other commits)
+//	→ t.splitMu (one split at a time; taken only after the write set
+//	  that earned the split has unlatched)
+//	→ bucket stripe latches (a reader takes one; a write set takes every
+//	  stripe its ops route to and a split the pair of its two buckets —
+//	  always in ascending stripe index, so multi-latch acquisitions
+//	  cannot deadlock one another)
 //	→ t.split.mu / t.ovflMu / t.dirtyMu
 //	→ buffer shard locks
 //
 // A split initiator holds its shared table lock until the split
-// completes, so an exclusive acquirer (Sync, Close, PutBatch) can never
+// completes, so an exclusive acquirer (Sync, Close, presize) can never
 // observe a half-redistributed bucket. The WAL's own mutex sits above
 // the stripe latches: a commit finishes its log append and fsync before
 // latching any bucket, and nothing that holds a latch ever appends.
@@ -76,7 +79,7 @@ func routeBucket(h, maxBucket uint32) uint32 {
 }
 
 // publishGeo publishes hdr.maxBucket to the routing atomic. Called after
-// any geometry change: header init/read, expand, presize, recovery.
+// any geometry change: header init/read, a split, presize, recovery.
 func (t *Table) publishGeo() { t.geo.Store(t.hdr.maxBucket) }
 
 // xorPairSum folds one pair fingerprint into the live checksum (XOR has
@@ -160,30 +163,45 @@ func (t *Table) latchBucketRead(b uint32) {
 	}
 }
 
-// latchPair write-latches the stripes of the two buckets of a split in
-// ascending stripe order — the canonical order that keeps two-bucket
-// acquisitions deadlock-free — collapsing to one acquisition when both
-// buckets share a stripe.
-func (t *Table) latchPair(a, b uint32) {
-	sa, sb := a&stripeMask, b&stripeMask
-	switch {
-	case sa == sb:
-		t.stripes[sa].Lock()
-	case sa < sb:
-		t.stripes[sa].Lock()
-		t.stripes[sb].Lock()
-	default:
-		t.stripes[sb].Lock()
-		t.stripes[sa].Lock()
+// stripeSet is a set of stripe indices: the latches a write set or a
+// split needs.
+type stripeSet [nStripes / 64]uint64
+
+func (s *stripeSet) add(bucket uint32) {
+	i := bucket & stripeMask
+	s[i/64] |= 1 << (i % 64)
+}
+
+// latchStripes write-latches (or releases) the stripes in set in
+// ascending index order — the one canonical order, shared by write sets
+// and splits, that keeps multi-stripe acquisitions deadlock-free.
+func (t *Table) latchStripes(set stripeSet, lock bool) {
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			s := &t.stripes[w*64+bits.TrailingZeros64(word)]
+			if lock {
+				s.Lock()
+			} else {
+				s.Unlock()
+			}
+		}
 	}
 }
 
-func (t *Table) unlatchPair(a, b uint32) {
-	sa, sb := a&stripeMask, b&stripeMask
-	t.stripes[sa].Unlock()
-	if sa != sb {
-		t.stripes[sb].Unlock()
-	}
+// latchPair write-latches (or releases) the stripes of the two buckets of
+// a split, collapsing to one acquisition when both share a stripe.
+func (t *Table) latchPair(a, b uint32, lock bool) {
+	var set stripeSet
+	set.add(a)
+	set.add(b)
+	t.latchStripes(set, lock)
+}
+
+// splitEntry is one entry gathered from a splitting bucket.
+type splitEntry struct {
+	key  []byte
+	data []byte
+	ref  oaddr // non-zero: big pair, key/data stay on their chain
 }
 
 // splitJob is the shared state of the one in-flight cooperative split.
@@ -207,21 +225,22 @@ type splitJob struct {
 	t0       time.Time
 }
 
-// maybeExpand runs one growth step of the hybrid split policy from a
-// shared-phase writer. At most one split runs at a time; a writer that
-// finds one already in flight simply continues — the controlled trigger
+// maybeExpand runs one growth step of the hybrid split policy — the only
+// splitter there is — on behalf of a writer whose set has unlatched. At
+// most one split runs at a time; ran is false when one is already in
+// flight, and the caller simply continues — the controlled trigger
 // re-fires while nkeys stays high, and an uncontrolled trigger is
 // re-armed so it is not lost.
-func (t *Table) maybeExpand(uncontrolled bool) error {
+func (t *Table) maybeExpand(uncontrolled bool) (ran bool, err error) {
 	if !t.splitMu.TryLock() {
 		if uncontrolled {
 			t.addedOvfl.Store(true)
 		}
-		return nil
+		return false, nil
 	}
 	defer t.splitMu.Unlock()
 	if t.hdr.maxBucket == ^uint32(0) {
-		return fmt.Errorf("hash: table is at maximum size")
+		return false, fmt.Errorf("hash: table is at maximum size")
 	}
 	oldBucket, newBucket := t.growGeometry()
 
@@ -250,13 +269,12 @@ func (t *Table) maybeExpand(uncontrolled bool) error {
 		t.m.splitsControlled.Inc()
 	}
 	t.tr.Emit(trace.EvSplitBegin, uint64(oldBucket), uint64(newBucket), uint64(t.hdr.maxBucket), boolArg(uncontrolled))
-	return t.runSplit(j)
+	return true, t.runSplit(j)
 }
 
 // growGeometry advances the split pointer and masks — one step of linear
-// hashing. The caller holds either splitMu (shared phase) or the
-// exclusive table lock (batch, recovery); the spares advance shares
-// ovflMu with the overflow allocator.
+// hashing. One rule: only the splitMu holder calls it; the spares advance
+// shares ovflMu with the overflow allocator.
 func (t *Table) growGeometry() (oldBucket, newBucket uint32) {
 	t.hdr.maxBucket++
 	newBucket = t.hdr.maxBucket
@@ -307,9 +325,9 @@ func (t *Table) runSplit(j *splitJob) error {
 // buckets until redistribution completes, so the gathered pairs being
 // reachable only through the job is safe.
 func (t *Table) gatherSplit(j *splitJob) error {
-	t.latchPair(j.old, j.new)
+	t.latchPair(j.old, j.new, true)
 	err := t.gatherLatched(j)
-	t.unlatchPair(j.old, j.new)
+	t.latchPair(j.old, j.new, false)
 	if err != nil {
 		return err
 	}
@@ -407,13 +425,13 @@ func (t *Table) splitStep(j *splitJob, helper bool) bool {
 	j.mu.Unlock()
 
 	var err error
-	t.latchPair(oldB, newB)
-	for _, e := range j.entries[lo:hi] {
-		if err = t.placeSplitEntry(oldB, newB, e); err != nil {
+	t.latchPair(oldB, newB, true)
+	for i := lo; i < hi; i++ {
+		if err = t.placeSplitEntry(oldB, newB, &j.entries[i]); err != nil {
 			break
 		}
 	}
-	t.unlatchPair(oldB, newB)
+	t.latchPair(oldB, newB, false)
 	if t.tr != nil {
 		t.tr.Emit(trace.EvSplitChunk, uint64(oldB), uint64(newB), uint64(hi-lo), boolArg(helper))
 	}
@@ -435,12 +453,11 @@ func (t *Table) splitStep(j *splitJob, helper bool) bool {
 
 // placeSplitEntry inserts one gathered pair into whichever of the two
 // buckets the new geometry routes it to. Caller holds both latches.
-func (t *Table) placeSplitEntry(oldB, newB uint32, e splitEntry) error {
+func (t *Table) placeSplitEntry(oldB, newB uint32, e *splitEntry) error {
 	key := e.key
-	var err error
 	if e.ref != 0 {
-		key, err = t.bigKey(e.ref)
-		if err != nil {
+		var err error
+		if key, err = t.bigKey(e.ref); err != nil {
 			return err
 		}
 	}
@@ -449,10 +466,7 @@ func (t *Table) placeSplitEntry(oldB, newB uint32, e splitEntry) error {
 	if dest != oldB && dest != newB {
 		return fmt.Errorf("%w: split of bucket %d sent key to bucket %d (new %d)", ErrCorrupt, oldB, dest, newB)
 	}
-	if e.ref != 0 {
-		return t.insertRef(dest, h, e.ref)
-	}
-	return t.insert(dest, h, key, e.data)
+	return t.insert(dest, h, &writeOp{key: e.key, data: e.data, ref: e.ref})
 }
 
 // finishSplitLocked completes the split: clears the published state so

@@ -91,6 +91,7 @@ func TestSplitStormConcurrentOps(t *testing.T) {
 		Ffactor:   4, // splits early and often
 		CacheSize: 64 * 1024,
 		Trace:     tr,
+		WAL:       true, // for the committer
 	})
 	defer tbl.Close()
 
@@ -98,6 +99,10 @@ func TestSplitStormConcurrentOps(t *testing.T) {
 		writers   = 4
 		perWriter = 2500
 		churn     = 200
+		batches   = 120 // PutBatch calls of batchLen fresh pairs each
+		batchLen  = 32
+		txns      = 300 // commits over a small key range, puts and deletes mixed
+		txnKeys   = 150
 	)
 	wkey := func(w, i int) []byte { return []byte(fmt.Sprintf("storm-%d-%05d", w, i)) }
 	wval := func(w, i int) []byte { return []byte(fmt.Sprintf("v-%d-%d", w, i)) }
@@ -110,7 +115,7 @@ func TestSplitStormConcurrentOps(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	errs := make(chan error, writers+4)
+	errs := make(chan error, writers+6)
 
 	// Writers: disjoint ranges, so every insert is a fresh key and the
 	// fill-factor trigger fires continuously.
@@ -126,6 +131,60 @@ func TestSplitStormConcurrentOps(t *testing.T) {
 			}
 		}(w)
 	}
+
+	// The set-level driver under live splits: a PutBatch writer and a
+	// committer latch many stripes at once, so their back-off/helpSplit
+	// retry races the single-op writers' splits (and each other's).
+	bkey := func(i int) []byte { return []byte(fmt.Sprintf("batch-%05d", i)) }
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for b := 0; b < batches; b++ {
+			pairs := make([]Pair, 0, batchLen+1)
+			for i := b * batchLen; i < (b+1)*batchLen; i++ {
+				pairs = append(pairs, Pair{Key: bkey(i), Data: wval(9, i)})
+			}
+			// A duplicate inside the batch: the last occurrence wins.
+			pairs = append([]Pair{{Key: bkey(b * batchLen), Data: []byte("superseded")}}, pairs...)
+			if err := tbl.PutBatch(pairs); err != nil {
+				errs <- fmt.Errorf("batch %d: %w", b, err)
+				return
+			}
+		}
+	}()
+	tkey := func(i int) []byte { return []byte(fmt.Sprintf("txn-%03d", i)) }
+	txnModel := map[string]string{} // the one committer's view: sequential, so exact
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(11))
+		for n := 0; n < txns; n++ {
+			x, err := tbl.Begin()
+			if err != nil {
+				errs <- fmt.Errorf("begin %d: %w", n, err)
+				return
+			}
+			for j := 0; j < 1+rng.Intn(12); j++ {
+				k := tkey(rng.Intn(txnKeys))
+				if rng.Intn(3) == 0 {
+					err = x.Delete(k)
+					delete(txnModel, string(k))
+				} else {
+					v := fmt.Sprintf("t%d-%d", n, j)
+					err = x.Put(k, []byte(v))
+					txnModel[string(k)] = v
+				}
+				if err != nil {
+					errs <- fmt.Errorf("txn %d op: %w", n, err)
+					return
+				}
+			}
+			if err := x.Commit(); err != nil {
+				errs <- fmt.Errorf("commit %d: %w", n, err)
+				return
+			}
+		}
+	}()
 
 	// Deleter/re-inserter over the churn keys: Delete and Put race the
 	// splits the writers force.
@@ -212,6 +271,24 @@ func TestSplitStormConcurrentOps(t *testing.T) {
 				t.Fatalf("after storm: key %d-%d: got %q", w, i, dst)
 			}
 		}
+	}
+	for i := 0; i < batches*batchLen; i++ {
+		if got, err := tbl.Get(bkey(i)); err != nil || !bytes.Equal(got, wval(9, i)) {
+			t.Fatalf("after storm: batch key %d = %q, %v", i, got, err)
+		}
+	}
+	for i := 0; i < txnKeys; i++ {
+		got, err := tbl.Get(tkey(i))
+		if want, ok := txnModel[string(tkey(i))]; ok {
+			if err != nil || string(got) != want {
+				t.Fatalf("after storm: txn key %d = %q, %v; want %q", i, got, err, want)
+			}
+		} else if !errors.Is(err, ErrNotFound) {
+			t.Fatalf("after storm: deleted txn key %d = %q, %v", i, got, err)
+		}
+	}
+	if want := writers*perWriter + batches*batchLen + len(txnModel); tbl.Len() < want || tbl.Len() > want+churn {
+		t.Fatalf("after storm: Len = %d, want %d plus at most %d churn keys", tbl.Len(), want, churn)
 	}
 	if err := tbl.Check(); err != nil {
 		t.Fatalf("table corrupt after split storm: %v", err)

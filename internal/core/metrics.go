@@ -149,8 +149,9 @@ func (m *tableMetrics) init(reg *metrics.Registry) {
 }
 
 // setShape publishes the table's key count and bucket count as gauges.
-// Called under the exclusive table lock wherever the header changes, so
-// the gauges never require taking the table lock at scrape time (a
+// Pushed by the writer whenever a write set, a presize or a recovery
+// settles, so the gauges never require taking the table lock at scrape
+// time (a
 // GaugeFunc reading the header from inside Snapshot would deadlock
 // against a writer snapshotting its own table).
 func (m *tableMetrics) setShape(nkeys int64, maxBucket uint32) {

@@ -10,24 +10,36 @@ import (
 	"testing/quick"
 )
 
-// runModel drives a table and a map through the same operations and
-// checks equivalence after every step.
-func runModel(t *testing.T, tbl *Table, rng *rand.Rand, nops int) {
+// runModel drives a table and a map oracle through the same seeded
+// history, drawn over every write entry point — Put, PutNew, Delete,
+// PutBatch (duplicate keys inside a batch, big pairs, values that change
+// size so replaced pairs move across page boundaries) and, on a WAL
+// table, Begin…Commit mixing puts and deletes of one key in both orders —
+// checking Len after every step and the structural Check every 250. It
+// returns the oracle for verifyModel.
+func runModel(t *testing.T, tbl *Table, rng *rand.Rand, nops int) map[string][]byte {
 	t.Helper()
 	model := make(map[string][]byte)
-	keyOf := func(i uint16) []byte { return []byte(fmt.Sprintf("k%05d", i%400)) }
-	valOf := func(i uint16, big bool) []byte {
-		if big {
-			return bytes.Repeat([]byte{byte(i)}, 1000+int(i%3000))
+	randKey := func() []byte { return []byte(fmt.Sprintf("k%05d", rng.Intn(400))) }
+	randVal := func() []byte {
+		i := rng.Intn(1 << 16)
+		switch rng.Intn(10) {
+		case 0: // big pair
+			return bytes.Repeat([]byte{byte(i)}, 1000+i%3000)
+		case 1, 2: // a good fraction of a page
+			return bytes.Repeat([]byte{byte(i)}, 20+i%60)
 		}
 		return []byte(fmt.Sprintf("v%d", i))
 	}
+	kinds := 6
+	if tbl.wal != nil {
+		kinds = 7
+	}
 
 	for op := 0; op < nops; op++ {
-		k := keyOf(uint16(rng.Intn(1 << 16)))
-		switch rng.Intn(4) {
+		switch k := randKey(); rng.Intn(kinds) {
 		case 0, 1: // put (twice as likely, so the table grows)
-			v := valOf(uint16(rng.Intn(1<<16)), rng.Intn(10) == 0)
+			v := randVal()
 			if err := tbl.Put(k, v); err != nil {
 				t.Fatalf("op %d: Put(%q): %v", op, k, err)
 			}
@@ -52,13 +64,71 @@ func runModel(t *testing.T, tbl *Table, rng *rand.Rand, nops int) {
 			} else if !errors.Is(err, ErrNotFound) {
 				t.Fatalf("op %d: Get(%q) = %v, want ErrNotFound", op, k, err)
 			}
+		case 4: // putnew
+			v := randVal()
+			err := tbl.PutNew(k, v)
+			if _, inModel := model[string(k)]; inModel {
+				if !errors.Is(err, ErrKeyExists) {
+					t.Fatalf("op %d: PutNew(%q) = %v, want ErrKeyExists", op, k, err)
+				}
+			} else if err != nil {
+				t.Fatalf("op %d: PutNew(%q): %v", op, k, err)
+			} else {
+				model[string(k)] = v
+			}
+		case 5: // batch; every few pairs repeat the previous key
+			pairs := make([]Pair, 1+rng.Intn(24))
+			for i := range pairs {
+				pairs[i] = Pair{Key: randKey(), Data: randVal()}
+				if i > 0 && rng.Intn(4) == 0 {
+					pairs[i].Key = pairs[rng.Intn(i)].Key
+				}
+			}
+			if err := tbl.PutBatch(pairs); err != nil {
+				t.Fatalf("op %d: PutBatch(%d pairs): %v", op, len(pairs), err)
+			}
+			for _, p := range pairs {
+				model[string(p.Key)] = p.Data
+			}
+		case 6: // transaction; ops on one key in whichever order they fall
+			x, err := tbl.Begin()
+			if err != nil {
+				t.Fatalf("op %d: Begin: %v", op, err)
+			}
+			for i, keys := 0, [][]byte{k, randKey(), randKey()}; i < 2+rng.Intn(8); i++ {
+				k := keys[rng.Intn(len(keys))]
+				if rng.Intn(2) == 0 {
+					err = x.Delete(k)
+					delete(model, string(k))
+				} else {
+					v := randVal()
+					err = x.Put(k, v)
+					model[string(k)] = v
+				}
+				if err != nil {
+					t.Fatalf("op %d: txn op: %v", op, err)
+				}
+			}
+			if err := x.Commit(); err != nil {
+				t.Fatalf("op %d: Commit: %v", op, err)
+			}
 		}
 		if tbl.Len() != len(model) {
 			t.Fatalf("op %d: Len = %d, model has %d", op, tbl.Len(), len(model))
 		}
+		if op%250 == 249 {
+			if err := tbl.Check(); err != nil {
+				t.Fatalf("op %d: Check: %v", op, err)
+			}
+		}
 	}
+	return model
+}
 
-	// Final full equivalence via iterator.
+// verifyModel checks full equivalence with the oracle via the iterator,
+// then the structural invariants.
+func verifyModel(t *testing.T, tbl *Table, model map[string][]byte) {
+	t.Helper()
 	seen := make(map[string]bool, len(model))
 	it := tbl.Iter()
 	for it.Next() {
@@ -81,6 +151,9 @@ func runModel(t *testing.T, tbl *Table, rng *rand.Rand, nops int) {
 	if len(seen) != len(model) {
 		t.Fatalf("iterator returned %d keys, model has %d", len(seen), len(model))
 	}
+	if err := tbl.Check(); err != nil {
+		t.Fatalf("Check: %v", err)
+	}
 }
 
 func TestModelRandomOpsMemory(t *testing.T) {
@@ -91,18 +164,29 @@ func TestModelRandomOpsMemory(t *testing.T) {
 			if seed%2 == 0 {
 				opts = &Options{Bsize: 512, Ffactor: 32}
 			}
+			opts.WAL = seed > 4
 			tbl := mustOpen(t, "", opts)
 			defer tbl.Close()
-			runModel(t, tbl, rand.New(rand.NewSource(seed)), 3000)
+			verifyModel(t, tbl, runModel(t, tbl, rand.New(rand.NewSource(seed)), 3000))
 		})
 	}
 }
 
 func TestModelRandomOpsDisk(t *testing.T) {
-	tbl := mustOpen(t, filepath.Join(t.TempDir(), "model.db"),
-		&Options{Bsize: 256, Ffactor: 8, CacheSize: 2 * 1024})
-	defer tbl.Close()
-	runModel(t, tbl, rand.New(rand.NewSource(99)), 4000)
+	for _, useWAL := range []bool{false, true} {
+		t.Run(fmt.Sprintf("wal=%v", useWAL), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "model.db")
+			tbl := mustOpen(t, path, &Options{Bsize: 256, Ffactor: 8, CacheSize: 2 * 1024, WAL: useWAL})
+			model := runModel(t, tbl, rand.New(rand.NewSource(99)), 4000)
+			verifyModel(t, tbl, model)
+			if err := tbl.Close(); err != nil {
+				t.Fatal(err)
+			}
+			tbl = mustOpen(t, path, nil)
+			defer tbl.Close()
+			verifyModel(t, tbl, model)
+		})
+	}
 }
 
 func TestModelSurvivesReopen(t *testing.T) {

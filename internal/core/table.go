@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -177,14 +179,15 @@ func (o *Options) withDefaults() (Options, error) {
 
 // Table is a linear-hash table of byte-string key/data pairs. All methods
 // are safe for concurrent use. Bucket-granular operations — Get, GetBuf,
-// Has, Put, PutNew, Delete, Len, Stats and iteration — take the table
-// lock shared and latch only the stripe covering the bucket chain they
-// touch, so readers AND writers on different buckets run in parallel;
-// splits are incremental and cooperative (see latch.go). Whole-table
-// operations (Sync, Close, PutBatch, Check, Recover, Geometry and the
-// dump/fillstats walkers) take the lock exclusively. The lock order is
-// table lock → splitMu → bucket stripes (ascending) → split-job/ovfl/
-// dirty mutexes → buffer shard lock, and never the reverse.
+// Has, Put, PutNew, Delete, PutBatch, transaction commits, Len, Stats and
+// iteration — take the table lock shared and latch only the stripes
+// covering the bucket chains they touch, so readers AND writers on
+// different buckets run in parallel; splits are incremental and
+// cooperative (see latch.go). Whole-table operations (Sync, Close, Check,
+// Recover, Geometry, the dump/fillstats walkers and PutBatch's presize of
+// an empty table) take the lock exclusively. The lock order is table lock
+// → splitMu → bucket stripes (ascending) → split-job/ovfl/dirty mutexes →
+// buffer shard lock, and never the reverse.
 type Table struct {
 	mu sync.RWMutex
 
@@ -719,7 +722,7 @@ func (t *Table) markDirty() error {
 // calcBucket implements the paper's lookup: mask the 32-bit hash value
 // with the high mask; if the result exceeds the maximum bucket, remask
 // with the low mask. It reads the header masks directly, so it is only
-// for exclusive-lock paths (batch, check, recovery); the shared phase
+// for exclusive-lock paths (check, recovery's gate); the shared phase
 // routes with routeBucket over the geo atomic instead.
 func (t *Table) calcBucket(h uint32) uint32 {
 	b := h & t.hdr.highMask
@@ -1051,445 +1054,21 @@ func (t *Table) walkChainOp(led *oplog.Ledger, bucket uint32, fn func(*buffer.Bu
 }
 
 // Put stores data under key, replacing any existing value.
-func (t *Table) Put(key, data []byte) error { return t.put(key, data, true, nil) }
+func (t *Table) Put(key, data []byte) error {
+	return t.writeOne(nil, writeOp{key: key, data: data}, true)
+}
 
 // PutNew stores data under key, failing with ErrKeyExists if the key is
 // already present (the ndbm DBM_INSERT behaviour).
-func (t *Table) PutNew(key, data []byte) error { return t.put(key, data, false, nil) }
+func (t *Table) PutNew(key, data []byte) error {
+	return t.writeOne(nil, writeOp{key: key, data: data}, false)
+}
 
 // PutOp is Put carrying an op ledger: latch waits, buffer traffic and
 // any cooperative split work triggered by this insert are charged to
 // led's phases. A nil ledger is exactly Put.
 func (t *Table) PutOp(led *oplog.Ledger, key, data []byte) error {
-	return t.put(key, data, true, led)
-}
-
-// putScan is what one pass over a bucket chain learns for an insert: the
-// existing entry if any, the first page with room, and the chain tail.
-type putScan struct {
-	found     bool
-	foundAddr buffer.Addr
-	foundIdx  int
-	foundPos  int // chain position of foundAddr (0 = primary)
-	foundRef  oaddr
-	foundSum  uint64 // pairHash of the existing pair (big: filled later)
-	room      bool
-	roomAddr  buffer.Addr
-	roomPos   int // chain position of roomAddr
-	tailAddr  buffer.Addr
-	tailPos   int // chain position of tailAddr
-}
-
-// scanBucket walks the chain once, locating key and an insertion point.
-// needRef selects whether "room" means space for a big-pair ref or for a
-// regular pair of the given sizes.
-func (t *Table) scanBucket(bucket uint32, key []byte, needRef bool, klen, dlen int, led *oplog.Ledger) (putScan, error) {
-	var s putScan
-	s.foundIdx = -1
-	pos := -1
-	err := t.walkChainOp(led, bucket, func(buf *buffer.Buf) (bool, error) {
-		pos++
-		pg := page(buf.Page)
-		s.tailAddr, s.tailPos = buf.Addr, pos
-		if !s.found {
-			var inner error
-			ferr := pg.forEach(func(i int, e entry) bool {
-				switch e.kind {
-				case entryRegular:
-					if bytes.Equal(e.key, key) {
-						s.found, s.foundAddr, s.foundIdx, s.foundPos = true, buf.Addr, i, pos
-						s.foundSum = pairHash(e.key, e.data)
-						return false
-					}
-				case entryBig:
-					eq, err := t.bigKeyEquals(e.ref, key)
-					if err != nil {
-						inner = err
-						return false
-					}
-					if eq {
-						s.found, s.foundAddr, s.foundIdx, s.foundPos, s.foundRef = true, buf.Addr, i, pos, e.ref
-						return false
-					}
-				}
-				return true
-			})
-			if ferr != nil {
-				return false, ferr
-			}
-			if inner != nil {
-				return false, inner
-			}
-		}
-		if !s.room {
-			fits := pg.fitsRegular(klen, dlen)
-			if needRef {
-				fits = pg.fitsRef()
-			}
-			if fits {
-				s.room, s.roomAddr, s.roomPos = true, buf.Addr, pos
-			}
-		}
-		return false, nil // continue: the tail address is needed
-	})
-	return s, err
-}
-
-// fetchAddr pins the page at a previously scanned address on bucket's
-// chain (the owning bucket routes overflow pages to the chain's shard).
-func (t *Table) fetchAddr(a buffer.Addr, bucket uint32) (*buffer.Buf, error) {
-	return t.fetchAddrOp(nil, a, bucket)
-}
-
-// fetchAddrOp is fetchAddr charging the fetch to led.
-func (t *Table) fetchAddrOp(led *oplog.Ledger, a buffer.Addr, bucket uint32) (*buffer.Buf, error) {
-	if a.Ovfl {
-		return t.pool.GetOwnedOp(led, a, bucket, false)
-	}
-	return t.getBucketPageOp(led, a.N)
-}
-
-func (t *Table) put(key, data []byte, replace bool, led *oplog.Ledger) error {
-	if t.tr == nil {
-		return t.putInner(key, data, replace, led)
-	}
-	var seq0 uint64
-	if led != nil {
-		seq0 = t.tr.Ring().Next()
-	}
-	sp := t.tr.OpBegin()
-	err := t.putInner(key, data, replace, led)
-	t.tr.OpEnd(trace.OpPut, uint64(len(key)+len(data)), sp)
-	if led != nil {
-		led.SetTraceSpan(seq0, t.tr.Ring().Next())
-	}
-	return err
-}
-
-func (t *Table) putInner(key, data []byte, replace bool, led *oplog.Ledger) error {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if err := t.checkWritable(); err != nil {
-		return err
-	}
-	if len(key) == 0 {
-		return ErrEmptyKey
-	}
-	t.m.puts.Inc()
-
-	h := t.hash(key)
-	big := t.isBig(len(key), len(data))
-	// A big pair's chain is written before the bucket latch is taken:
-	// chain pages are private until the ref lands on the bucket, so the
-	// chain I/O never extends a latch hold, and an allocation failure
-	// leaves the bucket unchanged. The file must be durably marked dirty
-	// before those writes reach the store.
-	var ref oaddr
-	if big {
-		if err := t.markDirty(); err != nil {
-			return err
-		}
-		var err error
-		if ref, err = t.putBigPair(key, data); err != nil {
-			return err
-		}
-	}
-
-	var st int64
-	if led != nil {
-		st = oplog.Clock()
-	}
-	bucket := t.lockBucket(h, true)
-	if led != nil {
-		led.Since(oplog.PhaseLatchWait, st)
-	}
-	err := t.putInBucket(bucket, h, key, data, replace, big, ref, led)
-	t.stripeFor(bucket).Unlock()
-	if err != nil {
-		if big && errors.Is(err, ErrKeyExists) {
-			// The pre-written chain never became reachable; reclaim it.
-			_ = t.freeBigChain(ref)
-		}
-		return err
-	}
-
-	// Hybrid split policy: split the next bucket in linear order when an
-	// insert grew an overflow chain (uncontrolled) or when the table
-	// exceeds its fill factor (controlled). The bucket latch is already
-	// released — the split takes its own pair of latches.
-	uncontrolled := t.addedOvfl.Swap(false) && !t.controlledOnly
-	if uncontrolled || t.nkeysA.Load() > int64(t.hdr.ffactor)*int64(t.geo.Load()+1) {
-		if led != nil {
-			st = oplog.Clock()
-		}
-		if err := t.maybeExpand(uncontrolled); err != nil {
-			return err
-		}
-		if led != nil {
-			led.Since(oplog.PhaseSplitAssist, st)
-		}
-	}
-	t.m.setShape(t.nkeysA.Load(), t.geo.Load())
-	return nil
-}
-
-// putInBucket performs the insert-or-replace against one latched bucket
-// chain (h is key's hash). Caller holds the bucket's stripe exclusively;
-// for big pairs the chain at ref is already written.
-func (t *Table) putInBucket(bucket, h uint32, key, data []byte, replace, big bool, ref oaddr, led *oplog.Ledger) error {
-	s, err := t.scanBucket(bucket, key, big, len(key), len(data), led)
-	if err != nil {
-		return err
-	}
-	if s.found && !replace {
-		return ErrKeyExists
-	}
-
-	// Durably mark the file dirty before the first page mutation (a
-	// no-op when a big-pair chain was already written).
-	if err := t.markDirty(); err != nil {
-		return err
-	}
-
-	inserted := false
-	insPos := 0
-	if s.found {
-		if s.foundRef != 0 {
-			// The replaced pair lives on a big chain: fingerprint it
-			// before the chain is freed.
-			old, err := t.readBigData(s.foundRef, nil)
-			if err != nil {
-				return err
-			}
-			s.foundSum = pairHash(key, old)
-		}
-		buf, err := t.fetchAddrOp(led, s.foundAddr, bucket)
-		if err != nil {
-			return err
-		}
-		if s.foundRef != 0 {
-			if err := t.freeBigChain(s.foundRef); err != nil {
-				t.pool.Put(buf)
-				return err
-			}
-		}
-		pg := page(buf.Page)
-		if err := pg.removeEntry(s.foundIdx); err != nil {
-			t.pool.Put(buf)
-			return err
-		}
-		buf.Dirty.Store(true)
-		t.nkeysA.Add(-1)
-		t.xorPairSum(s.foundSum)
-		// The vacated page is the preferred insertion point.
-		if big && pg.fitsRef() {
-			pg.addRef(ref)
-			inserted, insPos = true, s.foundPos
-		} else if !big && pg.fitsRegular(len(key), len(data)) {
-			pg.addRegular(key, data)
-			inserted, insPos = true, s.foundPos
-		}
-		t.pool.Put(buf)
-	}
-
-	if !inserted && s.room {
-		buf, err := t.fetchAddrOp(led, s.roomAddr, bucket)
-		if err != nil {
-			return err
-		}
-		pg := page(buf.Page)
-		switch {
-		case big && pg.fitsRef():
-			pg.addRef(ref)
-			inserted = true
-		case !big && pg.fitsRegular(len(key), len(data)):
-			pg.addRegular(key, data)
-			inserted = true
-		}
-		if inserted {
-			insPos = s.roomPos
-			buf.Dirty.Store(true)
-		}
-		t.pool.Put(buf)
-	}
-
-	if !inserted {
-		tail, err := t.fetchAddrOp(led, s.tailAddr, bucket)
-		if err != nil {
-			return err
-		}
-		nb, err := t.appendOvfl(tail)
-		if err != nil {
-			t.pool.Put(tail)
-			return err
-		}
-		pg := page(nb.Page)
-		if big {
-			pg.addRef(ref)
-		} else {
-			if !pg.fitsRegular(len(key), len(data)) {
-				t.pool.Put(nb)
-				t.pool.Put(tail)
-				return fmt.Errorf("%w: pair does not fit on empty page", ErrCorrupt)
-			}
-			pg.addRegular(key, data)
-		}
-		insPos = s.tailPos + 1
-		nb.Dirty.Store(true)
-		t.pool.Put(nb)
-		t.pool.Put(tail)
-	}
-
-	// Settle the primary page's tag filter: the replaced copy's tag
-	// leaves, the new copy's tag lands at its insertion position. One
-	// extra pin of the primary — a pool hit, the scan just touched it.
-	pb, err := t.getBucketPageOp(led, bucket)
-	if err != nil {
-		return err
-	}
-	fpg := page(pb.Page)
-	if s.found {
-		fpg.filterRemove(h, s.foundPos)
-	}
-	fpg.filterAdd(h, insPos)
-	pb.Dirty.Store(true)
-	t.pool.Put(pb)
-
-	t.nkeysA.Add(1)
-	t.xorPairSum(pairHash(key, data))
-	t.dirtyHdr.Store(true)
-	return nil
-}
-
-// insert places a pair into bucket without checking for duplicates
-// (h is key's hash; the split paths have already computed it).
-func (t *Table) insert(bucket, h uint32, key, data []byte) error {
-	if t.isBig(len(key), len(data)) {
-		ref, err := t.putBigPair(key, data)
-		if err != nil {
-			return err
-		}
-		return t.insertRef(bucket, h, ref)
-	}
-
-	pos, insPos := -1, -1
-	err := t.walkChain(bucket, func(buf *buffer.Buf) (bool, error) {
-		pos++
-		pg := page(buf.Page)
-		if pg.fitsRegular(len(key), len(data)) {
-			pg.addRegular(key, data)
-			buf.Dirty.Store(true)
-			insPos = pos
-			return true, nil
-		}
-		if pg.ovflLink() == 0 {
-			// End of chain: grow it.
-			nb, err := t.appendOvfl(buf)
-			if err != nil {
-				return false, err
-			}
-			npg := page(nb.Page)
-			if !npg.fitsRegular(len(key), len(data)) {
-				t.pool.Put(nb)
-				return false, fmt.Errorf("%w: pair does not fit on empty page", ErrCorrupt)
-			}
-			npg.addRegular(key, data)
-			nb.Dirty.Store(true)
-			t.pool.Put(nb)
-			insPos = pos + 1
-			return true, nil
-		}
-		return false, nil
-	})
-	if err != nil {
-		return err
-	}
-	if insPos < 0 {
-		return fmt.Errorf("%w: insert walked off chain", ErrCorrupt)
-	}
-	return t.filterAddPrimary(bucket, h, insPos)
-}
-
-// insertRef places a big-pair reference into bucket's chain (h is the
-// hash of the big pair's key).
-func (t *Table) insertRef(bucket, h uint32, ref oaddr) error {
-	pos, insPos := -1, -1
-	err := t.walkChain(bucket, func(buf *buffer.Buf) (bool, error) {
-		pos++
-		pg := page(buf.Page)
-		if pg.fitsRef() {
-			pg.addRef(ref)
-			buf.Dirty.Store(true)
-			insPos = pos
-			return true, nil
-		}
-		if pg.ovflLink() == 0 {
-			nb, err := t.appendOvfl(buf)
-			if err != nil {
-				return false, err
-			}
-			page(nb.Page).addRef(ref)
-			nb.Dirty.Store(true)
-			t.pool.Put(nb)
-			insPos = pos + 1
-			return true, nil
-		}
-		return false, nil
-	})
-	if err != nil {
-		return err
-	}
-	if insPos < 0 {
-		return fmt.Errorf("%w: ref insert walked off chain", ErrCorrupt)
-	}
-	return t.filterAddPrimary(bucket, h, insPos)
-}
-
-// filterAddPrimary tags a freshly inserted key on bucket's primary page.
-func (t *Table) filterAddPrimary(bucket, h uint32, insPos int) error {
-	pb, err := t.getBucketPage(bucket)
-	if err != nil {
-		return err
-	}
-	page(pb.Page).filterAdd(h, insPos)
-	pb.Dirty.Store(true)
-	t.pool.Put(pb)
-	return nil
-}
-
-// appendOvfl allocates an overflow page, links it after tail (which must
-// be the last page of a chain) and returns it pinned and initialized.
-// It records that an uncontrolled split is due.
-func (t *Table) appendOvfl(tail *buffer.Buf) (*buffer.Buf, error) {
-	o, err := t.allocOvfl()
-	if err != nil {
-		return nil, err
-	}
-	nb, err := t.pool.Get(ovflBufAddr(o), tail, true)
-	if err != nil {
-		return nil, err
-	}
-	// The page may hold stale contents (reclaimed page): reformat.
-	clear(nb.Page)
-	initPage(page(nb.Page))
-	nb.Dirty.Store(true)
-	if err := page(tail.Page).setOvflLink(o); err != nil {
-		t.pool.Put(nb)
-		return nil, err
-	}
-	tail.Dirty.Store(true)
-	// Record the growth in the primary page's chain counter (tail.Owner
-	// names the owning bucket even when tail is itself an overflow page).
-	pb, err := t.getBucketPage(tail.Owner())
-	if err != nil {
-		t.pool.Put(nb)
-		return nil, err
-	}
-	page(pb.Page).fltChainInc()
-	pb.Dirty.Store(true)
-	t.pool.Put(pb)
-	t.addedOvfl.Store(true)
-	return nb, nil
+	return t.writeOne(led, writeOp{key: key, data: data}, true)
 }
 
 // Delete removes key, returning ErrNotFound if absent.
@@ -1498,184 +1077,394 @@ func (t *Table) Delete(key []byte) error { return t.DeleteOp(nil, key) }
 // DeleteOp is Delete carrying an op ledger (see PutOp). A nil ledger
 // is exactly Delete.
 func (t *Table) DeleteOp(led *oplog.Ledger, key []byte) error {
+	return t.writeOne(led, writeOp{key: key, del: true}, true)
+}
+
+// writeOne is Put, PutNew and Delete: a write set of one (see applySet
+// in batch.go), wrapped in the op's trace span.
+func (t *Table) writeOne(led *oplog.Ledger, op writeOp, replace bool) error {
 	if t.tr == nil {
-		return t.deleteInner(key, led)
+		return t.applyOne(led, op, replace)
 	}
 	var seq0 uint64
 	if led != nil {
 		seq0 = t.tr.Ring().Next()
 	}
 	sp := t.tr.OpBegin()
-	err := t.deleteInner(key, led)
-	t.tr.OpEnd(trace.OpDelete, uint64(len(key)), sp)
+	err := t.applyOne(led, op, replace)
+	code := trace.OpPut
+	if op.del {
+		code = trace.OpDelete
+	}
+	t.tr.OpEnd(code, uint64(len(op.key)+len(op.data)), sp)
 	if led != nil {
 		led.SetTraceSpan(seq0, t.tr.Ring().Next())
 	}
 	return err
 }
 
-func (t *Table) deleteInner(key []byte, led *oplog.Ledger) error {
+func (t *Table) applyOne(led *oplog.Ledger, op writeOp, replace bool) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if err := t.checkWritable(); err != nil {
 		return err
 	}
-	if len(key) == 0 {
+	if len(op.key) == 0 {
 		return ErrEmptyKey
 	}
-	t.m.dels.Inc()
-	if err := t.markDirty(); err != nil {
+	if op.del {
+		t.m.dels.Inc()
+	} else {
+		t.m.puts.Inc()
+	}
+	set := [1]writeOp{op}
+	if _, err := t.applySet(set[:], replace, led); err != nil {
 		return err
 	}
-	h := t.hash(key)
-	var st int64
-	if led != nil {
-		st = oplog.Clock()
-	}
-	bucket := t.lockBucket(h, true)
-	if led != nil {
-		led.Since(oplog.PhaseLatchWait, st)
-	}
-	removed, err := t.deleteFromBucket(bucket, h, key, led)
-	t.stripeFor(bucket).Unlock()
-	if err != nil {
+	if _, err := t.settleSplits(led); err != nil {
 		return err
 	}
-	t.m.setShape(t.nkeysA.Load(), t.geo.Load())
-	if !removed {
+	if op.del && !set[0].found {
 		return ErrNotFound
 	}
 	return nil
 }
 
-// deleteFromBucket removes key from bucket if present (h is key's
-// hash), freeing big-pair chains and unlinking overflow pages that
-// become empty. It decrements nkeys when it removes something.
-func (t *Table) deleteFromBucket(bucket, h uint32, key []byte, led *oplog.Ledger) (bool, error) {
-	removed := false
-	pos := 0                 // chain position of the page under examination
-	var prevBuf *buffer.Buf // predecessor of the page under examination
-
-	cur, err := t.getBucketPageOp(led, bucket)
-	if err != nil {
-		return false, err
-	}
-	defer func() {
-		if prevBuf != nil {
-			t.pool.Put(prevBuf)
+// applyBucket applies ops — all routed to one bucket, sorted by hash,
+// the caller holding its stripe exclusively — in one walk of the
+// bucket's chain. On each page the copies the set supersedes are removed
+// first, then pending puts are packed into the space (including what the
+// removals just opened); an overflow page left empty is unlinked and
+// reclaimed; puts that fit nowhere go onto fresh overflow pages at the
+// tail. The walk stops as soon as every op is settled. The primary page
+// stays pinned throughout and every placement and removal settles its
+// filter tag there in the same step, so no exit path — error paths
+// included — leaves a key on the chain that the filter does not know
+// (the false negative DESIGN §14 forbids).
+//
+// With replace false (PutNew, a set of one) nothing is written — the file
+// is not even marked dirty — until the walk has proved the key absent;
+// the first page with room stays pinned to take the pair.
+func (t *Table) applyBucket(ops []writeOp, replace bool, led *oplog.Ledger) error {
+	if replace {
+		// Durably mark the file dirty before the first page mutation.
+		if err := t.markDirty(); err != nil {
+			return err
 		}
-		if cur != nil {
-			t.pool.Put(cur)
+	}
+	primary, err := t.getBucketPageOp(led, ops[0].bucket)
+	if err != nil {
+		return err
+	}
+	primary.Pin() // cur's pin moves down the chain; this one holds the filter page
+	unfound, unplaced := 0, 0
+	for i := range ops {
+		if !ops[i].dead {
+			unfound++
+			if !ops[i].del {
+				unplaced++
+			}
+		}
+	}
+
+	var prev, room *buffer.Buf
+	cur, pos, roomPos, ovflPages := primary, 0, 0, int64(0)
+	defer func() {
+		for _, b := range [...]*buffer.Buf{primary, prev, cur, room} {
+			if b != nil {
+				t.pool.Put(b)
+			}
+		}
+		if ovflPages > 0 {
+			t.m.chainPages.Add(ovflPages)
+			t.m.chainWalks.Inc()
 		}
 	}()
-
 	for {
+		n, err := t.dropStale(cur, primary, pos, ops, unfound, replace)
+		if err != nil {
+			return err
+		}
+		unfound -= n
 		pg := page(cur.Page)
-		idx := -1
-		var bigRef oaddr
-		var sum uint64
-		var inner error
-		ferr := pg.forEach(func(i int, e entry) bool {
-			switch e.kind {
-			case entryRegular:
-				if bytes.Equal(e.key, key) {
-					idx = i
-					sum = pairHash(e.key, e.data)
-					return false
-				}
-			case entryBig:
-				eq, err := t.bigKeyEquals(e.ref, key)
-				if err != nil {
-					inner = err
-					return false
-				}
-				if eq {
-					idx = i
-					bigRef = e.ref
-					return false
-				}
-			}
-			return true
-		})
-		if ferr != nil {
-			return false, ferr
-		}
-		if inner != nil {
-			return false, inner
-		}
-		if idx >= 0 {
-			if bigRef != 0 {
-				// Fingerprint the pair before its chain is freed.
-				data, err := t.readBigData(bigRef, nil)
-				if err != nil {
-					return false, err
-				}
-				sum = pairHash(key, data)
-				if err := t.freeBigChain(bigRef); err != nil {
-					return false, err
-				}
-			}
-			if err := pg.removeEntry(idx); err != nil {
-				return false, err
-			}
-			cur.Dirty.Store(true)
-			removed = true
-			t.nkeysA.Add(-1)
-			t.xorPairSum(sum)
-			t.dirtyHdr.Store(true)
-			// Drop the pair's tag from the primary's filter, at the
-			// position it was found, before any unlink renumbers chain
-			// positions.
-			if pos == 0 {
-				pg.filterRemove(h, 0)
-			} else {
-				pb, perr := t.getBucketPage(bucket)
-				if perr != nil {
-					return false, perr
-				}
-				page(pb.Page).filterRemove(h, pos)
-				pb.Dirty.Store(true)
-				t.pool.Put(pb)
-			}
-			// An overflow page left with no entries is unlinked from the
-			// chain and reclaimed.
-			if cur.Addr.Ovfl && pg.nentries() == 0 && prevBuf != nil {
-				if err := t.unlinkOvfl(prevBuf, cur); err != nil {
-					return false, err
-				}
-				cur = nil
-			}
-			return true, nil
+		if replace {
+			unplaced -= t.packOps(cur, primary, pos, ops)
+		} else if room == nil && ops[0].fits(pg) {
+			room, roomPos = cur, pos
+			room.Pin()
 		}
 		next := pg.ovflLink()
-		if next == 0 {
-			return removed, nil
+		if replace && cur.Addr.Ovfl && pg.nentries() == 0 {
+			gone := cur
+			cur, prev = prev, nil
+			pos--
+			if err := t.unlinkOvfl(cur, gone, primary); err != nil {
+				return err
+			}
+		}
+		if next == 0 || unfound == 0 && unplaced == 0 {
+			break
 		}
 		nb, err := t.pool.GetOp(led, ovflBufAddr(next), cur, false)
 		if err != nil {
-			return false, err
+			return err
 		}
-		if prevBuf != nil {
-			t.pool.Put(prevBuf)
+		ovflPages++
+		if prev != nil {
+			t.pool.Put(prev)
 		}
-		prevBuf, cur = cur, nb
+		prev, cur = cur, nb
 		pos++
 	}
+
+	if !replace {
+		if err := t.markDirty(); err != nil {
+			return err
+		}
+		if room != nil {
+			unplaced -= t.packOps(room, primary, roomPos, ops)
+		}
+	}
+	// Whatever did not fit on the existing chain goes onto fresh overflow
+	// pages appended at the tail (cur: the walk ended there).
+	for unplaced > 0 {
+		nb, err := t.appendOvfl(cur)
+		if err != nil {
+			return err
+		}
+		if prev != nil {
+			t.pool.Put(prev)
+		}
+		prev, cur = cur, nb
+		pos++
+		n := t.packOps(cur, primary, pos, ops)
+		if n == 0 {
+			return fmt.Errorf("%w: pair does not fit on empty page", ErrCorrupt)
+		}
+		unplaced -= n
+	}
+	return nil
+}
+
+// dropStale removes from buf's page (chain position pos) the entry each
+// live op of the set supersedes — the copy it replaces or deletes — if it
+// is there, keeping nkeys, the pair checksum and the primary's filter
+// current, and reports how many ops found theirs; want is how many are
+// still looking. With replace false a match is ErrKeyExists and nothing
+// is touched.
+func (t *Table) dropStale(buf, primary *buffer.Buf, pos int, ops []writeOp, want int, replace bool) (int, error) {
+	if want == 0 {
+		return 0, nil
+	}
+	// stale is one on-page entry the set supersedes.
+	type stale struct {
+		entry, op int
+		ref       oaddr
+		sum       uint64 // regular pairs: fingerprint captured during the scan
+	}
+	var remsArr [4]stale
+	rems := remsArr[:0]
+	pg := page(buf.Page)
+	// The page is not modified during forEach; removals are applied
+	// after, in descending entry order so indices stay valid.
+	var inner error
+	ferr := pg.forEach(func(i int, e entry) bool {
+		oi, err := t.matchOp(ops, &e)
+		if err != nil {
+			inner = err
+			return false
+		}
+		if oi >= 0 {
+			r := stale{entry: i, op: oi, ref: e.ref}
+			if e.kind == entryRegular {
+				r.sum = pairHash(e.key, e.data)
+			}
+			rems = append(rems, r)
+			ops[oi].found = true // matchOp passes it over from here on
+		}
+		return len(rems) < want
+	})
+	if ferr != nil {
+		return 0, ferr
+	}
+	if inner != nil {
+		return 0, inner
+	}
+	if len(rems) > 0 && !replace {
+		return 0, ErrKeyExists
+	}
+	for j := len(rems) - 1; j >= 0; j-- {
+		r, op := rems[j], &ops[rems[j].op]
+		if r.ref != 0 {
+			// Fingerprint the big pair before its chain is freed.
+			old, err := t.readBigData(r.ref, nil)
+			if err != nil {
+				return 0, err
+			}
+			r.sum = pairHash(op.key, old)
+			if err := t.freeBigChain(r.ref); err != nil {
+				return 0, err
+			}
+		}
+		if err := pg.removeEntry(r.entry); err != nil {
+			return 0, err
+		}
+		buf.Dirty.Store(true)
+		t.nkeysA.Add(-1)
+		t.xorPairSum(r.sum)
+		page(primary.Page).filterRemove(op.hash, pos)
+		primary.Dirty.Store(true)
+	}
+	return len(rems), nil
+}
+
+// matchOp returns the index of the live op whose key is e's and which is
+// still looking for the copy it supersedes, or -1. A set of one compares
+// a big pair's key in place on its chain; larger sets materialise it
+// once. Groups too large to scan are searched by hash, which is what
+// applySet sorted them on.
+func (t *Table) matchOp(ops []writeOp, e *entry) (int, error) {
+	key := e.key
+	if e.kind == entryBig {
+		if len(ops) == 1 {
+			eq, err := t.bigKeyEquals(e.ref, ops[0].key)
+			if err != nil || !eq {
+				return -1, err
+			}
+			return 0, nil
+		}
+		var err error
+		if key, err = t.bigKey(e.ref); err != nil {
+			return -1, err
+		}
+	}
+	lo, hi := 0, len(ops)
+	if hi > 16 {
+		h := t.hash(key)
+		lo, _ = slices.BinarySearchFunc(ops, h, func(op writeOp, h uint32) int { return cmp.Compare(op.hash, h) })
+		for hi = lo; hi < len(ops) && ops[hi].hash == h; hi++ {
+		}
+	}
+	for j := lo; j < hi; j++ {
+		if op := &ops[j]; !op.dead && !op.found && bytes.Equal(op.key, key) {
+			return j, nil
+		}
+	}
+	return -1, nil
+}
+
+// packOps places every live, unplaced put of the set that fits on buf's
+// page (chain position pos), tagging each on the primary's filter as it
+// lands, and reports how many it placed.
+func (t *Table) packOps(buf, primary *buffer.Buf, pos int, ops []writeOp) int {
+	pg, n := page(buf.Page), 0
+	for i := range ops {
+		op := &ops[i]
+		if op.del || op.dead || op.placed || !op.fits(pg) {
+			continue
+		}
+		op.addTo(pg)
+		op.placed = true
+		n++
+		buf.Dirty.Store(true)
+		t.nkeysA.Add(1)
+		t.xorPairSum(pairHash(op.key, op.data))
+		page(primary.Page).filterAdd(op.hash, pos)
+		primary.Dirty.Store(true)
+	}
+	return n
+}
+
+// insert places one gathered pair — key and data, or a big pair's ref —
+// into bucket without checking for duplicates (h is the key's hash): the
+// split's redistribution step, whose pairs are already counted in nkeys
+// and the pair checksum.
+func (t *Table) insert(bucket, h uint32, op *writeOp) error {
+	pos := -1
+	err := t.walkChain(bucket, func(buf *buffer.Buf) (bool, error) {
+		pos++
+		if !op.fits(page(buf.Page)) {
+			if page(buf.Page).ovflLink() != 0 {
+				return false, nil
+			}
+			// End of chain: grow it.
+			nb, err := t.appendOvfl(buf)
+			if err != nil {
+				return false, err
+			}
+			defer t.pool.Put(nb)
+			if buf, pos = nb, pos+1; !op.fits(page(buf.Page)) {
+				return false, fmt.Errorf("%w: pair does not fit on empty page", ErrCorrupt)
+			}
+		}
+		op.addTo(page(buf.Page))
+		buf.Dirty.Store(true)
+		return true, nil
+	})
+	if err != nil {
+		return err
+	}
+	// Tag the pair on the bucket's primary page.
+	pb, err := t.getBucketPage(bucket)
+	if err != nil {
+		return err
+	}
+	page(pb.Page).filterAdd(h, pos)
+	pb.Dirty.Store(true)
+	t.pool.Put(pb)
+	return nil
+}
+
+// appendOvfl allocates an overflow page, links it after tail (which must
+// be the last page of a chain) and returns it pinned and initialized.
+// It records that an uncontrolled split is due. Every step that can fail
+// comes before the link is written, so a failure leaves the chain and
+// the primary's chain counter as they were.
+func (t *Table) appendOvfl(tail *buffer.Buf) (*buffer.Buf, error) {
+	// tail.Owner names the owning bucket even when tail is itself an
+	// overflow page.
+	pb, err := t.getBucketPage(tail.Owner())
+	if err != nil {
+		return nil, err
+	}
+	defer t.pool.Put(pb)
+	o, err := t.allocOvfl()
+	if err != nil {
+		return nil, err
+	}
+	nb, err := t.pool.Get(ovflBufAddr(o), tail, true)
+	if err == nil {
+		if err = page(tail.Page).setOvflLink(o); err != nil {
+			t.pool.Put(nb)
+		}
+	}
+	if err != nil {
+		_ = t.freeOvfl(o)
+		return nil, err
+	}
+	tail.Dirty.Store(true)
+	// The page may hold stale contents (reclaimed page): reformat.
+	clear(nb.Page)
+	initPage(page(nb.Page))
+	nb.Dirty.Store(true)
+	page(pb.Page).fltChainInc()
+	pb.Dirty.Store(true)
+	t.addedOvfl.Store(true)
+	return nb, nil
 }
 
 // unlinkOvfl removes the empty overflow page held in buf from the chain:
 // prev's link is redirected to buf's successor and buf's page is freed.
-// buf is consumed (unpinned and dropped).
-func (t *Table) unlinkOvfl(prev, buf *buffer.Buf) error {
-	pg := page(buf.Page)
-	succ := pg.ovflLink()
+// primary is the chain's pinned primary page. buf is consumed (unpinned
+// and dropped) on every path.
+func (t *Table) unlinkOvfl(prev, buf, primary *buffer.Buf) error {
+	succ := page(buf.Page).ovflLink()
 	ppg := page(prev.Page)
-	if succ != 0 {
-		if err := ppg.setOvflLink(succ); err != nil {
-			return err
-		}
-	} else {
+	if succ == 0 {
 		ppg.clearOvflLink()
+	} else if err := ppg.setOvflLink(succ); err != nil {
+		t.pool.Put(buf)
+		return err
 	}
 	prev.Dirty.Store(true)
 	// Account the unlink on the primary's filter region: the chain is
@@ -1683,139 +1472,16 @@ func (t *Table) unlinkOvfl(prev, buf *buffer.Buf) error {
 	// positions all shifted down — position hints can no longer be
 	// trusted (a hint one past a key's real page would make a hinted
 	// walk skip it: a forbidden false negative).
-	pb, err := t.getBucketPage(prev.Owner())
-	if err != nil {
-		return err
-	}
-	fpg := page(pb.Page)
+	fpg := page(primary.Page)
 	fpg.fltChainDec()
 	if succ != 0 {
 		fpg.setFltInexact()
 	}
-	pb.Dirty.Store(true)
-	t.pool.Put(pb)
+	primary.Dirty.Store(true)
 	o := oaddr(buf.Addr.N)
 	t.pool.Put(buf) // unpin before dropping
 	t.pool.Drop(prev, buf)
 	return t.freeOvfl(o)
-}
-
-// expand performs one step of linear-hash growth under the exclusive
-// table lock (the batch and recovery paths — no concurrent operations,
-// so the split runs synchronously rather than through the cooperative
-// job). The shared-phase equivalent is maybeExpand in latch.go; both
-// share growGeometry. uncontrolled records which half of the hybrid
-// policy triggered the split (chain growth vs. fill factor).
-func (t *Table) expand(uncontrolled bool) error {
-	if t.hdr.maxBucket == ^uint32(0) {
-		return fmt.Errorf("hash: table is at maximum size")
-	}
-	oldBucket, newBucket := t.growGeometry()
-	t.publishGeo()
-	if uncontrolled {
-		t.m.splitsUncontrolled.Inc()
-	} else {
-		t.m.splitsControlled.Inc()
-	}
-	t.tr.Emit(trace.EvSplitBegin, uint64(oldBucket), uint64(newBucket), uint64(t.hdr.maxBucket), boolArg(uncontrolled))
-	return t.splitBucket(oldBucket, newBucket)
-}
-
-// splitEntry is one entry gathered from a splitting bucket.
-type splitEntry struct {
-	key  []byte
-	data []byte
-	ref  oaddr // non-zero: big pair, key/data stay on their chain
-}
-
-// splitBucket redistributes oldBucket's entries between oldBucket and
-// newBucket by the newly revealed hash bit, reclaiming overflow pages
-// that the redistribution empties.
-func (t *Table) splitBucket(oldBucket, newBucket uint32) error {
-	var t0 time.Time
-	if t.tr != nil {
-		t0 = time.Now()
-	}
-	// Gather all entries (copying bytes: the pages are about to be
-	// reformatted) and the chain's overflow page addresses.
-	var entries []splitEntry
-	var chain []oaddr
-	err := t.walkChain(oldBucket, func(buf *buffer.Buf) (bool, error) {
-		if buf.Addr.Ovfl {
-			chain = append(chain, oaddr(buf.Addr.N))
-		}
-		pg := page(buf.Page)
-		return false, pg.forEach(func(i int, e entry) bool {
-			switch e.kind {
-			case entryRegular:
-				entries = append(entries, splitEntry{
-					key:  append([]byte(nil), e.key...),
-					data: append([]byte(nil), e.data...),
-				})
-			case entryBig:
-				entries = append(entries, splitEntry{ref: e.ref})
-			}
-			return true
-		})
-	})
-	if err != nil {
-		return err
-	}
-
-	// Reset the old primary page and reclaim the chain (freeOvfl discards
-	// any resident buffer for each freed page).
-	ob, err := t.getBucketPage(oldBucket)
-	if err != nil {
-		return err
-	}
-	clear(ob.Page)
-	initPage(page(ob.Page))
-	ob.Dirty.Store(true)
-	t.pool.Put(ob)
-	for _, o := range chain {
-		if err := t.freeOvfl(o); err != nil {
-			return err
-		}
-	}
-
-	// Initialize the new bucket's primary page.
-	nb, err := t.getBucketPage(newBucket)
-	if err != nil {
-		return err
-	}
-	clear(nb.Page)
-	initPage(page(nb.Page))
-	nb.Dirty.Store(true)
-	t.pool.Put(nb)
-
-	// Redistribute.
-	for _, e := range entries {
-		key := e.key
-		if e.ref != 0 {
-			key, err = t.bigKey(e.ref)
-			if err != nil {
-				return err
-			}
-		}
-		h := t.hash(key)
-		dest := t.calcBucket(h)
-		if dest != oldBucket && dest != newBucket {
-			return fmt.Errorf("%w: split of bucket %d sent key to bucket %d (new %d)", ErrCorrupt, oldBucket, dest, newBucket)
-		}
-		if e.ref != 0 {
-			if err := t.insertRef(dest, h, e.ref); err != nil {
-				return err
-			}
-		} else {
-			if err := t.insert(dest, h, key, e.data); err != nil {
-				return err
-			}
-		}
-	}
-	if t.tr != nil {
-		t.tr.EmitDur(trace.EvSplitEnd, time.Since(t0), uint64(oldBucket), uint64(newBucket), uint64(len(entries)), uint64(len(chain)))
-	}
-	return nil
 }
 
 // Len returns the number of keys in the table.

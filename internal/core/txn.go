@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"unixhash/internal/oplog"
 	"unixhash/internal/trace"
@@ -14,8 +13,9 @@ import (
 // touches the table until Commit. Commit appends every op plus a commit
 // frame to the write-ahead log in one contiguous write, fsyncs the log
 // (sharing the fsync with concurrent committers), and only then applies
-// the ops to the live table under the PR 6 bucket latches — all buckets
-// involved are write-latched together, in ascending stripe order, so the
+// the ops to the live table as one write set — the same applySet
+// (batch.go) that serves Put, Delete and PutBatch, so all buckets
+// involved are write-latched together, in ascending stripe order, and the
 // transaction becomes visible as a unit. Durability comes from the log:
 // after Commit returns, a crash at any point is repaired by Recover
 // replaying the committed transactions past the last checkpoint. The
@@ -197,11 +197,18 @@ func (t *Table) ApplyCommitted(led *oplog.Ledger, commitLSN uint64, ops []wal.Op
 	return t.applyCommitted(commitLSN, ops, led)
 }
 
-// applyCommitted applies a durable commit. Everything here is replayable
-// from the log, so a failure must freeze appliedLSN (via the damage
-// poison) rather than roll anything back. The caller holds t.mu shared.
+// applyCommitted applies a durable commit: the ops are one write set
+// through applySet (batch.go) — every bucket involved is write-latched
+// together, so the transaction becomes visible as a unit — and the LSN is
+// stamped once they are in. Everything here is replayable from the log,
+// so a failure must freeze appliedLSN (via the damage poison) rather than
+// roll anything back. The caller holds t.mu shared.
 func (t *Table) applyCommitted(commitLSN uint64, ops []wal.Op, led *oplog.Ledger) error {
-	if err := t.applyTxn(ops, led); err != nil {
+	set := make([]writeOp, len(ops))
+	for i := range ops {
+		set[i] = writeOp{key: ops[i].Key, data: ops[i].Data, del: ops[i].Delete}
+	}
+	if _, err := t.applySet(set, true, led); err != nil {
 		err = fmt.Errorf("hash: committed transaction %d applied partially (reopen or Recover to converge): %w", commitLSN, err)
 		t.setWALDamaged(err)
 		return err
@@ -212,24 +219,8 @@ func (t *Table) applyCommitted(commitLSN uint64, ops []wal.Op, led *oplog.Ledger
 		t.appliedLSN.Store(commitLSN)
 		t.m.txnCommits.Inc()
 	}
-
-	// Split trigger, as after putInner: the latches are released, the
-	// split takes its own.
-	uncontrolled := t.addedOvfl.Swap(false) && !t.controlledOnly
-	if uncontrolled || t.nkeysA.Load() > int64(t.hdr.ffactor)*int64(t.geo.Load()+1) {
-		var st int64
-		if led != nil {
-			st = oplog.Clock()
-		}
-		if err := t.maybeExpand(uncontrolled); err != nil {
-			return err
-		}
-		if led != nil {
-			led.Since(oplog.PhaseSplitAssist, st)
-		}
-	}
-	t.m.setShape(t.nkeysA.Load(), t.geo.Load())
-	return nil
+	_, err := t.settleSplits(led)
+	return err
 }
 
 // Checkpoint is Sync for a shared-log table: the two-phase flush, with
@@ -269,107 +260,5 @@ func (t *Table) raiseAppliedLSN(lsn uint64) {
 		if cur >= lsn || t.appliedLSN.CompareAndSwap(cur, lsn) {
 			return
 		}
-	}
-}
-
-// txnTarget is one op's routing state during application.
-type txnTarget struct {
-	hash   uint32
-	bucket uint32
-	big    bool
-	ref    oaddr
-}
-
-// applyTxn applies the ops to the live table as one unit. Big-pair
-// chains are pre-written outside the latches (private until their ref
-// lands, as in putInner); then every involved bucket's stripe is
-// write-latched in ascending order, the routes revalidated against the
-// split pointer, and the ops applied in order. A route invalidated by a
-// concurrent split backs off, helps the split, and retries — the same
-// protocol as lockBucket, extended to a set of buckets.
-func (t *Table) applyTxn(ops []wal.Op, led *oplog.Ledger) error {
-	if err := t.markDirty(); err != nil {
-		return err
-	}
-	targets := make([]txnTarget, len(ops))
-	for i := range ops {
-		op := &ops[i]
-		tg := &targets[i]
-		tg.hash = t.hash(op.Key)
-		if !op.Delete && t.isBig(len(op.Key), len(op.Data)) {
-			tg.big = true
-			ref, err := t.putBigPair(op.Key, op.Data)
-			if err != nil {
-				return err
-			}
-			tg.ref = ref
-		}
-	}
-
-	stripes := make([]int, 0, len(ops))
-	for {
-		// Route every op and collect the distinct stripes, ascending.
-		geo := t.geo.Load()
-		stripes = stripes[:0]
-		for i := range targets {
-			targets[i].bucket = routeBucket(targets[i].hash, geo)
-			stripes = append(stripes, int(targets[i].bucket&stripeMask))
-		}
-		sort.Ints(stripes)
-		n := 0
-		for i, s := range stripes {
-			if i == 0 || s != stripes[n-1] {
-				stripes[n] = s
-				n++
-			}
-		}
-		stripes = stripes[:n]
-		var st int64
-		if led != nil {
-			st = oplog.Clock()
-		}
-		for _, s := range stripes {
-			t.stripes[s].Lock()
-		}
-		if led != nil {
-			led.Since(oplog.PhaseLatchWait, st)
-		}
-
-		// Revalidate under the latches: a split may have moved a route or
-		// may still be redistributing one of our buckets.
-		conflict := int64(-1)
-		for i := range targets {
-			tg := &targets[i]
-			if routeBucket(tg.hash, t.geo.Load()) != tg.bucket || t.splitInvolves(tg.bucket) {
-				conflict = int64(tg.bucket)
-				break
-			}
-		}
-		if conflict >= 0 {
-			for _, s := range stripes {
-				t.stripes[s].Unlock()
-			}
-			if t.splitInvolves(uint32(conflict)) {
-				t.helpSplit(uint32(conflict))
-			}
-			continue
-		}
-
-		var err error
-		for i := range ops {
-			op, tg := &ops[i], &targets[i]
-			if op.Delete {
-				_, err = t.deleteFromBucket(tg.bucket, tg.hash, op.Key, led)
-			} else {
-				err = t.putInBucket(tg.bucket, tg.hash, op.Key, op.Data, true, tg.big, tg.ref, led)
-			}
-			if err != nil {
-				break
-			}
-		}
-		for _, s := range stripes {
-			t.stripes[s].Unlock()
-		}
-		return err
 	}
 }
