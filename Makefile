@@ -4,15 +4,20 @@ GO ?= go
 # -race is slow, so check races where the locks actually live.
 RACE_PKGS = ./internal/core ./internal/buffer ./internal/db ./internal/trace ./internal/server ./internal/oplog
 
-.PHONY: check fmt build vet test race crash fuzz-crash wal-crash fuzz-wal-crash bench bench-history metrics misses serve telemetry loc clean
+.PHONY: check fmt deps build vet test race crash fuzz-crash wal-crash fuzz-wal-crash fuzz-proto bench bench-history metrics misses serve telemetry loc clean
 
-check: fmt vet build test race crash
+check: fmt deps vet build test race crash
 
 # Fails, naming the files, when any Go source outside the benchmark's
 # build directory is not gofmt-clean.
 fmt:
 	@out=$$(find . -name '*.go' ! -path './.bench_build/*' -exec gofmt -l {} +); \
 	if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
+
+# The storage engine opens no socket: nothing below the db layer may
+# link net/http (the telemetry surface is started by the caller).
+deps:
+	@! $(GO) list -deps ./internal/core ./internal/buffer ./internal/wal ./internal/pagefile | grep -x net/http
 
 build:
 	$(GO) build ./...
@@ -33,6 +38,10 @@ crash:
 
 fuzz-crash:
 	$(GO) test -run=NONE -fuzz=FuzzTableCrashRecovery -fuzztime=30s ./internal/core
+
+# Wire-parser fuzz (its seeds already run under `make test`).
+fuzz-proto:
+	$(GO) test -run=NONE -fuzz=FuzzReadCommand -fuzztime=30s ./internal/server
 
 # WAL crash matrix: consistent power cuts across the page store AND the
 # log (torn page writes, torn log appends, mid-checkpoint cuts) must
@@ -79,8 +88,9 @@ misses:
 serve:
 	$(GO) run ./cmd/dbserver -addr :7700 -telemetry :7701
 
-# Telemetry smoke: start a live traced workload with the telemetry
-# server up, scrape every endpoint (including a 1s CPU profile) and
+# Telemetry smoke: start `dbserver -telemetry` on a fresh directory,
+# load it over a socket, scrape every endpoint its index lists
+# (including a 1s CPU profile and an exemplar with its ring events) and
 # watch it through dbcli hashmon; fails on any non-200 or empty body.
 telemetry:
 	$(GO) test -count=1 -run TestTelemetryEndToEnd -v .

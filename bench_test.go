@@ -25,9 +25,12 @@ import (
 	"unixhash/internal/gdbm"
 	"unixhash/internal/hashfunc"
 	"unixhash/internal/hsearch"
+	"unixhash/internal/metrics"
 	"unixhash/internal/ndbm"
+	"unixhash/internal/oplog"
 	"unixhash/internal/pagefile"
 	"unixhash/internal/sdbm"
+	"unixhash/internal/trace"
 )
 
 const benchN = 4000 // scaled dictionary for per-iteration cost
@@ -456,27 +459,52 @@ func BenchmarkGet(b *testing.B) {
 	}
 }
 
-// BenchmarkGetBuf is BenchmarkGet with a caller-supplied buffer; the
-// allocs/op delta against BenchmarkGet is the point (0 vs 1 per call).
+// BenchmarkGetBuf is BenchmarkGet with a caller-supplied buffer (0
+// allocs/op against BenchmarkGet's 1), and the record of what looking
+// costs in-process: the same warm lookup with nothing attached, with a
+// trace ring, under a live op ledger folded into a recorder (StartOp →
+// GetBufOp → Finish → Record, what a server connection does per GET),
+// and with both.
 func BenchmarkGetBuf(b *testing.B) {
-	t, err := core.Open("", &core.Options{CacheSize: 8 << 20, Nelem: benchN})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer t.Close()
-	for _, p := range benchDict {
-		if err := t.Put(p.Key, p.Data); err != nil {
-			b.Fatal(err)
-		}
-	}
-	dst := make([]byte, 0, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := benchDict[i%len(benchDict)]
-		if dst, err = t.GetBuf(p.Key, dst); err != nil {
-			b.Fatal(err)
-		}
+	for _, tc := range []struct {
+		name           string
+		tracer, ledger bool
+	}{{"plain", false, false}, {"tracer", true, false}, {"ledger", false, true}, {"ledger+tracer", true, true}} {
+		b.Run(tc.name, func(b *testing.B) {
+			opts := &core.Options{CacheSize: 8 << 20, Nelem: benchN}
+			if tc.tracer {
+				opts.Trace = trace.New(0)
+			}
+			t, err := core.Open("", opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer t.Close()
+			for _, p := range benchDict {
+				if err := t.Put(p.Key, p.Data); err != nil {
+					b.Fatal(err)
+				}
+			}
+			rec := oplog.NewRecorder(metrics.New(), 1)
+			var led oplog.Ledger
+			dst := make([]byte, 0, 256)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := benchDict[i%len(benchDict)]
+				if !tc.ledger {
+					dst, err = t.GetBuf(p.Key, dst)
+				} else {
+					led.StartOp(oplog.CmdGet, p.Key)
+					dst, err = t.GetBufOp(&led, p.Key, dst)
+					led.Finish()
+					rec.Record(&led)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

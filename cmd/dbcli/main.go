@@ -13,11 +13,11 @@
 //	dbcli -wal file.db txn put K V del K ...    # atomic multi-op commit (hash)
 //	dbcli hashmon URL [INTERVAL [COUNT]]        # watch a live telemetry endpoint
 //
-// hashmon polls a running telemetry server's /stats endpoint (started
-// with core Options.TelemetryAddr, db.ServeTelemetry or hashbench
-// serve) every INTERVAL (default 2s) and renders the numeric fields
-// that changed since the previous poll as deltas — a portable
-// poor-man's top for a table under load. When the server also exposes
+// hashmon polls a running telemetry server's /stats endpoint (dbserver
+// -telemetry, hashcli -telemetry, or any db.ServeTelemetry /
+// telemetry.Serve caller) every INTERVAL (default 2s) and renders the
+// numeric fields that changed since the previous poll as deltas — a
+// portable poor-man's top for a table under load. When the server also exposes
 // /debug/oplog (dbserver -oplog), each tick appends the per-command
 // phase attribution: end-to-end p50/p99 per command plus its heaviest
 // phases, so a latency regression names its phase in the same breath.

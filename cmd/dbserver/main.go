@@ -28,12 +28,15 @@
 //	-telemetry ADDR   ops dashboard: /metrics aggregates every shard and
 //	                  the server_* series on one page, /stats breaks the
 //	                  aggregate down per shard, /debug/heatmap maps every
-//	                  shard's buckets
+//	                  shard's buckets, /debug/events is the trace ring the
+//	                  shards and the log emit into (the ring exists only
+//	                  with this flag)
 //	-oplog            per-request phase attribution (default true): every
 //	                  command runs under an op ledger; phase-latency
 //	                  histograms land on /metrics (oplog_*), the summary
 //	                  on /debug/oplog and in STATS, and the slowest
-//	                  request ledgers on /debug/oplog/exemplars
+//	                  request ledgers — each with the ring events of its
+//	                  span — on /debug/oplog/exemplars
 //
 // At start the directory is recovered if it needs it (a SIGKILLed or
 // power-cut server: every shard back to its last checkpoint through the
@@ -55,6 +58,7 @@ import (
 	"unixhash/internal/metrics"
 	"unixhash/internal/oplog"
 	"unixhash/internal/server"
+	"unixhash/internal/trace"
 )
 
 func main() {
@@ -78,9 +82,15 @@ func main() {
 	// One registry spans the stack: every shard's engine metrics
 	// aggregate into it, and the server's connection counters join them.
 	reg := metrics.New()
+	// The trace ring exists only when something can read it: without
+	// -telemetry the shards and the log hold a nil tracer.
+	var tr *trace.Tracer
+	if *telemetry != "" {
+		tr = trace.New(0)
+	}
 	d, recovered, err := db.RecoverSharded(*dir, *shards, &db.Config{Hash: &core.Options{
 		Bsize: *bsize, Ffactor: *ffactor, Nelem: *nelem, CacheSize: *cache,
-		WAL: *wal, Metrics: reg,
+		WAL: *wal, Metrics: reg, Trace: tr,
 	}})
 	if err != nil {
 		fatal(err)
@@ -113,13 +123,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "dbserver: serving %d shards on %s\n", d.NShards(), s.Addr())
 
 	if *telemetry != "" {
-		// Serving the EnableOplog wrapper mounts /debug/oplog alongside
-		// the usual endpoints; the database underneath is the same.
-		td := db.DB(d)
-		if rec != nil {
-			td = db.EnableOplog(d, rec)
-		}
-		ts, err := db.ServeTelemetry(td, *telemetry)
+		ts, err := db.ServeTelemetry(d, *telemetry, rec)
 		if err != nil {
 			s.Close()
 			d.Close()

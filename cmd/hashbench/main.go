@@ -15,8 +15,6 @@
 //	                          with the per-bucket tag filter on vs off,
 //	                          plus a cold scan through the vectored
 //	                          chain read-ahead; writes BENCH_misses.json
-//	hashbench serve           live traced workload with the telemetry
-//	                          endpoint up (watch with dbcli hashmon)
 //	hashbench all             fig5 through ablate
 //
 // Every figure is user CPU plus simulated I/O (pagefile.CostModel
@@ -32,11 +30,6 @@
 //	-check X  misses only: exit nonzero if a filtered depth-4 miss costs
 //	          more than X times a depth-0 miss, or the scan phase
 //	          prefetched no pages (the CI gate)
-//	-telemetry ADDR
-//	          serve only: telemetry listen address (":0" picks a free
-//	          port; the first output line reports the choice)
-//	-dur D    serve only: how long to run the workload (0 = until
-//	          killed)
 package main
 
 import (
@@ -51,8 +44,6 @@ func main() {
 	n := flag.Int("n", 0, "dictionary size (0 = the paper's 24474 keys)")
 	quick := flag.Bool("quick", false, "use a 4000-key dictionary")
 	check := flag.Float64("check", 0, "misses: fail if a filtered depth-4 miss costs more than this many depth-0 misses (0 = no gate)")
-	telemetry := flag.String("telemetry", "127.0.0.1:0", "serve: telemetry listen address")
-	dur := flag.Duration("dur", 0, "serve: workload duration (0 = until killed)")
 	flag.Usage = usage
 	flag.Parse()
 	if *quick && *n == 0 {
@@ -152,8 +143,6 @@ func main() {
 				fmt.Printf("gate passed: filtered depth-4/depth-0 miss ratio %.2fx <= %.2fx, %d pages prefetched\n",
 					res.Depth4Over0, *check, res.ScanPrefetchedPages)
 			}
-		case "serve":
-			return bench.Serve(*n, *telemetry, *dur, os.Stdout)
 		default:
 			return fmt.Errorf("unknown experiment %q", name)
 		}
@@ -180,7 +169,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, `usage: hashbench [-n N | -quick] {fig5|fig6|fig7|fig8a|fig8b|methods|ablate|metrics|misses|serve|all}
+	fmt.Fprintf(os.Stderr, `usage: hashbench [-n N | -quick] {fig5|fig6|fig7|fig8a|fig8b|methods|ablate|metrics|misses|all}
 
 Regenerates the evaluation figures of "A New Hashing Package for UNIX"
 (Seltzer & Yigit, USENIX Winter 1991). See EXPERIMENTS.md for the

@@ -43,6 +43,7 @@ import (
 
 	"unixhash/internal/core"
 	"unixhash/internal/db"
+	"unixhash/internal/telemetry"
 	"unixhash/internal/trace"
 )
 
@@ -52,7 +53,7 @@ func main() {
 	nelem := flag.Int("nelem", 0, "expected final element count for a new table")
 	cache := flag.Int("cache", 0, "buffer pool size in bytes")
 	useWAL := flag.Bool("wal", false, "attach a write-ahead log (FILE.wal); required to create a transactional table")
-	telemetry := flag.String("telemetry", "", "serve telemetry on this address while the command runs")
+	telAddr := flag.String("telemetry", "", "serve telemetry on this address while the command runs")
 	flag.Usage = usage
 	flag.Parse()
 	args := flag.Args()
@@ -68,22 +69,32 @@ func main() {
 		Bsize: *bsize, Ffactor: *ffactor, Nelem: *nelem, CacheSize: *cache,
 		ReadOnly: readonly, WAL: *useWAL,
 	}
-	if *telemetry != "" {
+	if *telAddr != "" {
 		opts.Trace = trace.New(0)
-		opts.TelemetryAddr = *telemetry
 	}
 	t, err := core.Open(path, opts)
 	if err != nil {
 		fatal(err)
-	}
-	if *telemetry != "" {
-		fmt.Fprintf(os.Stderr, "hashcli: telemetry http://%s\n", t.TelemetryAddr())
 	}
 	defer func() {
 		if err := t.Close(); err != nil {
 			fatal(err)
 		}
 	}()
+	if *telAddr != "" {
+		ts, err := telemetry.Serve(*telAddr, telemetry.Options{
+			Registry: t.MetricsRegistry(),
+			Tracer:   t.Tracer(),
+			Stats:    func() (any, error) { return t.StatsDoc() },
+			Heatmap:  func() (any, error) { return t.Heatmap() },
+		})
+		if err != nil {
+			t.Close()
+			fatal(err)
+		}
+		defer ts.Close() // before the table closes: its handlers read it
+		fmt.Fprintf(os.Stderr, "hashcli: telemetry http://%s\n", ts.Addr())
+	}
 
 	need := func(n int) {
 		if len(rest) != n {

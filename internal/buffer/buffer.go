@@ -357,17 +357,7 @@ func (sh *shard) touch(b *Buf) {
 // is set and the page is not in the store, a zeroed page is returned,
 // marked dirty so it will eventually be written.
 func (p *Pool) Get(addr Addr, prev *Buf, create bool) (*Buf, error) {
-	if !addr.Ovfl && prev != nil {
-		return nil, fmt.Errorf("buffer: primary page %v requested with predecessor", addr)
-	}
-	if addr.Ovfl && prev == nil {
-		return nil, fmt.Errorf("buffer: overflow page %v requested without predecessor (use GetOwned)", addr)
-	}
-	owner := addr.N
-	if prev != nil {
-		owner = prev.owner
-	}
-	return p.get(addr, owner, prev, create, nil)
+	return p.GetOp(nil, addr, prev, create)
 }
 
 // GetOp is Get with op-ledger attribution: a pool-resident page charges
@@ -375,9 +365,6 @@ func (p *Pool) Get(addr Addr, prev *Buf, create bool) (*Buf, error) {
 // phase (allocation, eviction and the store read included). A nil
 // ledger is exactly Get — no clock reads, no extra work.
 func (p *Pool) GetOp(led *oplog.Ledger, addr Addr, prev *Buf, create bool) (*Buf, error) {
-	if led == nil {
-		return p.Get(addr, prev, create)
-	}
 	if !addr.Ovfl && prev != nil {
 		return nil, fmt.Errorf("buffer: primary page %v requested with predecessor", addr)
 	}
@@ -395,15 +382,10 @@ func (p *Pool) GetOp(led *oplog.Ledger, addr Addr, prev *Buf, create bool) (*Buf
 // its chain (iterators, tools), naming the bucket that owns it so the
 // fetch uses the chain's shard.
 func (p *Pool) GetOwned(addr Addr, owner uint32, create bool) (*Buf, error) {
-	return p.GetOwnedOp(nil, addr, owner, create)
-}
-
-// GetOwnedOp is GetOwned with op-ledger attribution (see GetOp).
-func (p *Pool) GetOwnedOp(led *oplog.Ledger, addr Addr, owner uint32, create bool) (*Buf, error) {
 	if !addr.Ovfl {
 		return nil, fmt.Errorf("buffer: GetOwned of primary page %v", addr)
 	}
-	return p.get(addr, owner, nil, create, led)
+	return p.get(addr, owner, nil, create, nil)
 }
 
 func (p *Pool) get(addr Addr, owner uint32, prev *Buf, create bool, led *oplog.Ledger) (*Buf, error) {

@@ -35,31 +35,15 @@ type Pair struct {
 // the batch the last occurrence wins, matching the sequential-Put
 // outcome. An empty key anywhere in the batch rejects the entire batch
 // with ErrEmptyKey before anything is written.
-func (t *Table) PutBatch(pairs []Pair) error {
-	if t.tr == nil {
-		return t.putBatch(pairs, nil)
-	}
-	sp := t.tr.OpBegin()
-	err := t.putBatch(pairs, nil)
-	t.tr.OpEnd(trace.OpBatch, uint64(len(pairs)), sp)
-	return err
-}
+func (t *Table) PutBatch(pairs []Pair) error { return t.putBatch(pairs, nil) }
 
 // PutBatchOp is PutBatch with an op ledger: the stripe-latch wait, the
 // split pass and the pool traffic of the bucket passes are charged to
 // led, and the batch's trace-event span is recorded on it.
 func (t *Table) PutBatchOp(led *oplog.Ledger, pairs []Pair) error {
-	if led == nil {
-		return t.PutBatch(pairs)
-	}
-	if t.tr == nil {
-		return t.putBatch(pairs, led)
-	}
-	seq0 := t.tr.Ring().Next()
-	sp := t.tr.OpBegin()
+	seq0 := t.tr.Next()
 	err := t.putBatch(pairs, led)
-	t.tr.OpEnd(trace.OpBatch, uint64(len(pairs)), sp)
-	led.SetTraceSpan(seq0, t.tr.Ring().Next())
+	led.SetTraceSpan(seq0, t.tr.Next())
 	return err
 }
 

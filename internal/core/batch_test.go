@@ -370,7 +370,7 @@ func TestBatchDoesNotQuiesceReaders(t *testing.T) {
 		}
 	}
 	var pages []uint32
-	if err := tbl.walkChain(0, func(b *buffer.Buf) (bool, error) {
+	if err := tbl.walkChain(nil, 0, func(b *buffer.Buf) (bool, error) {
 		if b.Addr.Ovfl {
 			pages = append(pages, tbl.hdr.oaddrToPage(oaddr(b.Addr.N)))
 		}

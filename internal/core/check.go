@@ -118,7 +118,7 @@ func (t *Table) checkBucket(bucket uint32, claim func(oaddr, string) error, coun
 	var fltTags []byte
 	fltChain := 0
 	var keys []fltOp
-	err := t.walkChain(bucket, func(buf *buffer.Buf) (bool, error) {
+	err := t.walkChain(nil, bucket, func(buf *buffer.Buf) (bool, error) {
 		if seen++; seen > 1<<16 {
 			return false, fmt.Errorf("hash check: bucket %d chain exceeds 65536 pages (cycle?)", bucket)
 		}

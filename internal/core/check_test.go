@@ -89,7 +89,7 @@ func TestCheckDetectsWrongBucket(t *testing.T) {
 			break
 		}
 	}
-	buf, err := store.getBucketPage(0)
+	buf, err := store.getBucketPage(nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

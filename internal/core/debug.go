@@ -61,7 +61,7 @@ func (t *Table) Dump(w io.Writer, verbose bool) error {
 
 func (t *Table) dumpBucket(w io.Writer, bucket uint32, verbose bool) error {
 	first := true
-	return t.walkChain(bucket, func(buf *buffer.Buf) (bool, error) {
+	return t.walkChain(nil, bucket, func(buf *buffer.Buf) (bool, error) {
 		pg := page(buf.Page)
 		tag := fmt.Sprintf("ovfl %v", oaddr(buf.Addr.N))
 		if !buf.Addr.Ovfl {

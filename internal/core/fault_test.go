@@ -210,7 +210,7 @@ func TestFaultMidChainWriteKeepsFilter(t *testing.T) {
 			// position.
 			var pages []uint32
 			var firstKey [][]byte
-			if err := tbl.walkChain(0, func(b *buffer.Buf) (bool, error) {
+			if err := tbl.walkChain(nil, 0, func(b *buffer.Buf) (bool, error) {
 				pg := tbl.hdr.bucketToPage(0)
 				if b.Addr.Ovfl {
 					pg = tbl.hdr.oaddrToPage(oaddr(b.Addr.N))
@@ -228,7 +228,7 @@ func TestFaultMidChainWriteKeepsFilter(t *testing.T) {
 			if err := tbl.Delete(firstKey[roomPos]); err != nil {
 				t.Fatal(err)
 			}
-			if pb, err := tbl.getBucketPage(0); err != nil || page(pb.Page).fltSaturatedBit() {
+			if pb, err := tbl.getBucketPage(nil, 0); err != nil || page(pb.Page).fltSaturatedBit() {
 				t.Fatalf("primary filter unusable (err %v): the test would be vacuous", err)
 			} else {
 				tbl.pool.Put(pb)

@@ -94,7 +94,7 @@ func (t *Table) Heatmap() (*Heatmap, error) {
 		used := 0
 		pages := 0
 		t.latchBucketRead(b)
-		err := t.walkChain(b, func(buf *buffer.Buf) (bool, error) {
+		err := t.walkChain(nil, b, func(buf *buffer.Buf) (bool, error) {
 			if buf.Addr.Ovfl {
 				row.ChainPages++
 			}

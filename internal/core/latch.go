@@ -347,7 +347,7 @@ func (t *Table) gatherSplit(j *splitJob) error {
 func (t *Table) gatherLatched(j *splitJob) error {
 	var entries []splitEntry
 	var chain []oaddr
-	err := t.walkChain(j.old, func(buf *buffer.Buf) (bool, error) {
+	err := t.walkChain(nil, j.old, func(buf *buffer.Buf) (bool, error) {
 		if buf.Addr.Ovfl {
 			chain = append(chain, oaddr(buf.Addr.N))
 		}
@@ -371,7 +371,7 @@ func (t *Table) gatherLatched(j *splitJob) error {
 
 	// Reset the old primary page and reclaim the chain (freeOvfl discards
 	// any resident buffer for each freed page).
-	ob, err := t.getBucketPage(j.old)
+	ob, err := t.getBucketPage(nil, j.old)
 	if err != nil {
 		return err
 	}
@@ -386,7 +386,7 @@ func (t *Table) gatherLatched(j *splitJob) error {
 	}
 
 	// Initialize the new bucket's primary page.
-	nb, err := t.getBucketPage(j.new)
+	nb, err := t.getBucketPage(nil, j.new)
 	if err != nil {
 		return err
 	}

@@ -17,7 +17,6 @@ import (
 	"unixhash/internal/metrics"
 	"unixhash/internal/oplog"
 	"unixhash/internal/pagefile"
-	"unixhash/internal/telemetry"
 	"unixhash/internal/trace"
 	"unixhash/internal/wal"
 )
@@ -78,19 +77,12 @@ type Options struct {
 	Metrics *metrics.Registry
 	// Trace, when set, receives structured events (splits, overflow page
 	// traffic, sync phases, recovery steps, batch phases, buffer
-	// evictions, slow device I/O) and captures slow-operation spans. Nil
-	// disables tracing entirely: the instrumented paths pay one pointer
-	// comparison and nothing else — no atomics, no allocation (enforced
-	// by TestTraceDisabledZeroAlloc). See internal/trace and DESIGN.md
-	// §11.
+	// evictions, slow device I/O); the ledger-carrying entry points note
+	// its ring position around each call. Nil disables tracing entirely:
+	// the instrumented paths pay one pointer comparison and nothing else
+	// — no atomics, no allocation (enforced by
+	// TestTraceDisabledZeroAlloc). See internal/trace and DESIGN.md §11.
 	Trace *trace.Tracer
-	// TelemetryAddr, when non-empty, serves live telemetry over HTTP on
-	// the given host:port for the lifetime of the table: /metrics
-	// (Prometheus text), /stats (JSON), /debug/events and /debug/slowops
-	// (the trace ring), /debug/heatmap (per-bucket fill and chain depth)
-	// and /debug/pprof. ":0" picks a free port, reported by
-	// Table.TelemetryAddr. The server stops when the table closes.
-	TelemetryAddr string
 	// WAL attaches a write-ahead redo log to the table and enables the
 	// Begin/Commit transaction API (see Table.Begin): a committed
 	// transaction is durable after one sequential log append plus one log
@@ -276,11 +268,8 @@ type Table struct {
 	m tableMetrics
 
 	// tr is the structured event tracer (Options.Trace); nil disables
-	// tracing. tel is the telemetry server started for
-	// Options.TelemetryAddr, if any. Both are set in Open before the
-	// table is published and never change.
-	tr  *trace.Tracer
-	tel *telemetry.Server
+	// tracing. Set in Open before the table is published, never changed.
+	tr *trace.Tracer
 }
 
 // TableStats is a compatibility view over the table's metric counters,
@@ -437,16 +426,6 @@ func Open(path string, o *Options) (*Table, error) {
 	t.m.setShape(t.hdr.nkeys, t.hdr.maxBucket)
 	if t.tr != nil {
 		t.store.Stats().SetTrace(t.tr)
-	}
-	if opts.TelemetryAddr != "" {
-		if err := t.startTelemetry(opts.TelemetryAddr); err != nil {
-			t.pool.InvalidateAll()
-			t.closeWAL()
-			if t.ownStore {
-				t.store.Close()
-			}
-			return nil, err
-		}
 	}
 	return t, nil
 }
@@ -735,14 +714,10 @@ func (t *Table) calcBucket(h uint32) uint32 {
 func (t *Table) bucketAddr(b uint32) buffer.Addr { return buffer.Addr{N: b} }
 func ovflBufAddr(o oaddr) buffer.Addr            { return buffer.Addr{N: uint32(o), Ovfl: true} }
 
-// getPage pins the page at the head of bucket b's chain. Fresh zero
-// pages were already formatted by the pool's load hook.
-func (t *Table) getBucketPage(b uint32) (*buffer.Buf, error) {
-	return t.pool.Get(t.bucketAddr(b), nil, true)
-}
-
-// getBucketPageOp is getBucketPage charging the fetch to led.
-func (t *Table) getBucketPageOp(led *oplog.Ledger, b uint32) (*buffer.Buf, error) {
+// getBucketPage pins the page at the head of bucket b's chain, charging
+// the fetch to led (nil: uncharged). Fresh zero pages were already
+// formatted by the pool's load hook.
+func (t *Table) getBucketPage(led *oplog.Ledger, b uint32) (*buffer.Buf, error) {
 	return t.pool.GetOp(led, t.bucketAddr(b), nil, true)
 }
 
@@ -776,37 +751,18 @@ func (t *Table) Get(key []byte) ([]byte, error) {
 // to dst[:0] and the resulting slice returned, so a reader looping over
 // keys with a reused buffer performs no per-call value allocation. A nil
 // dst behaves like Get.
-func (t *Table) GetBuf(key, dst []byte) ([]byte, error) {
-	// The nil check (not a nil-safe method call) keeps the disabled-trace
-	// read path byte-identical to the untraced one: no span, no clock
-	// reads, zero allocations (TestTraceDisabledZeroAlloc).
-	if t.tr == nil {
-		return t.getBuf(key, dst, nil)
-	}
-	sp := t.tr.OpBegin()
-	out, err := t.getBuf(key, dst, nil)
-	t.tr.OpEnd(trace.OpGet, uint64(len(key)), sp)
-	return out, err
-}
+func (t *Table) GetBuf(key, dst []byte) ([]byte, error) { return t.getBuf(key, dst, nil) }
 
 // GetBufOp is GetBuf carrying an op ledger: latch waits, filter
 // consults, buffer traffic and read-ahead on this lookup are charged to
-// led's phases, and the trace-ring span of the op is recorded so an
-// exemplar can be joined back to its events. A nil ledger is exactly
-// GetBuf — the disabled path stays allocation- and clock-free.
+// led's phases, and the ring positions before and after the call are
+// noted on it so an exemplar can be joined back to its events. A nil
+// ledger, like a nil tracer, costs a pointer comparison: no clock reads,
+// no allocation (TestTraceDisabledZeroAlloc, TestNilLedgerZeroAlloc).
 func (t *Table) GetBufOp(led *oplog.Ledger, key, dst []byte) ([]byte, error) {
-	if led == nil {
-		return t.GetBuf(key, dst)
-	}
-	if t.tr == nil {
-		out, err := t.getBuf(key, dst, led)
-		return out, err
-	}
-	seq0 := t.tr.Ring().Next()
-	sp := t.tr.OpBegin()
+	seq0 := t.tr.Next()
 	out, err := t.getBuf(key, dst, led)
-	t.tr.OpEnd(trace.OpGet, uint64(len(key)), sp)
-	led.SetTraceSpan(seq0, t.tr.Ring().Next())
+	led.SetTraceSpan(seq0, t.tr.Next())
 	return out, err
 }
 
@@ -850,7 +806,7 @@ func (t *Table) getFromBucket(bucket, h uint32, key, dst []byte, led *oplog.Ledg
 	skipped := false  // ... and it answered "definitely absent"
 	var hints uint8
 	pos := -1
-	err := t.walkChainOp(led, bucket, func(buf *buffer.Buf) (bool, error) {
+	err := t.walkChain(led, bucket, func(buf *buffer.Buf) (bool, error) {
 		pos++
 		pg := page(buf.Page)
 		if pos == 0 {
@@ -1001,14 +957,10 @@ func (t *Table) Has(key []byte) (bool, error) {
 // walkChain pins each page of bucket's chain in order, calling fn; fn
 // returns done=true to stop early. The predecessor page stays pinned
 // while its successor is fetched, preserving the buffer-chain linkage.
-func (t *Table) walkChain(bucket uint32, fn func(*buffer.Buf) (bool, error)) error {
-	return t.walkChainOp(nil, bucket, fn)
-}
-
-// walkChainOp is walkChain charging the walk's page fetches to led
-// (buffer hit/fault phases discriminated inside the pool).
-func (t *Table) walkChainOp(led *oplog.Ledger, bucket uint32, fn func(*buffer.Buf) (bool, error)) error {
-	cur, err := t.getBucketPageOp(led, bucket)
+// The walk's page fetches are charged to led (nil: uncharged; buffer
+// hit/fault phases are discriminated inside the pool).
+func (t *Table) walkChain(led *oplog.Ledger, bucket uint32, fn func(*buffer.Buf) (bool, error)) error {
+	cur, err := t.getBucketPage(led, bucket)
 	if err != nil {
 		return err
 	}
@@ -1081,25 +1033,11 @@ func (t *Table) DeleteOp(led *oplog.Ledger, key []byte) error {
 }
 
 // writeOne is Put, PutNew and Delete: a write set of one (see applySet
-// in batch.go), wrapped in the op's trace span.
+// in batch.go), its ring span noted on the ledger.
 func (t *Table) writeOne(led *oplog.Ledger, op writeOp, replace bool) error {
-	if t.tr == nil {
-		return t.applyOne(led, op, replace)
-	}
-	var seq0 uint64
-	if led != nil {
-		seq0 = t.tr.Ring().Next()
-	}
-	sp := t.tr.OpBegin()
+	seq0 := t.tr.Next()
 	err := t.applyOne(led, op, replace)
-	code := trace.OpPut
-	if op.del {
-		code = trace.OpDelete
-	}
-	t.tr.OpEnd(code, uint64(len(op.key)+len(op.data)), sp)
-	if led != nil {
-		led.SetTraceSpan(seq0, t.tr.Ring().Next())
-	}
+	led.SetTraceSpan(seq0, t.tr.Next())
 	return err
 }
 
@@ -1152,7 +1090,7 @@ func (t *Table) applyBucket(ops []writeOp, replace bool, led *oplog.Ledger) erro
 			return err
 		}
 	}
-	primary, err := t.getBucketPageOp(led, ops[0].bucket)
+	primary, err := t.getBucketPage(led, ops[0].bucket)
 	if err != nil {
 		return err
 	}
@@ -1381,7 +1319,7 @@ func (t *Table) packOps(buf, primary *buffer.Buf, pos int, ops []writeOp) int {
 // and the pair checksum.
 func (t *Table) insert(bucket, h uint32, op *writeOp) error {
 	pos := -1
-	err := t.walkChain(bucket, func(buf *buffer.Buf) (bool, error) {
+	err := t.walkChain(nil, bucket, func(buf *buffer.Buf) (bool, error) {
 		pos++
 		if !op.fits(page(buf.Page)) {
 			if page(buf.Page).ovflLink() != 0 {
@@ -1405,7 +1343,7 @@ func (t *Table) insert(bucket, h uint32, op *writeOp) error {
 		return err
 	}
 	// Tag the pair on the bucket's primary page.
-	pb, err := t.getBucketPage(bucket)
+	pb, err := t.getBucketPage(nil, bucket)
 	if err != nil {
 		return err
 	}
@@ -1423,7 +1361,7 @@ func (t *Table) insert(bucket, h uint32, op *writeOp) error {
 func (t *Table) appendOvfl(tail *buffer.Buf) (*buffer.Buf, error) {
 	// tail.Owner names the owning bucket even when tail is itself an
 	// overflow page.
-	pb, err := t.getBucketPage(tail.Owner())
+	pb, err := t.getBucketPage(nil, tail.Owner())
 	if err != nil {
 		return nil, err
 	}
@@ -1493,16 +1431,6 @@ func (t *Table) Len() int {
 
 // Sync flushes all dirty pages, bitmaps and the header to the store.
 func (t *Table) Sync() error {
-	if t.tr == nil {
-		return t.syncImpl()
-	}
-	sp := t.tr.OpBegin()
-	err := t.syncImpl()
-	t.tr.OpEnd(trace.OpSync, 0, sp)
-	return err
-}
-
-func (t *Table) syncImpl() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if err := t.checkOpen(); err != nil {
@@ -1633,12 +1561,6 @@ func (t *Table) setWALDamaged(err error) {
 // Close flushes (unless read-only) and closes the table. Closing a
 // memory-resident table discards it.
 func (t *Table) Close() error {
-	// Stop the telemetry server first, without the table lock: its
-	// handlers may be queued on t.mu, and Close does not wait for them
-	// (see telemetry.Server.Close). t.tel is set once in Open.
-	if t.tel != nil {
-		_ = t.tel.Close()
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {

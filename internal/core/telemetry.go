@@ -2,59 +2,32 @@ package core
 
 import (
 	"unixhash/internal/metrics"
-	"unixhash/internal/telemetry"
 	"unixhash/internal/trace"
 )
 
-// Telemetry wiring: Options.TelemetryAddr starts an HTTP server over the
-// table's own registry, tracer and walkers (internal/telemetry). The
-// server's sources only ever take the shared lock, so scrapes run in
-// parallel with readers and queue briefly behind writers.
+// What a table hands the telemetry surface. The table opens no socket of
+// its own: a caller holding it starts the surface (telemetry.Serve for a
+// bare table, db.ServeTelemetry for a database) over these sources,
+// which only ever take the shared lock, so scrapes run in parallel with
+// readers and queue briefly behind writers.
 
-// statsPayload is the core-served /stats document: the table's geometry
-// plus a full metrics snapshot. It is assembled from Geometry() (shared
-// lock) and the registry (lock-free), so polling it is cheap — the
-// walking views live under /debug/heatmap.
-type statsPayload struct {
+// StatsDoc is the /stats document for a bare table: its geometry plus a
+// full metrics snapshot.
+type StatsDoc struct {
 	Method   string           `json:"method"`
 	Geometry Geometry         `json:"geometry"`
 	Metrics  metrics.Snapshot `json:"metrics"`
 }
 
-// startTelemetry launches the table's telemetry server on addr. Called
-// from Open before the table is published, so the fields it captures are
-// immutable from the handlers' point of view.
-func (t *Table) startTelemetry(addr string) error {
-	srv, err := telemetry.Serve(addr, telemetry.Options{
-		Registry: t.m.reg,
-		Tracer:   t.tr,
-		Stats: func() (any, error) {
-			if err := func() error {
-				t.mu.RLock()
-				defer t.mu.RUnlock()
-				return t.checkOpen()
-			}(); err != nil {
-				return nil, err
-			}
-			return statsPayload{Method: "hash", Geometry: t.Geometry(), Metrics: t.m.reg.Snapshot()}, nil
-		},
-		Heatmap: func() (any, error) { return t.Heatmap() },
-	})
+// StatsDoc assembles the /stats document from Geometry() (shared lock)
+// and the registry (lock-free), so polling it is cheap — the walking
+// views live under Heatmap. A closed table returns ErrClosed.
+func (t *Table) StatsDoc() (StatsDoc, error) {
+	snap, err := t.MetricsSnapshot()
 	if err != nil {
-		return err
+		return StatsDoc{}, err
 	}
-	t.tel = srv
-	return nil
-}
-
-// TelemetryAddr reports the listen address of the table's telemetry
-// server ("" when none was requested). With Options.TelemetryAddr ":0"
-// this is how the chosen port is discovered.
-func (t *Table) TelemetryAddr() string {
-	if t.tel == nil {
-		return ""
-	}
-	return t.tel.Addr()
+	return StatsDoc{Method: "hash", Geometry: t.Geometry(), Metrics: snap}, nil
 }
 
 // Tracer exposes the tracer the table was opened with (nil when tracing

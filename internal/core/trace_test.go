@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"unixhash/internal/telemetry"
 	"unixhash/internal/trace"
 )
 
@@ -63,11 +64,9 @@ func TestTraceDisabledZeroAlloc(t *testing.T) {
 // TestTraceEvents drives a table with a tracer attached through growth,
 // deletion and sync and checks that the structural events land in the
 // ring: splits begin and end in pairs, overflow pages are allocated,
-// the two-phase sync emits begin/phase/end, and a zero threshold makes
-// every operation a captured slow op.
+// and the two-phase sync emits begin/phase/end.
 func TestTraceEvents(t *testing.T) {
 	tr := trace.New(4096)
-	tr.SetSlowOpThreshold(0) // capture everything
 	tbl := mustOpen(t, "", &Options{Bsize: 512, Ffactor: 4, Trace: tr})
 	defer tbl.Close()
 
@@ -118,32 +117,33 @@ func TestTraceEvents(t *testing.T) {
 	if len(ends) != 1 {
 		t.Fatalf("filtered Events returned %d split-ends, want 1", len(ends))
 	}
-
-	ops, seen := tr.SlowOps()
-	if seen == 0 || len(ops) == 0 {
-		t.Fatalf("zero threshold captured no slow ops (seen=%d retained=%d)", seen, len(ops))
-	}
-	wantOps := map[trace.Op]bool{}
-	for _, op := range ops {
-		wantOps[op.Op] = true
-	}
-	if !wantOps[trace.OpSync] {
-		t.Fatal("no Sync span among captured slow ops")
-	}
 }
 
-// TestTelemetryEndpoints opens a table with TelemetryAddr and scrapes
-// every endpoint the issue promises: /metrics, /stats, /debug/events,
-// /debug/heatmap and pprof all answer 200 with non-empty bodies while
-// the table serves traffic.
+// serveTable starts the telemetry surface over tbl's sources, the way a
+// caller holding a bare table does (hashcli -telemetry).
+func serveTable(tbl *Table, addr string) (*telemetry.Server, error) {
+	return telemetry.Serve(addr, telemetry.Options{
+		Registry: tbl.MetricsRegistry(),
+		Tracer:   tbl.Tracer(),
+		Stats:    func() (any, error) { return tbl.StatsDoc() },
+		Heatmap:  func() (any, error) { return tbl.Heatmap() },
+	})
+}
+
+// TestTelemetryEndpoints serves a traced table's sources and scrapes
+// every endpoint: /metrics, /stats, /debug/events, /debug/heatmap and
+// pprof all answer 200 with non-empty bodies while the table serves
+// traffic.
 func TestTelemetryEndpoints(t *testing.T) {
 	tr := trace.New(1024)
-	tbl := mustOpen(t, "", &Options{Bsize: 512, Ffactor: 8, Trace: tr, TelemetryAddr: "127.0.0.1:0"})
+	tbl := mustOpen(t, "", &Options{Bsize: 512, Ffactor: 8, Trace: tr})
 	defer tbl.Close()
-	addr := tbl.TelemetryAddr()
-	if addr == "" {
-		t.Fatal("TelemetryAddr empty after Open with TelemetryAddr set")
+	srv, err := serveTable(tbl, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer srv.Close()
+	addr := srv.Addr()
 	for i := 0; i < 100; i++ {
 		if err := tbl.Put(key(i), val(i)); err != nil {
 			t.Fatal(err)
@@ -211,7 +211,6 @@ func TestTelemetryEndpoints(t *testing.T) {
 		t.Fatalf("/debug/heatmap inconsistent: %d keys, %d buckets, %d rows", hm.NKeys, hm.Buckets, len(hm.PerBucket))
 	}
 
-	get("/debug/slowops")
 	get("/debug/pprof/")
 
 	// Unknown filter type is a client error, not a 500.
@@ -224,20 +223,34 @@ func TestTelemetryEndpoints(t *testing.T) {
 		t.Fatalf("bad type filter: status %d, want 400", resp.StatusCode)
 	}
 
-	// Close stops the server; the port must stop answering.
+	// A closed table under a live surface is a 500 naming the error, not
+	// a stale document; closing the surface stops the port answering.
 	if err := tbl.Close(); err != nil {
 		t.Fatal(err)
 	}
+	resp, err = client.Get("http://" + addr + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("/stats of a closed table: status %d, want 500", resp.StatusCode)
+	}
+	srv.Close()
 	if _, err := client.Get("http://" + addr + "/stats"); err == nil {
 		t.Fatal("telemetry server still answering after Close")
 	}
 }
 
-// TestTelemetryBadAddr: an unusable TelemetryAddr must fail Open
-// cleanly, not leak a table.
+// TestTelemetryBadAddr: an unusable address fails the starter and
+// leaves the table usable.
 func TestTelemetryBadAddr(t *testing.T) {
-	_, err := Open("", &Options{TelemetryAddr: "256.256.256.256:99999"})
-	if err == nil {
-		t.Fatal("Open succeeded with an unusable TelemetryAddr")
+	tbl := mustOpen(t, "", nil)
+	defer tbl.Close()
+	if _, err := serveTable(tbl, "256.256.256.256:99999"); err == nil {
+		t.Fatal("Serve succeeded on an unusable address")
+	}
+	if err := tbl.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"unixhash/internal/oplog"
-	"unixhash/internal/trace"
 	"unixhash/internal/wal"
 )
 
@@ -130,19 +129,9 @@ func (x *Txn) Commit() error {
 		return nil
 	}
 	t := x.t
-	if t.tr == nil {
-		return t.commitOps(x.ops, x.led)
-	}
-	var seq0 uint64
-	if x.led != nil {
-		seq0 = t.tr.Ring().Next()
-	}
-	sp := t.tr.OpBegin()
+	seq0 := t.tr.Next()
 	err := t.commitOps(x.ops, x.led)
-	t.tr.OpEnd(trace.OpCommit, uint64(len(x.ops)), sp)
-	if x.led != nil {
-		x.led.SetTraceSpan(seq0, t.tr.Ring().Next())
-	}
+	x.led.SetTraceSpan(seq0, t.tr.Next())
 	return err
 }
 

@@ -14,6 +14,7 @@ import (
 	"unixhash/internal/core"
 	"unixhash/internal/metrics"
 	"unixhash/internal/oplog"
+	"unixhash/internal/trace"
 	"unixhash/internal/wal"
 )
 
@@ -50,6 +51,7 @@ type Sharded struct {
 	dir      string
 	shards   []*hashDB
 	reg      *metrics.Registry
+	tr       *trace.Tracer // cfg.Hash.Trace: every shard's and the log's; nil when off
 	readonly bool
 
 	// log is the directory log, nil when the database was opened without
@@ -97,9 +99,9 @@ const shardMarker = "SHARDS"
 // (CacheSize budgets one shard's pool; Nelem is split across shards). A
 // shared metrics registry is used for every shard — the caller's
 // cfg.Hash.Metrics if set, else a private one — so the database reports
-// one aggregated /metrics view. Options that cannot be sharded (Store,
-// TelemetryAddr) are rejected; serve telemetry with ServeTelemetry
-// instead.
+// one aggregated /metrics view, and cfg.Hash.Trace, if set, is the one
+// ring every shard and the log emit into. An option that cannot be
+// sharded (Store) is rejected.
 //
 // A directory that was not closed cleanly — a dirty shard, or committed
 // transactions in the log that a shard's pages do not yet hold — fails
@@ -168,11 +170,13 @@ func (s *Sharded) NShards() int { return len(s.shards) }
 // series on the same page.
 func (s *Sharded) MetricsRegistry() *metrics.Registry { return s.reg }
 
-func (s *Sharded) Get(key []byte) ([]byte, error)         { return s.shard(key).Get(key) }
-func (s *Sharded) GetBuf(key, dst []byte) ([]byte, error) { return s.shard(key).GetBuf(key, dst) }
-func (s *Sharded) Put(key, data []byte) error             { return s.shard(key).Put(key, data) }
+// The plain DB methods are the ledger-carrying forms (oplog.go) with
+// attribution off.
+func (s *Sharded) Get(key []byte) ([]byte, error)         { return s.GetBufOp(nil, key, nil) }
+func (s *Sharded) GetBuf(key, dst []byte) ([]byte, error) { return s.GetBufOp(nil, key, dst) }
+func (s *Sharded) Put(key, data []byte) error             { return s.PutOp(nil, key, data) }
 func (s *Sharded) PutNew(key, data []byte) error          { return s.shard(key).PutNew(key, data) }
-func (s *Sharded) Delete(key []byte) error                { return s.shard(key).Delete(key) }
+func (s *Sharded) Delete(key []byte) error                { return s.DeleteOp(nil, key) }
 
 // splitByShard partitions items by the shard their key routes to,
 // preserving order within each shard.
@@ -192,19 +196,11 @@ func pairKey(p Pair) []byte  { return p.Key }
 func opKey(op wal.Op) []byte { return op.Key }
 
 // PutBatch partitions the batch by destination shard and applies the
-// sub-batches concurrently, one PutBatch (one lock epoch, one deferred
+// sub-batches concurrently, one PutBatch (one latch epoch, one deferred
 // split pass) per involved shard. In-batch last-wins dedupe holds: a
 // duplicate key lands in one shard, where the table's own batch dedupe
 // applies.
-func (s *Sharded) PutBatch(pairs []Pair) error {
-	per := splitByShard(pairs, len(s.shards), pairKey)
-	return s.fanOut(func(i int, sh *hashDB) error {
-		if len(per[i]) == 0 {
-			return nil
-		}
-		return sh.PutBatch(per[i])
-	})
-}
+func (s *Sharded) PutBatch(pairs []Pair) error { return s.PutBatchOp(nil, pairs) }
 
 // fanOut runs fn on every shard concurrently and joins the errors.
 func (s *Sharded) fanOut(fn func(i int, sh *hashDB) error) error {
@@ -389,17 +385,7 @@ func addShape(agg, sh *HashStats) {
 // after a crash all of its keys are there or none — and atomic per shard
 // for visibility: a concurrent reader may see one shard's part a moment
 // before another's.
-func (s *Sharded) Begin() (Txn, error) {
-	// Surface "no WAL" (or read-only, closed...) at Begin rather than at
-	// Commit, matching the single-table contract.
-	s.ckpt.RLock()
-	err := s.commitReady()
-	s.ckpt.RUnlock()
-	if err != nil {
-		return nil, err
-	}
-	return &shardedTxn{s: s}, nil
-}
+func (s *Sharded) Begin() (Txn, error) { return s.BeginOp(nil) }
 
 type shardedTxn struct {
 	s    *Sharded
@@ -454,6 +440,8 @@ func (x *shardedTxn) Commit() error {
 	if err := s.commitReady(); err != nil {
 		return err
 	}
+	seq0 := s.tr.Next()
+	defer func() { led.SetTraceSpan(seq0, s.tr.Next()) }()
 	lsn, end, err := s.log.AppendOp(led, x.ops)
 	if err == nil {
 		err = s.log.SyncToOp(led, end)

@@ -72,9 +72,6 @@ func openSharded(dir string, nshards int, cfg *Config, stores []pagefile.Store, 
 	if base.Store != nil {
 		return nil, nil, fmt.Errorf("%w: hash option Store: cannot share one store across %d shards", ErrBadOptions, nshards)
 	}
-	if base.TelemetryAddr != "" {
-		return nil, nil, fmt.Errorf("%w: hash option TelemetryAddr: serve a sharded database with db.ServeTelemetry", ErrBadOptions)
-	}
 	if base.Metrics == nil {
 		base.Metrics = metrics.New()
 	}
@@ -107,7 +104,7 @@ func openSharded(dir string, nshards int, cfg *Config, stores []pagefile.Store, 
 		}
 	}
 
-	s := &Sharded{dir: dir, reg: base.Metrics, readonly: base.ReadOnly, shards: make([]*hashDB, 0, nshards)}
+	s := &Sharded{dir: dir, reg: base.Metrics, tr: base.Trace, readonly: base.ReadOnly, shards: make([]*hashDB, 0, nshards)}
 	var scan wal.ScanResult
 	if logging {
 		switch {

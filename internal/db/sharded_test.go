@@ -141,9 +141,6 @@ func TestShardedOptionValidation(t *testing.T) {
 	if _, err := OpenSharded("", 2, &Config{Hash: &core.Options{Bsize: 3}}); !errors.Is(err, ErrBadOptions) {
 		t.Fatalf("bad bsize = %v, want ErrBadOptions", err)
 	}
-	if _, err := OpenSharded("", 2, &Config{Hash: &core.Options{TelemetryAddr: ":0"}}); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("per-shard telemetry = %v, want ErrBadOptions", err)
-	}
 }
 
 func TestShardedPersistenceAndMarker(t *testing.T) {
@@ -310,7 +307,7 @@ func TestShardedTelemetry(t *testing.T) {
 		}
 	}
 
-	srv, err := ServeTelemetry(s, "127.0.0.1:0")
+	srv, err := ServeTelemetry(s, "127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

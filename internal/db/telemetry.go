@@ -6,20 +6,24 @@ import (
 	"unixhash/internal/core"
 	"unixhash/internal/oplog"
 	"unixhash/internal/telemetry"
+	"unixhash/internal/trace"
 )
 
 // ServeTelemetry starts a telemetry HTTP server over an open database
-// (see internal/telemetry for the endpoint list). Every method serves
-// /stats from db.Stats; the hash method additionally mounts its metrics
-// registry (/metrics), tracer (/debug/events, /debug/slowops) and
-// bucket heatmap (/debug/heatmap). A sharded database mounts the shared
-// registry every shard aggregates into, the shards' tracer, a per-shard
-// heatmap array, and a /stats document whose "Shards" member breaks the
-// aggregate down — one ops dashboard for the whole fleet of shards
-// (dbserver points its -telemetry flag here). addr ":0" picks a free
-// port — read it back with the server's Addr. The caller owns the
-// returned server and must Close it before closing the database.
-func ServeTelemetry(d DB, addr string) (*telemetry.Server, error) {
+// (see internal/telemetry for the endpoint list): the one starter for
+// every db.DB. Every method serves /stats from db.Stats; the hash method
+// additionally mounts its metrics registry (/metrics), tracer
+// (/debug/events) and bucket heatmap (/debug/heatmap). A sharded
+// database mounts the shared registry every shard aggregates into, the
+// tracer the shards and the log share, a per-shard heatmap array, and a
+// /stats document whose "Shards" member breaks the aggregate down — one
+// ops dashboard for the whole fleet of shards (dbserver points its
+// -telemetry flag here). rec, when non-nil, is the recorder the caller's
+// ledgers are folded into (server.Options.Oplog): it backs /debug/oplog
+// and /debug/oplog/exemplars. addr ":0" picks a free port — read it back
+// with the server's Addr. The caller owns the returned server and must
+// Close it before closing the database.
+func ServeTelemetry(d DB, addr string, rec *oplog.Recorder) (*telemetry.Server, error) {
 	o := telemetry.Options{
 		Stats: func() (any, error) {
 			s, err := d.Stats()
@@ -29,10 +33,7 @@ func ServeTelemetry(d DB, addr string) (*telemetry.Server, error) {
 			return s, nil
 		},
 	}
-	if rec := OplogRecorder(d); rec != nil {
-		MountOplog(&o, rec)
-	}
-	switch x := unwrap(d).(type) {
+	switch x := d.(type) {
 	case *hashDB:
 		t := x.table()
 		o.Registry = t.MetricsRegistry()
@@ -40,18 +41,38 @@ func ServeTelemetry(d DB, addr string) (*telemetry.Server, error) {
 		o.Heatmap = func() (any, error) { return t.Heatmap() }
 	case *Sharded:
 		o.Registry = x.reg
-		o.Tracer = x.shards[0].table().Tracer()
+		o.Tracer = x.tr
 		o.Heatmap = func() (any, error) { return shardedHeatmap(x) }
+	}
+	if rec != nil {
+		tr := o.Tracer
+		o.Oplog = func() (any, error) { return rec.Snapshot(), nil }
+		o.OplogExemplars = func() (any, error) { return exemplarsWithEvents(rec, tr), nil }
 	}
 	return telemetry.Serve(addr, o)
 }
 
-// MountOplog points o's /debug/oplog endpoints at rec. ServeTelemetry
-// calls it for EnableOplog-wrapped databases; callers composing their
-// own telemetry.Options (the network server) use it directly.
-func MountOplog(o *telemetry.Options, rec *oplog.Recorder) {
-	o.Oplog = func() (any, error) { return rec.Snapshot(), nil }
-	o.OplogExemplars = func() (any, error) { return rec.Exemplars(), nil }
+// exemplarEvents is one exemplar with the ring events emitted inside its
+// trace span inlined: the request's phases and what the engine did
+// during it (splits, overflow allocation, log fsyncs) in one record.
+type exemplarEvents struct {
+	oplog.ExemplarView
+	Events []trace.Event `json:"events,omitempty"`
+}
+
+// exemplarsWithEvents joins rec's exemplars to tr's ring at scrape time.
+// An exemplar whose span the ring has since overwritten, or any exemplar
+// when tr is nil, carries no events.
+func exemplarsWithEvents(rec *oplog.Recorder, tr *trace.Tracer) []exemplarEvents {
+	exs := rec.Exemplars()
+	out := make([]exemplarEvents, len(exs))
+	for i, ex := range exs {
+		out[i].ExemplarView = ex
+		if tr != nil {
+			out[i].Events = tr.Ring().Range(ex.TraceSeq0, ex.TraceSeq1)
+		}
+	}
+	return out
 }
 
 // shardHeat is one shard's slice of the sharded heatmap document.

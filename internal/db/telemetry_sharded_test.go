@@ -1,53 +1,81 @@
-package db
+package db_test
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
 
 	"unixhash/internal/core"
+	"unixhash/internal/db"
 	"unixhash/internal/metrics"
 	"unixhash/internal/oplog"
+	"unixhash/internal/server"
 )
 
 // TestShardedTelemetryFiltered is the e2e for the sharded observation
 // surface with read acceleration live: a 4-shard database (tag filters
-// on by default) under a hit/miss mix, served through the EnableOplog
-// wrapper. The aggregated /metrics page must carry the labeled
-// hash_filter_* series and the oplog histograms, /debug/heatmap must
-// break per-bucket filter occupancy down per shard, /stats must carry
-// the derived filter hit rate, and /debug/oplog must attribute the
-// traffic this test drove.
+// on by default) under a hit/miss mix driven through the network server,
+// whose ledgers land in the recorder ServeTelemetry is handed. The
+// aggregated /metrics page must carry the labeled hash_filter_* series
+// and the oplog histograms, /debug/heatmap must break per-bucket filter
+// occupancy down per shard, /stats must carry the derived filter hit
+// rate, and /debug/oplog must attribute the traffic this test drove.
 func TestShardedTelemetryFiltered(t *testing.T) {
 	reg := metrics.New()
-	s, err := OpenSharded("", 4, &Config{Hash: &core.Options{Metrics: reg}})
+	s, err := db.OpenSharded("", 4, &db.Config{Hash: &core.Options{Metrics: reg}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	rec := oplog.NewRecorder(reg, s.NShards())
-	d := EnableOplog(s, rec)
-
-	pairs := make([]Pair, 512)
-	for i := range pairs {
-		pairs[i] = Pair{Key: []byte(fmt.Sprintf("k%04d", i)), Data: []byte("v")}
-	}
-	if err := d.PutBatch(pairs); err != nil {
+	front, err := server.Serve("127.0.0.1:0", server.Options{DB: s, Metrics: reg, Oplog: rec})
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 256; i++ {
-		if _, err := d.Get([]byte(fmt.Sprintf("k%04d", i))); err != nil {
-			t.Fatalf("get hit %d: %v", i, err)
+	defer front.Close()
+
+	// One BATCH of 512 pairs, then 256 hits and 256 misses, unpipelined
+	// inline commands over one connection.
+	nc, err := net.Dial("tcp", front.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	br := bufio.NewReader(nc)
+	do := func(cmd, want string) {
+		t.Helper()
+		if _, err := io.WriteString(nc, cmd+"\r\n"); err != nil {
+			t.Fatal(err)
 		}
-		if _, err := d.Get([]byte(fmt.Sprintf("absent%04d", i))); err != ErrNotFound {
-			t.Fatalf("get miss %d = %v, want ErrNotFound", i, err)
+		var got []string
+		for range strings.Split(want, "\r\n") {
+			line, err := br.ReadString('\n')
+			if err != nil {
+				t.Fatalf("%.40s: %v", cmd, err)
+			}
+			got = append(got, strings.TrimRight(line, "\r\n"))
+		}
+		if g := strings.Join(got, "\r\n"); g != want {
+			t.Fatalf("%.40s = %q, want %q", cmd, g, want)
 		}
 	}
+	var batch strings.Builder
+	batch.WriteString("BATCH")
+	for i := 0; i < 512; i++ {
+		fmt.Fprintf(&batch, " k%04d v", i)
+	}
+	do(batch.String(), ":512")
+	for i := 0; i < 256; i++ {
+		do(fmt.Sprintf("GET k%04d", i), "$1\r\nv")
+		do(fmt.Sprintf("GET absent%04d", i), "$-1")
+	}
 
-	srv, err := ServeTelemetry(d, "127.0.0.1:0")
+	srv, err := db.ServeTelemetry(s, "127.0.0.1:0", rec)
 	if err != nil {
 		t.Fatal(err)
 	}

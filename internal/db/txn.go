@@ -42,13 +42,7 @@ type Txn interface {
 
 // Begin on the hash adapter: the core transaction satisfies Txn
 // directly, so the db layer adds no indirection on the commit path.
-func (d *hashDB) Begin() (Txn, error) {
-	x, err := d.t.Begin()
-	if err != nil {
-		return nil, err
-	}
-	return x, nil
-}
+func (d *hashDB) Begin() (Txn, error) { return d.BeginOp(nil) }
 
 // Begin on the btree adapter always fails: the btree has no write-ahead
 // log and no atomic multi-op apply.

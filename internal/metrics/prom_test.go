@@ -22,6 +22,13 @@ func TestWritePromConformance(t *testing.T) {
 	r.CounterFunc("buffer_hits_total", func() int64 { return 3 })
 	r.GaugeFunc("buffer_resident", func() int64 { return 9 })
 	r.Help("hash_gets_total", "successful Get calls")
+	// The two drop counters, registered the way telemetry.NewHandler and
+	// oplog.NewRecorder do: a CounterFunc, then its HELP (Help ignores a
+	// name that is not registered yet).
+	r.CounterFunc("trace_events_dropped_total", func() int64 { return 2 })
+	r.Help("trace_events_dropped_total", "Trace events given a sequence number but not stored")
+	r.CounterFunc("oplog_ledgers_dropped_total", func() int64 { return 1 })
+	r.Help("oplog_ledgers_dropped_total", "Ledgers recorded with an out-of-range shard")
 	h := r.Histogram("pagefile_read_seconds")
 	h.Observe(3 * time.Microsecond)
 	h.Observe(900 * time.Microsecond)
@@ -35,8 +42,14 @@ func TestWritePromConformance(t *testing.T) {
 	checkPromText(t, buf.String())
 
 	// Spot-check the curated help text survived.
-	if !strings.Contains(buf.String(), "# HELP hash_gets_total successful Get calls\n") {
-		t.Errorf("curated help text missing:\n%s", buf.String())
+	for _, want := range []string{
+		"# HELP hash_gets_total successful Get calls\n",
+		"# HELP trace_events_dropped_total Trace events given a sequence number but not stored\n# TYPE trace_events_dropped_total counter\ntrace_events_dropped_total 2\n",
+		"# HELP oplog_ledgers_dropped_total Ledgers recorded with an out-of-range shard\n# TYPE oplog_ledgers_dropped_total counter\noplog_ledgers_dropped_total 1\n",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("missing %q in:\n%s", want, buf.String())
+		}
 	}
 }
 

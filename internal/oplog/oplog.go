@@ -8,11 +8,14 @@
 // layer that ate the time instead of vanishing into a global histogram.
 //
 // A Ledger is a small fixed-size struct owned by whoever starts the
-// request (a server connection, or the db adapter when direct-call
-// ledgers are enabled). It is threaded down the layers as a pointer;
-// every recording method is nil-receiver-safe, so an unenabled path
-// pays one predictable branch and zero clock reads — the same contract
-// the trace package establishes with its nil-tracer checks. Phase
+// request (a server connection). It is threaded down the layers as a
+// pointer, and a nil ledger means attribution is off: every recording
+// method is nil-receiver-safe, so an unenabled path pays one
+// predictable branch and zero clock reads — the same contract the
+// trace package establishes with its nil-tracer checks. There is one
+// way down: inside a package a function takes the ledger and nil means
+// off; an exported plain form (Table.Put beside Table.PutOp) exists
+// only where an external caller has no ledger to pass. Phase
 // counters are updated with atomic adds because one ledger can be
 // visible to several goroutines at once (a sharded PutBatch fans out,
 // a group-commit follower parks while the leader syncs).
@@ -22,8 +25,10 @@
 // oplog_phase_* / oplog_op_* series), per-command × per-shard
 // breakdowns for the /debug/oplog endpoint, and a ring of exemplars —
 // the slowest complete ledger per command per window, carrying the
-// trace-ring sequence span of the op so the exemplar can be joined
-// back to its individual trace events.
+// trace-ring sequence span of the op. The exemplar is the system's one
+// slow-request record: /debug/oplog/exemplars inlines the ring events
+// of that span (db.ServeTelemetry does the join; this package does not
+// import trace).
 package oplog
 
 import (
@@ -214,12 +219,16 @@ func (l *Ledger) SetShard(s int) {
 
 // SetTraceSpan records the trace-ring sequence window [seq0, seq1)
 // covering the op, linking an exemplar to its trace events. Safe on a
-// nil receiver.
+// nil receiver; an empty window (no events, or no tracer) records
+// nothing. The stores are atomic because a sharded batch's sub-batches
+// each note their own window on the one ledger concurrently; the
+// fan-out's owner then sets the enclosing window after the join.
 func (l *Ledger) SetTraceSpan(seq0, seq1 uint64) {
-	if l == nil {
+	if l == nil || seq0 >= seq1 {
 		return
 	}
-	l.seq0, l.seq1 = seq0, seq1
+	atomic.StoreUint64(&l.seq0, seq0)
+	atomic.StoreUint64(&l.seq1, seq1)
 }
 
 // Finish stamps the end of the request. Safe on a nil receiver.
@@ -266,4 +275,6 @@ func (l *Ledger) Shard() int { return int(atomic.LoadInt32(&l.shard)) }
 func (l *Ledger) Command() Cmd { return l.cmd }
 
 // TraceSpan returns the recorded trace-ring sequence window.
-func (l *Ledger) TraceSpan() (uint64, uint64) { return l.seq0, l.seq1 }
+func (l *Ledger) TraceSpan() (uint64, uint64) {
+	return atomic.LoadUint64(&l.seq0), atomic.LoadUint64(&l.seq1)
+}

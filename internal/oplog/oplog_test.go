@@ -110,6 +110,30 @@ func TestRecorderHistograms(t *testing.T) {
 	}
 }
 
+// TestRecorderDropsAreMetrics: a ledger naming a shard the recorder has
+// no slot for is folded into the unrouted slot and counted — in the
+// summary as before, and as a registry series an alert can watch.
+func TestRecorderDropsAreMetrics(t *testing.T) {
+	reg := metrics.New()
+	rec := NewRecorder(reg, 2)
+	var led Ledger
+	led.StartOp(CmdGet, []byte("k"))
+	led.SetShard(7)
+	led.Finish()
+	rec.Record(&led)
+	if d := rec.Snapshot().Dropped; d != 1 {
+		t.Fatalf("summary dropped = %d, want 1", d)
+	}
+	var prom strings.Builder
+	if err := reg.WriteProm(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if want := "# TYPE oplog_ledgers_dropped_total counter\noplog_ledgers_dropped_total 1\n"; !strings.Contains(prom.String(), want) ||
+		!strings.Contains(prom.String(), "# HELP oplog_ledgers_dropped_total Ledgers recorded") {
+		t.Fatalf("registry dump lacks %q with its HELP line", want)
+	}
+}
+
 // TestRecorderExemplars checks the slowest ledger of a window wins the
 // exemplar slot and survives a window rotation into the ring.
 func TestRecorderExemplars(t *testing.T) {
@@ -215,6 +239,7 @@ func TestLedgerTearingRace(t *testing.T) {
 						led.Add(PhaseLatchWait, int64(g+1))
 						led.Add(PhaseBufHit, 100)
 						led.SetShard(g)
+						led.SetTraceSpan(uint64(g), uint64(g+2))
 					}(g)
 				}
 				inner.Wait()

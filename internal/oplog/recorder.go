@@ -57,12 +57,17 @@ type Exemplar struct {
 //
 //	oplog_op_<cmd>_seconds          end-to-end latency per command
 //	oplog_phase_<phase>_seconds     per-phase latency, all commands
+//	oplog_ledgers_dropped_total     ledgers naming a shard out of range
 func NewRecorder(reg *metrics.Registry, nshards int) *Recorder {
 	if nshards < 0 {
 		nshards = 0
 	}
 	r := &Recorder{shards: make([]*shardRec, nshards+1)}
 	r.winStart.Store(Clock())
+	if reg != nil {
+		reg.CounterFunc("oplog_ledgers_dropped_total", r.dropped.Load)
+		reg.Help("oplog_ledgers_dropped_total", "Ledgers recorded with an out-of-range shard (folded into the unrouted slot).")
+	}
 	for i := range r.shards {
 		sr := &shardRec{}
 		r.shards[i] = sr
@@ -367,9 +372,8 @@ func viewOf(e *Exemplar) ExemplarView {
 		Wall:      e.Wall,
 		ElapsedUS: float64(l.Elapsed()) / 1e3,
 		PhaseUS:   float64(l.PhaseTotal()) / 1e3,
-		TraceSeq0: l.seq0,
-		TraceSeq1: l.seq1,
 	}
+	v.TraceSeq0, v.TraceSeq1 = l.TraceSpan()
 	for p := 0; p < NumPhases; p++ {
 		if n := l.PhaseCount(p); n > 0 {
 			v.Phases = append(v.Phases, PhaseStat{

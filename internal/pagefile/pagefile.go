@@ -123,8 +123,8 @@ type Stats struct {
 }
 
 // SetTrace attaches a tracer to the store's latency accounting: device
-// operations whose wall-clock duration meets the tracer's slow-op
-// threshold emit a trace.EvSlowIO event. A nil tracer detaches.
+// operations lasting at least trace.SlowIOThreshold emit a
+// trace.EvSlowIO event. A nil tracer detaches.
 func (s *Stats) SetTrace(t *trace.Tracer) { s.tr.Store(t) }
 
 // observeRead records one device read's latency and traces it if slow;

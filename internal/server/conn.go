@@ -16,8 +16,8 @@ import (
 
 // maxCoalesce caps the write-coalescing buffer: this many consecutive
 // pipelined PUTs collapse into one PutBatch call. It matches
-// core.DefaultBatchSize so a full window is exactly one batched
-// table-lock acquisition per shard.
+// core.DefaultBatchSize so a full window is exactly one latch epoch per
+// shard.
 const maxCoalesce = 4096
 
 // conn serves one client connection. The loop reads pipelined
@@ -36,18 +36,32 @@ type conn struct {
 	txn     db.Txn    // open transaction, or nil
 	getBuf  []byte    // reused GetBuf storage
 
-	// Op-ledger state, touched only when srv.rec is non-nil. led is the
-	// per-command scratch ledger (one command runs at a time on a
-	// connection); txnLed is pinned for the life of an open transaction
-	// because BeginOp hands its address to the sub-transactions.
-	led        oplog.Ledger
-	txnLed     oplog.Ledger
-	txnTracked bool  // txn was begun with txnLed attached
-	pendSt     int64 // clock when the oldest pending PUT parked
+	// Op-ledger state; both ledgers are nil when srv.rec is (attribution
+	// off), and every Ledger method and Recorder.Record is nil-safe, so
+	// each command is written once. led is the per-command scratch ledger
+	// (one command runs at a time on a connection); txnLed is pinned for
+	// the life of an open transaction because BeginOp hands its address
+	// to the transaction.
+	led    *oplog.Ledger
+	txnLed *oplog.Ledger
+	pendSt int64 // clock when the oldest pending PUT parked
 }
 
-// tracked reports whether this command should run under a ledger.
-func (c *conn) tracked() bool { return c.srv.rec != nil && c.srv.opdb != nil }
+// begin opens led for one command, charging its parse time (0 when the
+// read blocked on the network or attribution is off).
+func (c *conn) begin(led *oplog.Ledger, cmd oplog.Cmd, key []byte, parseNS int64) *oplog.Ledger {
+	led.StartOp(cmd, key)
+	if parseNS > 0 {
+		led.Add(oplog.PhaseParse, parseNS)
+	}
+	return led
+}
+
+// end closes a command's ledger and folds it into the recorder.
+func (c *conn) end(led *oplog.Ledger) {
+	led.Finish()
+	c.srv.rec.Record(led)
+}
 
 func (c *conn) serve() {
 	defer func() {
@@ -103,13 +117,11 @@ func (c *conn) flushReplies() error {
 	if c.srv.rec == nil || c.w.buffered() == 0 {
 		return c.w.Flush()
 	}
-	led := &c.led
-	led.StartOp(oplog.CmdOther, nil)
+	led := c.begin(c.led, oplog.CmdOther, nil, 0)
 	st := oplog.Clock()
 	err := c.w.Flush()
 	led.Since(oplog.PhaseReply, st)
-	led.Finish()
-	c.srv.rec.Record(led)
+	c.end(led)
 	return err
 }
 
@@ -151,20 +163,9 @@ func (c *conn) dispatch(args [][]byte, parseNS int64) bool {
 		if !c.arity(args, 2) {
 			return true
 		}
-		var v []byte
-		var err error
-		if c.tracked() {
-			led := &c.led
-			led.StartOp(oplog.CmdGet, args[1])
-			if parseNS > 0 {
-				led.Add(oplog.PhaseParse, parseNS)
-			}
-			v, err = c.srv.opdb.GetBufOp(led, args[1], c.getBuf)
-			led.Finish()
-			c.srv.rec.Record(led)
-		} else {
-			v, err = c.srv.db.GetBuf(args[1], c.getBuf)
-		}
+		led := c.begin(c.led, oplog.CmdGet, args[1], parseNS)
+		v, err := c.srv.ops.GetBufOp(led, args[1], c.getBuf)
+		c.end(led)
 		switch {
 		case errors.Is(err, db.ErrNotFound):
 			c.w.Nil()
@@ -191,7 +192,7 @@ func (c *conn) dispatch(args [][]byte, parseNS int64) bool {
 		// With attribution on, the batch ledger opens at the first park —
 		// its elapsed time then brackets the coalesce wait flushPending
 		// settles — and later parked PUTs fold their parse time in.
-		if c.tracked() {
+		if c.led != nil {
 			if len(c.pending) == 0 {
 				c.led.StartOp(oplog.CmdPut, args[1])
 				c.pendSt = oplog.Clock()
@@ -216,19 +217,9 @@ func (c *conn) dispatch(args [][]byte, parseNS int64) bool {
 			}
 			return true
 		}
-		var err error
-		if c.tracked() {
-			led := &c.led
-			led.StartOp(oplog.CmdDelete, args[1])
-			if parseNS > 0 {
-				led.Add(oplog.PhaseParse, parseNS)
-			}
-			err = c.srv.opdb.DeleteOp(led, args[1])
-			led.Finish()
-			c.srv.rec.Record(led)
-		} else {
-			err = c.srv.db.Delete(args[1])
-		}
+		led := c.begin(c.led, oplog.CmdDelete, args[1], parseNS)
+		err := c.srv.ops.DeleteOp(led, args[1])
+		c.end(led)
 		switch {
 		case errors.Is(err, db.ErrNotFound):
 			c.w.Int(0)
@@ -267,19 +258,9 @@ func (c *conn) batch(args [][]byte, parseNS int64) {
 	for i := 1; i < len(args); i += 2 {
 		pairs = append(pairs, db.Pair{Key: args[i], Data: args[i+1]})
 	}
-	var err error
-	if c.tracked() {
-		led := &c.led
-		led.StartOp(oplog.CmdBatch, pairs[0].Key)
-		if parseNS > 0 {
-			led.Add(oplog.PhaseParse, parseNS)
-		}
-		err = c.srv.opdb.PutBatchOp(led, pairs)
-		led.Finish()
-		c.srv.rec.Record(led)
-	} else {
-		err = c.srv.db.PutBatch(pairs)
-	}
+	led := c.begin(c.led, oplog.CmdBatch, pairs[0].Key, parseNS)
+	err := c.srv.ops.PutBatchOp(led, pairs)
+	c.end(led)
 	if err != nil {
 		c.cmdErr(err)
 		return
@@ -292,13 +273,7 @@ func (c *conn) batch(args [][]byte, parseNS int64) {
 // attribution on, the document gains an "Oplog" member carrying the
 // recorder's per-command phase summary.
 func (c *conn) stats(parseNS int64) {
-	led := &c.led
-	if c.srv.rec != nil {
-		led.StartOp(oplog.CmdStats, nil)
-		if parseNS > 0 {
-			led.Add(oplog.PhaseParse, parseNS)
-		}
-	}
+	led := c.begin(c.led, oplog.CmdStats, nil, parseNS)
 	s, err := c.srv.db.Stats()
 	if err != nil {
 		c.cmdErr(err)
@@ -318,10 +293,7 @@ func (c *conn) stats(parseNS int64) {
 		return
 	}
 	c.w.Bulk(j)
-	if c.srv.rec != nil {
-		led.Finish()
-		c.srv.rec.Record(led)
-	}
+	c.end(led)
 }
 
 // txnCmd handles TXN BEGIN|COMMIT|ROLLBACK. Between BEGIN and COMMIT,
@@ -342,17 +314,9 @@ func (c *conn) txnCmd(args [][]byte, parseNS int64) {
 			c.w.Error("transaction already open")
 			return
 		}
-		var x db.Txn
-		var err error
-		if c.tracked() {
-			// The ledger is attached now (the sub-transactions hold its
-			// address) but started at COMMIT, where the phases happen.
-			x, err = c.srv.opdb.BeginOp(&c.txnLed)
-			c.txnTracked = err == nil
-		} else {
-			x, err = c.srv.db.Begin()
-			c.txnTracked = false
-		}
+		// The ledger is attached now (the transaction holds its address)
+		// but started at COMMIT, where the phases happen.
+		x, err := c.srv.ops.BeginOp(c.txnLed)
 		if err != nil {
 			c.cmdErr(err)
 			return
@@ -365,21 +329,10 @@ func (c *conn) txnCmd(args [][]byte, parseNS int64) {
 			c.w.Error("no transaction")
 			return
 		}
-		tracked := c.txnTracked && c.srv.rec != nil
-		led := &c.txnLed
-		if tracked {
-			led.StartOp(oplog.CmdTxn, nil)
-			if parseNS > 0 {
-				led.Add(oplog.PhaseParse, parseNS)
-			}
-		}
+		led := c.begin(c.txnLed, oplog.CmdTxn, nil, parseNS)
 		err := c.txn.Commit()
-		if tracked {
-			led.Finish()
-			c.srv.rec.Record(led)
-		}
+		c.end(led)
 		c.txn = nil
-		c.txnTracked = false
 		if err != nil {
 			c.cmdErr(err)
 			return
@@ -414,20 +367,15 @@ func (c *conn) flushPending() {
 		return
 	}
 	n := len(c.pending)
-	var err error
-	if c.tracked() {
-		// One ledger stands for the whole coalesced batch: it opened at
-		// the first park (the dispatch PUT case), so the wait the PUTs
-		// spent parked is the coalesce phase (counted once per pair) and
-		// the db phases below are the batch's own.
-		led := &c.led
-		led.AddN(oplog.PhaseCoalesce, oplog.Clock()-c.pendSt, n)
-		err = c.srv.opdb.PutBatchOp(led, c.pending)
-		led.Finish()
-		c.srv.rec.Record(led)
-	} else {
-		err = c.srv.db.PutBatch(c.pending)
+	// One ledger stands for the whole coalesced batch: it opened at the
+	// first park (the dispatch PUT case), so the wait the PUTs spent
+	// parked is the coalesce phase (counted once per pair) and the db
+	// phases below are the batch's own.
+	if c.led != nil {
+		c.led.AddN(oplog.PhaseCoalesce, oplog.Clock()-c.pendSt, n)
 	}
+	err := c.srv.ops.PutBatchOp(c.led, c.pending)
+	c.end(c.led)
 	c.pending = c.pending[:0]
 	if err != nil {
 		c.srv.mErrors.Inc()

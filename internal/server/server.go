@@ -15,9 +15,8 @@ import (
 type Options struct {
 	// DB is the database the server fronts. Required. For parallel
 	// write throughput this should be a db.Sharded database: the
-	// server's coalesced writes apply as PutBatch calls, which take
-	// each table's lock exclusively — one table serializes them, N
-	// shards run N at once.
+	// server's coalesced writes apply as PutBatch calls, and N shards
+	// run N of them at once.
 	DB db.DB
 	// Metrics, when non-nil, receives the server_* series (connection
 	// and command counters). Pass the same registry the database's
@@ -27,9 +26,10 @@ type Options struct {
 	// Oplog, when non-nil, turns on per-request phase attribution:
 	// every command runs under an op ledger (parse, coalesce wait,
 	// shard route, latch wait, WAL, buffer pool, reply write) recorded
-	// into this recorder. Requires a DB implementing db.OpDB (the hash
-	// shapes do); otherwise the option is ignored. Nil keeps the
-	// zero-overhead path: no ledger is ever touched.
+	// into this recorder. A DB implementing db.OpDB (the hash shapes)
+	// charges its own phases to the ledger; any other is served the
+	// same way and only the server's phases are attributed. Nil keeps
+	// the zero-overhead path: every command carries a nil ledger.
 	Oplog *oplog.Recorder
 }
 
@@ -38,10 +38,10 @@ type Options struct {
 // applies its in-flight work (pending coalesced writes included) and
 // says goodbye, and Close returns when the last one has drained.
 type Server struct {
-	db   db.DB
-	ln   net.Listener
-	rec  *oplog.Recorder // nil: attribution off
-	opdb db.OpDB         // non-nil iff rec is set and db carries ledgers
+	db  db.DB
+	ops db.OpDB // db's ledger-carrying face; plainOps{db} when it has none
+	ln  net.Listener
+	rec *oplog.Recorder // nil: attribution off, connections hold nil ledgers
 
 	mu     sync.Mutex
 	conns  map[*conn]struct{}
@@ -67,11 +67,11 @@ func Serve(addr string, o Options) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
-	s := &Server{db: o.DB, ln: ln, conns: make(map[*conn]struct{})}
-	if o.Oplog != nil {
-		if od, ok := o.DB.(db.OpDB); ok {
-			s.rec, s.opdb = o.Oplog, od
-		}
+	s := &Server{db: o.DB, ln: ln, rec: o.Oplog, conns: make(map[*conn]struct{})}
+	if od, ok := o.DB.(db.OpDB); ok {
+		s.ops = od
+	} else {
+		s.ops = plainOps{o.DB}
 	}
 	reg := o.Metrics
 	if reg == nil {
@@ -97,6 +97,19 @@ func Serve(addr string, o Options) (*Server, error) {
 	return s, nil
 }
 
+// plainOps gives a database without ledger methods (btree, recno, a
+// caller's own db.DB) the db.OpDB face by dropping the ledger, so a
+// connection has one call per command whatever it fronts.
+type plainOps struct{ db.DB }
+
+func (p plainOps) GetBufOp(_ *oplog.Ledger, key, dst []byte) ([]byte, error) {
+	return p.GetBuf(key, dst)
+}
+func (p plainOps) PutOp(_ *oplog.Ledger, key, data []byte) error     { return p.Put(key, data) }
+func (p plainOps) PutBatchOp(_ *oplog.Ledger, pairs []db.Pair) error { return p.PutBatch(pairs) }
+func (p plainOps) DeleteOp(_ *oplog.Ledger, key []byte) error        { return p.Delete(key) }
+func (p plainOps) BeginOp(*oplog.Ledger) (db.Txn, error)             { return p.Begin() }
+
 // Addr returns the listener's resolved address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
@@ -108,6 +121,9 @@ func (s *Server) acceptLoop() {
 			return // listener closed
 		}
 		c := &conn{srv: s, nc: nc, r: newReader(nc), w: newWriter(nc)}
+		if s.rec != nil {
+			c.led, c.txnLed = new(oplog.Ledger), new(oplog.Ledger)
+		}
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/http"
 	"sort"
 	"strings"
 	"sync"
@@ -18,6 +19,7 @@ import (
 	"unixhash/internal/metrics"
 	"unixhash/internal/oplog"
 	"unixhash/internal/pagefile"
+	"unixhash/internal/trace"
 	"unixhash/internal/wal"
 )
 
@@ -105,7 +107,12 @@ func (c *client) expect(want string, args ...string) {
 
 func startServer(t *testing.T, d db.DB, reg *metrics.Registry) *Server {
 	t.Helper()
-	s, err := Serve("127.0.0.1:0", Options{DB: d, Metrics: reg})
+	return startServerOplog(t, d, reg, nil)
+}
+
+func startServerOplog(t *testing.T, d db.DB, reg *metrics.Registry, rec *oplog.Recorder) *Server {
+	t.Helper()
+	s, err := Serve("127.0.0.1:0", Options{DB: d, Metrics: reg, Oplog: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,13 +120,49 @@ func startServer(t *testing.T, d db.DB, reg *metrics.Registry) *Server {
 	return s
 }
 
+// ledgerModes runs fn with attribution off (every command carries a nil
+// ledger) and on (a live ledger per command, folded into a recorder), so
+// the single call site per command is exercised both ways.
+func ledgerModes(t *testing.T, fn func(t *testing.T, rec *oplog.Recorder)) {
+	t.Run("oplog=off", func(t *testing.T) { fn(t, nil) })
+	t.Run("oplog=on", func(t *testing.T) { fn(t, oplog.NewRecorder(nil, 4)) })
+}
+
 func TestServerBasicCommands(t *testing.T) {
-	d, err := db.OpenSharded("", 4, &db.Config{Hash: &core.Options{WAL: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	s := startServer(t, d, nil)
+	ledgerModes(t, func(t *testing.T, rec *oplog.Recorder) {
+		d, err := db.OpenSharded("", 4, &db.Config{Hash: &core.Options{WAL: true}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		basicCommands(t, d, rec, `"Shards"`)
+	})
+	// A database without ledger methods behind live ledgers: the server's
+	// adapter drops the ledger at the db boundary, the server's own
+	// phases are still recorded.
+	t.Run("btree/oplog=on", func(t *testing.T) {
+		d, err := db.Open("", db.Btree, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		if _, ok := d.(db.OpDB); ok {
+			t.Fatal("btree grew ledger methods; pick another method for the adapter case")
+		}
+		rec := oplog.NewRecorder(nil, 1)
+		basicCommands(t, d, rec, `"Oplog"`)
+		cmds := map[string]int64{}
+		for _, cs := range rec.Snapshot().Commands {
+			cmds[cs.Cmd] = cs.Count
+		}
+		if cmds["get"] != 3 || cmds["delete"] != 2 || cmds["batch"] != 1 || cmds["put"] != 1 {
+			t.Fatalf("recorded commands = %v, want 3 gets, 2 deletes, 1 batch, 1 put flush", cmds)
+		}
+	})
+}
+
+func basicCommands(t *testing.T, d db.DB, rec *oplog.Recorder, wantStats string) {
+	s := startServerOplog(t, d, nil, rec)
 	c := dial(t, s.Addr())
 
 	c.expect("+PONG", "PING")
@@ -130,8 +173,8 @@ func TestServerBasicCommands(t *testing.T) {
 	c.expect(":0", "DEL", "alpha")
 	c.expect(":3", "BATCH", "a", "1", "b", "2", "c", "3")
 	c.expect("$2", "GET", "b")
-	if got := c.do("STATS"); !strings.Contains(got, `"Shards"`) {
-		t.Fatalf("STATS = %.120q, want per-shard breakdown", got)
+	if got := c.do("STATS"); !strings.Contains(got, wantStats) {
+		t.Fatalf("STATS = %.120q, want a %s member", got, wantStats)
 	}
 	if got := c.do("NOPE"); !strings.HasPrefix(got, "-ERR") {
 		t.Fatalf("unknown command = %q", got)
@@ -162,13 +205,17 @@ func TestServerInlineCommands(t *testing.T) {
 }
 
 func TestServerPipelining(t *testing.T) {
+	ledgerModes(t, serverPipelining)
+}
+
+func serverPipelining(t *testing.T, rec *oplog.Recorder) {
 	reg := metrics.New()
 	d, err := db.OpenSharded("", 4, &db.Config{Hash: &core.Options{Metrics: reg}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	s := startServer(t, d, reg)
+	s := startServerOplog(t, d, reg, rec)
 	c := dial(t, s.Addr())
 
 	// One pipeline window: a run of PUTs (coalesced into one batch), a
@@ -377,12 +424,16 @@ func TestServerOplogAccounting(t *testing.T) {
 }
 
 func TestServerTxnAtomicityAcrossConnections(t *testing.T) {
+	ledgerModes(t, serverTxnAtomicity)
+}
+
+func serverTxnAtomicity(t *testing.T, rec *oplog.Recorder) {
 	d, err := db.OpenSharded("", 4, &db.Config{Hash: &core.Options{WAL: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	s := startServer(t, d, nil)
+	s := startServerOplog(t, d, nil, rec)
 	writer := dial(t, s.Addr())
 	reader := dial(t, s.Addr())
 
@@ -610,4 +661,77 @@ func TestServerProtocolErrors(t *testing.T) {
 	if _, err := br.ReadString('\n'); err == nil {
 		t.Fatal("connection survived a framing error")
 	}
+}
+
+// TestExemplarCarriesEvents pins the join that replaced the slow-op
+// tracer: a traced sharded database behind the server takes one BATCH
+// large enough to split, and the batch's exemplar on the telemetry
+// surface carries the split events emitted during it, every one inside
+// the ring span the ledger noted.
+func TestExemplarCarriesEvents(t *testing.T) {
+	tr := trace.New(1 << 14)
+	d, err := db.OpenSharded("", 2, &db.Config{Hash: &core.Options{Bsize: 512, Ffactor: 8, Trace: tr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	rec := oplog.NewRecorder(nil, d.NShards())
+	s := startServerOplog(t, d, nil, rec)
+	ts, err := db.ServeTelemetry(d, "127.0.0.1:0", rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+
+	args := []string{"BATCH"}
+	for i := 0; i < 600; i++ {
+		args = append(args, fmt.Sprintf("split-key-%04d", i), "value")
+	}
+	c := dial(t, s.Addr())
+	// A batch into an empty table presizes instead of splitting; seed one
+	// key per shard's worth first (a PUT, so the BATCH below is the only
+	// batch exemplar).
+	for i := 0; i < 8; i++ {
+		c.expect("+OK", "PUT", fmt.Sprintf("seed-%d", i), "v")
+	}
+	c.expect(":600", args...)
+
+	resp, err := http.Get(ts.URL() + "/debug/oplog/exemplars")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var exs []struct {
+		Cmd       string `json:"cmd"`
+		TraceSeq0 uint64 `json:"trace_seq0"`
+		TraceSeq1 uint64 `json:"trace_seq1"`
+		Events    []struct {
+			Seq  uint64 `json:"seq"`
+			Type string `json:"type"`
+		} `json:"events"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&exs); err != nil {
+		t.Fatalf("/debug/oplog/exemplars: %v", err)
+	}
+	for _, ex := range exs {
+		if ex.Cmd != "batch" {
+			continue
+		}
+		count := map[string]int{}
+		for _, ev := range ex.Events {
+			if ev.Seq < ex.TraceSeq0 || ev.Seq >= ex.TraceSeq1 {
+				t.Fatalf("event %d (%s) outside the exemplar's span [%d, %d)", ev.Seq, ev.Type, ex.TraceSeq0, ex.TraceSeq1)
+			}
+			count[ev.Type]++
+		}
+		if count["split-begin"] == 0 || count["split-end"] == 0 {
+			t.Fatalf("batch exemplar's events carry no split: %v over span [%d, %d)", count, ex.TraceSeq0, ex.TraceSeq1)
+		}
+		// Both shards split, so the span is the fan-out's, not one shard's.
+		if begins := len(tr.Events(0, trace.EvSplitBegin)); count["split-begin"] != begins {
+			t.Fatalf("exemplar carries %d of the ring's %d split-begin events", count["split-begin"], begins)
+		}
+		return
+	}
+	t.Fatalf("no batch exemplar among %d", len(exs))
 }

@@ -1,15 +1,18 @@
 // Package telemetry is the hashing package's live observation surface:
 // an opt-in HTTP server that exposes the metrics registry in Prometheus
-// text format, a JSON stats view, the trace ring and slow-op history,
-// a per-bucket heatmap, and net/http/pprof — everything needed to watch
-// and debug a table under load without stopping it.
+// text format, a JSON stats view, the trace ring, the op-ledger summary
+// and its exemplars, a per-bucket heatmap, and net/http/pprof —
+// everything needed to watch and debug a table under load without
+// stopping it.
 //
 // The package is deliberately generic: it serves closures and interfaces
-// (a *metrics.Registry, a *trace.Tracer, stats/heatmap functions), so
-// both the core table (Options.TelemetryAddr) and the cross-method db
-// layer (db.ServeTelemetry) can mount their own views without an import
-// cycle. Handlers only ever read — a scrape never takes the table's
-// write lock — and every endpoint is safe to hit while a workload runs.
+// (a *metrics.Registry, a *trace.Tracer, stats/heatmap functions), so a
+// caller holding an open core table (hashcli -telemetry) and the
+// cross-method db layer (db.ServeTelemetry, what dbserver uses) mount
+// their own views through the one starter, Serve. The storage engine
+// itself never opens a socket. Handlers only ever read — a scrape never
+// takes the table's write lock — and every endpoint is safe to hit while
+// a workload runs.
 //
 // Endpoints:
 //
@@ -18,10 +21,10 @@
 //	/stats                 JSON statistics snapshot
 //	/debug/events          recent trace ring contents; ?type=NAME (repeatable)
 //	                       filters by event type, ?n=N caps the count
-//	/debug/slowops         captured slow-operation spans
 //	/debug/heatmap         per-bucket fill factor and chain depth
 //	/debug/oplog           per-command, per-shard phase-latency summary
-//	/debug/oplog/exemplars slowest request ledgers per command per window
+//	/debug/oplog/exemplars slowest request ledgers per command per window,
+//	                       each with the ring events of its span inlined
 //	/debug/pprof/...       the standard runtime profiles
 package telemetry
 
@@ -44,7 +47,8 @@ import (
 type Options struct {
 	// Registry backs /metrics.
 	Registry *metrics.Registry
-	// Tracer backs /debug/events and /debug/slowops.
+	// Tracer backs /debug/events. With a Registry as well, the ring's
+	// drop count joins it as trace_events_dropped_total.
 	Tracer *trace.Tracer
 	// Stats computes the /stats JSON payload per request.
 	Stats func() (any, error)
@@ -61,6 +65,10 @@ type Options struct {
 // NewHandler builds the telemetry endpoint tree.
 func NewHandler(o Options) http.Handler {
 	mux := http.NewServeMux()
+	if o.Registry != nil && o.Tracer != nil {
+		o.Registry.CounterFunc("trace_events_dropped_total", func() int64 { return int64(o.Tracer.Ring().Dropped()) })
+		o.Registry.Help("trace_events_dropped_total", "Trace events given a sequence number but not stored (writer lapped mid-publish)")
+	}
 
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
@@ -72,7 +80,6 @@ func NewHandler(o Options) http.Handler {
 			"/metrics          Prometheus text format\n"+
 			"/stats            JSON statistics\n"+
 			"/debug/events     trace ring (?type=NAME&n=N)\n"+
-			"/debug/slowops    slow-operation spans\n"+
 			"/debug/heatmap    per-bucket fill and chain depth\n"+
 			"/debug/oplog      per-command phase-latency summary\n"+
 			"/debug/oplog/exemplars  slowest request ledgers per window\n"+
@@ -127,20 +134,6 @@ func NewHandler(o Options) http.Handler {
 			Count   int           `json:"count"`
 			Events  []trace.Event `json:"events"`
 		}{o.Tracer.Ring().Next(), o.Tracer.Ring().Dropped(), len(evs), evs})
-	})
-
-	mux.HandleFunc("/debug/slowops", func(w http.ResponseWriter, r *http.Request) {
-		if o.Tracer == nil {
-			http.Error(w, "no tracer attached", http.StatusNotFound)
-			return
-		}
-		ops, seen := o.Tracer.SlowOps()
-		writeJSON(w, struct {
-			ThresholdNS int64          `json:"threshold_ns"`
-			Seen        uint64         `json:"seen"`
-			Retained    int            `json:"retained"`
-			Ops         []trace.SlowOp `json:"ops"`
-		}{int64(o.Tracer.SlowOpThreshold()), seen, len(ops), ops})
 	})
 
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

@@ -39,7 +39,9 @@ func TestHandlerFull(t *testing.T) {
 	if code, body := get(t, h, "/"); code != 200 || !strings.Contains(body, "/metrics") {
 		t.Fatalf("index: %d %q", code, body)
 	}
-	if code, body := get(t, h, "/metrics"); code != 200 || !strings.Contains(body, "test_ops_total 3") {
+	if code, body := get(t, h, "/metrics"); code != 200 || !strings.Contains(body, "test_ops_total 3") ||
+		!strings.Contains(body, "# HELP trace_events_dropped_total Trace events given") ||
+		!strings.Contains(body, "# TYPE trace_events_dropped_total counter\ntrace_events_dropped_total 0\n") {
 		t.Fatalf("/metrics: %d %q", code, body)
 	}
 	if code, body := get(t, h, "/stats"); code != 200 || !strings.Contains(body, `"keys": 42`) {
@@ -75,8 +77,11 @@ func TestHandlerFull(t *testing.T) {
 	if code, _ := get(t, h, "/debug/events?n=abc"); code != http.StatusBadRequest {
 		t.Fatalf("bad n: %d, want 400", code)
 	}
-	if code, _ := get(t, h, "/debug/slowops"); code != 200 {
-		t.Fatalf("/debug/slowops: %d", code)
+	if code, _ := get(t, h, "/debug/slowops"); code != http.StatusNotFound {
+		t.Fatalf("/debug/slowops: %d, want 404 (the op ledger's exemplars replaced it)", code)
+	}
+	if _, body := get(t, h, "/"); strings.Contains(body, "slowops") {
+		t.Fatalf("index still lists /debug/slowops:\n%s", body)
 	}
 	if code, _ := get(t, h, "/debug/pprof/"); code != 200 {
 		t.Fatalf("/debug/pprof/: %d", code)

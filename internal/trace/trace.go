@@ -25,17 +25,16 @@
 //     writer overtook mid-copy. Sequence numbers in a snapshot are
 //     strictly increasing and never torn.
 //
-// On top of the ring sits a slow-op tracer: operations bracketed with
-// OpBegin/OpEnd whose duration meets the configured threshold capture the
-// span of ring events emitted during the call — the full event trail of
-// one slow Get, Put, Delete or Sync — into a small bounded history that
-// the telemetry server exposes.
+// The ring keeps no record of requests. A request is described once, by
+// its op ledger (internal/oplog): the ledger notes the ring position
+// before and after the call (Tracer.Next), and the telemetry surface
+// inlines Ring.Range over that span into the request's exemplar — the
+// event trail of one slow Get, Put, batch or commit.
 package trace
 
 import (
 	"encoding/json"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -79,11 +78,7 @@ const (
 	// Buffer-pool eviction (page pushed out to make room).
 	EvBufEvict // addr N, overflow(0/1), dirty(0/1)
 
-	// A Get/Put/Delete/Sync that exceeded the slow-op threshold. The
-	// full event span is captured in the slow-op history.
-	EvSlowOp // op code (Op*), op argument, events in span
-
-	// A device operation (pagefile) that exceeded the slow-op threshold.
+	// A device operation (pagefile) that took at least SlowIOThreshold.
 	EvSlowIO // io kind (IORead/IOWrite/IOSync), page number, bytes
 
 	// One bounded chunk of a cooperative split moved: by_helper is 1 when
@@ -166,7 +161,6 @@ var typeInfo = [...]struct {
 	EvBatchPhase:   {name: "batch-phase", args: [4]string{"phase", "detail"}},
 	EvBatchEnd:     {name: "batch-end", args: [4]string{"pairs", "splits"}},
 	EvBufEvict:     {name: "buf-evict", args: [4]string{"addr", "overflow", "dirty"}},
-	EvSlowOp:       {name: "slow-op", args: [4]string{"op", "arg", "events"}},
 	EvSlowIO:       {name: "slow-io", args: [4]string{"kind", "page", "bytes"}},
 	EvSplitChunk:   {name: "split-chunk", args: [4]string{"old_bucket", "new_bucket", "entries_moved", "by_helper"}},
 	EvLatchWait:    {name: "latch-wait", args: [4]string{"bucket", "helped"}},
@@ -193,37 +187,6 @@ func ParseType(s string) Type {
 		}
 	}
 	return EvNone
-}
-
-// Op identifies the table operation a slow-op span belongs to.
-type Op uint8
-
-// Operations bracketed by OpBegin/OpEnd.
-const (
-	OpGet Op = iota + 1
-	OpPut
-	OpDelete
-	OpSync
-	OpBatch
-	OpCommit
-)
-
-func (o Op) String() string {
-	switch o {
-	case OpGet:
-		return "get"
-	case OpPut:
-		return "put"
-	case OpDelete:
-		return "delete"
-	case OpSync:
-		return "sync"
-	case OpBatch:
-		return "batch"
-	case OpCommit:
-		return "commit"
-	}
-	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
 // Event is one decoded ring entry.
@@ -406,44 +369,15 @@ func (r *Ring) Snapshot(max int) []Event {
 	return r.Range(from, head)
 }
 
-// SlowOp is one captured slow-operation span: the operation, its
-// duration, and the ring events emitted while it ran.
-type SlowOp struct {
-	Op     Op            `json:"-"`
-	Arg    uint64        `json:"arg"`
-	Start  int64         `json:"start_unix_nano"`
-	Dur    time.Duration `json:"dur_ns"`
-	Events []Event       `json:"events,omitempty"`
-}
+// SlowIOThreshold is the device-operation latency at and above which
+// SlowIO emits an event.
+const SlowIOThreshold = time.Millisecond
 
-// MarshalJSON renders the op code as its name.
-func (s SlowOp) MarshalJSON() ([]byte, error) {
-	type alias SlowOp
-	return json.Marshal(struct {
-		OpName string `json:"op"`
-		alias
-	}{s.Op.String(), alias(s)})
-}
-
-// DefaultSlowOp is the slow-op capture threshold a new Tracer starts
-// with.
-const DefaultSlowOp = time.Millisecond
-
-// slowHistory bounds the retained slow-op spans.
-const slowHistory = 64
-
-// Tracer is the emission front end over a Ring plus the slow-op span
-// capturer. All methods are safe for concurrent use and safe on a nil
-// receiver — a nil Tracer is the disabled state and costs one pointer
-// comparison per instrumented site.
+// Tracer is the emission front end over a Ring. All methods are safe for
+// concurrent use and safe on a nil receiver — a nil Tracer is the
+// disabled state and costs one pointer comparison per instrumented site.
 type Tracer struct {
-	ring     *Ring
-	slowOpNS atomic.Int64 // ops at/above this duration are captured; <0 disables
-
-	mu       sync.Mutex
-	slow     []SlowOp // ring of the most recent slow-op spans
-	slowNext int
-	slowSeen uint64 // total slow ops observed (including evicted ones)
+	ring *Ring
 }
 
 // New creates a tracer whose ring holds at least capacity events (0
@@ -452,9 +386,7 @@ func New(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = 16384
 	}
-	t := &Tracer{ring: NewRing(capacity)}
-	t.slowOpNS.Store(int64(DefaultSlowOp))
-	return t
+	return &Tracer{ring: NewRing(capacity)}
 }
 
 // Ring exposes the underlying ring (nil on a nil tracer).
@@ -465,26 +397,14 @@ func (t *Tracer) Ring() *Ring {
 	return t.ring
 }
 
-// SetSlowOpThreshold sets the capture threshold: operations and device
-// I/O lasting at least d are recorded. Zero captures every bracketed
-// operation; a negative d disables capture.
-func (t *Tracer) SetSlowOpThreshold(d time.Duration) {
+// Next reports the sequence number the next emitted event will receive
+// (0 on a nil tracer). A caller brackets an operation with two reads to
+// learn which ring events were emitted while it ran.
+func (t *Tracer) Next() uint64 {
 	if t == nil {
-		return
+		return 0
 	}
-	if d < 0 {
-		t.slowOpNS.Store(-1)
-		return
-	}
-	t.slowOpNS.Store(int64(d))
-}
-
-// SlowOpThreshold reports the current capture threshold (-1: disabled).
-func (t *Tracer) SlowOpThreshold() time.Duration {
-	if t == nil {
-		return -1
-	}
-	return time.Duration(t.slowOpNS.Load())
+	return t.ring.Next()
 }
 
 // Emit publishes one point event.
@@ -503,58 +423,10 @@ func (t *Tracer) EmitDur(typ Type, d time.Duration, a0, a1, a2, a3 uint64) {
 	t.ring.emit(typ, time.Now().UnixNano(), int64(d), a0, a1, a2, a3)
 }
 
-// Span marks the start of a bracketed operation for slow-op capture.
-// The zero Span is what a nil tracer hands out and is inert.
-type Span struct {
-	seq   uint64
-	start int64
-}
-
-// OpBegin opens a span: the current ring position and wall clock.
-func (t *Tracer) OpBegin() Span {
-	if t == nil {
-		return Span{}
-	}
-	return Span{seq: t.ring.next.Load(), start: time.Now().UnixNano()}
-}
-
-// OpEnd closes a span. If the operation's duration meets the threshold,
-// the ring events emitted during it are captured into the slow-op
-// history and an EvSlowOp event is published.
-func (t *Tracer) OpEnd(op Op, arg uint64, sp Span) {
-	if t == nil {
-		return
-	}
-	th := t.slowOpNS.Load()
-	if th < 0 {
-		return
-	}
-	d := time.Now().UnixNano() - sp.start
-	if d < th {
-		return
-	}
-	evs := t.ring.Range(sp.seq, t.ring.next.Load())
-	t.ring.emit(EvSlowOp, sp.start, d, uint64(op), arg, uint64(len(evs)), 0)
-	rec := SlowOp{Op: op, Arg: arg, Start: sp.start, Dur: time.Duration(d), Events: evs}
-	t.mu.Lock()
-	if len(t.slow) < slowHistory {
-		t.slow = append(t.slow, rec)
-	} else {
-		t.slow[t.slowNext] = rec
-		t.slowNext = (t.slowNext + 1) % slowHistory
-	}
-	t.slowSeen++
-	t.mu.Unlock()
-}
-
 // SlowIO records one device operation's latency; operations at or above
-// the threshold emit an EvSlowIO event. Called by the page stores.
+// SlowIOThreshold emit an EvSlowIO event. Called by the page stores.
 func (t *Tracer) SlowIO(kind int, pageno uint32, bytes int, d time.Duration) {
-	if t == nil {
-		return
-	}
-	th := t.slowOpNS.Load()
-	if th < 0 || int64(d) < th {
+	if t == nil || d < SlowIOThreshold {
 		return
 	}
 	t.ring.emit(EvSlowIO, time.Now().UnixNano(), int64(d), uint64(kind), uint64(pageno), uint64(bytes), 0)
@@ -583,18 +455,4 @@ func (t *Tracer) Events(max int, types ...Type) []Event {
 		evs = evs[len(evs)-max:]
 	}
 	return evs
-}
-
-// SlowOps returns the retained slow-op spans, oldest first, and the
-// total number observed (which may exceed the retained window).
-func (t *Tracer) SlowOps() ([]SlowOp, uint64) {
-	if t == nil {
-		return nil, 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]SlowOp, 0, len(t.slow))
-	out = append(out, t.slow[t.slowNext:]...)
-	out = append(out, t.slow[:t.slowNext]...)
-	return out, t.slowSeen
 }

@@ -14,14 +14,11 @@ func TestNilTracerIsInert(t *testing.T) {
 	tr.Emit(EvSplitBegin, 1, 2, 3, 0)
 	tr.EmitDur(EvSyncEnd, time.Second, 1, 0, 0, 0)
 	tr.SlowIO(IORead, 7, 4096, time.Second)
-	tr.SetSlowOpThreshold(0)
-	sp := tr.OpBegin()
-	tr.OpEnd(OpGet, 0, sp)
 	if got := tr.Events(0); got != nil {
 		t.Fatalf("nil tracer Events = %v, want nil", got)
 	}
-	if ops, n := tr.SlowOps(); ops != nil || n != 0 {
-		t.Fatalf("nil tracer SlowOps = %v, %d", ops, n)
+	if n := tr.Next(); n != 0 {
+		t.Fatalf("nil tracer Next = %d, want 0", n)
 	}
 	if tr.Ring() != nil {
 		t.Fatal("nil tracer Ring != nil")
@@ -79,71 +76,6 @@ func TestRingWrapKeepsNewest(t *testing.T) {
 		want := uint64(n - 64 + i)
 		if e.Seq != want || e.Args[0] != want {
 			t.Fatalf("event %d = seq %d args %v, want seq %d", i, e.Seq, e.Args, want)
-		}
-	}
-}
-
-func TestSlowOpCapture(t *testing.T) {
-	tr := New(256)
-	tr.SetSlowOpThreshold(0) // capture everything
-
-	sp := tr.OpBegin()
-	tr.Emit(EvSplitBegin, 1, 2, 2, 0)
-	tr.Emit(EvSplitEnd, 1, 2, 9, 0)
-	tr.OpEnd(OpPut, 0xbeef, sp)
-
-	ops, seen := tr.SlowOps()
-	if seen != 1 || len(ops) != 1 {
-		t.Fatalf("SlowOps = %d ops, %d seen", len(ops), seen)
-	}
-	op := ops[0]
-	if op.Op != OpPut || op.Arg != 0xbeef || op.Dur < 0 {
-		t.Fatalf("captured op = %+v", op)
-	}
-	if len(op.Events) != 2 || op.Events[0].Type != EvSplitBegin || op.Events[1].Type != EvSplitEnd {
-		t.Fatalf("captured span = %v", op.Events)
-	}
-	// The EvSlowOp marker lands in the ring but not inside its own span.
-	markers := tr.Events(0, EvSlowOp)
-	if len(markers) != 1 || markers[0].Args[0] != uint64(OpPut) || markers[0].Args[2] != 2 {
-		t.Fatalf("slow-op marker = %v", markers)
-	}
-}
-
-func TestSlowOpThresholdFilters(t *testing.T) {
-	tr := New(64)
-	tr.SetSlowOpThreshold(time.Hour) // nothing is that slow
-	sp := tr.OpBegin()
-	tr.OpEnd(OpGet, 1, sp)
-	if _, seen := tr.SlowOps(); seen != 0 {
-		t.Fatal("fast op captured despite high threshold")
-	}
-	tr.SetSlowOpThreshold(-1) // disabled entirely
-	sp = tr.OpBegin()
-	tr.OpEnd(OpGet, 1, sp)
-	if _, seen := tr.SlowOps(); seen != 0 {
-		t.Fatal("op captured while capture disabled")
-	}
-}
-
-func TestSlowOpHistoryBounded(t *testing.T) {
-	tr := New(64)
-	tr.SetSlowOpThreshold(0)
-	for i := 0; i < slowHistory*2; i++ {
-		sp := tr.OpBegin()
-		tr.OpEnd(OpSync, uint64(i), sp)
-	}
-	ops, seen := tr.SlowOps()
-	if seen != uint64(slowHistory*2) {
-		t.Fatalf("seen = %d", seen)
-	}
-	if len(ops) != slowHistory {
-		t.Fatalf("retained %d, want %d", len(ops), slowHistory)
-	}
-	// Oldest first, covering the second half.
-	for i, op := range ops {
-		if want := uint64(slowHistory + i); op.Arg != want {
-			t.Fatalf("retained op %d has arg %d, want %d", i, op.Arg, want)
 		}
 	}
 }
