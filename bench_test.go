@@ -17,10 +17,8 @@ import (
 	"time"
 
 	"unixhash/internal/bench"
-	"unixhash/internal/btree"
 	"unixhash/internal/core"
 	"unixhash/internal/dataset"
-	"unixhash/internal/db"
 	"unixhash/internal/dynahash"
 	"unixhash/internal/gdbm"
 	"unixhash/internal/hashfunc"
@@ -808,93 +806,6 @@ func BenchmarkBaselines(b *testing.B) {
 			db.Close()
 		}
 	})
-}
-
-// --- The btree and recno access methods --------------------------------
-
-func BenchmarkBtreePut(b *testing.B) {
-	tr, err := btree.Open("", &btree.Options{CacheSize: 8 << 20})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer tr.Close()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p := benchDict[i%len(benchDict)]
-		if err := tr.Put(p.Key, p.Data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBtreeGet(b *testing.B) {
-	tr, err := btree.Open("", &btree.Options{CacheSize: 8 << 20})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer tr.Close()
-	for _, p := range benchDict {
-		if err := tr.Put(p.Key, p.Data); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := benchDict[i%len(benchDict)]
-		if _, err := tr.Get(p.Key); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBtreeOrderedScan(b *testing.B) {
-	tr, err := btree.Open("", &btree.Options{CacheSize: 8 << 20})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer tr.Close()
-	for _, p := range benchDict {
-		if err := tr.Put(p.Key, p.Data); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := tr.Cursor()
-		n := 0
-		for c.Next() {
-			n++
-		}
-		if c.Err() != nil || n != benchN {
-			b.Fatalf("scan: %d, %v", n, c.Err())
-		}
-	}
-}
-
-func BenchmarkMethodsViaDB(b *testing.B) {
-	// The uniform interface's overhead over each engine.
-	for _, m := range []db.Method{db.Hash, db.Btree} {
-		b.Run(m.String(), func(b *testing.B) {
-			d, err := db.Open("", m, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer d.Close()
-			for _, p := range benchDict[:1000] {
-				if err := d.Put(p.Key, p.Data); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p := benchDict[i%1000]
-				if _, err := d.Get(p.Key); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // Guard: the figure harness itself stays runnable from `go test`.

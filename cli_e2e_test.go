@@ -18,7 +18,7 @@ func TestCLIEndToEnd(t *testing.T) {
 		t.Skip("builds binaries; skipped in -short mode")
 	}
 	bin := t.TempDir()
-	for _, tool := range []string{"hashcli", "hashdump", "dbcli", "hashbench"} {
+	for _, tool := range []string{"hashdump", "dbcli", "hashbench"} {
 		cmd := exec.Command("go", "build", "-o", filepath.Join(bin, tool), "./cmd/"+tool)
 		cmd.Env = os.Environ()
 		if out, err := cmd.CombinedOutput(); err != nil {
@@ -44,35 +44,38 @@ func TestCLIEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	db := filepath.Join(dir, "cli.db")
 
-	// hashcli: the full verb set.
-	run("hashcli", 0, db, "put", "alpha", "1")
-	run("hashcli", 0, db, "put", "beta", "2")
-	run("hashcli", 0, db, "putnew", "gamma", "3")
-	if out := run("hashcli", 1, db, "putnew", "gamma", "3x"); !strings.Contains(out, "exists") {
+	// dbcli: the full verb set.
+	run("dbcli", 0, db, "put", "alpha", "1")
+	run("dbcli", 0, db, "put", "beta", "2")
+	run("dbcli", 0, db, "putnew", "gamma", "3")
+	if out := run("dbcli", 1, db, "putnew", "gamma", "3x"); !strings.Contains(out, "exists") {
 		t.Fatalf("putnew dup output: %q", out)
 	}
-	if out := run("hashcli", 0, db, "get", "beta"); strings.TrimSpace(out) != "2" {
+	if out := run("dbcli", 0, db, "get", "beta"); strings.TrimSpace(out) != "2" {
 		t.Fatalf("get = %q", out)
 	}
-	run("hashcli", 0, db, "has", "alpha")
-	run("hashcli", 1, db, "has", "nope")
-	if out := run("hashcli", 0, db, "count"); strings.TrimSpace(out) != "3" {
+	run("dbcli", 0, db, "has", "alpha")
+	run("dbcli", 1, db, "has", "nope")
+	if out := run("dbcli", 0, db, "count"); strings.TrimSpace(out) != "3" {
 		t.Fatalf("count = %q", out)
 	}
-	out := run("hashcli", 0, db, "list")
+	out := run("dbcli", 0, db, "list")
 	for _, want := range []string{"alpha\t1", "beta\t2", "gamma\t3"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("list missing %q:\n%s", want, out)
 		}
 	}
-	run("hashcli", 0, db, "del", "beta")
-	run("hashcli", 1, db, "get", "beta")
+	run("dbcli", 0, db, "del", "beta")
+	run("dbcli", 1, db, "get", "beta")
 	compacted := filepath.Join(dir, "compacted.db")
-	run("hashcli", 0, db, "compact", compacted)
-	if out := run("hashcli", 0, compacted, "count"); strings.TrimSpace(out) != "2" {
+	run("dbcli", 0, db, "compact", compacted)
+	if out := run("dbcli", 0, compacted, "count"); strings.TrimSpace(out) != "2" {
 		t.Fatalf("compacted count = %q", out)
 	}
 	run("hashdump", 0, "-check", compacted)
+	if out := run("dbcli", 0, "-telemetry", "127.0.0.1:0", db, "count"); !strings.Contains(out, "dbcli: telemetry http://") {
+		t.Fatalf("dbcli -telemetry = %q", out)
+	}
 
 	// hashdump over the same file.
 	if out := run("hashdump", 0, "-check", db); strings.TrimSpace(out) != "ok" {
@@ -86,52 +89,20 @@ func TestCLIEndToEnd(t *testing.T) {
 	}
 	run("hashdump", 1, "-check", filepath.Join(dir, "missing.db"))
 
-	// dbcli over btree: ordered behaviour and the checker.
-	bt := filepath.Join(dir, "cli.bt")
-	run("dbcli", 0, "-method", "btree", bt, "put", "zebra", "z")
-	run("dbcli", 0, "-method", "btree", bt, "put", "apple", "a")
-	run("dbcli", 0, "-method", "btree", bt, "put", "mango", "m")
-	out = run("dbcli", 0, "-method", "btree", bt, "list")
-	ai, mi, zi := strings.Index(out, "apple"), strings.Index(out, "mango"), strings.Index(out, "zebra")
-	if !(ai >= 0 && ai < mi && mi < zi) {
-		t.Fatalf("btree list not ordered:\n%s", out)
-	}
-	out = run("dbcli", 0, "-method", "btree", bt, "range", "m")
-	if strings.Contains(out, "apple") || !strings.Contains(out, "mango") {
-		t.Fatalf("range m wrong:\n%s", out)
-	}
-	if out := run("dbcli", 0, "-method", "btree", bt, "check"); strings.TrimSpace(out) != "ok" {
-		t.Fatalf("btree check = %q", out)
-	}
-
-	// dbcli over recno: a text file of lines.
-	rn := filepath.Join(dir, "cli.txt")
-	run("dbcli", 0, "-method", "recno", rn, "append", "line one")
-	run("dbcli", 0, "-method", "recno", rn, "append", "line two")
-	run("dbcli", 0, "-method", "recno", rn, "put", "0", "line ONE")
-	raw, err := os.ReadFile(rn)
-	if err != nil || string(raw) != "line ONE\nline two\n" {
-		t.Fatalf("recno flat file = %q, %v", raw, err)
-	}
-
-	// The batched load verb: a KEY<TAB>VALUE file imported through both
-	// tools, then read back through the normal verbs.
+	// The batched load verb: a KEY<TAB>VALUE file imported, then read
+	// back through the normal verbs.
 	tsv := filepath.Join(dir, "load.tsv")
 	if err := os.WriteFile(tsv, []byte("lk1\tlv1\nlk2\tlv2\nlk3\tlv3\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	bulk := filepath.Join(dir, "bulk.db")
-	if out := run("hashcli", 0, bulk, "load", tsv); strings.TrimSpace(out) != "3" {
-		t.Fatalf("hashcli load = %q, want 3", out)
-	}
-	if out := run("hashcli", 0, bulk, "get", "lk2"); strings.TrimSpace(out) != "lv2" {
-		t.Fatalf("get after load = %q", out)
-	}
-	bulk2 := filepath.Join(dir, "bulk2.db")
-	if out := run("dbcli", 0, bulk2, "load", tsv); strings.TrimSpace(out) != "3" {
+	if out := run("dbcli", 0, bulk, "load", tsv); strings.TrimSpace(out) != "3" {
 		t.Fatalf("dbcli load = %q, want 3", out)
 	}
-	if out := run("dbcli", 0, bulk2, "count"); strings.TrimSpace(out) != "3" {
+	if out := run("dbcli", 0, bulk, "get", "lk2"); strings.TrimSpace(out) != "lv2" {
+		t.Fatalf("get after load = %q", out)
+	}
+	if out := run("dbcli", 0, bulk, "count"); strings.TrimSpace(out) != "3" {
 		t.Fatalf("count after load = %q", out)
 	}
 	run("hashdump", 0, "-check", bulk)
@@ -285,13 +256,4 @@ func TestCLICrashAndCorruptionDetection(t *testing.T) {
 	if out := run("hashdump", 0, "-recover", clean); !strings.Contains(out, "clean") {
 		t.Fatalf("hashdump -recover on clean file: %q", out)
 	}
-
-	// verify on the other access methods: btree runs its structural
-	// check; recno has no checker and must say so.
-	bt := filepath.Join(dir, "cli.bt")
-	run("dbcli", 0, "-method", "btree", bt, "put", "a", "1")
-	run("dbcli", 0, "-method", "btree", bt, "verify")
-	rn := filepath.Join(dir, "cli.txt")
-	run("dbcli", 0, "-method", "recno", rn, "append", "line")
-	run("dbcli", 1, "-method", "recno", rn, "verify")
 }

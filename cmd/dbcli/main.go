@@ -1,49 +1,70 @@
-// Command dbcli is the access-method-independent database tool: the same
-// operations run over hash, btree or recno files, demonstrating the
-// paper's generic key/data interface ("appear identical to the
-// application layer").
+// Command dbcli is the package's key/data database tool: every verb
+// goes through the db interface over a single hash table file — the kind
+// of utility the paper imagines replacing ad-hoc application hash
+// tables.
 //
-//	dbcli -method hash  file.db put KEY VALUE
-//	dbcli -method btree file.db get KEY
-//	dbcli -method btree file.db range FROM      # ordered scan from FROM
-//	dbcli -method recno file.db put 3 VALUE     # recno keys are numbers
-//	dbcli -method recno file.db append VALUE
-//	dbcli [...] load FILE                       # bulk import KEY<TAB>VALUE lines
-//	dbcli [...] del KEY | list | count | stats | metrics | check | verify
-//	dbcli -wal file.db txn put K V del K ...    # atomic multi-op commit (hash)
-//	dbcli hashmon URL [INTERVAL [COUNT]]        # watch a live telemetry endpoint
+//	dbcli file.db put KEY VALUE      store (replacing)
+//	dbcli file.db putnew KEY VALUE   store (fail if present)
+//	dbcli file.db get KEY            print the value
+//	dbcli file.db del KEY            delete
+//	dbcli file.db has KEY            exit 0 if present, 1 if not
+//	dbcli file.db list               print every key<TAB>value
+//	dbcli file.db count              print the number of pairs
+//	dbcli file.db load FILE          bulk import KEY<TAB>VALUE lines
+//	dbcli file.db compact NEW.db     rebuild into a right-sized file
+//	dbcli file.db stats | metrics | verify
+//	dbcli -wal file.db txn OPS...    apply several ops atomically
+//	dbcli hashmon URL [INTERVAL [COUNT]]   watch a live telemetry endpoint
 //
-// hashmon polls a running telemetry server's /stats endpoint (dbserver
-// -telemetry, hashcli -telemetry, or any db.ServeTelemetry /
-// telemetry.Serve caller) every INTERVAL (default 2s) and renders the
-// numeric fields that changed since the previous poll as deltas — a
-// portable poor-man's top for a table under load. When the server also exposes
-// /debug/oplog (dbserver -oplog), each tick appends the per-command
-// phase attribution: end-to-end p50/p99 per command plus its heaviest
-// phases, so a latency regression names its phase in the same breath.
-// COUNT limits the number of polls (default: until interrupted). URL
-// may be a bare host:port; the /stats path is implied.
+// Flags (the creation-time ones are ignored when the file exists; the
+// names are dbserver's):
+//
+//	-bsize N          bucket size for a new table (default 256)
+//	-ffactor N        fill factor for a new table (default 8)
+//	-nelem N          expected final element count
+//	-cache N          buffer pool bytes (default 65536)
+//	-wal              attach a write-ahead log (file.db.wal), enabling
+//	                  txn; a table that already has log checkpoints
+//	                  re-attaches its log automatically, flag or no flag
+//	-telemetry ADDR   serve live telemetry (/metrics, /stats,
+//	                  /debug/events, ...) while the command runs; mainly
+//	                  useful to watch a long load. The resolved address
+//	                  is printed to stderr.
 //
 // load reads KEY<TAB>VALUE lines from FILE ('-' for stdin) and imports
 // them through the batched write pipeline: records are staged in
-// PutBatch-sized chunks so the hash method pays one lock acquisition,
-// one dirty epoch and one deferred-split pass per chunk instead of per
-// record (btree and recno fall back to a Put loop under the same
-// interface). The count of imported records is printed on completion.
+// PutBatch-sized chunks, so the table pays one latch epoch and one
+// deferred-split pass per chunk instead of per record; pass -nelem when
+// creating the target to presize it. The count of imported records is
+// printed on completion.
 //
-// check verifies structural invariants (btree only). verify checks a
-// file without modifying it: for hash it also diagnoses files left
+// compact copies the live pairs into a new file with the same bucket
+// size and fill factor, presized for the current key count (db.Compact).
+//
+// verify checks a file without modifying it, and diagnoses files left
 // dirty by a crash (is the last-synced state intact?), exiting nonzero
-// on any problem. stats prints the uniform db.Stats view (keys, pages,
-// cache hit ratio, method-specific detail) for any method. metrics
-// opens a hash file with a metric registry, runs the statistics scan,
-// and prints the registry in the Prometheus text format.
+// on any problem. stats prints the db.Stats view (keys, pages, cache hit
+// ratio, fill and operation counters). metrics opens the file with a
+// metric registry, runs the statistics scan, and prints the registry in
+// the Prometheus text format.
 //
-// txn (hash only) applies a sequence of put K V / del K groups as one
-// atomic transaction through the write-ahead log: durable after a
-// single log append + fsync, all-or-nothing on error. Create the table
-// with -wal; one that already has log checkpoints re-attaches its log
-// automatically.
+// txn applies a sequence of put K V / del K groups as one atomic
+// transaction through the write-ahead log: durable after a single log
+// append + fsync, all-or-nothing on error.
+//
+// hashmon polls a running telemetry server's /stats endpoint (dbserver
+// -telemetry, dbcli -telemetry, or any db.ServeTelemetry /
+// telemetry.Serve caller) every INTERVAL (default 2s) and renders the
+// numeric fields that changed since the previous poll as deltas — a
+// portable poor-man's top for a table under load. When the server also
+// exposes /debug/oplog (dbserver -oplog), each tick appends the
+// per-command phase attribution: end-to-end p50/p99 per command plus its
+// heaviest phases, so a latency regression names its phase in the same
+// breath. COUNT limits the number of polls (default: until interrupted).
+// URL may be a bare host:port; the /stats path is implied.
+//
+// A shard file of a dbserver directory is refused: its commits live in
+// the directory's log.
 package main
 
 import (
@@ -63,11 +84,16 @@ import (
 	"unixhash/internal/db"
 	"unixhash/internal/metrics"
 	"unixhash/internal/oplog"
+	"unixhash/internal/trace"
 )
 
 func main() {
-	method := flag.String("method", "hash", "access method: hash, btree, recno")
-	useWAL := flag.Bool("wal", false, "hash only: attach a write-ahead log (FILE.wal), enabling txn")
+	bsize := flag.Int("bsize", 0, "bucket size for a new table")
+	ffactor := flag.Int("ffactor", 0, "fill factor for a new table")
+	nelem := flag.Int("nelem", 0, "expected final element count for a new table")
+	cache := flag.Int("cache", 0, "buffer pool size in bytes")
+	useWAL := flag.Bool("wal", false, "attach a write-ahead log (FILE.wal); required to create a transactional table")
+	telAddr := flag.String("telemetry", "", "serve telemetry on this address while the command runs")
 	flag.Usage = usage
 	flag.Parse()
 	args := flag.Args()
@@ -84,40 +110,26 @@ func main() {
 	path, cmd := args[0], args[1]
 	rest := args[2:]
 
-	var m db.Method
-	switch *method {
-	case "hash":
-		m = db.Hash
-	case "btree":
-		m = db.Btree
-	case "recno":
-		m = db.Recno
-	default:
-		fatal(fmt.Errorf("unknown method %q", *method))
+	opts := &core.Options{
+		Bsize: *bsize, Ffactor: *ffactor, Nelem: *nelem, CacheSize: *cache, WAL: *useWAL,
 	}
-
-	var cfg *db.Config
-	var reg *metrics.Registry
-	switch {
-	case (cmd == "verify" || cmd == "stats") && m == db.Hash:
+	switch cmd {
+	case "get", "has", "list", "count", "compact":
+		opts.ReadOnly = true
+	case "verify", "stats", "metrics":
 		// Inspection verbs must be able to open a file a crashed writer
 		// left dirty, and must not modify it.
-		cfg = &db.Config{Hash: &core.Options{ReadOnly: true, AllowDirty: true}}
-	case cmd == "metrics":
-		if m != db.Hash {
-			fatal(errors.New("metrics requires -method hash"))
-		}
-		reg = metrics.New()
-		cfg = &db.Config{Hash: &core.Options{ReadOnly: true, AllowDirty: true, Metrics: reg}}
-	case *useWAL:
-		// A table that already has log checkpoints re-attaches its log
-		// automatically; the flag is what creates a transactional table.
-		if m != db.Hash {
-			fatal(errors.New("-wal requires -method hash"))
-		}
-		cfg = &db.Config{Hash: &core.Options{WAL: true}}
+		opts.ReadOnly, opts.AllowDirty = true, true
 	}
-	d, err := db.Open(path, m, cfg)
+	var reg *metrics.Registry
+	if cmd == "metrics" {
+		reg = metrics.New()
+		opts.Metrics = reg
+	}
+	if *telAddr != "" {
+		opts.Trace = trace.New(0)
+	}
+	d, err := db.Open(path, db.Hash, &db.Config{Hash: opts})
 	if err != nil {
 		fatal(err)
 	}
@@ -126,17 +138,16 @@ func main() {
 			fatal(err)
 		}
 	}()
-
-	mkKey := func(s string) []byte {
-		if m != db.Recno {
-			return []byte(s)
-		}
-		i, err := strconv.Atoi(s)
+	if *telAddr != "" {
+		ts, err := db.ServeTelemetry(d, *telAddr, nil)
 		if err != nil {
-			fatal(fmt.Errorf("recno key %q is not a number", s))
+			d.Close()
+			fatal(err)
 		}
-		return db.RecnoKey(i)
+		defer ts.Close() // before the database closes: its handlers read it
+		fmt.Fprintf(os.Stderr, "dbcli: telemetry http://%s\n", ts.Addr())
 	}
+
 	need := func(n int) {
 		if len(rest) != n {
 			usage()
@@ -147,28 +158,24 @@ func main() {
 	switch cmd {
 	case "put":
 		need(2)
-		if err := d.Put(mkKey(rest[0]), []byte(rest[1])); err != nil {
+		if err := d.Put([]byte(rest[0]), []byte(rest[1])); err != nil {
 			fatal(err)
 		}
-	case "append":
-		need(1)
-		if m != db.Recno {
-			fatal(errors.New("append is a recno operation"))
-		}
-		if err := d.Put(db.RecnoKey(d.Len()), []byte(rest[0])); err != nil {
+	case "putnew":
+		need(2)
+		if err := d.PutNew([]byte(rest[0]), []byte(rest[1])); err != nil {
 			fatal(err)
 		}
-		fmt.Println(d.Len() - 1)
 	case "load":
 		need(1)
-		n, err := load(d, mkKey, rest[0])
+		n, err := load(d, rest[0])
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Println(n)
 	case "get":
 		need(1)
-		v, err := d.Get(mkKey(rest[0]))
+		v, err := d.Get([]byte(rest[0]))
 		if errors.Is(err, db.ErrNotFound) {
 			fmt.Fprintf(os.Stderr, "dbcli: %s: not found\n", rest[0])
 			os.Exit(1)
@@ -177,34 +184,24 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("%s\n", v)
+	case "has":
+		need(1)
+		_, err := d.Get([]byte(rest[0]))
+		if errors.Is(err, db.ErrNotFound) {
+			os.Exit(1)
+		}
+		if err != nil {
+			fatal(err)
+		}
 	case "del":
 		need(1)
-		if err := d.Delete(mkKey(rest[0])); err != nil {
+		if err := d.Delete([]byte(rest[0])); err != nil {
 			fatal(err)
 		}
 	case "list":
 		need(0)
 		w := bufio.NewWriter(os.Stdout)
 		c := d.Seq()
-		for c.Next() {
-			printPair(w, m, c.Key(), c.Value())
-		}
-		if err := c.Err(); err != nil {
-			fatal(err)
-		}
-		if err := w.Flush(); err != nil {
-			fatal(err)
-		}
-	case "range":
-		need(1)
-		c, err := db.Seek(d, []byte(rest[0]))
-		if errors.Is(err, db.ErrUnsupported) {
-			fatal(errors.New("range requires -method btree"))
-		}
-		if err != nil {
-			fatal(err)
-		}
-		w := bufio.NewWriter(os.Stdout)
 		for c.Next() {
 			fmt.Fprintf(w, "%s\t%s\n", c.Key(), c.Value())
 		}
@@ -217,6 +214,12 @@ func main() {
 	case "count":
 		need(0)
 		fmt.Println(d.Len())
+	case "compact":
+		need(1)
+		if err := db.Compact(d, rest[0]); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("compacted %d keys into %s\n", d.Len(), rest[0])
 	case "stats":
 		need(0)
 		s, err := d.Stats()
@@ -236,14 +239,10 @@ func main() {
 		}
 	case "txn":
 		// A sequence of `put K V` / `del K` groups applied atomically
-		// through the redesigned db transaction interface: one
-		// Begin/Commit, durable after a single log append + fsync,
-		// all-or-nothing. Only the hash method (opened with -wal)
-		// supports it; Begin itself reports why when it cannot.
+		// through the db transaction interface: one Begin/Commit, durable
+		// after a single log append + fsync, all-or-nothing. Begin itself
+		// reports a table opened without a log.
 		x, err := d.Begin()
-		if errors.Is(err, db.ErrNoTxn) {
-			fatal(errors.New("txn requires -method hash (with -wal)"))
-		}
 		if err != nil {
 			fatal(err)
 		}
@@ -278,21 +277,9 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("committed %d ops\n", nops)
-	case "check":
-		need(0)
-		if err := db.Check(d); err != nil {
-			if errors.Is(err, db.ErrUnsupported) {
-				fatal(errors.New("check requires -method btree"))
-			}
-			fatal(err)
-		}
-		fmt.Println("ok")
 	case "verify":
 		need(0)
 		if err := db.Verify(d); err != nil {
-			if errors.Is(err, db.ErrUnsupported) {
-				fatal(errors.New("verify is not supported for recno"))
-			}
 			fatal(err)
 		}
 		fmt.Println("ok")
@@ -305,7 +292,7 @@ func main() {
 // load bulk-imports KEY<TAB>VALUE lines from path ('-' = stdin),
 // submitting them in PutBatch-sized chunks. Within a chunk a repeated
 // key keeps the last value, matching what a Put loop would leave behind.
-func load(d db.DB, mkKey func(string) []byte, path string) (int, error) {
+func load(d db.DB, path string) (int, error) {
 	in := os.Stdin
 	if path != "-" {
 		f, err := os.Open(path)
@@ -340,7 +327,7 @@ func load(d db.DB, mkKey func(string) []byte, path string) (int, error) {
 		if !ok || key == "" {
 			return n, fmt.Errorf("load: %s line %d: want KEY<TAB>VALUE", path, lineno)
 		}
-		batch = append(batch, db.Pair{Key: mkKey(key), Data: []byte(val)})
+		batch = append(batch, db.Pair{Key: []byte(key), Data: []byte(val)})
 		if len(batch) == core.DefaultBatchSize {
 			if err := flush(); err != nil {
 				return n, err
@@ -353,58 +340,27 @@ func load(d db.DB, mkKey func(string) []byte, path string) (int, error) {
 	return n, flush()
 }
 
-// printStats renders the uniform Stats view plus the method detail.
+// printStats renders the db.Stats view.
 func printStats(s db.Stats) {
+	h := s.Hash
 	fmt.Printf("method:          %v\n", s.Method)
 	fmt.Printf("keys:            %d\n", s.Keys)
-	if s.PageSize > 0 {
-		fmt.Printf("pages:           %d x %d bytes\n", s.Pages, s.PageSize)
-		fmt.Printf("cache:           %.1f%% hit ratio (%d hits, %d misses)\n",
-			100*s.CacheHitRatio, s.CacheHits, s.CacheMisses)
+	fmt.Printf("pages:           %d x %d bytes\n", s.Pages, s.PageSize)
+	fmt.Printf("cache:           %.1f%% hit ratio (%d hits, %d misses)\n",
+		100*s.CacheHitRatio, s.CacheHits, s.CacheMisses)
+	fmt.Printf("buckets:         %d (%d empty)\n", h.Buckets, h.EmptyBuckets)
+	fmt.Printf("overflow pages:  %d chain, %d big-pair, %d bitmap\n",
+		h.OverflowPages, h.BigPairPages, h.BitmapPages)
+	fmt.Printf("longest chain:   %d pages\n", h.MaxChain)
+	fmt.Printf("page fill:       %.0f%%\n", 100*h.AvgFill)
+	fmt.Printf("ops:             %d gets (%d misses), %d puts, %d deletes, %d syncs\n",
+		h.Gets, h.GetMisses, h.Puts, h.Deletes, h.Syncs)
+	fmt.Printf("splits:          %d controlled, %d uncontrolled\n",
+		h.SplitsControlled, h.SplitsUncontrolled)
+	if h.WalLSN != 0 || h.WalAppends != 0 {
+		fmt.Printf("wal:             checkpoint lsn %d, %d commits, %d appends, %d fsyncs\n",
+			h.WalLSN, h.TxnCommits, h.WalAppends, h.WalFsyncs)
 	}
-	switch {
-	case s.Hash != nil:
-		h := s.Hash
-		fmt.Printf("buckets:         %d (%d empty)\n", h.Buckets, h.EmptyBuckets)
-		fmt.Printf("overflow pages:  %d chain, %d big-pair, %d bitmap\n",
-			h.OverflowPages, h.BigPairPages, h.BitmapPages)
-		fmt.Printf("longest chain:   %d pages\n", h.MaxChain)
-		fmt.Printf("page fill:       %.0f%%\n", 100*h.AvgFill)
-		fmt.Printf("ops:             %d gets (%d misses), %d puts, %d deletes, %d syncs\n",
-			h.Gets, h.GetMisses, h.Puts, h.Deletes, h.Syncs)
-		fmt.Printf("splits:          %d controlled, %d uncontrolled\n",
-			h.SplitsControlled, h.SplitsUncontrolled)
-		if h.WalLSN != 0 || h.WalAppends != 0 {
-			fmt.Printf("wal:             checkpoint lsn %d, %d commits, %d appends, %d fsyncs\n",
-				h.WalLSN, h.TxnCommits, h.WalAppends, h.WalFsyncs)
-		}
-	case s.Btree != nil:
-		b := s.Btree
-		fmt.Printf("depth:           %d\n", b.Depth)
-		fmt.Printf("free pages:      %d\n", b.FreePages)
-		fmt.Printf("ops:             %d gets (%d misses), %d puts, %d deletes, %d syncs\n",
-			b.Gets, b.GetMisses, b.Puts, b.Deletes, b.Syncs)
-	case s.Recno != nil:
-		r := s.Recno
-		fmt.Printf("record bytes:    %d\n", r.Bytes)
-		if r.Reclen > 0 {
-			fmt.Printf("record length:   %d (fixed)\n", r.Reclen)
-		} else {
-			fmt.Printf("delimiter:       %q (variable-length)\n", r.Bval)
-		}
-		fmt.Printf("ops:             %d gets (%d misses), %d puts, %d deletes, %d syncs\n",
-			r.Gets, r.GetMisses, r.Puts, r.Deletes, r.Syncs)
-	}
-}
-
-func printPair(w *bufio.Writer, m db.Method, k, v []byte) {
-	if m == db.Recno {
-		if i, err := db.ParseRecnoKey(k); err == nil {
-			fmt.Fprintf(w, "%d\t%s\n", i, v)
-			return
-		}
-	}
-	fmt.Fprintf(w, "%s\t%s\n", k, v)
 }
 
 // hashmon polls a telemetry /stats endpoint and renders deltas. It is
@@ -572,7 +528,7 @@ func fatal(err error) {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: dbcli [-method hash|btree|recno] [-wal] file.db {put K V|append V|load FILE|get K|del K|list|range FROM|count|stats|metrics|check|verify|txn {put K V|del K}...}
+	fmt.Fprintln(os.Stderr, `usage: dbcli [flags] file.db {put K V|putnew K V|get K|del K|has K|list|count|load FILE|compact NEW|stats|metrics|verify|txn {put K V|del K}...}
        dbcli hashmon URL [INTERVAL [COUNT]]`)
 	flag.PrintDefaults()
 }

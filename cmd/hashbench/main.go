@@ -7,7 +7,6 @@
 //	hashbench fig7            Figure 7: buffer pool size sweep
 //	hashbench fig8a           Figure 8a: dictionary DB vs ndbm and hsearch
 //	hashbench fig8b           Figure 8b: password DB vs ndbm and hsearch
-//	hashbench methods         hash vs btree under the same workload
 //	hashbench ablate          ablations: split policy, hash functions
 //	hashbench metrics         instrumented workload; writes
 //	                          BENCH_metrics.json
@@ -86,12 +85,6 @@ func main() {
 				return err
 			}
 			fmt.Print(res)
-		case "methods":
-			res, err := bench.Methods(*n)
-			if err != nil {
-				return err
-			}
-			fmt.Print(res)
 		case "ablate":
 			sp, err := bench.AblateSplitPolicy(*n)
 			if err != nil {
@@ -151,7 +144,7 @@ func main() {
 
 	var names []string
 	if cmd == "all" {
-		names = []string{"fig5", "fig6", "fig7", "fig8a", "fig8b", "methods", "ablate"}
+		names = []string{"fig5", "fig6", "fig7", "fig8a", "fig8b", "ablate"}
 	} else {
 		names = []string{cmd}
 	}
@@ -169,7 +162,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, `usage: hashbench [-n N | -quick] {fig5|fig6|fig7|fig8a|fig8b|methods|ablate|metrics|misses|all}
+	fmt.Fprintf(os.Stderr, `usage: hashbench [-n N | -quick] {fig5|fig6|fig7|fig8a|fig8b|ablate|metrics|misses|all}
 
 Regenerates the evaluation figures of "A New Hashing Package for UNIX"
 (Seltzer & Yigit, USENIX Winter 1991). See EXPERIMENTS.md for the

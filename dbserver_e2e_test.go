@@ -115,7 +115,7 @@ func TestDBServerKillRecover(t *testing.T) {
 		t.Skip("builds binaries; skipped in -short mode")
 	}
 	bin := t.TempDir()
-	for _, tool := range []string{"dbserver", "hashdump", "hashcli"} {
+	for _, tool := range []string{"dbserver", "hashdump", "dbcli"} {
 		cmd := exec.Command("go", "build", "-o", filepath.Join(bin, tool), "./cmd/"+tool)
 		if out, err := cmd.CombinedOutput(); err != nil {
 			t.Fatalf("build %s: %v\n%s", tool, err, out)
@@ -246,8 +246,8 @@ func TestDBServerKillRecover(t *testing.T) {
 	for _, args := range [][]string{
 		{"hashdump", "-check", shard},
 		{"hashdump", "-recover", shard},
-		{"hashcli", shard, "count"},
-		{"hashcli", "-wal", shard, "put", "k", "v"},
+		{"dbcli", shard, "count"},
+		{"dbcli", "-wal", shard, "put", "k", "v"},
 	} {
 		out, err := exec.Command(filepath.Join(bin, args[0]), args[1:]...).CombinedOutput()
 		if err == nil || !strings.Contains(string(out), "open the directory "+dir) {

@@ -38,11 +38,6 @@ func TestExamplesRun(t *testing.T) {
 			args: []string{filepath.Join(dir, "mt")},
 			want: []string{"shared table holds 2000 pairs", "different hash function", "4162 overflow pages"},
 		},
-		{
-			name: "dbaccess",
-			args: []string{filepath.Join(dir, "da")},
-			want: []string{"[hash] lookup margo", "[btree] lookup margo", "recno-only"},
-		},
 	}
 	for _, c := range cases {
 		c := c

@@ -208,39 +208,6 @@ func TestAblateHashFuncs(t *testing.T) {
 	}
 }
 
-func TestMethodsComparison(t *testing.T) {
-	res, err := Methods(testN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	var hash, bt MethodsRow
-	for _, r := range res.Rows {
-		switch r.Method {
-		case "hash":
-			hash = r
-		case "btree":
-			bt = r
-		}
-	}
-	// The classic tradeoff: hashing touches fewer pages per random
-	// lookup than the log-depth btree. Counted page reads over
-	// create+read, not wall clock: the count is deterministic, and with
-	// a 1 MB pool both methods serve most of it from memory.
-	hashReads, btReads := hash.Create.Reads+hash.Read.Reads, bt.Create.Reads+bt.Read.Reads
-	if hashReads > btReads+btReads/2 {
-		t.Errorf("hash page reads (%d) far above btree's (%d)", hashReads, btReads)
-	}
-	if hash.Pages == 0 || bt.Pages == 0 {
-		t.Error("page counts missing")
-	}
-	if s := res.String(); !strings.Contains(s, "btree") {
-		t.Error("String() malformed")
-	}
-}
-
 func TestTimingHelpers(t *testing.T) {
 	a := Timing{User: time.Second, Sys: 2 * time.Second, Elapsed: 3 * time.Second, Reads: 5, Writes: 7}
 	b := Timing{User: time.Second, Sys: time.Second, Elapsed: 2 * time.Second, Reads: 1, Writes: 1}

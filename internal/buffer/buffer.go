@@ -786,9 +786,6 @@ func (p *Pool) Discard(addr Addr) {
 	}
 }
 
-// Flush writes every dirty buffer to the store. Buffers stay resident.
-func (p *Pool) Flush() error { return p.FlushAll() }
-
 // maxCoalesce caps the pages merged into one vectored write, bounding
 // the scratch buffer (64 pages = 256 KB at the largest page size).
 const maxCoalesce = 64
@@ -867,7 +864,7 @@ func (p *Pool) FlushAll() error {
 // InvalidateAll flushes and drops every buffer; pinned buffers are an
 // error. Used by Close and by tests that reopen stores.
 func (p *Pool) InvalidateAll() error {
-	if err := p.Flush(); err != nil {
+	if err := p.FlushAll(); err != nil {
 		return err
 	}
 	for i := range p.shards {

@@ -37,7 +37,7 @@ func TestPoolGetCreate(t *testing.T) {
 	copy(b.Page, "hello")
 	p.Put(b)
 
-	if err := p.Flush(); err != nil {
+	if err := p.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 64)
@@ -243,7 +243,7 @@ func TestPoolDrop(t *testing.T) {
 		t.Fatal("dropped buffer still resident")
 	}
 	p.Put(prim)
-	if err := p.Flush(); err != nil {
+	if err := p.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
 	// The dropped page must not have been written.
@@ -333,7 +333,7 @@ func TestPoolManyPages(t *testing.T) {
 		copy(b.Page, fmt.Sprintf("page-%d", i))
 		p.Put(b)
 	}
-	if err := p.Flush(); err != nil {
+	if err := p.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 64)

@@ -120,7 +120,7 @@ func TestTraceEvents(t *testing.T) {
 }
 
 // serveTable starts the telemetry surface over tbl's sources, the way a
-// caller holding a bare table does (hashcli -telemetry).
+// caller holding a bare table does.
 func serveTable(tbl *Table, addr string) (*telemetry.Server, error) {
 	return telemetry.Serve(addr, telemetry.Options{
 		Registry: tbl.MetricsRegistry(),

@@ -1,6 +1,7 @@
 // Package crosstest drives every key/data store in the repository — the
-// new hashing package, the btree, and all five baselines — through the
-// same operation stream and asserts they agree wherever they succeed.
+// new hashing package (its table, and the db layer over one table and
+// over four shards), and all five baselines — through the same operation
+// stream and asserts they agree wherever they succeed.
 // The paper's systems differ in interface, failure modes and layout, but
 // on the operations all of them accept, they are all the same abstract
 // map; this test pins that.
@@ -13,8 +14,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"unixhash/internal/btree"
 	"unixhash/internal/core"
+	"unixhash/internal/db"
 	"unixhash/internal/dynahash"
 	"unixhash/internal/gdbm"
 	"unixhash/internal/hsearch"
@@ -55,31 +56,32 @@ func (s hashStore) del(k []byte) (bool, error) {
 }
 func (s hashStore) close() error { return s.t.Close() }
 
-type btreeStore struct{ t *btree.Tree }
-
-func (s btreeStore) name() string { return "btree" }
-func (s btreeStore) put(k, v []byte) (bool, error) {
-	err := s.t.Put(k, v)
-	if errors.Is(err, btree.ErrKeyTooBig) {
-		return false, nil
-	}
-	return err == nil, err
+// dbStore runs the stream through the db layer: its error mapping, and
+// on a sharded database the router and the per-shard fan-out.
+type dbStore struct {
+	label string
+	d     db.DB
 }
-func (s btreeStore) get(k []byte) ([]byte, bool, error) {
-	v, err := s.t.Get(k)
-	if errors.Is(err, btree.ErrNotFound) {
+
+func (s dbStore) name() string { return s.label }
+func (s dbStore) put(k, v []byte) (bool, error) {
+	return true, s.d.Put(k, v)
+}
+func (s dbStore) get(k []byte) ([]byte, bool, error) {
+	v, err := s.d.Get(k)
+	if errors.Is(err, db.ErrNotFound) {
 		return nil, false, nil
 	}
 	return v, err == nil, err
 }
-func (s btreeStore) del(k []byte) (bool, error) {
-	err := s.t.Delete(k)
-	if errors.Is(err, btree.ErrNotFound) {
+func (s dbStore) del(k []byte) (bool, error) {
+	err := s.d.Delete(k)
+	if errors.Is(err, db.ErrNotFound) {
 		return false, nil
 	}
 	return err == nil, err
 }
-func (s btreeStore) close() error { return s.t.Close() }
+func (s dbStore) close() error { return s.d.Close() }
 
 type ndbmStore struct{ db *ndbm.DB }
 
@@ -202,7 +204,11 @@ func openAll(t *testing.T) []store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bt, err := btree.Open("", &btree.Options{PageSize: 512})
+	dh, err := db.Open("", db.Hash, &db.Config{Hash: &core.Options{Bsize: 256, Ffactor: 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := db.OpenSharded("", 4, &db.Config{Hash: &core.Options{WAL: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,13 +225,13 @@ func openAll(t *testing.T) []store {
 		t.Fatal(err)
 	}
 	return []store{
-		hashStore{ht}, btreeStore{bt}, ndbmStore{nd}, sdbmStore{sd},
+		hashStore{ht}, dbStore{"db", dh}, dbStore{"sharded", ds}, ndbmStore{nd}, sdbmStore{sd},
 		gdbmStore{gd}, dynaStore{dynahash.New(64, 0)},
 		hsearchStore{hsearch.New(4000, nil)},
 	}
 }
 
-// TestAllStoresAgree runs one operation stream over all seven stores.
+// TestAllStoresAgree runs one operation stream over all eight stores.
 // A per-store "present" model tracks which pairs each accepted; wherever
 // a store holds a key, its value must match the stream's latest write.
 func TestAllStoresAgree(t *testing.T) {

@@ -6,12 +6,13 @@ import (
 )
 
 // TestPutBatchAllMethods: the batched verb behaves identically to a Put
-// loop on every access method — hash amortizes through core.PutBatch,
-// btree and recno loop internally, but the application cannot tell.
+// loop on every DB shape — a single table amortizes through
+// core.PutBatch, a sharded database splits the batch per shard, but the
+// application cannot tell.
 func TestPutBatchAllMethods(t *testing.T) {
-	for _, m := range []Method{Hash, Btree, Recno} {
-		t.Run(m.String(), func(t *testing.T) {
-			d, err := Open("", m, nil)
+	for _, im := range implementors {
+		t.Run(im.name, func(t *testing.T) {
+			d, err := im.open("")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -21,9 +22,6 @@ func TestPutBatchAllMethods(t *testing.T) {
 			pairs := make([]Pair, n)
 			for i := range pairs {
 				key := []byte(fmt.Sprintf("key-%04d", i))
-				if m == Recno {
-					key = RecnoKey(i)
-				}
 				pairs[i] = Pair{Key: key, Data: []byte(fmt.Sprintf("val-%04d", i))}
 			}
 			if err := d.PutBatch(pairs); err != nil {
@@ -55,15 +53,15 @@ func TestPutBatchAllMethods(t *testing.T) {
 	}
 }
 
-// TestPutBatchEmpty: an empty batch is a no-op on every method.
+// TestPutBatchEmpty: an empty batch is a no-op on every DB shape.
 func TestPutBatchEmpty(t *testing.T) {
-	for _, m := range []Method{Hash, Btree, Recno} {
-		d, err := Open("", m, nil)
+	for _, im := range implementors {
+		d, err := im.open("")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := d.PutBatch(nil); err != nil {
-			t.Errorf("%v: PutBatch(nil) = %v", m, err)
+			t.Errorf("%s: PutBatch(nil) = %v", im.name, err)
 		}
 		d.Close()
 	}

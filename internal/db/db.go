@@ -1,48 +1,35 @@
-// Package db is the generic database access interface the paper's
-// conclusion describes: "All of the access methods are based on a
-// key/data pair interface and appear identical to the application layer,
-// allowing application implementations to be largely independent of the
-// database type." It is the Go shape of 4.4BSD's dbopen(3).
-//
-// Three access methods implement the interface: Hash (this paper's
-// contribution), Btree, and Recno. Applications select one at Open and
-// use the uniform key/data operations; recno record numbers travel as
-// 8-byte big-endian keys (see RecnoKey).
+// Package db is the key/data interface the paper's conclusion describes
+// ("a key/data pair interface ... allowing application implementations
+// to be largely independent of the database type"), in the Go shape of
+// 4.4BSD's dbopen(3). The package ships one access method, the paper's
+// hash; the btree the paper names is its future work. Two shapes
+// implement DB: a single table (Open) and a database partitioned into
+// shards that share one write-ahead log (OpenSharded).
 package db
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
-	"unixhash/internal/btree"
 	"unixhash/internal/core"
-	"unixhash/internal/recno"
 )
 
-// Method selects an access method at Open.
+// Method names the access method in Open and Stats. Hash is its only
+// value; the type stays because the benchmark's traced stack compiles
+// against Open's signature and Stats.Method.
 type Method int
 
-// The access methods of the package.
-const (
-	Hash Method = iota
-	Btree
-	Recno
-)
+// Hash is the paper's linear-hashing access method.
+const Hash Method = 0
 
 func (m Method) String() string {
-	switch m {
-	case Hash:
+	if m == Hash {
 		return "hash"
-	case Btree:
-		return "btree"
-	case Recno:
-		return "recno"
 	}
 	return fmt.Sprintf("method(%d)", int(m))
 }
 
-// Errors normalized across access methods.
+// Errors returned through the DB interface.
 var (
 	ErrNotFound  = errors.New("db: key not found")
 	ErrKeyExists = errors.New("db: key already exists")
@@ -52,18 +39,19 @@ var (
 	ErrBadOptions = errors.New("db: invalid options")
 )
 
-// Config carries per-method options to Open; only the field matching the
-// chosen method is consulted, and nil selects defaults.
+// Config carries the table options to Open and OpenSharded; nil selects
+// defaults. Its one field keeps the Config{Hash: ...} shape the
+// benchmark's traced stack compiles against.
 type Config struct {
-	Hash  *core.Options
-	Btree *btree.Options
-	Recno *recno.Options
+	Hash *core.Options
 }
 
 // Pair is one key/data pair for batched insertion (PutBatch).
 type Pair = core.Pair
 
-// DB is the uniform key/data interface over all access methods.
+// DB is the key/data interface. A single table (Open) and a sharded
+// database (OpenSharded) implement it, and so may a caller's own
+// decorator.
 type DB interface {
 	// Get returns the data stored under key (ErrNotFound if absent).
 	Get(key []byte) ([]byte, error)
@@ -74,55 +62,49 @@ type DB interface {
 	// Put stores data under key, replacing an existing value.
 	Put(key, data []byte) error
 	// PutBatch stores every pair with Put semantics (last occurrence of
-	// a duplicate key wins). The hash method applies the whole batch
-	// under one table lock with bucket-grouped inserts and deferred
-	// splits (core.Table.PutBatch); the other methods loop Put, so the
-	// call is portable but only hash gains the amortization.
+	// a duplicate key wins), in one latch epoch over the bucket stripes
+	// the batch touches, with bucket-grouped inserts and deferred splits
+	// (core.Table.PutBatch); a sharded database applies one such
+	// sub-batch per shard, concurrently.
 	PutBatch(pairs []Pair) error
 	// PutNew stores data under key, failing with ErrKeyExists.
 	PutNew(key, data []byte) error
 	// Delete removes key (ErrNotFound if absent).
 	Delete(key []byte) error
 	// Begin starts a transaction: an atomic batch of Put/Delete made
-	// durable and visible as one unit by Commit. Real on the hash method
-	// when it was opened with a write-ahead log (core.Options.WAL —
-	// without one Begin reports core.ErrNoWAL); btree and recno report
-	// ErrNoTxn. Sharded databases commit through their one log: atomic
-	// across shards (see Sharded.Begin).
+	// durable and visible as one unit by Commit. It needs a write-ahead
+	// log (core.Options.WAL); without one Begin reports core.ErrNoWAL.
+	// Sharded databases commit through their one log: atomic across
+	// shards (see Sharded.Begin).
 	Begin() (Txn, error)
-	// Seq returns a cursor over every pair. Hash yields bucket order,
-	// Btree ascending key order, Recno record order.
+	// Seq returns a cursor over every pair, in bucket order (shard by
+	// shard on a sharded database).
 	Seq() Cursor
 	// Len reports the number of stored pairs.
 	Len() int
 	// Sync flushes to stable storage.
 	Sync() error
-	// Stats reports the database's statistics in the uniform Stats
-	// shape; method-specific detail rides in the typed sub-struct. A
-	// closed database returns its method's ErrClosed, never a stale
-	// snapshot.
+	// Stats reports the database's statistics; the table detail rides
+	// in Stats.Hash. A closed database returns core.ErrClosed, never a
+	// stale snapshot.
 	Stats() (Stats, error)
 	// Close flushes and closes.
 	Close() error
 }
 
-// Stats is the uniform statistics view over all access methods: the
-// fields every method can answer, plus exactly one method-specific
-// sub-struct. It replaces casting a DB to its concrete type to reach
-// per-method counters.
+// Stats is the statistics view of a database, without casting a DB to
+// its concrete type. Method stays because the benchmark's traced stack
+// compiles against it; it is always Hash.
 type Stats struct {
 	Method   Method
 	Keys     int64
-	Pages    int64 // pages in the backing store (0 for unpaged methods)
-	PageSize int   // 0 for unpaged methods
-	// Buffer-pool behaviour (zero-valued for unpaged methods).
+	Pages    int64 // pages in the backing store
+	PageSize int
+	// Buffer-pool behaviour.
 	CacheHits     int64
 	CacheMisses   int64
 	CacheHitRatio float64
-	// Exactly one of these is non-nil, matching Method.
-	Hash  *HashStats
-	Btree *BtreeStats
-	Recno *RecnoStats
+	Hash          *HashStats
 	// Shards carries the per-shard breakdown of a sharded database
 	// (OpenSharded): entry i is shard i's own Stats. Nil for unsharded
 	// databases; the top-level fields of a sharded Stats are the
@@ -130,7 +112,7 @@ type Stats struct {
 	Shards []Stats `json:",omitempty"`
 }
 
-// HashStats is the hash method's detail: the paper's fill statistics
+// HashStats is the hash table's detail: the paper's fill statistics
 // plus the operation and split counters from the metrics registry.
 type HashStats struct {
 	Buckets            uint32
@@ -181,29 +163,6 @@ type HashStats struct {
 	WalIOTimeNS      int64
 }
 
-// BtreeStats is the btree method's detail.
-type BtreeStats struct {
-	Depth     int
-	FreePages int
-	Gets      int64
-	GetMisses int64
-	Puts      int64
-	Deletes   int64
-	Syncs     int64
-}
-
-// RecnoStats is the recno method's detail.
-type RecnoStats struct {
-	Bytes     int64
-	Reclen    int
-	Bval      byte
-	Gets      int64
-	GetMisses int64
-	Puts      int64
-	Deletes   int64
-	Syncs     int64
-}
-
 // Cursor iterates key/data pairs. Key and Value are valid until the next
 // call to Next.
 type Cursor interface {
@@ -213,71 +172,33 @@ type Cursor interface {
 	Err() error
 }
 
-// Open opens path with the chosen access method. An empty path is
-// memory-resident for every method.
+// Open opens path as a single hash table; m must be Hash. An empty path
+// is memory-resident.
 func Open(path string, m Method, cfg *Config) (DB, error) {
+	if m != Hash {
+		return nil, fmt.Errorf("db: unknown access method %v", m)
+	}
 	var c Config
 	if cfg != nil {
 		c = *cfg
 	}
-	if err := validate(m, c); err != nil {
+	if err := validate(c.Hash); err != nil {
 		return nil, err
 	}
-	switch m {
-	case Hash:
-		t, err := core.Open(path, c.Hash)
-		if err != nil {
-			return nil, err
-		}
-		return &hashDB{t}, nil
-	case Btree:
-		t, err := btree.Open(path, c.Btree)
-		if err != nil {
-			return nil, err
-		}
-		return &btreeDB{t}, nil
-	case Recno:
-		f, err := recno.Open(path, c.Recno)
-		if err != nil {
-			return nil, err
-		}
-		return &recnoDB{f}, nil
-	default:
-		return nil, fmt.Errorf("db: unknown access method %v", m)
+	t, err := core.Open(path, c.Hash)
+	if err != nil {
+		return nil, err
 	}
+	return &hashDB{t}, nil
 }
 
-// validate runs the chosen method's option validation, wrapping any
-// failure in ErrBadOptions with the method and field named.
-func validate(m Method, c Config) error {
-	var err error
-	switch m {
-	case Hash:
-		err = c.Hash.Validate()
-	case Btree:
-		err = c.Btree.Validate()
-	case Recno:
-		err = c.Recno.Validate()
-	}
-	if err != nil {
-		return fmt.Errorf("%w: %v option %v", ErrBadOptions, m, err)
+// validate runs the table option validation, wrapping any failure in
+// ErrBadOptions with the field named.
+func validate(o *core.Options) error {
+	if err := o.Validate(); err != nil {
+		return fmt.Errorf("%w: hash option %v", ErrBadOptions, err)
 	}
 	return nil
-}
-
-// RecnoKey encodes a record number as a key for the Recno method.
-func RecnoKey(i int) []byte {
-	var k [8]byte
-	binary.BigEndian.PutUint64(k[:], uint64(i))
-	return k[:]
-}
-
-// ParseRecnoKey decodes a Recno cursor key back to a record number.
-func ParseRecnoKey(k []byte) (int, error) {
-	if len(k) != 8 {
-		return 0, fmt.Errorf("db: recno key is %d bytes, want 8", len(k))
-	}
-	return int(binary.BigEndian.Uint64(k)), nil
 }
 
 // --- hash adapter ---
@@ -381,240 +302,13 @@ func filterHitRate(h *HashStats) float64 {
 }
 
 // table exposes the underlying hash table inside the package (telemetry
-// mounting, Verify). Deliberately unexported: applications use the DB
-// interface — method-specific operations go through Begin, Verify, Check
-// and Seek, never through the concrete table.
+// mounting, Verify, Compact). Deliberately unexported: applications use
+// the DB interface — table-level operations go through Begin, Verify and
+// Compact, never through the concrete table.
 func (d *hashDB) table() *core.Table { return d.t }
-
-// --- btree adapter ---
-
-type btreeDB struct{ t *btree.Tree }
-
-func (d *btreeDB) Get(key []byte) ([]byte, error) {
-	v, err := d.t.Get(key)
-	if errors.Is(err, btree.ErrNotFound) {
-		return nil, ErrNotFound
-	}
-	return v, err
-}
-
-// GetBuf copies into dst for interface parity; the btree has no
-// zero-copy read path.
-func (d *btreeDB) GetBuf(key, dst []byte) ([]byte, error) {
-	v, err := d.Get(key)
-	if err != nil {
-		return nil, err
-	}
-	return append(dst[:0], v...), nil
-}
-
-func (d *btreeDB) Put(key, data []byte) error { return d.t.Put(key, data) }
-
-// PutBatch loops Put: the btree has no batched write path, so the call
-// is sequential-Put semantics at sequential-Put cost.
-func (d *btreeDB) PutBatch(pairs []Pair) error {
-	for _, p := range pairs {
-		if err := d.t.Put(p.Key, p.Data); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (d *btreeDB) PutNew(key, data []byte) error {
-	err := d.t.PutNew(key, data)
-	if errors.Is(err, btree.ErrKeyExists) {
-		return ErrKeyExists
-	}
-	return err
-}
-
-func (d *btreeDB) Delete(key []byte) error {
-	err := d.t.Delete(key)
-	if errors.Is(err, btree.ErrNotFound) {
-		return ErrNotFound
-	}
-	return err
-}
-
-func (d *btreeDB) Seq() Cursor  { return d.t.Cursor() }
-func (d *btreeDB) Len() int     { return d.t.Len() }
-func (d *btreeDB) Sync() error  { return d.t.Sync() }
-func (d *btreeDB) Close() error { return d.t.Close() }
-
-func (d *btreeDB) Stats() (Stats, error) {
-	ts, err := d.t.Stats()
-	if err != nil {
-		return Stats{}, err
-	}
-	return Stats{
-		Method:        Btree,
-		Keys:          ts.Keys,
-		Pages:         int64(ts.Pages),
-		PageSize:      ts.PageSize,
-		CacheHits:     ts.Cache.Hits,
-		CacheMisses:   ts.Cache.Misses,
-		CacheHitRatio: ts.Cache.HitRatio(),
-		Btree: &BtreeStats{
-			Depth:     ts.Depth,
-			FreePages: ts.FreePages,
-			Gets:      ts.Gets,
-			GetMisses: ts.GetMisses,
-			Puts:      ts.Puts,
-			Deletes:   ts.Deletes,
-			Syncs:     ts.Syncs,
-		},
-	}, nil
-}
-
-// tree exposes the underlying btree inside the package (Seek, Check).
-// Unexported for the same reason as hashDB.table.
-func (d *btreeDB) tree() *btree.Tree { return d.t }
-
-// --- recno adapter ---
-
-type recnoDB struct{ f *recno.File }
-
-func (d *recnoDB) recno(key []byte) (int, error) {
-	i, err := ParseRecnoKey(key)
-	if err != nil {
-		return 0, err
-	}
-	return i, nil
-}
-
-func (d *recnoDB) Get(key []byte) ([]byte, error) {
-	i, err := d.recno(key)
-	if err != nil {
-		return nil, err
-	}
-	v, err := d.f.Get(i)
-	if errors.Is(err, recno.ErrNotFound) {
-		return nil, ErrNotFound
-	}
-	return v, err
-}
-
-// GetBuf copies into dst for interface parity.
-func (d *recnoDB) GetBuf(key, dst []byte) ([]byte, error) {
-	v, err := d.Get(key)
-	if err != nil {
-		return nil, err
-	}
-	return append(dst[:0], v...), nil
-}
-
-func (d *recnoDB) Put(key, data []byte) error {
-	i, err := d.recno(key)
-	if err != nil {
-		return err
-	}
-	err = d.f.Put(i, data)
-	if errors.Is(err, recno.ErrNotFound) {
-		return ErrNotFound
-	}
-	return err
-}
-
-// PutBatch loops Put, parsing each pair's RecnoKey.
-func (d *recnoDB) PutBatch(pairs []Pair) error {
-	for _, p := range pairs {
-		if err := d.Put(p.Key, p.Data); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (d *recnoDB) PutNew(key, data []byte) error {
-	i, err := d.recno(key)
-	if err != nil {
-		return err
-	}
-	if i < d.f.Len() {
-		return ErrKeyExists
-	}
-	err = d.f.Put(i, data)
-	if errors.Is(err, recno.ErrNotFound) {
-		return ErrNotFound
-	}
-	return err
-}
-
-func (d *recnoDB) Delete(key []byte) error {
-	i, err := d.recno(key)
-	if err != nil {
-		return err
-	}
-	err = d.f.Delete(i)
-	if errors.Is(err, recno.ErrNotFound) {
-		return ErrNotFound
-	}
-	return err
-}
-
-func (d *recnoDB) Stats() (Stats, error) {
-	fs, err := d.f.Stats()
-	if err != nil {
-		return Stats{}, err
-	}
-	return Stats{
-		Method: Recno,
-		Keys:   fs.Records,
-		Recno: &RecnoStats{
-			Bytes:     fs.Bytes,
-			Reclen:    fs.Reclen,
-			Bval:      fs.Bval,
-			Gets:      fs.Gets,
-			GetMisses: fs.GetMisses,
-			Puts:      fs.Puts,
-			Deletes:   fs.Deletes,
-			Syncs:     fs.Syncs,
-		},
-	}, nil
-}
-
-func (d *recnoDB) Seq() Cursor  { return &recnoCursor{f: d.f, i: -1} }
-func (d *recnoDB) Len() int     { return d.f.Len() }
-func (d *recnoDB) Sync() error  { return d.f.Sync() }
-func (d *recnoDB) Close() error { return d.f.Close() }
-
-type recnoCursor struct {
-	f   *recno.File
-	i   int
-	key []byte
-	val []byte
-	err error
-}
-
-func (c *recnoCursor) Next() bool {
-	if c.err != nil {
-		return false
-	}
-	c.i++
-	v, err := c.f.Get(c.i)
-	if errors.Is(err, recno.ErrNotFound) {
-		return false
-	}
-	if err != nil {
-		c.err = err
-		return false
-	}
-	c.key = RecnoKey(c.i)
-	c.val = v
-	return true
-}
-
-func (c *recnoCursor) Key() []byte   { return c.key }
-func (c *recnoCursor) Value() []byte { return c.val }
-func (c *recnoCursor) Err() error    { return c.err }
 
 // Static interface checks.
 var (
 	_ DB     = (*hashDB)(nil)
-	_ DB     = (*btreeDB)(nil)
-	_ DB     = (*recnoDB)(nil)
 	_ Cursor = (*core.Iterator)(nil)
-	_ Cursor = (*btree.Cursor)(nil)
-	_ Cursor = (*recnoCursor)(nil)
 )

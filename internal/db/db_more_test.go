@@ -6,13 +6,11 @@ import (
 	"path/filepath"
 	"testing"
 
-	"unixhash/internal/btree"
 	"unixhash/internal/core"
-	"unixhash/internal/recno"
 )
 
 func TestMethodString(t *testing.T) {
-	cases := map[Method]string{Hash: "hash", Btree: "btree", Recno: "recno", Method(42): "method(42)"}
+	cases := map[Method]string{Hash: "hash", Method(42): "method(42)"}
 	for m, want := range cases {
 		if got := m.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", int(m), got, want)
@@ -20,47 +18,25 @@ func TestMethodString(t *testing.T) {
 	}
 }
 
-func TestRecnoKeyRoundtrip(t *testing.T) {
-	for _, i := range []int{0, 1, 255, 1 << 20} {
-		k := RecnoKey(i)
-		got, err := ParseRecnoKey(k)
-		if err != nil || got != i {
-			t.Fatalf("roundtrip %d -> %d, %v", i, got, err)
-		}
-	}
-	if _, err := ParseRecnoKey([]byte("123")); err == nil {
-		t.Fatal("parsed a 3-byte recno key")
-	}
-}
-
 func TestSyncAllMethods(t *testing.T) {
 	dir := t.TempDir()
-	for _, m := range []Method{Hash, Btree, Recno} {
-		t.Run(m.String(), func(t *testing.T) {
-			path := filepath.Join(dir, "sync-"+m.String())
-			d, err := Open(path, m, nil)
+	for _, im := range implementors {
+		t.Run(im.name, func(t *testing.T) {
+			path := filepath.Join(dir, "sync-"+im.name)
+			d, err := im.open(path)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer d.Close()
 			k := []byte("key")
-			if m == Recno {
-				k = RecnoKey(0)
-			}
 			if err := d.Put(k, []byte("v")); err != nil {
 				t.Fatal(err)
 			}
 			if err := d.Sync(); err != nil {
 				t.Fatalf("Sync: %v", err)
 			}
-			// A second read-only view sees the synced data.
-			var check DB
-			switch m {
-			case Recno:
-				check, err = Open(path, m, nil)
-			default:
-				check, err = Open(path, m, nil)
-			}
+			// A second view sees the synced data.
+			check, err := im.open(path)
 			if err != nil {
 				t.Fatalf("second open: %v", err)
 			}
@@ -69,26 +45,6 @@ func TestSyncAllMethods(t *testing.T) {
 				t.Fatalf("synced read = %q, %v", got, err)
 			}
 		})
-	}
-}
-
-func TestRecnoDeleteErrors(t *testing.T) {
-	d, err := Open("", Recno, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	if err := d.Delete(RecnoKey(0)); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Delete on empty = %v", err)
-	}
-	if err := d.Put([]byte("bad"), nil); err == nil {
-		t.Fatal("Put with malformed key succeeded")
-	}
-	if err := d.Delete([]byte("bad")); err == nil {
-		t.Fatal("Delete with malformed key succeeded")
-	}
-	if err := d.PutNew([]byte("bad"), nil); err == nil {
-		t.Fatal("PutNew with malformed key succeeded")
 	}
 }
 
@@ -109,64 +65,59 @@ func TestConfigPassedThrough(t *testing.T) {
 	if err != nil || len(got) != len(big) {
 		t.Fatalf("Get big = %d bytes, %v", len(got), err)
 	}
-
-	// Likewise the btree page size.
-	b, err := Open("", Btree, &Config{Btree: &btree.Options{PageSize: 128}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	if err := b.Put([]byte("k"), make([]byte, 2000)); err != nil {
-		t.Fatal(err)
-	}
-
-	// And the recno fixed record length.
-	r, err := Open("", Recno, &Config{Recno: &recno.Options{Reclen: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if err := r.Put(RecnoKey(0), []byte("ab")); err != nil {
-		t.Fatal(err)
-	}
-	got, err = r.Get(RecnoKey(0))
-	if err != nil || len(got) != 4 {
-		t.Fatalf("fixed record = %q, %v", got, err)
-	}
 }
 
-func TestBtreeRangeThroughAdapter(t *testing.T) {
-	d, err := Open("", Btree, nil)
+// TestCompact: Compact rebuilds a single table into a new file with the
+// source's geometry and every live pair, and a sharded database refuses.
+func TestCompact(t *testing.T) {
+	dir := t.TempDir()
+	d, err := Open(filepath.Join(dir, "src.db"), Hash, &Config{Hash: &core.Options{Bsize: 512, Ffactor: 16}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	for i := 0; i < 100; i++ {
-		if err := d.Put([]byte(fmt.Sprintf("k%02d", i)), nil); err != nil {
+	for i := 0; i < 1000; i++ {
+		if err := d.Put([]byte(fmt.Sprintf("k%04d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	c, err := Seek(d, []byte("k50"))
+	for i := 0; i < 1000; i += 2 {
+		if err := d.Delete([]byte(fmt.Sprintf("k%04d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dst := filepath.Join(dir, "dst.db")
+	if err := Compact(d, dst); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Open(dst, Hash, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.Next() || string(c.Key()) != "k50" {
-		t.Fatalf("Seek through adapter -> %q", c.Key())
+	defer c.Close()
+	if c.Len() != 500 {
+		t.Fatalf("compacted Len = %d, want 500", c.Len())
 	}
-	if err := Check(d); err != nil {
+	if v, err := c.Get([]byte("k0999")); err != nil || string(v) != "v999" {
+		t.Fatalf("compacted Get = %q, %v", v, err)
+	}
+	s, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.PageSize != 512 {
+		t.Fatalf("compacted page size = %d, want the source's 512", s.PageSize)
+	}
+	if err := Verify(c); err != nil {
 		t.Fatal(err)
 	}
 
-	// The ordered helpers refuse methods that cannot answer them.
-	h, err := Open("", Hash, nil)
+	sh, err := OpenSharded("", 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.Close()
-	if _, err := Seek(h, nil); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("Seek on hash = %v, want ErrUnsupported", err)
-	}
-	if err := Check(h); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("Check on hash = %v, want ErrUnsupported", err)
+	defer sh.Close()
+	if err := Compact(sh, filepath.Join(dir, "sh.db")); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("Compact on sharded = %v, want ErrUnsupported", err)
 	}
 }

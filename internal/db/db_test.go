@@ -1,22 +1,32 @@
 package db
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
 	"testing"
+
+	"unixhash/internal/core"
 )
 
-// keyedMethods are the methods with free-form keys; Recno has its own
-// record-number tests below.
-var keyedMethods = []Method{Hash, Btree}
+// implementors are the two DB shapes every contract test runs over: a
+// single table, and a two-shard database with its one write-ahead log.
+// An empty path is memory-resident for both.
+var implementors = []struct {
+	name string
+	open func(path string) (DB, error)
+}{
+	{"hash", func(path string) (DB, error) { return Open(path, Hash, nil) }},
+	{"sharded", func(path string) (DB, error) {
+		return OpenSharded(path, 2, &Config{Hash: &core.Options{WAL: true}})
+	}},
+}
 
 func TestUniformInterface(t *testing.T) {
-	for _, m := range keyedMethods {
-		t.Run(m.String(), func(t *testing.T) {
-			d, err := Open("", m, nil)
+	for _, im := range implementors {
+		t.Run(im.name, func(t *testing.T) {
+			d, err := im.open("")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -49,27 +59,30 @@ func TestUniformInterface(t *testing.T) {
 }
 
 // TestApplicationIndependence runs the identical application workload
-// against hash and btree — the paper's claim that applications are
-// "largely independent of the database type".
+// against every DB shape and a map model of it — the paper's claim that
+// applications are "largely independent of the database type".
 func TestApplicationIndependence(t *testing.T) {
-	results := make(map[Method]map[string]string)
-	for _, m := range keyedMethods {
-		d, err := Open("", m, nil)
+	for _, im := range implementors {
+		d, err := im.open("")
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(77)) // same seed for both methods
+		model := map[string]string{}
+		rng := rand.New(rand.NewSource(77)) // same seed for every shape
 		for op := 0; op < 5000; op++ {
 			k := []byte(fmt.Sprintf("k%04d", rng.Intn(700)))
 			switch rng.Intn(3) {
 			case 0, 1:
-				if err := d.Put(k, []byte(fmt.Sprintf("v%d", op))); err != nil {
-					t.Fatalf("%v Put: %v", m, err)
+				v := fmt.Sprintf("v%d", op)
+				if err := d.Put(k, []byte(v)); err != nil {
+					t.Fatalf("%s Put: %v", im.name, err)
 				}
+				model[string(k)] = v
 			case 2:
 				if err := d.Delete(k); err != nil && !errors.Is(err, ErrNotFound) {
-					t.Fatalf("%v Delete: %v", m, err)
+					t.Fatalf("%s Delete: %v", im.name, err)
 				}
+				delete(model, string(k))
 			}
 		}
 		final := map[string]string{}
@@ -78,42 +91,35 @@ func TestApplicationIndependence(t *testing.T) {
 			final[string(c.Key())] = string(c.Value())
 		}
 		if c.Err() != nil {
-			t.Fatalf("%v scan: %v", m, c.Err())
+			t.Fatalf("%s scan: %v", im.name, c.Err())
 		}
 		if len(final) != d.Len() {
-			t.Fatalf("%v: scan %d vs Len %d", m, len(final), d.Len())
+			t.Fatalf("%s: scan %d vs Len %d", im.name, len(final), d.Len())
 		}
-		results[m] = final
 		d.Close()
-	}
-	// Identical operations must leave identical contents.
-	h, b := results[Hash], results[Btree]
-	if len(h) != len(b) {
-		t.Fatalf("hash has %d pairs, btree %d", len(h), len(b))
-	}
-	for k, v := range h {
-		if b[k] != v {
-			t.Fatalf("divergence at %q: hash %q, btree %q", k, v, b[k])
+		// Identical operations must leave identical contents.
+		if len(final) != len(model) {
+			t.Fatalf("%s has %d pairs, model %d", im.name, len(final), len(model))
+		}
+		for k, v := range model {
+			if final[k] != v {
+				t.Fatalf("divergence at %q: %s %q, model %q", k, im.name, final[k], v)
+			}
 		}
 	}
 }
 
 func TestPersistenceAllMethods(t *testing.T) {
 	dir := t.TempDir()
-	for _, m := range []Method{Hash, Btree, Recno} {
-		t.Run(m.String(), func(t *testing.T) {
-			path := filepath.Join(dir, m.String()+".db")
-			d, err := Open(path, m, nil)
+	for _, im := range implementors {
+		t.Run(im.name, func(t *testing.T) {
+			path := filepath.Join(dir, im.name+".db")
+			d, err := im.open(path)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < 100; i++ {
-				var k []byte
-				if m == Recno {
-					k = RecnoKey(i)
-				} else {
-					k = []byte(fmt.Sprintf("key%03d", i))
-				}
+				k := []byte(fmt.Sprintf("key%03d", i))
 				if err := d.Put(k, []byte(fmt.Sprintf("val%d", i))); err != nil {
 					t.Fatalf("Put %d: %v", i, err)
 				}
@@ -122,7 +128,7 @@ func TestPersistenceAllMethods(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			d, err = Open(path, m, nil)
+			d, err = im.open(path)
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
@@ -130,13 +136,7 @@ func TestPersistenceAllMethods(t *testing.T) {
 			if d.Len() != 100 {
 				t.Fatalf("Len after reopen = %d", d.Len())
 			}
-			var k []byte
-			if m == Recno {
-				k = RecnoKey(42)
-			} else {
-				k = []byte("key042")
-			}
-			got, err := d.Get(k)
+			got, err := d.Get([]byte("key042"))
 			if err != nil || string(got) != "val42" {
 				t.Fatalf("Get after reopen = %q, %v", got, err)
 			}
@@ -144,58 +144,12 @@ func TestPersistenceAllMethods(t *testing.T) {
 	}
 }
 
-func TestRecnoSemantics(t *testing.T) {
-	d, err := Open("", Recno, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-
-	// Appending via Put at Len.
-	for i := 0; i < 5; i++ {
-		if err := d.Put(RecnoKey(i), []byte(fmt.Sprintf("rec%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// PutNew on an existing record number fails; at the end it appends.
-	if err := d.PutNew(RecnoKey(2), nil); !errors.Is(err, ErrKeyExists) {
-		t.Fatalf("PutNew existing = %v", err)
-	}
-	if err := d.PutNew(RecnoKey(5), []byte("rec5")); err != nil {
-		t.Fatal(err)
-	}
-	// Delete renumbers.
-	if err := d.Delete(RecnoKey(0)); err != nil {
-		t.Fatal(err)
-	}
-	got, err := d.Get(RecnoKey(0))
-	if err != nil || string(got) != "rec1" {
-		t.Fatalf("Get(0) after delete = %q, %v", got, err)
-	}
-	// Cursor yields records in order with RecnoKey keys.
-	c := d.Seq()
-	i := 0
-	for c.Next() {
-		n, err := ParseRecnoKey(c.Key())
-		if err != nil || n != i {
-			t.Fatalf("cursor key = %v, %v; want %d", n, err, i)
-		}
-		i++
-	}
-	if c.Err() != nil || i != d.Len() {
-		t.Fatalf("cursor saw %d of %d: %v", i, d.Len(), c.Err())
-	}
-	// Malformed keys are rejected.
-	if _, err := d.Get([]byte("short")); err == nil {
-		t.Fatal("Get with malformed recno key succeeded")
-	}
-}
-
+// TestSeqOrderProperties: a scan visits every pair exactly once, in no
+// promised order.
 func TestSeqOrderProperties(t *testing.T) {
-	// Btree scans ascending; hash scans complete (order unspecified).
 	const n = 2000
-	for _, m := range keyedMethods {
-		d, err := Open("", m, nil)
+	for _, im := range implementors {
+		d, err := im.open("")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,21 +159,15 @@ func TestSeqOrderProperties(t *testing.T) {
 			}
 		}
 		c := d.Seq()
-		count := 0
-		var prev []byte
-		ordered := true
+		seen := map[string]bool{}
 		for c.Next() {
-			if prev != nil && bytes.Compare(prev, c.Key()) >= 0 {
-				ordered = false
+			if seen[string(c.Key())] {
+				t.Fatalf("%s scan yielded %q twice", im.name, c.Key())
 			}
-			prev = append(prev[:0], c.Key()...)
-			count++
+			seen[string(c.Key())] = true
 		}
-		if c.Err() != nil || count != n {
-			t.Fatalf("%v scan: %d, %v", m, count, c.Err())
-		}
-		if m == Btree && !ordered {
-			t.Fatal("btree scan not in ascending order")
+		if c.Err() != nil || len(seen) != n {
+			t.Fatalf("%s scan: %d, %v", im.name, len(seen), c.Err())
 		}
 		d.Close()
 	}

@@ -3,28 +3,27 @@ package db
 import (
 	"errors"
 	"fmt"
+
+	"unixhash/internal/core"
 )
 
-// Method-specific inspection through the uniform interface. These
-// helpers are the sanctioned replacement for reaching through the
-// adapters to the concrete *core.Table / *btree.Tree: callers keep a
-// plain DB, and the type dispatch lives here, inside the package.
+// Table-level operations through the DB interface. These helpers are the
+// sanctioned replacement for reaching through the adapters to the
+// concrete *core.Table: callers keep a plain DB, and the type dispatch
+// lives here, inside the package.
 
-// ErrUnsupported reports an inspection helper applied to an access
-// method that cannot answer it (e.g. Seek on hash, Verify on recno).
-var ErrUnsupported = errors.New("db: operation not supported by this access method")
+// ErrUnsupported reports a helper applied to a database shape that
+// cannot answer it (Compact on a sharded database, either helper on a
+// caller's own DB implementation).
+var ErrUnsupported = errors.New("db: operation not supported by this database")
 
-// Verify checks an open database's integrity without modifying it.
-// For hash it runs the durability verifier (is the last-synced state
-// intact, are the header invariants consistent?); for btree the
-// structural checker; a sharded database verifies every shard. Recno
-// has no verifier and reports ErrUnsupported.
+// Verify checks an open database's integrity without modifying it: the
+// durability verifier (is the last-synced state intact, are the header
+// invariants consistent?), on every shard of a sharded database.
 func Verify(d DB) error {
 	switch x := d.(type) {
 	case *hashDB:
 		return x.table().Verify()
-	case *btreeDB:
-		return x.tree().Check()
 	case *Sharded:
 		for i, sh := range x.shards {
 			if err := sh.table().Verify(); err != nil {
@@ -33,41 +32,26 @@ func Verify(d DB) error {
 		}
 		return nil
 	}
-	return fmt.Errorf("%w: verify (%v)", ErrUnsupported, methodOf(d))
+	return fmt.Errorf("%w: verify (%T)", ErrUnsupported, d)
 }
 
-// Check runs the btree structural checker. It exists alongside Verify
-// for symmetry with the historical CLI verb; other methods report
-// ErrUnsupported.
-func Check(d DB) error {
-	if x, ok := d.(*btreeDB); ok {
-		return x.tree().Check()
+// Compact rebuilds a single-table database into a new file at path,
+// created with the source's bucket size and fill factor and presized
+// for its current key count (core.Table.Compact). A sharded database
+// reports ErrUnsupported.
+func Compact(d DB, path string) error {
+	x, ok := d.(*hashDB)
+	if !ok {
+		return fmt.Errorf("%w: compact (%T)", ErrUnsupported, d)
 	}
-	return fmt.Errorf("%w: check (%v)", ErrUnsupported, methodOf(d))
-}
-
-// Seek returns an ordered cursor positioned at the first key >= from.
-// Only the btree can answer an ordered scan; every other method reports
-// ErrUnsupported.
-func Seek(d DB, from []byte) (Cursor, error) {
-	if x, ok := d.(*btreeDB); ok {
-		return x.tree().Seek(from), nil
+	g := x.t.Geometry()
+	dst, err := core.Open(path, &core.Options{Bsize: g.Bsize, Ffactor: g.Ffactor, Nelem: x.t.Len()})
+	if err != nil {
+		return err
 	}
-	return nil, fmt.Errorf("%w: ordered seek (%v)", ErrUnsupported, methodOf(d))
-}
-
-// methodOf names a DB's access method for error messages without
-// calling Stats (which may fail on a closed database).
-func methodOf(d DB) string {
-	switch d.(type) {
-	case *hashDB:
-		return "hash"
-	case *btreeDB:
-		return "btree"
-	case *recnoDB:
-		return "recno"
-	case *Sharded:
-		return "sharded hash"
+	if err := x.t.Compact(dst); err != nil {
+		dst.Close()
+		return err
 	}
-	return fmt.Sprintf("%T", d)
+	return dst.Close()
 }

@@ -16,8 +16,8 @@ import (
 // owns ledgers and a Recorder (the network server) calls them directly.
 
 // OpDB is the optional ledger-carrying face of a DB. A type assertion
-// feature-tests it; the btree and recno adapters do not implement it
-// (their operations have no phases to attribute).
+// feature-tests it; both hash shapes implement it, a caller's own DB
+// decorator need not.
 type OpDB interface {
 	// GetBufOp is GetBuf with per-phase attribution into led.
 	GetBufOp(led *oplog.Ledger, key, dst []byte) ([]byte, error)

@@ -62,7 +62,7 @@ func openSharded(dir string, nshards int, cfg *Config, stores []pagefile.Store, 
 	if nshards < 1 || nshards > MaxShards {
 		return nil, nil, fmt.Errorf("%w: hash option Shards: %d must be in [1, %d]", ErrBadOptions, nshards, MaxShards)
 	}
-	if err := validate(Hash, c); err != nil {
+	if err := validate(c.Hash); err != nil {
 		return nil, nil, err
 	}
 	var base core.Options

@@ -267,18 +267,6 @@ func TestBeginAcrossMethods(t *testing.T) {
 	if v, _ := hw.Get([]byte("k")); string(v) != "v" {
 		t.Fatalf("committed value = %q", v)
 	}
-
-	// Btree and recno: ErrNoTxn.
-	for _, m := range []Method{Btree, Recno} {
-		d, err := Open("", m, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := d.Begin(); !errors.Is(err, ErrNoTxn) {
-			t.Fatalf("%v Begin = %v, want ErrNoTxn", m, err)
-		}
-		d.Close()
-	}
 }
 
 // OpenShardedBeginProbe pins that a sharded database without WAL

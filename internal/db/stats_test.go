@@ -5,18 +5,16 @@ import (
 	"fmt"
 	"testing"
 
-	"unixhash/internal/btree"
 	"unixhash/internal/core"
-	"unixhash/internal/recno"
 )
 
-// TestStatsUniform: every method answers Stats() with the common fields
-// filled in and exactly its own detail struct non-nil — the redesigned
-// replacement for reaching through the adapter with a type assertion.
+// TestStatsUniform: every DB shape answers Stats() with the common
+// fields filled in and the table detail non-nil — the replacement for
+// reaching through the adapter with a type assertion.
 func TestStatsUniform(t *testing.T) {
-	for _, m := range []Method{Hash, Btree, Recno} {
-		t.Run(m.String(), func(t *testing.T) {
-			d, err := Open("", m, nil)
+	for _, im := range implementors {
+		t.Run(im.name, func(t *testing.T) {
+			d, err := im.open("")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -24,22 +22,12 @@ func TestStatsUniform(t *testing.T) {
 
 			const n = 100
 			for i := 0; i < n; i++ {
-				var err error
-				if m == Recno {
-					err = d.Put(RecnoKey(i), []byte(fmt.Sprintf("rec-%03d", i)))
-				} else {
-					err = d.Put([]byte(fmt.Sprintf("key-%03d", i)), []byte("v"))
-				}
-				if err != nil {
+				if err := d.Put([]byte(fmt.Sprintf("key-%03d", i)), []byte("v")); err != nil {
 					t.Fatal(err)
 				}
 			}
 			for i := 0; i < n; i++ {
-				k := []byte(fmt.Sprintf("key-%03d", i))
-				if m == Recno {
-					k = RecnoKey(i)
-				}
-				if _, err := d.Get(k); err != nil {
+				if _, err := d.Get([]byte(fmt.Sprintf("key-%03d", i))); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -48,65 +36,39 @@ func TestStatsUniform(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s.Method != m {
-				t.Errorf("Method = %v, want %v", s.Method, m)
+			if s.Method != Hash {
+				t.Errorf("Method = %v, want %v", s.Method, Hash)
 			}
 			if s.Keys != n {
 				t.Errorf("Keys = %d, want %d", s.Keys, n)
 			}
-			nonNil := 0
-			for _, set := range []bool{s.Hash != nil, s.Btree != nil, s.Recno != nil} {
-				if set {
-					nonNil++
-				}
+			if s.Hash == nil {
+				t.Fatalf("want the table detail, got %+v", s)
 			}
-			if nonNil != 1 {
-				t.Fatalf("want exactly one detail struct, got %d (%+v)", nonNil, s)
+			if s.Hash.Gets != n || s.Hash.Puts != n {
+				t.Errorf("hash ops = %d gets / %d puts, want %d / %d",
+					s.Hash.Gets, s.Hash.Puts, n, n)
 			}
-
-			switch m {
-			case Hash:
-				if s.Hash.Gets != n || s.Hash.Puts != n {
-					t.Errorf("hash ops = %d gets / %d puts, want %d / %d",
-						s.Hash.Gets, s.Hash.Puts, n, n)
-				}
-				if s.Pages == 0 || s.PageSize == 0 {
-					t.Errorf("pages = %d x %d, want nonzero", s.Pages, s.PageSize)
-				}
-				if s.CacheHits == 0 || s.CacheHitRatio <= 0 {
-					t.Errorf("cache hits = %d ratio %.2f, want hot-page hits",
-						s.CacheHits, s.CacheHitRatio)
-				}
-				if s.Hash.Buckets == 0 {
-					t.Error("hash Buckets = 0")
-				}
-			case Btree:
-				if s.Btree.Gets != n || s.Btree.Puts != n {
-					t.Errorf("btree ops = %d gets / %d puts, want %d / %d",
-						s.Btree.Gets, s.Btree.Puts, n, n)
-				}
-				if s.Btree.Depth < 1 {
-					t.Errorf("btree Depth = %d, want >= 1", s.Btree.Depth)
-				}
-			case Recno:
-				if s.Recno.Gets != n || s.Recno.Puts != n {
-					t.Errorf("recno ops = %d gets / %d puts, want %d / %d",
-						s.Recno.Gets, s.Recno.Puts, n, n)
-				}
-				if s.Recno.Bytes == 0 {
-					t.Error("recno Bytes = 0")
-				}
+			if s.Pages == 0 || s.PageSize == 0 {
+				t.Errorf("pages = %d x %d, want nonzero", s.Pages, s.PageSize)
+			}
+			if s.CacheHits == 0 || s.CacheHitRatio <= 0 {
+				t.Errorf("cache hits = %d ratio %.2f, want hot-page hits",
+					s.CacheHits, s.CacheHitRatio)
+			}
+			if s.Hash.Buckets == 0 {
+				t.Error("hash Buckets = 0")
 			}
 		})
 	}
 }
 
-// TestStatsClosed: Stats on a closed DB propagates the method's
-// ErrClosed instead of inventing a stale answer.
+// TestStatsClosed: Stats on a closed DB propagates ErrClosed instead of
+// inventing a stale answer.
 func TestStatsClosed(t *testing.T) {
-	for _, m := range []Method{Hash, Btree, Recno} {
-		t.Run(m.String(), func(t *testing.T) {
-			d, err := Open("", m, nil)
+	for _, im := range implementors {
+		t.Run(im.name, func(t *testing.T) {
+			d, err := im.open("")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,12 +98,6 @@ func TestOpenBadOptions(t *testing.T) {
 			&Config{Hash: &core.Options{Ffactor: -1}}, "Ffactor"},
 		{"hash negative nelem", Hash,
 			&Config{Hash: &core.Options{Nelem: -5}}, "Nelem"},
-		{"btree tiny page", Btree,
-			&Config{Btree: &btree.Options{PageSize: 64}}, "PageSize"},
-		{"btree negative cache", Btree,
-			&Config{Btree: &btree.Options{CacheSize: -1}}, "CacheSize"},
-		{"recno negative reclen", Recno,
-			&Config{Recno: &recno.Options{Reclen: -2}}, "Reclen"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -160,15 +116,11 @@ func TestOpenBadOptions(t *testing.T) {
 	}
 
 	// Zero values mean "use the default" and always validate.
-	for _, m := range []Method{Hash, Btree, Recno} {
-		d, err := Open("", m, &Config{
-			Hash: &core.Options{}, Btree: &btree.Options{}, Recno: &recno.Options{},
-		})
-		if err != nil {
-			t.Fatalf("%v: zero options rejected: %v", m, err)
-		}
-		d.Close()
+	d, err := Open("", Hash, &Config{Hash: &core.Options{}})
+	if err != nil {
+		t.Fatalf("zero options rejected: %v", err)
 	}
+	d.Close()
 }
 
 func containsField(s, field string) bool {

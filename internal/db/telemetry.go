@@ -11,7 +11,7 @@ import (
 
 // ServeTelemetry starts a telemetry HTTP server over an open database
 // (see internal/telemetry for the endpoint list): the one starter for
-// every db.DB. Every method serves /stats from db.Stats; the hash method
+// every db.DB. Every DB serves /stats from db.Stats; a single table
 // additionally mounts its metrics registry (/metrics), tracer
 // (/debug/events) and bucket heatmap (/debug/heatmap). A sharded
 // database mounts the shared registry every shard aggregates into, the

@@ -247,11 +247,12 @@ type Registry struct {
 	mu      sync.Mutex
 	entries []*entry
 	byName  map[string]*entry
+	help    map[string]string // curated HELP by name, registered or not
 }
 
 // New creates an empty registry.
 func New() *Registry {
-	return &Registry{byName: make(map[string]*entry)}
+	return &Registry{byName: make(map[string]*entry), help: make(map[string]string)}
 }
 
 // register adds e under its name, or returns the existing entry. A name
@@ -266,19 +267,20 @@ func (r *Registry) register(name string, kind metricKind) *entry {
 		}
 		return e
 	}
-	e := &entry{name: name, kind: kind}
+	e := &entry{name: name, kind: kind, help: r.help[name]}
 	r.byName[name] = e
 	r.entries = append(r.entries, e)
 	return e
 }
 
 // Help attaches a HELP description to the metric called name, emitted
-// by WriteProm. Unknown names are ignored; metrics without curated help
-// get a default derived from their name, so the dump always carries a
-// HELP line per series.
+// by WriteProm. It may come before or after the name's registration;
+// metrics without curated help get a default derived from their name, so
+// the dump always carries a HELP line per series.
 func (r *Registry) Help(name, help string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.help[name] = help
 	if e, ok := r.byName[name]; ok {
 		e.help = help
 	}

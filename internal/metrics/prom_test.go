@@ -23,8 +23,7 @@ func TestWritePromConformance(t *testing.T) {
 	r.GaugeFunc("buffer_resident", func() int64 { return 9 })
 	r.Help("hash_gets_total", "successful Get calls")
 	// The two drop counters, registered the way telemetry.NewHandler and
-	// oplog.NewRecorder do: a CounterFunc, then its HELP (Help ignores a
-	// name that is not registered yet).
+	// oplog.NewRecorder do: a CounterFunc, then its HELP.
 	r.CounterFunc("trace_events_dropped_total", func() int64 { return 2 })
 	r.Help("trace_events_dropped_total", "Trace events given a sequence number but not stored")
 	r.CounterFunc("oplog_ledgers_dropped_total", func() int64 { return 1 })
@@ -34,6 +33,10 @@ func TestWritePromConformance(t *testing.T) {
 	h.Observe(900 * time.Microsecond)
 	h.Observe(20 * time.Second)          // lands in the +Inf overflow bucket
 	r.Histogram("pagefile_sync_seconds") // empty histogram must still be valid
+	// HELP before the registration, the way server.Serve and core's
+	// filter group set it: the text must stick to the later series.
+	r.Help("server_cmds_total", "Commands executed")
+	r.Counter("server_cmds_total").Inc()
 
 	var buf bytes.Buffer
 	if err := r.WriteProm(&buf); err != nil {
@@ -46,6 +49,7 @@ func TestWritePromConformance(t *testing.T) {
 		"# HELP hash_gets_total successful Get calls\n",
 		"# HELP trace_events_dropped_total Trace events given a sequence number but not stored\n# TYPE trace_events_dropped_total counter\ntrace_events_dropped_total 2\n",
 		"# HELP oplog_ledgers_dropped_total Ledgers recorded with an out-of-range shard\n# TYPE oplog_ledgers_dropped_total counter\noplog_ledgers_dropped_total 1\n",
+		"# HELP server_cmds_total Commands executed\n",
 	} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("missing %q in:\n%s", want, buf.String())

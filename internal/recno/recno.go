@@ -1,6 +1,7 @@
-// Package recno implements the record-number access methods the paper's
-// conclusion announces alongside hash and btree: fixed and variable
-// length records addressed by record number.
+// Package recno implements record-number access: fixed and variable
+// length records addressed by record number. It is a standalone
+// package; db's one access method is hash, and nothing in db reaches
+// this one.
 //
 // As in the 4.4BSD implementation, a recno file is a flat file: variable
 // length records are delimited by a byte value (bval, default '\n', so a
@@ -43,7 +44,7 @@ type Options struct {
 
 // Validate checks the option fields without applying defaults: a zero
 // value means "use the default" and always passes. It reports the first
-// offending field by name (see db.ErrBadOptions).
+// offending field by name.
 func (o *Options) Validate() error {
 	if o == nil {
 		return nil
@@ -315,8 +316,7 @@ func (f *File) syncLocked() error {
 	return nil
 }
 
-// FileStats reports the file's shape and operation counts for the
-// uniform db.Stats view.
+// FileStats reports the file's shape and operation counts.
 type FileStats struct {
 	Records   int64
 	Bytes     int64 // total record payload bytes held in memory

@@ -97,9 +97,9 @@ func Serve(addr string, o Options) (*Server, error) {
 	return s, nil
 }
 
-// plainOps gives a database without ledger methods (btree, recno, a
-// caller's own db.DB) the db.OpDB face by dropping the ledger, so a
-// connection has one call per command whatever it fronts.
+// plainOps gives a db.DB without ledger methods the db.OpDB face by
+// dropping the ledger, so a connection has one call per command. Both db
+// shapes carry ledgers: benchmark/'s tracedDB is the one user left.
 type plainOps struct{ db.DB }
 
 func (p plainOps) GetBufOp(_ *oplog.Ledger, key, dst []byte) ([]byte, error) {

@@ -139,15 +139,17 @@ func TestServerBasicCommands(t *testing.T) {
 	})
 	// A database without ledger methods behind live ledgers: the server's
 	// adapter drops the ledger at the db boundary, the server's own
-	// phases are still recorded.
-	t.Run("btree/oplog=on", func(t *testing.T) {
-		d, err := db.Open("", db.Btree, nil)
+	// phases are still recorded. Embedding hides the ledger methods, as a
+	// caller's decorator does.
+	t.Run("adapter/oplog=on", func(t *testing.T) {
+		h, err := db.Open("", db.Hash, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer d.Close()
+		defer h.Close()
+		var d db.DB = struct{ db.DB }{h}
 		if _, ok := d.(db.OpDB); ok {
-			t.Fatal("btree grew ledger methods; pick another method for the adapter case")
+			t.Fatal("the embedding wrapper exposes ledger methods; the adapter case needs a plain db.DB")
 		}
 		rec := oplog.NewRecorder(nil, 1)
 		basicCommands(t, d, rec, `"Oplog"`)
@@ -159,6 +161,31 @@ func TestServerBasicCommands(t *testing.T) {
 			t.Fatalf("recorded commands = %v, want 3 gets, 2 deletes, 1 batch, 1 put flush", cmds)
 		}
 	})
+}
+
+// TestCuratedHelpOnMetrics: server.Serve and core's filter group set
+// their HELP text before registering each series; through the real
+// registrations the curated text must reach the /metrics dump.
+func TestCuratedHelpOnMetrics(t *testing.T) {
+	reg := metrics.New()
+	d, err := db.Open("", db.Hash, &db.Config{Hash: &core.Options{Metrics: reg}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	startServer(t, d, reg)
+	var buf strings.Builder
+	if err := reg.WriteProm(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"# HELP server_cmds_total Commands executed\n",
+		"# HELP hash_filter_skips_total Tag-filter consults that proved the key absent without touching the chain\n",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("missing %q in:\n%s", want, buf.String())
+		}
+	}
 }
 
 func basicCommands(t *testing.T, d db.DB, rec *oplog.Recorder, wantStats string) {

@@ -7,9 +7,9 @@
 //
 // The package is deliberately generic: it serves closures and interfaces
 // (a *metrics.Registry, a *trace.Tracer, stats/heatmap functions), so a
-// caller holding an open core table (hashcli -telemetry) and the
-// cross-method db layer (db.ServeTelemetry, what dbserver uses) mount
-// their own views through the one starter, Serve. The storage engine
+// caller holding a bare core table and the db layer (db.ServeTelemetry,
+// what dbserver and dbcli -telemetry use) mount their own views through
+// the one starter, Serve. The storage engine
 // itself never opens a socket. Handlers only ever read — a scrape never
 // takes the table's write lock — and every endpoint is safe to hit while
 // a workload runs.
