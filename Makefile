@@ -4,9 +4,9 @@ GO ?= go
 # -race is slow, so check races where the locks actually live.
 RACE_PKGS = ./internal/core ./internal/buffer ./internal/db ./internal/trace ./internal/server ./internal/oplog
 
-.PHONY: check fmt deps build vet test race crash fuzz-crash wal-crash fuzz-wal-crash fuzz-proto bench bench-history metrics misses serve telemetry loc clean
+.PHONY: check fmt deps build vet test race crash fuzz-crash wal-crash fuzz-wal-crash fuzz-proto bench micro bench-history metrics misses serve telemetry loc clean
 
-check: fmt deps vet build test race crash
+check: fmt deps vet build test race crash micro
 
 # Fails, naming the files, when any Go source outside the benchmark's
 # build directory is not gofmt-clean.
@@ -61,6 +61,13 @@ fuzz-wal-crash:
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem .
+
+# The per-layer microbenchmarks, one iteration each so they cannot rot:
+# what a live op ledger adds to a warm Get, and what one page fault
+# costs at a 16- and a 2048-page pool. For numbers, raise -benchtime.
+micro:
+	$(GO) test -run=NONE -bench='BenchmarkGetBuf$$' -benchtime=1x -cpu=1 .
+	$(GO) test -run=NONE -bench=BenchmarkPoolFault -benchtime=1x ./internal/buffer
 
 # One line of history per call: benchmark/'s `all` summary (commit, host
 # facts, every end-to-end metric per workload) appended to the tracked

@@ -12,14 +12,17 @@
 //
 // Primary pages are addressed by bucket number; overflow pages by their
 // 16-bit overflow address. When an overflow page is fetched through its
-// predecessor page, the predecessor's buffer header records the link, and
-// evicting a buffer evicts the overflow buffers chained behind it — the
-// paper's invariant that an overflow page is resident only while its
-// predecessor is. Iterators and tools fetch overflow pages unlinked with
-// GetOwned, naming the owning bucket so the fetch lands in the chain's
-// shard. The buffer budget is pool-wide: a miss evicts from its own
-// shard only once the whole pool is at capacity, so a skewed bucket
-// distribution cannot strand capacity in cold shards. If the faulting
+// predecessor page, the two buffer headers record the link in both
+// directions (ovfl forward, pred back), and evicting a buffer evicts the
+// overflow buffers chained behind it — the paper's invariant that an
+// overflow page is resident only while its predecessor is. The back link
+// makes an eviction cost its chain and nothing else: a cold suffix whose
+// predecessor stays hot is cut loose through its one pred. Iterators and
+// tools fetch overflow pages unlinked with GetOwned, naming the owning
+// bucket so the fetch lands in the chain's shard. The buffer budget is
+// pool-wide: a miss evicts from its own shard only once the whole pool
+// is at capacity, so a skewed bucket distribution cannot strand capacity
+// in cold shards. If the faulting
 // shard has nothing evictable (everything pinned, or the pressure comes
 // from hotter shards), it temporarily overcommits rather than failing,
 // so arbitrarily long overflow chains work with small pools.
@@ -75,6 +78,7 @@ type Buf struct {
 	owner uint32 // bucket whose chain this page belongs to (shard key)
 	sh    *shard
 	ovfl  *Buf // resident successor overflow buffer, if any
+	pred  *Buf // the one buffer whose ovfl is this buffer, if any
 	prev  *Buf // shard LRU list
 	next  *Buf
 }
@@ -360,10 +364,10 @@ func (p *Pool) Get(addr Addr, prev *Buf, create bool) (*Buf, error) {
 	return p.GetOp(nil, addr, prev, create)
 }
 
-// GetOp is Get with op-ledger attribution: a pool-resident page charges
-// a buffer-hit phase to led, a faulted page charges a buffer-fault
-// phase (allocation, eviction and the store read included). A nil
-// ledger is exactly Get — no clock reads, no extra work.
+// GetOp is Get with op-ledger attribution: a pool-resident page counts
+// a buffer hit on led (no clock read), a faulted page charges the
+// buffer-fault phase (allocation, eviction and the store read
+// included). A nil ledger is exactly Get.
 func (p *Pool) GetOp(led *oplog.Ledger, addr Addr, prev *Buf, create bool) (*Buf, error) {
 	if !addr.Ovfl && prev != nil {
 		return nil, fmt.Errorf("buffer: primary page %v requested with predecessor", addr)
@@ -389,10 +393,6 @@ func (p *Pool) GetOwned(addr Addr, owner uint32, create bool) (*Buf, error) {
 }
 
 func (p *Pool) get(addr Addr, owner uint32, prev *Buf, create bool, led *oplog.Ledger) (*Buf, error) {
-	var st int64
-	if led != nil {
-		st = oplog.Clock()
-	}
 	sh := p.shardFor(owner)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -401,17 +401,15 @@ func (p *Pool) get(addr Addr, owner uint32, prev *Buf, create bool, led *oplog.L
 		sh.n.Pins++
 		sh.touch(b)
 		b.Pin()
-		if prev != nil && prev.ovfl != b {
-			prev.ovfl = b
+		if prev != nil {
+			link(prev, b)
 		}
-		if led != nil {
-			led.Since(oplog.PhaseBufHit, st)
-		}
+		led.Count(oplog.PhaseBufHit)
 		return b, nil
 	}
 	sh.n.Misses++
 	if led != nil {
-		defer led.Since(oplog.PhaseBufFault, st)
+		defer led.Since(oplog.PhaseBufFault, oplog.Clock())
 	}
 	b, err := p.alloc(sh, addr, owner)
 	if err != nil {
@@ -440,9 +438,30 @@ func (p *Pool) get(addr Addr, owner uint32, prev *Buf, create bool, led *oplog.L
 	sh.n.Pins++
 	b.Pin()
 	if prev != nil {
-		prev.ovfl = b
+		link(prev, b)
 	}
 	return b, nil
+}
+
+// link makes b the resident successor of a, or cuts a's link when b is
+// nil. It is the only writer of a chain link and keeps the links
+// two-way: at most one buffer links to any buffer, and it is that
+// buffer's pred. Both buffers live in the chain's shard; called with its
+// lock held.
+func link(a, b *Buf) {
+	if a.ovfl == b {
+		return
+	}
+	if old := a.ovfl; old != nil {
+		old.pred = nil
+	}
+	if b != nil {
+		if q := b.pred; q != nil {
+			q.ovfl = nil
+		}
+		b.pred = a
+	}
+	a.ovfl = b
 }
 
 // alloc obtains a free buffer, evicting this shard's coldest evictable
@@ -484,7 +503,7 @@ func (b *Buf) reset(addr Addr, owner uint32, sh *shard) {
 	b.pins.Store(0)
 	b.owner = owner
 	b.sh = sh
-	b.ovfl, b.prev, b.next = nil, nil, nil
+	b.ovfl, b.pred, b.prev, b.next = nil, nil, nil, nil
 }
 
 // recycle returns an evicted buffer's memory to the shard free list.
@@ -509,49 +528,32 @@ func chainPinned(b *Buf) bool {
 // evict flushes and drops head together with its resident overflow chain
 // (the paper: an overflow page cannot stay in the pool when its
 // predecessor leaves). The whole chain lives in sh by construction.
-// Called with sh.mu held.
+// Demand walks keep a chain's head colder than its members, but filter
+// skips and read-ahead let a predecessor stay hot while its successors
+// go cold, so head may be such a cold suffix: its pred keeps its place
+// and only loses the link. Cutting that one link first also makes the
+// walk below a simple path — every buffer has at most one pred — so even
+// a corrupt on-disk chain cannot loop it. Called with sh.mu held.
 func (p *Pool) evict(sh *shard, head *Buf) error {
-	// Capture the chain, then sever every pointer into it, as Discard
-	// does. Demand walks keep a chain's head colder than its members, so
-	// an eviction candidate used to be a whole-chain head by
-	// construction; filter skips and read-ahead let a predecessor stay
-	// hot while its successors go cold, and evicting such a suffix
-	// without the sweep would leave the predecessor's chain pointer
-	// dangling at a recycled (soon re-used) buffer. The capture is
-	// bounded by the shard's residency so a corrupt linkage cannot hang
-	// the sweep.
-	chain := make([]*Buf, 0, 8)
-	for m := head; m != nil && len(chain) <= len(sh.table); m = m.ovfl {
-		chain = append(chain, m)
+	if head.pred != nil {
+		link(head.pred, nil)
 	}
-	for _, other := range sh.table {
-		if o := other.ovfl; o != nil {
-			for _, m := range chain {
-				if o == m {
-					other.ovfl = nil
-					break
-				}
-			}
-		}
-	}
-	for _, b := range chain {
+	for b := head; b != nil; {
+		next := b.ovfl
 		dirty := b.Dirty.Load()
 		if err := p.flushBuf(b); err != nil {
 			return err
 		}
-		if sh.table[b.Addr] == b {
-			sh.lruRemove(b)
-			delete(sh.table, b.Addr)
-			p.resident.Add(-1)
-			sh.n.Evictions++
-			if p.onEvict != nil {
-				p.onEvict(b.Addr, dirty)
-			}
-			b.ovfl = nil
-			sh.recycle(b)
-		} else {
-			b.ovfl = nil
+		link(b, nil)
+		sh.lruRemove(b)
+		delete(sh.table, b.Addr)
+		p.resident.Add(-1)
+		sh.n.Evictions++
+		if p.onEvict != nil {
+			p.onEvict(b.Addr, dirty)
 		}
+		sh.recycle(b)
+		b = next
 	}
 	return nil
 }
@@ -591,8 +593,10 @@ const MaxPrefetch = 8
 // and are left unpinned, to be re-pinned as hits by the caller's chain
 // walk. Prefetch never writes: at capacity it evicts only clean,
 // unpinned chains and otherwise stops early. Returns the number of pages
-// installed. Best-effort: a read error installs nothing.
-func (p *Pool) PrefetchChain(prev *Buf, first Addr, max int, nextAddr func([]byte) (Addr, bool)) int {
+// installed. Best-effort: a read error installs nothing. led, if non-nil,
+// is charged the prefetch phase from the device read on; a fully
+// resident chain reads no clock.
+func (p *Pool) PrefetchChain(led *oplog.Ledger, prev *Buf, first Addr, max int, nextAddr func([]byte) (Addr, bool)) int {
 	vr, ok := p.store.(pagefile.VectorReader)
 	if !ok || max <= 0 || prev == nil || !first.Ovfl {
 		return 0
@@ -612,9 +616,7 @@ func (p *Pool) PrefetchChain(prev *Buf, first Addr, max int, nextAddr func([]byt
 		if !ok {
 			break
 		}
-		if pred.ovfl != b {
-			pred.ovfl = b
-		}
+		link(pred, b)
 		nxt, ok := nextAddr(b.Page)
 		if !ok || nxt == (Addr{}) {
 			return 0 // chain fully resident (or untrusted)
@@ -640,6 +642,9 @@ func (p *Pool) PrefetchChain(prev *Buf, first Addr, max int, nextAddr func([]byt
 		bp = &s
 	}
 	defer p.prefetchBuf.Put(bp)
+	if led != nil {
+		defer led.Since(oplog.PhasePrefetch, oplog.Clock())
+	}
 	span := (*bp)[:k*p.pagesize]
 	if err := vr.ReadPages(base, span); err != nil {
 		return 0
@@ -651,9 +656,7 @@ func (p *Pool) PrefetchChain(prev *Buf, first Addr, max int, nextAddr func([]byt
 		if b, ok := sh.table[cur]; ok {
 			// A later chain page can be resident while an earlier one is
 			// not (iterators fetch overflow pages unlinked); follow it.
-			if pred.ovfl != b {
-				pred.ovfl = b
-			}
+			link(pred, b)
 			pagebytes = b.Page
 			pred = b
 		} else {
@@ -680,7 +683,7 @@ func (p *Pool) PrefetchChain(prev *Buf, first Addr, max int, nextAddr func([]byt
 			sh.table[cur] = b
 			sh.lruInsert(b)
 			p.resident.Add(1)
-			pred.ovfl = b
+			link(pred, b)
 			sh.n.Prefetched++
 			installed++
 			pagebytes = b.Page
@@ -732,20 +735,22 @@ func chainDirty(b *Buf) bool {
 func (p *Pool) Put(b *Buf) { b.Unpin() }
 
 // Drop removes b from its chain and from the pool without writing it
-// (its page was freed). prev, if non-nil, is re-linked to b's successor.
-// b must be unpinned by the caller before or be held only by the caller;
-// Drop clears its pins.
-func (p *Pool) Drop(prev, b *Buf) {
+// (its page was freed): b's predecessor, if linked, is re-linked to b's
+// successor. b must be unpinned by the caller before or be held only by
+// the caller; Drop clears its pins.
+func (p *Pool) Drop(b *Buf) {
 	sh := b.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	p.dropLocked(sh, prev, b)
+	p.dropLocked(sh, b)
 }
 
 // dropLocked is Drop with sh.mu held.
-func (p *Pool) dropLocked(sh *shard, prev, b *Buf) {
-	if prev != nil && prev.ovfl == b {
-		prev.ovfl = b.ovfl
+func (p *Pool) dropLocked(sh *shard, b *Buf) {
+	if q := b.pred; q != nil {
+		link(q, b.ovfl)
+	} else {
+		link(b, nil)
 	}
 	if sh.table[b.Addr] == b {
 		sh.lruRemove(b)
@@ -753,7 +758,6 @@ func (p *Pool) dropLocked(sh *shard, prev, b *Buf) {
 		p.resident.Add(-1)
 	}
 	pinned := b.pins.Load() > 0
-	b.ovfl = nil
 	b.Dirty.Store(false)
 	b.pins.Store(0)
 	// An unpinned buffer can be recycled: once out of the table no new
@@ -767,20 +771,14 @@ func (p *Pool) dropLocked(sh *shard, prev, b *Buf) {
 // Discard drops the buffer for addr without writing it, if resident.
 // Used for freed pages whose contents no longer matter. The owning shard
 // is not known to every caller (a freed overflow page's bucket is gone),
-// so all shards are searched; any predecessor links pointing at the
-// buffer are cleared in its own shard, where the whole chain lives.
+// so all shards are probed; the buffer's predecessor, if linked, is
+// re-linked to its successor as Drop does.
 func (p *Pool) Discard(addr Addr) {
 	for i := range p.shards {
 		sh := &p.shards[i]
 		sh.mu.Lock()
-		b, ok := sh.table[addr]
-		if ok {
-			for _, other := range sh.table {
-				if other.ovfl == b {
-					other.ovfl = b.ovfl
-				}
-			}
-			p.dropLocked(sh, nil, b)
+		if b, ok := sh.table[addr]; ok {
+			p.dropLocked(sh, b)
 		}
 		sh.mu.Unlock()
 	}
@@ -878,7 +876,7 @@ func (p *Pool) InvalidateAll() error {
 		}
 		for b := sh.lru.next; b != &sh.lru; {
 			next := b.next
-			b.prev, b.next, b.ovfl = nil, nil, nil
+			b.prev, b.next, b.ovfl, b.pred = nil, nil, nil, nil
 			b = next
 		}
 		sh.lru.next = &sh.lru

@@ -235,7 +235,7 @@ func TestPoolDrop(t *testing.T) {
 	p.Put(o1)
 
 	o1.Page[0] = 0xEE // would be written if flushed
-	p.Drop(prim, o1)
+	p.Drop(o1)
 	if prim.Ovfl() != o2 {
 		t.Fatal("Drop did not relink predecessor to successor")
 	}

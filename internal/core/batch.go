@@ -243,14 +243,7 @@ func (t *Table) applySet(ops []writeOp, replace bool, led *oplog.Ledger) (bucket
 			}
 		}
 
-		var st int64
-		if led != nil {
-			st = oplog.Clock()
-		}
-		t.latchStripes(stripes, true)
-		if led != nil {
-			led.Since(oplog.PhaseLatchWait, st)
-		}
+		t.latchStripes(stripes, true, led)
 		// Revalidate under the latches: a split may have moved a route or
 		// may still be redistributing one of the buckets.
 		conflict := -1
@@ -261,7 +254,7 @@ func (t *Table) applySet(ops []writeOp, replace bool, led *oplog.Ledger) (bucket
 			}
 		}
 		if conflict >= 0 {
-			t.latchStripes(stripes, false)
+			t.latchStripes(stripes, false, nil)
 			if t.splitInvolves(uint32(conflict)) {
 				t.helpSplit(uint32(conflict))
 			}
@@ -276,7 +269,7 @@ func (t *Table) applySet(ops []writeOp, replace bool, led *oplog.Ledger) (bucket
 			lo = hi
 		}
 		t.dirtyHdr.Store(true)
-		t.latchStripes(stripes, false)
+		t.latchStripes(stripes, false, nil)
 		return buckets, err
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"unixhash/internal/buffer"
+	"unixhash/internal/oplog"
 	"unixhash/internal/trace"
 )
 
@@ -114,36 +115,32 @@ func (t *Table) splitInvolves(b uint32) bool {
 	return b == nb || b == splitOld(nb)
 }
 
-// lockBucket routes hash h to its bucket and latches that bucket's
-// stripe (exclusive for writers, shared for readers). The route is
-// validated after the latch is held: a concurrent split may have moved
-// the boundary (stale t.geo read) or may still be redistributing the
-// bucket's pairs, in which case the operation backs off — helping the
-// split along if it is a writer — and re-routes. Returns the bucket
-// number; the caller unlatches t.stripeFor(bucket).
-func (t *Table) lockBucket(h uint32, write bool) uint32 {
+// lockBucket routes hash h to its bucket and read-latches that bucket's
+// stripe: the lookup path (a write set latches through latchStripes).
+// The route is validated after the latch is held: a concurrent split may
+// have moved the boundary (stale t.geo read) or may still be
+// redistributing the bucket's pairs, in which case the reader waits the
+// split out and re-routes. Only a latch whose try-lock fails is a wait:
+// it alone reads the clock and charges led's latch phase. Returns the
+// bucket number; the caller read-unlatches t.stripeFor(bucket).
+func (t *Table) lockBucket(h uint32, led *oplog.Ledger) uint32 {
 	for {
 		b := routeBucket(h, t.geo.Load())
 		s := t.stripeFor(b)
-		if write {
-			s.Lock()
-		} else {
+		if !s.TryRLock() {
+			var st int64
+			if led != nil {
+				st = oplog.Clock()
+			}
 			s.RLock()
+			led.Since(oplog.PhaseLatchWait, st)
 		}
 		if routeBucket(h, t.geo.Load()) == b && !t.splitInvolves(b) {
 			return b
 		}
-		if write {
-			s.Unlock()
-		} else {
-			s.RUnlock()
-		}
+		s.RUnlock()
 		if t.splitInvolves(b) {
-			if write {
-				t.helpSplit(b)
-			} else {
-				t.waitSplit(b)
-			}
+			t.waitSplit(b)
 		}
 	}
 }
@@ -174,15 +171,23 @@ func (s *stripeSet) add(bucket uint32) {
 
 // latchStripes write-latches (or releases) the stripes in set in
 // ascending index order — the one canonical order, shared by write sets
-// and splits, that keeps multi-stripe acquisitions deadlock-free.
-func (t *Table) latchStripes(set stripeSet, lock bool) {
+// and splits, that keeps multi-stripe acquisitions deadlock-free. A
+// stripe whose try-lock fails is a wait, charged to led's latch phase;
+// an uncontended sweep reads no clock.
+func (t *Table) latchStripes(set stripeSet, lock bool, led *oplog.Ledger) {
 	for w, word := range set {
 		for ; word != 0; word &= word - 1 {
 			s := &t.stripes[w*64+bits.TrailingZeros64(word)]
-			if lock {
-				s.Lock()
-			} else {
+			switch {
+			case !lock:
 				s.Unlock()
+			case !s.TryLock():
+				var st int64
+				if led != nil {
+					st = oplog.Clock()
+				}
+				s.Lock()
+				led.Since(oplog.PhaseLatchWait, st)
 			}
 		}
 	}
@@ -194,7 +199,7 @@ func (t *Table) latchPair(a, b uint32, lock bool) {
 	var set stripeSet
 	set.add(a)
 	set.add(b)
-	t.latchStripes(set, lock)
+	t.latchStripes(set, lock, nil)
 }
 
 // splitEntry is one entry gathered from a splitting bucket.

@@ -5,10 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
+	"unixhash/internal/oplog"
 	"unixhash/internal/pagefile"
 	"unixhash/internal/trace"
 )
@@ -413,4 +416,71 @@ func TestCrashMidIncrementalSplit(t *testing.T) {
 	}
 	t.Logf("mid-split storm: %d prefixes, %d recovered to the synced state, %d failed loud",
 		events-syncLen+1, recovered, loud)
+}
+
+// TestLatchWaitOnlyWhenContended: the op ledger's latch phase is the
+// time a stripe latch actually waited. An uncontended Get or Put charges
+// nothing (its try-lock succeeds, and no clock is read); a Get queued
+// behind a writer holding the stripe, and a Put queued behind a reader,
+// each charge one latch wait.
+func TestLatchWaitOnlyWhenContended(t *testing.T) {
+	tbl := mustOpen(t, "", &Options{Bsize: 1024, Ffactor: 16})
+	defer tbl.Close()
+	key := []byte("latched-key")
+	if err := tbl.Put(key, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	stripe := tbl.stripeFor(routeBucket(tbl.hash(key), tbl.geo.Load()))
+
+	for _, tc := range []struct {
+		name     string
+		op       func(led *oplog.Ledger) error
+		lock     func()
+		unlock   func()
+		contends bool
+	}{
+		{"get/uncontended", func(led *oplog.Ledger) error { _, err := tbl.GetBufOp(led, key, nil); return err }, nil, nil, false},
+		{"put/uncontended", func(led *oplog.Ledger) error { return tbl.PutOp(led, key, []byte("v")) }, nil, nil, false},
+		{"get/behind-writer", func(led *oplog.Ledger) error { _, err := tbl.GetBufOp(led, key, nil); return err }, stripe.Lock, stripe.Unlock, true},
+		{"put/behind-reader", func(led *oplog.Ledger) error { return tbl.PutOp(led, key, []byte("v")) }, stripe.RLock, stripe.RUnlock, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var led oplog.Ledger
+			led.StartOp(oplog.CmdGet, key)
+			if !tc.contends {
+				if err := tc.op(&led); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				tc.lock()
+				done := make(chan error)
+				go func() { done <- tc.op(&led) }()
+				waitQueuedOnLatch(t)
+				tc.unlock()
+				if err := <-done; err != nil {
+					t.Fatal(err)
+				}
+			}
+			n, ns := led.PhaseCount(oplog.PhaseLatchWait), led.PhaseNS(oplog.PhaseLatchWait)
+			switch {
+			case !tc.contends && n != 0:
+				t.Fatalf("uncontended latch charged %d waits (%dns)", n, ns)
+			case tc.contends && (n != 1 || ns <= 0):
+				t.Fatalf("contended latch charged %d waits of %dns total, want 1", n, ns)
+			}
+		})
+	}
+}
+
+// waitQueuedOnLatch returns once some goroutine is parked on an
+// RWMutex's semaphore: the op under test has queued on the held stripe.
+func waitQueuedOnLatch(t *testing.T) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); runtime.Gosched() {
+		if bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("sync.runtime_SemacquireRWMutex")) {
+			return
+		}
+	}
+	t.Fatal("the op never queued on the stripe latch")
 }

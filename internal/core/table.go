@@ -777,14 +777,7 @@ func (t *Table) getBuf(key, dst []byte, led *oplog.Ledger) ([]byte, error) {
 	}
 	t.m.gets.Inc()
 	h := t.hash(key)
-	var st int64
-	if led != nil {
-		st = oplog.Clock()
-	}
-	bucket := t.lockBucket(h, false)
-	if led != nil {
-		led.Since(oplog.PhaseLatchWait, st)
-	}
+	bucket := t.lockBucket(h, led)
 	out, err := t.getFromBucket(bucket, h, key, dst, led)
 	t.stripeFor(bucket).RUnlock()
 	return out, err
@@ -811,16 +804,10 @@ func (t *Table) getFromBucket(bucket, h uint32, key, dst []byte, led *oplog.Ledg
 		pg := page(buf.Page)
 		if pos == 0 {
 			if t.filtersOn && !t.needsRecovery && !pg.fltSaturatedBit() {
-				var fst int64
-				if led != nil {
-					fst = oplog.Clock()
-				}
 				filtered = true
 				exact = !pg.fltInexactBit()
 				hints = pg.filterHints(h)
-				if led != nil {
-					led.Since(oplog.PhaseFilter, fst)
-				}
+				led.Count(oplog.PhaseFilter)
 				if hints == 0 {
 					// Definitely absent: stop before any chain read.
 					skipped = true
@@ -927,14 +914,7 @@ func (t *Table) prefetchChain(primary *buffer.Buf, pg page, led *oplog.Ledger) {
 	if first == 0 {
 		return
 	}
-	var st int64
-	if led != nil {
-		st = oplog.Clock()
-	}
-	n := t.pool.PrefetchChain(primary, ovflBufAddr(first), want, safeChainLink)
-	if led != nil {
-		led.Since(oplog.PhasePrefetch, st)
-	}
+	n := t.pool.PrefetchChain(led, primary, ovflBufAddr(first), want, safeChainLink)
 	if n > 0 {
 		t.m.prefetches.Inc()
 		t.m.prefetchedPages.Add(int64(n))
@@ -1418,7 +1398,7 @@ func (t *Table) unlinkOvfl(prev, buf, primary *buffer.Buf) error {
 	primary.Dirty.Store(true)
 	o := oaddr(buf.Addr.N)
 	t.pool.Put(buf) // unpin before dropping
-	t.pool.Drop(prev, buf)
+	t.pool.Drop(buf)
 	return t.freeOvfl(o)
 }
 

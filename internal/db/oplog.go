@@ -71,18 +71,17 @@ func (d *hashDB) BeginOp(led *oplog.Ledger) (Txn, error) {
 
 // --- sharded adapter ---
 
-// route picks the shard for key, charging the routing decision to led
+// route picks the shard for key, counting the routing decision on led
 // and stamping the ledger with the destination shard.
 func (s *Sharded) route(led *oplog.Ledger, key []byte) *hashDB {
 	if led == nil {
 		return s.shard(key)
 	}
-	st := oplog.Clock()
 	i := 0
 	if len(s.shards) > 1 {
 		i = shardOf(key, len(s.shards))
 	}
-	led.Since(oplog.PhaseRoute, st)
+	led.Count(oplog.PhaseRoute)
 	led.SetShard(i)
 	return s.shards[i]
 }
@@ -99,7 +98,7 @@ func (s *Sharded) DeleteOp(led *oplog.Ledger, key []byte) error {
 	return s.route(led, key).DeleteOp(led, key)
 }
 
-// PutBatchOp partitions like PutBatch; the partition pass is charged to
+// PutBatchOp partitions like PutBatch; the partition pass is counted on
 // the ledger as routing and the per-shard sub-batches then charge their
 // latch/split/pool phases concurrently (the ledger's counters are
 // atomic). The ledger's shard stays -1 — a cross-shard batch has no
@@ -109,12 +108,8 @@ func (s *Sharded) PutBatchOp(led *oplog.Ledger, pairs []Pair) error {
 		led.SetShard(0)
 		return s.shards[0].PutBatchOp(led, pairs)
 	}
-	var st int64
-	if led != nil {
-		st = oplog.Clock()
-	}
 	per := splitByShard(pairs, len(s.shards), pairKey)
-	led.Since(oplog.PhaseRoute, st)
+	led.Count(oplog.PhaseRoute)
 	// Each sub-batch notes its own ring window on the ledger; the window
 	// covering all of them is set once they have joined.
 	seq0 := s.tr.Next()
@@ -129,8 +124,8 @@ func (s *Sharded) PutBatchOp(led *oplog.Ledger, pairs []Pair) error {
 }
 
 // BeginOp attaches led to the transaction: Commit charges its one log
-// append and one fsync (lead or join), the routing split and each touched
-// shard's latch wait to it — once per wire transaction.
+// append and one fsync (lead or join) and each touched shard's latch
+// wait to it, and counts the routing split — once per wire transaction.
 func (s *Sharded) BeginOp(led *oplog.Ledger) (Txn, error) {
 	s.ckpt.RLock()
 	err := s.commitReady()

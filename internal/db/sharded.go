@@ -449,9 +449,8 @@ func (x *shardedTxn) Commit() error {
 	if err != nil {
 		return s.poison(fmt.Errorf("db: sharded commit: log: %w", err))
 	}
-	st := oplog.Clock()
 	per := splitByShard(x.ops, len(s.shards), opKey)
-	led.Since(oplog.PhaseRoute, st)
+	led.Count(oplog.PhaseRoute)
 	for i, ops := range per {
 		if len(ops) == 0 {
 			continue

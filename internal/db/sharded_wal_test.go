@@ -212,7 +212,8 @@ func TestShardedLegacySidecars(t *testing.T) {
 
 // TestShardedStatsCountTheLogOnce: one log, so its figures appear once;
 // TxnCommits counts wire transactions; a shard reports its own stamps
-// and no log I/O; the ledger is charged each WAL phase once per commit.
+// and no log I/O; the ledger is charged each WAL phase once per commit,
+// counts the routing split once, and charges no latch wait it never had.
 func TestShardedStatsCountTheLogOnce(t *testing.T) {
 	s, err := OpenSharded("", 4, &Config{Hash: &core.Options{WAL: true}})
 	if err != nil {
@@ -240,8 +241,11 @@ func TestShardedStatsCountTheLogOnce(t *testing.T) {
 		if n := led.PhaseCount(oplog.PhaseWALFsyncLead) + led.PhaseCount(oplog.PhaseWALFsyncJoin); n != 1 {
 			t.Fatalf("wal fsync charged %d times for one transaction", n)
 		}
-		if led.PhaseCount(oplog.PhaseLatchWait) == 0 {
-			t.Fatal("latch_wait not charged to the transaction's ledger")
+		if n := led.PhaseCount(oplog.PhaseRoute); n != 1 {
+			t.Fatalf("shard_route counted %d times for one transaction", n)
+		}
+		if n := led.PhaseCount(oplog.PhaseLatchWait); n != 0 {
+			t.Fatalf("an uncontended commit charged latch_wait %d times", n)
 		}
 	}
 	if _, err := s.Get([]byte("t0-0")); err != nil {

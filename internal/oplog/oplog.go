@@ -20,6 +20,16 @@
 // visible to several goroutines at once (a sharded PutBatch fans out,
 // a group-commit follower parks while the leader syncs).
 //
+// A live ledger reads the clock only around what can wait: a contended
+// latch, a page fault, a read-ahead, a split, the log, the coalescing
+// window and the reply flush are timed phases. Parsing, shard routing,
+// filter consults and buffer hits cost less than the clock reads that
+// would bracket them, so they are counted but not timed, and Finish
+// charges everything untimed to one derived phase, on_cpu = elapsed −
+// Σ timed. A warm Get reads the clock twice (start and Finish), a
+// faulting one four times, and a finished ledger's phases sum to its
+// elapsed time by construction.
+//
 // Finished ledgers are folded into a Recorder: per-phase latency
 // histograms that merge into the shared metrics registry (the
 // oplog_phase_* / oplog_op_* series), per-command × per-shard
@@ -39,19 +49,18 @@ import (
 // Phase indices. A phase is one named place time goes; the taxonomy is
 // deliberately flat and small so a ledger stays a few cache lines.
 const (
-	// PhaseParse is server command decode: bytes already buffered on
-	// the connection to a parsed argument vector. Network wait is
-	// excluded — an idle connection is not a slow parser.
+	// PhaseParse counts server command decodes (counted, not timed).
 	PhaseParse = iota
 	// PhaseCoalesce is the time a staged PUT spent parked in the
 	// connection's write-coalescing buffer before its batch flushed.
 	PhaseCoalesce
-	// PhaseRoute is shard selection and fan-out bookkeeping in the
-	// sharded db front end.
+	// PhaseRoute counts shard selections in the sharded db front end
+	// (counted, not timed).
 	PhaseRoute
-	// PhaseLatchWait is bucket-latch acquisition: stripe lock waits on
-	// the read and write paths, including a transaction's ascending
-	// latch sweep at commit.
+	// PhaseLatchWait is a contended bucket-latch acquisition: a stripe
+	// whose try-lock failed on the read or write path, including a
+	// transaction's ascending latch sweep at commit. An uncontended
+	// latch charges nothing.
 	PhaseLatchWait
 	// PhaseSplitAssist is cooperative split work done on this
 	// request's dime: helping or triggering an incremental bucket
@@ -66,46 +75,56 @@ const (
 	// PhaseWALFsyncJoin is the follower side: parked waiting for a
 	// leader's fsync to cover this request's commit offset.
 	PhaseWALFsyncJoin
-	// PhaseBufHit is buffer-pool time for pages served from memory.
+	// PhaseBufHit counts pages served from the buffer pool (counted,
+	// not timed).
 	PhaseBufHit
 	// PhaseBufFault is buffer-pool time for pages faulted from the
 	// store (allocation, eviction and the read itself).
 	PhaseBufFault
-	// PhasePrefetch is the vectored chain read-ahead issued before a
-	// chain walk descends.
+	// PhasePrefetch is the vectored chain read-ahead's device read and
+	// install.
 	PhasePrefetch
-	// PhaseFilter is the per-bucket tag-filter consult on the read
-	// path.
+	// PhaseFilter counts per-bucket tag-filter consults on the read
+	// path (counted, not timed).
 	PhaseFilter
-	// PhaseReply is reply serialization and the pipeline-window flush
-	// back to the client.
+	// PhaseReply is the pipeline-window flush back to the client.
 	PhaseReply
+	// PhaseOnCPU is derived, never charged: elapsed minus every timed
+	// phase, set by Finish — parsing, routing, filter consults, buffer
+	// hits, page search and reply serialization.
+	PhaseOnCPU
 
 	NumPhases
 )
+
+// countOnly marks the phases a ledger counts but never times: each
+// costs less than the two clock reads that would bracket it, and its
+// time lands in on_cpu.
+var countOnly = [NumPhases]bool{PhaseParse: true, PhaseRoute: true, PhaseBufHit: true, PhaseFilter: true}
 
 // phaseNames index the metric / JSON names for each phase.
 var phaseNames = [NumPhases]string{
 	"parse", "coalesce_wait", "shard_route", "latch_wait", "split_assist",
 	"wal_marshal", "wal_fsync_lead", "wal_fsync_join",
-	"buffer_hit", "buffer_fault", "prefetch", "filter", "reply_write",
+	"buffer_hit", "buffer_fault", "prefetch", "filter", "reply_write", "on_cpu",
 }
 
 // phaseHelp is the registry HELP line per phase.
 var phaseHelp = [NumPhases]string{
-	"Command decode time (bytes buffered to parsed argument vector).",
+	"Command decode: counted per op, not timed (its time is in on_cpu), so this histogram stays empty.",
 	"Time a staged PUT waited in the connection's coalescing buffer.",
-	"Shard selection and fan-out time in the sharded front end.",
-	"Bucket-latch (stripe lock) acquisition wait.",
+	"Shard selection: counted per op, not timed (its time is in on_cpu), so this histogram stays empty.",
+	"Contended bucket-latch (stripe lock) wait; an uncontended latch charges nothing.",
 	"Cooperative bucket-split work charged to this request.",
 	"WAL transaction frame marshal and log append write.",
 	"WAL group-commit fsync performed as leader.",
 	"WAL group-commit wait as a follower joining a leader's fsync.",
-	"Buffer-pool time for pages served from memory.",
+	"Buffer-pool hit: counted per op, not timed (its time is in on_cpu), so this histogram stays empty.",
 	"Buffer-pool time for pages faulted from the store.",
 	"Vectored overflow-chain read-ahead.",
-	"Per-bucket tag filter consult on the read path.",
-	"Reply serialization and pipeline-window flush.",
+	"Tag filter consult: counted per op, not timed (its time is in on_cpu), so this histogram stays empty.",
+	"Pipeline-window reply flush.",
+	"Elapsed time outside every timed phase: parse, routing, filter, buffer hits, page search, reply serialization.",
 }
 
 // PhaseName returns the metric/JSON name of phase p.
@@ -170,17 +189,37 @@ type Ledger struct {
 	key   [keyPrefixLen]byte // prefix of the request key, for exemplars
 }
 
-// StartOp resets the ledger for a new request. Safe on a nil receiver.
+// StartOp resets the ledger for a new request starting now. Safe on a
+// nil receiver.
 func (l *Ledger) StartOp(cmd Cmd, key []byte) {
 	if l == nil {
 		return
 	}
-	*l = Ledger{cmd: cmd, shard: -1, start: Clock()}
+	l.StartOpAt(cmd, key, Clock())
+}
+
+// StartOpAt is StartOp with a start stamp the caller already read (a
+// server connection stamps a command before parsing it), so the parse
+// is inside the op without a second clock read. Safe on a nil receiver.
+func (l *Ledger) StartOpAt(cmd Cmd, key []byte, start int64) {
+	if l == nil {
+		return
+	}
+	*l = Ledger{cmd: cmd, shard: -1, start: start}
 	n := copy(l.key[:], key)
 	l.klen = uint8(n)
 }
 
-// Add charges d nanoseconds (one event) to phase p. Safe on a nil
+// Count charges one event, and no time, to a count-only phase. Safe on
+// a nil receiver.
+func (l *Ledger) Count(p int) {
+	if l == nil {
+		return
+	}
+	atomic.AddUint32(&l.count[p], 1)
+}
+
+// Add charges d nanoseconds (one event) to timed phase p. Safe on a nil
 // receiver; negative durations (clock retreat) are dropped.
 func (l *Ledger) Add(p int, d int64) {
 	if l == nil || d < 0 {
@@ -231,12 +270,22 @@ func (l *Ledger) SetTraceSpan(seq0, seq1 uint64) {
 	atomic.StoreUint64(&l.seq1, seq1)
 }
 
-// Finish stamps the end of the request. Safe on a nil receiver.
+// Finish stamps the end of the request and settles on_cpu: elapsed
+// minus the timed phases, so the phases sum to elapsed. Phases charged
+// concurrently (a cross-shard batch's fan-out) can overlap and exceed
+// elapsed; on_cpu is then zero. Safe on a nil receiver.
 func (l *Ledger) Finish() {
 	if l == nil {
 		return
 	}
-	atomic.StoreInt64(&l.end, Clock())
+	end := Clock()
+	atomic.StoreInt64(&l.end, end)
+	cpu := end - l.start
+	for p := 0; p < PhaseOnCPU; p++ {
+		cpu -= atomic.LoadInt64(&l.ns[p])
+	}
+	atomic.StoreInt64(&l.ns[PhaseOnCPU], max(cpu, 0))
+	atomic.StoreUint32(&l.count[PhaseOnCPU], 1)
 }
 
 // Elapsed is the end-to-end duration of a finished ledger.
@@ -253,10 +302,9 @@ func (l *Ledger) PhaseNS(p int) int64 { return atomic.LoadInt64(&l.ns[p]) }
 // PhaseCount returns the events charged to phase p.
 func (l *Ledger) PhaseCount(p int) uint32 { return atomic.LoadUint32(&l.count[p]) }
 
-// PhaseTotal sums the nanoseconds charged across all phases. Phases on
-// a single-threaded request are disjoint, so the total is comparable
-// to Elapsed (the overhead contract the oplog bench gates: the sum
-// must stay within 10% of end-to-end for exemplar ops).
+// PhaseTotal sums the nanoseconds charged across all phases, on_cpu
+// included: equal to Elapsed for a finished ledger whose timed phases
+// did not overlap.
 func (l *Ledger) PhaseTotal() int64 {
 	var t int64
 	for p := 0; p < NumPhases; p++ {

@@ -31,8 +31,9 @@ func TestNilLedgerZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestLedgerAccounting checks phases accumulate and the end-to-end
-// elapsed brackets the phase total.
+// TestLedgerAccounting checks phases accumulate and Finish settles
+// on_cpu so the phase total is the elapsed time — or, when charges
+// overlap (here two synthetic ones), the timed phases alone.
 func TestLedgerAccounting(t *testing.T) {
 	var led Ledger
 	led.StartOp(CmdPut, []byte("a-key-longer-than-the-retained-prefix-window"))
@@ -56,7 +57,7 @@ func TestLedgerAccounting(t *testing.T) {
 	if led.Elapsed() < led.PhaseNS(PhaseBufFault) {
 		t.Fatalf("elapsed %d < fault phase %d", led.Elapsed(), led.PhaseNS(PhaseBufFault))
 	}
-	if want := led.PhaseNS(PhaseBufFault) + 1000 + 5000; led.PhaseTotal() != want {
+	if want := max(led.Elapsed(), led.PhaseNS(PhaseBufFault)+1000+5000); led.PhaseTotal() != want {
 		t.Fatalf("phase total %d, want %d", led.PhaseTotal(), want)
 	}
 	if got := len(led.Key()); got != keyPrefixLen {
@@ -76,7 +77,7 @@ func TestRecorderHistograms(t *testing.T) {
 		var led Ledger
 		led.StartOp(CmdGet, []byte("k"))
 		led.Add(PhaseLatchWait, int64(50*time.Microsecond))
-		led.Add(PhaseBufHit, int64(10*time.Microsecond))
+		led.Count(PhaseBufHit)
 		led.SetShard(i % 2)
 		led.Finish()
 		rec.Record(&led)
@@ -107,6 +108,67 @@ func TestRecorderHistograms(t *testing.T) {
 	}
 	if len(s.Shards) != 2 {
 		t.Fatalf("snapshot shards = %d, want 2 (both saw traffic)", len(s.Shards))
+	}
+}
+
+// TestCountOnlyPhasesNotObserved: parse, routing, filter consults and
+// buffer hits are counted on the ledger, and so appear in its exemplar,
+// but are never observed into a latency histogram; their time is in
+// on_cpu, and the exemplar's phases sum exactly to its elapsed time.
+func TestCountOnlyPhasesNotObserved(t *testing.T) {
+	reg := metrics.New()
+	rec := NewRecorder(reg, 1)
+	var led Ledger
+	led.StartOpAt(CmdGet, []byte("k"), Clock()-int64(time.Millisecond))
+	counted := []int{PhaseParse, PhaseRoute, PhaseFilter, PhaseBufHit}
+	for _, p := range counted {
+		led.Count(p)
+	}
+	led.Count(PhaseBufHit)
+	const fault = int64(300 * time.Microsecond)
+	led.Add(PhaseBufFault, fault)
+	led.SetShard(0)
+	led.Finish()
+	rec.Record(&led)
+
+	if n := led.PhaseCount(PhaseBufHit); n != 2 {
+		t.Fatalf("buffer_hit count = %d, want 2", n)
+	}
+	if got, want := led.PhaseNS(PhaseOnCPU), led.Elapsed()-fault; got != want {
+		t.Fatalf("on_cpu = %d ns, want elapsed - fault = %d", got, want)
+	}
+	h := &rec.shards[1].phase[CmdGet]
+	for _, p := range counted {
+		if led.PhaseNS(p) != 0 || h[p].Count() != 0 {
+			t.Errorf("%s: %d ns on the ledger, %d histogram observations; want 0 and 0", PhaseName(p), led.PhaseNS(p), h[p].Count())
+		}
+	}
+	if h[PhaseBufFault].Count() != 1 || h[PhaseOnCPU].Count() != 1 {
+		t.Fatalf("observations: buffer_fault %d, on_cpu %d; want 1 each", h[PhaseBufFault].Count(), h[PhaseOnCPU].Count())
+	}
+
+	ex := rec.Exemplars()[0]
+	if ex.PhaseUS != ex.ElapsedUS {
+		t.Fatalf("exemplar phases sum to %vus of %vus elapsed", ex.PhaseUS, ex.ElapsedUS)
+	}
+	inExemplar := map[string]int64{}
+	for _, ps := range ex.Phases {
+		inExemplar[ps.Phase] = ps.Count
+	}
+	for _, p := range counted {
+		if inExemplar[PhaseName(p)] == 0 {
+			t.Errorf("exemplar lacks counted phase %s: %v", PhaseName(p), inExemplar)
+		}
+	}
+
+	var prom strings.Builder
+	if err := reg.WriteProm(&prom); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"oplog_phase_buffer_hit_seconds_count 0\n", "oplog_phase_on_cpu_seconds_count 1\n"} {
+		if !strings.Contains(prom.String(), want) {
+			t.Errorf("registry dump lacks %q", want)
+		}
 	}
 }
 
@@ -237,7 +299,7 @@ func TestLedgerTearingRace(t *testing.T) {
 					go func(g int) {
 						defer inner.Done()
 						led.Add(PhaseLatchWait, int64(g+1))
-						led.Add(PhaseBufHit, 100)
+						led.Count(PhaseBufHit)
 						led.SetShard(g)
 						led.SetTraceSpan(uint64(g), uint64(g+2))
 					}(g)

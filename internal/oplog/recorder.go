@@ -98,9 +98,11 @@ func (r *Recorder) NShards() int {
 }
 
 // Record folds a finished ledger into the recorder. Safe on a nil
-// recorder and hot-path cheap: per non-empty phase one histogram
-// observe, plus a lock-free exemplar admission check that takes the
-// mutex only for a new per-window maximum or a window rotation.
+// recorder and hot-path cheap: per non-empty timed phase (on_cpu
+// included) one histogram observe — count-only phases stay in the
+// ledger and its exemplar — plus a lock-free exemplar admission check
+// that takes the mutex only for a new per-window maximum or a window
+// rotation.
 func (r *Recorder) Record(led *Ledger) {
 	if r == nil || led == nil {
 		return
@@ -118,7 +120,7 @@ func (r *Recorder) Record(led *Ledger) {
 	el := led.Elapsed()
 	sr.op[c].Observe(time.Duration(el))
 	for p := 0; p < NumPhases; p++ {
-		if n := atomic.LoadUint32(&led.count[p]); n > 0 {
+		if n := atomic.LoadUint32(&led.count[p]); n > 0 && !countOnly[p] {
 			sr.phase[c][p].Observe(time.Duration(atomic.LoadInt64(&led.ns[p])))
 		}
 	}

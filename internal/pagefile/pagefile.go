@@ -145,6 +145,14 @@ func (s *Stats) observeSync(d time.Duration) {
 	s.tr.Load().SlowIO(trace.IOSync, 0, 0, d)
 }
 
+// monoBase anchors mono.
+var monoBase = time.Now()
+
+// mono reads the monotonic clock alone; the latency histograms take
+// differences of it. time.Now would read the wall clock as well, on
+// every page I/O, for a stamp nothing keeps.
+func mono() time.Duration { return time.Since(monoBase) }
+
 // Register exports the store's counters and latency histograms into reg
 // under the given name prefix (conventionally "pagefile_"). Counter
 // values are computed at scrape time from the live Stats, so no extra
@@ -349,9 +357,9 @@ func (fs *FileStore) ReadPage(pageno uint32, buf []byte) error {
 	}
 	fs.mu.Unlock()
 	fs.stats.addRead(fs.pagesize)
-	t0 := time.Now()
+	t0 := mono()
 	n, err := fs.f.ReadAt(buf, int64(pageno)*int64(fs.pagesize))
-	fs.stats.observeRead(pageno, fs.pagesize, time.Since(t0))
+	fs.stats.observeRead(pageno, fs.pagesize, mono()-t0)
 	if err == io.EOF && n == fs.pagesize {
 		err = nil
 	}
@@ -376,9 +384,9 @@ func (fs *FileStore) ReadPages(pageno uint32, buf []byte) error {
 	}
 	fs.mu.Unlock()
 	fs.stats.addReadVec(len(buf)/fs.pagesize, len(buf))
-	t0 := time.Now()
+	t0 := mono()
 	n, err := fs.f.ReadAt(buf, int64(pageno)*int64(fs.pagesize))
-	fs.stats.observeRead(pageno, len(buf), time.Since(t0))
+	fs.stats.observeRead(pageno, len(buf), mono()-t0)
 	if err == io.EOF {
 		// Short run: the tail pages were never written; serve them fresh.
 		for i := n; i < len(buf); i++ {
@@ -405,9 +413,9 @@ func (fs *FileStore) WritePage(pageno uint32, buf []byte) error {
 	}
 	fs.mu.Unlock()
 	fs.stats.addWrite(fs.pagesize)
-	t0 := time.Now()
+	t0 := mono()
 	_, err := fs.f.WriteAt(buf, int64(pageno)*int64(fs.pagesize))
-	fs.stats.observeWrite(pageno, fs.pagesize, time.Since(t0))
+	fs.stats.observeWrite(pageno, fs.pagesize, mono()-t0)
 	if err != nil {
 		fs.stats.addError()
 		return fmt.Errorf("pagefile: write page %d: %w", pageno, err)
@@ -434,9 +442,9 @@ func (fs *FileStore) WritePages(pageno uint32, buf []byte) error {
 	}
 	fs.mu.Unlock()
 	fs.stats.addWriteVec(len(buf)/fs.pagesize, len(buf))
-	t0 := time.Now()
+	t0 := mono()
 	_, err := fs.f.WriteAt(buf, int64(pageno)*int64(fs.pagesize))
-	fs.stats.observeWrite(pageno, len(buf), time.Since(t0))
+	fs.stats.observeWrite(pageno, len(buf), mono()-t0)
 	if err != nil {
 		fs.stats.addError()
 		return fmt.Errorf("pagefile: write pages %d..%d: %w", pageno, pageno+uint32(len(buf)/fs.pagesize)-1, err)
@@ -458,9 +466,9 @@ func (fs *FileStore) Sync() error {
 	}
 	fs.mu.Unlock()
 	fs.stats.addSync()
-	t0 := time.Now()
+	t0 := mono()
 	err := fs.f.Sync()
-	fs.stats.observeSync(time.Since(t0))
+	fs.stats.observeSync(mono() - t0)
 	if err != nil {
 		fs.stats.addError()
 		return err
@@ -480,9 +488,9 @@ func (fs *FileStore) Close() error {
 	fs.closed = true
 	fs.mu.Unlock()
 	fs.stats.addSync()
-	t0 := time.Now()
+	t0 := mono()
 	err := fs.f.Sync()
-	fs.stats.observeSync(time.Since(t0))
+	fs.stats.observeSync(mono() - t0)
 	if err != nil {
 		fs.stats.addError()
 	}
@@ -537,9 +545,9 @@ func (ms *MemStore) ReadPage(pageno uint32, buf []byte) error {
 	if !ok {
 		return ErrNotAllocated
 	}
-	t0 := time.Now()
+	t0 := mono()
 	copy(buf, p)
-	ms.stats.observeRead(pageno, ms.pagesize, time.Since(t0))
+	ms.stats.observeRead(pageno, ms.pagesize, mono()-t0)
 	ms.stats.addRead(ms.pagesize)
 	return nil
 }
@@ -551,7 +559,7 @@ func (ms *MemStore) ReadPages(pageno uint32, buf []byte) error {
 	if len(buf) == 0 || len(buf)%ms.pagesize != 0 {
 		return fmt.Errorf("pagefile: vector read of %d bytes is not a multiple of page size %d", len(buf), ms.pagesize)
 	}
-	t0 := time.Now()
+	t0 := mono()
 	ms.mu.Lock()
 	for off := 0; off < len(buf); off += ms.pagesize {
 		pn := pageno + uint32(off/ms.pagesize)
@@ -565,7 +573,7 @@ func (ms *MemStore) ReadPages(pageno uint32, buf []byte) error {
 		}
 	}
 	ms.mu.Unlock()
-	ms.stats.observeRead(pageno, len(buf), time.Since(t0))
+	ms.stats.observeRead(pageno, len(buf), mono()-t0)
 	ms.stats.addReadVec(len(buf)/ms.pagesize, len(buf))
 	return nil
 }
@@ -575,7 +583,7 @@ func (ms *MemStore) WritePage(pageno uint32, buf []byte) error {
 	if len(buf) != ms.pagesize {
 		return fmt.Errorf("pagefile: write buffer is %d bytes, want %d", len(buf), ms.pagesize)
 	}
-	t0 := time.Now()
+	t0 := mono()
 	ms.mu.Lock()
 	p, ok := ms.pages[pageno]
 	if !ok {
@@ -587,7 +595,7 @@ func (ms *MemStore) WritePage(pageno uint32, buf []byte) error {
 		ms.npages = pageno + 1
 	}
 	ms.mu.Unlock()
-	ms.stats.observeWrite(pageno, ms.pagesize, time.Since(t0))
+	ms.stats.observeWrite(pageno, ms.pagesize, mono()-t0)
 	ms.stats.addWrite(ms.pagesize)
 	return nil
 }
@@ -599,7 +607,7 @@ func (ms *MemStore) WritePages(pageno uint32, buf []byte) error {
 	if len(buf) == 0 || len(buf)%ms.pagesize != 0 {
 		return fmt.Errorf("pagefile: vector write of %d bytes is not a multiple of page size %d", len(buf), ms.pagesize)
 	}
-	t0 := time.Now()
+	t0 := mono()
 	ms.mu.Lock()
 	for off := 0; off < len(buf); off += ms.pagesize {
 		pn := pageno + uint32(off/ms.pagesize)
@@ -614,7 +622,7 @@ func (ms *MemStore) WritePages(pageno uint32, buf []byte) error {
 		}
 	}
 	ms.mu.Unlock()
-	ms.stats.observeWrite(pageno, len(buf), time.Since(t0))
+	ms.stats.observeWrite(pageno, len(buf), mono()-t0)
 	ms.stats.addWriteVec(len(buf)/ms.pagesize, len(buf))
 	return nil
 }
@@ -623,9 +631,9 @@ func (ms *MemStore) WritePages(pageno uint32, buf []byte) error {
 // sync is still counted and its (near-zero) latency observed so that
 // metric series exist regardless of backing device.
 func (ms *MemStore) Sync() error {
-	t0 := time.Now()
+	t0 := mono()
 	ms.stats.addSync()
-	ms.stats.observeSync(time.Since(t0))
+	ms.stats.observeSync(mono() - t0)
 	return nil
 }
 

@@ -44,16 +44,14 @@ type conn struct {
 	// to the transaction.
 	led    *oplog.Ledger
 	txnLed *oplog.Ledger
-	pendSt int64 // clock when the oldest pending PUT parked
+	pendSt int64 // start stamp of the oldest pending PUT
 }
 
-// begin opens led for one command, charging its parse time (0 when the
-// read blocked on the network or attribution is off).
-func (c *conn) begin(led *oplog.Ledger, cmd oplog.Cmd, key []byte, parseNS int64) *oplog.Ledger {
-	led.StartOp(cmd, key)
-	if parseNS > 0 {
-		led.Add(oplog.PhaseParse, parseNS)
-	}
+// begin opens led for one command at its start stamp st and counts the
+// command's parse, which st already covers.
+func (c *conn) begin(led *oplog.Ledger, cmd oplog.Cmd, key []byte, st int64) *oplog.Ledger {
+	led.StartOpAt(cmd, key, st)
+	led.Count(oplog.PhaseParse)
 	return led
 }
 
@@ -81,13 +79,13 @@ func (c *conn) serve() {
 				return
 			}
 		}
-		// Parse attribution: only meaningful when the command's bytes are
-		// already in memory — otherwise the read is network idle, not
-		// parsing, and charging it would swamp every other phase.
-		var parseSt int64
-		timeParse := c.srv.rec != nil && c.r.buffered() > 0
-		if timeParse {
-			parseSt = oplog.Clock()
+		// The command's start stamp, one clock read: before the parse when
+		// its bytes are already in memory, after the read when it blocked
+		// on the network — an idle connection is not a slow request.
+		var st int64
+		stampFirst := c.srv.rec != nil && c.r.buffered() > 0
+		if stampFirst {
+			st = oplog.Clock()
 		}
 		args, err := c.r.ReadCommand()
 		if err != nil {
@@ -97,12 +95,11 @@ func (c *conn) serve() {
 		if args == nil { // blank line between commands
 			continue
 		}
-		var parseNS int64
-		if timeParse {
-			parseNS = oplog.Clock() - parseSt
+		if c.srv.rec != nil && !stampFirst {
+			st = oplog.Clock()
 		}
 		c.srv.mCmds.Inc()
-		if !c.dispatch(args, parseNS) {
+		if !c.dispatch(args, st) {
 			c.flushPending()
 			c.w.Flush()
 			return
@@ -117,8 +114,9 @@ func (c *conn) flushReplies() error {
 	if c.srv.rec == nil || c.w.buffered() == 0 {
 		return c.w.Flush()
 	}
-	led := c.begin(c.led, oplog.CmdOther, nil, 0)
 	st := oplog.Clock()
+	led := c.led
+	led.StartOpAt(oplog.CmdOther, nil, st)
 	err := c.w.Flush()
 	led.Since(oplog.PhaseReply, st)
 	c.end(led)
@@ -147,23 +145,26 @@ func (c *conn) readFailed(err error) {
 }
 
 // dispatch executes one command, returning false to close the
-// connection. Replies are buffered, not yet flushed. parseNS is the
-// command's attributable parse time (0 when attribution is off or the
-// read blocked on the network).
-func (c *conn) dispatch(args [][]byte, parseNS int64) bool {
+// connection. Replies are buffered, not yet flushed. st is the command's
+// start stamp (0 when attribution is off).
+func (c *conn) dispatch(args [][]byte, st int64) bool {
 	cmd := asciiUpper(args[0])
 	// Every command except a plain PUT is a coalescing barrier: the
 	// pending batch must land first so replies stay ordered and reads
-	// observe earlier pipelined writes.
-	if cmd != "PUT" || c.txn != nil {
+	// observe earlier pipelined writes. The flushed batch is its own op,
+	// so this command's stamp moves past it.
+	if (cmd != "PUT" || c.txn != nil) && len(c.pending) > 0 {
 		c.flushPending()
+		if c.led != nil {
+			st = oplog.Clock()
+		}
 	}
 	switch cmd {
 	case "GET":
 		if !c.arity(args, 2) {
 			return true
 		}
-		led := c.begin(c.led, oplog.CmdGet, args[1], parseNS)
+		led := c.begin(c.led, oplog.CmdGet, args[1], st)
 		v, err := c.srv.ops.GetBufOp(led, args[1], c.getBuf)
 		c.end(led)
 		switch {
@@ -191,14 +192,13 @@ func (c *conn) dispatch(args [][]byte, parseNS int64) bool {
 		// argument slices, so they stay valid until the batch applies.
 		// With attribution on, the batch ledger opens at the first park —
 		// its elapsed time then brackets the coalesce wait flushPending
-		// settles — and later parked PUTs fold their parse time in.
+		// settles — and later parked PUTs count their parses on it.
 		if c.led != nil {
 			if len(c.pending) == 0 {
-				c.led.StartOp(oplog.CmdPut, args[1])
-				c.pendSt = oplog.Clock()
-			}
-			if parseNS > 0 {
-				c.led.Add(oplog.PhaseParse, parseNS)
+				c.begin(c.led, oplog.CmdPut, args[1], st)
+				c.pendSt = st
+			} else {
+				c.led.Count(oplog.PhaseParse)
 			}
 		}
 		c.pending = append(c.pending, db.Pair{Key: args[1], Data: args[2]})
@@ -217,7 +217,7 @@ func (c *conn) dispatch(args [][]byte, parseNS int64) bool {
 			}
 			return true
 		}
-		led := c.begin(c.led, oplog.CmdDelete, args[1], parseNS)
+		led := c.begin(c.led, oplog.CmdDelete, args[1], st)
 		err := c.srv.ops.DeleteOp(led, args[1])
 		c.end(led)
 		switch {
@@ -229,11 +229,11 @@ func (c *conn) dispatch(args [][]byte, parseNS int64) bool {
 			c.w.Int(1)
 		}
 	case "BATCH":
-		c.batch(args, parseNS)
+		c.batch(args, st)
 	case "TXN":
-		c.txnCmd(args, parseNS)
+		c.txnCmd(args, st)
 	case "STATS":
-		c.stats(parseNS)
+		c.stats(st)
 	case "PING":
 		c.w.Status("PONG")
 	case "QUIT":
@@ -248,7 +248,7 @@ func (c *conn) dispatch(args [][]byte, parseNS int64) bool {
 
 // batch applies BATCH k1 v1 [k2 v2 ...]: the explicit form of what
 // coalescing does implicitly — one PutBatch, one reply (:n pairs).
-func (c *conn) batch(args [][]byte, parseNS int64) {
+func (c *conn) batch(args [][]byte, st int64) {
 	if len(args) < 3 || len(args)%2 == 0 {
 		c.srv.mErrors.Inc()
 		c.w.Error("BATCH wants KEY VALUE pairs")
@@ -258,7 +258,7 @@ func (c *conn) batch(args [][]byte, parseNS int64) {
 	for i := 1; i < len(args); i += 2 {
 		pairs = append(pairs, db.Pair{Key: args[i], Data: args[i+1]})
 	}
-	led := c.begin(c.led, oplog.CmdBatch, pairs[0].Key, parseNS)
+	led := c.begin(c.led, oplog.CmdBatch, pairs[0].Key, st)
 	err := c.srv.ops.PutBatchOp(led, pairs)
 	c.end(led)
 	if err != nil {
@@ -272,8 +272,8 @@ func (c *conn) batch(args [][]byte, parseNS int64) {
 // stats answers STATS with the database's JSON statistics; with
 // attribution on, the document gains an "Oplog" member carrying the
 // recorder's per-command phase summary.
-func (c *conn) stats(parseNS int64) {
-	led := c.begin(c.led, oplog.CmdStats, nil, parseNS)
+func (c *conn) stats(st int64) {
+	led := c.begin(c.led, oplog.CmdStats, nil, st)
 	s, err := c.srv.db.Stats()
 	if err != nil {
 		c.cmdErr(err)
@@ -301,7 +301,7 @@ func (c *conn) stats(parseNS int64) {
 // and durable as one unit at COMMIT; GET does not observe the
 // transaction's own queued writes. On a sharded database the unit is
 // per shard (see db.Sharded.Begin).
-func (c *conn) txnCmd(args [][]byte, parseNS int64) {
+func (c *conn) txnCmd(args [][]byte, st int64) {
 	if len(args) != 2 {
 		c.srv.mErrors.Inc()
 		c.w.Error("TXN wants BEGIN, COMMIT or ROLLBACK")
@@ -329,7 +329,7 @@ func (c *conn) txnCmd(args [][]byte, parseNS int64) {
 			c.w.Error("no transaction")
 			return
 		}
-		led := c.begin(c.txnLed, oplog.CmdTxn, nil, parseNS)
+		led := c.begin(c.txnLed, oplog.CmdTxn, nil, st)
 		err := c.txn.Commit()
 		c.end(led)
 		c.txn = nil
