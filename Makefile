@@ -2,7 +2,7 @@ GO ?= go
 
 # Packages with dedicated concurrency stress tests; the full suite under
 # -race is slow, so check races where the locks actually live.
-RACE_PKGS = ./internal/core ./internal/buffer ./internal/db ./internal/trace ./internal/server ./internal/oplog
+RACE_PKGS = ./internal/core ./internal/buffer ./internal/db ./internal/trace ./internal/server ./internal/oplog ./internal/wal ./internal/pagefile ./internal/metrics
 
 .PHONY: check fmt deps build vet test race crash fuzz-crash wal-crash fuzz-wal-crash fuzz-proto bench micro bench-history metrics misses serve telemetry loc clean
 

@@ -4,14 +4,15 @@
 //
 //	hashdump [-v] [-stats] [-check] [-recover] [-metrics] [-heatmap] file.db
 //
-// With -v every entry's key is listed. With -stats only aggregate
-// statistics are printed, including the buffer-pool hit ratio and the
-// overflow-chain length distribution of the inspection scan. With
-// -heatmap the per-bucket fill factor and overflow-chain depth are
-// reported through the same read-locked walker the live
-// /debug/heatmap telemetry endpoint uses: a summary line, the chain
-// depth distribution, a ten-bin fill histogram, and (with -v) one row
-// per bucket. With
+// With -v every entry's key is listed. With -heatmap the per-bucket fill
+// factor and overflow-chain depth are reported through the table's one
+// read-locked statistics walk, the one behind the live /debug/heatmap
+// endpoint, db.Stats and STATS: a summary line, the chain depth
+// distribution, a ten-bin fill histogram, and (with -v) one row per
+// bucket. With -stats only aggregate statistics are printed: that walk's
+// summary (empty buckets, chain, big-pair and bitmap pages, the
+// chain-length distribution, page fill) with the header geometry and the
+// buffer-pool hit ratio of the scan. With
 // -check the file is verified: a cleanly synced file gets the full
 // structural check (key placement, chain and bitmap consistency, leaks,
 // pair fingerprint); a file left dirty by a crash gets a dry-run of
@@ -111,29 +112,29 @@ func main() {
 	}
 	if *statsOnly {
 		g := t.Geometry()
-		fs, err := t.FillStats()
+		h, err := t.Heatmap()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hashdump: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Printf("keys:            %d\n", g.NKeys)
-		fmt.Printf("buckets:         %d (%d empty)\n", fs.Buckets, fs.EmptyBuckets)
+		fmt.Printf("buckets:         %d (%d empty)\n", h.Buckets, h.EmptyBuckets)
 		fmt.Printf("bucket size:     %d\n", g.Bsize)
 		fmt.Printf("fill factor:     %d\n", g.Ffactor)
 		fmt.Printf("overflow pages:  %d chain, %d big-pair, %d bitmap\n",
-			fs.OverflowPages, fs.BigPairPages, fs.BitmapPages)
+			h.OverflowPages, h.BigPairPages, h.BitmapPages)
 		fmt.Printf("split point:     %d\n", g.OvflPoint)
 		if g.WalLSN != 0 || g.WalPending > 0 {
 			fmt.Printf("wal checkpoint:  lsn %d (%d commits pending replay)\n", g.WalLSN, g.WalPending)
 		}
-		fmt.Printf("longest chain:   %d pages\n", fs.MaxChain)
+		fmt.Printf("longest chain:   %d pages\n", h.MaxChain+1)
 		fmt.Printf("chain lengths:  ")
-		for i, n := range fs.ChainDist {
+		for i, n := range h.ChainDist {
 			fmt.Printf(" %dp:%d", i+1, n)
 		}
 		fmt.Println()
-		fmt.Printf("keys/page:       %.2f\n", fs.AvgKeysPerPage)
-		fmt.Printf("page fill:       %.0f%%\n", 100*fs.AvgFill)
+		fmt.Printf("keys/page:       %.2f\n", float64(h.NKeys)/float64(int(h.Buckets)+h.OverflowPages))
+		fmt.Printf("page fill:       %.0f%%\n", 100*h.AvgFill)
 		c := t.Pool().Counters()
 		fmt.Printf("buffer pool:     %.1f%% hit ratio over this scan (%d hits, %d misses)\n",
 			100*c.HitRatio(), c.Hits, c.Misses)

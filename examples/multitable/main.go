@@ -104,10 +104,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ovfl, err := big.OverflowPages()
+	h, err := big.Heatmap()
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nstored and retrieved a %d-byte value on %d-byte pages (%d overflow pages)\n",
-		len(back), 256, ovfl)
+		len(back), 256, h.OverflowPages+h.BigPairPages)
 }

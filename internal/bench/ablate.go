@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"unixhash/internal/core"
 	"unixhash/internal/dataset"
 	"unixhash/internal/hashfunc"
 )
@@ -57,14 +58,19 @@ func AblateSplitPolicy(n int) (*SplitPolicyResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		ovfl, err := r.t.OverflowPages()
+		h, err := r.t.Heatmap()
 		if err != nil {
 			return nil, err
 		}
-		st := r.t.Stats()
+		snap, err := r.t.MetricsSnapshot()
+		if err != nil {
+			return nil, err
+		}
 		arm := SplitPolicyArm{
 			Create: ct, Read: rt,
-			Expansions: st.Expansions, OvflAllocs: st.OvflAllocs, OvflPages: ovfl,
+			Expansions: snap.Counter(core.MetricSplitsControlled) + snap.Counter(core.MetricSplitsUncontrolled),
+			OvflAllocs: snap.Counter(core.MetricOvflAllocs),
+			OvflPages:  h.OverflowPages + h.BigPairPages,
 		}
 		if err := r.close(); err != nil {
 			return nil, err

@@ -28,8 +28,8 @@ func TestOperationsOnClosedTable(t *testing.T) {
 	if err := tbl.Check(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Check = %v", err)
 	}
-	if _, err := tbl.FillStats(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("FillStats = %v", err)
+	if _, err := tbl.Heatmap(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Heatmap = %v", err)
 	}
 	var sb strings.Builder
 	if err := tbl.Dump(&sb, false); !errors.Is(err, ErrClosed) {

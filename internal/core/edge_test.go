@@ -89,26 +89,26 @@ func TestOverflowReclaimAndReuse(t *testing.T) {
 	}
 	put("a", 10000)
 	put("b", 10000)
-	allocsBefore := tbl.Stats().OvflAllocs
+	allocsBefore := counter(t, tbl, MetricOvflAllocs)
 	if err := tbl.Delete([]byte("a")); err != nil {
 		t.Fatal(err)
 	}
 	if err := tbl.Delete([]byte("b")); err != nil {
 		t.Fatal(err)
 	}
-	frees := tbl.Stats().OvflFrees
+	frees := counter(t, tbl, MetricOvflFrees)
 	if frees == 0 {
 		t.Fatal("deleting big pairs freed nothing")
 	}
 	// Rewriting the same data must reuse the freed pages, not allocate.
 	put("c", 10000)
 	put("d", 10000)
-	st := tbl.Stats()
-	if st.OvflAllocs != allocsBefore {
+	allocs, reuses := counter(t, tbl, MetricOvflAllocs), counter(t, tbl, MetricOvflReuses)
+	if allocs != allocsBefore {
 		t.Fatalf("fresh allocations grew %d -> %d despite %d freed pages (reuses: %d)",
-			allocsBefore, st.OvflAllocs, frees, st.OvflReuses)
+			allocsBefore, allocs, frees, reuses)
 	}
-	if st.OvflReuses == 0 {
+	if reuses == 0 {
 		t.Fatal("no reuse recorded")
 	}
 }
@@ -126,10 +126,7 @@ func TestDeleteShrinksChains(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before, err := tbl.OverflowPages()
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := ovflInUse(t, tbl)
 	if before == 0 {
 		t.Fatal("no overflow chain was built")
 	}
@@ -138,11 +135,7 @@ func TestDeleteShrinksChains(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	after, err := tbl.OverflowPages()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after >= before {
+	if after := ovflInUse(t, tbl); after >= before {
 		t.Fatalf("overflow pages %d -> %d after deleting everything", before, after)
 	}
 }

@@ -6,12 +6,13 @@ import (
 	"unixhash/internal/buffer"
 )
 
-// The heatmap is the live, read-locked view of how the table's keys and
-// bytes are spread over its buckets: per-bucket fill factor and
-// overflow-chain depth, cheap enough to serve from the telemetry
-// endpoint while a workload runs. It deliberately walks only bucket
-// chains under the shared lock (the same path Get uses), unlike
-// FillStats, whose allocator accounting needs the exclusive lock.
+// The heatmap is the table's one whole-table statistics walk: how its
+// keys and bytes are spread over its buckets (per-bucket fill factor and
+// overflow-chain depth) plus the paper's fill statistics summed from
+// them, the observable side of the bucket-size/fill-factor tradeoff. It
+// runs under the shared lock, one bucket read latch at a time (the path
+// Get uses), and counts allocator pages under ovflMu alone, so db.Stats,
+// /stats, /debug/heatmap and hashdump never stop readers or writers.
 
 // BucketHeat is one bucket's row in the heatmap.
 type BucketHeat struct {
@@ -34,6 +35,14 @@ type Heatmap struct {
 	NKeys    int64   `json:"nkeys"`
 	MaxChain int     `json:"max_chain_pages"` // deepest overflow chain
 	AvgFill  float64 `json:"avg_fill"`
+	// EmptyBuckets counts buckets holding no entry. OverflowPages is the
+	// sum of every bucket's ChainPages. BitmapPages are the allocator's
+	// bitmap pages, and BigPairPages the allocated overflow pages no
+	// chain holds: big-pair storage.
+	EmptyBuckets  int `json:"empty_buckets"`
+	OverflowPages int `json:"overflow_pages"`
+	BitmapPages   int `json:"bitmap_pages"`
+	BigPairPages  int `json:"big_pair_pages"`
 	// ChainDist[i] counts buckets with exactly i overflow pages.
 	ChainDist []int        `json:"chain_dist"`
 	PerBucket []BucketHeat `json:"per_bucket"`
@@ -72,8 +81,9 @@ func (h *Heatmap) String() string {
 }
 
 // Heatmap walks every bucket chain under the shared lock and reports
-// per-bucket fill and chain depth. Readers and the walk run in parallel;
-// writers are excluded for the duration (the same cost as a long scan).
+// per-bucket fill and chain depth with their table-wide summary. A
+// writer waits only for the bucket being read; under writes the figures
+// blend moments of the walk, on a quiesced table they are exact.
 func (t *Table) Heatmap() (*Heatmap, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -89,6 +99,7 @@ func (t *Table) Heatmap() (*Heatmap, error) {
 	}
 	usable := int(t.hdr.bsize) - slotBaseFor(int(t.hdr.bsize))
 	var usedTotal, availTotal int64
+	tagsTotal := 0
 	for b := uint32(0); b <= maxB; b++ {
 		row := BucketHeat{Bucket: b}
 		used := 0
@@ -123,6 +134,10 @@ func (t *Table) Heatmap() (*Heatmap, error) {
 		}
 		usedTotal += int64(used)
 		availTotal += int64(pages * usable)
+		if row.Entries == 0 {
+			h.EmptyBuckets++
+		}
+		h.OverflowPages += row.ChainPages
 		if row.ChainPages > h.MaxChain {
 			h.MaxChain = row.ChainPages
 		}
@@ -130,17 +145,6 @@ func (t *Table) Heatmap() (*Heatmap, error) {
 			h.ChainDist = append(h.ChainDist, 0)
 		}
 		h.ChainDist[row.ChainPages]++
-		h.PerBucket = append(h.PerBucket, row)
-	}
-	if availTotal > 0 {
-		h.AvgFill = float64(usedTotal) / float64(availTotal)
-	}
-
-	// Filter roll-up: per-page occupancy plus the lifetime skip and
-	// false-positive rates from the table's counters.
-	h.FilterTagCap = tagCapFor(int(t.hdr.bsize))
-	tagsTotal := 0
-	for _, row := range h.PerBucket {
 		tagsTotal += row.FilterTags
 		if row.FilterSaturated {
 			h.FilterSaturated++
@@ -148,7 +152,24 @@ func (t *Table) Heatmap() (*Heatmap, error) {
 		if row.FilterInexact {
 			h.FilterInexact++
 		}
+		h.PerBucket = append(h.PerBucket, row)
 	}
+	if availTotal > 0 {
+		h.AvgFill = float64(usedTotal) / float64(availTotal)
+	}
+	bitmaps, inUse, err := t.allocatedPages()
+	if err != nil {
+		return nil, err
+	}
+	// Chain pages are among those in use; the rest is big-pair storage.
+	// Writers freeing pages between the walk and the count can leave
+	// fewer in use than the walk chained, hence the clamp.
+	h.BitmapPages = bitmaps
+	h.BigPairPages = max(inUse-h.OverflowPages, 0)
+
+	// Filter roll-up: per-page occupancy plus the lifetime skip and
+	// false-positive rates from the table's counters.
+	h.FilterTagCap = tagCapFor(int(t.hdr.bsize))
 	if n := int(h.Buckets) * h.FilterTagCap; n > 0 {
 		h.FilterOccupancy = float64(tagsTotal) / float64(n)
 	}

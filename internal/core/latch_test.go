@@ -357,7 +357,7 @@ func TestCrashMidIncrementalSplit(t *testing.T) {
 	}
 	syncLen := cs.Len()
 	epoch := tbl.Geometry().SyncEpoch
-	splitsBefore := tbl.Stats().Expansions
+	splitsBefore := splitCount(t, tbl)
 
 	// The storm: unsynced inserts that force splits.
 	for i := 80; i < 200; i++ {
@@ -365,7 +365,7 @@ func TestCrashMidIncrementalSplit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := tbl.Stats().Expansions - splitsBefore; got == 0 {
+	if got := splitCount(t, tbl) - splitsBefore; got == 0 {
 		t.Fatal("storm forced no splits; test is vacuous")
 	}
 	events := cs.Len()

@@ -236,26 +236,27 @@ func (t *Table) flushBitmaps() error {
 	return nil
 }
 
-// OverflowPages reports the number of live (allocated, non-bitmap)
-// overflow pages, for tests and the dump tool.
-func (t *Table) OverflowPages() (int, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := 0
+// allocatedPages counts the allocator's bitmap pages and the overflow
+// pages its bitmaps mark in use, chain and big-pair pages alike. It
+// takes ovflMu, which is all it needs: the bitmaps, the spares and the
+// bitmap cache change only under ovflMu or the exclusive table lock.
+func (t *Table) allocatedPages() (bitmaps, inUse int, err error) {
+	t.ovflMu.Lock()
+	defer t.ovflMu.Unlock()
 	for si := uint32(0); si < maxSplits; si++ {
 		bm, err := t.bitmapFor(si)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		if bm == nil {
 			continue
 		}
-		limit := t.hdr.allocatedAt(si)
-		for pn := uint32(1); pn <= limit; pn++ {
+		bitmaps++
+		for pn := uint32(1); pn <= t.hdr.allocatedAt(si); pn++ {
 			if bitmapGet(bm, pn-1) && uint16(makeOaddr(si, pn)) != t.hdr.bitmaps[si] {
-				n++
+				inUse++
 			}
 		}
 	}
-	return n, nil
+	return bitmaps, inUse, nil
 }

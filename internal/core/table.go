@@ -171,13 +171,13 @@ func (o *Options) withDefaults() (Options, error) {
 
 // Table is a linear-hash table of byte-string key/data pairs. All methods
 // are safe for concurrent use. Bucket-granular operations — Get, GetBuf,
-// Has, Put, PutNew, Delete, PutBatch, transaction commits, Len, Stats and
-// iteration — take the table lock shared and latch only the stripes
+// Has, Put, PutNew, Delete, PutBatch, transaction commits, Len, Heatmap
+// and iteration — take the table lock shared and latch only the stripes
 // covering the bucket chains they touch, so readers AND writers on
 // different buckets run in parallel; splits are incremental and
 // cooperative (see latch.go). Whole-table operations (Sync, Close, Check,
-// Recover, Geometry, the dump/fillstats walkers and PutBatch's presize of
-// an empty table) take the lock exclusively. The lock order is table lock
+// Recover, Geometry, the Dump walker and PutBatch's presize of an empty
+// table) take the lock exclusively. The lock order is table lock
 // → splitMu → bucket stripes (ascending) → split-job/ovfl/dirty mutexes →
 // buffer shard lock, and never the reverse.
 type Table struct {
@@ -264,28 +264,12 @@ type Table struct {
 	walErr     error
 
 	// m holds the table's resolved metric handles (see metrics.go). All
-	// structural counters live here; TableStats is a compatibility view.
+	// structural counters live here.
 	m tableMetrics
 
 	// tr is the structured event tracer (Options.Trace); nil disables
 	// tracing. Set in Open before the table is published, never changed.
 	tr *trace.Tracer
-}
-
-// TableStats is a compatibility view over the table's metric counters,
-// kept for tests and the bench harness. The full series — including
-// controlled/uncontrolled split breakdown, chain probes, sync latency
-// and the buffer/pagefile layers — lives in the metrics registry
-// (MetricsSnapshot, MetricsRegistry).
-type TableStats struct {
-	Expansions int64 // bucket splits (table growth steps)
-	OvflAllocs int64 // fresh overflow pages allocated
-	OvflReuses int64 // reclaimed overflow pages reused
-	OvflFrees  int64 // overflow pages freed
-	BigPairs   int64 // big key/data pairs written
-	Gets       int64
-	Puts       int64
-	Dels       int64
 }
 
 // Open opens or creates the hash table at path. An empty path creates a
@@ -1567,28 +1551,17 @@ func (t *Table) Close() error {
 	return err
 }
 
-// Stats returns a copy of the table's structural counters, assembled
-// from the metric registry (Expansions is the sum of both split kinds).
-func (t *Table) Stats() TableStats {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return TableStats{
-		Expansions: t.m.splitsControlled.Load() + t.m.splitsUncontrolled.Load(),
-		OvflAllocs: t.m.ovflAllocs.Load(),
-		OvflReuses: t.m.ovflReuses.Load(),
-		OvflFrees:  t.m.ovflFrees.Load(),
-		BigPairs:   t.m.bigPairs.Load(),
-		Gets:       t.m.gets.Load(),
-		Puts:       t.m.puts.Load(),
-		Dels:       t.m.dels.Load(),
-	}
-}
-
 // Pool exposes the buffer pool for tests and the bench harness.
 func (t *Table) Pool() *buffer.Pool { return t.pool }
 
 // Store exposes the backing store for tests and the bench harness.
 func (t *Table) Store() pagefile.Store { return t.store }
+
+// Tracer exposes the tracer the table was opened with (nil when tracing
+// is disabled). With MetricsRegistry, MetricsSnapshot and Heatmap, none
+// of which takes the table lock exclusively, it is what a caller mounts
+// on the telemetry surface: the table itself opens no socket.
+func (t *Table) Tracer() *trace.Tracer { return t.tr }
 
 // Geometry reports the table's current shape.
 type Geometry struct {
@@ -1645,12 +1618,16 @@ func (t *Table) WALStats() (st wal.Stats, ok bool) {
 	return t.wal.Stats(), true
 }
 
-// WALLastLSN reports the last appended commit LSN (0 without a log).
-// Together with Geometry().WalLSN — the checkpoint LSN — it measures
-// checkpoint lag: the commits a crash would have to replay.
-func (t *Table) WALLastLSN() uint64 {
-	if t.wal == nil || t.walShared {
-		return 0
+// WALLSNs reports the header's checkpoint LSN, the last commit applied
+// in memory, and the last commit appended to the table's own log (0
+// without one). The stamp moves only under the exclusive lock, so the
+// shared lock suffices: a commit parked in fsync does not hold this up.
+func (t *Table) WALLSNs() (checkpoint, applied, last uint64) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	checkpoint, applied = t.hdr.walLSN, t.appliedLSN.Load()
+	if t.wal != nil && !t.walShared {
+		last = t.wal.LastLSN()
 	}
-	return t.wal.LastLSN()
+	return checkpoint, applied, last
 }

@@ -23,6 +23,32 @@ func key(i int) []byte  { return []byte(fmt.Sprintf("key-%06d", i)) }
 func val(i int) []byte  { return []byte(fmt.Sprintf("value-%d", i)) }
 func val2(i int) []byte { return []byte(fmt.Sprintf("other-value-%d", i)) }
 
+// counter reads one of tbl's registry counters.
+func counter(t *testing.T, tbl *Table, name string) int64 {
+	t.Helper()
+	snap, err := tbl.MetricsSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap.Counter(name)
+}
+
+// splitCount counts tbl's bucket splits of both kinds.
+func splitCount(t *testing.T, tbl *Table) int64 {
+	t.Helper()
+	return counter(t, tbl, MetricSplitsControlled) + counter(t, tbl, MetricSplitsUncontrolled)
+}
+
+// ovflInUse counts tbl's overflow pages in use, chain and big-pair.
+func ovflInUse(t *testing.T, tbl *Table) int {
+	t.Helper()
+	h, err := tbl.Heatmap()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h.OverflowPages + h.BigPairPages
+}
+
 func TestPutGetRoundtrip(t *testing.T) {
 	tbl := mustOpen(t, "", nil)
 	defer tbl.Close()
@@ -107,7 +133,7 @@ func TestManyKeysWithSplits(t *testing.T) {
 	if got := tbl.Len(); got != n {
 		t.Fatalf("Len = %d, want %d", got, n)
 	}
-	if tbl.Stats().Expansions == 0 {
+	if splitCount(t, tbl) == 0 {
 		t.Fatal("no bucket splits occurred over 5000 inserts")
 	}
 	for i := 0; i < n; i++ {
@@ -256,8 +282,8 @@ func TestBigPairs(t *testing.T) {
 			t.Fatalf("%s: Put: %v", c.name, err)
 		}
 	}
-	if tbl.Stats().BigPairs != int64(len(cases)) {
-		t.Fatalf("BigPairs = %d, want %d", tbl.Stats().BigPairs, len(cases))
+	if n := counter(t, tbl, MetricBigPairs); n != int64(len(cases)) {
+		t.Fatalf("BigPairs = %d, want %d", n, len(cases))
 	}
 	for _, c := range cases {
 		got, err := tbl.Get(c.key)
@@ -285,20 +311,13 @@ func TestBigPairs(t *testing.T) {
 	}
 
 	// Delete big pairs; their chains must be reclaimed.
-	before, err := tbl.OverflowPages()
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := ovflInUse(t, tbl)
 	for _, c := range cases {
 		if err := tbl.Delete(c.key); err != nil {
 			t.Fatalf("%s: Delete: %v", c.name, err)
 		}
 	}
-	after, err := tbl.OverflowPages()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after >= before {
+	if after := ovflInUse(t, tbl); after >= before {
 		t.Fatalf("overflow pages %d -> %d: big-pair chains not reclaimed", before, after)
 	}
 	if tbl.Len() != 0 {
@@ -397,14 +416,15 @@ func TestNelemPresizing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if exp := grown.Stats().Expansions; exp < 1000 {
-		t.Fatalf("grown table split only %d times", exp)
+	grownSplits := splitCount(t, grown)
+	if grownSplits < 1000 {
+		t.Fatalf("grown table split only %d times", grownSplits)
 	}
 	// Pre-sizing avoids the bulk of the split work (only uncontrolled
 	// splits from unlucky buckets remain).
-	if pre.Stats().Expansions >= grown.Stats().Expansions {
+	if preSplits := splitCount(t, pre); preSplits >= grownSplits {
 		t.Fatalf("pre-sized table split %d times, grown %d — pre-sizing saved nothing",
-			pre.Stats().Expansions, grown.Stats().Expansions)
+			preSplits, grownSplits)
 	}
 	// Both must hold identical contents.
 	for i := 0; i < 10000; i++ {

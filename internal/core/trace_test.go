@@ -125,7 +125,7 @@ func serveTable(tbl *Table, addr string) (*telemetry.Server, error) {
 	return telemetry.Serve(addr, telemetry.Options{
 		Registry: tbl.MetricsRegistry(),
 		Tracer:   tbl.Tracer(),
-		Stats:    func() (any, error) { return tbl.StatsDoc() },
+		Stats:    func() (any, error) { return tbl.MetricsSnapshot() },
 		Heatmap:  func() (any, error) { return tbl.Heatmap() },
 	})
 }
@@ -176,14 +176,13 @@ func TestTelemetryEndpoints(t *testing.T) {
 	}
 
 	var stats struct {
-		Method   string          `json:"method"`
-		Geometry json.RawMessage `json:"geometry"`
-		Metrics  json.RawMessage `json:"metrics"`
+		Counters map[string]int64 `json:"counters"`
+		Gauges   map[string]int64 `json:"gauges"`
 	}
 	if err := json.Unmarshal(get("/stats"), &stats); err != nil {
 		t.Fatalf("/stats not JSON: %v", err)
 	}
-	if stats.Method != "hash" || len(stats.Geometry) == 0 || len(stats.Metrics) == 0 {
+	if stats.Counters[MetricPuts] != 100 || stats.Gauges[MetricBuckets] == 0 {
 		t.Fatalf("/stats payload incomplete: %+v", stats)
 	}
 

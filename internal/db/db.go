@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"unixhash/internal/core"
+	"unixhash/internal/metrics"
 )
 
 // Method names the access method in Open and Stats. Hash is its only
@@ -231,7 +232,7 @@ func (d *hashDB) Sync() error  { return d.t.Sync() }
 func (d *hashDB) Close() error { return d.t.Close() }
 
 func (d *hashDB) Stats() (Stats, error) {
-	fs, err := d.t.FillStats()
+	s, err := d.shape()
 	if err != nil {
 		return Stats{}, err
 	}
@@ -239,66 +240,75 @@ func (d *hashDB) Stats() (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
+	s.Hash.setCounters(snap)
+	return s, nil
+}
+
+// shape is the table's Stats less the registry counters: one Heatmap
+// walk plus the pool's and the log's figures, all under shared locks.
+func (d *hashDB) shape() (Stats, error) {
+	h, err := d.t.Heatmap()
+	if err != nil {
+		return Stats{}, err
+	}
 	c := d.t.Pool().Counters()
-	s := Stats{
+	hs := &HashStats{
+		Buckets:       h.Buckets,
+		OverflowPages: h.OverflowPages,
+		BigPairPages:  h.BigPairPages,
+		BitmapPages:   h.BitmapPages,
+		MaxChain:      h.MaxChain + 1, // in pages, the primary included
+		ChainDist:     h.ChainDist,
+		AvgFill:       h.AvgFill,
+		EmptyBuckets:  h.EmptyBuckets,
+	}
+	var last uint64
+	hs.WalLSN, hs.WalAppliedLSN, last = d.t.WALLSNs()
+	if ws, ok := d.t.WALStats(); ok {
+		hs.WalAppends = ws.Appends
+		hs.WalFsyncs = ws.Fsyncs
+		hs.WalFsyncJoins = ws.FsyncJoins
+		hs.WalAppendedBytes = ws.AppendedBytes
+		hs.WalIOTimeNS = int64(ws.IOTime)
+		hs.WalLastLSN = last
+		if last > hs.WalLSN {
+			hs.WalCheckpointLag = last - hs.WalLSN
+		}
+	}
+	return Stats{
 		Method:        Hash,
-		Keys:          fs.Keys,
+		Keys:          h.NKeys,
 		Pages:         int64(d.t.Store().NPages()),
 		PageSize:      d.t.Store().PageSize(),
 		CacheHits:     c.Hits,
 		CacheMisses:   c.Misses,
 		CacheHitRatio: c.HitRatio(),
-		Hash: &HashStats{
-			Buckets:              fs.Buckets,
-			OverflowPages:        fs.OverflowPages,
-			BigPairPages:         fs.BigPairPages,
-			BitmapPages:          fs.BitmapPages,
-			MaxChain:             fs.MaxChain,
-			ChainDist:            fs.ChainDist,
-			AvgFill:              fs.AvgFill,
-			EmptyBuckets:         fs.EmptyBuckets,
-			Gets:                 snap.Counter(core.MetricGets),
-			GetMisses:            snap.Counter(core.MetricGetMisses),
-			Puts:                 snap.Counter(core.MetricPuts),
-			Deletes:              snap.Counter(core.MetricDeletes),
-			SplitsControlled:     snap.Counter(core.MetricSplitsControlled),
-			SplitsUncontrolled:   snap.Counter(core.MetricSplitsUncontrolled),
-			OvflAllocs:           snap.Counter(core.MetricOvflAllocs),
-			OvflFrees:            snap.Counter(core.MetricOvflFrees),
-			Syncs:                snap.Counter(core.MetricSyncs),
-			FilterHits:           snap.Counter(core.MetricFilterHits),
-			FilterSkips:          snap.Counter(core.MetricFilterSkips),
-			FilterFalsePositives: snap.Counter(core.MetricFilterFPs),
-			FilterPageSkips:      snap.Counter(core.MetricFilterPageSkips),
-			Prefetches:           snap.Counter(core.MetricPrefetches),
-			PrefetchedPages:      snap.Counter(core.MetricPrefetchedPages),
-			TxnCommits:           snap.Counter(core.MetricTxnCommits),
-		},
-	}
-	g := d.t.Geometry()
-	s.Hash.WalLSN, s.Hash.WalAppliedLSN = g.WalLSN, g.AppliedLSN
-	if ws, ok := d.t.WALStats(); ok {
-		s.Hash.WalAppends = ws.Appends
-		s.Hash.WalFsyncs = ws.Fsyncs
-		s.Hash.WalFsyncJoins = ws.FsyncJoins
-		s.Hash.WalAppendedBytes = ws.AppendedBytes
-		s.Hash.WalIOTimeNS = int64(ws.IOTime)
-		s.Hash.WalLastLSN = d.t.WALLastLSN()
-		if s.Hash.WalLastLSN > s.Hash.WalLSN {
-			s.Hash.WalCheckpointLag = s.Hash.WalLastLSN - s.Hash.WalLSN
-		}
-	}
-	s.Hash.FilterHitRate = filterHitRate(s.Hash)
-	return s, nil
+		Hash:          hs,
+	}, nil
 }
 
-// filterHitRate derives the proven-absent fraction from the raw filter
-// counters; zero consults yields zero.
-func filterHitRate(h *HashStats) float64 {
+// setCounters fills h's operation counters from a registry snapshot,
+// and the filter hit rate derived from them (zero consults yields zero).
+func (h *HashStats) setCounters(snap metrics.Snapshot) {
+	h.Gets = snap.Counter(core.MetricGets)
+	h.GetMisses = snap.Counter(core.MetricGetMisses)
+	h.Puts = snap.Counter(core.MetricPuts)
+	h.Deletes = snap.Counter(core.MetricDeletes)
+	h.SplitsControlled = snap.Counter(core.MetricSplitsControlled)
+	h.SplitsUncontrolled = snap.Counter(core.MetricSplitsUncontrolled)
+	h.OvflAllocs = snap.Counter(core.MetricOvflAllocs)
+	h.OvflFrees = snap.Counter(core.MetricOvflFrees)
+	h.Syncs = snap.Counter(core.MetricSyncs)
+	h.FilterHits = snap.Counter(core.MetricFilterHits)
+	h.FilterSkips = snap.Counter(core.MetricFilterSkips)
+	h.FilterFalsePositives = snap.Counter(core.MetricFilterFPs)
+	h.FilterPageSkips = snap.Counter(core.MetricFilterPageSkips)
+	h.Prefetches = snap.Counter(core.MetricPrefetches)
+	h.PrefetchedPages = snap.Counter(core.MetricPrefetchedPages)
+	h.TxnCommits = snap.Counter(core.MetricTxnCommits)
 	if t := h.FilterHits + h.FilterSkips; t > 0 {
-		return float64(h.FilterSkips) / float64(t)
+		h.FilterHitRate = float64(h.FilterSkips) / float64(t)
 	}
-	return 0
 }
 
 // table exposes the underlying hash table inside the package (telemetry

@@ -311,15 +311,16 @@ func (c *shardedCursor) Err() error { return c.err }
 
 // Stats aggregates every shard into the uniform totals and attaches the
 // per-shard breakdown in Shards. The operation counters (Gets, Puts,
-// TxnCommits, ...) live in the registry all shards share, so every
-// shard's view of them is already the database total and the aggregate
-// takes them once; the shape figures (buckets, chains, fill) are summed.
-// The log is the database's, so its figures appear in the aggregate only:
-// a shard reports its own checkpoint stamp and applied LSN and no log I/O.
+// TxnCommits, ...) live in the registry all shards share, so one
+// snapshot, taken after the walks, is the database total that the
+// aggregate and every shard's entry carry; the shape figures (buckets,
+// chains, fill) are summed. The log is the database's, so its figures
+// appear in the aggregate only: a shard reports its own checkpoint stamp
+// and applied LSN and no log I/O.
 func (s *Sharded) Stats() (Stats, error) {
 	agg := Stats{Method: Hash, Shards: make([]Stats, 0, len(s.shards))}
 	for _, sh := range s.shards {
-		st, err := sh.Stats()
+		st, err := sh.shape()
 		if err != nil {
 			return Stats{}, err
 		}
@@ -344,6 +345,11 @@ func (s *Sharded) Stats() (Stats, error) {
 	h := agg.Hash
 	if h.Buckets > 0 {
 		h.AvgFill /= float64(h.Buckets)
+	}
+	snap := s.reg.Snapshot()
+	h.setCounters(snap)
+	for _, st := range agg.Shards {
+		st.Hash.setCounters(snap)
 	}
 	if s.log != nil {
 		ws := s.log.Stats()

@@ -3,9 +3,13 @@ package db
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"unixhash/internal/core"
+	"unixhash/internal/wal"
 )
 
 // TestStatsUniform: every DB shape answers Stats() with the common
@@ -79,6 +83,151 @@ func TestStatsClosed(t *testing.T) {
 				t.Fatal("Stats on closed DB succeeded, want error")
 			}
 		})
+	}
+}
+
+// parkSyncDev is a log device whose next Sync, once armed, announces
+// itself on parked and waits for release.
+type parkSyncDev struct {
+	*wal.MemDevice
+	armed   atomic.Bool
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (d *parkSyncDev) Sync() error {
+	if d.armed.CompareAndSwap(true, false) {
+		close(d.parked)
+		<-d.release
+	}
+	return d.MemDevice.Sync()
+}
+
+// TestStatsBesideParkedCommit: a commit waiting in fsync holds the table
+// lock shared. A Stats issued meanwhile, and a Get after it, must both
+// return: a Stats that took the lock exclusively would queue behind the
+// commit, and every reader behind the Stats.
+func TestStatsBesideParkedCommit(t *testing.T) {
+	dev := &parkSyncDev{MemDevice: wal.NewMemDevice(), parked: make(chan struct{}), release: make(chan struct{})}
+	d, err := Open("", Hash, &Config{Hash: &core.Options{WALDevice: dev}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if err := d.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	x, err := d.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := x.Put([]byte("t"), []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	dev.armed.Store(true)
+	committed := make(chan error, 1)
+	go func() { committed <- x.Commit() }()
+	<-dev.parked
+
+	looked := make(chan error, 1)
+	go func() {
+		if _, err := d.Stats(); err != nil {
+			looked <- fmt.Errorf("Stats: %w", err)
+			return
+		}
+		_, err := d.Get([]byte("k"))
+		looked <- err
+	}()
+	select {
+	case err := <-looked:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Error("Stats and a Get beside a commit parked in fsync did not return within 2s")
+	}
+	close(dev.release)
+	if err := <-committed; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStatsBesideSplits runs db.Stats and the table's Heatmap in a loop
+// beside writers that force splits, chain growth and big-pair pages.
+// Every walk must stay self-consistent while the table changes under it:
+// each bucket counted once in the chain distribution, and the overflow
+// page total equal to the one the distribution implies.
+func TestStatsBesideSplits(t *testing.T) {
+	d, err := Open("", Hash, &Config{Hash: &core.Options{Bsize: 256, Ffactor: 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	tbl := d.(*hashDB).table()
+
+	const writers, perWriter = 2, 3000
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				v := []byte("value")
+				if i%500 == 0 {
+					v = make([]byte, 1000) // a big pair on 256-byte pages
+				}
+				if err := d.Put([]byte(fmt.Sprintf("w%d-%05d", w, i)), v); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+
+	check := func(what string, buckets uint32, ovfl int, dist []int) error {
+		sum, implied := 0, 0
+		for i, n := range dist {
+			sum += n
+			implied += i * n
+		}
+		if sum != int(buckets) || implied != ovfl {
+			return fmt.Errorf("%s: chain distribution %v sums to %d buckets of %d and implies %d overflow pages, reported %d",
+				what, dist, sum, buckets, implied, ovfl)
+		}
+		return nil
+	}
+	walk := func() error {
+		s, err := d.Stats()
+		if err != nil {
+			return err
+		}
+		if err := check("Stats", s.Hash.Buckets, s.Hash.OverflowPages, s.Hash.ChainDist); err != nil {
+			return err
+		}
+		h, err := tbl.Heatmap()
+		if err != nil {
+			return err
+		}
+		return check("Heatmap", h.Buckets, h.OverflowPages, h.ChainDist)
+	}
+	walks := 0
+	for running := true; running; walks++ {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if err := walk(); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	<-done
+	t.Logf("%d walks beside the writers", walks)
+	if s, err := d.Stats(); err != nil || s.Keys != writers*perWriter || s.Hash.SplitsControlled+s.Hash.SplitsUncontrolled == 0 {
+		t.Fatalf("after %d walks: Stats = %+v, %v; want %d keys and some splits", walks, s.Hash, err, writers*perWriter)
 	}
 }
 

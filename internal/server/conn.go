@@ -274,6 +274,7 @@ func (c *conn) batch(args [][]byte, st int64) {
 // recorder's per-command phase summary.
 func (c *conn) stats(st int64) {
 	led := c.begin(c.led, oplog.CmdStats, nil, st)
+	defer c.end(led)
 	s, err := c.srv.db.Stats()
 	if err != nil {
 		c.cmdErr(err)
@@ -293,7 +294,6 @@ func (c *conn) stats(st int64) {
 		return
 	}
 	c.w.Bulk(j)
-	c.end(led)
 }
 
 // txnCmd handles TXN BEGIN|COMMIT|ROLLBACK. Between BEGIN and COMMIT,

@@ -162,6 +162,36 @@ func TestServerBasicCommands(t *testing.T) {
 	})
 }
 
+// failStatsDB is a caller's decorator whose Stats always fails.
+type failStatsDB struct{ db.DB }
+
+func (failStatsDB) Stats() (db.Stats, error) { return db.Stats{}, errors.New("injected stats failure") }
+
+// TestServerStatsErrorIsRecorded: a STATS that fails answers -ERR and
+// still leaves its ledger in the recorder, like every other verb's
+// error path.
+func TestServerStatsErrorIsRecorded(t *testing.T) {
+	h, err := db.Open("", db.Hash, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	rec := oplog.NewRecorder(nil, 1)
+	c := dial(t, startServerOplog(t, failStatsDB{h}, nil, rec).Addr())
+	if got := c.do("STATS"); !strings.HasPrefix(got, "-ERR") || !strings.Contains(got, "injected stats failure") {
+		t.Fatalf("STATS = %q, want -ERR naming the failure", got)
+	}
+	var n int64
+	for _, cs := range rec.Snapshot().Commands {
+		if cs.Cmd == "stats" {
+			n += cs.Count
+		}
+	}
+	if n != 1 {
+		t.Fatalf("recorded %d STATS commands, want 1", n)
+	}
+}
+
 // TestCuratedHelpOnMetrics: server.Serve and core's filter group set
 // their HELP text before registering each series; through the real
 // registrations the curated text must reach the /metrics dump.

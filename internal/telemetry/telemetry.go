@@ -11,8 +11,10 @@
 // what dbserver and dbcli -telemetry use) mount their own views through
 // the one starter, Serve. The storage engine
 // itself never opens a socket. Handlers only ever read — a scrape never
-// takes the table's write lock — and every endpoint is safe to hit while
-// a workload runs.
+// takes the table's write lock: /stats (db.Stats) and /debug/heatmap run
+// core.Table.Heatmap under the shared lock, one bucket latch at a time,
+// faulting chain pages through the pool but blocking no reader or
+// writer — and every endpoint is safe to hit while a workload runs.
 //
 // Endpoints:
 //
