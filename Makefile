@@ -28,8 +28,11 @@ vet:
 test:
 	$(GO) test ./...
 
+# The split stress tests run three times more: a pool race that unpinned
+# a buffer before dropping it only showed up when they were repeated.
 race:
 	$(GO) test -race $(RACE_PKGS)
+	$(GO) test -race -count=3 -run 'Storm|MidSplit' ./internal/core
 
 # Power-cut simulation: every write prefix of a workload (torn pages
 # included) must recover to the last-synced state or fail loudly.

@@ -736,12 +736,15 @@ func (p *Pool) Put(b *Buf) { b.Unpin() }
 
 // Drop removes b from its chain and from the pool without writing it
 // (its page was freed): b's predecessor, if linked, is re-linked to b's
-// successor. b must be unpinned by the caller before or be held only by
-// the caller; Drop clears its pins.
+// successor. b must be pinned by the caller, and Drop releases that pin
+// under the shard lock: unpinned first, b would be a cold, evictable
+// buffer that a fault in the same shard could recycle for another page,
+// which Drop would then remove from under its holder.
 func (p *Pool) Drop(b *Buf) {
 	sh := b.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	b.Unpin()
 	p.dropLocked(sh, b)
 }
 
@@ -757,13 +760,11 @@ func (p *Pool) dropLocked(sh *shard, b *Buf) {
 		delete(sh.table, b.Addr)
 		p.resident.Add(-1)
 	}
-	pinned := b.pins.Load() > 0
 	b.Dirty.Store(false)
-	b.pins.Store(0)
 	// An unpinned buffer can be recycled: once out of the table no new
-	// pin can reach it. A pinned one may still be referenced by its
-	// holder, so its memory is left to the collector.
-	if !pinned {
+	// pin can reach it. A pinned one is still referenced by its holder,
+	// whose Put releases the pin; its memory is left to the collector.
+	if !b.Pinned() {
 		sh.recycle(b)
 	}
 }

@@ -232,10 +232,12 @@ func TestPoolDrop(t *testing.T) {
 	o1, _ := p.Get(Addr{N: 5, Ovfl: true}, prim, true)
 	o2, _ := p.Get(Addr{N: 6, Ovfl: true}, o1, true)
 	p.Put(o2)
-	p.Put(o1)
 
 	o1.Page[0] = 0xEE // would be written if flushed
-	p.Drop(o1)
+	p.Drop(o1)        // consumes the pin
+	if o1.Pinned() {
+		t.Fatal("Drop did not release the caller's pin")
+	}
 	if prim.Ovfl() != o2 {
 		t.Fatal("Drop did not relink predecessor to successor")
 	}
@@ -250,6 +252,58 @@ func TestPoolDrop(t *testing.T) {
 	buf := make([]byte, 64)
 	if err := store.ReadPage(1005, buf); err == nil && buf[0] == 0xEE {
 		t.Fatal("dropped dirty page leaked to store")
+	}
+}
+
+// TestPoolDropPinned: Drop releases the caller's pin under the shard lock
+// and leaves every other pin standing. Before it did, a caller unpinned
+// first and then dropped, and between the two calls the buffer was an
+// evictable cold suffix: in a full one-shard, 8-buffer pool, a fault for
+// bucket 7 recycled that very *Buf, and the Drop that followed removed
+// bucket 7 from under its holder — clearing its Dirty flag (a lost
+// write) and zeroing its pins (the holder's Put panicked).
+func TestPoolDropPinned(t *testing.T) {
+	p, store := newTestPool(t, 64*8)
+	if p.ShardCount() != 1 || p.MaxBuffers() != 8 {
+		t.Fatalf("want one shard of 8 buffers, got %d shards of %d", p.ShardCount(), p.MaxBuffers())
+	}
+	prim, _ := p.Get(Addr{N: 0}, nil, true)
+	o, _ := p.Get(Addr{N: 5, Ovfl: true}, prim, true)
+	for i := 1; i <= 6; i++ {
+		b, _ := p.Get(Addr{N: uint32(i)}, nil, true)
+		p.Put(b)
+	}
+	// A second holder of the page being dropped.
+	other, err := p.Get(Addr{N: 5, Ovfl: true}, prim, false)
+	if err != nil || other != o {
+		t.Fatalf("second pin: %v, same buffer %v", err, other == o)
+	}
+
+	p.Drop(o)
+	if p.Lookup(Addr{N: 5, Ovfl: true}) != nil {
+		t.Fatal("dropped buffer still resident")
+	}
+	if !other.Pinned() {
+		t.Fatal("Drop released a pin it did not own")
+	}
+	b7, err := p.Get(Addr{N: 7}, nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b7 == o {
+		t.Fatal("a dropped buffer was recycled while still pinned")
+	}
+	b7.Page[0] = 0x77
+	b7.Dirty.Store(true)
+	p.Put(other)
+	p.Put(b7)
+	p.Put(prim)
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 64)
+	if err := store.ReadPage(7, buf); err != nil || buf[0] != 0x77 {
+		t.Fatalf("bucket 7's write was lost: %v, byte %#x", err, buf[0])
 	}
 }
 

@@ -136,11 +136,12 @@ func TestPoolChainLinkInvariant(t *testing.T) {
 						walk[len(walk)-1].Page[2]++ // written back if evicted
 						walk[len(walk)-1].Dirty.Store(true)
 					}
+					if len(walk) > 1 && rng.Intn(4) == 0 {
+						p.Drop(walk[len(walk)-1]) // consumes its pin
+						walk = walk[:len(walk)-1]
+					}
 					for i := len(walk) - 1; i >= 0; i-- {
 						p.Put(walk[i])
-					}
-					if len(walk) > 1 && rng.Intn(4) == 0 {
-						p.Drop(walk[len(walk)-1])
 					}
 				case 2: // unlinked fetch of a chain page
 					b, err := p.GetOwned(chainAddr(o, 1+rng.Intn(chainLen)), o, false)

@@ -17,7 +17,7 @@ import (
 // Delete are a set of one; PutBatch is a set of puts; a committed
 // transaction (txn.go) is the same call with an LSN stamped after it.
 // The split work a set earns is settled afterwards, with the latches
-// released, through the cooperative splitter in latch.go. The table lock
+// released, by the latched splitter in latch.go. The table lock
 // is held shared throughout: the only exclusive step on the write path is
 // PutBatch presizing an empty table, released before any pair is applied.
 // See DESIGN.md §7 and §10.
@@ -179,10 +179,10 @@ func (op *writeOp) addTo(pg page) {
 // extends a latch hold); then every involved stripe is write-latched in
 // ascending order, the routes are revalidated against the split pointer,
 // and each bucket's ops are applied in one pass over its chain. A route
-// invalidated by a concurrent split backs off, helps the split, and
-// retries — lockBucket's protocol extended to a set of buckets. replace
-// is false only for PutNew. The caller holds t.mu shared; ops is
-// reordered, and on return each op's found/placed say what happened to it.
+// invalidated by a concurrent split backs off and retries — lockBucket's
+// protocol extended to a set of buckets. replace is false only for
+// PutNew. The caller holds t.mu shared; ops is reordered, and on return
+// each op's found/placed say what happened to it.
 // On error the set may be partly applied.
 func (t *Table) applySet(ops []writeOp, replace bool, led *oplog.Ledger) (buckets int, err error) {
 	for i := range ops {
@@ -244,20 +244,16 @@ func (t *Table) applySet(ops []writeOp, replace bool, led *oplog.Ledger) (bucket
 		}
 
 		t.latchStripes(stripes, true, led)
-		// Revalidate under the latches: a split may have moved a route or
-		// may still be redistributing one of the buckets.
-		conflict := -1
+		// Revalidate under the latches: a split may have moved a route.
+		stale := false
 		for i := range ops {
-			if b := ops[i].bucket; routeBucket(ops[i].hash, t.geo.Load()) != b || t.splitInvolves(b) {
-				conflict = int(b)
+			if routeBucket(ops[i].hash, t.geo.Load()) != ops[i].bucket {
+				stale = true
 				break
 			}
 		}
-		if conflict >= 0 {
+		if stale {
 			t.latchStripes(stripes, false, nil)
-			if t.splitInvolves(uint32(conflict)) {
-				t.helpSplit(uint32(conflict))
-			}
 			continue
 		}
 		for lo := 0; lo < len(ops) && err == nil; buckets++ {

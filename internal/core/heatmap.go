@@ -104,7 +104,7 @@ func (t *Table) Heatmap() (*Heatmap, error) {
 		row := BucketHeat{Bucket: b}
 		used := 0
 		pages := 0
-		t.latchBucketRead(b)
+		t.stripeFor(b).RLock()
 		err := t.walkChain(nil, b, func(buf *buffer.Buf) (bool, error) {
 			if buf.Addr.Ovfl {
 				row.ChainPages++

@@ -51,9 +51,9 @@ func (it *Iterator) Next() bool {
 	}
 	for {
 		// Latch the bucket whose chain the cursor is on: a split that
-		// involves it finishes (or is waited out) first, so the page walk
+		// involves it holds the stripe until it is done, so the page walk
 		// never observes a chain mid-redistribution.
-		it.t.latchBucketRead(it.bucket)
+		it.t.stripeFor(it.bucket).RLock()
 		ok, err := it.nextOnPage()
 		it.t.stripeFor(it.bucket).RUnlock()
 		if err != nil {

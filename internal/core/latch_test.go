@@ -8,9 +8,11 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"unixhash/internal/buffer"
 	"unixhash/internal/oplog"
 	"unixhash/internal/pagefile"
 	"unixhash/internal/trace"
@@ -136,8 +138,8 @@ func TestSplitStormConcurrentOps(t *testing.T) {
 	}
 
 	// The set-level driver under live splits: a PutBatch writer and a
-	// committer latch many stripes at once, so their back-off/helpSplit
-	// retry races the single-op writers' splits (and each other's).
+	// committer latch many stripes at once, so their back-off and retry
+	// races the single-op writers' splits (and each other's).
 	bkey := func(i int) []byte { return []byte(fmt.Sprintf("batch-%05d", i)) }
 	wg.Add(1)
 	go func() {
@@ -320,25 +322,16 @@ func TestSplitStormConcurrentOps(t *testing.T) {
 		t.Fatalf("unbalanced splits: %d begins never ended (%d begins, %d ends in window)",
 			open, len(begins), len(ends))
 	}
-	chunks := tr.Events(0, trace.EvSplitChunk)
-	helped := 0
-	for _, e := range chunks {
-		if e.Args[3] == 1 {
-			helped++
-		}
-	}
-	waits := len(tr.Events(0, trace.EvLatchWait))
-	t.Logf("storm: %d splits, %d chunks (%d by helpers), %d latch waits",
-		len(begins), len(chunks), helped, waits)
+	t.Logf("storm: %d splits in the ring's window", len(begins))
 }
 
-// TestCrashMidIncrementalSplit power-cuts a table in the middle of a
-// split storm: after one completed sync, a burst of inserts forces a run
-// of incremental splits whose page writes stream into the crash journal
+// TestCrashMidSplit power-cuts a table in the middle of a split storm:
+// after one completed sync, a burst of inserts forces a run of splits
+// whose page writes stream into the crash journal
 // via evictions (the cache is tiny). Every prefix cut inside that storm
 // must recover to exactly the synced state — a half-moved bucket never
 // leaks into what Recover accepts.
-func TestCrashMidIncrementalSplit(t *testing.T) {
+func TestCrashMidSplit(t *testing.T) {
 	cs := pagefile.NewCrash(pagefile.NewMem(128, pagefile.CostModel{}))
 	// CacheSize of a few pages: split page writes reach the journal
 	// immediately through eviction, so prefixes cut mid-split.
@@ -469,6 +462,147 @@ func TestLatchWaitOnlyWhenContended(t *testing.T) {
 				t.Fatalf("contended latch charged %d waits of %dns total, want 1", n, ns)
 			}
 		})
+	}
+}
+
+// TestSplitWaitIsLatchWait parks a split twice — in the store read of its
+// old bucket's primary page while it gathers, and in the read of a big
+// pair's chain while it places the pairs — and issues a Get, with a live
+// ledger, for a key in that bucket. The split holds the bucket's stripe
+// from before it publishes the new geometry until its last pair has
+// moved, so the Get waits exactly as it would behind any writer: one
+// latch_wait covering both parks, the split's end event inside the Get's
+// trace span, the right value afterwards, and phases that sum to the
+// elapsed time.
+func TestSplitWaitIsLatchWait(t *testing.T) {
+	type park struct {
+		page            int64
+		parked, release chan struct{}
+	}
+	var parks [2]park
+	for i := range parks {
+		parks[i] = park{page: -1, parked: make(chan struct{}), release: make(chan struct{})}
+	}
+	var armed atomic.Bool
+	var next atomic.Int32 // parks[next] is the read that parks next
+	store := &hookStore{Store: pagefile.NewMem(256, pagefile.CostModel{}), onRead: func(pageno uint32) {
+		if !armed.Load() {
+			return
+		}
+		if i := next.Load(); i < int32(len(parks)) && int64(pageno) == parks[i].page && next.CompareAndSwap(i, i+1) {
+			close(parks[i].parked)
+			<-parks[i].release
+		}
+	}}
+	const ffactor = 4
+	tr := trace.New(1 << 12)
+	tbl := mustOpen(t, "", &Options{Store: store, Bsize: 256, Ffactor: ffactor,
+		CacheSize: 8 * 256, ControlledOnly: true, Trace: tr})
+	defer tbl.Close()
+
+	// Fill to the brink: one more fresh key trips exactly one fill-factor
+	// split (no uncontrolled splits), of old into maxBucket+1.
+	n := 0
+	for ; n < 8*ffactor || tbl.nkeysA.Load() != ffactor*int64(tbl.geo.Load()+1); n++ {
+		if err := tbl.Put(key(n), val(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	maxB := tbl.geo.Load()
+	oldB := (maxB + 1) & tbl.hdr.lowMask
+	readKey, bigKey := -1, -1
+	for i := 0; i < n; i++ {
+		switch h := tbl.hash(key(i)); {
+		case routeBucket(h, maxB) != oldB:
+		case readKey < 0 && routeBucket(h, maxB+1) == oldB:
+			readKey = i
+		case bigKey < 0:
+			bigKey = i
+		}
+	}
+	if readKey < 0 || bigKey < 0 {
+		t.Fatalf("bucket %d lacks a key that stays (%d) or a second key (%d)", oldB, readKey, bigKey)
+	}
+	trigger := n
+	for ; routeBucket(tbl.hash(key(trigger)), maxB) == oldB; trigger++ {
+	}
+	// A replace keeps nkeys: the second key becomes a big pair, whose
+	// chain the split reads back to route it.
+	if err := tbl.Put(key(bigKey), bytes.Repeat([]byte{'B'}, 600)); err != nil {
+		t.Fatal(err)
+	}
+	var ref oaddr
+	if err := tbl.walkChain(nil, oldB, func(b *buffer.Buf) (bool, error) {
+		return false, page(b.Page).forEach(func(_ int, e entry) bool {
+			if e.kind == entryBig {
+				ref = e.ref
+			}
+			return true
+		})
+	}); err != nil || ref == 0 {
+		t.Fatalf("no big pair in bucket %d: %v", oldB, err)
+	}
+
+	// Neither page is resident: the split's reads are the first.
+	if err := tbl.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.pool.InvalidateAll(); err != nil {
+		t.Fatal(err)
+	}
+	parks[0].page = int64(tbl.hdr.bucketToPage(oldB))
+	parks[1].page = int64(tbl.hdr.oaddrToPage(ref))
+	armed.Store(true)
+	putDone := make(chan error, 1)
+	go func() { putDone <- tbl.Put(key(trigger), val(trigger)) }()
+	<-parks[0].parked
+
+	var led oplog.Ledger
+	led.StartOp(oplog.CmdGet, key(readKey))
+	type result struct {
+		v   []byte
+		err error
+	}
+	getDone := make(chan result, 1)
+	go func() {
+		v, err := tbl.GetBufOp(&led, key(readKey), nil)
+		getDone <- result{v, err}
+	}()
+	waitQueuedOnLatch(t)
+	t0 := time.Now()
+	for i := range parks {
+		<-parks[i].parked
+		time.Sleep(20 * time.Millisecond)
+		close(parks[i].release)
+	}
+	parkedFor := time.Since(t0)
+	if err := <-putDone; err != nil {
+		t.Fatalf("split-triggering Put: %v", err)
+	}
+	r := <-getDone
+	led.Finish()
+
+	if r.err != nil || !bytes.Equal(r.v, val(readKey)) {
+		t.Fatalf("Get beside the split = %q, %v; want %q", r.v, r.err, val(readKey))
+	}
+	if tbl.geo.Load() != maxB+1 {
+		t.Fatalf("maxBucket = %d after the trigger, want %d", tbl.geo.Load(), maxB+1)
+	}
+	if n, ns := led.PhaseCount(oplog.PhaseLatchWait), time.Duration(led.PhaseNS(oplog.PhaseLatchWait)); n != 1 || ns < parkedFor {
+		t.Fatalf("latch_wait charged %d waits of %v, want 1 of at least the %v parked", n, ns, parkedFor)
+	}
+	seq0, seq1 := led.TraceSpan()
+	ends := 0
+	for _, e := range tr.Ring().Range(seq0, seq1) {
+		if e.Type == trace.EvSplitEnd && uint32(e.Args[0]) == oldB && uint32(e.Args[1]) == maxB+1 {
+			ends++
+		}
+	}
+	if ends != 1 {
+		t.Fatalf("trace span [%d, %d) holds %d split-end events of bucket %d, want 1", seq0, seq1, ends, oldB)
+	}
+	if led.PhaseTotal() != led.Elapsed() {
+		t.Fatalf("phases sum to %d ns, elapsed %d ns", led.PhaseTotal(), led.Elapsed())
 	}
 }
 

@@ -174,12 +174,12 @@ func (o *Options) withDefaults() (Options, error) {
 // Has, Put, PutNew, Delete, PutBatch, transaction commits, Len, Heatmap
 // and iteration — take the table lock shared and latch only the stripes
 // covering the bucket chains they touch, so readers AND writers on
-// different buckets run in parallel; splits are incremental and
-// cooperative (see latch.go). Whole-table operations (Sync, Close, Check,
-// Recover, Geometry, the Dump walker and PutBatch's presize of an empty
-// table) take the lock exclusively. The lock order is table lock
-// → splitMu → bucket stripes (ascending) → split-job/ovfl/dirty mutexes →
-// buffer shard lock, and never the reverse.
+// different buckets run in parallel; a split latches its two buckets like
+// any other writer (see latch.go). Whole-table operations (Sync, Close,
+// Check, Recover, Geometry, the Dump walker and PutBatch's presize of an
+// empty table) take the lock exclusively. The lock order is table lock
+// → splitMu → bucket stripes (ascending) → ovfl/dirty mutexes → buffer
+// shard lock, and never the reverse.
 type Table struct {
 	mu sync.RWMutex
 
@@ -198,21 +198,18 @@ type Table struct {
 
 	// Bucket-granular concurrency state (see latch.go). geo publishes
 	// hdr.maxBucket for shared-phase routing; stripes are the per-bucket
-	// latches; splitMu admits one split at a time, with its shared
-	// progress in split/splitState. nkeysA and pairSumA are the live key
-	// count and pair fingerprint — hdr.nkeys/hdr.pairSum hold the
-	// last-synced values between syncs and are folded from the atomics by
-	// syncLocked. dirtyHdr and addedOvfl are the shared-phase forms of
-	// the old exclusive-writer booleans.
-	geo        atomic.Uint32
-	stripes    [nStripes]sync.RWMutex
-	splitMu    sync.Mutex
-	split      splitJob
-	splitState atomic.Uint64
-	nkeysA     atomic.Int64
-	pairSumA   atomic.Uint64
-	dirtyHdr   atomic.Bool
-	addedOvfl  atomic.Bool // an insert grew a chain: uncontrolled split pending
+	// latches; splitMu admits one split at a time. nkeysA and pairSumA
+	// are the live key count and pair fingerprint — hdr.nkeys/hdr.pairSum
+	// hold the last-synced values between syncs and are folded from the
+	// atomics by syncLocked. dirtyHdr and addedOvfl are the shared-phase
+	// forms of the old exclusive-writer booleans.
+	geo       atomic.Uint32
+	stripes   [nStripes]sync.RWMutex
+	splitMu   sync.Mutex
+	nkeysA    atomic.Int64
+	pairSumA  atomic.Uint64
+	dirtyHdr  atomic.Bool
+	addedOvfl atomic.Bool // an insert grew a chain: uncontrolled split pending
 
 	// ovflMu serializes the overflow allocator and bitmap state (ovfl.go)
 	// under concurrent bucket writers.
@@ -283,7 +280,6 @@ func Open(path string, o *Options) (*Table, error) {
 
 	t := &Table{hash: opts.Hash, path: path, readonly: opts.ReadOnly, controlledOnly: opts.ControlledOnly, tr: opts.Trace,
 		filtersOn: !opts.DisableFilter, prefetchOn: !opts.DisableReadAhead}
-	t.split.cond = sync.NewCond(&t.split.mu)
 
 	existing := false
 	switch {
@@ -981,8 +977,8 @@ func (t *Table) PutNew(key, data []byte) error {
 }
 
 // PutOp is Put carrying an op ledger: latch waits, buffer traffic and
-// any cooperative split work triggered by this insert are charged to
-// led's phases. A nil ledger is exactly Put.
+// any split this insert runs after it unlatches are charged to led's
+// phases. A nil ledger is exactly Put.
 func (t *Table) PutOp(led *oplog.Ledger, key, data []byte) error {
 	return t.writeOne(led, writeOp{key: key, data: data}, true)
 }
@@ -1381,7 +1377,6 @@ func (t *Table) unlinkOvfl(prev, buf, primary *buffer.Buf) error {
 	}
 	primary.Dirty.Store(true)
 	o := oaddr(buf.Addr.N)
-	t.pool.Put(buf) // unpin before dropping
 	t.pool.Drop(buf)
 	return t.freeOvfl(o)
 }

@@ -59,12 +59,11 @@ const (
 	PhaseRoute
 	// PhaseLatchWait is a contended bucket-latch acquisition: a stripe
 	// whose try-lock failed on the read or write path, including a
-	// transaction's ascending latch sweep at commit. An uncontended
-	// latch charges nothing.
+	// transaction's ascending latch sweep at commit and a wait on a
+	// split holding the stripe. An uncontended latch charges nothing.
 	PhaseLatchWait
-	// PhaseSplitAssist is cooperative split work done on this
-	// request's dime: helping or triggering an incremental bucket
-	// split after an insert.
+	// PhaseSplitAssist is the bucket splits a write ran itself, after it
+	// unlatched, because its insert tripped the split policy.
 	PhaseSplitAssist
 	// PhaseWALMarshal is transaction frame encoding plus the log
 	// append write.
@@ -114,8 +113,8 @@ var phaseHelp = [NumPhases]string{
 	"Command decode: counted per op, not timed (its time is in on_cpu), so this histogram stays empty.",
 	"Time a staged PUT waited in the connection's coalescing buffer.",
 	"Shard selection: counted per op, not timed (its time is in on_cpu), so this histogram stays empty.",
-	"Contended bucket-latch (stripe lock) wait; an uncontended latch charges nothing.",
-	"Cooperative bucket-split work charged to this request.",
+	"Contended bucket-latch (stripe lock) wait, a wait on a split included; an uncontended latch charges nothing.",
+	"Bucket splits this write ran after it unlatched, because its insert tripped the split policy.",
 	"WAL transaction frame marshal and log append write.",
 	"WAL group-commit fsync performed as leader.",
 	"WAL group-commit wait as a follower joining a leader's fsync.",

@@ -81,15 +81,6 @@ const (
 	// A device operation (pagefile) that took at least SlowIOThreshold.
 	EvSlowIO // io kind (IORead/IOWrite/IOSync), page number, bytes
 
-	// One bounded chunk of a cooperative split moved: by_helper is 1 when
-	// a concurrent writer (not the split initiator) moved it.
-	EvSplitChunk // old bucket, new bucket, entries moved, by_helper
-
-	// An operation found its bucket involved in an in-flight split and
-	// waited; helped is 1 when it was a writer that moved chunks while
-	// waiting.
-	EvLatchWait // bucket, helped
-
 	// A transaction's frames landed in the write-ahead log (not yet
 	// durable until the covering wal-fsync).
 	EvWalAppend // commit lsn, ops, bytes
@@ -162,8 +153,6 @@ var typeInfo = [...]struct {
 	EvBatchEnd:     {name: "batch-end", args: [4]string{"pairs", "splits"}},
 	EvBufEvict:     {name: "buf-evict", args: [4]string{"addr", "overflow", "dirty"}},
 	EvSlowIO:       {name: "slow-io", args: [4]string{"kind", "page", "bytes"}},
-	EvSplitChunk:   {name: "split-chunk", args: [4]string{"old_bucket", "new_bucket", "entries_moved", "by_helper"}},
-	EvLatchWait:    {name: "latch-wait", args: [4]string{"bucket", "helped"}},
 	EvWalAppend:    {name: "wal-append", args: [4]string{"lsn", "ops", "bytes"}},
 	EvWalFsync:     {name: "wal-fsync", args: [4]string{"lsn", "bytes"}},
 	EvCheckpoint:   {name: "checkpoint", args: [4]string{"lsn", "epoch", "log_bytes"}},
