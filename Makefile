@@ -85,10 +85,9 @@ bench-history:
 metrics:
 	$(GO) run ./cmd/hashbench metrics
 
-# Negative-lookup latency vs overflow-chain depth, tag filter on vs off,
-# plus a cold scan through the vectored chain read-ahead; refreshes
-# BENCH_misses.json and fails if a filtered depth-4 miss costs more than
-# 2x a depth-0 miss or the scan prefetched nothing.
+# Negative-lookup latency vs overflow-chain depth, tag filter on vs off;
+# refreshes BENCH_misses.json and fails if a filtered depth-4 miss costs
+# more than 2x a depth-0 miss.
 misses:
 	$(GO) run ./cmd/hashbench -check 2.0 misses
 

@@ -29,17 +29,11 @@ import (
 // than the table — so a miss faults the pages it touches, and a batch
 // of absent keys (uniformly spread over the buckets) is timed twice:
 // filter consulted, and filter ignored (Options.DisableFilter — the
-// pages are identical, the option only gates the read side). A final
-// scan phase reopens the deepest table with a cold full-size pool and
-// iterates it, demonstrating the vectored chain read-ahead: each
-// bucket's chain arrives in one ReadPages call, visible in the
-// prefetch counters.
+// pages are identical, the option only gates the read side).
 //
 // Timing follows the harness's paper methodology: user is measured wall
 // time, sys is the simulated cost of the pages moved, elapsed is their
-// sum. The cost model charges vectored reads per page (see
-// pagefile.Stats), so read-ahead never flatters the simulated time —
-// its win is fewer device operations, reported as the prefetch counts.
+// sum.
 
 // missesCost: 100µs per page I/O; syncs are irrelevant to a read bench.
 var missesCost = pagefile.CostModel{
@@ -93,11 +87,6 @@ type MissesResult struct {
 	// filtered depth-0 miss cost. The filter makes deep chains free to
 	// miss, so this should sit near 1.0.
 	Depth4Over0 float64 `json:"depth4_over_depth0_filtered"`
-	// Scan phase: a cold full iteration of the depth-4 table.
-	ScanPrefetches      int64 `json:"scan_prefetches"`
-	ScanPrefetchedPages int64 `json:"scan_prefetched_pages"`
-	ScanReads           int64 `json:"scan_page_reads"`
-	ScanKeys            int   `json:"scan_keys"`
 }
 
 // missesOpts returns the fixed build geometry: 256 buckets presized,
@@ -199,7 +188,7 @@ func missesBuild(store pagefile.Store, depth, perBucket int) (int, error) {
 func missesTime(store *pagefile.MemStore, nmiss int, disableFilter bool) (MissesSide, error) {
 	t, err := core.Open("", &core.Options{
 		Store: store, CacheSize: missesBsize, // rounded up to the pool's 8-page floor
-		DisableFilter: disableFilter, DisableReadAhead: disableFilter,
+		DisableFilter: disableFilter,
 	})
 	if err != nil {
 		return MissesSide{}, err
@@ -236,31 +225,6 @@ func missesTime(store *pagefile.MemStore, nmiss int, disableFilter bool) (Misses
 	}, nil
 }
 
-// missesScan reopens store cold with a full-size pool and iterates the
-// whole table, reporting the read-ahead counters of the scan.
-func missesScan(store *pagefile.MemStore) (prefetches, pages, reads int64, keys int, err error) {
-	t, err := core.Open("", &core.Options{Store: store})
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	defer t.Close()
-	before := store.Stats().Snapshot()
-	it := t.Iter()
-	for it.Next() {
-		keys++
-	}
-	if err := it.Err(); err != nil {
-		return 0, 0, 0, 0, err
-	}
-	snap, err := t.MetricsSnapshot()
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	io := store.Stats().Snapshot().Sub(before)
-	return snap.Counter(core.MetricPrefetches), snap.Counter(core.MetricPrefetchedPages),
-		io.Reads, keys, nil
-}
-
 // Misses runs the full experiment. nmiss is the negative lookups per
 // timed batch (0 = the default 2000).
 func Misses(nmiss int) (*MissesResult, error) {
@@ -275,7 +239,6 @@ func Misses(nmiss int) (*MissesResult, error) {
 		Bsize: missesBsize, Buckets: missesBuckets,
 		ReadCostUS: missesCost.ReadCost.Microseconds(),
 	}
-	var deepStore *pagefile.MemStore
 	for depth := 0; depth < missesDepths; depth++ {
 		// Depth 0 loads the primary to the brink of overflow; depth d
 		// stops at the key that first opened overflow page d.
@@ -303,26 +266,17 @@ func Misses(nmiss int) (*MissesResult, error) {
 			pt.ElapsedGain = off.PerMissMicros / on.PerMissMicros
 		}
 		res.Points = append(res.Points, pt)
-		if depth == missesDepths-1 {
-			deepStore = store
-		}
 	}
 	if d0, d4 := res.Points[0].On, res.Points[missesDepths-1].On; d0.PerMissMicros > 0 {
 		res.Depth4Over0 = d4.PerMissMicros / d0.PerMissMicros
 	}
-	pf, pages, reads, keys, err := missesScan(deepStore)
-	if err != nil {
-		return nil, fmt.Errorf("scan: %w", err)
-	}
-	res.ScanPrefetches, res.ScanPrefetchedPages, res.ScanReads, res.ScanKeys = pf, pages, reads, keys
 	return res, nil
 }
 
-// Gate enforces the CI regression bars: with filters on, a depth-4
+// Gate enforces the CI regression bar: with filters on, a depth-4
 // negative lookup must cost no more than maxRatio times a depth-0 one
 // (the filter's whole point is making chain depth irrelevant to
-// misses), and the scan phase must have moved chain pages through the
-// vectored read-ahead path.
+// misses).
 func (r *MissesResult) Gate(maxRatio float64) error {
 	if len(r.Points) < missesDepths {
 		return fmt.Errorf("misses: only %d points measured", len(r.Points))
@@ -330,10 +284,6 @@ func (r *MissesResult) Gate(maxRatio float64) error {
 	if r.Depth4Over0 > maxRatio {
 		return fmt.Errorf("misses: filtered depth-4 miss costs %.2fx a depth-0 miss, above the %.2fx ceiling",
 			r.Depth4Over0, maxRatio)
-	}
-	if r.ScanPrefetchedPages <= 0 {
-		return fmt.Errorf("misses: scan phase installed no pages through read-ahead (prefetched_pages=%d)",
-			r.ScanPrefetchedPages)
 	}
 	return nil
 }
@@ -349,7 +299,7 @@ func (r *MissesResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Negative lookups vs overflow-chain depth: %d buckets, %d-byte pages, %dus/page read\n",
 		r.Buckets, r.Bsize, r.ReadCostUS)
-	fmt.Fprintf(&b, "(reads and elapsed are per miss; filters off also disables read-ahead)\n\n")
+	fmt.Fprintf(&b, "(reads and elapsed are per miss)\n\n")
 	fmt.Fprintf(&b, "  %-6s %-9s %14s %12s %14s %12s %8s\n",
 		"depth", "keys/bkt", "on reads/miss", "on us/miss", "off reads/miss", "off us/miss", "off/on")
 	for _, pt := range r.Points {
@@ -358,7 +308,5 @@ func (r *MissesResult) String() string {
 			pt.Off.PerMissReads, pt.Off.PerMissMicros, pt.ElapsedGain)
 	}
 	fmt.Fprintf(&b, "\n  filtered depth-4/depth-0 cost ratio: %.2fx\n", r.Depth4Over0)
-	fmt.Fprintf(&b, "  cold scan of the depth-4 table: %d keys, %d page reads, %d prefetches moved %d pages\n",
-		r.ScanKeys, r.ScanReads, r.ScanPrefetches, r.ScanPrefetchedPages)
 	return b.String()
 }

@@ -139,7 +139,6 @@ type PoolCounters struct {
 	NewPages    int64 // pages created fresh (not read from the store)
 	Overcommits int64 // misses served beyond budget (nothing evictable)
 	Pins        int64 // pin events (one per successful Get)
-	Prefetched  int64 // pages installed by chain read-ahead
 }
 
 // Sub returns the component-wise difference c - o, for measuring one
@@ -149,7 +148,6 @@ func (c PoolCounters) Sub(o PoolCounters) PoolCounters {
 		Hits: c.Hits - o.Hits, Misses: c.Misses - o.Misses,
 		Evictions: c.Evictions - o.Evictions, NewPages: c.NewPages - o.NewPages,
 		Overcommits: c.Overcommits - o.Overcommits, Pins: c.Pins - o.Pins,
-		Prefetched: c.Prefetched - o.Prefetched,
 	}
 }
 
@@ -175,10 +173,6 @@ type Pool struct {
 	shardShift uint32       // 32 - log2(len(shards))
 	maxTotal   int          // pool-wide buffer budget
 	resident   atomic.Int64 // pool-wide resident count (fast path for alloc)
-
-	// prefetchBuf recycles the vectored-read scratch buffers used by
-	// PrefetchChain (a pointer type, so Get/Put do not allocate).
-	prefetchBuf sync.Pool
 }
 
 // Counters sums the per-shard event counters. Each shard is read under
@@ -195,7 +189,6 @@ func (p *Pool) Counters() PoolCounters {
 		c.NewPages += sh.n.NewPages
 		c.Overcommits += sh.n.Overcommits
 		c.Pins += sh.n.Pins
-		c.Prefetched += sh.n.Prefetched
 		sh.mu.Unlock()
 	}
 	return c
@@ -239,7 +232,6 @@ func (p *Pool) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	reg.CounterFunc(prefix+"new_pages_total", sum(func(c PoolCounters) int64 { return c.NewPages }))
 	reg.CounterFunc(prefix+"overcommits_total", sum(func(c PoolCounters) int64 { return c.Overcommits }))
 	reg.CounterFunc(prefix+"pins_total", sum(func(c PoolCounters) int64 { return c.Pins }))
-	reg.CounterFunc(prefix+"prefetched_total", sum(func(c PoolCounters) int64 { return c.Prefetched }))
 	reg.GaugeFunc(prefix+"resident", func() int64 { return p.resident.Load() })
 	reg.GaugeFunc(prefix+"pinned", func() int64 { return int64(p.Pinned()) })
 	reg.GaugeFunc(prefix+"capacity", func() int64 { return int64(p.maxTotal) })
@@ -529,8 +521,8 @@ func chainPinned(b *Buf) bool {
 // (the paper: an overflow page cannot stay in the pool when its
 // predecessor leaves). The whole chain lives in sh by construction.
 // Demand walks keep a chain's head colder than its members, but filter
-// skips and read-ahead let a predecessor stay hot while its successors
-// go cold, so head may be such a cold suffix: its pred keeps its place
+// skips let a predecessor stay hot while its successors go cold, so
+// head may be such a cold suffix: its pred keeps its place
 // and only loses the link. Cutting that one link first also makes the
 // walk below a simple path — every buffer has at most one pred — so even
 // a corrupt on-disk chain cannot loop it. Called with sh.mu held.
@@ -567,168 +559,6 @@ func (p *Pool) flushBuf(b *Buf) error {
 	}
 	b.Dirty.Store(false)
 	return nil
-}
-
-// MaxPrefetch caps the pages a single chain read-ahead fetches, bounding
-// its scratch buffer and the residency it can claim at once.
-const MaxPrefetch = 8
-
-// PrefetchChain faults the overflow chain hanging off prev into the pool
-// with one vectored store read, installing every fetched page in a
-// single shard-lock epoch (the chain's whole shard state — residency
-// check, device read, table inserts, chain links — mutates under one
-// acquisition of the shard mutex, so no concurrent eviction can slip a
-// newer page version between the read and the install). first is the
-// chain's next address after prev; max bounds the pages fetched (the
-// caller typically passes the primary filter's recorded chain length);
-// nextAddr parses a page's trailing overflow link, returning ok=false at
-// the end of the chain or on a page it does not trust.
-//
-// Only pages reached by walking links from prev are installed — the
-// vectored read is a speculative contiguous span (overflow pages of one
-// chain are allocated consecutively at a split point), and any page of
-// the span the walk does not claim is discarded, so a neighboring
-// bucket's page can never be installed into the wrong shard. Installed
-// pages carry exactly the bytes a demand ReadPage would have returned
-// and are left unpinned, to be re-pinned as hits by the caller's chain
-// walk. Prefetch never writes: at capacity it evicts only clean,
-// unpinned chains and otherwise stops early. Returns the number of pages
-// installed. Best-effort: a read error installs nothing. led, if non-nil,
-// is charged the prefetch phase from the device read on; a fully
-// resident chain reads no clock.
-func (p *Pool) PrefetchChain(led *oplog.Ledger, prev *Buf, first Addr, max int, nextAddr func([]byte) (Addr, bool)) int {
-	vr, ok := p.store.(pagefile.VectorReader)
-	if !ok || max <= 0 || prev == nil || !first.Ovfl {
-		return 0
-	}
-	if max > MaxPrefetch {
-		max = MaxPrefetch
-	}
-	owner := prev.owner
-	sh := p.shardFor(owner)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-
-	// Skip the already-resident prefix of the chain.
-	cur, pred, steps := first, prev, 0
-	for steps < max {
-		b, ok := sh.table[cur]
-		if !ok {
-			break
-		}
-		link(pred, b)
-		nxt, ok := nextAddr(b.Page)
-		if !ok || nxt == (Addr{}) {
-			return 0 // chain fully resident (or untrusted)
-		}
-		pred, cur = b, nxt
-		steps++
-	}
-	if steps >= max {
-		return 0
-	}
-
-	// One vectored read of the span expected to hold the rest.
-	k := max - steps
-	base := p.mapAddr(cur)
-	if np := p.store.NPages(); base >= np {
-		return 0
-	} else if uint32(k) > np-base {
-		k = int(np - base)
-	}
-	bp, _ := p.prefetchBuf.Get().(*[]byte)
-	if bp == nil || cap(*bp) < MaxPrefetch*p.pagesize {
-		s := make([]byte, MaxPrefetch*p.pagesize)
-		bp = &s
-	}
-	defer p.prefetchBuf.Put(bp)
-	if led != nil {
-		defer led.Since(oplog.PhasePrefetch, oplog.Clock())
-	}
-	span := (*bp)[:k*p.pagesize]
-	if err := vr.ReadPages(base, span); err != nil {
-		return 0
-	}
-
-	installed := 0
-	for steps < max {
-		var pagebytes []byte
-		if b, ok := sh.table[cur]; ok {
-			// A later chain page can be resident while an earlier one is
-			// not (iterators fetch overflow pages unlinked); follow it.
-			link(pred, b)
-			pagebytes = b.Page
-			pred = b
-		} else {
-			pn := p.mapAddr(cur)
-			if pn < base || pn >= base+uint32(k) {
-				break // chain left the contiguous span
-			}
-			if int(p.resident.Load()) >= p.maxTotal && !p.evictClean(sh, owner) {
-				break // never steal a dirty page for read-ahead
-			}
-			var b *Buf
-			if n := len(sh.free); n > 0 {
-				b = sh.free[n-1]
-				sh.free = sh.free[:n-1]
-				b.reset(cur, owner, sh)
-			} else {
-				b = &Buf{Addr: cur, Page: make([]byte, p.pagesize), owner: owner, sh: sh}
-			}
-			src := span[int(pn-base)*p.pagesize:]
-			copy(b.Page, src[:p.pagesize])
-			if p.onLoad != nil && p.onLoad(cur, b.Page) {
-				b.Dirty.Store(true)
-			}
-			sh.table[cur] = b
-			sh.lruInsert(b)
-			p.resident.Add(1)
-			link(pred, b)
-			sh.n.Prefetched++
-			installed++
-			pagebytes = b.Page
-			pred = b
-		}
-		nxt, ok := nextAddr(pagebytes)
-		if !ok || nxt == (Addr{}) {
-			break
-		}
-		cur = nxt
-		steps++
-	}
-	return installed
-}
-
-// evictClean evicts the shard's coldest unpinned chain containing no
-// dirty buffer, so the eviction performs no store write. Buffers owned
-// by skipOwner are never candidates: the caller is mid-prefetch on that
-// owner's chain and holds unpinned local references into it (the
-// primary's pin protects only the buffers chained *behind* it, and the
-// pages installed moments ago are clean and unpinned — evicting one
-// would recycle a buffer the prefetch is about to link). Reports whether
-// anything was evicted. Called with sh.mu held.
-func (p *Pool) evictClean(sh *shard, skipOwner uint32) bool {
-	for cand := sh.lru.prev; cand != &sh.lru; cand = cand.prev {
-		if cand.owner == skipOwner || chainPinned(cand) || chainDirty(cand) {
-			continue
-		}
-		if err := p.evict(sh, cand); err != nil {
-			return false
-		}
-		return true
-	}
-	return false
-}
-
-// chainDirty reports whether b or any overflow buffer chained behind it
-// is dirty.
-func chainDirty(b *Buf) bool {
-	for ; b != nil; b = b.ovfl {
-		if b.Dirty.Load() {
-			return true
-		}
-	}
-	return false
 }
 
 // Put unpins a buffer obtained from Get.

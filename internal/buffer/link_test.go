@@ -1,7 +1,6 @@
 package buffer
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -83,8 +82,7 @@ func TestPoolEvictColdSuffixUnlinksPredecessor(t *testing.T) {
 }
 
 // Chain pages for the randomized test: owner o's chain is overflow
-// addresses o*chainStride+1 .. o*chainStride+chainLen, each page
-// carrying its successor's address in its first two bytes (0 ends it).
+// addresses o*chainStride+1 .. o*chainStride+chainLen.
 const (
 	chainOwners = 6
 	chainStride = 8
@@ -93,14 +91,9 @@ const (
 
 func chainAddr(o uint32, k int) Addr { return Addr{N: o*chainStride + uint32(k), Ovfl: true} }
 
-func nextLink(pg []byte) (Addr, bool) {
-	n := binary.LittleEndian.Uint16(pg)
-	return Addr{N: uint32(n), Ovfl: true}, n != 0
-}
-
 // TestPoolChainLinkInvariant runs a seeded random mix of chain walks
-// (Get with a predecessor), unlinked GetOwned fetches, read-ahead, Drop,
-// Discard and pressure evictions against 8- to 16-page pools, and after
+// (Get with a predecessor), unlinked GetOwned fetches, Drop, Discard and
+// pressure evictions against 8- to 16-page pools, and after
 // every step checks the two-way link invariant: every ovfl target is
 // resident in its predecessor's shard and linked from exactly one
 // buffer, its pred.
@@ -111,14 +104,8 @@ func TestPoolChainLinkInvariant(t *testing.T) {
 			store := pagefile.NewMem(64, pagefile.CostModel{})
 			pg := make([]byte, 64)
 			for o := uint32(0); o < chainOwners; o++ {
-				binary.LittleEndian.PutUint16(pg, uint16(chainAddr(o, 1).N))
 				store.WritePage(identityMap(Addr{N: o}), pg)
 				for k := 1; k <= chainLen; k++ {
-					next := uint16(0)
-					if k < chainLen {
-						next = uint16(chainAddr(o, k+1).N)
-					}
-					binary.LittleEndian.PutUint16(pg, next)
 					store.WritePage(identityMap(chainAddr(o, k)), pg)
 				}
 			}
@@ -143,16 +130,12 @@ func TestPoolChainLinkInvariant(t *testing.T) {
 					for i := len(walk) - 1; i >= 0; i-- {
 						p.Put(walk[i])
 					}
-				case 2: // unlinked fetch of a chain page
+				case 2, 3: // unlinked fetch of a chain page
 					b, err := p.GetOwned(chainAddr(o, 1+rng.Intn(chainLen)), o, false)
 					if err != nil {
 						t.Fatal(err)
 					}
 					p.Put(b)
-				case 3: // read-ahead from the primary
-					prim := mustGet(t, p, Addr{N: o}, nil)
-					p.PrefetchChain(nil, prim, chainAddr(o, 1), 1+rng.Intn(chainLen), nextLink)
-					p.Put(prim)
 				case 4:
 					p.Discard(chainAddr(o, 1+rng.Intn(chainLen)))
 				case 5: // pressure: fault pages no chain owns
@@ -172,8 +155,8 @@ func TestPoolChainLinkInvariant(t *testing.T) {
 					t.Fatalf("link invariant broken at step %d", step)
 				}
 			}
-			if p.Counters().Evictions == 0 || p.Counters().Prefetched == 0 {
-				t.Fatalf("run never evicted or prefetched: %+v", p.Counters())
+			if p.Counters().Evictions == 0 {
+				t.Fatalf("run never evicted: %+v", p.Counters())
 			}
 		})
 	}

@@ -89,9 +89,10 @@ func (p page) fltInexactBit() bool   { return p[fltFlagsOff]&fltInexact != 0 }
 func (p page) fltCount() int         { return int(p[fltCountOff]) }
 
 // fltChainLen returns the recorded number of overflow pages chained
-// after the primary. It is exact below 255 and is only used to size
-// read-ahead, where an overestimate is harmless (the chain walk stops
-// at the real end).
+// after the primary, exact below 255. No lookup or chain walk consults
+// it: it stays maintained because layout v5 carries it and Check, in
+// this build and older ones, requires it exact. The filter-skip trace
+// event reports it.
 func (p page) fltChainLen() int { return int(p[fltChainOff]) }
 
 func (p page) fltChainInc() {
@@ -101,8 +102,7 @@ func (p page) fltChainInc() {
 }
 
 func (p page) fltChainDec() {
-	// Once saturated the true length is unknown; stay pinned high (an
-	// overestimate only costs prefetch sizing).
+	// Once saturated the true length is unknown; stay pinned high.
 	if c := p[fltChainOff]; c > 0 && c < 255 {
 		p[fltChainOff] = c - 1
 	}

@@ -139,8 +139,8 @@ func TestRecoverIgnoresGarbageFilterBytes(t *testing.T) {
 // TestConcurrentMissStormDuringSplits is the read-acceleration race
 // stress: a storm of negative lookups (the filter's fast path) runs
 // against writers whose inserts continuously force incremental bucket
-// splits and chain rebuilds, with a pool small enough to keep the
-// read-ahead path evicting and reinstalling chain pages. Run with
+// splits and chain rebuilds, with a pool small enough to keep chain
+// walks evicting and refaulting chain pages. Run with
 // -race. Stored keys probed concurrently must never be reported absent
 // — the filter is only allowed false positives, under any interleaving
 // with split-driven filter rewrites.
@@ -148,7 +148,7 @@ func TestConcurrentMissStormDuringSplits(t *testing.T) {
 	tbl := mustOpen(t, "", &Options{
 		Bsize:     256,
 		Ffactor:   8,
-		CacheSize: 256 * 16, // small pool: misses fault, prefetch evicts
+		CacheSize: 256 * 16, // small pool: misses fault and evict
 	})
 	defer tbl.Close()
 

@@ -103,11 +103,11 @@ func TestFilterCounters(t *testing.T) {
 }
 
 // TestDisableFilterStillCorrect runs the same workload with filter
-// consults and read-ahead off: results must be identical and no filter
+// consults off: results must be identical and no filter
 // counter may move — DisableFilter gates reads only, maintenance still
 // runs so a later reopen with filters on sees valid tags.
 func TestDisableFilterStillCorrect(t *testing.T) {
-	tbl := mustOpen(t, "", &Options{Bsize: 1024, Ffactor: 16, DisableFilter: true, DisableReadAhead: true})
+	tbl := mustOpen(t, "", &Options{Bsize: 1024, Ffactor: 16, DisableFilter: true})
 	defer tbl.Close()
 	const n = 100
 	for i := 0; i < n; i++ {

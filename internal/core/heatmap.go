@@ -56,13 +56,11 @@ type Heatmap struct {
 	// consulted a filter, the fraction answered "absent" with zero chain
 	// reads (skip rate) and the fraction that probed and still missed
 	// (false-positive rate).
-	FilterSkips     int64   `json:"filter_skips"`
-	FilterHits      int64   `json:"filter_hits"`
-	FilterFPs       int64   `json:"filter_false_positives"`
-	FilterSkipRate  float64 `json:"filter_skip_rate"`
-	FilterFPRate    float64 `json:"filter_fp_rate"`
-	Prefetches      int64   `json:"prefetches"`
-	PrefetchedPages int64   `json:"prefetched_pages"`
+	FilterSkips    int64   `json:"filter_skips"`
+	FilterHits     int64   `json:"filter_hits"`
+	FilterFPs      int64   `json:"filter_false_positives"`
+	FilterSkipRate float64 `json:"filter_skip_rate"`
+	FilterFPRate   float64 `json:"filter_fp_rate"`
 }
 
 // String renders a compact summary plus a fill histogram for the CLIs.
@@ -74,9 +72,9 @@ func (h *Heatmap) String() string {
 			s += fmt.Sprintf(" chain[%d]=%d", depth, n)
 		}
 	}
-	s += fmt.Sprintf("\nfilters: occupancy=%.0f%% (cap %d/bucket) saturated=%d inexact=%d skiprate=%.0f%% fprate=%.0f%% prefetched=%d pages",
+	s += fmt.Sprintf("\nfilters: occupancy=%.0f%% (cap %d/bucket) saturated=%d inexact=%d skiprate=%.0f%% fprate=%.0f%%",
 		100*h.FilterOccupancy, h.FilterTagCap, h.FilterSaturated, h.FilterInexact,
-		100*h.FilterSkipRate, 100*h.FilterFPRate, h.PrefetchedPages)
+		100*h.FilterSkipRate, 100*h.FilterFPRate)
 	return s
 }
 
@@ -180,7 +178,5 @@ func (t *Table) Heatmap() (*Heatmap, error) {
 		h.FilterSkipRate = float64(h.FilterSkips) / float64(consults)
 		h.FilterFPRate = float64(h.FilterFPs) / float64(consults)
 	}
-	h.Prefetches = t.m.prefetches.Load()
-	h.PrefetchedPages = t.m.prefetchedPages.Load()
 	return h, nil
 }

@@ -96,12 +96,6 @@ func (it *Iterator) nextOnPage() (bool, error) {
 	defer t.pool.Put(buf)
 	pg := page(buf.Page)
 
-	// First touch of a bucket's primary: prefetch its overflow chain in
-	// one vectored read, since the scan is about to walk all of it.
-	if it.o == 0 && it.idx == 0 {
-		t.prefetchChain(buf, pg, nil)
-	}
-
 	e, n, err := entryAtWithCount(pg, it.idx)
 	if err != nil {
 		return false, err

@@ -43,18 +43,15 @@ const (
 	MetricTxnCommits  = "hash_txn_commits_total"
 	MetricWalReplays  = "hash_wal_replayed_txns_total"
 	MetricCheckpoints = "hash_checkpoints_total"
-	// Read acceleration (see filter.go and buffer.Pool.PrefetchChain).
-	// Skips are filter consults that proved a key absent with zero chain
-	// reads; hits are consults confirmed by a found key; false positives
-	// are consults that passed but found nothing; page skips are overflow
-	// pages a walk bypassed on position hints. Prefetches count vectored
-	// chain read-ahead batches and the pages they installed.
+	// Read acceleration (see filter.go). Skips are filter consults that
+	// proved a key absent with zero chain reads; hits are consults
+	// confirmed by a found key; false positives are consults that passed
+	// but found nothing; page skips are overflow pages a walk bypassed on
+	// position hints.
 	MetricFilterHits      = "hash_filter_hits_total"
 	MetricFilterSkips     = "hash_filter_skips_total"
 	MetricFilterFPs       = "hash_filter_false_positives_total"
 	MetricFilterPageSkips = "hash_filter_page_skips_total"
-	MetricPrefetches      = "hash_prefetches_total"
-	MetricPrefetchedPages = "hash_prefetched_pages_total"
 )
 
 // tableMetrics holds the table's resolved metric handles. Handles are
@@ -93,8 +90,6 @@ type tableMetrics struct {
 	filterSkips        *metrics.Counter
 	filterFPs          *metrics.Counter
 	filterPageSkips    *metrics.Counter
-	prefetches         *metrics.Counter
-	prefetchedPages    *metrics.Counter
 }
 
 // init resolves every handle from reg, creating a private registry when
@@ -142,10 +137,6 @@ func (m *tableMetrics) init(reg *metrics.Registry) {
 	m.filterFPs = reg.Counter(MetricFilterFPs)
 	reg.Help(MetricFilterPageSkips, "Chain pages bypassed on tag-filter position hints")
 	m.filterPageSkips = reg.Counter(MetricFilterPageSkips)
-	reg.Help(MetricPrefetches, "Vectored chain read-ahead calls issued on long-chain walks")
-	m.prefetches = reg.Counter(MetricPrefetches)
-	reg.Help(MetricPrefetchedPages, "Overflow pages loaded ahead of the walk by chain read-ahead")
-	m.prefetchedPages = reg.Counter(MetricPrefetchedPages)
 }
 
 // setShape publishes the table's key count and bucket count as gauges.

@@ -114,10 +114,6 @@ type Options struct {
 	// the option — so this only removes the read-side consult. It exists
 	// for the A/B miss benchmarks.
 	DisableFilter bool
-	// DisableReadAhead stops reads and iteration from issuing vectored
-	// chain read-ahead through the buffer pool (see
-	// buffer.Pool.PrefetchChain). For the A/B miss benchmarks.
-	DisableReadAhead bool
 }
 
 // Validate checks the option fields without applying defaults: a zero
@@ -194,7 +190,6 @@ type Table struct {
 	closed         bool
 	controlledOnly bool
 	filtersOn      bool // reads consult the per-bucket tag filters
-	prefetchOn     bool // chain walks issue vectored read-ahead
 
 	// Bucket-granular concurrency state (see latch.go). geo publishes
 	// hdr.maxBucket for shared-phase routing; stripes are the per-bucket
@@ -279,7 +274,7 @@ func Open(path string, o *Options) (*Table, error) {
 	}
 
 	t := &Table{hash: opts.Hash, path: path, readonly: opts.ReadOnly, controlledOnly: opts.ControlledOnly, tr: opts.Trace,
-		filtersOn: !opts.DisableFilter, prefetchOn: !opts.DisableReadAhead}
+		filtersOn: !opts.DisableFilter}
 
 	existing := false
 	switch {
@@ -734,7 +729,7 @@ func (t *Table) Get(key []byte) ([]byte, error) {
 func (t *Table) GetBuf(key, dst []byte) ([]byte, error) { return t.getBuf(key, dst, nil) }
 
 // GetBufOp is GetBuf carrying an op ledger: latch waits, filter
-// consults, buffer traffic and read-ahead on this lookup are charged to
+// consults and buffer traffic on this lookup are charged to
 // led's phases, and the ring positions before and after the call are
 // noted on it so an exemplar can be joined back to its events. A nil
 // ledger, like a nil tracer, costs a pointer comparison: no clock reads,
@@ -767,10 +762,9 @@ func (t *Table) getBuf(key, dst []byte, led *oplog.Ledger) ([]byte, error) {
 // hash, computed once by the caller). The primary page's tag filter is
 // consulted before anything else: no tag matching the hash means the key
 // is definitely absent and the miss costs zero chain-page reads; exact
-// position hints let the walk skip pages that cannot hold the key; and
-// when the walk will descend a chain, the chain's pages are installed
-// ahead of it with one vectored read (prefetchChain). Caller holds the
-// bucket's stripe shared.
+// position hints let the walk skip pages that cannot hold the key. Every
+// chain page the walk reaches is demand-faulted through the pool. Caller
+// holds the bucket's stripe shared.
 func (t *Table) getFromBucket(bucket, h uint32, key, dst []byte, led *oplog.Ledger) ([]byte, error) {
 	out := dst[:0]
 	found := false
@@ -795,10 +789,6 @@ func (t *Table) getFromBucket(bucket, h uint32, key, dst []byte, led *oplog.Ledg
 					t.tr.Emit(trace.EvFilterSkip, uint64(bucket), uint64(pg.fltChainLen()), 0, 0)
 					return true, nil
 				}
-			}
-			if !filtered || !exact || hints>>1 != 0 {
-				// The walk may descend the chain: read it ahead.
-				t.prefetchChain(buf, pg, led)
 			}
 		}
 		if filtered && exact {
@@ -860,46 +850,6 @@ func (t *Table) getFromBucket(bucket, h uint32, key, dst []byte, led *oplog.Ledg
 		t.m.filterHits.Inc()
 	}
 	return out, nil
-}
-
-// safeChainLink parses the trailing overflow link of an unvalidated page
-// image (freshly prefetched bytes no reader has seen): a page whose slot
-// array does not parse yields no link, stopping the read-ahead.
-func safeChainLink(pg []byte) (buffer.Addr, bool) {
-	p := page(pg)
-	if p.slotBase()+p.nslots()*slotSize > len(p) {
-		return buffer.Addr{}, false
-	}
-	o := p.ovflLink()
-	if o == 0 {
-		return buffer.Addr{}, false
-	}
-	return ovflBufAddr(o), true
-}
-
-// prefetchChain installs primary's overflow chain into the buffer pool
-// with one vectored read, sized by the filter region's chain counter. A
-// no-op for chains short enough that demand paging is just as cheap,
-// when read-ahead is disabled, or on an unrecovered table (whose chain
-// counter bytes cannot be trusted).
-func (t *Table) prefetchChain(primary *buffer.Buf, pg page, led *oplog.Ledger) {
-	if !t.prefetchOn || t.needsRecovery {
-		return
-	}
-	want := pg.fltChainLen()
-	if want < 2 {
-		return
-	}
-	first := pg.ovflLink()
-	if first == 0 {
-		return
-	}
-	n := t.pool.PrefetchChain(led, primary, ovflBufAddr(first), want, safeChainLink)
-	if n > 0 {
-		t.m.prefetches.Inc()
-		t.m.prefetchedPages.Add(int64(n))
-		t.tr.Emit(trace.EvPrefetch, uint64(primary.Addr.N), uint64(n), uint64(want), 0)
-	}
 }
 
 // Has reports whether key is present.

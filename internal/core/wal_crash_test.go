@@ -279,7 +279,7 @@ func TestWALRecoverMidSplitTornTail(t *testing.T) {
 
 	// Checkpointed baseline near the split threshold, then transactions
 	// that push bucket after bucket over it — each commit runs its
-	// cooperative split before returning.
+	// splits before returning.
 	want := map[string]string{}
 	for i := 0; i < 30; i++ {
 		if err := tbl.Put(key(i), val(i)); err != nil {

@@ -133,17 +133,15 @@ type HashStats struct {
 	OvflAllocs         int64
 	OvflFrees          int64
 	Syncs              int64
-	// Read-acceleration counters: tag-filter outcomes on Get and
-	// vectored chain read-ahead activity.
+	// Read-acceleration counters: tag-filter outcomes on Get.
 	FilterHits           int64
 	FilterSkips          int64
 	FilterFalsePositives int64
 	FilterPageSkips      int64
 	// FilterHitRate is the fraction of filter consults that proved the
-	// key absent without touching a page (skips over all consults).
-	FilterHitRate   float64
-	Prefetches      int64
-	PrefetchedPages int64
+	// key absent without touching a page: skips over all consults, false
+	// positives included, as core.Heatmap's FilterSkipRate.
+	FilterHitRate float64
 	// Write-ahead log activity; all zero for a table without a log.
 	// A sharded database has one log for all shards: its aggregate
 	// carries every figure below once, and an entry of Stats.Shards only
@@ -303,10 +301,8 @@ func (h *HashStats) setCounters(snap metrics.Snapshot) {
 	h.FilterSkips = snap.Counter(core.MetricFilterSkips)
 	h.FilterFalsePositives = snap.Counter(core.MetricFilterFPs)
 	h.FilterPageSkips = snap.Counter(core.MetricFilterPageSkips)
-	h.Prefetches = snap.Counter(core.MetricPrefetches)
-	h.PrefetchedPages = snap.Counter(core.MetricPrefetchedPages)
 	h.TxnCommits = snap.Counter(core.MetricTxnCommits)
-	if t := h.FilterHits + h.FilterSkips; t > 0 {
+	if t := h.FilterSkips + h.FilterHits + h.FilterFalsePositives; t > 0 {
 		h.FilterHitRate = float64(h.FilterSkips) / float64(t)
 	}
 }

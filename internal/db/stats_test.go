@@ -67,6 +67,64 @@ func TestStatsUniform(t *testing.T) {
 	}
 }
 
+// TestFilterHitRateMatchesHeatmap: Stats' FilterHitRate and the
+// heatmap's FilterSkipRate are both skips over all filter consults, so
+// on a quiesced table they are the same number. Every key is read once
+// beside one absent key; the absent keys that pass the filter are its
+// false positives, and the rate must count them as consults.
+func TestFilterHitRateMatchesHeatmap(t *testing.T) {
+	for _, im := range implementors {
+		t.Run(im.name, func(t *testing.T) {
+			d, err := im.open("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			const n = 20000
+			pairs := make([]Pair, n)
+			for i := range pairs {
+				pairs[i] = Pair{Key: []byte(fmt.Sprintf("key-%05d", i)), Data: []byte("v")}
+			}
+			if err := d.PutBatch(pairs); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				if _, err := d.Get([]byte(fmt.Sprintf("key-%05d", i))); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := d.Get([]byte(fmt.Sprintf("absent-%05d", i))); !errors.Is(err, ErrNotFound) {
+					t.Fatalf("Get absent = %v", err)
+				}
+			}
+
+			s, err := d.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A sharded database's shards count into one registry, so any
+			// shard's heatmap carries the database-wide filter counters.
+			var tbl *core.Table
+			switch d := d.(type) {
+			case *hashDB:
+				tbl = d.table()
+			case *Sharded:
+				tbl = d.shards[0].table()
+			}
+			h, err := tbl.Heatmap()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h.FilterFPs == 0 {
+				t.Fatalf("no filter false positives in %d absent-key reads: the rates cannot disagree", n)
+			}
+			if s.Hash.FilterHitRate != h.FilterSkipRate {
+				t.Fatalf("Stats FilterHitRate = %.4f, heatmap FilterSkipRate = %.4f (skips %d, hits %d, false positives %d)",
+					s.Hash.FilterHitRate, h.FilterSkipRate, h.FilterSkips, h.FilterHits, h.FilterFPs)
+			}
+		})
+	}
+}
+
 // TestStatsClosed: Stats on a closed DB propagates ErrClosed instead of
 // inventing a stale answer.
 func TestStatsClosed(t *testing.T) {

@@ -105,7 +105,7 @@ func TestShardedTelemetryFiltered(t *testing.T) {
 	for _, want := range []string{
 		"# HELP hash_filter_skips_total Tag-filter",
 		"# TYPE hash_filter_skips_total counter",
-		"# HELP hash_prefetches_total Vectored",
+		"# HELP hash_filter_false_positives_total Tag-filter",
 		"# TYPE oplog_op_get_seconds histogram",
 		"# TYPE oplog_phase_filter_seconds histogram",
 	} {

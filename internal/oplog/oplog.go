@@ -21,8 +21,8 @@
 // a group-commit follower parks while the leader syncs).
 //
 // A live ledger reads the clock only around what can wait: a contended
-// latch, a page fault, a read-ahead, a split, the log, the coalescing
-// window and the reply flush are timed phases. Parsing, shard routing,
+// latch, a page fault, a split, the log, the coalescing window and the
+// reply flush are timed phases. Parsing, shard routing,
 // filter consults and buffer hits cost less than the clock reads that
 // would bracket them, so they are counted but not timed, and Finish
 // charges everything untimed to one derived phase, on_cpu = elapsed −
@@ -80,9 +80,6 @@ const (
 	// PhaseBufFault is buffer-pool time for pages faulted from the
 	// store (allocation, eviction and the read itself).
 	PhaseBufFault
-	// PhasePrefetch is the vectored chain read-ahead's device read and
-	// install.
-	PhasePrefetch
 	// PhaseFilter counts per-bucket tag-filter consults on the read
 	// path (counted, not timed).
 	PhaseFilter
@@ -105,7 +102,7 @@ var countOnly = [NumPhases]bool{PhaseParse: true, PhaseRoute: true, PhaseBufHit:
 var phaseNames = [NumPhases]string{
 	"parse", "coalesce_wait", "shard_route", "latch_wait", "split_assist",
 	"wal_marshal", "wal_fsync_lead", "wal_fsync_join",
-	"buffer_hit", "buffer_fault", "prefetch", "filter", "reply_write", "on_cpu",
+	"buffer_hit", "buffer_fault", "filter", "reply_write", "on_cpu",
 }
 
 // phaseHelp is the registry HELP line per phase.
@@ -120,7 +117,6 @@ var phaseHelp = [NumPhases]string{
 	"WAL group-commit wait as a follower joining a leader's fsync.",
 	"Buffer-pool hit: counted per op, not timed (its time is in on_cpu), so this histogram stays empty.",
 	"Buffer-pool time for pages faulted from the store.",
-	"Vectored overflow-chain read-ahead.",
 	"Tag filter consult: counted per op, not timed (its time is in on_cpu), so this histogram stays empty.",
 	"Pipeline-window reply flush.",
 	"Elapsed time outside every timed phase: parse, routing, filter, buffer hits, page search, reply serialization.",

@@ -65,18 +65,6 @@ type VectorWriter interface {
 	WritePages(pageno uint32, buf []byte) error
 }
 
-// VectorReader is the read-side counterpart of VectorWriter: a store
-// that can read a run of consecutive pages in one device operation into
-// buf (len(buf) a multiple of PageSize). Pages in the run that were
-// never written are zero-filled rather than failing the whole read — a
-// read-ahead over a chain must degrade to fresh pages, not errors. The
-// buffer pool's chain prefetch uses this to fault a whole overflow
-// chain in one seek. Stores that do not implement it are served page by
-// page.
-type VectorReader interface {
-	ReadPages(pageno uint32, buf []byte) error
-}
-
 // CostModel assigns a simulated cost to each I/O operation, standing in
 // for the 1991 disk the paper measured. Costs only accumulate in
 // Stats.IOTime; no operation waits for them.
@@ -217,10 +205,8 @@ func (s *Stats) addWriteVec(npages, n int) {
 }
 
 // addReadVec accounts a vectored read exactly as npages individual page
-// reads, mirroring addWriteVec: the simulated model charges pages
-// moved, so read-ahead never changes a benchmark's simulated I/O time;
-// the real savings show up in wall clock and the ReadLatency histogram
-// (one observation per device operation).
+// reads, mirroring addWriteVec; the ReadLatency histogram gets one
+// observation per device operation.
 func (s *Stats) addReadVec(npages, n int) {
 	s.mu.Lock()
 	s.Reads += int64(npages)
@@ -370,9 +356,11 @@ func (fs *FileStore) ReadPage(pageno uint32, buf []byte) error {
 	return nil
 }
 
-// ReadPages implements VectorReader: one positioned read covers the
-// whole run; any portion beyond the end of the file is zero-filled.
-// The stats count one read per page — see addReadVec.
+// ReadPages reads a run of consecutive pages into buf (len(buf) a
+// multiple of PageSize) with one positioned read; any portion beyond the
+// end of the file is zero-filled. The stats count one read per page —
+// see addReadVec. The engine does not call it: it stays for the traced
+// store in benchmark/tracedb.go, which forwards it.
 func (fs *FileStore) ReadPages(pageno uint32, buf []byte) error {
 	if len(buf) == 0 || len(buf)%fs.pagesize != 0 {
 		return fmt.Errorf("pagefile: vector read of %d bytes is not a multiple of page size %d", len(buf), fs.pagesize)
@@ -549,32 +537,6 @@ func (ms *MemStore) ReadPage(pageno uint32, buf []byte) error {
 	copy(buf, p)
 	ms.stats.observeRead(pageno, ms.pagesize, mono()-t0)
 	ms.stats.addRead(ms.pagesize)
-	return nil
-}
-
-// ReadPages implements VectorReader with the same per-page stats
-// accounting as the file-backed store (see addReadVec). Pages never
-// written are zero-filled.
-func (ms *MemStore) ReadPages(pageno uint32, buf []byte) error {
-	if len(buf) == 0 || len(buf)%ms.pagesize != 0 {
-		return fmt.Errorf("pagefile: vector read of %d bytes is not a multiple of page size %d", len(buf), ms.pagesize)
-	}
-	t0 := mono()
-	ms.mu.Lock()
-	for off := 0; off < len(buf); off += ms.pagesize {
-		pn := pageno + uint32(off/ms.pagesize)
-		dst := buf[off : off+ms.pagesize]
-		if p, ok := ms.pages[pn]; ok {
-			copy(dst, p)
-		} else {
-			for i := range dst {
-				dst[i] = 0
-			}
-		}
-	}
-	ms.mu.Unlock()
-	ms.stats.observeRead(pageno, len(buf), mono()-t0)
-	ms.stats.addReadVec(len(buf)/ms.pagesize, len(buf))
 	return nil
 }
 
@@ -793,30 +755,6 @@ func (f *FaultStore) WritePages(pageno uint32, buf []byte) error {
 	return nil
 }
 
-// ReadPages implements VectorReader with a per-page fault check, so a
-// read fault injected on any page of the run fails the whole read-ahead
-// exactly as the positioned-read stores would. Unallocated pages are
-// zero-filled per the VectorReader contract.
-func (f *FaultStore) ReadPages(pageno uint32, buf []byte) error {
-	ps := f.PageSize()
-	for i := 0; i*ps < len(buf); i++ {
-		p := pageno + uint32(i)
-		dst := buf[i*ps : (i+1)*ps]
-		if err := f.check(OpRead, p); err != nil {
-			return err
-		}
-		if err := f.Inner.ReadPage(p, dst); err != nil {
-			if !errors.Is(err, ErrNotAllocated) {
-				return err
-			}
-			for j := range dst {
-				dst[j] = 0
-			}
-		}
-	}
-	return nil
-}
-
 // Sync implements Store. Sync faults are page-less: only the Op and
 // After fields of an injected Fault are consulted.
 func (f *FaultStore) Sync() error {
@@ -836,7 +774,4 @@ var (
 	_ VectorWriter = (*FileStore)(nil)
 	_ VectorWriter = (*MemStore)(nil)
 	_ VectorWriter = (*FaultStore)(nil)
-	_ VectorReader = (*FileStore)(nil)
-	_ VectorReader = (*MemStore)(nil)
-	_ VectorReader = (*FaultStore)(nil)
 )

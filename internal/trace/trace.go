@@ -96,10 +96,6 @@ const (
 	// A Get consulted the primary page's tag filter and proved its key
 	// absent without reading any chain page.
 	EvFilterSkip // bucket, chain_len
-
-	// A chain walk installed overflow pages ahead of itself with one
-	// vectored read (buffer.Pool.PrefetchChain).
-	EvPrefetch // bucket, pages_installed, chain_len
 )
 
 // Phase codes carried in EvSyncPhase's first argument.
@@ -157,7 +153,6 @@ var typeInfo = [...]struct {
 	EvWalFsync:     {name: "wal-fsync", args: [4]string{"lsn", "bytes"}},
 	EvCheckpoint:   {name: "checkpoint", args: [4]string{"lsn", "epoch", "log_bytes"}},
 	EvFilterSkip:   {name: "filter-skip", args: [4]string{"bucket", "chain_len"}},
-	EvPrefetch:     {name: "prefetch", args: [4]string{"bucket", "pages_installed", "chain_len"}},
 }
 
 // String returns the type's wire name (used by /debug/events filters).
