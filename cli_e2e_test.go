@@ -18,7 +18,7 @@ func TestCLIEndToEnd(t *testing.T) {
 		t.Skip("builds binaries; skipped in -short mode")
 	}
 	bin := t.TempDir()
-	for _, tool := range []string{"hashdump", "dbcli", "hashbench"} {
+	for _, tool := range []string{"dbcli", "hashbench"} {
 		cmd := exec.Command("go", "build", "-o", filepath.Join(bin, tool), "./cmd/"+tool)
 		cmd.Env = os.Environ()
 		if out, err := cmd.CombinedOutput(); err != nil {
@@ -72,22 +72,25 @@ func TestCLIEndToEnd(t *testing.T) {
 	if out := run("dbcli", 0, compacted, "count"); strings.TrimSpace(out) != "2" {
 		t.Fatalf("compacted count = %q", out)
 	}
-	run("hashdump", 0, "-check", compacted)
+	run("dbcli", 0, compacted, "verify")
 	if out := run("dbcli", 0, "-telemetry", "127.0.0.1:0", db, "count"); !strings.Contains(out, "dbcli: telemetry http://") {
 		t.Fatalf("dbcli -telemetry = %q", out)
 	}
 
-	// hashdump over the same file.
-	if out := run("hashdump", 0, "-check", db); strings.TrimSpace(out) != "ok" {
-		t.Fatalf("hashdump -check = %q", out)
+	// The inspection verbs over the same file.
+	if out := run("dbcli", 0, db, "verify"); strings.TrimSpace(out) != "ok" {
+		t.Fatalf("dbcli verify = %q", out)
 	}
-	if out := run("hashdump", 0, "-stats", db); !strings.Contains(out, "keys:") {
-		t.Fatalf("hashdump -stats = %q", out)
+	if out := run("dbcli", 0, db, "stats"); !strings.Contains(out, "keys:") || !strings.Contains(out, "chain lengths:") {
+		t.Fatalf("dbcli stats = %q", out)
 	}
-	if out := run("hashdump", 0, "-v", db); !strings.Contains(out, "hash table:") {
-		t.Fatalf("hashdump -v = %q", out)
+	if out := run("dbcli", 0, "-v", db, "dump"); !strings.Contains(out, "hash table:") || !strings.Contains(out, `"alpha"`) {
+		t.Fatalf("dbcli -v dump = %q", out)
 	}
-	run("hashdump", 1, "-check", filepath.Join(dir, "missing.db"))
+	if out := run("dbcli", 0, "-v", db, "heatmap"); !strings.Contains(out, "fill histogram:") || !strings.Contains(out, "bucket  entries") {
+		t.Fatalf("dbcli -v heatmap = %q", out)
+	}
+	run("dbcli", 1, filepath.Join(dir, "missing.db"), "verify")
 
 	// The batched load verb: a KEY<TAB>VALUE file imported, then read
 	// back through the normal verbs.
@@ -105,7 +108,7 @@ func TestCLIEndToEnd(t *testing.T) {
 	if out := run("dbcli", 0, bulk, "count"); strings.TrimSpace(out) != "3" {
 		t.Fatalf("count after load = %q", out)
 	}
-	run("hashdump", 0, "-check", bulk)
+	run("dbcli", 0, bulk, "verify")
 
 	// hashbench smoke: one small figure end to end.
 	out = run("hashbench", 0, "-n", "500", "fig7")
@@ -114,34 +117,33 @@ func TestCLIEndToEnd(t *testing.T) {
 	}
 }
 
-// TestCLICrashAndCorruptionDetection builds the inspection tools and
-// verifies they detect — loudly, with nonzero exits — every class of
+// TestCLICrashAndCorruptionDetection builds dbcli and verifies its
+// inspection verbs detect — loudly, with nonzero exits — every class of
 // damaged hash file: crash-dirty, corrupted pair bytes, torn header,
-// and truncation. It also exercises hashdump -recover end to end.
+// and truncation. It also exercises dbcli recover end to end, on a
+// crash-dirty file and on a logged table with a commit the pages lack.
 func TestCLICrashAndCorruptionDetection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries; skipped in -short mode")
 	}
 	bin := t.TempDir()
-	for _, tool := range []string{"hashdump", "dbcli"} {
-		cmd := exec.Command("go", "build", "-o", filepath.Join(bin, tool), "./cmd/"+tool)
-		cmd.Env = os.Environ()
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("build %s: %v\n%s", tool, err, out)
-		}
+	cmd := exec.Command("go", "build", "-o", filepath.Join(bin, "dbcli"), "./cmd/dbcli")
+	cmd.Env = os.Environ()
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("build dbcli: %v\n%s", err, out)
 	}
-	run := func(tool string, want int, args ...string) string {
+	run := func(want int, args ...string) string {
 		t.Helper()
-		cmd := exec.Command(filepath.Join(bin, tool), args...)
+		cmd := exec.Command(filepath.Join(bin, "dbcli"), args...)
 		out, err := cmd.CombinedOutput()
 		code := 0
 		if ee, ok := err.(*exec.ExitError); ok {
 			code = ee.ExitCode()
 		} else if err != nil {
-			t.Fatalf("%s %v: %v", tool, args, err)
+			t.Fatalf("dbcli %v: %v", args, err)
 		}
 		if code != want {
-			t.Fatalf("%s %v: exit %d (want %d)\n%s", tool, args, code, want, out)
+			t.Fatalf("dbcli %v: exit %d (want %d)\n%s", args, code, want, out)
 		}
 		return string(out)
 	}
@@ -150,7 +152,7 @@ func TestCLICrashAndCorruptionDetection(t *testing.T) {
 	const bsize = 256 // headerSize 276 -> 2 header pages
 	nkeys := 60
 
-	// A healthy, cleanly closed file both tools accept.
+	// A healthy, cleanly closed file verify accepts.
 	clean := filepath.Join(dir, "clean.db")
 	tbl, err := core.Open(clean, &core.Options{Bsize: bsize, Ffactor: 4})
 	if err != nil {
@@ -164,8 +166,7 @@ func TestCLICrashAndCorruptionDetection(t *testing.T) {
 	if err := tbl.Close(); err != nil {
 		t.Fatal(err)
 	}
-	run("hashdump", 0, "-check", clean)
-	run("dbcli", 0, clean, "verify")
+	run(0, clean, "verify")
 
 	raw, err := os.ReadFile(clean)
 	if err != nil {
@@ -201,10 +202,7 @@ func TestCLICrashAndCorruptionDetection(t *testing.T) {
 		fixture("headeronly.db", func(b []byte) []byte { return b[:2*bsize] }),
 	}
 	for _, p := range damaged {
-		if out := run("hashdump", 1, "-check", p); strings.TrimSpace(out) == "ok" {
-			t.Fatalf("hashdump -check accepted %s", p)
-		}
-		if out := run("dbcli", 1, p, "verify"); strings.TrimSpace(out) == "ok" {
+		if out := run(1, p, "verify"); strings.TrimSpace(out) == "ok" {
 			t.Fatalf("dbcli verify accepted %s", p)
 		}
 	}
@@ -240,20 +238,66 @@ func TestCLICrashAndCorruptionDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if out := run("hashdump", 1, "-check", dirty); !strings.Contains(out, "recover") {
-		t.Fatalf("hashdump -check on dirty file: %q", out)
+	if out := run(1, dirty, "verify"); !strings.Contains(out, "recover") {
+		t.Fatalf("dbcli verify on dirty file: %q", out)
 	}
-	run("dbcli", 1, dirty, "verify")
-	if out := run("hashdump", 0, "-recover", dirty); !strings.Contains(out, "recovered") {
-		t.Fatalf("hashdump -recover: %q", out)
+	if out := run(0, dirty, "stats"); !strings.Contains(out, "not cleanly closed") {
+		t.Fatalf("dbcli stats on dirty file gave no warning: %q", out)
 	}
-	run("hashdump", 0, "-check", dirty)
-	run("dbcli", 0, dirty, "verify")
-	if out := run("dbcli", 0, dirty, "count"); strings.TrimSpace(out) != "50" {
+	if out := run(0, dirty, "recover"); !strings.Contains(out, "recovered") {
+		t.Fatalf("dbcli recover: %q", out)
+	}
+	run(0, dirty, "verify")
+	if out := run(0, dirty, "count"); strings.TrimSpace(out) != "50" {
 		t.Fatalf("recovered count = %q, want 50", out)
 	}
 	// Recovering an already-clean file is a no-op that reports clean.
-	if out := run("hashdump", 0, "-recover", clean); !strings.Contains(out, "clean") {
-		t.Fatalf("hashdump -recover on clean file: %q", out)
+	if out := run(0, clean, "recover"); !strings.Contains(out, "clean") {
+		t.Fatalf("dbcli recover on clean file: %q", out)
 	}
+
+	// A logged table with a commit the pages never got: snapshot the
+	// file and its log while the writer is still open after the commit,
+	// as a power cut would leave them. recover must replay the commit.
+	logged := filepath.Join(dir, "logged.db")
+	lt, err := core.Open(logged, &core.Options{Bsize: bsize, Ffactor: 4, WAL: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := lt.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := x.Put([]byte("txn-key"), []byte("txn-value")); err != nil {
+		t.Fatal(err)
+	}
+	if err := x.Put([]byte("txn-key2"), []byte("txn-value2")); err != nil {
+		t.Fatal(err)
+	}
+	if err := x.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	crashed := filepath.Join(dir, "crashed.db")
+	for _, suffix := range []string{"", ".wal"} {
+		b, err := os.ReadFile(logged + suffix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(crashed+suffix, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if out := run(0, crashed, "stats"); !strings.Contains(out, "run recover") {
+		t.Fatalf("dbcli stats on an unreplayed log gave no warning: %q", out)
+	}
+	if out := run(0, crashed, "recover"); !strings.Contains(out, "1 txns (2 ops) replayed from the log") {
+		t.Fatalf("dbcli recover on a logged table: %q", out)
+	}
+	if out := run(0, crashed, "get", "txn-key"); strings.TrimSpace(out) != "txn-value" {
+		t.Fatalf("get after log replay = %q, want txn-value", out)
+	}
+	run(0, crashed, "verify")
 }

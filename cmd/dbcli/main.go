@@ -13,6 +13,8 @@
 //	dbcli file.db load FILE          bulk import KEY<TAB>VALUE lines
 //	dbcli file.db compact NEW.db     rebuild into a right-sized file
 //	dbcli file.db stats | metrics | verify
+//	dbcli [-v] file.db heatmap | dump   per-bucket fill, page layout
+//	dbcli file.db recover            restore a crashed file, replay its log
 //	dbcli -wal file.db txn OPS...    apply several ops atomically
 //	dbcli hashmon URL [INTERVAL [COUNT]]   watch a live telemetry endpoint
 //
@@ -23,6 +25,7 @@
 //	-ffactor N        fill factor for a new table (default 8)
 //	-nelem N          expected final element count
 //	-cache N          buffer pool bytes (default 65536)
+//	-v                heatmap: one row per bucket; dump: every key
 //	-wal              attach a write-ahead log (file.db.wal), enabling
 //	                  txn; a table that already has log checkpoints
 //	                  re-attaches its log automatically, flag or no flag
@@ -43,10 +46,19 @@
 //
 // verify checks a file without modifying it, and diagnoses files left
 // dirty by a crash (is the last-synced state intact?), exiting nonzero
-// on any problem. stats prints the db.Stats view (keys, pages, cache hit
-// ratio, fill and operation counters). metrics opens the file with a
-// metric registry, runs the statistics scan, and prints the registry in
-// the Prometheus text format.
+// on any problem. recover restores a crash-dirty file to its last-synced
+// state and stamps it clean, then replays the committed transactions its
+// write-ahead log holds past the last checkpoint, and reports both.
+//
+// stats, heatmap and dump open a dirty file too, and warn on stderr when
+// its pages may predate its last commit. stats prints the db.Stats view
+// (keys, pages, cache hit ratio, chain lengths, fill and operation
+// counters). heatmap prints what /debug/heatmap serves: a summary, a
+// ten-bin fill histogram and, with -v, one row per bucket. dump prints
+// the page layout (header geometry, spares, bitmap occupancy, each
+// bucket chain), with -v every key. metrics opens the file with a metric
+// registry, runs the statistics scan, and prints the registry in the
+// Prometheus text format.
 //
 // txn applies a sequence of put K V / del K groups as one atomic
 // transaction through the write-ahead log: durable after a single log
@@ -94,6 +106,7 @@ func main() {
 	cache := flag.Int("cache", 0, "buffer pool size in bytes")
 	useWAL := flag.Bool("wal", false, "attach a write-ahead log (FILE.wal); required to create a transactional table")
 	telAddr := flag.String("telemetry", "", "serve telemetry on this address while the command runs")
+	verbose := flag.Bool("v", false, "heatmap: one row per bucket; dump: list every key")
 	flag.Usage = usage
 	flag.Parse()
 	args := flag.Args()
@@ -109,14 +122,33 @@ func main() {
 	}
 	path, cmd := args[0], args[1]
 	rest := args[2:]
+	need := func(n int) {
+		if len(rest) != n {
+			usage()
+			os.Exit(2)
+		}
+	}
 
 	opts := &core.Options{
 		Bsize: *bsize, Ffactor: *ffactor, Nelem: *nelem, CacheSize: *cache, WAL: *useWAL,
 	}
+	if cmd == "recover" {
+		// Before any db.Open: opening refuses the dirty file recover is for.
+		need(0)
+		t, rep, err := core.Recover(path, opts)
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Println(rep)
+		if err := t.Close(); err != nil {
+			fatal(err)
+		}
+		return
+	}
 	switch cmd {
 	case "get", "has", "list", "count", "compact":
 		opts.ReadOnly = true
-	case "verify", "stats", "metrics":
+	case "verify", "stats", "metrics", "heatmap", "dump":
 		// Inspection verbs must be able to open a file a crashed writer
 		// left dirty, and must not modify it.
 		opts.ReadOnly, opts.AllowDirty = true, true
@@ -146,13 +178,6 @@ func main() {
 		}
 		defer ts.Close() // before the database closes: its handlers read it
 		fmt.Fprintf(os.Stderr, "dbcli: telemetry http://%s\n", ts.Addr())
-	}
-
-	need := func(n int) {
-		if len(rest) != n {
-			usage()
-			os.Exit(2)
-		}
 	}
 
 	switch cmd {
@@ -222,11 +247,26 @@ func main() {
 		fmt.Printf("compacted %d keys into %s\n", d.Len(), rest[0])
 	case "stats":
 		need(0)
+		warnUnsettled(d, path)
 		s, err := d.Stats()
 		if err != nil {
 			fatal(err)
 		}
 		printStats(s)
+	case "heatmap":
+		need(0)
+		warnUnsettled(d, path)
+		h, err := db.Heatmap(d)
+		if err != nil {
+			fatal(err)
+		}
+		printHeatmap(h, *verbose)
+	case "dump":
+		need(0)
+		warnUnsettled(d, path)
+		if err := db.Dump(d, os.Stdout, *verbose); err != nil {
+			fatal(err)
+		}
 	case "metrics":
 		need(0)
 		// The statistics scan generates the traffic the dump reports
@@ -340,6 +380,20 @@ func load(d db.DB, path string) (int, error) {
 	return n, flush()
 }
 
+// warnUnsettled tells stderr when the pages of path may predate its last
+// commit: the view below is then the last sync or checkpoint.
+func warnUnsettled(d db.DB, path string) {
+	dirty, pending, err := db.Unsettled(d)
+	if err != nil {
+		fatal(err)
+	}
+	if dirty {
+		fmt.Fprintf(os.Stderr, "dbcli: warning: %s was not cleanly closed; contents may predate the crash (run recover)\n", path)
+	} else if pending > 0 {
+		fmt.Fprintf(os.Stderr, "dbcli: warning: %s has %d committed transactions in its log not yet in the pages (run recover)\n", path, pending)
+	}
+}
+
 // printStats renders the db.Stats view.
 func printStats(s db.Stats) {
 	h := s.Hash
@@ -352,6 +406,12 @@ func printStats(s db.Stats) {
 	fmt.Printf("overflow pages:  %d chain, %d big-pair, %d bitmap\n",
 		h.OverflowPages, h.BigPairPages, h.BitmapPages)
 	fmt.Printf("longest chain:   %d pages\n", h.MaxChain)
+	fmt.Printf("chain lengths:  ")
+	for i, n := range h.ChainDist {
+		fmt.Printf(" %dp:%d", i+1, n)
+	}
+	fmt.Println()
+	fmt.Printf("keys/page:       %.2f\n", float64(s.Keys)/float64(int(h.Buckets)+h.OverflowPages))
 	fmt.Printf("page fill:       %.0f%%\n", 100*h.AvgFill)
 	fmt.Printf("ops:             %d gets (%d misses), %d puts, %d deletes, %d syncs\n",
 		h.Gets, h.GetMisses, h.Puts, h.Deletes, h.Syncs)
@@ -361,6 +421,46 @@ func printStats(s db.Stats) {
 		fmt.Printf("wal:             checkpoint lsn %d, %d commits, %d appends, %d fsyncs\n",
 			h.WalLSN, h.TxnCommits, h.WalAppends, h.WalFsyncs)
 	}
+}
+
+// printHeatmap renders a core.Heatmap, the payload /debug/heatmap
+// serves: summary, chain-depth distribution, a ten-bin fill histogram,
+// and with verbose one row per bucket.
+func printHeatmap(h *core.Heatmap, verbose bool) {
+	fmt.Println(h)
+	var bins [10]int
+	for _, row := range h.PerBucket {
+		bins[min(int(row.Fill*10), 9)]++
+	}
+	fmt.Println("fill histogram:")
+	for i, n := range bins {
+		fmt.Printf("  %3d-%3d%%  %6d  %s\n", i*10, (i+1)*10, n, bar(n, len(h.PerBucket)))
+	}
+	if verbose {
+		fmt.Println("bucket  entries  bigrefs  chain  fill  filter")
+		for _, row := range h.PerBucket {
+			flt := fmt.Sprintf("%d/%d", row.FilterTags, h.FilterTagCap)
+			if row.FilterSaturated {
+				flt += " sat"
+			} else if row.FilterInexact {
+				flt += " inex"
+			}
+			fmt.Printf("%6d  %7d  %7d  %5d  %3.0f%%  %s\n",
+				row.Bucket, row.Entries, row.BigRefs, row.ChainPages, 100*row.Fill, flt)
+		}
+	}
+}
+
+// bar renders n/total as a proportional strip of hash marks.
+func bar(n, total int) string {
+	if total == 0 {
+		return ""
+	}
+	w := n * 40 / total
+	if n > 0 && w == 0 {
+		w = 1
+	}
+	return "########################################"[:w]
 }
 
 // hashmon polls a telemetry /stats endpoint and renders deltas. It is
@@ -528,7 +628,7 @@ func fatal(err error) {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: dbcli [flags] file.db {put K V|putnew K V|get K|del K|has K|list|count|load FILE|compact NEW|stats|metrics|verify|txn {put K V|del K}...}
+	fmt.Fprintln(os.Stderr, `usage: dbcli [flags] file.db {put K V|putnew K V|get K|del K|has K|list|count|load FILE|compact NEW|stats|metrics|verify|heatmap|dump|recover|txn {put K V|del K}...}
        dbcli hashmon URL [INTERVAL [COUNT]]`)
 	flag.PrintDefaults()
 }

@@ -115,7 +115,7 @@ func TestDBServerKillRecover(t *testing.T) {
 		t.Skip("builds binaries; skipped in -short mode")
 	}
 	bin := t.TempDir()
-	for _, tool := range []string{"dbserver", "hashdump", "dbcli"} {
+	for _, tool := range []string{"dbserver", "dbcli"} {
 		cmd := exec.Command("go", "build", "-o", filepath.Join(bin, tool), "./cmd/"+tool)
 		if out, err := cmd.CombinedOutput(); err != nil {
 			t.Fatalf("build %s: %v\n%s", tool, err, out)
@@ -244,8 +244,8 @@ func TestDBServerKillRecover(t *testing.T) {
 	// The single-table tools must not bless a shard on its own.
 	shard := filepath.Join(dir, "shard-000.db")
 	for _, args := range [][]string{
-		{"hashdump", "-check", shard},
-		{"hashdump", "-recover", shard},
+		{"dbcli", shard, "verify"},
+		{"dbcli", shard, "recover"},
 		{"dbcli", shard, "count"},
 		{"dbcli", "-wal", shard, "put", "k", "v"},
 	} {

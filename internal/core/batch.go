@@ -300,83 +300,7 @@ func (t *Table) settleSplits(led *oplog.Ledger) (splits int, err error) {
 	return splits, nil
 }
 
-// DefaultBatchSize is the flush threshold a BatchWriter uses when the
-// caller passes zero.
+// DefaultBatchSize is the chunk size for callers that split a stream of
+// puts into PutBatch calls: dbcli load's chunks and the server's write
+// coalescer. One chunk is one latch epoch and one deferred-split pass.
 const DefaultBatchSize = 4096
-
-// batchArenaBlock is the allocation unit for a BatchWriter's staging
-// arena.
-const batchArenaBlock = 64 * 1024
-
-// BatchWriter accumulates key/data pairs and applies them with
-// PutBatch whenever the buffered count reaches its flush threshold,
-// turning a stream of inserts into amortized bucket-grouped batches.
-// Add copies the key and data into an internal arena, so callers may
-// reuse their buffers between calls. A BatchWriter is not safe for
-// concurrent use; give each ingesting goroutine its own (their flushes
-// serialize on the table lock).
-type BatchWriter struct {
-	t     *Table
-	limit int
-	pairs []Pair
-	cur   []byte   // staging block currently being filled
-	full  [][]byte // filled blocks kept alive until Flush
-}
-
-// NewBatchWriter returns a writer that flushes every limit pairs
-// (DefaultBatchSize if limit <= 0).
-func (t *Table) NewBatchWriter(limit int) *BatchWriter {
-	if limit <= 0 {
-		limit = DefaultBatchSize
-	}
-	return &BatchWriter{t: t, limit: limit, pairs: make([]Pair, 0, limit)}
-}
-
-// stage copies b into the arena and returns the stable copy.
-func (w *BatchWriter) stage(b []byte) []byte {
-	if len(b) == 0 {
-		return nil
-	}
-	if cap(w.cur)-len(w.cur) < len(b) {
-		if w.cur != nil {
-			w.full = append(w.full, w.cur)
-		}
-		size := batchArenaBlock
-		if len(b) > size {
-			size = len(b)
-		}
-		w.cur = make([]byte, 0, size)
-	}
-	off := len(w.cur)
-	w.cur = append(w.cur, b...)
-	return w.cur[off:len(w.cur):len(w.cur)]
-}
-
-// Add buffers one pair, flushing the accumulated batch if the
-// threshold is reached.
-func (w *BatchWriter) Add(key, data []byte) error {
-	if len(key) == 0 {
-		return ErrEmptyKey
-	}
-	w.pairs = append(w.pairs, Pair{Key: w.stage(key), Data: w.stage(data)})
-	if len(w.pairs) >= w.limit {
-		return w.Flush()
-	}
-	return nil
-}
-
-// Pending reports the number of buffered, not yet flushed pairs.
-func (w *BatchWriter) Pending() int { return len(w.pairs) }
-
-// Flush applies the buffered pairs with PutBatch. It is a no-op when
-// nothing is buffered; callers must Flush once after the last Add.
-func (w *BatchWriter) Flush() error {
-	if len(w.pairs) == 0 {
-		return nil
-	}
-	err := w.t.PutBatch(w.pairs)
-	w.pairs = w.pairs[:0]
-	w.full = nil
-	w.cur = w.cur[:0]
-	return err
-}

@@ -436,74 +436,6 @@ func TestBatchDoesNotQuiesceReaders(t *testing.T) {
 	}
 }
 
-func TestBatchWriter(t *testing.T) {
-	tbl := mustOpen(t, "", &Options{Bsize: 256, Ffactor: 8})
-	defer tbl.Close()
-
-	w := tbl.NewBatchWriter(100)
-	key := make([]byte, 0, 32)
-	val := make([]byte, 0, 32)
-	for i := 0; i < 1234; i++ {
-		// Reuse the caller buffers across Adds: the writer must copy.
-		key = append(key[:0], fmt.Sprintf("key-%06d", i)...)
-		val = append(val[:0], fmt.Sprintf("val-%06d", i)...)
-		if err := w.Add(key, val); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if p := w.Pending(); p != 1234%100 {
-		t.Fatalf("Pending = %d, want %d", p, 1234%100)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got := tbl.Len(); got != 1234 {
-		t.Fatalf("Len = %d, want 1234", got)
-	}
-	for i := 0; i < 1234; i++ {
-		v, err := tbl.Get([]byte(fmt.Sprintf("key-%06d", i)))
-		if err != nil || string(v) != fmt.Sprintf("val-%06d", i) {
-			t.Fatalf("Get key-%06d = %q, %v", i, v, err)
-		}
-	}
-	if err := w.Add(nil, []byte("x")); !errors.Is(err, ErrEmptyKey) {
-		t.Fatalf("Add empty key: %v, want ErrEmptyKey", err)
-	}
-	if err := tbl.Check(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestBatchWriterArenaStaging exercises the staging arena's block
-// rollover: pairs large enough that several fill one block, forcing new
-// blocks mid-batch, must all survive intact until Flush.
-func TestBatchWriterArenaStaging(t *testing.T) {
-	tbl := mustOpen(t, "", &Options{Bsize: 4096, Ffactor: 16})
-	defer tbl.Close()
-	w := tbl.NewBatchWriter(500)
-	want := make(map[string]byte)
-	for i := 0; i < 300; i++ {
-		key := []byte(fmt.Sprintf("key-%04d", i))
-		data := bytes.Repeat([]byte{byte(i)}, 700) // ~93 pairs per 64 KB block
-		want[string(key)] = byte(i)
-		if err := w.Add(key, data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for key, b := range want {
-		v, err := tbl.Get([]byte(key))
-		if err != nil {
-			t.Fatalf("Get %q: %v", key, err)
-		}
-		if len(v) != 700 || v[0] != b || v[699] != b {
-			t.Fatalf("Get %q: staged bytes corrupted (len %d, first %d, want %d)", key, len(v), v[0], b)
-		}
-	}
-}
-
 func TestCeilLog2MatchesLoop(t *testing.T) {
 	for x := uint32(0); x < 1<<16; x++ {
 		if got, want := ceilLog2(x), ceilLog2Loop(x); got != want {

@@ -23,7 +23,8 @@ import (
 //     count must equal the bucket's key count, and the recorded chain
 //     length must match the real one while below its saturation point.
 //
-// It is exported for tests and the hashdump -check command.
+// It is exported for tests; Verify (dbcli verify) runs it on a clean
+// file.
 func (t *Table) Check() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -10,7 +10,7 @@ import (
 // Dump writes a human-readable description of the table's structure to
 // w: header geometry, the spares array, per-bucket chain shapes and page
 // fill, and overflow bitmap occupancy. With verbose set, every entry's
-// key is listed. It is the engine behind the hashdump tool.
+// key is listed. It is the engine behind dbcli dump (db.Dump).
 func (t *Table) Dump(w io.Writer, verbose bool) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()

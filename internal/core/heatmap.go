@@ -12,7 +12,8 @@ import (
 // them, the observable side of the bucket-size/fill-factor tradeoff. It
 // runs under the shared lock, one bucket read latch at a time (the path
 // Get uses), and counts allocator pages under ovflMu alone, so db.Stats,
-// /stats, /debug/heatmap and hashdump never stop readers or writers.
+// /stats, /debug/heatmap and dbcli's stats and heatmap never stop readers
+// or writers.
 
 // BucketHeat is one bucket's row in the heatmap.
 type BucketHeat struct {
@@ -63,10 +64,12 @@ type Heatmap struct {
 	FilterFPRate   float64 `json:"filter_fp_rate"`
 }
 
-// String renders a compact summary plus a fill histogram for the CLIs.
+// String renders a compact summary for the CLIs. The longest chain is
+// counted in pages, the primary included (db.HashStats.MaxChain's unit);
+// chain[d] counts buckets by overflow depth d.
 func (h *Heatmap) String() string {
-	s := fmt.Sprintf("buckets=%d keys=%d avgfill=%.0f%% maxchain=%d",
-		h.Buckets, h.NKeys, 100*h.AvgFill, h.MaxChain)
+	s := fmt.Sprintf("buckets=%d keys=%d avgfill=%.0f%% maxchain=%d pages; by overflow depth:",
+		h.Buckets, h.NKeys, 100*h.AvgFill, h.MaxChain+1)
 	for depth, n := range h.ChainDist {
 		if n > 0 {
 			s += fmt.Sprintf(" chain[%d]=%d", depth, n)

@@ -127,7 +127,7 @@ func (m *tableMetrics) init(reg *metrics.Registry) {
 	m.walReplays = reg.Counter(MetricWalReplays)
 	m.checkpoints = reg.Counter(MetricCheckpoints)
 	// Curated HELP for the read-acceleration group, so a registry dump
-	// (hashdump -metrics, /metrics) labels it next to the other series
+	// (dbcli metrics, /metrics) labels it next to the other series
 	// instead of leaving the names to speak for themselves.
 	reg.Help(MetricFilterHits, "Tag-filter consults that matched: the key may be present, the walk proceeds")
 	m.filterHits = reg.Counter(MetricFilterHits)

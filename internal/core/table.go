@@ -1517,16 +1517,11 @@ type Geometry struct {
 	HdrPages  uint32
 	NKeys     int64
 	SyncEpoch uint64
-	Dirty     bool // the on-disk header carried the dirty flag at open
 	// WalLSN is the checkpoint LSN from the header; AppliedLSN the last
 	// commit applied in memory. They differ between a commit and the
 	// next checkpoint. Both zero without Options.WAL.
 	WalLSN     uint64
 	AppliedLSN uint64
-	// WalPending counts committed transactions found in the log but not
-	// yet replayed into the pages — nonzero only on a table opened with
-	// AllowDirty after a crash, before Recover runs.
-	WalPending int
 	Spares     [maxSplits]uint32
 }
 
@@ -1545,12 +1540,21 @@ func (t *Table) Geometry() Geometry {
 		HdrPages:   t.hdr.hdrPages,
 		NKeys:      t.nkeysA.Load(),
 		SyncEpoch:  t.hdr.syncEpoch,
-		Dirty:      t.dirtyMarked.Load(),
 		WalLSN:     t.hdr.walLSN,
 		AppliedLSN: t.appliedLSN.Load(),
-		WalPending: len(t.walPending),
 		Spares:     t.hdr.spares,
 	}
+}
+
+// Unsettled reports why the pages may not show the last commit: the
+// header's dirty flag (a writer stopped between syncs) and the count of
+// committed log transactions not yet replayed, nonzero only on a table
+// opened with AllowDirty before Recover runs. It takes only the shared
+// lock, so an inspection stops no reader or writer.
+func (t *Table) Unsettled() (dirty bool, walPending int) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.dirtyMarked.Load(), len(t.walPending)
 }
 
 // WALStats returns the attached log's activity counters (appends,

@@ -3,6 +3,7 @@ package db
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -69,7 +70,8 @@ func TestStatsUniform(t *testing.T) {
 
 // TestFilterHitRateMatchesHeatmap: Stats' FilterHitRate and the
 // heatmap's FilterSkipRate are both skips over all filter consults, so
-// on a quiesced table they are the same number. Every key is read once
+// on a quiesced table they are the same number, and a single table's
+// heatmap summary names Stats' longest chain. Every key is read once
 // beside one absent key; the absent keys that pass the filter are its
 // false positives, and the rate must count them as consults.
 func TestFilterHitRateMatchesHeatmap(t *testing.T) {
@@ -120,6 +122,14 @@ func TestFilterHitRateMatchesHeatmap(t *testing.T) {
 			if s.Hash.FilterHitRate != h.FilterSkipRate {
 				t.Fatalf("Stats FilterHitRate = %.4f, heatmap FilterSkipRate = %.4f (skips %d, hits %d, false positives %d)",
 					s.Hash.FilterHitRate, h.FilterSkipRate, h.FilterSkips, h.FilterHits, h.FilterFPs)
+			}
+			// The heatmap summary counts its longest chain in Stats' unit:
+			// pages, the primary included.
+			if _, single := d.(*hashDB); single {
+				want := fmt.Sprintf("maxchain=%d pages", s.Hash.MaxChain)
+				if !strings.Contains(h.String(), want) {
+					t.Fatalf("heatmap summary %q lacks %q (Stats.Hash.MaxChain)", h.String(), want)
+				}
 			}
 		})
 	}

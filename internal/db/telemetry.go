@@ -38,7 +38,7 @@ func ServeTelemetry(d DB, addr string, rec *oplog.Recorder) (*telemetry.Server, 
 		t := x.table()
 		o.Registry = t.MetricsRegistry()
 		o.Tracer = t.Tracer()
-		o.Heatmap = func() (any, error) { return t.Heatmap() }
+		o.Heatmap = func() (any, error) { return Heatmap(d) }
 	case *Sharded:
 		o.Registry = x.reg
 		o.Tracer = x.tr

@@ -109,8 +109,8 @@ func FNV1a(key []byte) uint32 {
 // one it was created with can be detected (paper, "Table Parameterization").
 var CheckKey = []byte{0xca, 0xfe, 0xba, 0xbe, 'h', 'a', 's', 'h'}
 
-// ByName maps the registry of built-in functions for tools (hashdump,
-// hashbench) that select a function from the command line.
+// ByName maps the registry of built-in functions for tools (hashbench's
+// ablation) that select a function by name.
 var ByName = map[string]Func{
 	"default":  Default,
 	"sdbm":     SDBM,

@@ -10,15 +10,15 @@ import (
 	"os"
 	"time"
 
+	"unixhash/internal/core"
 	"unixhash/internal/db"
 	"unixhash/internal/oplog"
 )
 
 // maxCoalesce caps the write-coalescing buffer: this many consecutive
-// pipelined PUTs collapse into one PutBatch call. It matches
-// core.DefaultBatchSize so a full window is exactly one latch epoch per
-// shard.
-const maxCoalesce = 4096
+// pipelined PUTs collapse into one PutBatch call, the same chunk dbcli
+// load submits, so a full window is one latch epoch per shard.
+const maxCoalesce = core.DefaultBatchSize
 
 // conn serves one client connection. The loop reads pipelined
 // commands, coalescing consecutive plain PUTs into a pending batch;

@@ -39,8 +39,8 @@ import (
 // closes the connection (the stream position can no longer be trusted).
 const (
 	// maxArgs bounds one command's argument count. BATCH is the widest
-	// command: core.DefaultBatchSize pairs plus the verb.
-	maxArgs = 2*4096 + 1
+	// command: one coalescer window of pairs plus the verb.
+	maxArgs = 2*maxCoalesce + 1
 	// maxBulk bounds one bulk string (a key or value).
 	maxBulk = 8 << 20
 	// readerSize is the connection read-buffer size; it also bounds one
