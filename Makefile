@@ -53,11 +53,12 @@ fuzz-proto:
 # cut at every byte of its append and between fsync, the per-shard
 # applies, the shard syncs, the header stamps and the log reset (all keys
 # or none, on every shard), the legacy-sidecar migration, the log-fault
-# poison and the commit-vs-checkpoint stress; the root package's SIGKILL
-# drill does it once more on real files through dbserver.
+# poison, the commit-vs-checkpoint stress and the directory's one owner;
+# the root package restarts dbserver on real files whose previous owner
+# died (the SIGKILL drill) or still lives (a second server is refused).
 wal-crash:
 	$(GO) test -count=1 -run 'WAL|TornTail|Txn|Sharded(Crash|Replay|LogFault|Legacy|CommitCheckpoint|Directory)' ./internal/core ./internal/wal ./internal/db
-	$(GO) test -count=1 -run 'TestDBServerKillRecover' .
+	$(GO) test -count=1 -run 'TestDBServer(KillRecover|SecondOwner)' .
 
 fuzz-wal-crash:
 	$(GO) test -run=NONE -fuzz=FuzzWALCrashRecovery -fuzztime=30s ./internal/core

@@ -75,8 +75,8 @@
 // breath. COUNT limits the number of polls (default: until interrupted).
 // URL may be a bare host:port; the /stats path is implied.
 //
-// A shard file of a dbserver directory is refused: its commits live in
-// the directory's log.
+// A file another process holds is refused, naming it; so is a shard file
+// of a dbserver directory, whose commits live in the directory's log.
 package main
 
 import (
@@ -96,6 +96,7 @@ import (
 	"unixhash/internal/db"
 	"unixhash/internal/metrics"
 	"unixhash/internal/oplog"
+	"unixhash/internal/pagefile"
 	"unixhash/internal/trace"
 )
 
@@ -624,6 +625,9 @@ func flattenJSON(prefix string, v any, out map[string]float64) {
 
 func fatal(err error) {
 	fmt.Fprintf(os.Stderr, "dbcli: %v\n", err)
+	if errors.Is(err, pagefile.ErrLocked) {
+		fmt.Fprintln(os.Stderr, "dbcli: another process holds the file; for a live view, watch its -telemetry ADDR with dbcli hashmon ADDR (/stats)")
+	}
 	os.Exit(1)
 }
 

@@ -18,9 +18,6 @@
 //	-shards N         shard count (default 8; fixed at directory creation)
 //	-dir PATH         database directory; empty serves memory-resident
 //	                  shards (data lost on exit)
-//	-wal              write-ahead log, one per database (DIR/wal),
-//	                  enabling TXN (default true; -wal=false serves a
-//	                  txn-less store unless the directory already has one)
 //	-cache N          buffer pool bytes per shard
 //	-bsize N          bucket size for new shards
 //	-ffactor N        fill factor for new shards
@@ -38,12 +35,14 @@
 //	                  request ledgers — each with the ring events of its
 //	                  span — on /debug/oplog/exemplars
 //
-// At start the directory is recovered if it needs it (a SIGKILLed or
-// power-cut server: every shard back to its last checkpoint through the
-// strict gate, then the log's committed transactions replayed) and one
-// line per shard says what was found. SIGINT/SIGTERM shut down
-// gracefully: stop accepting, drain in-flight commands and pending
-// coalesced writes, then checkpoint and close every shard and the log.
+// A directory (SHARDS, shard-NNN.db, wal) has one owner: a second
+// dbserver on it exits non-zero naming it. At start it is recovered if
+// it needs it (a SIGKILLed or power-cut server: every shard back to its
+// last checkpoint through the strict gate, then the log's committed
+// transactions replayed) and one line per shard says what was found.
+// SIGINT/SIGTERM shut down gracefully: stop accepting, drain in-flight
+// commands and pending coalesced writes, then checkpoint and close every
+// shard and the log.
 package main
 
 import (
@@ -65,7 +64,6 @@ func main() {
 	addr := flag.String("addr", ":7700", "listen address")
 	shards := flag.Int("shards", 8, "shard count (fixed when the directory is created)")
 	dir := flag.String("dir", "", "database directory; empty = memory-resident")
-	wal := flag.Bool("wal", true, "one write-ahead log for the database, DIR/wal (enables TXN)")
 	cache := flag.Int("cache", 0, "buffer pool bytes per shard")
 	bsize := flag.Int("bsize", 0, "bucket size for new shards")
 	ffactor := flag.Int("ffactor", 0, "fill factor for new shards")
@@ -90,7 +88,7 @@ func main() {
 	}
 	d, recovered, err := db.RecoverSharded(*dir, *shards, &db.Config{Hash: &core.Options{
 		Bsize: *bsize, Ffactor: *ffactor, Nelem: *nelem, CacheSize: *cache,
-		WAL: *wal, Metrics: reg, Trace: tr,
+		WAL: true, Metrics: reg, Trace: tr,
 	}})
 	if err != nil {
 		fatal(err)

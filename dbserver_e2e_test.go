@@ -2,6 +2,7 @@ package unixhash
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"net"
 	"os"
@@ -14,6 +15,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"unixhash/internal/core"
 )
 
 // serverProc is a dbserver subprocess and what it logged.
@@ -255,4 +258,98 @@ func TestDBServerKillRecover(t *testing.T) {
 		}
 	}
 	wantDir()
+}
+
+// TestDBServerSecondOwner: a directory has one owner. A second dbserver
+// on a served directory exits non-zero naming it, and the first keeps
+// serving every key written before and after the refusal; a dbcli on one
+// of its shard files says another process holds the file, as does a
+// dbcli write beside an open single-file writer.
+func TestDBServerSecondOwner(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries; skipped in -short mode")
+	}
+	bin := t.TempDir()
+	for _, tool := range []string{"dbserver", "dbcli"} {
+		cmd := exec.Command("go", "build", "-o", filepath.Join(bin, tool), "./cmd/"+tool)
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("build %s: %v\n%s", tool, err, out)
+		}
+	}
+	dir := filepath.Join(t.TempDir(), "kv")
+	srv := startDBServer(t, filepath.Join(bin, "dbserver"), dir)
+	nc, err := net.Dial("tcp", srv.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	br := bufio.NewReader(nc)
+	put := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			fmt.Fprintf(nc, "PUT k%03d v%d\r\n", i, i)
+			if got, err := readReply(br); err != nil || got != "+OK" {
+				t.Fatalf("PUT k%03d = %q, %v", i, got, err)
+			}
+		}
+	}
+	put(0, 50)
+
+	// The second server is refused before it touches the directory.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, filepath.Join(bin, "dbserver"), "-addr", "127.0.0.1:0", "-dir", dir, "-shards", "2").CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() <= 0 || !strings.Contains(string(out), dir) || !strings.Contains(string(out), "locked by another process") {
+		t.Fatalf("second dbserver on a served directory: err=%v, want a non-zero exit naming %s\n%s", err, dir, out)
+	}
+
+	// A dbcli on a live shard file names the file another process holds.
+	shard := filepath.Join(dir, "shard-000.db")
+	out, err = exec.Command(filepath.Join(bin, "dbcli"), shard, "count").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), shard) || !strings.Contains(string(out), "another process holds the file") {
+		t.Fatalf("dbcli count on a live shard: err=%v\n%s", err, out)
+	}
+
+	// The first server never noticed.
+	put(50, 100)
+	for i := 0; i < 100; i++ {
+		fmt.Fprintf(nc, "GET k%03d\r\n", i)
+		if got, err := readReply(br); err != nil || got != fmt.Sprintf("v%d", i) {
+			t.Fatalf("GET k%03d = %q, %v", i, got, err)
+		}
+	}
+	if err := srv.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.cmd.Wait(); err != nil {
+		t.Fatalf("graceful stop: %v\n%s", err, srv.logged())
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	if got := strings.Join(names, " "); got != "SHARDS shard-000.db shard-001.db wal" {
+		t.Fatalf("directory holds %q", got)
+	}
+
+	// One single-file writer at a time, across processes.
+	file := filepath.Join(t.TempDir(), "f.db")
+	tbl, err := core.Open(file, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err = exec.Command(filepath.Join(bin, "dbcli"), file, "put", "k", "v").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), file) || !strings.Contains(string(out), "another process holds the file") {
+		t.Fatalf("dbcli put beside an open writer: err=%v\n%s", err, out)
+	}
+	if err := tbl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if out, err := exec.Command(filepath.Join(bin, "dbcli"), file, "put", "k", "v").CombinedOutput(); err != nil {
+		t.Fatalf("dbcli put after the writer closed: %v\n%s", err, out)
+	}
 }

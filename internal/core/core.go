@@ -70,9 +70,8 @@ var (
 	ErrEmptyKey     = errors.New("hash: empty key")
 
 	// ErrNeedsRecovery is returned by Open when the file's dirty flag is
-	// set — the table was not cleanly synced (a crash, or a writer is
-	// still live) — and the caller did not set Options.AllowDirty. Run
-	// Recover to rebuild it, or open with AllowDirty for inspection.
+	// set — its writer crashed before a sync, as a live one holds the lock —
+	// and without Options.AllowDirty. Run Recover, or open with AllowDirty.
 	ErrNeedsRecovery = errors.New("hash: file was not cleanly closed; recovery required")
 	// ErrUnrecoverable is returned by Recover and Verify when a dirty
 	// file's pages do not reproduce the state recorded at the last

@@ -12,7 +12,7 @@ import (
 
 func TestLockExcludesSecondWriter(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "locked.db")
-	w1 := mustOpen(t, path, &Options{Lock: true})
+	w1 := mustOpen(t, path, nil)
 	defer w1.Close()
 	if err := w1.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
@@ -21,22 +21,16 @@ func TestLockExcludesSecondWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A second locking writer must be refused while the first holds the
+	// A second writer must be refused while the first holds the
 	// exclusive lock. (flock is per-open-file-description, so two opens
 	// in one process conflict just as two processes would.)
-	if _, err := Open(path, &Options{Lock: true}); !errors.Is(err, pagefile.ErrLocked) {
+	if _, err := Open(path, nil); !errors.Is(err, pagefile.ErrLocked) {
 		t.Fatalf("second writer = %v, want ErrLocked", err)
 	}
-	// A locking reader is also refused while a writer holds the lock.
-	if _, err := Open(path, &Options{Lock: true, ReadOnly: true}); !errors.Is(err, pagefile.ErrLocked) {
+	// A reader is also refused while a writer holds the lock.
+	if _, err := Open(path, &Options{ReadOnly: true}); !errors.Is(err, pagefile.ErrLocked) {
 		t.Fatalf("reader during write = %v, want ErrLocked", err)
 	}
-	// Opening without Lock bypasses the discipline (as with flock).
-	free, err := Open(path, &Options{ReadOnly: true})
-	if err != nil {
-		t.Fatalf("non-locking reader: %v", err)
-	}
-	free.Close()
 }
 
 func TestSharedReaders(t *testing.T) {
@@ -50,9 +44,9 @@ func TestSharedReaders(t *testing.T) {
 	}
 
 	// Many shared readers coexist.
-	r1 := mustOpen(t, path, &Options{Lock: true, ReadOnly: true})
+	r1 := mustOpen(t, path, &Options{ReadOnly: true})
 	defer r1.Close()
-	r2 := mustOpen(t, path, &Options{Lock: true, ReadOnly: true})
+	r2 := mustOpen(t, path, &Options{ReadOnly: true})
 	defer r2.Close()
 	if _, err := r1.Get([]byte("k")); err != nil {
 		t.Fatal(err)
@@ -60,22 +54,22 @@ func TestSharedReaders(t *testing.T) {
 	if _, err := r2.Get([]byte("k")); err != nil {
 		t.Fatal(err)
 	}
-	// But a locking writer is refused while readers hold shared locks.
-	if _, err := Open(path, &Options{Lock: true}); !errors.Is(err, pagefile.ErrLocked) {
+	// But a writer is refused while readers hold shared locks.
+	if _, err := Open(path, nil); !errors.Is(err, pagefile.ErrLocked) {
 		t.Fatalf("writer during reads = %v, want ErrLocked", err)
 	}
 }
 
 func TestLockReleasedOnClose(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "rel.db")
-	w := mustOpen(t, path, &Options{Lock: true})
+	w := mustOpen(t, path, nil)
 	if err := w.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	w2, err := Open(path, &Options{Lock: true})
+	w2, err := Open(path, nil)
 	if err != nil {
 		t.Fatalf("reopen after close: %v", err)
 	}

@@ -45,9 +45,9 @@ type Options struct {
 	Hash hashfunc.Func
 	// ReadOnly opens an existing table for reading only.
 	ReadOnly bool
-	// AllowDirty opens a file whose dirty flag is set (a crashed or
-	// still-open table) without recovery, for inspection tools. Without
-	// it, Open fails with ErrNeedsRecovery; see Recover.
+	// AllowDirty opens a file whose dirty flag is set (a crashed writer;
+	// a live one holds the lock) without recovery, for inspection tools.
+	// Without it, Open fails with ErrNeedsRecovery; see Recover.
 	AllowDirty bool
 	// Store overrides the backing store (for tests, fault injection and
 	// benchmarks with simulated disks). The caller retains ownership:
@@ -61,12 +61,6 @@ type Options struct {
 	// exists for the ablation benchmarks of the paper's hybrid split
 	// policy and is not part of the original interface.
 	ControlledOnly bool
-	// Lock takes an advisory whole-file lock on file-backed tables:
-	// shared for read-only opens, exclusive otherwise. Open fails with
-	// pagefile.ErrLocked if another process holds a conflicting lock.
-	// This implements the multi-user access the paper's conclusion says
-	// "could be incorporated relatively easily".
-	Lock bool
 	// Metrics is the registry the table exports its observability series
 	// into (hash_*, buffer_*, pagefile_*; see DESIGN.md). Nil creates a
 	// private registry — instrumentation is always on; the option only
@@ -266,7 +260,8 @@ type Table struct {
 
 // Open opens or creates the hash table at path. An empty path creates a
 // purely memory-resident table (the hsearch replacement mode); it behaves
-// identically but is discarded on Close.
+// identically but is discarded on Close. A file-backed table locks its
+// file until Close, shared when ReadOnly: one writer or many readers.
 func Open(path string, o *Options) (*Table, error) {
 	opts, err := o.withDefaults()
 	if err != nil {
@@ -301,11 +296,9 @@ func Open(path string, o *Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if opts.Lock {
-			if err := fs.Lock(!opts.ReadOnly); err != nil {
-				fs.Close()
-				return nil, err
-			}
+		if err := fs.Lock(!opts.ReadOnly); err != nil {
+			fs.Close()
+			return nil, err
 		}
 		t.store = fs
 		t.ownStore = true
@@ -314,9 +307,9 @@ func Open(path string, o *Options) (*Table, error) {
 	if existing {
 		err = t.readHeader()
 		if err == nil && t.hdr.dirty() {
-			// The last writer crashed (or is still live) between marking
-			// the file dirty and completing a sync: the pages may not
-			// reproduce the last-synced state. Refuse unless the caller
+			// The last writer crashed (a live one holds the lock) between
+			// marking the file dirty and completing a sync: the pages may
+			// not reproduce the last-synced state. Refuse unless the caller
 			// explicitly tolerates it (inspection tools, Recover).
 			if !opts.AllowDirty {
 				err = fmt.Errorf("hash: %s: %w", path, ErrNeedsRecovery)

@@ -506,10 +506,11 @@ func TestWALAutoAttachBeforeFirstCheckpoint(t *testing.T) {
 	if g := tbl.Geometry(); g.WalLSN != 0 {
 		t.Fatalf("premise broken: checkpoint already ran (walLSN=%d)", g.WalLSN)
 	}
-	// Crash: abandon the handle without Close, so no checkpoint runs.
-	// Every acknowledged byte is already on disk (markDirty synced the
-	// dirty header, Commit fsynced the log).
-	tbl = nil
+	// Crash: copy the file and its log while the handle is open, so no
+	// checkpoint reaches the copy. Every acknowledged byte is already on
+	// disk (markDirty synced the dirty header, Commit fsynced the log).
+	path = snapshot(t, path)
+	tbl.Close()
 
 	// A plain open must refuse (the file is dirty AND the log holds an
 	// unapplied commit), never silently serve the pre-commit state.

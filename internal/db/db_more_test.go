@@ -35,8 +35,8 @@ func TestSyncAllMethods(t *testing.T) {
 			if err := d.Sync(); err != nil {
 				t.Fatalf("Sync: %v", err)
 			}
-			// A second view sees the synced data.
-			check, err := im.open(path)
+			// A copy taken while the writer is open sees the synced data.
+			check, err := im.open(snapshot(t, path))
 			if err != nil {
 				t.Fatalf("second open: %v", err)
 			}

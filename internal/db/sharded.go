@@ -3,6 +3,7 @@ package db
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -14,6 +15,7 @@ import (
 	"unixhash/internal/core"
 	"unixhash/internal/metrics"
 	"unixhash/internal/oplog"
+	"unixhash/internal/pagefile"
 	"unixhash/internal/trace"
 	"unixhash/internal/wal"
 )
@@ -48,7 +50,7 @@ import (
 //   - Seq yields shard 0's pairs, then shard 1's, and so on; within a
 //     shard the usual bucket order applies.
 type Sharded struct {
-	dir      string
+	owner    *os.File // dir/SHARDS, locked while the database is open; nil when memory-resident
 	shards   []*hashDB
 	reg      *metrics.Registry
 	tr       *trace.Tracer // cfg.Hash.Trace: every shard's and the log's; nil when off
@@ -103,39 +105,43 @@ const shardMarker = "SHARDS"
 // ring every shard and the log emit into. An option that cannot be
 // sharded (Store) is rejected.
 //
-// A directory that was not closed cleanly — a dirty shard, or committed
-// transactions in the log that a shard's pages do not yet hold — fails
-// with core.ErrNeedsRecovery; RecoverSharded opens it. A directory
-// written before the log moved up (per-shard shard-NNN.db.wal sidecars)
-// is migrated on first writable open.
+// A directory has one owner: while it is open, another open fails with
+// pagefile.ErrLocked naming it (read-only opens share it). A directory
+// that was not closed cleanly — a dirty shard, or committed transactions
+// in the log that a shard's pages do not yet hold — fails with
+// core.ErrNeedsRecovery; RecoverSharded opens it. A directory written
+// before the log moved up (per-shard shard-NNN.db.wal sidecars) is
+// migrated on first writable open.
 func OpenSharded(dir string, nshards int, cfg *Config) (*Sharded, error) {
 	s, _, err := openSharded(dir, nshards, cfg, nil, false)
 	return s, err
 }
 
-// checkShardMarker reconciles nshards with the directory's marker file:
-// absent (new directory) it is written, present it must match.
-func checkShardMarker(dir string, nshards int, readonly bool) error {
-	path := filepath.Join(dir, shardMarker)
-	raw, err := os.ReadFile(path)
-	switch {
-	case err == nil:
-		have, perr := strconv.Atoi(strings.TrimSpace(string(raw)))
-		if perr != nil {
-			return fmt.Errorf("db: sharded open: %s: unparseable shard marker %q", path, raw)
-		}
-		if have != nshards {
-			return fmt.Errorf("%w: %s was created with %d shards, opened with %d", ErrShardMismatch, dir, have, nshards)
-		}
-		return nil
-	case os.IsNotExist(err):
-		if readonly {
-			return fmt.Errorf("db: sharded open: %s: %w", path, err)
-		}
-		return os.WriteFile(path, []byte(strconv.Itoa(nshards)+"\n"), 0o666)
-	default:
+// own locks dir, on its SHARDS marker (shared if readonly), before anything
+// else there is touched, then checks nshards against the marker or writes it.
+func (s *Sharded) own(dir string, nshards int) (err error) {
+	flag := os.O_RDWR | os.O_CREATE
+	if s.readonly {
+		flag = os.O_RDONLY
+	}
+	if s.owner, err = os.OpenFile(filepath.Join(dir, shardMarker), flag, 0o666); err != nil {
 		return fmt.Errorf("db: sharded open: %w", err)
 	}
+	var raw []byte
+	if err = pagefile.Flock(s.owner, dir, !s.readonly); err == nil {
+		raw, err = io.ReadAll(s.owner)
+	}
+	have, perr := strconv.Atoi(strings.TrimSpace(string(raw)))
+	switch {
+	case err != nil:
+	case len(raw) == 0:
+		_, err = s.owner.WriteString(strconv.Itoa(nshards) + "\n")
+	case perr != nil:
+		err = fmt.Errorf("db: sharded open: %s: unparseable shard marker %q", s.owner.Name(), raw)
+	case have != nshards:
+		err = fmt.Errorf("%w: %s was created with %d shards, opened with %d", ErrShardMismatch, dir, have, nshards)
+	}
+	return err
 }
 
 // shardOf routes a key to its shard: a 64-bit FNV-1a digest finished

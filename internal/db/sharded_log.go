@@ -85,17 +85,22 @@ func openSharded(dir string, nshards int, cfg *Config, stores []pagefile.Store, 
 	logging, dev := base.WAL || base.WALDevice != nil, base.WALDevice
 	base.WAL, base.WALDevice = false, nil
 
+	s := &Sharded{reg: base.Metrics, tr: base.Trace, readonly: base.ReadOnly, shards: make([]*hashDB, 0, nshards)}
+	fail := func(err error) (*Sharded, []core.RecoveryReport, error) {
+		s.closeFiles()
+		return nil, nil, err
+	}
 	reports := make([]core.RecoveryReport, nshards)
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o777); err != nil {
 			return nil, nil, fmt.Errorf("db: sharded open: %w", err)
 		}
-		if err := checkShardMarker(dir, nshards, base.ReadOnly); err != nil {
-			return nil, nil, err
+		if err := s.own(dir, nshards); err != nil {
+			return fail(err)
 		}
 		migrated, err := drainSidecars(dir, base, recover, reports)
 		if err != nil {
-			return nil, nil, err
+			return fail(err)
 		}
 		if migrated || fileExists(filepath.Join(dir, logName)) {
 			logging = true // the directory logs, whatever cfg says
@@ -104,29 +109,29 @@ func openSharded(dir string, nshards int, cfg *Config, stores []pagefile.Store, 
 		}
 	}
 
-	s := &Sharded{dir: dir, reg: base.Metrics, tr: base.Trace, readonly: base.ReadOnly, shards: make([]*hashDB, 0, nshards)}
 	var scan wal.ScanResult
 	if logging {
+		own := dev == nil
 		switch {
-		case dev != nil:
+		case !own:
 			// Caller-owned device.
 		case dir == "":
-			dev, s.ownLog = wal.NewMemDevice(), true
+			dev = wal.NewMemDevice()
 		default:
 			fd, err := wal.OpenFileDevice(filepath.Join(dir, logName))
 			if err != nil {
-				return nil, nil, fmt.Errorf("db: sharded open: log: %w", err)
+				return fail(fmt.Errorf("db: sharded open: log: %w", err))
 			}
-			dev, s.ownLog = fd, true
+			dev = fd
 		}
 		l, sr, err := wal.Open(dev, wal.CostModel{}, base.Trace)
 		if err != nil {
-			if s.ownLog {
+			if own {
 				dev.Close()
 			}
-			return nil, nil, fmt.Errorf("db: sharded open: log: %w", err)
+			return fail(fmt.Errorf("db: sharded open: log: %w", err))
 		}
-		s.log, scan, base.SharedLog = l, sr, l
+		s.log, s.ownLog, scan, base.SharedLog = l, own, sr, l
 		l.RegisterMetrics(s.reg)
 		s.commits = s.reg.Counter(core.MetricTxnCommits)
 	}
@@ -143,15 +148,13 @@ func openSharded(dir string, nshards int, cfg *Config, stores []pagefile.Store, 
 			reports[i] = rep // else the sidecar drain did the work: keep its report
 		}
 		if err != nil {
-			s.closeFiles()
-			return nil, nil, fmt.Errorf("db: sharded open: shard %d: %w", i, err)
+			return fail(fmt.Errorf("db: sharded open: shard %d: %w", i, err))
 		}
 		s.shards = append(s.shards, &hashDB{t})
 	}
 	if s.log != nil {
 		if err := s.reconcileLog(scan, recover, reports); err != nil {
-			s.closeFiles()
-			return nil, nil, err
+			return fail(err)
 		}
 	}
 	return s, reports, nil
@@ -289,13 +292,16 @@ func (s *Sharded) checkpointLocked(force bool) error {
 	return nil
 }
 
-// closeFiles closes the shards and the log without a checkpoint: the tail
-// of Close, and the whole of abandoning a half-finished open.
+// closeFiles closes the shards, the log and the directory lock without a
+// checkpoint: the tail of Close, and the whole of abandoning an open.
 func (s *Sharded) closeFiles() error {
 	s.closed = true
 	err := s.fanOut(func(_ int, sh *hashDB) error { return sh.Close() })
 	if s.ownLog {
 		err = errors.Join(err, s.log.Close())
+	}
+	if s.owner != nil {
+		err = errors.Join(err, s.owner.Close())
 	}
 	return err
 }

@@ -33,6 +33,37 @@ func dirNames(t *testing.T, dir string) []string {
 	return names
 }
 
+// snapshot copies a file, or a flat directory (a database's stores and
+// its log), into a fresh temporary directory and returns the copy's path.
+// Taken while the owner still holds the original, it is the image a crash
+// at that instant would leave, and it opens without the owner's lock.
+func snapshot(t *testing.T, src string) string {
+	t.Helper()
+	dst := filepath.Join(t.TempDir(), filepath.Base(src))
+	copyFile := func(from, to string) {
+		raw, err := os.ReadFile(from)
+		if err == nil {
+			err = os.WriteFile(to, raw, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fi, err := os.Stat(src); err != nil {
+		t.Fatal(err)
+	} else if !fi.IsDir() {
+		copyFile(src, dst)
+		return dst
+	}
+	if err := os.Mkdir(dst, 0o777); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range dirNames(t, src) {
+		copyFile(filepath.Join(src, name), filepath.Join(dst, name))
+	}
+	return dst
+}
+
 // wantClosedDir asserts a closed sharded directory holds exactly its
 // marker, the one log (at header size: a graceful close checkpoints) and
 // the shard files — no stray per-shard sidecar.
@@ -52,6 +83,72 @@ func wantClosedDir(t *testing.T, dir string, nshards int, logged bool) {
 	if logged {
 		if fi, err := os.Stat(filepath.Join(dir, logName)); err != nil || fi.Size() != wal.HeaderSize {
 			t.Fatalf("log after a graceful close: %v bytes (%v), want the %d-byte header", fi.Size(), err, wal.HeaderSize)
+		}
+	}
+}
+
+// dirBytes maps every file in dir to its contents.
+func dirBytes(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	for _, name := range dirNames(t, dir) {
+		raw, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[name] = string(raw)
+	}
+	return files
+}
+
+// TestShardedDirectoryOwner: while a directory is open, a second
+// OpenSharded (writable or read-only) and a RecoverSharded fail with
+// pagefile.ErrLocked naming the directory, and touch nothing in it: the
+// file set and every file's bytes stay as the owner left them. This holds
+// for a logged directory and for one opened without a log, which a
+// refused open with logging on must not turn into a logged one.
+func TestShardedDirectoryOwner(t *testing.T) {
+	walCfg := &Config{Hash: &core.Options{WAL: true}}
+	for _, first := range []*Config{walCfg, nil} {
+		dir := filepath.Join(t.TempDir(), "d")
+		s, err := OpenSharded(dir, 2, first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 20; i++ {
+			if err := s.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := dirBytes(t, dir)
+		for name, open := range map[string]func() error{
+			"OpenSharded": func() error { _, err := OpenSharded(dir, 2, walCfg); return err },
+			"read-only OpenSharded": func() error {
+				_, err := OpenSharded(dir, 2, &Config{Hash: &core.Options{ReadOnly: true}})
+				return err
+			},
+			"RecoverSharded": func() error { _, _, err := RecoverSharded(dir, 2, walCfg); return err },
+		} {
+			if err := open(); !errors.Is(err, pagefile.ErrLocked) || !strings.Contains(err.Error(), dir) {
+				t.Fatalf("logged=%v: %s beside a live owner = %v, want ErrLocked naming %s", first != nil, name, err, dir)
+			}
+			if got := dirBytes(t, dir); fmt.Sprint(got) != fmt.Sprint(before) {
+				t.Fatalf("logged=%v: a refused %s changed the directory (now %v)", first != nil, name, dirNames(t, dir))
+			}
+		}
+		// The owner is unharmed, and its Close hands the directory on.
+		if s.Len() != 20 {
+			t.Fatalf("owner Len = %d after the refusals, want 20", s.Len())
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wantClosedDir(t, dir, 2, first != nil)
+		if s, err = OpenSharded(dir, 2, nil); err != nil {
+			t.Fatalf("reopen after the owner closed: %v", err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -120,21 +217,23 @@ func TestShardedDirectoryLayout(t *testing.T) {
 
 // TestShardedLegacySidecars: a directory written when every shard had
 // its own log — built here exactly as the parent commit would leave it
-// after a crash: core tables with sidecar logs, commits in them, dropped
-// without Close — opens through RecoverSharded with every commit there,
+// after a crash: core tables with sidecar logs, commits in them, copied
+// while still open — opens through RecoverSharded with every commit there,
 // the sidecars gone and the directory log in charge.
 func TestShardedLegacySidecars(t *testing.T) {
-	dir := t.TempDir()
+	live := t.TempDir()
 	const n = 2
-	if err := checkShardMarker(dir, n, false); err != nil {
+	if err := os.WriteFile(filepath.Join(live, shardMarker), []byte(fmt.Sprintln(n)), 0o666); err != nil {
 		t.Fatal(err)
 	}
 	want := map[string]string{}
+	var tbls []*core.Table
 	for i := 0; i < n; i++ {
-		tbl, err := core.Open(shardPath(dir, i), &core.Options{WAL: true, CacheSize: 1 << 20})
+		tbl, err := core.Open(shardPath(live, i), &core.Options{WAL: true, CacheSize: 1 << 20})
 		if err != nil {
 			t.Fatal(err)
 		}
+		tbls = append(tbls, tbl)
 		for j := 0; j < 3; j++ {
 			x, err := tbl.Begin()
 			if err != nil {
@@ -147,7 +246,11 @@ func TestShardedLegacySidecars(t *testing.T) {
 			}
 			want[string(k)] = v
 		}
-		// Dropped, not closed: the commits live only in the sidecar.
+	}
+	// Copied before Close: in the copy the commits live only in the sidecars.
+	dir := snapshot(t, live)
+	for _, tbl := range tbls {
+		tbl.Close()
 	}
 	if fi, err := os.Stat(shardPath(dir, 0) + ".wal"); err != nil || fi.Size() <= wal.HeaderSize {
 		t.Fatalf("fixture sidecar holds no commits: %v, %v", fi, err)

@@ -5,36 +5,30 @@ package pagefile
 import (
 	"errors"
 	"fmt"
+	"os"
 	"syscall"
 )
 
-// ErrLocked is returned when another process holds a conflicting lock.
-var ErrLocked = errors.New("pagefile: file is locked by another process")
+// ErrLocked, wrapped with the path of what is held, reports a conflicting lock.
+var ErrLocked = errors.New("locked by another process")
 
-// Lock takes an advisory whole-file lock on the store's file: exclusive
-// for writers, shared for readers. It does not block; a conflicting
-// holder yields ErrLocked. The lock is released when the file is closed.
-//
-// This is the paper's "multi-user access could be incorporated
-// relatively easily" extension: many readers or one writer per table
-// file across processes.
-func (fs *FileStore) Lock(exclusive bool) error {
+// Lock takes Flock on the store's file.
+func (fs *FileStore) Lock(exclusive bool) error { return Flock(fs.f, fs.f.Name(), exclusive) }
+
+// Flock takes a non-blocking advisory lock on f: exclusive for a writer,
+// shared for readers (the paper's "multi-user access"). A conflicting
+// holder yields ErrLocked wrapped with name. Closing f releases it.
+func Flock(f *os.File, name string, exclusive bool) error {
 	how := syscall.LOCK_SH
 	if exclusive {
 		how = syscall.LOCK_EX
 	}
-	err := syscall.Flock(int(fs.f.Fd()), how|syscall.LOCK_NB)
+	err := syscall.Flock(int(f.Fd()), how|syscall.LOCK_NB)
 	if errors.Is(err, syscall.EWOULDBLOCK) {
-		return ErrLocked
+		return fmt.Errorf("%s: %w", name, ErrLocked)
 	}
 	if err != nil {
-		return fmt.Errorf("pagefile: flock: %w", err)
+		return fmt.Errorf("pagefile: flock %s: %w", name, err)
 	}
 	return nil
-}
-
-// Unlock drops the advisory lock before close (rarely needed: Close
-// releases it implicitly).
-func (fs *FileStore) Unlock() error {
-	return syscall.Flock(int(fs.f.Fd()), syscall.LOCK_UN)
 }
