@@ -67,11 +67,13 @@ bench:
 	$(GO) test -run=NONE -bench=. -benchmem .
 
 # The per-layer microbenchmarks, one iteration each so they cannot rot:
-# what a live op ledger adds to a warm Get, and what one page fault
-# costs at a 16- and a 2048-page pool. For numbers, raise -benchtime.
+# what a live op ledger adds to a warm Get, what one page fault costs at
+# a 16- and a 2048-page pool, and what a lone pair's PutBatch costs at 1,
+# 2 and 8 shards. For numbers, raise -benchtime.
 micro:
 	$(GO) test -run=NONE -bench='BenchmarkGetBuf$$' -benchtime=1x -cpu=1 .
 	$(GO) test -run=NONE -bench=BenchmarkPoolFault -benchtime=1x ./internal/buffer
+	$(GO) test -run=NONE -bench=BenchmarkShardedPutBatch -benchtime=1x ./internal/db
 
 # One line of history per call: benchmark/'s `all` summary (commit, host
 # facts, every end-to-end metric per workload) appended to the tracked

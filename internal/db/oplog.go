@@ -23,8 +23,8 @@ type OpDB interface {
 	GetBufOp(led *oplog.Ledger, key, dst []byte) ([]byte, error)
 	// PutOp is Put with attribution.
 	PutOp(led *oplog.Ledger, key, data []byte) error
-	// PutBatchOp is PutBatch with attribution; on a sharded database the
-	// fan-out goroutines charge the one ledger concurrently.
+	// PutBatchOp is PutBatch with attribution; a batch that spans shards
+	// charges the one ledger from several goroutines concurrently.
 	PutBatchOp(led *oplog.Ledger, pairs []Pair) error
 	// DeleteOp is Delete with attribution.
 	DeleteOp(led *oplog.Ledger, key []byte) error
@@ -98,27 +98,33 @@ func (s *Sharded) DeleteOp(led *oplog.Ledger, key []byte) error {
 	return s.route(led, key).DeleteOp(led, key)
 }
 
-// PutBatchOp partitions like PutBatch; the partition pass is counted on
-// the ledger as routing and the per-shard sub-batches then charge their
-// latch/split/pool phases concurrently (the ledger's counters are
-// atomic). The ledger's shard stays -1 — a cross-shard batch has no
-// single destination — while the phase totals still attribute the time.
+// PutBatchOp counts the routing pass on the ledger. A batch for one
+// shard names it, as a single-key op does; one that spans shards keeps
+// shard -1 (no single destination) and its sub-batches charge their
+// latch/split/pool phases concurrently (the ledger's counters are atomic).
 func (s *Sharded) PutBatchOp(led *oplog.Ledger, pairs []Pair) error {
-	if len(s.shards) == 1 {
-		led.SetShard(0)
-		return s.shards[0].PutBatchOp(led, pairs)
+	n, dest := len(s.shards), 0
+	if n > 1 {
+		led.Count(oplog.PhaseRoute)
+		for j := range pairs {
+			if i := shardOf(pairs[j].Key, n); j == 0 {
+				dest = i
+			} else if i != dest {
+				dest = -1
+				break
+			}
+		}
 	}
-	per := splitByShard(pairs, len(s.shards), pairKey)
-	led.Count(oplog.PhaseRoute)
+	if dest >= 0 {
+		led.SetShard(dest)
+		return s.shards[dest].PutBatchOp(led, pairs)
+	}
+	per := splitByShard(pairs, n, pairKey)
 	// Each sub-batch notes its own ring window on the ledger; the window
 	// covering all of them is set once they have joined.
 	seq0 := s.tr.Next()
-	err := s.fanOut(func(i int, sh *hashDB) error {
-		if len(per[i]) == 0 {
-			return nil
-		}
-		return sh.PutBatchOp(led, per[i])
-	})
+	err := s.fanOut(func(i int) bool { return len(per[i]) > 0 },
+		func(i int, sh *hashDB) error { return sh.PutBatchOp(led, per[i]) })
 	led.SetTraceSpan(seq0, s.tr.Next())
 	return err
 }

@@ -80,8 +80,8 @@ type Sharded struct {
 }
 
 // MaxShards bounds OpenSharded's shard count. Each shard costs a buffer
-// pool, a page file and a goroutine per fan-out call; past a few dozen
-// shards the returns are already gone.
+// pool, a page file and, past the first, a goroutine per Sync or Close
+// (fanOut); past a few dozen shards the returns are already gone.
 const MaxShards = 1024
 
 // ErrShardMismatch reports opening a sharded directory with a different
@@ -201,28 +201,41 @@ func splitByShard[T any](items []T, n int, key func(T) []byte) [][]T {
 func pairKey(p Pair) []byte  { return p.Key }
 func opKey(op wal.Op) []byte { return op.Key }
 
-// PutBatch partitions the batch by destination shard and applies the
-// sub-batches concurrently, one PutBatch (one latch epoch, one deferred
-// split pass) per involved shard. In-batch last-wins dedupe holds: a
-// duplicate key lands in one shard, where the table's own batch dedupe
-// applies.
+// PutBatch applies a batch whose keys all route to one shard on the
+// calling goroutine; one that spans shards is partitioned and fanned out,
+// one PutBatch (one latch epoch, one deferred split pass) per involved
+// shard. In-batch last-wins dedupe holds: a duplicate key lands in one
+// shard, where the table's own batch dedupe applies.
 func (s *Sharded) PutBatch(pairs []Pair) error { return s.PutBatchOp(nil, pairs) }
 
-// fanOut runs fn on every shard concurrently and joins the errors.
-func (s *Sharded) fanOut(fn func(i int, sh *hashDB) error) error {
-	if len(s.shards) == 1 {
-		return fn(0, s.shards[0])
-	}
+// fanOut runs fn on every shard that has work (busy(i); nil means all
+// do) and joins the errors in shard order, each naming its shard. The
+// caller runs the first busy shard itself, after starting a goroutine for
+// each further one: an idle shard costs nothing.
+func (s *Sharded) fanOut(busy func(i int) bool, fn func(i int, sh *hashDB) error) error {
 	errs := make([]error, len(s.shards))
+	run := func(i int) {
+		if err := fn(i, s.shards[i]); err != nil {
+			errs[i] = fmt.Errorf("shard %d: %w", i, err)
+		}
+	}
 	var wg sync.WaitGroup
-	for i, sh := range s.shards {
-		wg.Add(1)
-		go func(i int, sh *hashDB) {
-			defer wg.Done()
-			if err := fn(i, sh); err != nil {
-				errs[i] = fmt.Errorf("shard %d: %w", i, err)
-			}
-		}(i, sh)
+	first := -1
+	for i := range s.shards {
+		switch {
+		case busy != nil && !busy(i):
+		case first < 0:
+			first = i
+		default:
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				run(i)
+			}()
+		}
+	}
+	if first >= 0 {
+		run(first)
 	}
 	wg.Wait()
 	return errors.Join(errs...)
@@ -232,7 +245,7 @@ func (s *Sharded) fanOut(fn func(i int, sh *hashDB) error) error {
 // it is the database's checkpoint (see checkpointLocked).
 func (s *Sharded) Sync() error {
 	if s.log == nil || s.readonly {
-		return s.fanOut(func(_ int, sh *hashDB) error { return sh.Sync() })
+		return s.fanOut(nil, func(_ int, sh *hashDB) error { return sh.Sync() })
 	}
 	s.ckpt.Lock()
 	defer s.ckpt.Unlock()

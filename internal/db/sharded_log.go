@@ -279,7 +279,7 @@ func (s *Sharded) checkpointLocked(force bool) error {
 	if last := s.log.LastLSN(); last > lsn && !poisoned {
 		lsn = last
 	}
-	if err := s.fanOut(func(_ int, sh *hashDB) error { return sh.t.Checkpoint(lsn) }); err != nil {
+	if err := s.fanOut(nil, func(_ int, sh *hashDB) error { return sh.t.Checkpoint(lsn) }); err != nil {
 		return err
 	}
 	if poisoned || (s.log.LastLSN() == 0 && !force) {
@@ -296,7 +296,7 @@ func (s *Sharded) checkpointLocked(force bool) error {
 // checkpoint: the tail of Close, and the whole of abandoning an open.
 func (s *Sharded) closeFiles() error {
 	s.closed = true
-	err := s.fanOut(func(_ int, sh *hashDB) error { return sh.Close() })
+	err := s.fanOut(nil, func(_ int, sh *hashDB) error { return sh.Close() })
 	if s.ownLog {
 		err = errors.Join(err, s.log.Close())
 	}

@@ -17,8 +17,8 @@
 // off; an exported plain form (Table.Put beside Table.PutOp) exists
 // only where an external caller has no ledger to pass. Phase
 // counters are updated with atomic adds because one ledger can be
-// visible to several goroutines at once (a sharded PutBatch fans out,
-// a group-commit follower parks while the leader syncs).
+// visible to several goroutines at once (a PutBatch that spans shards
+// fans out, a group-commit follower parks while the leader syncs).
 //
 // A live ledger reads the clock only around what can wait: a contended
 // latch, a page fault, a split, the log, the coalescing window and the

@@ -324,8 +324,9 @@ func (s slowReadStore) ReadPage(pageno uint32, buf []byte) error {
 // path dbserver runs by default (-oplog=true) — over one pipelined
 // connection and checks the recorder against what was sent: one ledger
 // per command (one per coalesced PUT flush, not per PUT), a shard on
-// every single-key ledger, exemplar phases that sum exactly to elapsed
-// time, and faulting reads whose time lands in the phase that waited.
+// every single-key and one-shard batch ledger, exemplar phases that sum
+// exactly to elapsed time, and faulting reads whose time lands in the
+// phase that waited.
 func TestServerOplogAccounting(t *testing.T) {
 	const (
 		nshards  = 2
@@ -345,9 +346,10 @@ func TestServerOplogAccounting(t *testing.T) {
 	defer d.Close()
 
 	// Sort candidate keys by shard with the router itself. A batch that
-	// spans shards fans out and charges its one ledger from both
-	// goroutines at once, so its phase sum may legitimately exceed its
-	// elapsed time; each batch below stays inside one shard.
+	// spans shards charges its one ledger from the caller and a fan-out
+	// goroutine at once, so its phase sum may legitimately exceed its
+	// elapsed time, and it names no shard; each batch below stays inside
+	// one shard, so it runs on the caller alone and names that shard.
 	var byShard [nshards][]string
 	for i := 0; len(byShard[0]) < perShard+20 || len(byShard[1]) < perShard+20; i++ {
 		k := fmt.Sprintf("key-%04d", i)
@@ -458,8 +460,12 @@ func TestServerOplogAccounting(t *testing.T) {
 	faulting := 0
 	for _, e := range rec.Exemplars() {
 		seen[e.Cmd] = true
-		if (e.Cmd == "get" || e.Cmd == "delete") && (e.Shard < 0 || e.Shard >= nshards) {
-			t.Errorf("%s exemplar %q carries shard %d", e.Cmd, e.Key, e.Shard)
+		// Every single-key op and every one-shard batch names its shard.
+		switch e.Cmd {
+		case "get", "delete", "put", "batch":
+			if e.Shard < 0 || e.Shard >= nshards {
+				t.Errorf("%s exemplar %q carries shard %d", e.Cmd, e.Key, e.Shard)
+			}
 		}
 		// Exact by construction: on_cpu is elapsed minus the timed phases,
 		// and no request here charges two goroutines' phases at once.
