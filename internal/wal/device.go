@@ -22,7 +22,8 @@ type Device interface {
 	Size() (int64, error)
 	// Truncate cuts (or zero-extends) the device to size bytes.
 	Truncate(size int64) error
-	// Sync forces written bytes to stable storage.
+	// Sync forces written bytes, and the length they set, to stable
+	// storage; other metadata may lag (a FileDevice uses fdatasync).
 	Sync() error
 	// Close releases the device.
 	Close() error
@@ -31,11 +32,20 @@ type Device interface {
 // ---------------------------------------------------------------------------
 // FileDevice
 
+// growChunk is the step in which a FileDevice zero-fills its file ahead of
+// the appends: a commit's fdatasync overwrites blocks the file holds, and
+// only every ~600th persists a new size. Not fallocate: a first write into
+// an unwritten extent journals its conversion.
+const growChunk = 256 << 10
+
+var zeroChunk [growChunk]byte
+
 // FileDevice is a Device backed by an operating-system file — the
 // table's sibling ".wal" file in the normal configuration.
 type FileDevice struct {
 	mu     sync.Mutex
 	f      *os.File
+	zeroed int64 // file size; bytes past the last write are zero
 	closed bool
 }
 
@@ -45,7 +55,12 @@ func OpenFileDevice(path string) (*FileDevice, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FileDevice{f: f}, nil
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return &FileDevice{f: f, zeroed: fi.Size()}, nil
 }
 
 func (d *FileDevice) checkOpen() error {
@@ -65,40 +80,51 @@ func (d *FileDevice) ReadAt(p []byte, off int64) (int, error) {
 	return d.f.ReadAt(p, off)
 }
 
-// WriteAt implements Device.
+// WriteAt implements Device: a write past the end of the file, except
+// Reset's header at offset 0, first zero-fills to the next growChunk
+// boundary. A closed file reports os.ErrClosed, here and in Truncate.
 func (d *FileDevice) WriteAt(p []byte, off int64) (int, error) {
-	if err := d.checkOpen(); err != nil {
-		return 0, err
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for off > 0 && d.zeroed < off+int64(len(p)) {
+		n := growChunk - d.zeroed%growChunk
+		if _, err := d.f.WriteAt(zeroChunk[:n], d.zeroed); err != nil {
+			return 0, err
+		}
+		d.zeroed += n
 	}
-	return d.f.WriteAt(p, off)
+	n, err := d.f.WriteAt(p, off)
+	d.zeroed = max(d.zeroed, off+int64(n))
+	return n, err
 }
 
 // Size implements Device.
 func (d *FileDevice) Size() (int64, error) {
-	if err := d.checkOpen(); err != nil {
-		return 0, err
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return 0, os.ErrClosed
 	}
-	fi, err := d.f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	return fi.Size(), nil
+	return d.zeroed, nil
 }
 
-// Truncate implements Device.
+// Truncate implements Device; a later write past size zero-fills again.
 func (d *FileDevice) Truncate(size int64) error {
-	if err := d.checkOpen(); err != nil {
-		return err
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	err := d.f.Truncate(size)
+	if err == nil {
+		d.zeroed = size
 	}
-	return d.f.Truncate(size)
+	return err
 }
 
-// Sync implements Device.
+// Sync implements Device with fdatasync where the platform has it.
 func (d *FileDevice) Sync() error {
 	if err := d.checkOpen(); err != nil {
 		return err
 	}
-	return d.f.Sync()
+	return datasync(d.f)
 }
 
 // Close implements Device. The file is synced first, mirroring the page

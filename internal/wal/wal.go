@@ -26,10 +26,11 @@
 // rewritten only by Reset. Recovery scans forward from the header and
 // stops at the first short, CRC-damaged, non-monotonic or malformed
 // frame: everything before the last valid commit frame is replayable,
-// everything after is a torn tail and is discarded.
+// everything after is discarded (a torn tail, unless it is all zeros).
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -137,9 +138,10 @@ type ScanResult struct {
 	// zero if none.
 	LastLSN uint64
 	// ValidEnd is the byte offset just past the last committed frame;
-	// bytes beyond it are a torn tail or uncommitted ops.
+	// the next append lands here. Bytes beyond it are a torn tail,
+	// uncommitted ops or zeroed free space.
 	ValidEnd int64
-	// Torn is true when the device held bytes past ValidEnd.
+	// Torn is true when the device held a non-zero byte past ValidEnd.
 	Torn bool
 }
 
@@ -174,6 +176,7 @@ type Log struct {
 		synced  int64
 		round   uint64
 		lastErr error
+		gen     uint64 // Resets (under mu and sc.mu); a leader from before one publishes nothing
 	}
 
 	stMu sync.Mutex
@@ -302,8 +305,8 @@ scan:
 		}
 		off += frameHdrSize + int64(ln)
 	}
-	sr.Torn = sr.ValidEnd < size
-	return sr, nil
+	sr.Torn, err = nonZero(l.dev, sr.ValidEnd, size)
+	return sr, err
 }
 
 // Append writes one transaction — every op frame plus the commit frame —
@@ -324,14 +327,16 @@ func (l *Log) Append(ops []Op) (commitLSN uint64, end int64, err error) {
 	}
 	buf := l.buf[:0]
 	for i := range ops {
-		buf = appendFrame(buf, l.nextLSN, &ops[i])
+		if op := &ops[i]; op.Delete {
+			buf = appendFrame(buf, l.nextLSN, recDelete, -1, op.Key, nil)
+		} else {
+			buf = appendFrame(buf, l.nextLSN, recPut, len(op.Key), op.Key, op.Data)
+		}
 		l.nextLSN++
 	}
 	commitLSN = l.nextLSN
 	l.nextLSN++
-	var body [4]byte
-	le.PutUint32(body[:], uint32(len(ops)))
-	buf = appendRawFrame(buf, commitLSN, recCommit, body[:])
+	buf = appendFrame(buf, commitLSN, recCommit, len(ops), nil, nil)
 	l.buf = buf[:0]
 
 	n, werr := l.dev.WriteAt(buf, l.size)
@@ -413,7 +418,7 @@ func (l *Log) SyncToOp(led *oplog.Ledger, end int64) error {
 	// Snapshot the tail under mu: everything appended so far rides this
 	// fsync, including commits that landed after our own.
 	l.mu.Lock()
-	covered := l.size
+	covered, gen := l.size, l.sc.gen
 	l.mu.Unlock()
 	err := l.dev.Sync()
 	if err != nil {
@@ -429,7 +434,7 @@ func (l *Log) SyncToOp(led *oplog.Ledger, end int64) error {
 	l.sc.syncing = false
 	l.sc.round++
 	l.sc.lastErr = err
-	if err == nil && covered > l.sc.synced {
+	if err == nil && gen == l.sc.gen && covered > l.sc.synced {
 		l.sc.synced = covered
 	}
 	l.sc.cond.Broadcast()
@@ -502,6 +507,7 @@ func (l *Log) Reset(checkpointLSN, epoch uint64) error {
 	l.lastLSN.Store(0)
 	l.sc.mu.Lock()
 	l.sc.synced = HeaderSize
+	l.sc.gen++
 	l.sc.mu.Unlock()
 	l.charge(l.cost.AppendCost+l.cost.SyncCost, func(s *Stats) { s.Resets++ })
 	return nil
@@ -574,29 +580,33 @@ func (l *Log) countError() {
 	l.stMu.Unlock()
 }
 
-func appendFrame(buf []byte, lsn uint64, op *Op) []byte {
-	if op.Delete {
-		return appendRawFrame(buf, lsn, recDelete, op.Key)
+// appendFrame marshals one frame straight into buf: length, CRC, then
+// the payload — lsn, type and a body of u32 n (omitted when n < 0), a
+// and b. The CRC covers the payload.
+func appendFrame(buf []byte, lsn uint64, typ byte, n int, a, b []byte) []byte {
+	start := len(buf)
+	buf = le.AppendUint64(buf, 0) // length, crc32: set below
+	buf = append(le.AppendUint64(buf, lsn), typ)
+	if n >= 0 {
+		buf = le.AppendUint32(buf, uint32(n))
 	}
-	body := make([]byte, 4+len(op.Key)+len(op.Data))
-	le.PutUint32(body, uint32(len(op.Key)))
-	copy(body[4:], op.Key)
-	copy(body[4+len(op.Key):], op.Data)
-	return appendRawFrame(buf, lsn, recPut, body)
+	buf = append(append(buf, a...), b...)
+	payload := buf[start+frameHdrSize:]
+	le.PutUint32(buf[start:], uint32(len(payload)))
+	le.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
+	return buf
 }
 
-func appendRawFrame(buf []byte, lsn uint64, typ byte, body []byte) []byte {
-	ln := recFixedSize + len(body)
-	var hdr [frameHdrSize + recFixedSize]byte
-	le.PutUint32(hdr[0:], uint32(ln))
-	le.PutUint64(hdr[frameHdrSize:], lsn)
-	hdr[frameHdrSize+8] = typ
-	// CRC covers the payload: lsn, type, body.
-	crc := crc32.ChecksumIEEE(hdr[frameHdrSize:])
-	crc = crc32.Update(crc, crc32.IEEETable, body)
-	le.PutUint32(hdr[4:], crc)
-	buf = append(buf, hdr[:]...)
-	return append(buf, body...)
+// nonZero reports whether any device byte in [off, size) is not zero.
+func nonZero(dev Device, off, size int64) (bool, error) {
+	p := make([]byte, min(size-off, growChunk))
+	for ; off < size; off += growChunk {
+		p = p[:min(size-off, growChunk)]
+		if _, err := readFull(dev, p, off); err != nil || !bytes.Equal(p, zeroChunk[:len(p)]) {
+			return err == nil, err
+		}
+	}
+	return false, nil
 }
 
 func readFull(dev Device, p []byte, off int64) (int, error) {

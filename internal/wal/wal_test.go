@@ -602,3 +602,144 @@ func TestConcurrentCommitters(t *testing.T) {
 		t.Fatalf("fsyncs %d + joins %d < %d commits", st.Fsyncs, st.FsyncJoins, workers*each)
 	}
 }
+
+// TestScanZeroTail: zeros past the last commit are free space (a
+// FileDevice's preallocated tail), not a torn tail; one non-zero byte
+// anywhere in them is.
+func TestScanZeroTail(t *testing.T) {
+	l, dev := openEmpty(t)
+	var end int64
+	for i := 0; i < 3; i++ {
+		var err error
+		if _, end, err = l.Append(txnOps(i)); err != nil {
+			t.Fatalf("append: %v", err)
+		}
+	}
+	const pad = 600
+	padded := append(dev.Bytes(), make([]byte, pad)...)
+	re, sr, err := Open(NewMemDeviceFrom(padded), CostModel{}, nil)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	if sr.Torn || len(sr.Txns) != 3 || sr.ValidEnd != end || re.Size() != end {
+		t.Fatalf("zero tail: torn=%v txns=%d ValidEnd=%d size=%d; want false, 3, %d, %d",
+			sr.Torn, len(sr.Txns), sr.ValidEnd, re.Size(), end, end)
+	}
+	for i := len(padded) - pad; i < len(padded); i++ {
+		dirty := append([]byte(nil), padded...)
+		dirty[i] = 1
+		_, sr, err := Open(NewMemDeviceFrom(dirty), CostModel{}, nil)
+		if err != nil {
+			t.Fatalf("byte %d: open: %v", i, err)
+		}
+		if !sr.Torn || len(sr.Txns) != 3 || sr.ValidEnd != end {
+			t.Fatalf("non-zero byte at %d: torn=%v txns=%d ValidEnd=%d; want true, 3, %d",
+				i, sr.Torn, len(sr.Txns), sr.ValidEnd, end)
+		}
+	}
+	// A header followed by nothing but zeros is an empty, untorn log.
+	_, sr, err = Open(NewMemDeviceFrom(append(padded[:HeaderSize:HeaderSize], make([]byte, pad)...)), CostModel{}, nil)
+	if err != nil || !sr.HeaderOK || sr.Torn || len(sr.Txns) != 0 || sr.ValidEnd != HeaderSize {
+		t.Fatalf("header + zeros: sr=%+v err=%v", sr, err)
+	}
+}
+
+// holdSyncDev blocks the first Sync after hold is set until hold is
+// closed; every other Sync returns at once. It counts Sync calls.
+type holdSyncDev struct {
+	*MemDevice
+	mu            sync.Mutex
+	hold, entered chan struct{}
+	syncs         atomic.Int64
+}
+
+func (d *holdSyncDev) Sync() error {
+	d.syncs.Add(1)
+	d.mu.Lock()
+	hold, entered := d.hold, d.entered
+	d.hold = nil
+	d.mu.Unlock()
+	if hold != nil {
+		close(entered)
+		<-hold
+	}
+	return nil
+}
+
+// TestResetDuringGroupSync: a Reset that runs while a group-fsync leader
+// is inside the device sync must keep the leader from publishing its
+// pre-Reset offset, or the next commit — appended at the header, below
+// that offset — is acknowledged without any device sync.
+func TestResetDuringGroupSync(t *testing.T) {
+	dev := &holdSyncDev{MemDevice: NewMemDevice()}
+	l, _, err := Open(dev, CostModel{}, nil)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	if err := l.Reset(0, 0); err != nil {
+		t.Fatalf("reset: %v", err)
+	}
+	lsn, end, err := l.Append(txnOps(0))
+	if err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	hold := make(chan struct{})
+	dev.mu.Lock()
+	dev.hold, dev.entered = hold, make(chan struct{})
+	entered := dev.entered
+	dev.mu.Unlock()
+	leader := make(chan error, 1)
+	go func() { leader <- l.SyncTo(end) }()
+	<-entered
+
+	if err := l.Reset(lsn, 1); err != nil { // its own Sync passes through
+		t.Fatalf("reset: %v", err)
+	}
+	_, endB, err := l.Append(txnOps(1))
+	if err != nil {
+		t.Fatalf("append after reset: %v", err)
+	}
+	if endB > end {
+		t.Fatalf("post-reset commit ends at %d, past the leader's %d: the test needs it below", endB, end)
+	}
+	before := dev.syncs.Load()
+	follower := make(chan error, 1)
+	go func() { follower <- l.SyncTo(endB) }() // may park behind the leader
+	close(hold)
+	if err := <-leader; err != nil {
+		t.Fatalf("leader: %v", err)
+	}
+	if err := <-follower; err != nil {
+		t.Fatalf("post-reset commit: %v", err)
+	}
+	if dev.syncs.Load() == before {
+		t.Fatal("post-reset commit acknowledged with no device sync: the stale leader published its pre-Reset offset")
+	}
+}
+
+// TestAppendAllocs: Append marshals every frame straight into the log's
+// reused buffer, so a warm log on a MemDevice with spare capacity
+// appends without allocating.
+func TestAppendAllocs(t *testing.T) {
+	l, _ := openEmpty(t)
+	ops := []Op{
+		{Key: []byte("key-0001"), Data: bytes.Repeat([]byte{'v'}, 100)},
+		{Key: []byte("key-0002"), Data: bytes.Repeat([]byte{'w'}, 100)},
+		{Delete: true, Key: []byte("key-0003")},
+	}
+	for i := 0; i < 200; i++ {
+		if _, _, err := l.Append(ops); err != nil {
+			t.Fatalf("append: %v", err)
+		}
+	}
+	if err := l.Reset(l.LastLSN(), 1); err != nil {
+		t.Fatalf("reset: %v", err)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		if _, _, err := l.Append(ops); err != nil {
+			t.Fatalf("append: %v", err)
+		}
+	}); a != 0 {
+		t.Fatalf("Append allocates %.1f times per call, want 0", a)
+	}
+}
