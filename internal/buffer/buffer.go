@@ -115,10 +115,6 @@ type LoadFunc func(Addr, []byte) bool
 
 // Config carries optional pool parameters to NewConfig.
 type Config struct {
-	// Shards is the number of lock-striped shards; 0 picks a default.
-	// The count is clamped so every shard holds at least MinBuffers
-	// pages, and rounded down to a power of two.
-	Shards int
 	// OnLoad, if non-nil, post-processes every faulted-in page.
 	OnLoad LoadFunc
 	// OnEvict, if non-nil, observes every buffer evicted to make room
@@ -243,8 +239,8 @@ func (p *Pool) RegisterMetrics(reg *metrics.Registry, prefix string) {
 // must always be able to hold a handful of pinned pages.
 const MinBuffers = 8
 
-// defaultShards is the shard-count ceiling when Config.Shards is zero.
-const defaultShards = 16
+// maxShards is the ceiling on the number of lock-striped shards.
+const maxShards = 16
 
 // New creates a pool of at most maxBytes of page buffers (rounded up to
 // MinBuffers pages) over store, using mapAddr to place logical pages.
@@ -252,24 +248,16 @@ func New(store pagefile.Store, maxBytes int, mapAddr MapFunc) *Pool {
 	return NewConfig(store, maxBytes, mapAddr, Config{})
 }
 
-// NewConfig creates a pool with explicit sharding and load-hook options.
+// NewConfig creates a pool with load and eviction hooks. The pool is
+// split into up to maxShards lock-striped shards, as many as give every
+// shard MinBuffers pages, rounded down to a power of two.
 func NewConfig(store pagefile.Store, maxBytes int, mapAddr MapFunc, cfg Config) *Pool {
 	ps := store.PageSize()
 	total := maxBytes / ps
 	if total < MinBuffers {
 		total = MinBuffers
 	}
-	nshards := cfg.Shards
-	if nshards <= 0 {
-		nshards = defaultShards
-	}
-	if byBudget := total / MinBuffers; nshards > byBudget {
-		nshards = byBudget
-	}
-	if nshards < 1 {
-		nshards = 1
-	}
-	nshards = 1 << floorLog2(nshards) // power of two for mask arithmetic
+	nshards := 1 << floorLog2(max(1, min(maxShards, total/MinBuffers))) // power of two for mask arithmetic
 
 	p := &Pool{
 		store:      store,

@@ -21,9 +21,10 @@ func (t *Table) Dump(w io.Writer, verbose bool) error {
 	fmt.Fprintf(w, "hash table: bsize=%d ffactor=%d nkeys=%d\n", h.bsize, h.ffactor, h.nkeys)
 	fmt.Fprintf(w, "  maxBucket=%d lowMask=%#x highMask=%#x ovflPoint=%d hdrPages=%d\n",
 		h.maxBucket, h.lowMask, h.highMask, h.ovflPoint, h.hdrPages)
-	if h.walLSN != 0 || t.wal != nil {
+	if h.walLSN != 0 || t.log != nil || t.sharedLog {
+		_, pending := t.Unsettled()
 		fmt.Fprintf(w, "  wal: checkpoint lsn=%d applied=%d pending=%d\n",
-			h.walLSN, t.appliedLSN.Load(), len(t.walPending))
+			h.walLSN, t.appliedLSN.Load(), pending)
 	}
 	fmt.Fprintf(w, "  spares (cumulative):")
 	for s := uint32(0); s <= h.ovflPoint; s++ {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"unixhash/internal/metrics"
+	"unixhash/internal/wal"
 )
 
 // Metric names exported by a table into its registry. The hash_ series
@@ -36,13 +37,15 @@ const (
 	MetricRecoverSuccess  = "hash_recover_success_total"
 	MetricRecoverFailures = "hash_recover_failures_total"
 	MetricRecoverRepairs  = "hash_recover_repairs_total"
-	// Write-ahead logging (Options.WAL). Commits are completed
+	// Write-ahead logging, counted by the log's owner (wal.Owner) for a
+	// file and for a sharded database alike. Commits are completed
 	// transactions; replays are committed transactions reapplied by
-	// Recover; checkpoints are syncs that truncated the log. The log's
-	// own I/O counters are exported by wal.Log.RegisterMetrics (wal_*).
-	MetricTxnCommits  = "hash_txn_commits_total"
-	MetricWalReplays  = "hash_wal_replayed_txns_total"
-	MetricCheckpoints = "hash_checkpoints_total"
+	// recovery; checkpoints are syncs that truncated a log holding
+	// commits. The log's own I/O counters are exported by
+	// wal.Log.RegisterMetrics (wal_*).
+	MetricTxnCommits  = wal.MetricTxnCommits
+	MetricWalReplays  = wal.MetricWalReplays
+	MetricCheckpoints = wal.MetricCheckpoints
 	// Read acceleration (see filter.go). Skips are filter consults that
 	// proved a key absent with zero chain reads; hits are consults
 	// confirmed by a found key; false positives are consults that passed
@@ -83,9 +86,6 @@ type tableMetrics struct {
 	recoverSuccess     *metrics.Counter
 	recoverFailures    *metrics.Counter
 	recoverRepairs     *metrics.Counter
-	txnCommits         *metrics.Counter
-	walReplays         *metrics.Counter
-	checkpoints        *metrics.Counter
 	filterHits         *metrics.Counter
 	filterSkips        *metrics.Counter
 	filterFPs          *metrics.Counter
@@ -123,9 +123,6 @@ func (m *tableMetrics) init(reg *metrics.Registry) {
 	m.recoverSuccess = reg.Counter(MetricRecoverSuccess)
 	m.recoverFailures = reg.Counter(MetricRecoverFailures)
 	m.recoverRepairs = reg.Counter(MetricRecoverRepairs)
-	m.txnCommits = reg.Counter(MetricTxnCommits)
-	m.walReplays = reg.Counter(MetricWalReplays)
-	m.checkpoints = reg.Counter(MetricCheckpoints)
 	// Curated HELP for the read-acceleration group, so a registry dump
 	// (dbcli metrics, /metrics) labels it next to the other series
 	// instead of leaving the names to speak for themselves.

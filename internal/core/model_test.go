@@ -32,7 +32,7 @@ func runModel(t *testing.T, tbl *Table, rng *rand.Rand, nops int) map[string][]b
 		return []byte(fmt.Sprintf("v%d", i))
 	}
 	kinds := 6
-	if tbl.wal != nil {
+	if tbl.log != nil {
 		kinds = 7
 	}
 

@@ -9,6 +9,7 @@ import (
 
 	"unixhash/internal/pagefile"
 	"unixhash/internal/trace"
+	"unixhash/internal/wal"
 )
 
 // Crash recovery.
@@ -532,17 +533,35 @@ func Recover(path string, o *Options) (*Table, RecoveryReport, error) {
 
 	t.mu.Lock()
 	rep.WasDirty = t.needsRecovery
-	if !t.needsRecovery {
-		rep.NKeys = t.hdr.nkeys
-		rep.SyncEpoch = t.hdr.syncEpoch
-		t.mu.Unlock()
-		if err := t.replayWAL(&rep); err != nil {
-			t.m.recoverFailures.Inc()
-			t.Close()
-			return nil, rep, err
-		}
-		return t, rep, nil
+	if t.needsRecovery {
+		err = t.recoverPages(&rep)
 	}
+	rep.NKeys, rep.SyncEpoch = t.hdr.nkeys, t.hdr.syncEpoch
+	t.mu.Unlock()
+	if err == nil && t.log != nil {
+		// The page-level recovery restored (or confirmed) the exact
+		// checkpoint state, so the log's commits above it apply onto
+		// precisely the state they were logged against.
+		var reps []wal.Replayed
+		if reps, err = t.log.Recover(); err != nil {
+			err = fmt.Errorf("hash: replay: %w", err)
+		} else {
+			rep.WALTxns, rep.WALOps = reps[0].Txns, reps[0].Ops
+			rep.NKeys = int64(t.Len())
+			_, rep.SyncEpoch = t.Stamp()
+		}
+	}
+	if err != nil {
+		t.m.recoverFailures.Inc()
+		t.Close()
+		return nil, rep, err
+	}
+	return t, rep, nil
+}
+
+// recoverPages runs the page-level recovery of a dirty table: the walk,
+// the strict gate and the repairs, filling rep. The caller holds t.mu.
+func (t *Table) recoverPages(rep *RecoveryReport) error {
 	t.m.recoverAttempts.Inc()
 	t.tr.Emit(trace.EvRecoveryStep, trace.RecoveryStepWalk, uint64(t.hdr.maxBucket+1), 0, 0)
 	r, err := t.recoverLocked()
@@ -551,15 +570,10 @@ func Recover(path string, o *Options) (*Table, RecoveryReport, error) {
 		err = t.applyRecovery(r)
 	}
 	if err != nil {
-		t.m.recoverFailures.Inc()
-		t.mu.Unlock()
-		t.Close()
-		return nil, rep, err
+		return err
 	}
 	t.m.recoverSuccess.Inc()
 	rep.Recovered = true
-	rep.NKeys = t.hdr.nkeys
-	rep.SyncEpoch = t.hdr.syncEpoch
 	for _, pageno := range r.order {
 		p := r.plans[pageno]
 		if p.reset {
@@ -578,57 +592,6 @@ func Recover(path string, o *Options) (*Table, RecoveryReport, error) {
 	rep.FiltersRebuilt = r.filters
 	t.m.recoverRepairs.Add(int64(rep.PagesReset + rep.LinksCut + rep.RefsDropped))
 	t.m.setShape(t.hdr.nkeys, t.hdr.maxBucket)
-	t.mu.Unlock()
-	if err := t.replayWAL(&rep); err != nil {
-		t.m.recoverFailures.Inc()
-		t.Close()
-		return nil, rep, err
-	}
-	return t, rep, nil
-}
-
-// replayWAL re-applies the committed transactions the write-ahead log
-// holds past the last checkpoint. The page-level recovery above restored
-// (or confirmed) the exact checkpoint state, so the redo records apply
-// onto precisely the state they were logged against. Called without t.mu
-// held: each op goes through the normal Put/Delete path, so splits,
-// overflow allocation and accounting behave exactly as they did at
-// commit time. The final Sync is a checkpoint — it stamps the replayed
-// LSN into the header and truncates the log.
-func (t *Table) replayWAL(rep *RecoveryReport) error {
-	pending := t.walPending
-	t.walPending = nil
-	if t.wal == nil || len(pending) == 0 {
-		return nil
-	}
-	for _, tx := range pending {
-		for _, op := range tx.Ops {
-			var err error
-			if op.Delete {
-				// Redo semantics are "ensure absent": the delete may have
-				// reached the pages before the crash.
-				if err = t.Delete(op.Key); errors.Is(err, ErrNotFound) {
-					err = nil
-				}
-			} else {
-				err = t.Put(op.Key, op.Data)
-			}
-			if err != nil {
-				return fmt.Errorf("hash: replay txn %d: %w", tx.LSN, err)
-			}
-			rep.WALOps++
-		}
-		t.appliedLSN.Store(tx.LSN)
-		t.m.walReplays.Inc()
-		rep.WALTxns++
-	}
-	if err := t.Sync(); err != nil {
-		return fmt.Errorf("hash: post-replay checkpoint: %w", err)
-	}
-	t.mu.RLock()
-	rep.NKeys = t.hdr.nkeys
-	rep.SyncEpoch = t.hdr.syncEpoch
-	t.mu.RUnlock()
 	return nil
 }
 

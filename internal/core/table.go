@@ -53,9 +53,6 @@ type Options struct {
 	// benchmarks with simulated disks). The caller retains ownership:
 	// Close leaves it open. When set, the path argument is ignored.
 	Store pagefile.Store
-	// Cost is the simulated I/O cost model for stores the table creates
-	// itself. Zero means no simulated cost.
-	Cost pagefile.CostModel
 	// ControlledOnly disables uncontrolled (overflow-triggered) splits,
 	// leaving only the fill-factor policy — dynahash's behaviour. It
 	// exists for the ablation benchmarks of the paper's hybrid split
@@ -81,26 +78,27 @@ type Options struct {
 	// Begin/Commit transaction API (see Table.Begin): a committed
 	// transaction is durable after one sequential log append plus one log
 	// fsync, instead of a full two-phase Sync. Sync becomes a checkpoint —
-	// it flushes the pages as before, stamps the applied LSN in the
+	// it flushes the pages as before, stamps the last commit's LSN in the
 	// header, and truncates the log. Plain Put/Delete remain
 	// volatile-until-checkpoint exactly as without the option. File-backed
 	// tables keep the log in a sibling "<path>.wal" file; memory tables
-	// use an in-memory device.
+	// use an in-memory device. The table is then the one table of a
+	// wal.Owner, the protocol a sharded database runs over its shards.
 	WAL bool
 	// WALDevice overrides the log device (tests, crash simulation,
 	// benchmarks). Implies WAL. The caller retains ownership: Close
 	// leaves the device open.
 	WALDevice wal.Device
-	// SharedLog attaches the table to a write-ahead log its caller owns
-	// and shares between tables. It is the seam db.Sharded is built on and
-	// has no other user: the owner appends and fsyncs one commit covering
-	// several tables, then hands each table its ops through ApplyCommitted;
-	// at a checkpoint it quiesces its committers, stamps one LSN into
-	// every table with Checkpoint, and only then resets the log. The table
-	// therefore never appends to, scans, resets or closes the log itself,
-	// Begin refuses with ErrSharedLog, and Sync flushes pages without
-	// moving the header's checkpoint LSN. Overrides WAL and WALDevice.
-	SharedLog *wal.Log
+	// SharedLog marks the table as one of several whose commits live in a
+	// log its caller owns through a wal.Owner. It is the seam db.Sharded
+	// is built on and has no other user: the owner appends and fsyncs one
+	// commit covering several tables, then hands each table its ops
+	// through ApplyCommitted; at a checkpoint it stamps one LSN into every
+	// table with Checkpoint, and only then resets the log. The table
+	// therefore never sees the log, Begin refuses with ErrSharedLog, and
+	// Sync flushes pages without moving the header's checkpoint LSN.
+	// Overrides WAL and WALDevice.
+	SharedLog bool
 	// DisableFilter stops reads from consulting the per-bucket tag
 	// filters (see filter.go). The filter bytes are still maintained by
 	// every write — they are persistent page state, and a table mutated
@@ -234,20 +232,15 @@ type Table struct {
 	// operation takes its own so concurrent readers never share one.
 	scratch sync.Pool
 
-	// Write-ahead log state (Options.WAL). appliedLSN is the commit LSN
-	// of the last transaction whose effects are in the table (memory or
-	// pages); syncLocked folds it into hdr.walLSN at checkpoint.
-	// walPending holds committed-but-unapplied transactions found in the
-	// log at open; Recover replays them. walOwnDev records that Close
-	// must close the device. walErr poisons the transaction path after a
-	// commit applied only partially (see Txn.Commit).
-	wal        *wal.Log
+	// Write-ahead log state. log owns the sidecar log (Options.WAL) with
+	// this table as its one table; nil without one, and for a shard of a
+	// sharded database (sharedLog), whose owner is the database.
+	// walOwnDev records that Close must close the log's device.
+	// appliedLSN is the highest commit LSN applied in memory.
+	log        *wal.Owner
 	walOwnDev  bool
-	walShared  bool // wal is Options.SharedLog: the caller's, never reset or closed here
+	sharedLog  bool
 	appliedLSN atomic.Uint64
-	walPending []wal.Txn
-	walErrMu   sync.Mutex
-	walErr     error
 
 	// m holds the table's resolved metric handles (see metrics.go). All
 	// structural counters live here.
@@ -270,6 +263,7 @@ func Open(path string, o *Options) (*Table, error) {
 
 	t := &Table{hash: opts.Hash, path: path, readonly: opts.ReadOnly, controlledOnly: opts.ControlledOnly, tr: opts.Trace,
 		filtersOn: !opts.DisableFilter}
+	t.m.init(opts.Metrics)
 
 	existing := false
 	switch {
@@ -277,7 +271,7 @@ func Open(path string, o *Options) (*Table, error) {
 		t.store = opts.Store
 		existing = t.store.NPages() > 0
 	case path == "":
-		t.store = pagefile.NewMem(opts.Bsize, opts.Cost)
+		t.store = pagefile.NewMem(opts.Bsize, pagefile.CostModel{})
 		t.ownStore = true
 	default:
 		bsize, exists, err := peekBsize(path)
@@ -292,7 +286,7 @@ func Open(path string, o *Options) (*Table, error) {
 				return nil, fmt.Errorf("hash: %s: %w", path, os.ErrNotExist)
 			}
 		}
-		fs, err := pagefile.OpenFile(path, bsize, opts.Cost)
+		fs, err := pagefile.OpenFile(path, bsize, pagefile.CostModel{})
 		if err != nil {
 			return nil, err
 		}
@@ -331,6 +325,7 @@ func Open(path string, o *Options) (*Table, error) {
 	t.publishGeo()
 	t.nkeysA.Store(t.hdr.nkeys)
 	t.pairSumA.Store(t.hdr.pairSum)
+	t.appliedLSN.Store(t.hdr.walLSN)
 
 	// The hdrWAL flag (stamped durably at the first writable WAL attach,
 	// before any commit can be acknowledged) proves this table is
@@ -342,28 +337,26 @@ func Open(path string, o *Options) (*Table, error) {
 	// for pre-flag files. hdrSharedLog says the same about a log this
 	// table cannot find by itself.
 	switch {
-	case opts.SharedLog != nil:
-		err = t.attachSharedLog(opts.SharedLog)
+	case opts.SharedLog:
+		t.sharedLog = true
+		err = t.stampLogFlag(hdrSharedLog)
 	case t.hdr.flags&hdrSharedLog != 0:
 		err = fmt.Errorf("hash: %s is one shard of a sharded database and its commits live in that directory's log; open the directory %s instead (dbserver -dir, db.OpenSharded): %w",
 			path, filepath.Dir(path), ErrSharedLog)
-	case opts.WAL || opts.WALDevice != nil:
-		err = t.openWAL(&opts)
-	case t.hdr.flags&hdrWAL != 0 || t.hdr.walLSN != 0:
-		if t.path == "" {
-			err = fmt.Errorf("hash: table is wal-managed (checkpoint %d) but no log device was provided: %w",
-				t.hdr.walLSN, ErrUnrecoverable)
-			break
-		}
-		opts.WAL = true
+	case opts.WAL || opts.WALDevice != nil || t.hdr.flags&hdrWAL != 0 || t.hdr.walLSN != 0:
 		err = t.openWAL(&opts)
 	}
-	if err != nil {
-		t.closeWAL()
+	fail := func(err error) (*Table, error) {
+		if t.log != nil && t.walOwnDev {
+			t.log.Log().Close()
+		}
 		if t.ownStore {
 			t.store.Close()
 		}
 		return nil, err
+	}
+	if err != nil {
+		return fail(err)
 	}
 
 	t.scratch.New = func() any { return make([]byte, t.hdr.bsize) }
@@ -383,84 +376,68 @@ func Open(path string, o *Options) (*Table, error) {
 		return t.hdr.bucketToPage(a.N)
 	}, cfg)
 
-	// Resolve the metric handles and let the layers below export their
-	// series into the same registry.
-	t.m.init(opts.Metrics)
+	// Let the layers below export their series into the table's
+	// registry.
 	t.pool.RegisterMetrics(t.m.reg, "buffer_")
 	t.store.Stats().Register(t.m.reg, "pagefile_")
-	if t.wal != nil && !t.walShared {
-		t.wal.RegisterMetrics(t.m.reg)
-	}
 	t.m.setShape(t.hdr.nkeys, t.hdr.maxBucket)
 	if t.tr != nil {
 		t.store.Stats().SetTrace(t.tr)
 	}
+	if t.log != nil && !t.readonly && !t.needsRecovery {
+		// Nothing to replay, but the log may be fresh, stale or torn:
+		// normalize it so the next commit appends to a clean file.
+		if _, err := t.log.Recover(); err != nil {
+			return fail(fmt.Errorf("hash: reset wal: %w", err))
+		}
+	}
 	return t, nil
 }
 
-// openWAL attaches the write-ahead log: it opens (or creates) the device,
-// scans it for committed transactions, and reconciles the log against the
-// header's checkpoint LSN. Commits past the checkpoint have not reached
-// the pages — the table then needs Recover, exactly like a dirty header.
-// Called from Open with the table not yet published; the caller cleans up
-// via closeWAL on error.
+// openWAL attaches the sidecar log: it opens (or creates) the device,
+// scans it, and adopts it with the table as its owner's one table — which
+// refuses a log that is ahead of the table. Commits past the header's
+// checkpoint LSN have not reached the pages: the table then needs
+// Recover, exactly like a dirty header. Called from Open with the table
+// not yet published; Open closes the device on error.
 func (t *Table) openWAL(opts *Options) error {
 	dev := opts.WALDevice
 	switch {
 	case dev != nil:
 		// Caller-owned device.
+	case t.path == "" && !opts.WAL:
+		return fmt.Errorf("hash: table is wal-managed (checkpoint %d) but no log device was provided: %w",
+			t.hdr.walLSN, ErrUnrecoverable)
 	case t.path == "":
 		dev = wal.NewMemDevice()
-		t.walOwnDev = true
 	default:
 		fd, err := wal.OpenFileDevice(t.path + ".wal")
 		if err != nil {
 			return fmt.Errorf("hash: open wal: %w", err)
 		}
 		dev = fd
-		t.walOwnDev = true
 	}
 	l, sr, err := wal.Open(dev, wal.CostModel{}, t.tr)
 	if err != nil {
-		if t.walOwnDev {
+		err = fmt.Errorf("hash: open wal: %w", err)
+	} else if t.log, err = wal.Attach(l, sr, []wal.Table{t}, wal.OwnerOptions{Metrics: t.m.reg}); err != nil {
+		err = fmt.Errorf("%w: %w", ErrUnrecoverable, err)
+	}
+	if err != nil {
+		if opts.WALDevice == nil {
 			dev.Close()
 		}
-		t.walOwnDev = false
-		return fmt.Errorf("hash: open wal: %w", err)
+		return err
 	}
-	t.wal = l
-	t.appliedLSN.Store(t.hdr.walLSN)
-	l.EnsureLSN(t.hdr.walLSN)
-
-	if sr.HeaderOK && (sr.Epoch > t.hdr.syncEpoch || sr.CheckpointLSN > t.hdr.walLSN) {
-		// The log claims a checkpoint the table never took: the table file
-		// was replaced or rolled back underneath its log. No automatic
-		// answer is safe here.
-		return fmt.Errorf("hash: %w: wal is ahead of the table (log epoch %d lsn %d, table epoch %d lsn %d)",
-			ErrUnrecoverable, sr.Epoch, sr.CheckpointLSN, t.hdr.syncEpoch, t.hdr.walLSN)
-	}
+	t.walOwnDev = opts.WALDevice == nil
 	// Stamp the table as WAL-managed before any commit can be
 	// acknowledged, so even a crash before the first checkpoint (walLSN
 	// still zero) leaves a header that proves a log exists and must be
 	// consulted at the next open.
-	if !t.readonly && t.hdr.flags&hdrWAL == 0 {
-		t.hdr.flags |= hdrWAL
-		if err := t.writeHeader(t.hdr.dirty()); err != nil {
-			return err
-		}
-		if err := t.store.Sync(); err != nil {
-			return fmt.Errorf("hash: stamp wal flag: %w", err)
-		}
+	if err := t.stampLogFlag(hdrWAL); err != nil {
+		return err
 	}
-	// Committed transactions past the header's checkpoint LSN are durable
-	// in the log but not in the pages. Stale ones (at or below the
-	// checkpoint) are already folded in and are skipped.
-	for _, tx := range sr.Txns {
-		if tx.LSN > t.hdr.walLSN {
-			t.walPending = append(t.walPending, tx)
-		}
-	}
-	if len(t.walPending) > 0 {
+	if t.log.Pending() > 0 {
 		// Replay happens in Recover, not here: it needs the recovery gate
 		// to bless the page state first. A clean header still means the
 		// pages hold exactly the checkpoint state (markDirty precedes any
@@ -469,45 +446,26 @@ func (t *Table) openWAL(opts *Options) error {
 		if !opts.AllowDirty {
 			return fmt.Errorf("hash: %s: unapplied wal commits: %w", t.path, ErrNeedsRecovery)
 		}
+	}
+	return nil
+}
+
+// stampLogFlag durably records where the table's log lives — hdrWAL for a
+// sidecar, hdrSharedLog for a sharded database's log, one replacing the
+// other (the database drains and removes a sidecar before its shard joins
+// the shared log).
+func (t *Table) stampLogFlag(flag uint32) error {
+	if t.readonly || t.hdr.flags&(hdrWAL|hdrSharedLog) == flag {
 		return nil
 	}
-	if !t.readonly && !t.needsRecovery &&
-		(!sr.HeaderOK || sr.Torn || sr.LastLSN != 0 || sr.CheckpointLSN != t.hdr.walLSN || sr.Epoch != t.hdr.syncEpoch) {
-		// No pending commits but the log is fresh, stale or torn:
-		// normalize it so the next commit appends to a clean file.
-		if err := t.wal.Reset(t.hdr.walLSN, t.hdr.syncEpoch); err != nil {
-			return fmt.Errorf("hash: reset wal: %w", err)
-		}
+	t.hdr.flags = t.hdr.flags&^(hdrWAL|hdrSharedLog) | flag
+	if err := t.writeHeader(t.hdr.dirty()); err != nil {
+		return err
+	}
+	if err := t.store.Sync(); err != nil {
+		return fmt.Errorf("hash: stamp log flag: %w", err)
 	}
 	return nil
-}
-
-// attachSharedLog is openWAL for Options.SharedLog: the owner has opened
-// and scanned the log and replays it itself, so the table only adopts the
-// handle and durably stamps hdrSharedLog (replacing a legacy hdrWAL — the
-// owner drains and removes a sidecar before it attaches the shared log).
-func (t *Table) attachSharedLog(l *wal.Log) error {
-	t.wal, t.walShared = l, true
-	t.appliedLSN.Store(t.hdr.walLSN)
-	if !t.readonly && t.hdr.flags&(hdrWAL|hdrSharedLog) != hdrSharedLog {
-		t.hdr.flags = t.hdr.flags&^hdrWAL | hdrSharedLog
-		if err := t.writeHeader(t.hdr.dirty()); err != nil {
-			return err
-		}
-		if err := t.store.Sync(); err != nil {
-			return fmt.Errorf("hash: stamp shared-log flag: %w", err)
-		}
-	}
-	return nil
-}
-
-// closeWAL closes the log device if the table owns it.
-func (t *Table) closeWAL() {
-	if t.wal != nil && t.walOwnDev {
-		_ = t.wal.Close()
-	}
-	t.wal = nil
-	t.walOwnDev = false
 }
 
 // boolArg renders a bool as a trace event argument.
@@ -1331,8 +1289,13 @@ func (t *Table) Len() int {
 	return int(t.nkeysA.Load())
 }
 
-// Sync flushes all dirty pages, bitmaps and the header to the store.
+// Sync flushes all dirty pages, bitmaps and the header to the store. With
+// a sidecar log it is the log owner's checkpoint: it waits out in-flight
+// commits, stamps the last commit's LSN in the header and resets the log.
 func (t *Table) Sync() error {
+	if t.log != nil && !t.readonly {
+		return t.log.Checkpoint()
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if err := t.checkOpen(); err != nil {
@@ -1372,23 +1335,10 @@ func (t *Table) syncLocked() error {
 	}
 	// Fold the shared-phase running counters back into the header image
 	// before it is written: between syncs hdr.nkeys/hdr.pairSum hold the
-	// last-synced values and the atomics carry the live state. With a WAL
-	// attached the applied LSN rides along — after this sync completes,
-	// every transaction at or below it is in the pages, so this sync is a
-	// checkpoint.
+	// last-synced values and the atomics carry the live state. The
+	// checkpoint LSN moves only in Checkpoint: the log's owner picks it.
 	t.hdr.nkeys = t.nkeysA.Load()
 	t.hdr.pairSum = t.pairSumA.Load()
-	applied := uint64(0)
-	if t.wal != nil && !t.walShared {
-		// A shared log's owner picks the checkpoint LSN (Checkpoint): this
-		// table's appliedLSN can run ahead of a lower-LSN commit that is
-		// durable in the log but not yet applied here.
-		applied = t.appliedLSN.Load()
-		if t.hdr.walLSN != applied {
-			t.hdr.walLSN = applied
-			t.dirtyHdr.Store(true)
-		}
-	}
 	if !t.dirtyHdr.Load() && !t.dirtyMarked.Load() {
 		// Nothing changed since the last completed sync: the on-disk
 		// header is already clean and current.
@@ -1418,65 +1368,33 @@ func (t *Table) syncLocked() error {
 	t.m.syncs.Inc()
 	t.m.syncLatency.Observe(time.Since(t0))
 	t.tr.EmitDur(trace.EvSyncEnd, time.Since(t0), t.hdr.syncEpoch, 0, 0, 0)
-	return t.checkpointWAL(applied)
-}
-
-// checkpointWAL completes a checkpoint after a successful header sync:
-// every commit at or below applied is durably in the pages, so the log
-// records are dead weight and the file is truncated back to its header.
-// The reset is skipped when the log holds commits beyond applied — that
-// happens during recovery, whose internal sync runs before the pending
-// transactions are replayed, and after a partially applied commit
-// (walErr), where the un-replayed records are precisely what makes the
-// next Recover converge. Skipping is always safe: a stale log only costs
-// a scan-and-skip at the next open. A reset failure is returned loudly
-// but does not undo the sync — the pages and header are already durable.
-func (t *Table) checkpointWAL(applied uint64) error {
-	if t.wal == nil || t.walShared || t.walDamaged() != nil || t.wal.LastLSN() > applied {
-		return nil
-	}
-	logBytes := t.wal.Size()
-	if err := t.wal.Reset(applied, t.hdr.syncEpoch); err != nil {
-		return fmt.Errorf("hash: wal checkpoint: %w", err)
-	}
-	t.m.checkpoints.Inc()
-	t.tr.Emit(trace.EvCheckpoint, applied, t.hdr.syncEpoch, uint64(logBytes), 0)
 	return nil
-}
-
-// walDamaged returns the poison error set after a commit applied only
-// partially, or nil.
-func (t *Table) walDamaged() error {
-	t.walErrMu.Lock()
-	defer t.walErrMu.Unlock()
-	return t.walErr
-}
-
-func (t *Table) setWALDamaged(err error) {
-	t.walErrMu.Lock()
-	if t.walErr == nil {
-		t.walErr = err
-	}
-	t.walErrMu.Unlock()
 }
 
 // Close flushes (unless read-only) and closes the table. Closing a
 // memory-resident table discards it.
 func (t *Table) Close() error {
+	t.mu.RLock()
+	settle := !t.closed && !t.readonly && !t.needsRecovery
+	t.mu.RUnlock()
+	var err error
+	if settle && t.log != nil {
+		// The owner's last checkpoint; it refuses commits from here on.
+		err = t.log.Close(ErrClosed)
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
 		return nil
 	}
-	var err error
-	if !t.readonly && !t.needsRecovery {
+	if settle && t.log == nil {
 		err = t.syncLocked()
 	}
 	if e := t.pool.InvalidateAll(); err == nil {
 		err = e
 	}
-	if t.wal != nil && t.walOwnDev {
-		if e := t.wal.Close(); err == nil {
+	if t.log != nil && t.walOwnDev {
+		if e := t.log.Log().Close(); err == nil {
 			err = e
 		}
 	}
@@ -1518,6 +1436,18 @@ type Geometry struct {
 	Spares     [maxSplits]uint32
 }
 
+// Params reports the bucket size and fill factor. Both are fixed for the
+// table's life, so no lock is taken.
+func (t *Table) Params() (bsize, ffactor int) { return int(t.hdr.bsize), int(t.hdr.ffactor) }
+
+// Stamp reports the header's checkpoint LSN and sync epoch (wal.Table).
+// Both move only under the exclusive lock, so the shared lock suffices.
+func (t *Table) Stamp() (lsn, epoch uint64) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.hdr.walLSN, t.hdr.syncEpoch
+}
+
 // Geometry returns the table's current shape for tools and tests. It
 // takes the exclusive lock: the spares array and header geometry mutate
 // under ovflMu/splitMu during the shared phase, and the exclusive lock
@@ -1542,34 +1472,18 @@ func (t *Table) Geometry() Geometry {
 // Unsettled reports why the pages may not show the last commit: the
 // header's dirty flag (a writer stopped between syncs) and the count of
 // committed log transactions not yet replayed, nonzero only on a table
-// opened with AllowDirty before Recover runs. It takes only the shared
-// lock, so an inspection stops no reader or writer.
+// opened with AllowDirty before Recover runs. It takes no lock, so an
+// inspection stops no reader or writer.
 func (t *Table) Unsettled() (dirty bool, walPending int) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.dirtyMarked.Load(), len(t.walPending)
+	if t.log != nil {
+		walPending = t.log.Pending()
+	}
+	return t.dirtyMarked.Load(), walPending
 }
 
-// WALStats returns the attached log's activity counters (appends,
-// fsyncs, joins, simulated I/O time). ok is false when the table has no
-// write-ahead log.
-func (t *Table) WALStats() (st wal.Stats, ok bool) {
-	if t.wal == nil || t.walShared {
-		return wal.Stats{}, false
-	}
-	return t.wal.Stats(), true
-}
+// Log returns the owner of the table's sidecar log: nil without one, and
+// for a shard, whose log its database owns.
+func (t *Table) Log() *wal.Owner { return t.log }
 
-// WALLSNs reports the header's checkpoint LSN, the last commit applied
-// in memory, and the last commit appended to the table's own log (0
-// without one). The stamp moves only under the exclusive lock, so the
-// shared lock suffices: a commit parked in fsync does not hold this up.
-func (t *Table) WALLSNs() (checkpoint, applied, last uint64) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	checkpoint, applied = t.hdr.walLSN, t.appliedLSN.Load()
-	if t.wal != nil && !t.walShared {
-		last = t.wal.LastLSN()
-	}
-	return checkpoint, applied, last
-}
+// AppliedLSN reports the highest commit LSN applied in memory.
+func (t *Table) AppliedLSN() uint64 { return t.appliedLSN.Load() }

@@ -13,6 +13,7 @@ import (
 
 	"unixhash/internal/core"
 	"unixhash/internal/metrics"
+	"unixhash/internal/wal"
 )
 
 // Method names the access method in Open and Stats. Hash is its only
@@ -260,18 +261,10 @@ func (d *hashDB) shape() (Stats, error) {
 		AvgFill:       h.AvgFill,
 		EmptyBuckets:  h.EmptyBuckets,
 	}
-	var last uint64
-	hs.WalLSN, hs.WalAppliedLSN, last = d.t.WALLSNs()
-	if ws, ok := d.t.WALStats(); ok {
-		hs.WalAppends = ws.Appends
-		hs.WalFsyncs = ws.Fsyncs
-		hs.WalFsyncJoins = ws.FsyncJoins
-		hs.WalAppendedBytes = ws.AppendedBytes
-		hs.WalIOTimeNS = int64(ws.IOTime)
-		hs.WalLastLSN = last
-		if last > hs.WalLSN {
-			hs.WalCheckpointLag = last - hs.WalLSN
-		}
+	hs.WalLSN, _ = d.t.Stamp()
+	hs.WalAppliedLSN = d.t.AppliedLSN()
+	if o := d.t.Log(); o != nil {
+		hs.setLog(o)
 	}
 	return Stats{
 		Method:        Hash,
@@ -283,6 +276,18 @@ func (d *hashDB) shape() (Stats, error) {
 		CacheHitRatio: c.HitRatio(),
 		Hash:          hs,
 	}, nil
+}
+
+// setLog fills h's log figures from the log's owner — once per log, so
+// a sharded database's aggregate carries them and its shards do not.
+func (h *HashStats) setLog(o *wal.Owner) {
+	ws := o.Log().Stats()
+	h.WalAppends, h.WalFsyncs, h.WalFsyncJoins = ws.Appends, ws.Fsyncs, ws.FsyncJoins
+	h.WalAppendedBytes, h.WalIOTimeNS = ws.AppendedBytes, int64(ws.IOTime)
+	h.WalLastLSN = o.Log().LastLSN()
+	if h.WalLastLSN > h.WalLSN {
+		h.WalCheckpointLag = h.WalLastLSN - h.WalLSN
+	}
 }
 
 // setCounters fills h's operation counters from a registry snapshot,

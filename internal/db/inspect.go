@@ -45,8 +45,8 @@ func Compact(d DB, path string) error {
 	if err != nil {
 		return err
 	}
-	g := t.Geometry()
-	dst, err := core.Open(path, &core.Options{Bsize: g.Bsize, Ffactor: g.Ffactor, Nelem: t.Len()})
+	bsize, ffactor := t.Params()
+	dst, err := core.Open(path, &core.Options{Bsize: bsize, Ffactor: ffactor, Nelem: t.Len()})
 	if err != nil {
 		return err
 	}

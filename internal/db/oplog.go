@@ -133,13 +133,18 @@ func (s *Sharded) PutBatchOp(led *oplog.Ledger, pairs []Pair) error {
 // append and one fsync (lead or join) and each touched shard's latch
 // wait to it, and counts the routing split — once per wire transaction.
 func (s *Sharded) BeginOp(led *oplog.Ledger) (Txn, error) {
-	s.ckpt.RLock()
-	err := s.commitReady()
-	s.ckpt.RUnlock()
+	switch {
+	case s.readonly:
+		return nil, core.ErrReadOnly
+	case s.log == nil:
+		return nil, core.ErrNoWAL
+	}
+	x, err := core.Begin(s.log)
 	if err != nil {
 		return nil, err
 	}
-	return &shardedTxn{s: s, led: led}, nil
+	x.SetOplog(led)
+	return x, nil
 }
 
 // Static interface checks: both hash shapes carry ledgers.

@@ -14,7 +14,6 @@ import (
 
 	"unixhash/internal/core"
 	"unixhash/internal/metrics"
-	"unixhash/internal/oplog"
 	"unixhash/internal/pagefile"
 	"unixhash/internal/trace"
 	"unixhash/internal/wal"
@@ -31,8 +30,9 @@ import (
 //
 // What the shards do share is the write-ahead log: one wal.Log per
 // database (dir/wal; a memory device when dir is empty), owned by the
-// Sharded, not by any table — one append and one group fsync per
-// transaction, whatever shards it touches (sharded_log.go, DESIGN.md §12).
+// Sharded through a wal.Owner whose tables are the shards, not by any
+// table — one append and one group fsync per transaction, whatever shards
+// it touches (sharded_log.go, DESIGN.md §12).
 //
 // Sharded implements DB, so everything written against the uniform
 // interface (CLIs, the network server, ServeTelemetry) works unchanged.
@@ -56,27 +56,13 @@ type Sharded struct {
 	tr       *trace.Tracer // cfg.Hash.Trace: every shard's and the log's; nil when off
 	readonly bool
 
-	// log is the directory log, nil when the database was opened without
-	// logging (Begin then reports core.ErrNoWAL). ownLog records that
-	// Close must close its device. commits counts wire transactions in
-	// the shared registry (the shards do not count their subsets).
-	log     *wal.Log
-	ownLog  bool
-	commits *metrics.Counter
-
-	// ckpt orders commits against checkpoints: a commit holds it shared
-	// from its log append until its last shard has applied, Sync and Close
-	// hold it exclusively — so when a checkpoint reads the log's last LSN,
-	// every commit at or below it is in the shards' memory, and Log.Reset
-	// never runs with a commit in flight. It ranks above every table lock.
-	ckpt    sync.RWMutex
-	closed  bool          // guarded by ckpt
-	ckptLSN atomic.Uint64 // LSN of the last completed checkpoint
-	// damaged poisons the commit path after a failed append, fsync or
-	// apply: the log may hold a commit that was never acknowledged or only
-	// partly applied, so commits are refused and the log is kept as it is
-	// until a reopen replays it.
-	damaged atomic.Pointer[error]
+	// log owns the directory log with the shards as its tables: commits,
+	// checkpoints and the poison rule are its (wal.Owner). Nil when the
+	// database was opened without logging (Begin then reports
+	// core.ErrNoWAL). ownLog records that Close must close its device.
+	log    *wal.Owner
+	ownLog bool
+	closed atomic.Bool
 }
 
 // MaxShards bounds OpenSharded's shard count. Each shard costs a buffer
@@ -198,8 +184,7 @@ func splitByShard[T any](items []T, n int, key func(T) []byte) [][]T {
 	return per
 }
 
-func pairKey(p Pair) []byte  { return p.Key }
-func opKey(op wal.Op) []byte { return op.Key }
+func pairKey(p Pair) []byte { return p.Key }
 
 // PutBatch applies a batch whose keys all route to one shard on the
 // calling goroutine; one that spans shards is partitioned and fanned out,
@@ -242,30 +227,23 @@ func (s *Sharded) fanOut(busy func(i int) bool, fn func(i int, sh *hashDB) error
 }
 
 // Sync flushes every shard to stable storage, concurrently. With a log
-// it is the database's checkpoint (see checkpointLocked).
+// it is the database's checkpoint (wal.Owner.Checkpoint).
 func (s *Sharded) Sync() error {
 	if s.log == nil || s.readonly {
 		return s.fanOut(nil, func(_ int, sh *hashDB) error { return sh.Sync() })
 	}
-	s.ckpt.Lock()
-	defer s.ckpt.Unlock()
-	if s.closed {
-		return core.ErrClosed
-	}
-	return s.checkpointLocked(false)
+	return s.log.Checkpoint()
 }
 
 // Close checkpoints (so a graceful stop leaves the log at header size)
 // and closes every shard — all of them, even if one fails — then the log.
 func (s *Sharded) Close() error {
-	s.ckpt.Lock()
-	defer s.ckpt.Unlock()
-	if s.closed {
+	if !s.closed.CompareAndSwap(false, true) {
 		return nil
 	}
 	var err error
 	if s.log != nil && !s.readonly {
-		err = s.checkpointLocked(false)
+		err = s.log.Close(core.ErrClosed)
 	}
 	return errors.Join(err, s.closeFiles())
 }
@@ -371,13 +349,8 @@ func (s *Sharded) Stats() (Stats, error) {
 		st.Hash.setCounters(snap)
 	}
 	if s.log != nil {
-		ws := s.log.Stats()
-		h.WalAppends, h.WalFsyncs, h.WalFsyncJoins = ws.Appends, ws.Fsyncs, ws.FsyncJoins
-		h.WalAppendedBytes, h.WalIOTimeNS = ws.AppendedBytes, int64(ws.IOTime)
-		h.WalLSN, h.WalLastLSN = s.ckptLSN.Load(), s.log.LastLSN()
-		if h.WalLastLSN > h.WalLSN {
-			h.WalCheckpointLag = h.WalLastLSN - h.WalLSN
-		}
+		h.WalLSN = s.log.CheckpointLSN()
+		h.setLog(s.log)
 	}
 	return agg, nil
 }
@@ -412,82 +385,6 @@ func addShape(agg, sh *HashStats) {
 // before another's.
 func (s *Sharded) Begin() (Txn, error) { return s.BeginOp(nil) }
 
-type shardedTxn struct {
-	s    *Sharded
-	ops  []wal.Op
-	led  *oplog.Ledger
-	done bool
-}
-
-func (x *shardedTxn) buffer(op wal.Op) error {
-	if x.done {
-		return core.ErrTxnDone
-	}
-	if len(op.Key) == 0 {
-		return core.ErrEmptyKey
-	}
-	x.ops = append(x.ops, op)
-	return nil
-}
-
-func (x *shardedTxn) Put(key, data []byte) error {
-	return x.buffer(wal.Op{Key: append([]byte(nil), key...), Data: append([]byte(nil), data...)})
-}
-
-func (x *shardedTxn) Delete(key []byte) error {
-	return x.buffer(wal.Op{Delete: true, Key: append([]byte(nil), key...)})
-}
-
-func (x *shardedTxn) Rollback() error {
-	if x.done {
-		return core.ErrTxnDone
-	}
-	x.done, x.ops = true, nil
-	return nil
-}
-
-// Commit makes the transaction durable, then visible. A log failure
-// (append or fsync) acknowledges nothing and applies nothing; an apply
-// failure leaves a durable commit partly visible. Either way the
-// database refuses further commits until it is reopened, because the log
-// now holds something the live shards do not agree with.
-func (x *shardedTxn) Commit() error {
-	if x.done {
-		return core.ErrTxnDone
-	}
-	x.done = true
-	if len(x.ops) == 0 {
-		return nil
-	}
-	s, led := x.s, x.led
-	s.ckpt.RLock()
-	defer s.ckpt.RUnlock()
-	if err := s.commitReady(); err != nil {
-		return err
-	}
-	seq0 := s.tr.Next()
-	defer func() { led.SetTraceSpan(seq0, s.tr.Next()) }()
-	lsn, end, err := s.log.AppendOp(led, x.ops)
-	if err == nil {
-		err = s.log.SyncToOp(led, end)
-	}
-	if err != nil {
-		return s.poison(fmt.Errorf("db: sharded commit: log: %w", err))
-	}
-	per := splitByShard(x.ops, len(s.shards), opKey)
-	led.Count(oplog.PhaseRoute)
-	for i, ops := range per {
-		if len(ops) == 0 {
-			continue
-		}
-		if err := s.shards[i].t.ApplyCommitted(led, lsn, ops); err != nil {
-			return s.poison(fmt.Errorf("db: sharded commit: shard %d: %w", i, err))
-		}
-	}
-	s.commits.Inc()
-	return nil
-}
-
 // shardKeys reports how an example key set distributes over n shards —
 // a test hook kept close to shardOf so the router and its distribution
 // check cannot drift apart.
@@ -503,6 +400,5 @@ func shardKeys(keys [][]byte, n int) []int {
 // Static interface checks.
 var (
 	_ DB     = (*Sharded)(nil)
-	_ Txn    = (*shardedTxn)(nil)
 	_ Cursor = (*shardedCursor)(nil)
 )

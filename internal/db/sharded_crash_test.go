@@ -400,69 +400,181 @@ func (d *faultDev) Sync() error {
 	return d.MemDevice.Sync()
 }
 
-// TestShardedLogFaultPoisons: a failed append or fsync acknowledges
-// nothing, applies nothing, and leaves the whole database refusing
-// commits until it is reopened — reads and plain writes carry on.
+// TestShardedLogFaultPoisons: a failed append, fsync or apply — on a
+// directory's shared log and on a file's sidecar log alike, since both
+// run one protocol — acknowledges nothing and leaves the database
+// refusing commits until it is reopened; reads and plain writes carry on;
+// Sync and Close flush the pages but leave the log untouched; and
+// recovery replays whatever the log made durable.
 func TestShardedLogFaultPoisons(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		set  func(*faultDev, bool)
+	shapes := []struct {
+		name   string
+		tables int
+		open   func(dev wal.Device, stores []pagefile.Store, recover bool) (DB, error)
 	}{
-		{"append", func(d *faultDev, on bool) { d.failWrite = on }},
-		{"fsync", func(d *faultDev, on bool) { d.failSync = on }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dev := &faultDev{MemDevice: wal.NewMemDevice()}
-			s, err := OpenSharded("", crashShards, crashConfig(dev))
+		{"dir", crashShards, func(dev wal.Device, stores []pagefile.Store, recover bool) (DB, error) {
+			s, _, err := openSharded("", crashShards, crashConfig(dev), stores, recover)
+			return s, err
+		}},
+		{"file", 1, func(dev wal.Device, stores []pagefile.Store, recover bool) (DB, error) {
+			opts := *crashConfig(dev).Hash
+			opts.Store = stores[0]
+			open := func() (*core.Table, error) { return core.Open("", &opts) }
+			if recover {
+				open = func() (*core.Table, error) { t, _, err := core.Recover("", &opts); return t, err }
+			}
+			tbl, err := open()
 			if err != nil {
-				t.Fatal(err)
+				return nil, err
 			}
-			commit := func(v string) error {
-				x, err := s.Begin()
-				if err != nil {
-					return err
-				}
-				x.Put(keyOnShard(0, 0), []byte(v))
-				x.Put(keyOnShard(1, 0), []byte(v))
-				return x.Commit()
-			}
-			if err := commit("ok"); err != nil {
-				t.Fatal(err)
-			}
-			tc.set(dev, true)
-			if err := commit("lost"); !errors.Is(err, errFault) {
-				t.Fatalf("commit on a failing log = %v, want the device fault", err)
-			}
-			for sh := 0; sh < crashShards; sh++ {
-				if v, _ := s.Get(keyOnShard(sh, 0)); string(v) != "ok" {
-					t.Fatalf("shard %d: failed commit was applied: %q", sh, v)
+			return &hashDB{tbl}, nil
+		}},
+	}
+	faults := []struct {
+		name    string
+		set     func(*faultDev, []*pagefile.FaultStore, bool)
+		durable string // what recovery finds under the faulted commit's keys
+	}{
+		{"append", func(d *faultDev, _ []*pagefile.FaultStore, on bool) { d.failWrite = on }, "ok"},
+		{"fsync", func(d *faultDev, _ []*pagefile.FaultStore, on bool) { d.failSync = on }, "lost"},
+		{"apply", func(_ *faultDev, fs []*pagefile.FaultStore, on bool) {
+			for _, f := range fs {
+				if on {
+					f.Inject(pagefile.Fault{Op: pagefile.OpRead, Err: errFault, Page: pagefile.AnyPage})
+				} else {
+					f.Clear()
 				}
 			}
-			// The device heals; the database stays poisoned.
-			tc.set(dev, false)
-			if err := commit("after"); !errors.Is(err, errFault) {
-				t.Fatalf("commit after a log fault = %v, want refusal carrying the fault", err)
-			}
-			if _, err := s.Begin(); !errors.Is(err, errFault) {
-				t.Fatalf("Begin after a log fault = %v, want refusal", err)
-			}
-			if err := s.Put([]byte("plain"), []byte("v")); err != nil {
-				t.Fatalf("plain put on a poisoned database: %v", err)
-			}
-			// A checkpoint still flushes but must leave the log alone.
-			before := len(dev.Bytes())
-			if err := s.Sync(); err != nil {
-				t.Fatal(err)
-			}
-			if st, _ := s.Stats(); st.Hash.TxnCommits != 1 {
-				t.Fatalf("TxnCommits = %d, want 1 (only the acknowledged commit)", st.Hash.TxnCommits)
-			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if len(dev.Bytes()) != before {
-				t.Fatalf("poisoned checkpoint/close touched the log: %d -> %d bytes", before, len(dev.Bytes()))
+		}, "lost"},
+	}
+	for _, tc := range faults {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, shape := range shapes {
+				t.Run(shape.name, func(t *testing.T) {
+					dev := &faultDev{MemDevice: wal.NewMemDevice()}
+					fs := make([]*pagefile.FaultStore, shape.tables)
+					stores := make([]pagefile.Store, shape.tables)
+					for i := range fs {
+						fs[i] = pagefile.NewFault(pagefile.NewMem(128, pagefile.CostModel{}))
+						stores[i] = fs[i]
+					}
+					s, err := shape.open(dev, stores, false)
+					if err != nil {
+						t.Fatal(err)
+					}
+					commit := func(v string) error {
+						x, err := s.Begin()
+						if err != nil {
+							return err
+						}
+						x.Put(keyOnShard(0, 0), []byte(v))
+						x.Put(keyOnShard(1, 0), []byte(v))
+						return x.Commit()
+					}
+					if err := commit("ok"); err != nil {
+						t.Fatal(err)
+					}
+					tc.set(dev, fs, true)
+					if tc.name == "apply" { // the pages must come from the failing stores
+						var tbls []*core.Table
+						switch x := s.(type) {
+						case *hashDB:
+							tbls = append(tbls, x.t)
+						case *Sharded:
+							for _, sh := range x.shards {
+								tbls = append(tbls, sh.t)
+							}
+						}
+						for _, tbl := range tbls {
+							if err := tbl.Pool().InvalidateAll(); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					if err := commit("lost"); !errors.Is(err, errFault) {
+						t.Fatalf("commit on a failing device = %v, want the device fault", err)
+					}
+					// The device heals; the database stays poisoned.
+					tc.set(dev, fs, false)
+					for sh := 0; sh < crashShards && tc.name != "apply"; sh++ {
+						if v, _ := s.Get(keyOnShard(sh, 0)); string(v) != "ok" {
+							t.Fatalf("key %d: failed commit was applied: %q", sh, v)
+						}
+					}
+					if err := commit("after"); !errors.Is(err, errFault) {
+						t.Fatalf("commit after a fault = %v, want refusal carrying the fault", err)
+					}
+					if _, err := s.Begin(); !errors.Is(err, errFault) {
+						t.Fatalf("Begin after a fault = %v, want refusal", err)
+					}
+					if err := s.Put([]byte("plain"), []byte("v")); err != nil {
+						t.Fatalf("plain put on a poisoned database: %v", err)
+					}
+					// A checkpoint still flushes but must leave the log alone.
+					before := len(dev.Bytes())
+					if err := s.Sync(); err != nil {
+						t.Fatal(err)
+					}
+					if st, _ := s.Stats(); st.Hash.TxnCommits != 1 {
+						t.Fatalf("TxnCommits = %d, want 1 (only the acknowledged commit)", st.Hash.TxnCommits)
+					}
+					if err := s.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if len(dev.Bytes()) != before {
+						t.Fatalf("poisoned checkpoint/close touched the log: %d -> %d bytes", before, len(dev.Bytes()))
+					}
+					// Recovery replays what the log holds over what the pages hold.
+					r, err := shape.open(dev, stores, true)
+					if err != nil {
+						t.Fatalf("recover after the fault: %v", err)
+					}
+					defer r.Close()
+					for sh := 0; sh < crashShards; sh++ {
+						if v, err := r.Get(keyOnShard(sh, 0)); string(v) != tc.durable {
+							t.Errorf("recovered key %d = %q (%v), want %q", sh, v, err, tc.durable)
+						}
+					}
+					if v, err := r.Get([]byte("plain")); string(v) != "v" {
+						t.Errorf("recovered plain put = %q (%v), want the synced %q", v, err, "v")
+					}
+				})
 			}
 		})
+	}
+}
+
+// TestShardedReplayCountsLoggedTxns: recovery reports, per shard, the
+// transactions it replayed into that shard, and counts each logged
+// transaction once in hash_wal_replayed_txns_total however many shards it
+// spans — as a file's recovery counts the transactions of its own log.
+func TestShardedReplayCountsLoggedTxns(t *testing.T) {
+	r := runCrashWorkload(t)
+	end := r.points[len(r.points)-1]
+	stores := make([]pagefile.Store, crashShards)
+	for i, cs := range r.stores {
+		ms, err := cs.Materialize(end.s[i], 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores[i] = ms
+	}
+	s, reports, err := openSharded("", crashShards, crashConfig(r.dev.Materialize(end.d, 0)), stores, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	// The workload's tail, t4 and t5, commits after the last checkpoint;
+	// each spans both shards.
+	if n := s.reg.Snapshot().Counter(core.MetricWalReplays); n != 2 {
+		t.Fatalf("%s = %d, want the 2 logged transactions past the checkpoint", core.MetricWalReplays, n)
+	}
+	for i, rep := range reports {
+		if rep.WALTxns != 2 {
+			t.Errorf("shard %d replayed %d transactions, want 2 (%v)", i, rep.WALTxns, rep)
+		}
+	}
+	if got := readSharded(t, s); !maps.Equal(got, end.want) {
+		t.Fatalf("recovered %v, want %v", got, end.want)
 	}
 }

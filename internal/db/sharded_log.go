@@ -12,10 +12,10 @@ import (
 	"unixhash/internal/wal"
 )
 
-// The directory log of a Sharded database: opening and recovering it,
-// migrating directories that still have per-shard sidecars, and the
-// checkpoint protocol. DESIGN.md §12 ("One log per database") has the
-// argument; the commit path that feeds the log is shardedTxn.Commit.
+// The directory log of a Sharded database: opening it and migrating
+// directories that still have per-shard sidecars. Commit, checkpoint and
+// recovery over it are wal.Owner's, with every shard as one of its tables
+// (DESIGN.md §12).
 
 // logName is the directory log's file name, next to SHARDS and the
 // shard-NNN.db files.
@@ -80,10 +80,10 @@ func openSharded(dir string, nshards int, cfg *Config, stores []pagefile.Store, 
 	if base.Nelem > 0 {
 		base.Nelem = (base.Nelem + nshards - 1) / nshards
 	}
-	// The log belongs to the database: the shards attach to it through
-	// SharedLog and must not open sidecars of their own.
+	// The log belongs to the database: the shards are marked SharedLog and
+	// must not open sidecars of their own.
 	logging, dev := base.WAL || base.WALDevice != nil, base.WALDevice
-	base.WAL, base.WALDevice = false, nil
+	base.WAL, base.WALDevice, base.SharedLog = false, nil, false
 
 	s := &Sharded{reg: base.Metrics, tr: base.Trace, readonly: base.ReadOnly, shards: make([]*hashDB, 0, nshards)}
 	fail := func(err error) (*Sharded, []core.RecoveryReport, error) {
@@ -109,35 +109,9 @@ func openSharded(dir string, nshards int, cfg *Config, stores []pagefile.Store, 
 		}
 	}
 
-	var scan wal.ScanResult
-	if logging {
-		own := dev == nil
-		switch {
-		case !own:
-			// Caller-owned device.
-		case dir == "":
-			dev = wal.NewMemDevice()
-		default:
-			fd, err := wal.OpenFileDevice(filepath.Join(dir, logName))
-			if err != nil {
-				return fail(fmt.Errorf("db: sharded open: log: %w", err))
-			}
-			dev = fd
-		}
-		l, sr, err := wal.Open(dev, wal.CostModel{}, base.Trace)
-		if err != nil {
-			if own {
-				dev.Close()
-			}
-			return fail(fmt.Errorf("db: sharded open: log: %w", err))
-		}
-		s.log, s.ownLog, scan, base.SharedLog = l, own, sr, l
-		l.RegisterMetrics(s.reg)
-		s.commits = s.reg.Counter(core.MetricTxnCommits)
-	}
-
 	for i := 0; i < nshards; i++ {
 		opts, path := base, ""
+		opts.SharedLog = logging
 		if stores != nil {
 			opts.Store = stores[i]
 		} else if dir != "" {
@@ -152,12 +126,78 @@ func openSharded(dir string, nshards int, cfg *Config, stores []pagefile.Store, 
 		}
 		s.shards = append(s.shards, &hashDB{t})
 	}
-	if s.log != nil {
-		if err := s.reconcileLog(scan, recover, reports); err != nil {
+	if logging {
+		if err := s.openLog(dir, dev, recover, reports); err != nil {
 			return fail(err)
 		}
 	}
 	return s, reports, nil
+}
+
+// openLog opens the directory log (dev when the caller supplies one) and
+// hands it with every shard to a wal.Owner, which refuses a log that is
+// ahead of a shard and replays, in log order, each commit's ops into the
+// shards whose stamp is below it — so a plain Put synced after a
+// transaction is not rolled back to the transaction's older value when a
+// power cut lands between the shards' header stamps and the log reset.
+// Without recover, anything to replay is ErrNeedsRecovery.
+func (s *Sharded) openLog(dir string, dev wal.Device, recover bool, reports []core.RecoveryReport) error {
+	s.ownLog = dev == nil
+	switch {
+	case !s.ownLog:
+	case dir == "":
+		dev = wal.NewMemDevice()
+	default:
+		fd, err := wal.OpenFileDevice(filepath.Join(dir, logName))
+		if err != nil {
+			return fmt.Errorf("db: sharded open: log: %w", err)
+		}
+		dev = fd
+	}
+	n := len(s.shards)
+	tables := make([]wal.Table, n)
+	for i, sh := range s.shards {
+		tables[i] = sh.t
+	}
+	l, sr, err := wal.Open(dev, wal.CostModel{}, s.tr)
+	if err != nil {
+		err = fmt.Errorf("db: sharded open: log: %w", err)
+	} else if s.log, err = wal.Attach(l, sr, tables, wal.OwnerOptions{
+		Route: func(key []byte) int { return shardOf(key, n) },
+		Each: func(fn func(i int) error) error {
+			return s.fanOut(nil, func(i int, _ *hashDB) error { return fn(i) })
+		},
+		Metrics: s.reg,
+	}); err != nil {
+		err = fmt.Errorf("db: sharded open: %w: %w", core.ErrUnrecoverable, err)
+	}
+	if err != nil {
+		if s.ownLog {
+			dev.Close()
+		}
+		return err
+	}
+	if s.log.Pending() > 0 && !recover {
+		return fmt.Errorf("db: sharded open: unapplied commits in the log: %w", core.ErrNeedsRecovery)
+	}
+	if s.readonly {
+		return nil
+	}
+	// Fresh, stale, torn or replayed: one checkpoint brings every shard
+	// to the same stamp and leaves an empty log behind.
+	replayed, err := s.log.Recover()
+	if err != nil {
+		return fmt.Errorf("db: sharded recover: %w", err)
+	}
+	for i, r := range replayed {
+		if r.Txns > 0 {
+			reports[i].WALTxns += r.Txns
+			reports[i].WALOps += r.Ops
+			reports[i].NKeys = int64(s.shards[i].t.Len())
+			_, reports[i].SyncEpoch = s.shards[i].t.Stamp()
+		}
+	}
+	return nil
 }
 
 // openShard opens one shard's table: through core.Recover when recover
@@ -207,123 +247,15 @@ func drainSidecars(dir string, base core.Options, recover bool, reports []core.R
 	return migrated, nil
 }
 
-// reconcileLog squares the freshly scanned log with the shards' own
-// checkpoint stamps. A shard's stamp says "every commit at or below this
-// LSN is in my pages" — so a logged transaction is replayed into a shard
-// only when it is above that shard's stamp, which is what keeps a plain
-// Put that was synced after a transaction from being rolled back to the
-// transaction's older value when a power cut lands between the shards'
-// header stamps and the log reset. Without recover, anything to replay is
-// ErrNeedsRecovery.
-func (s *Sharded) reconcileLog(scan wal.ScanResult, recover bool, reports []core.RecoveryReport) error {
-	stamps := make([]uint64, len(s.shards))
-	clean := scan.HeaderOK && !scan.Torn && len(scan.Txns) == 0
-	for i, sh := range s.shards {
-		stamps[i] = sh.t.Geometry().WalLSN
-		if scan.HeaderOK && stamps[i] < scan.CheckpointLSN {
-			// The log was reset at a checkpoint this shard never took: the
-			// shard file was replaced or rolled back underneath the log.
-			return fmt.Errorf("db: sharded open: shard %d: %w: log checkpoint %d is ahead of the shard's %d",
-				i, core.ErrUnrecoverable, scan.CheckpointLSN, stamps[i])
-		}
-		clean = clean && stamps[i] == scan.CheckpointLSN
-		if stamps[i] > s.ckptLSN.Load() {
-			s.ckptLSN.Store(stamps[i])
-		}
-	}
-	s.log.EnsureLSN(s.ckptLSN.Load())
-	for _, tx := range scan.Txns {
-		for i, ops := range splitByShard(tx.Ops, len(s.shards), opKey) {
-			if len(ops) == 0 || tx.LSN <= stamps[i] {
-				continue
-			}
-			if !recover {
-				return fmt.Errorf("db: sharded open: shard %d: unapplied commits in the log: %w", i, core.ErrNeedsRecovery)
-			}
-			if err := s.shards[i].t.ApplyCommitted(nil, tx.LSN, ops); err != nil {
-				return fmt.Errorf("db: sharded recover: shard %d: replay txn %d: %w", i, tx.LSN, err)
-			}
-			reports[i].WALTxns++
-			reports[i].WALOps += len(ops)
-		}
-	}
-	if s.readonly || clean {
-		return nil
-	}
-	// Fresh, stale, torn or just replayed: one checkpoint brings every
-	// shard to the same stamp and leaves an empty log behind.
-	if err := s.checkpointLocked(true); err != nil {
-		return err
-	}
-	for i, sh := range s.shards {
-		if reports[i].WALTxns > 0 {
-			g := sh.t.Geometry()
-			reports[i].NKeys, reports[i].SyncEpoch = g.NKeys, g.SyncEpoch
-		}
-	}
-	return nil
-}
-
-// checkpointLocked is the checkpoint protocol; the caller holds ckpt
-// exclusively, so no commit is between its append and its last apply.
-// Every commit the log holds is therefore in the shards' memory, and its
-// last LSN is a stamp all of them can take: each shard runs its two-phase
-// sync with that LSN in its header, and only when every header is durable
-// is the log reset. A cut anywhere before the reset leaves the log whole
-// and the stamps tell replay what each shard still needs; a cut after it
-// needs nothing. A poisoned database flushes its pages but moves no stamp
-// and keeps the log: what recovery needs is exactly what is in it. force
-// resets a log that holds no commit (open: a fresh, torn or stale file).
-func (s *Sharded) checkpointLocked(force bool) error {
-	lsn, poisoned := s.ckptLSN.Load(), s.damaged.Load() != nil
-	if last := s.log.LastLSN(); last > lsn && !poisoned {
-		lsn = last
-	}
-	if err := s.fanOut(nil, func(_ int, sh *hashDB) error { return sh.t.Checkpoint(lsn) }); err != nil {
-		return err
-	}
-	if poisoned || (s.log.LastLSN() == 0 && !force) {
-		return nil
-	}
-	if err := s.log.Reset(lsn, 0); err != nil {
-		return fmt.Errorf("db: sharded checkpoint: %w", err)
-	}
-	s.ckptLSN.Store(lsn)
-	return nil
-}
-
 // closeFiles closes the shards, the log and the directory lock without a
 // checkpoint: the tail of Close, and the whole of abandoning an open.
 func (s *Sharded) closeFiles() error {
-	s.closed = true
 	err := s.fanOut(nil, func(_ int, sh *hashDB) error { return sh.Close() })
-	if s.ownLog {
-		err = errors.Join(err, s.log.Close())
+	if s.log != nil && s.ownLog {
+		err = errors.Join(err, s.log.Log().Close())
 	}
 	if s.owner != nil {
 		err = errors.Join(err, s.owner.Close())
 	}
-	return err
-}
-
-// commitReady gates a commit; the caller holds ckpt.
-func (s *Sharded) commitReady() error {
-	switch {
-	case s.closed:
-		return core.ErrClosed
-	case s.readonly:
-		return core.ErrReadOnly
-	case s.log == nil:
-		return core.ErrNoWAL
-	}
-	if p := s.damaged.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// poison records the first commit-path failure and returns err.
-func (s *Sharded) poison(err error) error {
-	s.damaged.CompareAndSwap(nil, &err)
 	return err
 }

@@ -381,6 +381,9 @@ func TestShardedStatsCountTheLogOnce(t *testing.T) {
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
+	if n := s.reg.Snapshot().Counter(core.MetricCheckpoints); n != 1 {
+		t.Fatalf("%s = %d after one Sync, want 1", core.MetricCheckpoints, n)
+	}
 	st, _ = s.Stats()
 	if st.Hash.WalCheckpointLag != 0 || st.Hash.WalLSN != h.WalLastLSN {
 		t.Fatalf("after a checkpoint: lag %d, checkpoint %d (want 0, %d)", st.Hash.WalCheckpointLag, st.Hash.WalLSN, h.WalLastLSN)
@@ -438,7 +441,8 @@ func TestShardedCommitCheckpointStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev.commits = s.commits.Load
+	commits := s.reg.Counter(core.MetricTxnCommits)
+	dev.commits = commits.Load
 
 	// A transaction of committer w writes its sequence number under three
 	// keys (which land on whatever shards they hash to).
@@ -541,7 +545,7 @@ func TestShardedCommitCheckpointStress(t *testing.T) {
 		end.acked[w] = acked[w].Load()
 	}
 	snaps = append(snaps, end)
-	t.Logf("%d commits, %d checkpoint resets, %d power cuts", s.commits.Load(), dev.resets.Load(), len(snaps))
+	t.Logf("%d commits, %d checkpoint resets, %d power cuts", commits.Load(), dev.resets.Load(), len(snaps))
 
 	for i, sn := range snaps {
 		ms := make([]pagefile.Store, nshards)
