@@ -73,14 +73,16 @@ bench:
 # The per-layer microbenchmarks, one iteration each so they cannot rot:
 # what a live op ledger adds to a warm Get, what one page fault costs at
 # a 16- and a 2048-page pool, what a lone pair's PutBatch costs at 1,
-# 2 and 8 shards, and what a durable log commit costs on a real file
-# with 1 and 2 committers (and how many commits one fsync covers). For
-# numbers, raise -benchtime.
+# 2 and 8 shards, what a durable log commit costs on a real file
+# with 1 and 2 committers (and how many commits one fsync covers), and
+# what a 64-PUT and a 16-GET pipeline window cost through a served
+# connection (with allocs/op). For numbers, raise -benchtime.
 micro:
 	$(GO) test -run=NONE -bench='BenchmarkGetBuf$$' -benchtime=1x -cpu=1 .
 	$(GO) test -run=NONE -bench=BenchmarkPoolFault -benchtime=1x ./internal/buffer
 	$(GO) test -run=NONE -bench=BenchmarkShardedPutBatch -benchtime=1x ./internal/db
 	$(GO) test -run=NONE -bench=BenchmarkLogCommitFile -benchtime=1x ./internal/wal
+	$(GO) test -run=NONE -bench=BenchmarkServerWindow -benchtime=1x ./internal/server
 
 # One line of history per call: benchmark/'s `all` summary (commit, host
 # facts, every end-to-end metric per workload) appended to the tracked

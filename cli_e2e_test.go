@@ -301,3 +301,77 @@ func TestCLICrashAndCorruptionDetection(t *testing.T) {
 	}
 	run(0, crashed, "verify")
 }
+
+// TestCLIReadOnlyWritesNothing: every read-only dbcli verb leaves the
+// directory exactly as it found it — same names, same bytes — on a plain
+// file, on a logged file, and on a logged file whose sidecar log is gone
+// (a read-only open reads a missing log as empty and never creates one).
+func TestCLIReadOnlyWritesNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries; skipped in -short mode")
+	}
+	bin := filepath.Join(t.TempDir(), "dbcli")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/dbcli").CombinedOutput(); err != nil {
+		t.Fatalf("build dbcli: %v\n%s", err, out)
+	}
+	run := func(args ...string) {
+		t.Helper()
+		if out, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
+			t.Fatalf("dbcli %v: %v\n%s", args, err, out)
+		}
+	}
+	// snapshot maps every file name in dir to its bytes.
+	snapshot := func(dir string) map[string]string {
+		t.Helper()
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := map[string]string{}
+		for _, e := range ents {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = string(b)
+		}
+		return files
+	}
+	for _, tc := range []struct {
+		name  string
+		setup func(db string)
+	}{
+		{"plain", func(db string) { run(db, "put", "a", "1") }},
+		{"logged", func(db string) { run("-wal", db, "txn", "put", "a", "1") }},
+		{"logged-sidecar-gone", func(db string) {
+			run("-wal", db, "txn", "put", "a", "1")
+			if err := os.Remove(db + ".wal"); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			db := filepath.Join(dir, "r.db")
+			tc.setup(db)
+			before := snapshot(dir)
+			for _, verb := range [][]string{
+				{"get", "a"}, {"has", "a"}, {"list"}, {"count"},
+				{"stats"}, {"verify"}, {"heatmap"}, {"dump"},
+			} {
+				run(append([]string{db}, verb...)...)
+				after := snapshot(dir)
+				for name, b := range after {
+					if old, ok := before[name]; !ok {
+						t.Fatalf("%v created %s (%d bytes)", verb, name, len(b))
+					} else if old != b {
+						t.Fatalf("%v changed %s", verb, name)
+					}
+				}
+				if len(after) != len(before) {
+					t.Fatalf("%v removed a file: %d files, was %d", verb, len(after), len(before))
+				}
+			}
+		})
+	}
+}

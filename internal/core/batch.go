@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"slices"
+	"sync"
 
 	"unixhash/internal/oplog"
 	"unixhash/internal/trace"
@@ -78,11 +79,15 @@ func (t *Table) putBatch(pairs []Pair, led *oplog.Ledger) error {
 		}
 	}
 
-	ops := make([]writeOp, len(pairs))
+	sp := opsPool.Get().(*[]writeOp)
+	ops := slices.Grow((*sp)[:0], len(pairs))[:len(pairs)]
 	for i := range pairs {
 		ops[i] = writeOp{key: pairs[i].Key, data: pairs[i].Data}
 	}
 	buckets, err := t.applySet(ops, true, led)
+	clear(ops) // the pool keeps no caller's bytes
+	*sp = ops[:0]
+	opsPool.Put(sp)
 	if err != nil {
 		return err
 	}
@@ -100,6 +105,9 @@ func (t *Table) putBatch(pairs []Pair, led *oplog.Ledger) error {
 	t.tr.Emit(trace.EvBatchEnd, uint64(len(pairs)), uint64(splits), 0, 0)
 	return nil
 }
+
+// opsPool recycles putBatch's write sets, so a batch allocates none.
+var opsPool = sync.Pool{New: func() any { return new([]writeOp) }}
 
 // presize expands an empty table's geometry straight to the bucket
 // count that storing n keys at the configured fill factor implies — the

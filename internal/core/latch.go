@@ -238,24 +238,29 @@ type splitEntry struct {
 // old primary reset, its overflow chain reclaimed, the new primary
 // initialized, and every pair placed in whichever of the two buckets the
 // published geometry routes it to. It reports the pairs moved and the
-// chain pages reclaimed. Caller holds both buckets' latches.
+// chain pages reclaimed. Caller holds splitMu and both buckets' latches;
+// the gather goes to the table's split scratch, which only the splitMu
+// holder touches, so a split allocates nothing once the scratch has grown
+// to the largest bucket.
 func (t *Table) splitBucket(oldB, newB uint32) (moved, nchain int, err error) {
-	var entries []splitEntry
-	var chain []oaddr
+	s := &t.split
+	s.entries, s.chain, s.bytes = s.entries[:0], s.chain[:0], s.bytes[:0]
 	err = t.walkChain(nil, oldB, func(buf *buffer.Buf) (bool, error) {
 		if buf.Addr.Ovfl {
-			chain = append(chain, oaddr(buf.Addr.N))
+			s.chain = append(s.chain, oaddr(buf.Addr.N))
 		}
 		pg := page(buf.Page)
 		return false, pg.forEach(func(i int, e entry) bool {
 			switch e.kind {
 			case entryRegular:
-				entries = append(entries, splitEntry{
-					key:  append([]byte(nil), e.key...),
-					data: append([]byte(nil), e.data...),
-				})
+				// A regrown s.bytes leaves earlier entries on the old
+				// block, which they keep alive unchanged.
+				k := len(s.bytes)
+				s.bytes = append(append(s.bytes, e.key...), e.data...)
+				d, end := k+len(e.key), len(s.bytes)
+				s.entries = append(s.entries, splitEntry{key: s.bytes[k:d:d], data: s.bytes[d:end:end]})
 			case entryBig:
-				entries = append(entries, splitEntry{ref: e.ref})
+				s.entries = append(s.entries, splitEntry{ref: e.ref})
 			}
 			return true
 		})
@@ -263,6 +268,7 @@ func (t *Table) splitBucket(oldB, newB uint32) (moved, nchain int, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
+	entries, chain := s.entries, s.chain
 
 	// Reset the old primary, reclaim the chain (freeOvfl discards any
 	// resident buffer for each freed page) and initialize the new primary.

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"unixhash/internal/oplog"
@@ -86,4 +87,38 @@ func TestPutAllocs(t *testing.T) {
 			t.Fatalf("big replace Put allocated %.1f times per op, want <= 8", allocs)
 		}
 	})
+}
+
+// TestSplitAllocs guards the split's allocation budget: splitBucket
+// gathers a bucket's pairs, its chain and their bytes into the table's
+// split scratch, so once the scratch has grown to the largest bucket a
+// split allocates nothing. The table is a file behind the default pool:
+// a split's new page takes a recycled frame and its eviction is a write
+// to the file, where a memory store would allocate the page itself.
+func TestSplitAllocs(t *testing.T) {
+	tbl := mustOpen(t, filepath.Join(t.TempDir(), "split.db"), &Options{Bsize: 1024, Ffactor: 16})
+	defer tbl.Close()
+	for i := 0; i < 4000; i++ {
+		if err := tbl.Put([]byte(fmt.Sprintf("key-%06d", i)), []byte("some value bytes")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	split := func() {
+		if ran, err := tbl.maybeExpand(false); err != nil || !ran {
+			t.Fatalf("forced split: ran %v, %v", ran, err)
+		}
+	}
+	for i := 0; i < 16; i++ { // grow the scratch
+		split()
+	}
+	before := tbl.Geometry().MaxBucket
+	if allocs := testing.AllocsPerRun(200, split); allocs != 0 {
+		t.Fatalf("a split allocated %.1f times, want 0", allocs)
+	}
+	if got := tbl.Geometry().MaxBucket; got != before+201 {
+		t.Fatalf("max bucket %d after 201 splits from %d", got, before)
+	}
+	if err := tbl.Check(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -198,6 +198,13 @@ type Table struct {
 	dirtyHdr  atomic.Bool
 	addedOvfl atomic.Bool // an insert grew a chain: uncontrolled split pending
 
+	// split is splitBucket's gather scratch, touched only under splitMu.
+	split struct {
+		entries []splitEntry
+		chain   []oaddr
+		bytes   []byte // the regular entries' key and data bytes
+	}
+
 	// ovflMu serializes the overflow allocator and bitmap state (ovfl.go)
 	// under concurrent bucket writers.
 	ovflMu sync.Mutex
@@ -394,7 +401,8 @@ func Open(path string, o *Options) (*Table, error) {
 	return t, nil
 }
 
-// openWAL attaches the sidecar log: it opens (or creates) the device,
+// openWAL attaches the sidecar log: it opens (or creates; a read-only
+// open only reads, and a missing sidecar is an empty log) the device,
 // scans it, and adopts it with the table as its owner's one table — which
 // refuses a log that is ahead of the table. Commits past the header's
 // checkpoint LSN have not reached the pages: the table then needs
@@ -411,11 +419,10 @@ func (t *Table) openWAL(opts *Options) error {
 	case t.path == "":
 		dev = wal.NewMemDevice()
 	default:
-		fd, err := wal.OpenFileDevice(t.path + ".wal")
-		if err != nil {
+		var err error
+		if dev, err = wal.OpenFile(t.path+".wal", t.readonly); err != nil {
 			return fmt.Errorf("hash: open wal: %w", err)
 		}
-		dev = fd
 	}
 	l, sr, err := wal.Open(dev, wal.CostModel{}, t.tr)
 	if err != nil {
@@ -1055,14 +1062,15 @@ func (t *Table) dropStale(buf, primary *buffer.Buf, pos int, ops []writeOp, want
 	if want == 0 {
 		return 0, nil
 	}
-	// stale is one on-page entry the set supersedes.
-	type stale struct {
-		entry, op int
-		ref       oaddr
-		sum       uint64 // regular pairs: fingerprint captured during the scan
-	}
 	var remsArr [4]stale
 	rems := remsArr[:0]
+	if want > len(remsArr) {
+		// A set that may supersede more borrows room for all of them.
+		sp := staleScratch.Get().(*[]stale)
+		defer staleScratch.Put(sp)
+		*sp = slices.Grow((*sp)[:0], want)
+		rems = *sp
+	}
 	pg := page(buf.Page)
 	// The page is not modified during forEach; removals are applied
 	// after, in descending entry order so indices stay valid.
@@ -1116,6 +1124,17 @@ func (t *Table) dropStale(buf, primary *buffer.Buf, pos int, ops []writeOp, want
 	}
 	return len(rems), nil
 }
+
+// stale is one on-page entry a write set supersedes.
+type stale struct {
+	entry, op int
+	ref       oaddr
+	sum       uint64 // regular pairs: fingerprint captured during the scan
+}
+
+// staleScratch recycles dropStale's room for more than four stale
+// entries.
+var staleScratch = sync.Pool{New: func() any { return new([]stale) }}
 
 // matchOp returns the index of the live op whose key is e's and which is
 // still looking for the copy it supersedes, or -1. A set of one compares

@@ -48,6 +48,51 @@ func TestShardedLoneBatchAllocs(t *testing.T) {
 	}
 }
 
+// TestShardedBatchAllocs: a batch that spans two shards pays a fixed
+// fan-out cost (the helper goroutine and the closures it runs), not one
+// that grows with its pairs: the partition, its error slots and each
+// shard's write set come from pools.
+func TestShardedBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	allocs := func(n int) float64 {
+		s, err := OpenSharded("", 2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		pairs := make([]Pair, n)
+		keys := make([][]byte, n)
+		for i := range pairs {
+			keys[i] = []byte(fmt.Sprintf("key-%05d", i))
+			pairs[i] = Pair{Key: keys[i], Data: []byte("v")}
+		}
+		if counts := shardKeys(keys, 2); counts[0] == 0 || counts[1] == 0 {
+			t.Fatalf("batch does not span both shards: %v", counts)
+		}
+		if err := s.PutBatch(pairs); err != nil { // insert, presize and split
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(100, func() {
+			if err := s.PutBatch(pairs); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(64), allocs(1024)
+	// Measured 4 at both sizes when the pools went in; before, 30 at 64
+	// pairs and 161 at 1024 (the partition's slices grew by appending,
+	// each shard's write set was new, and a page whose pairs the batch
+	// replaced more than four of spilled its stale list to the heap).
+	if small > 6 {
+		t.Errorf("64-pair PutBatch over 2 shards allocates %v, want <= 6", small)
+	}
+	if large > small {
+		t.Errorf("1024-pair PutBatch allocates %v, 64 pairs %v: the cost grows with the batch", large, small)
+	}
+}
+
 // TestShardedBatchFaultNamesShards: a batch that spans shards applies one
 // sub-batch on the calling goroutine and the other on a fan-out goroutine;
 // a read fault in either comes back in the one joined error, naming the

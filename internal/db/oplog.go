@@ -119,13 +119,26 @@ func (s *Sharded) PutBatchOp(led *oplog.Ledger, pairs []Pair) error {
 		led.SetShard(dest)
 		return s.shards[dest].PutBatchOp(led, pairs)
 	}
-	per := splitByShard(pairs, n, pairKey)
+	b, _ := s.batches.Get().(*shardBatch)
+	if b == nil {
+		b = &shardBatch{per: make([][]Pair, n), errs: make([]error, n)}
+	}
+	for _, p := range pairs {
+		i := shardOf(p.Key, n)
+		b.per[i] = append(b.per[i], p)
+	}
 	// Each sub-batch notes its own ring window on the ledger; the window
 	// covering all of them is set once they have joined.
 	seq0 := s.tr.Next()
-	err := s.fanOut(func(i int) bool { return len(per[i]) > 0 },
-		func(i int, sh *hashDB) error { return sh.PutBatchOp(led, per[i]) })
+	err := s.fanOut(b.errs, func(i int) bool { return len(b.per[i]) > 0 },
+		func(i int, sh *hashDB) error { return sh.PutBatchOp(led, b.per[i]) })
 	led.SetTraceSpan(seq0, s.tr.Next())
+	for i := range b.per {
+		clear(b.per[i]) // the pool keeps no caller's bytes
+		b.per[i] = b.per[i][:0]
+	}
+	clear(b.errs)
+	s.batches.Put(b)
 	return err
 }
 

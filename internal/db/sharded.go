@@ -63,6 +63,8 @@ type Sharded struct {
 	log    *wal.Owner
 	ownLog bool
 	closed atomic.Bool
+
+	batches sync.Pool // *shardBatch, for PutBatch's spanning batches
 }
 
 // MaxShards bounds OpenSharded's shard count. Each shard costs a buffer
@@ -170,21 +172,13 @@ func (s *Sharded) Put(key, data []byte) error             { return s.PutOp(nil, 
 func (s *Sharded) PutNew(key, data []byte) error          { return s.shard(key).PutNew(key, data) }
 func (s *Sharded) Delete(key []byte) error                { return s.DeleteOp(nil, key) }
 
-// splitByShard partitions items by the shard their key routes to,
-// preserving order within each shard.
-func splitByShard[T any](items []T, n int, key func(T) []byte) [][]T {
-	if n == 1 {
-		return [][]T{items}
-	}
-	per := make([][]T, n)
-	for _, it := range items {
-		i := shardOf(key(it), n)
-		per[i] = append(per[i], it)
-	}
-	return per
+// shardBatch is a spanning PutBatch's partition, per[i] being shard i's
+// sub-batch in batch order, and its fan-out's error slots: pooled per
+// database, so a batch allocates nothing per pair.
+type shardBatch struct {
+	per  [][]Pair
+	errs []error
 }
-
-func pairKey(p Pair) []byte { return p.Key }
 
 // PutBatch applies a batch whose keys all route to one shard on the
 // calling goroutine; one that spans shards is partitioned and fanned out,
@@ -196,9 +190,12 @@ func (s *Sharded) PutBatch(pairs []Pair) error { return s.PutBatchOp(nil, pairs)
 // fanOut runs fn on every shard that has work (busy(i); nil means all
 // do) and joins the errors in shard order, each naming its shard. The
 // caller runs the first busy shard itself, after starting a goroutine for
-// each further one: an idle shard costs nothing.
-func (s *Sharded) fanOut(busy func(i int) bool, fn func(i int, sh *hashDB) error) error {
-	errs := make([]error, len(s.shards))
+// each further one: an idle shard costs nothing. errs holds one nil slot
+// per shard, or is nil for fanOut to make them.
+func (s *Sharded) fanOut(errs []error, busy func(i int) bool, fn func(i int, sh *hashDB) error) error {
+	if errs == nil {
+		errs = make([]error, len(s.shards))
+	}
 	run := func(i int) {
 		if err := fn(i, s.shards[i]); err != nil {
 			errs[i] = fmt.Errorf("shard %d: %w", i, err)
@@ -230,7 +227,7 @@ func (s *Sharded) fanOut(busy func(i int) bool, fn func(i int, sh *hashDB) error
 // it is the database's checkpoint (wal.Owner.Checkpoint).
 func (s *Sharded) Sync() error {
 	if s.log == nil || s.readonly {
-		return s.fanOut(nil, func(_ int, sh *hashDB) error { return sh.Sync() })
+		return s.fanOut(nil, nil, func(_ int, sh *hashDB) error { return sh.Sync() })
 	}
 	return s.log.Checkpoint()
 }

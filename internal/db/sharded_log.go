@@ -92,8 +92,10 @@ func openSharded(dir string, nshards int, cfg *Config, stores []pagefile.Store, 
 	}
 	reports := make([]core.RecoveryReport, nshards)
 	if dir != "" {
-		if err := os.MkdirAll(dir, 0o777); err != nil {
-			return nil, nil, fmt.Errorf("db: sharded open: %w", err)
+		if !s.readonly { // a read-only open creates nothing, not even dir
+			if err := os.MkdirAll(dir, 0o777); err != nil {
+				return nil, nil, fmt.Errorf("db: sharded open: %w", err)
+			}
 		}
 		if err := s.own(dir, nshards); err != nil {
 			return fail(err)
@@ -148,11 +150,10 @@ func (s *Sharded) openLog(dir string, dev wal.Device, recover bool, reports []co
 	case dir == "":
 		dev = wal.NewMemDevice()
 	default:
-		fd, err := wal.OpenFileDevice(filepath.Join(dir, logName))
-		if err != nil {
+		var err error
+		if dev, err = wal.OpenFile(filepath.Join(dir, logName), s.readonly); err != nil {
 			return fmt.Errorf("db: sharded open: log: %w", err)
 		}
-		dev = fd
 	}
 	n := len(s.shards)
 	tables := make([]wal.Table, n)
@@ -165,7 +166,7 @@ func (s *Sharded) openLog(dir string, dev wal.Device, recover bool, reports []co
 	} else if s.log, err = wal.Attach(l, sr, tables, wal.OwnerOptions{
 		Route: func(key []byte) int { return shardOf(key, n) },
 		Each: func(fn func(i int) error) error {
-			return s.fanOut(nil, func(i int, _ *hashDB) error { return fn(i) })
+			return s.fanOut(nil, nil, func(i int, _ *hashDB) error { return fn(i) })
 		},
 		Metrics: s.reg,
 	}); err != nil {
@@ -250,7 +251,7 @@ func drainSidecars(dir string, base core.Options, recover bool, reports []core.R
 // closeFiles closes the shards, the log and the directory lock without a
 // checkpoint: the tail of Close, and the whole of abandoning an open.
 func (s *Sharded) closeFiles() error {
-	err := s.fanOut(nil, func(_ int, sh *hashDB) error { return sh.Close() })
+	err := s.fanOut(nil, nil, func(_ int, sh *hashDB) error { return sh.Close() })
 	if s.log != nil && s.ownLog {
 		err = errors.Join(err, s.log.Log().Close())
 	}

@@ -106,7 +106,9 @@ func dirBytes(t *testing.T, dir string) map[string]string {
 // pagefile.ErrLocked naming the directory, and touch nothing in it: the
 // file set and every file's bytes stay as the owner left them. This holds
 // for a logged directory and for one opened without a log, which a
-// refused open with logging on must not turn into a logged one.
+// refused open with logging on must not turn into a logged one. Once the
+// owner has closed, a read-only open leaves every byte as it found it,
+// and one of a missing directory creates nothing.
 func TestShardedDirectoryOwner(t *testing.T) {
 	walCfg := &Config{Hash: &core.Options{WAL: true}}
 	for _, first := range []*Config{walCfg, nil} {
@@ -144,12 +146,35 @@ func TestShardedDirectoryOwner(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantClosedDir(t, dir, 2, first != nil)
+		// A read-only open after the owner closed writes nothing.
+		closed := dirBytes(t, dir)
+		ro, err := OpenSharded(dir, 2, &Config{Hash: &core.Options{ReadOnly: true}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err := ro.Get([]byte("k07")); err != nil || string(v) != "v" {
+			t.Fatalf("read-only Get = %q, %v", v, err)
+		}
+		if err := ro.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := dirBytes(t, dir); fmt.Sprint(got) != fmt.Sprint(closed) {
+			t.Fatalf("logged=%v: a read-only open changed the directory (now %v)", first != nil, dirNames(t, dir))
+		}
 		if s, err = OpenSharded(dir, 2, nil); err != nil {
 			t.Fatalf("reopen after the owner closed: %v", err)
 		}
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// Nor does a read-only open of a directory that is not there create it.
+	missing := filepath.Join(t.TempDir(), "missing")
+	if _, err := OpenSharded(missing, 2, &Config{Hash: &core.Options{ReadOnly: true}}); err == nil {
+		t.Fatal("read-only open of a missing directory succeeded")
+	}
+	if _, err := os.Stat(missing); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a read-only open left %s behind: %v", missing, err)
 	}
 }
 

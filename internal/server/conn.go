@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -79,6 +78,9 @@ func (c *conn) serve() {
 				return
 			}
 		}
+		if len(c.pending) == 0 {
+			c.r.reset() // only a parked PUT holds arguments past dispatch
+		}
 		// The command's start stamp, one clock read: before the parse when
 		// its bytes are already in memory, after the read when it blocked
 		// on the network — an idle connection is not a slow request.
@@ -92,7 +94,7 @@ func (c *conn) serve() {
 			c.readFailed(err)
 			return
 		}
-		if args == nil { // blank line between commands
+		if len(args) == 0 { // blank line between commands
 			continue
 		}
 		if c.srv.rec != nil && !stampFirst {
@@ -148,18 +150,18 @@ func (c *conn) readFailed(err error) {
 // connection. Replies are buffered, not yet flushed. st is the command's
 // start stamp (0 when attribution is off).
 func (c *conn) dispatch(args [][]byte, st int64) bool {
-	cmd := asciiUpper(args[0])
+	cmd := upper(args[0])
 	// Every command except a plain PUT is a coalescing barrier: the
 	// pending batch must land first so replies stay ordered and reads
 	// observe earlier pipelined writes. The flushed batch is its own op,
 	// so this command's stamp moves past it.
-	if (cmd != "PUT" || c.txn != nil) && len(c.pending) > 0 {
+	if (string(cmd) != "PUT" || c.txn != nil) && len(c.pending) > 0 {
 		c.flushPending()
 		if c.led != nil {
 			st = oplog.Clock()
 		}
 	}
-	switch cmd {
+	switch string(cmd) {
 	case "GET":
 		if !c.arity(args, 2) {
 			return true
@@ -188,8 +190,8 @@ func (c *conn) dispatch(args [][]byte, st int64) bool {
 			}
 			return true
 		}
-		// Coalesce: park the pair, owe the +OK. The parser allocated the
-		// argument slices, so they stay valid until the batch applies.
+		// Coalesce: park the pair, owe the +OK. Its bytes stay in the
+		// reader's arena, which serve does not reset while a PUT is parked.
 		// With attribution on, the batch ledger opens at the first park —
 		// its elapsed time then brackets the coalesce wait flushPending
 		// settles — and later parked PUTs count their parses on it.
@@ -254,13 +256,15 @@ func (c *conn) batch(args [][]byte, st int64) {
 		c.w.Error("BATCH wants KEY VALUE pairs")
 		return
 	}
-	pairs := make([]db.Pair, 0, (len(args)-1)/2)
+	pairs := c.pending[:0] // a barrier: nothing is parked, so its storage is free
 	for i := 1; i < len(args); i += 2 {
 		pairs = append(pairs, db.Pair{Key: args[i], Data: args[i+1]})
 	}
 	led := c.begin(c.led, oplog.CmdBatch, pairs[0].Key, st)
 	err := c.srv.ops.PutBatchOp(led, pairs)
 	c.end(led)
+	clear(pairs)
+	c.pending = pairs[:0]
 	if err != nil {
 		c.cmdErr(err)
 		return
@@ -307,7 +311,7 @@ func (c *conn) txnCmd(args [][]byte, st int64) {
 		c.w.Error("TXN wants BEGIN, COMMIT or ROLLBACK")
 		return
 	}
-	switch asciiUpper(args[1]) {
+	switch string(upper(args[1])) {
 	case "BEGIN":
 		if c.txn != nil {
 			c.srv.mErrors.Inc()
@@ -376,6 +380,7 @@ func (c *conn) flushPending() {
 	}
 	err := c.srv.ops.PutBatchOp(c.led, c.pending)
 	c.end(c.led)
+	clear(c.pending) // pin no arena block the reader has dropped
 	c.pending = c.pending[:0]
 	if err != nil {
 		c.srv.mErrors.Inc()
@@ -403,7 +408,7 @@ func (c *conn) cmdErr(err error) {
 func (c *conn) arity(args [][]byte, n int) bool {
 	if len(args) != n {
 		c.srv.mErrors.Inc()
-		c.w.Error(fmt.Sprintf("%s wants %d arguments", asciiUpper(args[0]), n-1))
+		c.w.Error(fmt.Sprintf("%s wants %d arguments", args[0], n-1))
 		return false
 	}
 	return true
@@ -414,18 +419,13 @@ func (c *conn) arity(args [][]byte, n int) bool {
 // with os.ErrDeadlineExceeded.
 func (c *conn) nudge() { c.nc.SetReadDeadline(time.Unix(1, 0)) }
 
-// asciiUpper returns the verb upper-cased without allocating for the
-// already-upper-case common case.
-func asciiUpper(b []byte) string {
-	if !bytes.ContainsFunc(b, func(r rune) bool { return r >= 'a' && r <= 'z' }) {
-		return string(b)
-	}
-	u := make([]byte, len(b))
+// upper upper-cases an argument in place and returns it: the arena holds
+// the connection's own copy, so a verb is compared without a string copy.
+func upper(b []byte) []byte {
 	for i, c := range b {
 		if c >= 'a' && c <= 'z' {
-			c -= 'a' - 'A'
+			b[i] = c - ('a' - 'A')
 		}
-		u[i] = c
 	}
-	return string(u)
+	return b
 }

@@ -52,12 +52,22 @@ const (
 // closed after reporting one.
 var errProtocol = errors.New("protocol error")
 
-// reader parses the request stream. Argument slices are freshly
-// allocated per command: callers may retain them (the coalescing
-// buffer does, across commands, until its batch flushes).
+// reader parses the request stream. Header lines are parsed where they
+// lie in the read buffer; every argument's bytes live in the reader's
+// arena and the argument vector is reused, so a command's arguments stay
+// valid only until reset. The connection resets between commands when no
+// PUT is parked for the coalescer, so anything else that keeps an
+// argument copies it, as a transaction's Put does.
 type reader struct {
-	br *bufio.Reader
+	br    *bufio.Reader
+	args  [][]byte // the last command's arguments
+	arena []byte   // argument bytes handed out since the last reset
 }
+
+// arenaKeep is the largest arena that reset keeps for reuse; one that a
+// large payload grew past it is dropped, so a burst of large values does
+// not stay pinned for the connection's life.
+const arenaKeep = 64 << 10
 
 func newReader(r io.Reader) *reader {
 	return &reader{br: bufio.NewReaderSize(r, readerSize)}
@@ -68,25 +78,51 @@ func newReader(r io.Reader) *reader {
 // pipeline-window boundary the connection flushes at.
 func (r *reader) buffered() int { return r.br.Buffered() }
 
-// ReadCommand reads one command, in either framing. io.EOF is returned
-// bare for a clean close between commands; inside a command it becomes
-// ErrUnexpectedEOF.
+// reset lets the arena be written over; the caller holds no argument
+// handed out before it.
+func (r *reader) reset() {
+	r.arena = r.arena[:0]
+	if cap(r.arena) > arenaKeep {
+		r.arena = nil
+		clear(r.args[:cap(r.args)]) // nor pin the dropped block
+	}
+}
+
+// alloc hands out n bytes of arena. A full arena is replaced, never
+// grown in place: the arguments already handed out keep the old block
+// alive and unchanged.
+func (r *reader) alloc(n int) []byte {
+	if cap(r.arena)-len(r.arena) < n {
+		r.arena = make([]byte, 0, max(n, min(2*cap(r.arena), arenaKeep), 4<<10))
+	}
+	off := len(r.arena)
+	r.arena = r.arena[:off+n]
+	return r.arena[off : off+n : off+n]
+}
+
+// ReadCommand reads one command, in either framing; an empty result is a
+// blank line between commands. io.EOF is returned bare for a clean close
+// between commands; inside a command it becomes ErrUnexpectedEOF.
 func (r *reader) ReadCommand() ([][]byte, error) {
 	line, err := r.readLine()
-	if err != nil {
+	if err != nil || len(line) == 0 { // a bare CRLF between commands is tolerated
 		return nil, err
 	}
-	if len(line) == 0 { // bare CRLF between commands: tolerate
-		return nil, nil
-	}
 	if line[0] != '*' {
-		return splitInline(line), nil
+		// The line lies in the read buffer: split a copy in the arena.
+		buf := r.alloc(len(line))
+		copy(buf, line)
+		r.args = splitInline(r.args[:0], buf)
+		return r.args, nil
 	}
 	n, err := parseInt(line[1:])
 	if err != nil || n < 1 || n > maxArgs {
 		return nil, fmt.Errorf("%w: bad array header %q", errProtocol, line)
 	}
-	args := make([][]byte, n)
+	if cap(r.args) < n {
+		r.args = make([][]byte, n)
+	}
+	args := r.args[:n]
 	for i := range args {
 		if args[i], err = r.readBulk(); err != nil {
 			return nil, err
@@ -96,7 +132,7 @@ func (r *reader) ReadCommand() ([][]byte, error) {
 }
 
 // readBulk reads one $-framed string: a length line, the payload, and
-// its trailing CRLF.
+// its trailing CRLF. The payload goes to the arena.
 func (r *reader) readBulk() ([]byte, error) {
 	line, err := r.readLine()
 	if err != nil {
@@ -109,7 +145,7 @@ func (r *reader) readBulk() ([]byte, error) {
 	if err != nil || n < 0 || n > maxBulk {
 		return nil, fmt.Errorf("%w: bad bulk length %q", errProtocol, line)
 	}
-	buf := make([]byte, n+2)
+	buf := r.alloc(n + 2)
 	if _, err := io.ReadFull(r.br, buf); err != nil {
 		return nil, inCommand(err)
 	}
@@ -120,8 +156,9 @@ func (r *reader) readBulk() ([]byte, error) {
 }
 
 // readLine reads up to CRLF (LF alone is accepted for hand-typed
-// sessions) and strips the terminator. A line longer than the read
-// buffer is a protocol error.
+// sessions) and strips the terminator. The line lies in the read buffer,
+// valid until the next read. A line longer than the buffer is a protocol
+// error.
 func (r *reader) readLine() ([]byte, error) {
 	line, err := r.br.ReadSlice('\n')
 	if err != nil {
@@ -134,9 +171,7 @@ func (r *reader) readLine() ([]byte, error) {
 	if len(line) > 0 && line[len(line)-1] == '\r' {
 		line = line[:len(line)-1]
 	}
-	out := make([]byte, len(line))
-	copy(out, line)
-	return out, nil
+	return line, nil
 }
 
 // inCommand upgrades a mid-command EOF so callers can distinguish a
@@ -148,9 +183,9 @@ func inCommand(err error) error {
 	return err
 }
 
-// splitInline tokenizes an inline command on runs of spaces.
-func splitInline(line []byte) [][]byte {
-	var args [][]byte
+// splitInline appends the tokens of an inline command, split on runs of
+// spaces, to args.
+func splitInline(args [][]byte, line []byte) [][]byte {
 	i := 0
 	for i < len(line) {
 		for i < len(line) && line[i] == ' ' {

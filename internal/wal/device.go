@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -51,7 +52,28 @@ type FileDevice struct {
 
 // OpenFileDevice opens (creating if necessary) the log file at path.
 func OpenFileDevice(path string) (*FileDevice, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	return openFileDevice(path, os.O_RDWR|os.O_CREATE)
+}
+
+// OpenFile opens the log file at path, creating it if necessary. A
+// read-only owner writes nothing: its file is opened read-only and never
+// created, and a missing one is an empty log.
+func OpenFile(path string, readOnly bool) (Device, error) {
+	if !readOnly {
+		return OpenFileDevice(path)
+	}
+	fd, err := openFileDevice(path, os.O_RDONLY)
+	if errors.Is(err, os.ErrNotExist) {
+		return NewMemDevice(), nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	return fd, nil
+}
+
+func openFileDevice(path string, flag int) (*FileDevice, error) {
+	f, err := os.OpenFile(path, flag, 0o644)
 	if err != nil {
 		return nil, err
 	}
