@@ -81,6 +81,7 @@ micro:
 	$(GO) test -run=NONE -bench='BenchmarkGetBuf$$' -benchtime=1x -cpu=1 .
 	$(GO) test -run=NONE -bench=BenchmarkPoolFault -benchtime=1x ./internal/buffer
 	$(GO) test -run=NONE -bench=BenchmarkShardedPutBatch -benchtime=1x ./internal/db
+	$(GO) test -run=NONE -bench=BenchmarkShardedGetParallel -benchtime=1x -cpu=1,2 ./internal/db
 	$(GO) test -run=NONE -bench=BenchmarkLogCommitFile -benchtime=1x ./internal/wal
 	$(GO) test -run=NONE -bench=BenchmarkServerWindow -benchtime=1x ./internal/server
 

@@ -81,8 +81,8 @@ func main() {
 	// aggregate into it, and the server's connection counters join them.
 	reg := metrics.New()
 	// The trace ring exists only when something can read it: without
-	// -telemetry the shards and the log hold a nil tracer.
-	var tr *trace.Tracer
+	// -telemetry the shards and the log only count their events.
+	var tr *trace.Ring
 	if *telemetry != "" {
 		tr = trace.New(0)
 	}

@@ -99,9 +99,8 @@ func (t *Table) putBatch(pairs []Pair, led *oplog.Ledger) error {
 	t.tr.Emit(trace.EvBatchPhase, trace.BatchPhaseSplits, uint64(splits), 0, 0)
 
 	// Amortized accounting: one batch, len(pairs) logical puts.
-	t.m.puts.Add(int64(len(pairs)))
-	t.m.batchPuts.Inc()
-	t.m.batchPairs.Add(int64(len(pairs)))
+	t.n.puts.Add(int64(len(pairs)))
+	t.n.batchPairs.Add(int64(len(pairs)))
 	t.tr.Emit(trace.EvBatchEnd, uint64(len(pairs)), uint64(splits), 0, 0)
 	return nil
 }
@@ -143,8 +142,6 @@ func (t *Table) presize(n int) error {
 	}
 	t.publishGeo()
 	t.dirtyHdr.Store(true)
-	t.m.presizes.Inc()
-	t.m.setShape(0, t.hdr.maxBucket)
 	t.tr.Emit(trace.EvBatchPhase, trace.BatchPhasePresize, uint64(want), 0, 0)
 	return nil
 }
@@ -304,7 +301,6 @@ func (t *Table) settleSplits(led *oplog.Ledger) (splits int, err error) {
 	if led != nil && splits > 0 {
 		led.Since(oplog.PhaseSplitAssist, st)
 	}
-	t.m.setShape(t.nkeysA.Load(), t.geo.Load())
 	return splits, nil
 }
 

@@ -107,7 +107,6 @@ func (t *Table) putBigPair(key, data []byte) (oaddr, error) {
 		b.Dirty.Store(true)
 		t.pool.Put(b)
 	}
-	t.m.bigPairs.Inc()
 	t.tr.Emit(trace.EvBigPairWrite, uint64(len(addrs)), uint64(len(key)), uint64(len(data)), uint64(addrs[0]))
 	return addrs[0], nil
 }

@@ -39,7 +39,7 @@ func TestMissAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("filtered miss allocated %.1f times per op, want 0", allocs)
 	}
-	if skips := tbl.m.filterSkips.Load(); skips == 0 {
+	if skips := tbl.Counts().FilterSkips; skips == 0 {
 		t.Fatal("miss storm never took the filter skip path")
 	}
 
@@ -88,9 +88,8 @@ func TestFilterCounters(t *testing.T) {
 			t.Fatalf("miss %d: %v", i, err)
 		}
 	}
-	hits := tbl.m.filterHits.Load()
-	skips := tbl.m.filterSkips.Load()
-	fps := tbl.m.filterFPs.Load()
+	c := tbl.Counts()
+	hits, skips, fps := c.FilterHits, c.FilterSkips, c.FilterFalsePositives
 	if hits != n {
 		t.Errorf("filter hits = %d, want %d (every present key consults and passes)", hits, n)
 	}
@@ -123,8 +122,8 @@ func TestDisableFilterStillCorrect(t *testing.T) {
 			t.Fatalf("miss %d: %v", i, err)
 		}
 	}
-	if c := tbl.m.filterHits.Load() + tbl.m.filterSkips.Load() + tbl.m.filterFPs.Load(); c != 0 {
-		t.Errorf("DisableFilter consulted the filter %d times", c)
+	if c := tbl.Counts(); c.FilterHits+c.FilterSkips+c.FilterFalsePositives != 0 {
+		t.Errorf("DisableFilter consulted the filter %d times", c.FilterHits+c.FilterSkips+c.FilterFalsePositives)
 	}
 	// Maintenance ran regardless: the structural check's filter leg
 	// (tag count vs key count, no false negatives) must hold.

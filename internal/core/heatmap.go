@@ -174,9 +174,8 @@ func (t *Table) Heatmap() (*Heatmap, error) {
 	if n := int(h.Buckets) * h.FilterTagCap; n > 0 {
 		h.FilterOccupancy = float64(tagsTotal) / float64(n)
 	}
-	h.FilterSkips = t.m.filterSkips.Load()
-	h.FilterHits = t.m.filterHits.Load()
-	h.FilterFPs = t.m.filterFPs.Load()
+	c := t.Counts()
+	h.FilterSkips, h.FilterHits, h.FilterFPs = c.FilterSkips, c.FilterHits, c.FilterFalsePositives
 	if consults := h.FilterSkips + h.FilterHits + h.FilterFPs; consults > 0 {
 		h.FilterSkipRate = float64(h.FilterSkips) / float64(consults)
 		h.FilterFPRate = float64(h.FilterFPs) / float64(consults)

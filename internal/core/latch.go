@@ -180,7 +180,7 @@ func (t *Table) maybeExpand(uncontrolled bool) (ran bool, err error) {
 		return false, fmt.Errorf("hash: table is at maximum size")
 	}
 	var t0 time.Time
-	if t.tr != nil {
+	if t.tr.Ring() != nil {
 		t0 = time.Now()
 	}
 	newBucket := t.hdr.maxBucket + 1
@@ -190,16 +190,13 @@ func (t *Table) maybeExpand(uncontrolled bool) (ran bool, err error) {
 	t.growGeometry()
 	t.publishGeo()
 
-	if uncontrolled {
-		t.m.splitsUncontrolled.Inc()
-	} else {
-		t.m.splitsControlled.Inc()
-	}
 	t.tr.Emit(trace.EvSplitBegin, uint64(oldBucket), uint64(newBucket), uint64(t.hdr.maxBucket), boolArg(uncontrolled))
 	moved, nchain, err := t.splitBucket(oldBucket, newBucket)
-	if t.tr != nil {
-		t.tr.EmitDur(trace.EvSplitEnd, time.Since(t0), uint64(oldBucket), uint64(newBucket), uint64(moved), uint64(nchain))
+	var d time.Duration
+	if t.tr.Ring() != nil {
+		d = time.Since(t0)
 	}
+	t.tr.EmitDur(trace.EvSplitEnd, d, uint64(oldBucket), uint64(newBucket), uint64(moved), uint64(nchain))
 	return true, err
 }
 

@@ -593,7 +593,7 @@ func TestSplitWaitIsLatchWait(t *testing.T) {
 	}
 	seq0, seq1 := led.TraceSpan()
 	ends := 0
-	for _, e := range tr.Ring().Range(seq0, seq1) {
+	for _, e := range tr.Range(seq0, seq1) {
 		if e.Type == trace.EvSplitEnd && uint32(e.Args[0]) == oldB && uint32(e.Args[1]) == maxB+1 {
 			ends++
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"unixhash/internal/metrics"
+	"unixhash/internal/trace"
 	"unixhash/internal/wal"
 )
 
@@ -57,100 +58,120 @@ const (
 	MetricFilterPageSkips = "hash_filter_page_skips_total"
 )
 
-// tableMetrics holds the table's resolved metric handles. Handles are
-// resolved once at open time so hot-path updates are a single padded
-// atomic add — no registry lookups, no locks, no allocation.
-type tableMetrics struct {
-	reg *metrics.Registry
-
-	gets               *metrics.Counter
-	getMisses          *metrics.Counter
-	puts               *metrics.Counter
-	dels               *metrics.Counter
-	splitsControlled   *metrics.Counter
-	splitsUncontrolled *metrics.Counter
-	ovflAllocs         *metrics.Counter
-	ovflReuses         *metrics.Counter
-	ovflFrees          *metrics.Counter
-	bigPairs           *metrics.Counter
-	chainWalks         *metrics.Counter
-	chainPages         *metrics.Counter
-	batchPuts          *metrics.Counter
-	batchPairs         *metrics.Counter
-	presizes           *metrics.Counter
-	syncs              *metrics.Counter
-	syncLatency        *metrics.Histogram
-	keys               *metrics.Gauge
-	buckets            *metrics.Gauge
-	recoverAttempts    *metrics.Counter
-	recoverSuccess     *metrics.Counter
-	recoverFailures    *metrics.Counter
-	recoverRepairs     *metrics.Counter
-	filterHits         *metrics.Counter
-	filterSkips        *metrics.Counter
-	filterFPs          *metrics.Counter
-	filterPageSkips    *metrics.Counter
+// counts are a table's own operation counters, one padded cell each,
+// allocated apart from the table so a Get's increments share no cache
+// line with the fields other readers load. The facts that are also ring
+// events (splits, overflow pages, big pairs, filter skips, syncs,
+// recovery steps, batch phases) are counted by the table's tracer
+// instead: one record per fact.
+type counts struct {
+	gets, getMisses, puts, dels            metrics.Counter
+	chainWalks, chainPages, batchPairs     metrics.Counter
+	filterHits, filterFPs, filterPageSkips metrics.Counter
+	recoverFailures, recoverRepairs        metrics.Counter
+	syncLatency                            metrics.Histogram
 }
 
-// init resolves every handle from reg, creating a private registry when
-// the caller supplied none — the counters always work; a registry option
-// only decides who else can see them.
-func (m *tableMetrics) init(reg *metrics.Registry) {
-	if reg == nil {
-		reg = metrics.New()
+// Counts is a table's operation counters at one moment (Table.Counts).
+type Counts struct {
+	Gets, GetMisses, Puts, Deletes       int64
+	SplitsControlled, SplitsUncontrolled int64
+	OvflAllocs, OvflFrees, Syncs         int64
+	// Read-acceleration counters: tag-filter outcomes on Get.
+	FilterHits, FilterSkips, FilterFalsePositives, FilterPageSkips int64
+}
+
+// Add folds o into c, field by field.
+func (c *Counts) Add(o Counts) {
+	c.Gets += o.Gets
+	c.GetMisses += o.GetMisses
+	c.Puts += o.Puts
+	c.Deletes += o.Deletes
+	c.SplitsControlled += o.SplitsControlled
+	c.SplitsUncontrolled += o.SplitsUncontrolled
+	c.OvflAllocs += o.OvflAllocs
+	c.OvflFrees += o.OvflFrees
+	c.Syncs += o.Syncs
+	c.FilterHits += o.FilterHits
+	c.FilterSkips += o.FilterSkips
+	c.FilterFalsePositives += o.FilterFalsePositives
+	c.FilterPageSkips += o.FilterPageSkips
+}
+
+// Counts reads the table's own counters. It takes no lock and stays
+// readable after Close (the counts are then final).
+func (t *Table) Counts() Counts {
+	n, ev := t.n, t.tr.Count
+	return Counts{
+		Gets:                 n.gets.Load(),
+		GetMisses:            n.getMisses.Load(),
+		Puts:                 n.puts.Load(),
+		Deletes:              n.dels.Load(),
+		SplitsControlled:     ev(trace.EvSplitBegin, 0),
+		SplitsUncontrolled:   ev(trace.EvSplitBegin, 1),
+		OvflAllocs:           ev(trace.EvOvflAlloc, 0),
+		OvflFrees:            ev(trace.EvOvflFree, 0),
+		Syncs:                ev(trace.EvSyncEnd, 0),
+		FilterHits:           n.filterHits.Load(),
+		FilterSkips:          ev(trace.EvFilterSkip, 0),
+		FilterFalsePositives: n.filterFPs.Load(),
+		FilterPageSkips:      n.filterPageSkips.Load(),
 	}
-	m.reg = reg
-	m.gets = reg.Counter(MetricGets)
-	m.getMisses = reg.Counter(MetricGetMisses)
-	m.puts = reg.Counter(MetricPuts)
-	m.dels = reg.Counter(MetricDeletes)
-	m.splitsControlled = reg.Counter(MetricSplitsControlled)
-	m.splitsUncontrolled = reg.Counter(MetricSplitsUncontrolled)
-	m.ovflAllocs = reg.Counter(MetricOvflAllocs)
-	m.ovflReuses = reg.Counter(MetricOvflReuses)
-	m.ovflFrees = reg.Counter(MetricOvflFrees)
-	m.bigPairs = reg.Counter(MetricBigPairs)
-	m.chainWalks = reg.Counter(MetricChainWalks)
-	m.chainPages = reg.Counter(MetricChainPages)
-	m.batchPuts = reg.Counter(MetricBatchPuts)
-	m.batchPairs = reg.Counter(MetricBatchPairs)
-	m.presizes = reg.Counter(MetricPresizes)
-	m.syncs = reg.Counter(MetricSyncs)
-	m.syncLatency = reg.Histogram(MetricSyncLatency)
-	m.keys = reg.Gauge(MetricKeys)
-	m.buckets = reg.Gauge(MetricBuckets)
-	m.recoverAttempts = reg.Counter(MetricRecoverAttempts)
-	m.recoverSuccess = reg.Counter(MetricRecoverSuccess)
-	m.recoverFailures = reg.Counter(MetricRecoverFailures)
-	m.recoverRepairs = reg.Counter(MetricRecoverRepairs)
+}
+
+// registerMetrics publishes every hash_* series as a read-time view over
+// the table's own cells: its counts, its tracer's event counts and its
+// live key count and geometry (atomics, so a scrape takes no lock).
+// Tables sharing a registry (the shards of a db.Sharded) each register
+// their views, which the registry sums. Within a pair that one operation
+// bumps in order (a miss after its get, a walk after its pages), the
+// later-bumped series registers first, so a snapshot reading in
+// registration order never shows more misses than gets.
+func (t *Table) registerMetrics() {
+	reg, n := t.reg, t.n
+	ev := func(typ trace.Type, kind uint64) func() int64 {
+		return func() int64 { return t.tr.Count(typ, kind) }
+	}
+	reg.CounterFunc(MetricGetMisses, n.getMisses.Load)
+	reg.CounterFunc(MetricGets, n.gets.Load)
+	reg.CounterFunc(MetricPuts, n.puts.Load)
+	reg.CounterFunc(MetricDeletes, n.dels.Load)
+	reg.CounterFunc(MetricSplitsControlled, ev(trace.EvSplitBegin, 0))
+	reg.CounterFunc(MetricSplitsUncontrolled, ev(trace.EvSplitBegin, 1))
+	reg.CounterFunc(MetricOvflAllocs, ev(trace.EvOvflAlloc, 0))
+	reg.CounterFunc(MetricOvflReuses, ev(trace.EvOvflReuse, 0))
+	reg.CounterFunc(MetricOvflFrees, ev(trace.EvOvflFree, 0))
+	reg.CounterFunc(MetricBigPairs, ev(trace.EvBigPairWrite, 0))
+	reg.CounterFunc(MetricChainWalks, n.chainWalks.Load)
+	reg.CounterFunc(MetricChainPages, n.chainPages.Load)
+	reg.CounterFunc(MetricBatchPuts, ev(trace.EvBatchEnd, 0))
+	reg.CounterFunc(MetricBatchPairs, n.batchPairs.Load)
+	reg.CounterFunc(MetricPresizes, ev(trace.EvBatchPhase, trace.BatchPhasePresize))
+	reg.CounterFunc(MetricSyncs, ev(trace.EvSyncEnd, 0))
+	reg.CounterFunc(MetricRecoverAttempts, ev(trace.EvRecoveryStep, trace.RecoveryStepWalk))
+	reg.CounterFunc(MetricRecoverSuccess, ev(trace.EvRecoveryStep, trace.RecoveryStepDone))
+	reg.CounterFunc(MetricRecoverFailures, n.recoverFailures.Load)
+	reg.CounterFunc(MetricRecoverRepairs, n.recoverRepairs.Load)
+	reg.CounterFunc(MetricFilterHits, n.filterHits.Load)
+	reg.CounterFunc(MetricFilterSkips, ev(trace.EvFilterSkip, 0))
+	reg.CounterFunc(MetricFilterFPs, n.filterFPs.Load)
+	reg.CounterFunc(MetricFilterPageSkips, n.filterPageSkips.Load)
+	reg.GaugeFunc(MetricKeys, t.nkeysA.Load)
+	reg.GaugeFunc(MetricBuckets, func() int64 { return int64(t.geo.Load()) + 1 })
+	reg.AddHistogram(MetricSyncLatency, &n.syncLatency)
 	// Curated HELP for the read-acceleration group, so a registry dump
 	// (dbcli metrics, /metrics) labels it next to the other series
 	// instead of leaving the names to speak for themselves.
 	reg.Help(MetricFilterHits, "Tag-filter consults that matched: the key may be present, the walk proceeds")
-	m.filterHits = reg.Counter(MetricFilterHits)
 	reg.Help(MetricFilterSkips, "Tag-filter consults that proved the key absent without touching the chain")
-	m.filterSkips = reg.Counter(MetricFilterSkips)
 	reg.Help(MetricFilterFPs, "Tag-filter matches where the full walk then missed (false positives)")
-	m.filterFPs = reg.Counter(MetricFilterFPs)
 	reg.Help(MetricFilterPageSkips, "Chain pages bypassed on tag-filter position hints")
-	m.filterPageSkips = reg.Counter(MetricFilterPageSkips)
-}
-
-// setShape publishes the table's key count and bucket count as gauges.
-// Pushed by the writer whenever a write set, a presize or a recovery
-// settles, so the gauges never require taking the table lock at scrape
-// time (a
-// GaugeFunc reading the header from inside Snapshot would deadlock
-// against a writer snapshotting its own table).
-func (m *tableMetrics) setShape(nkeys int64, maxBucket uint32) {
-	m.keys.Set(nkeys)
-	m.buckets.Set(int64(maxBucket) + 1)
 }
 
 // MetricsRegistry exposes the table's metric registry. It is the one the
 // caller passed in Options.Metrics, or a private one created at open
 // time. The registry remains readable after Close (counters are final).
-func (t *Table) MetricsRegistry() *metrics.Registry { return t.m.reg }
+func (t *Table) MetricsRegistry() *metrics.Registry { return t.reg }
 
 // MetricsSnapshot captures every metric the table and its layers
 // (buffer pool, page store) export. A closed table returns ErrClosed
@@ -164,5 +185,5 @@ func (t *Table) MetricsSnapshot() (metrics.Snapshot, error) {
 	}
 	// Taken outside the table lock: the pool's computed gauges take shard
 	// locks of their own, and a scrape must not block table writers.
-	return t.m.reg.Snapshot(), nil
+	return t.reg.Snapshot(), nil
 }

@@ -120,7 +120,6 @@ func (t *Table) allocOvfl() (oaddr, error) {
 				t.freeCount[s]--
 				t.hdr.lastFreed = 0
 				t.dirtyHdr.Store(true)
-				t.m.ovflReuses.Inc()
 				t.tr.Emit(trace.EvOvflReuse, uint64(s), uint64(pn), uint64(lf), 0)
 				return lf, nil
 			}
@@ -148,7 +147,6 @@ func (t *Table) allocOvfl() (oaddr, error) {
 				bitmapSet(bm, pn-1)
 				t.bitmapDirty[s] = true
 				t.freeCount[s]--
-				t.m.ovflReuses.Inc()
 				t.tr.Emit(trace.EvOvflReuse, uint64(s), uint64(pn), uint64(makeOaddr(s, pn)), 0)
 				return makeOaddr(s, pn), nil
 			}
@@ -175,7 +173,6 @@ func (t *Table) allocOvfl() (oaddr, error) {
 			bitmapSet(bm, pn-1)
 			t.bitmapDirty[s] = true
 			t.dirtyHdr.Store(true)
-			t.m.ovflAllocs.Inc()
 			t.tr.Emit(trace.EvOvflAlloc, uint64(s), uint64(pn), uint64(makeOaddr(s, pn)), 0)
 			return makeOaddr(s, pn), nil
 		}
@@ -214,7 +211,6 @@ func (t *Table) freeOvfl(o oaddr) error {
 	t.freeCount[s]++
 	t.hdr.lastFreed = uint32(o)
 	t.dirtyHdr.Store(true)
-	t.m.ovflFrees.Inc()
 	t.tr.Emit(trace.EvOvflFree, uint64(s), uint64(pn), uint64(o), 0)
 	t.pool.Discard(buffer.Addr{N: uint32(o), Ovfl: true})
 	return nil

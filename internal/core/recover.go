@@ -552,7 +552,7 @@ func Recover(path string, o *Options) (*Table, RecoveryReport, error) {
 		}
 	}
 	if err != nil {
-		t.m.recoverFailures.Inc()
+		t.n.recoverFailures.Inc()
 		t.Close()
 		return nil, rep, err
 	}
@@ -562,7 +562,6 @@ func Recover(path string, o *Options) (*Table, RecoveryReport, error) {
 // recoverPages runs the page-level recovery of a dirty table: the walk,
 // the strict gate and the repairs, filling rep. The caller holds t.mu.
 func (t *Table) recoverPages(rep *RecoveryReport) error {
-	t.m.recoverAttempts.Inc()
 	t.tr.Emit(trace.EvRecoveryStep, trace.RecoveryStepWalk, uint64(t.hdr.maxBucket+1), 0, 0)
 	r, err := t.recoverLocked()
 	if err == nil {
@@ -572,7 +571,6 @@ func (t *Table) recoverPages(rep *RecoveryReport) error {
 	if err != nil {
 		return err
 	}
-	t.m.recoverSuccess.Inc()
 	rep.Recovered = true
 	for _, pageno := range r.order {
 		p := r.plans[pageno]
@@ -590,8 +588,7 @@ func (t *Table) recoverPages(rep *RecoveryReport) error {
 		}
 	}
 	rep.FiltersRebuilt = r.filters
-	t.m.recoverRepairs.Add(int64(rep.PagesReset + rep.LinksCut + rep.RefsDropped))
-	t.m.setShape(t.hdr.nkeys, t.hdr.maxBucket)
+	t.n.recoverRepairs.Add(int64(rep.PagesReset + rep.LinksCut + rep.RefsDropped))
 	return nil
 }
 

@@ -63,17 +63,17 @@ type Options struct {
 	// private registry — instrumentation is always on; the option only
 	// decides who else can read it. Sharing one registry between tables
 	// (e.g. the shards of a db.Sharded) aggregates same-named series:
-	// plain counters share one cell, and computed collectors and
-	// histograms are summed across every registrant at read time.
+	// each table's series are views over its own counts, summed across
+	// every registrant at read time.
 	Metrics *metrics.Registry
-	// Trace, when set, receives structured events (splits, overflow page
-	// traffic, sync phases, recovery steps, batch phases, buffer
-	// evictions, slow device I/O); the ledger-carrying entry points note
-	// its ring position around each call. Nil disables tracing entirely:
-	// the instrumented paths pay one pointer comparison and nothing else
-	// — no atomics, no allocation (enforced by
+	// Trace, when set, is the ring the table's structured events join
+	// (splits, overflow page traffic, sync phases, recovery steps, batch
+	// phases, buffer evictions, slow device I/O); the ledger-carrying
+	// entry points note its position around each call. The table counts
+	// every event either way (its metrics are those counts); nil only
+	// stops the ring: no clock read, no slot, no allocation (enforced by
 	// TestTraceDisabledZeroAlloc). See internal/trace and DESIGN.md §11.
-	Trace *trace.Tracer
+	Trace *trace.Ring
 	// WAL attaches a write-ahead redo log to the table and enables the
 	// Begin/Commit transaction API (see Table.Begin): a committed
 	// transaction is durable after one sequential log append plus one log
@@ -249,13 +249,13 @@ type Table struct {
 	sharedLog  bool
 	appliedLSN atomic.Uint64
 
-	// m holds the table's resolved metric handles (see metrics.go). All
-	// structural counters live here.
-	m tableMetrics
-
-	// tr is the structured event tracer (Options.Trace); nil disables
-	// tracing. Set in Open before the table is published, never changed.
-	tr *trace.Tracer
+	// reg is the registry the table's series are views in (Options.Metrics,
+	// or a private one). n holds the table's own counters and tr, its
+	// emitter over Options.Trace, counts every fact that is also an event
+	// (see metrics.go). Set in Open before the table is published.
+	reg *metrics.Registry
+	n   *counts
+	tr  *trace.Tracer
 }
 
 // Open opens or creates the hash table at path. An empty path creates a
@@ -268,9 +268,11 @@ func Open(path string, o *Options) (*Table, error) {
 		return nil, err
 	}
 
-	t := &Table{hash: opts.Hash, path: path, readonly: opts.ReadOnly, controlledOnly: opts.ControlledOnly, tr: opts.Trace,
-		filtersOn: !opts.DisableFilter}
-	t.m.init(opts.Metrics)
+	t := &Table{hash: opts.Hash, path: path, readonly: opts.ReadOnly, controlledOnly: opts.ControlledOnly,
+		filtersOn: !opts.DisableFilter, reg: opts.Metrics, n: new(counts), tr: trace.NewTracer(opts.Trace)}
+	if t.reg == nil {
+		t.reg = metrics.New()
+	}
 
 	existing := false
 	switch {
@@ -368,7 +370,7 @@ func Open(path string, o *Options) (*Table, error) {
 
 	t.scratch.New = func() any { return make([]byte, t.hdr.bsize) }
 	cfg := buffer.Config{OnLoad: onPageLoad}
-	if t.tr != nil {
+	if opts.Trace != nil {
 		// The eviction hook exists only when tracing is on, so a disabled
 		// tracer costs the pool nothing — not even a nil-func check that
 		// the compiler can't elide.
@@ -385,10 +387,9 @@ func Open(path string, o *Options) (*Table, error) {
 
 	// Let the layers below export their series into the table's
 	// registry.
-	t.pool.RegisterMetrics(t.m.reg, "buffer_")
-	t.store.Stats().Register(t.m.reg, "pagefile_")
-	t.m.setShape(t.hdr.nkeys, t.hdr.maxBucket)
-	if t.tr != nil {
+	t.pool.RegisterMetrics(t.reg, "buffer_")
+	t.store.Stats().Register(t.reg, "pagefile_")
+	if opts.Trace != nil {
 		t.store.Stats().SetTrace(t.tr)
 	}
 	if t.log != nil && !t.readonly && !t.needsRecovery {
@@ -398,6 +399,7 @@ func Open(path string, o *Options) (*Table, error) {
 			return fail(fmt.Errorf("hash: reset wal: %w", err))
 		}
 	}
+	t.registerMetrics() // last: an open that failed leaves no views behind
 	return t, nil
 }
 
@@ -424,10 +426,10 @@ func (t *Table) openWAL(opts *Options) error {
 			return fmt.Errorf("hash: open wal: %w", err)
 		}
 	}
-	l, sr, err := wal.Open(dev, wal.CostModel{}, t.tr)
+	l, sr, err := wal.Open(dev, wal.CostModel{}, opts.Trace)
 	if err != nil {
 		err = fmt.Errorf("hash: open wal: %w", err)
-	} else if t.log, err = wal.Attach(l, sr, []wal.Table{t}, wal.OwnerOptions{Metrics: t.m.reg}); err != nil {
+	} else if t.log, err = wal.Attach(l, sr, []wal.Table{t}, wal.OwnerOptions{Metrics: t.reg}); err != nil {
 		err = fmt.Errorf("%w: %w", ErrUnrecoverable, err)
 	}
 	if err != nil {
@@ -690,7 +692,7 @@ func (t *Table) GetBuf(key, dst []byte) ([]byte, error) { return t.getBuf(key, d
 // consults and buffer traffic on this lookup are charged to
 // led's phases, and the ring positions before and after the call are
 // noted on it so an exemplar can be joined back to its events. A nil
-// ledger, like a nil tracer, costs a pointer comparison: no clock reads,
+// ledger, like a nil ring, costs a pointer comparison: no clock reads,
 // no allocation (TestTraceDisabledZeroAlloc, TestNilLedgerZeroAlloc).
 func (t *Table) GetBufOp(led *oplog.Ledger, key, dst []byte) ([]byte, error) {
 	seq0 := t.tr.Next()
@@ -708,7 +710,7 @@ func (t *Table) getBuf(key, dst []byte, led *oplog.Ledger) ([]byte, error) {
 	if len(key) == 0 {
 		return nil, ErrEmptyKey
 	}
-	t.m.gets.Inc()
+	t.n.gets.Inc()
 	h := t.hash(key)
 	bucket := t.lockBucket(h, led)
 	out, err := t.getFromBucket(bucket, h, key, dst, led)
@@ -743,7 +745,6 @@ func (t *Table) getFromBucket(bucket, h uint32, key, dst []byte, led *oplog.Ledg
 				if hints == 0 {
 					// Definitely absent: stop before any chain read.
 					skipped = true
-					t.m.filterSkips.Inc()
 					t.tr.Emit(trace.EvFilterSkip, uint64(bucket), uint64(pg.fltChainLen()), 0, 0)
 					return true, nil
 				}
@@ -758,7 +759,7 @@ func (t *Table) getFromBucket(bucket, h uint32, key, dst []byte, led *oplog.Ledg
 				// No tag points at this chain position: skip the search
 				// (the page itself stays on the walk — it carries the
 				// link to its successor).
-				t.m.filterPageSkips.Inc()
+				t.n.filterPageSkips.Inc()
 				return false, nil
 			}
 		}
@@ -797,15 +798,15 @@ func (t *Table) getFromBucket(bucket, h uint32, key, dst []byte, led *oplog.Ledg
 		return nil, err
 	}
 	if !found {
-		t.m.getMisses.Inc()
+		t.n.getMisses.Inc()
 		if filtered && !skipped {
 			// The filter said "maybe" and the chain said no.
-			t.m.filterFPs.Inc()
+			t.n.filterFPs.Inc()
 		}
 		return nil, ErrNotFound
 	}
 	if filtered {
-		t.m.filterHits.Inc()
+		t.n.filterHits.Inc()
 	}
 	return out, nil
 }
@@ -848,8 +849,8 @@ func (t *Table) walkChain(led *oplog.Ledger, bucket uint32, fn func(*buffer.Buf)
 			t.pool.Put(cur)
 		}
 		if ovflPages > 0 {
-			t.m.chainPages.Add(ovflPages)
-			t.m.chainWalks.Inc()
+			t.n.chainPages.Add(ovflPages)
+			t.n.chainWalks.Inc()
 		}
 	}()
 	for {
@@ -919,9 +920,9 @@ func (t *Table) applyOne(led *oplog.Ledger, op writeOp, replace bool) error {
 		return ErrEmptyKey
 	}
 	if op.del {
-		t.m.dels.Inc()
+		t.n.dels.Inc()
 	} else {
-		t.m.puts.Inc()
+		t.n.puts.Inc()
 	}
 	set := [1]writeOp{op}
 	if _, err := t.applySet(set[:], replace, led); err != nil {
@@ -982,8 +983,8 @@ func (t *Table) applyBucket(ops []writeOp, replace bool, led *oplog.Ledger) erro
 			}
 		}
 		if ovflPages > 0 {
-			t.m.chainPages.Add(ovflPages)
-			t.m.chainWalks.Inc()
+			t.n.chainPages.Add(ovflPages)
+			t.n.chainWalks.Inc()
 		}
 	}()
 	for {
@@ -1363,9 +1364,9 @@ func (t *Table) syncLocked() error {
 		// header is already clean and current.
 		err := t.store.Sync()
 		if err == nil {
-			t.m.syncs.Inc()
-			t.m.syncLatency.Observe(time.Since(t0))
-			t.tr.EmitDur(trace.EvSyncEnd, time.Since(t0), t.hdr.syncEpoch, 1, 0, 0)
+			d := time.Since(t0)
+			t.n.syncLatency.Observe(d)
+			t.tr.EmitDur(trace.EvSyncEnd, d, t.hdr.syncEpoch, 1, 0, 0)
 		}
 		return err
 	}
@@ -1384,9 +1385,9 @@ func (t *Table) syncLocked() error {
 	t.tr.Emit(trace.EvSyncPhase, trace.SyncPhaseHeader, t.hdr.syncEpoch, 0, 0)
 	t.dirtyHdr.Store(false)
 	t.dirtyMarked.Store(false)
-	t.m.syncs.Inc()
-	t.m.syncLatency.Observe(time.Since(t0))
-	t.tr.EmitDur(trace.EvSyncEnd, time.Since(t0), t.hdr.syncEpoch, 0, 0, 0)
+	d := time.Since(t0)
+	t.n.syncLatency.Observe(d)
+	t.tr.EmitDur(trace.EvSyncEnd, d, t.hdr.syncEpoch, 0, 0, 0)
 	return nil
 }
 
@@ -1432,10 +1433,10 @@ func (t *Table) Pool() *buffer.Pool { return t.pool }
 // Store exposes the backing store for tests and the bench harness.
 func (t *Table) Store() pagefile.Store { return t.store }
 
-// Tracer exposes the tracer the table was opened with (nil when tracing
-// is disabled). With MetricsRegistry, MetricsSnapshot and Heatmap, none
-// of which takes the table lock exclusively, it is what a caller mounts
-// on the telemetry surface: the table itself opens no socket.
+// Tracer exposes the table's emitter; its Ring is Options.Trace (nil when
+// tracing is off). With MetricsRegistry, MetricsSnapshot and Heatmap,
+// none of which takes the table lock exclusively, it is what a caller
+// mounts on the telemetry surface: the table itself opens no socket.
 func (t *Table) Tracer() *trace.Tracer { return t.tr }
 
 // Geometry reports the table's current shape.

@@ -22,8 +22,8 @@ import (
 func TestTraceDisabledZeroAlloc(t *testing.T) {
 	tbl := mustOpen(t, "", &Options{Bsize: 1024, Ffactor: 16})
 	defer tbl.Close()
-	if tbl.Tracer() != nil {
-		t.Fatal("tracer attached without Options.Trace")
+	if tbl.Tracer().Ring() != nil {
+		t.Fatal("ring attached without Options.Trace")
 	}
 	const n = 200
 	keys := make([][]byte, n)
@@ -124,7 +124,7 @@ func TestTraceEvents(t *testing.T) {
 func serveTable(tbl *Table, addr string) (*telemetry.Server, error) {
 	return telemetry.Serve(addr, telemetry.Options{
 		Registry: tbl.MetricsRegistry(),
-		Tracer:   tbl.Tracer(),
+		Ring:     tbl.Tracer().Ring(),
 		Stats:    func() (any, error) { return tbl.MetricsSnapshot() },
 		Heatmap:  func() (any, error) { return tbl.Heatmap() },
 	})

@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"unixhash/internal/core"
-	"unixhash/internal/metrics"
 	"unixhash/internal/wal"
 )
 
@@ -115,30 +114,18 @@ type Stats struct {
 }
 
 // HashStats is the hash table's detail: the paper's fill statistics
-// plus the operation and split counters from the metrics registry.
+// plus the table's own operation and split counters (core.Counts; a
+// sharded database's aggregate sums its shards').
 type HashStats struct {
-	Buckets            uint32
-	OverflowPages      int
-	BigPairPages       int
-	BitmapPages        int
-	MaxChain           int
-	ChainDist          []int // ChainDist[i] buckets have chains of i+1 pages
-	AvgFill            float64
-	EmptyBuckets       int
-	Gets               int64
-	GetMisses          int64
-	Puts               int64
-	Deletes            int64
-	SplitsControlled   int64
-	SplitsUncontrolled int64
-	OvflAllocs         int64
-	OvflFrees          int64
-	Syncs              int64
-	// Read-acceleration counters: tag-filter outcomes on Get.
-	FilterHits           int64
-	FilterSkips          int64
-	FilterFalsePositives int64
-	FilterPageSkips      int64
+	Buckets       uint32
+	OverflowPages int
+	BigPairPages  int
+	BitmapPages   int
+	MaxChain      int
+	ChainDist     []int // ChainDist[i] buckets have chains of i+1 pages
+	AvgFill       float64
+	EmptyBuckets  int
+	core.Counts
 	// FilterHitRate is the fraction of filter consults that proved the
 	// key absent without touching a page: skips over all consults, false
 	// positives included, as core.Heatmap's FilterSkipRate.
@@ -153,8 +140,9 @@ type HashStats struct {
 	// WalCheckpointLag counts the LSNs a crash right now would replay:
 	// WalLastLSN - WalLSN.
 	WalCheckpointLag uint64
-	// TxnCommits counts committed transactions — on a sharded database,
-	// wire transactions, however many shards each touched.
+	// TxnCommits counts the log owner's committed transactions — on a
+	// sharded database, wire transactions, however many shards each
+	// touched.
 	TxnCommits       int64
 	WalAppends       int64
 	WalFsyncs        int64
@@ -230,22 +218,9 @@ func (d *hashDB) Len() int     { return d.t.Len() }
 func (d *hashDB) Sync() error  { return d.t.Sync() }
 func (d *hashDB) Close() error { return d.t.Close() }
 
+// Stats is one Heatmap walk plus the table's counts and the pool's and
+// the log's figures, all under shared locks.
 func (d *hashDB) Stats() (Stats, error) {
-	s, err := d.shape()
-	if err != nil {
-		return Stats{}, err
-	}
-	snap, err := d.t.MetricsSnapshot()
-	if err != nil {
-		return Stats{}, err
-	}
-	s.Hash.setCounters(snap)
-	return s, nil
-}
-
-// shape is the table's Stats less the registry counters: one Heatmap
-// walk plus the pool's and the log's figures, all under shared locks.
-func (d *hashDB) shape() (Stats, error) {
 	h, err := d.t.Heatmap()
 	if err != nil {
 		return Stats{}, err
@@ -260,7 +235,9 @@ func (d *hashDB) shape() (Stats, error) {
 		ChainDist:     h.ChainDist,
 		AvgFill:       h.AvgFill,
 		EmptyBuckets:  h.EmptyBuckets,
+		Counts:        d.t.Counts(),
 	}
+	hs.setFilterRate()
 	hs.WalLSN, _ = d.t.Stamp()
 	hs.WalAppliedLSN = d.t.AppliedLSN()
 	if o := d.t.Log(); o != nil {
@@ -284,29 +261,16 @@ func (h *HashStats) setLog(o *wal.Owner) {
 	ws := o.Log().Stats()
 	h.WalAppends, h.WalFsyncs, h.WalFsyncJoins = ws.Appends, ws.Fsyncs, ws.FsyncJoins
 	h.WalAppendedBytes, h.WalIOTimeNS = ws.AppendedBytes, int64(ws.IOTime)
+	h.TxnCommits = o.Commits()
 	h.WalLastLSN = o.Log().LastLSN()
 	if h.WalLastLSN > h.WalLSN {
 		h.WalCheckpointLag = h.WalLastLSN - h.WalLSN
 	}
 }
 
-// setCounters fills h's operation counters from a registry snapshot,
-// and the filter hit rate derived from them (zero consults yields zero).
-func (h *HashStats) setCounters(snap metrics.Snapshot) {
-	h.Gets = snap.Counter(core.MetricGets)
-	h.GetMisses = snap.Counter(core.MetricGetMisses)
-	h.Puts = snap.Counter(core.MetricPuts)
-	h.Deletes = snap.Counter(core.MetricDeletes)
-	h.SplitsControlled = snap.Counter(core.MetricSplitsControlled)
-	h.SplitsUncontrolled = snap.Counter(core.MetricSplitsUncontrolled)
-	h.OvflAllocs = snap.Counter(core.MetricOvflAllocs)
-	h.OvflFrees = snap.Counter(core.MetricOvflFrees)
-	h.Syncs = snap.Counter(core.MetricSyncs)
-	h.FilterHits = snap.Counter(core.MetricFilterHits)
-	h.FilterSkips = snap.Counter(core.MetricFilterSkips)
-	h.FilterFalsePositives = snap.Counter(core.MetricFilterFPs)
-	h.FilterPageSkips = snap.Counter(core.MetricFilterPageSkips)
-	h.TxnCommits = snap.Counter(core.MetricTxnCommits)
+// setFilterRate derives the filter hit rate from h's counts (zero
+// consults yields zero).
+func (h *HashStats) setFilterRate() {
 	if t := h.FilterSkips + h.FilterHits + h.FilterFalsePositives; t > 0 {
 		h.FilterHitRate = float64(h.FilterSkips) / float64(t)
 	}

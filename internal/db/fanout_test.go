@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"unixhash/internal/core"
@@ -174,4 +175,38 @@ func BenchmarkShardedPutBatch(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkShardedGetParallel: GetBuf hits on a 4-shard memory database
+// from parallel readers (run with -cpu 1,2). Each shard counts its own
+// gets, so readers on different shards write different counter cells.
+func BenchmarkShardedGetParallel(b *testing.B) {
+	const n = 4096
+	s, err := OpenSharded("", 4, &Config{Hash: &core.Options{CacheSize: 4 << 20}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key-%05d", i))
+		if err := s.Put(keys[i], []byte("value")); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var next atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		buf := make([]byte, 0, 64)
+		i := int(next.Add(1)) * 7919
+		for pb.Next() {
+			var err error
+			if buf, err = s.GetBuf(keys[i%n], buf); err != nil {
+				b.Error(err)
+				return
+			}
+			i++
+		}
+	})
 }

@@ -36,9 +36,9 @@ import (
 //
 // Sharded implements DB, so everything written against the uniform
 // interface (CLIs, the network server, ServeTelemetry) works unchanged.
-// Every shard exports its metrics into one shared registry — same-named
-// series aggregate (see internal/metrics) — so a sharded database
-// publishes a single /metrics page.
+// Every shard publishes its series into one shared registry as views
+// over its own counts, which the registry sums (see internal/metrics), so
+// a sharded database publishes a single /metrics page.
 //
 // Cross-shard semantics, where they differ from a single table:
 //
@@ -53,7 +53,7 @@ type Sharded struct {
 	owner    *os.File // dir/SHARDS, locked while the database is open; nil when memory-resident
 	shards   []*hashDB
 	reg      *metrics.Registry
-	tr       *trace.Tracer // cfg.Hash.Trace: every shard's and the log's; nil when off
+	tr       *trace.Ring // cfg.Hash.Trace: every shard's and the log's; nil when off
 	readonly bool
 
 	// log owns the directory log with the shards as its tables: commits,
@@ -304,17 +304,15 @@ func (c *shardedCursor) Value() []byte {
 func (c *shardedCursor) Err() error { return c.err }
 
 // Stats aggregates every shard into the uniform totals and attaches the
-// per-shard breakdown in Shards. The operation counters (Gets, Puts,
-// TxnCommits, ...) live in the registry all shards share, so one
-// snapshot, taken after the walks, is the database total that the
-// aggregate and every shard's entry carry; the shape figures (buckets,
-// chains, fill) are summed. The log is the database's, so its figures
-// appear in the aggregate only: a shard reports its own checkpoint stamp
-// and applied LSN and no log I/O.
+// per-shard breakdown in Shards: each entry carries its shard's own
+// operation counts and shape, and the aggregate sums them (MaxChain
+// takes the max). The log is the database's, so its figures (TxnCommits
+// included) appear in the aggregate only: a shard reports its own
+// checkpoint stamp and applied LSN and no log I/O.
 func (s *Sharded) Stats() (Stats, error) {
 	agg := Stats{Method: Hash, Shards: make([]Stats, 0, len(s.shards))}
 	for _, sh := range s.shards {
-		st, err := sh.shape()
+		st, err := sh.Stats()
 		if err != nil {
 			return Stats{}, err
 		}
@@ -340,11 +338,7 @@ func (s *Sharded) Stats() (Stats, error) {
 	if h.Buckets > 0 {
 		h.AvgFill /= float64(h.Buckets)
 	}
-	snap := s.reg.Snapshot()
-	h.setCounters(snap)
-	for _, st := range agg.Shards {
-		st.Hash.setCounters(snap)
-	}
+	h.setFilterRate()
 	if s.log != nil {
 		h.WalLSN = s.log.CheckpointLSN()
 		h.setLog(s.log)
@@ -352,10 +346,11 @@ func (s *Sharded) Stats() (Stats, error) {
 	return agg, nil
 }
 
-// addShape folds one more shard's table shape into the aggregate: sums,
-// except MaxChain (max), ChainDist (elementwise), AvgFill (accumulated
-// bucket-weighted) and WalAppliedLSN (the furthest shard).
+// addShape folds one more shard's table shape and counts into the
+// aggregate: sums, except MaxChain (max), ChainDist (elementwise), AvgFill
+// (accumulated bucket-weighted) and WalAppliedLSN (the furthest shard).
 func addShape(agg, sh *HashStats) {
+	agg.Counts.Add(sh.Counts)
 	agg.AvgFill += sh.AvgFill * float64(sh.Buckets)
 	agg.Buckets += sh.Buckets
 	agg.OverflowPages += sh.OverflowPages

@@ -230,8 +230,10 @@ func drainSidecars(dir string, base core.Options, recover bool, reports []core.R
 		if base.ReadOnly {
 			return false, fmt.Errorf("db: sharded open: %s is a per-shard log from an older layout; open the directory writable once to migrate it", side)
 		}
+		// A registry of its own: the database's sums every table that
+		// registered in it, and this one closes before its shard reopens.
 		opts := base
-		opts.WAL = true
+		opts.WAL, opts.Metrics = true, nil
 		t, rep, err := openShard(path, &opts, recover)
 		reports[i] = rep
 		if err == nil {

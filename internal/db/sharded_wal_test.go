@@ -388,7 +388,7 @@ func TestShardedStatsCountTheLogOnce(t *testing.T) {
 		t.Fatalf("aggregate: %d commits, %d appends, %d fsyncs; want %d of each", h.TxnCommits, h.WalAppends, h.WalFsyncs, txns)
 	}
 	if h.Gets != 1 {
-		// Registry counters are database-wide: taken once, not per shard.
+		// The shards' own counts, summed once for the aggregate.
 		t.Fatalf("aggregate Gets = %d, want 1", h.Gets)
 	}
 	if h.WalLastLSN == 0 || h.WalCheckpointLag != h.WalLastLSN-h.WalLSN || h.WalAppliedLSN != h.WalLastLSN {
@@ -466,8 +466,7 @@ func TestShardedCommitCheckpointStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	commits := s.reg.Counter(core.MetricTxnCommits)
-	dev.commits = commits.Load
+	dev.commits = s.log.Commits
 
 	// A transaction of committer w writes its sequence number under three
 	// keys (which land on whatever shards they hash to).
@@ -570,7 +569,7 @@ func TestShardedCommitCheckpointStress(t *testing.T) {
 		end.acked[w] = acked[w].Load()
 	}
 	snaps = append(snaps, end)
-	t.Logf("%d commits, %d checkpoint resets, %d power cuts", commits.Load(), dev.resets.Load(), len(snaps))
+	t.Logf("%d commits, %d checkpoint resets, %d power cuts", s.log.Commits(), dev.resets.Load(), len(snaps))
 
 	for i, sn := range snaps {
 		ms := make([]pagefile.Store, nshards)

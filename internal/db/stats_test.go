@@ -103,31 +103,36 @@ func TestFilterHitRateMatchesHeatmap(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// A sharded database's shards count into one registry, so any
-			// shard's heatmap carries the database-wide filter counters.
-			var tbl *core.Table
+			// Each table's heatmap reads that table's own filter counts:
+			// a single table's Stats, or its shard's entry of Stats.Shards.
+			type view struct {
+				st  *HashStats
+				tbl *core.Table
+			}
+			var views []view
 			switch d := d.(type) {
 			case *hashDB:
-				tbl = d.table()
+				views = append(views, view{s.Hash, d.table()})
 			case *Sharded:
-				tbl = d.shards[0].table()
+				for i, sh := range d.shards {
+					views = append(views, view{s.Shards[i].Hash, sh.table()})
+				}
 			}
-			h, err := tbl.Heatmap()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if h.FilterFPs == 0 {
-				t.Fatalf("no filter false positives in %d absent-key reads: the rates cannot disagree", n)
-			}
-			if s.Hash.FilterHitRate != h.FilterSkipRate {
-				t.Fatalf("Stats FilterHitRate = %.4f, heatmap FilterSkipRate = %.4f (skips %d, hits %d, false positives %d)",
-					s.Hash.FilterHitRate, h.FilterSkipRate, h.FilterSkips, h.FilterHits, h.FilterFPs)
-			}
-			// The heatmap summary counts its longest chain in Stats' unit:
-			// pages, the primary included.
-			if _, single := d.(*hashDB); single {
-				want := fmt.Sprintf("maxchain=%d pages", s.Hash.MaxChain)
-				if !strings.Contains(h.String(), want) {
+			for _, v := range views {
+				h, err := v.tbl.Heatmap()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if h.FilterFPs == 0 {
+					t.Fatalf("no filter false positives in %d absent-key reads: the rates cannot disagree", n)
+				}
+				if v.st.FilterHitRate != h.FilterSkipRate {
+					t.Fatalf("Stats FilterHitRate = %.4f, heatmap FilterSkipRate = %.4f (skips %d, hits %d, false positives %d)",
+						v.st.FilterHitRate, h.FilterSkipRate, h.FilterSkips, h.FilterHits, h.FilterFPs)
+				}
+				// The heatmap summary counts its longest chain in Stats' unit:
+				// pages, the primary included.
+				if want := fmt.Sprintf("maxchain=%d pages", v.st.MaxChain); !strings.Contains(h.String(), want) {
 					t.Fatalf("heatmap summary %q lacks %q (Stats.Hash.MaxChain)", h.String(), want)
 				}
 			}

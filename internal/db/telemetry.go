@@ -13,9 +13,9 @@ import (
 // (see internal/telemetry for the endpoint list): the one starter for
 // every db.DB. Every DB serves /stats from db.Stats; a single table
 // additionally mounts its metrics registry (/metrics), tracer
-// (/debug/events) and bucket heatmap (/debug/heatmap). A sharded
+// ring (/debug/events) and bucket heatmap (/debug/heatmap). A sharded
 // database mounts the shared registry every shard aggregates into, the
-// tracer the shards and the log share, a per-shard heatmap array, and a
+// ring the shards and the log share, a per-shard heatmap array, and a
 // /stats document whose "Shards" member breaks the aggregate down — one
 // ops dashboard for the whole fleet of shards (dbserver points its
 // -telemetry flag here). rec, when non-nil, is the recorder the caller's
@@ -37,17 +37,17 @@ func ServeTelemetry(d DB, addr string, rec *oplog.Recorder) (*telemetry.Server, 
 	case *hashDB:
 		t := x.table()
 		o.Registry = t.MetricsRegistry()
-		o.Tracer = t.Tracer()
+		o.Ring = t.Tracer().Ring()
 		o.Heatmap = func() (any, error) { return Heatmap(d) }
 	case *Sharded:
 		o.Registry = x.reg
-		o.Tracer = x.tr
+		o.Ring = x.tr
 		o.Heatmap = func() (any, error) { return shardedHeatmap(x) }
 	}
 	if rec != nil {
-		tr := o.Tracer
+		ring := o.Ring
 		o.Oplog = func() (any, error) { return rec.Snapshot(), nil }
-		o.OplogExemplars = func() (any, error) { return exemplarsWithEvents(rec, tr), nil }
+		o.OplogExemplars = func() (any, error) { return exemplarsWithEvents(rec, ring), nil }
 	}
 	return telemetry.Serve(addr, o)
 }
@@ -60,17 +60,15 @@ type exemplarEvents struct {
 	Events []trace.Event `json:"events,omitempty"`
 }
 
-// exemplarsWithEvents joins rec's exemplars to tr's ring at scrape time.
-// An exemplar whose span the ring has since overwritten, or any exemplar
-// when tr is nil, carries no events.
-func exemplarsWithEvents(rec *oplog.Recorder, tr *trace.Tracer) []exemplarEvents {
+// exemplarsWithEvents joins rec's exemplars to ring at scrape time. An
+// exemplar whose span the ring has since overwritten, or any exemplar
+// when ring is nil, carries no events.
+func exemplarsWithEvents(rec *oplog.Recorder, ring *trace.Ring) []exemplarEvents {
 	exs := rec.Exemplars()
 	out := make([]exemplarEvents, len(exs))
 	for i, ex := range exs {
 		out[i].ExemplarView = ex
-		if tr != nil {
-			out[i].Events = tr.Ring().Range(ex.TraceSeq0, ex.TraceSeq1)
-		}
+		out[i].Events = ring.Range(ex.TraceSeq0, ex.TraceSeq1)
 	}
 	return out
 }

@@ -14,13 +14,16 @@
 //   - Names are stable, Prometheus-style identifiers ("hash_gets_total",
 //     "pagefile_sync_seconds"), so the text dump is scrapable as-is.
 //
-// Registering the same name twice aggregates into one series (the
-// expvar semantic): Counter/Gauge/Histogram return the shared handle,
-// and func-backed metrics (CounterFunc/GaugeFunc) and AddHistogram
-// collect every registration and sum them at read time. That is what
-// lets N sharded tables — each registering its own buffer pool, page
-// store and log collectors — publish under one registry (one /metrics
-// page) without clobbering or double counting each other.
+// A name registered twice is one series. Counter, Gauge and Histogram
+// return the one shared handle: Adds and Observes from every caller
+// aggregate, but a shared Gauge's Set is last-writer-wins, so it holds
+// one component's value, not the sum. Per-component values register
+// func-backed metrics (CounterFunc, GaugeFunc) or AddHistogram instead,
+// which collect every registration and sum them at read time. That is
+// what lets N sharded tables — each registering views over its own
+// counts, key count, buffer pool, page store and log — publish under
+// one registry (one /metrics page) without clobbering or double counting
+// each other.
 package metrics
 
 import (
@@ -295,7 +298,9 @@ func (r *Registry) Counter(name string) *Counter {
 	return e.c
 }
 
-// Gauge registers (or finds) the gauge called name.
+// Gauge registers (or finds) the gauge called name. Every caller gets
+// the same handle, so Set is last-writer-wins: a value each component
+// owns (keys per table) registers a GaugeFunc per component instead.
 func (r *Registry) Gauge(name string) *Gauge {
 	e := r.register(name, kindGauge)
 	if e.g == nil {

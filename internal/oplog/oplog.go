@@ -12,7 +12,7 @@
 // pointer, and a nil ledger means attribution is off: every recording
 // method is nil-receiver-safe, so an unenabled path pays one
 // predictable branch and zero clock reads — the same contract the
-// trace package establishes with its nil-tracer checks. There is one
+// trace package keeps for a nil ring. There is one
 // way down: inside a package a function takes the ledger and nil means
 // off; an exported plain form (Table.Put beside Table.PutOp) exists
 // only where an external caller has no ledger to pass. Phase
@@ -253,7 +253,7 @@ func (l *Ledger) SetShard(s int) {
 
 // SetTraceSpan records the trace-ring sequence window [seq0, seq1)
 // covering the op, linking an exemplar to its trace events. Safe on a
-// nil receiver; an empty window (no events, or no tracer) records
+// nil receiver; an empty window (no events, or no ring) records
 // nothing. The stores are atomic because a sharded batch's sub-batches
 // each note their own window on the one ledger concurrently; the
 // fan-out's owner then sets the enclosing window after the join.

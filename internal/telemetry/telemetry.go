@@ -6,7 +6,7 @@
 // stopping it.
 //
 // The package is deliberately generic: it serves closures and interfaces
-// (a *metrics.Registry, a *trace.Tracer, stats/heatmap functions), so a
+// (a *metrics.Registry, a *trace.Ring, stats/heatmap functions), so a
 // caller holding a bare core table and the db layer (db.ServeTelemetry,
 // what dbserver and dbcli -telemetry use) mount their own views through
 // the one starter, Serve. The storage engine
@@ -49,9 +49,9 @@ import (
 type Options struct {
 	// Registry backs /metrics.
 	Registry *metrics.Registry
-	// Tracer backs /debug/events. With a Registry as well, the ring's
-	// drop count joins it as trace_events_dropped_total.
-	Tracer *trace.Tracer
+	// Ring backs /debug/events. With a Registry as well, its drop count
+	// joins it as trace_events_dropped_total.
+	Ring *trace.Ring
 	// Stats computes the /stats JSON payload per request.
 	Stats func() (any, error)
 	// Heatmap computes the /debug/heatmap JSON payload per request.
@@ -67,8 +67,8 @@ type Options struct {
 // NewHandler builds the telemetry endpoint tree.
 func NewHandler(o Options) http.Handler {
 	mux := http.NewServeMux()
-	if o.Registry != nil && o.Tracer != nil {
-		o.Registry.CounterFunc("trace_events_dropped_total", func() int64 { return int64(o.Tracer.Ring().Dropped()) })
+	if o.Registry != nil && o.Ring != nil {
+		o.Registry.CounterFunc("trace_events_dropped_total", func() int64 { return int64(o.Ring.Dropped()) })
 		o.Registry.Help("trace_events_dropped_total", "Trace events given a sequence number but not stored (writer lapped mid-publish)")
 	}
 
@@ -106,7 +106,7 @@ func NewHandler(o Options) http.Handler {
 	mux.HandleFunc("/debug/oplog/exemplars", jsonEndpoint(o.OplogExemplars, "no op ledger recorder attached"))
 
 	mux.HandleFunc("/debug/events", func(w http.ResponseWriter, r *http.Request) {
-		if o.Tracer == nil {
+		if o.Ring == nil {
 			http.Error(w, "no tracer attached", http.StatusNotFound)
 			return
 		}
@@ -129,13 +129,13 @@ func NewHandler(o Options) http.Handler {
 			}
 			types = append(types, ty)
 		}
-		evs := o.Tracer.Events(max, types...)
+		evs := o.Ring.Events(max, types...)
 		writeJSON(w, struct {
 			NextSeq uint64        `json:"next_seq"`
 			Dropped uint64        `json:"dropped"`
 			Count   int           `json:"count"`
 			Events  []trace.Event `json:"events"`
-		}{o.Tracer.Ring().Next(), o.Tracer.Ring().Dropped(), len(evs), evs})
+		}{o.Ring.Next(), o.Ring.Dropped(), len(evs), evs})
 	})
 
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

@@ -26,12 +26,13 @@ func get(t *testing.T, h http.Handler, path string) (int, string) {
 func TestHandlerFull(t *testing.T) {
 	reg := metrics.New()
 	reg.Counter("test_ops_total").Add(3)
-	tr := trace.New(64)
+	ring := trace.New(64)
+	tr := trace.NewTracer(ring)
 	tr.Emit(trace.EvSplitBegin, 1, 2, 3, 0)
 	tr.Emit(trace.EvSyncBegin, 7, 0, 0, 0)
 	h := NewHandler(Options{
 		Registry: reg,
-		Tracer:   tr,
+		Ring:     ring,
 		Stats:    func() (any, error) { return map[string]int{"keys": 42}, nil },
 		Heatmap:  func() (any, error) { return map[string]int{"buckets": 4}, nil },
 	})

@@ -16,10 +16,14 @@
 //     stores, commit store), so writers never block each other or
 //     readers; a writer that loses its slot to one a full lap away
 //     drops its event and counts it.
-//   - A nil *Tracer is fully functional and free: every method nil-checks
-//     its receiver, so instrumented code paths pay a single pointer
-//     comparison when tracing is disabled — no atomics, no time calls,
-//     no allocation.
+//   - An event is recorded once. Each component that emits (a table, a
+//     log) owns one Tracer, never nil, which counts every event it
+//     records, exactly, per type and kind (see Count): the component's
+//     metrics are read-time views over those counts, so a counter and a
+//     ring event can never disagree about one fact. The shared *Ring is
+//     optional: without one (nil, tracing off) Emit is the count's one
+//     atomic add — no clock read, no slot, no allocation — and Next
+//     and Range on the nil ring report nothing.
 //   - Readers never block writers: Snapshot validates each slot's commit
 //     word before and after copying it, discarding slots that a wrapping
 //     writer overtook mid-copy. Sequence numbers in a snapshot are
@@ -27,7 +31,7 @@
 //
 // The ring keeps no record of requests. A request is described once, by
 // its op ledger (internal/oplog): the ledger notes the ring position
-// before and after the call (Tracer.Next), and the telemetry surface
+// before and after the call (Ring.Next), and the telemetry surface
 // inlines Ring.Range over that span into the request's exemplar — the
 // event trail of one slow Get, Put, batch or commit.
 package trace
@@ -247,9 +251,13 @@ type Ring struct {
 	dropped atomic.Uint64
 }
 
-// NewRing creates a ring holding at least capacity events (rounded up to
-// a power of two, minimum 64).
-func NewRing(capacity int) *Ring {
+// New creates a ring holding at least capacity events, rounded up to a
+// power of two, minimum 64 (0 picks 16384 — one megabyte of slots). It is
+// the one ring every component of a table or database emits into.
+func New(capacity int) *Ring {
+	if capacity <= 0 {
+		capacity = 16384
+	}
 	n := 64
 	for n < capacity {
 		n <<= 1
@@ -260,8 +268,15 @@ func NewRing(capacity int) *Ring {
 // Cap reports the ring capacity in events.
 func (r *Ring) Cap() int { return len(r.slots) }
 
-// Next reports the sequence number the next emitted event will receive.
-func (r *Ring) Next() uint64 { return r.next.Load() }
+// Next reports the sequence number the next emitted event will receive
+// (0 on a nil ring). A caller brackets an operation with two reads to
+// learn which ring events were emitted while it ran.
+func (r *Ring) Next() uint64 {
+	if r == nil {
+		return 0
+	}
+	return r.next.Load()
+}
 
 // Dropped reports how many events were given a sequence number but not
 // stored, because the writer found its slot still owned by the writer one
@@ -318,8 +333,12 @@ func (r *Ring) read(s uint64) (Event, bool) {
 
 // Range copies the intact events with sequence numbers in [from, to),
 // oldest first. Sequence numbers in the result are strictly increasing;
-// events a wrapping writer has reclaimed are silently absent.
+// events a wrapping writer has reclaimed are silently absent. A nil ring
+// has none.
 func (r *Ring) Range(from, to uint64) []Event {
+	if r == nil {
+		return nil
+	}
 	if to > r.next.Load() {
 		to = r.next.Load()
 	}
@@ -353,76 +372,10 @@ func (r *Ring) Snapshot(max int) []Event {
 	return r.Range(from, head)
 }
 
-// SlowIOThreshold is the device-operation latency at and above which
-// SlowIO emits an event.
-const SlowIOThreshold = time.Millisecond
-
-// Tracer is the emission front end over a Ring. All methods are safe for
-// concurrent use and safe on a nil receiver — a nil Tracer is the
-// disabled state and costs one pointer comparison per instrumented site.
-type Tracer struct {
-	ring *Ring
-}
-
-// New creates a tracer whose ring holds at least capacity events (0
-// picks 16384 — one megabyte of slots).
-func New(capacity int) *Tracer {
-	if capacity <= 0 {
-		capacity = 16384
-	}
-	return &Tracer{ring: NewRing(capacity)}
-}
-
-// Ring exposes the underlying ring (nil on a nil tracer).
-func (t *Tracer) Ring() *Ring {
-	if t == nil {
-		return nil
-	}
-	return t.ring
-}
-
-// Next reports the sequence number the next emitted event will receive
-// (0 on a nil tracer). A caller brackets an operation with two reads to
-// learn which ring events were emitted while it ran.
-func (t *Tracer) Next() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.ring.Next()
-}
-
-// Emit publishes one point event.
-func (t *Tracer) Emit(typ Type, a0, a1, a2, a3 uint64) {
-	if t == nil {
-		return
-	}
-	t.ring.emit(typ, time.Now().UnixNano(), 0, a0, a1, a2, a3)
-}
-
-// EmitDur publishes one event carrying a duration.
-func (t *Tracer) EmitDur(typ Type, d time.Duration, a0, a1, a2, a3 uint64) {
-	if t == nil {
-		return
-	}
-	t.ring.emit(typ, time.Now().UnixNano(), int64(d), a0, a1, a2, a3)
-}
-
-// SlowIO records one device operation's latency; operations at or above
-// SlowIOThreshold emit an EvSlowIO event. Called by the page stores.
-func (t *Tracer) SlowIO(kind int, pageno uint32, bytes int, d time.Duration) {
-	if t == nil || d < SlowIOThreshold {
-		return
-	}
-	t.ring.emit(EvSlowIO, time.Now().UnixNano(), int64(d), uint64(kind), uint64(pageno), uint64(bytes), 0)
-}
-
 // Events returns the newest intact events, oldest first, up to max (0:
 // the whole ring). With types given, only those event types are kept.
-func (t *Tracer) Events(max int, types ...Type) []Event {
-	if t == nil {
-		return nil
-	}
-	evs := t.ring.Snapshot(0)
+func (r *Ring) Events(max int, types ...Type) []Event {
+	evs := r.Snapshot(0)
 	if len(types) > 0 {
 		kept := evs[:0]
 		for _, e := range evs {
@@ -439,4 +392,70 @@ func (t *Tracer) Events(max int, types ...Type) []Event {
 		evs = evs[len(evs)-max:]
 	}
 	return evs
+}
+
+// SlowIOThreshold is the device-operation latency at and above which
+// SlowIO emits an event.
+const SlowIOThreshold = time.Millisecond
+
+// kinds bounds the kinds an event type is counted by (see kindOf).
+const kinds = 8
+
+// Tracer is one component's emitter: the one call that records a fact.
+// It counts every event, exactly, by type and kind, and publishes it to
+// the ring when one is attached. A component's metrics read the counts
+// (Count); a shared registry sums them across components at read time.
+// All methods are safe for concurrent use.
+type Tracer struct {
+	ring *Ring // nil: tracing off
+	n    [len(typeInfo)][kinds]atomic.Int64
+}
+
+// NewTracer creates a component's emitter over r, the ring it shares
+// with the other components (nil: count only).
+func NewTracer(r *Ring) *Tracer { return &Tracer{ring: r} }
+
+// Ring reports the ring the tracer publishes to (nil when tracing is
+// off).
+func (t *Tracer) Ring() *Ring { return t.ring }
+
+// Next reports the ring's next sequence number (0 when tracing is off).
+func (t *Tracer) Next() uint64 { return t.ring.Next() }
+
+// kindOf is the code that sorts a type's events into separately counted
+// kinds, for the types a metric counts by kind: a split's uncontrolled
+// flag, a recovery step, a batch phase. Every other type has the one
+// kind 0. Codes are below kinds.
+func kindOf(typ Type, a0, a3 uint64) uint64 {
+	switch typ {
+	case EvSplitBegin:
+		return a3
+	case EvRecoveryStep, EvBatchPhase:
+		return a0
+	}
+	return 0
+}
+
+// Count reports how many events of typ and kind were recorded (see
+// kindOf; kind 0 for the types without kinds).
+func (t *Tracer) Count(typ Type, kind uint64) int64 { return t.n[typ][kind&(kinds-1)].Load() }
+
+// Emit records one point event.
+func (t *Tracer) Emit(typ Type, a0, a1, a2, a3 uint64) { t.EmitDur(typ, 0, a0, a1, a2, a3) }
+
+// EmitDur records one event carrying a duration.
+func (t *Tracer) EmitDur(typ Type, d time.Duration, a0, a1, a2, a3 uint64) {
+	t.n[typ][kindOf(typ, a0, a3)&(kinds-1)].Add(1)
+	if t.ring != nil {
+		t.ring.emit(typ, time.Now().UnixNano(), int64(d), a0, a1, a2, a3)
+	}
+}
+
+// SlowIO records one device operation's latency; operations at or above
+// SlowIOThreshold are an EvSlowIO event. Called by the page stores,
+// whose tracer is nil until a table attaches one.
+func (t *Tracer) SlowIO(kind int, pageno uint32, bytes int, d time.Duration) {
+	if t != nil && d >= SlowIOThreshold {
+		t.EmitDur(EvSlowIO, d, uint64(kind), uint64(pageno), uint64(bytes), 0)
+	}
 }

@@ -9,29 +9,50 @@ import (
 	"time"
 )
 
-func TestNilTracerIsInert(t *testing.T) {
-	var tr *Tracer
+// TestTracerWithoutRingOnlyCounts: with tracing off (no ring) a tracer
+// still counts every event by type and kind, and publishes none; a nil
+// ring reports nothing.
+func TestTracerWithoutRingOnlyCounts(t *testing.T) {
+	tr := NewTracer(nil)
 	tr.Emit(EvSplitBegin, 1, 2, 3, 0)
+	tr.Emit(EvSplitBegin, 1, 2, 3, 1)
+	tr.Emit(EvSplitBegin, 4, 5, 6, 1)
 	tr.EmitDur(EvSyncEnd, time.Second, 1, 0, 0, 0)
+	tr.Emit(EvRecoveryStep, RecoveryStepDone, 9, 9, 0)
 	tr.SlowIO(IORead, 7, 4096, time.Second)
-	if got := tr.Events(0); got != nil {
-		t.Fatalf("nil tracer Events = %v, want nil", got)
+	tr.SlowIO(IORead, 7, 4096, time.Microsecond) // fast: not an event
+	for _, c := range []struct {
+		typ  Type
+		kind uint64
+		want int64
+	}{
+		{EvSplitBegin, 0, 1}, {EvSplitBegin, 1, 2}, {EvSyncEnd, 0, 1},
+		{EvRecoveryStep, RecoveryStepDone, 1}, {EvRecoveryStep, RecoveryStepWalk, 0},
+		{EvSlowIO, 0, 1}, {EvOvflAlloc, 0, 0},
+	} {
+		if got := tr.Count(c.typ, c.kind); got != c.want {
+			t.Errorf("Count(%v, %d) = %d, want %d", c.typ, c.kind, got, c.want)
+		}
 	}
-	if n := tr.Next(); n != 0 {
-		t.Fatalf("nil tracer Next = %d, want 0", n)
+	if tr.Ring() != nil || tr.Next() != 0 {
+		t.Fatal("a tracer without a ring reports one")
 	}
-	if tr.Ring() != nil {
-		t.Fatal("nil tracer Ring != nil")
+	var r *Ring
+	if r.Range(0, 10) != nil || r.Next() != 0 {
+		t.Fatal("a nil ring reports events")
+	}
+	if n := testing.AllocsPerRun(1000, func() { tr.Emit(EvOvflAlloc, 1, 2, 3, 4) }); n != 0 {
+		t.Fatalf("Emit without a ring allocates %.1f times per op, want 0", n)
 	}
 }
 
 func TestEmitAndSnapshot(t *testing.T) {
-	tr := New(64)
+	tr := NewTracer(New(64))
 	tr.Emit(EvSplitBegin, 3, 7, 7, 1)
 	tr.EmitDur(EvSplitEnd, 5*time.Millisecond, 3, 7, 42, 2)
 	tr.Emit(EvOvflAlloc, 2, 11, 2<<11|11, 0)
 
-	evs := tr.Events(0)
+	evs := tr.Ring().Events(0)
 	if len(evs) != 3 {
 		t.Fatalf("got %d events, want 3", len(evs))
 	}
@@ -51,24 +72,24 @@ func TestEmitAndSnapshot(t *testing.T) {
 	}
 
 	// Filter by type.
-	only := tr.Events(0, EvOvflAlloc)
+	only := tr.Ring().Events(0, EvOvflAlloc)
 	if len(only) != 1 || only[0].Type != EvOvflAlloc {
 		t.Fatalf("filtered events = %v", only)
 	}
 	// Cap by max keeps the newest.
-	last := tr.Events(1)
+	last := tr.Ring().Events(1)
 	if len(last) != 1 || last[0].Type != EvOvflAlloc {
 		t.Fatalf("Events(1) = %v", last)
 	}
 }
 
 func TestRingWrapKeepsNewest(t *testing.T) {
-	tr := New(64) // minimum ring: 64 slots
+	tr := NewTracer(New(64)) // minimum ring: 64 slots
 	n := 64 * 3
 	for i := 0; i < n; i++ {
 		tr.Emit(EvOvflAlloc, uint64(i), 0, 0, 0)
 	}
-	evs := tr.Events(0)
+	evs := tr.Ring().Events(0)
 	if len(evs) != 64 {
 		t.Fatalf("got %d events after wrap, want 64", len(evs))
 	}
@@ -122,7 +143,7 @@ func TestEventJSON(t *testing.T) {
 // one dropped event, never a torn or stale slot, so every sequence number
 // is accounted for as either published or dropped.
 func TestRingConcurrentNoTears(t *testing.T) {
-	tr := New(256) // small ring so wrapping is constant
+	tr := NewTracer(New(256)) // small ring so wrapping is constant
 	const (
 		writers = 8
 		perW    = 20000
@@ -174,7 +195,7 @@ func TestRingConcurrentNoTears(t *testing.T) {
 	go func() {
 		defer close(done)
 		for {
-			check(tr.Events(0))
+			check(tr.Ring().Events(0))
 			select {
 			case <-stop:
 				return
@@ -206,7 +227,7 @@ func TestRingConcurrentNoTears(t *testing.T) {
 			}
 		}
 	}
-	evs := tr.Events(0)
+	evs := tr.Ring().Events(0)
 	if want := tr.Ring().Cap() - inWindow; len(evs) != want {
 		t.Fatalf("quiescent snapshot has %d events, want %d (%d dropped in window)", len(evs), want, inWindow)
 	}
@@ -217,7 +238,7 @@ func TestRingConcurrentNoTears(t *testing.T) {
 }
 
 func TestEmitAllocFree(t *testing.T) {
-	tr := New(64)
+	tr := NewTracer(New(64))
 	if n := testing.AllocsPerRun(1000, func() {
 		tr.Emit(EvOvflAlloc, 1, 2, 3, 4)
 	}); n != 0 {

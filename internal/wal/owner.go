@@ -25,10 +25,10 @@ type Table interface {
 	Stamp() (lsn, epoch uint64)
 }
 
-// Metric names an Owner counts into its registry. Commits are
-// acknowledged transactions; replays are logged transactions that
+// Metric names of an Owner's own counts, views in its registry. Commits
+// are acknowledged transactions; replays are logged transactions that
 // recovery applied again; checkpoints are resets of a log that held
-// commits.
+// commits, counted as the log's EvCheckpoint events.
 const (
 	MetricTxnCommits  = "hash_txn_commits_total"
 	MetricWalReplays  = "hash_wal_replayed_txns_total"
@@ -47,7 +47,7 @@ type OwnerOptions struct {
 	// Each runs fn for every table and joins the errors; nil runs them
 	// in order on the caller.
 	Each func(fn func(i int) error) error
-	// Metrics receives the log's wal_* series and the Metric* counters;
+	// Metrics receives the log's wal_* series and the Metric* views;
 	// required.
 	Metrics *metrics.Registry
 }
@@ -62,7 +62,7 @@ type Owner struct {
 	tables []Table
 	opt    OwnerOptions
 
-	commits, replays, checkpoints *metrics.Counter
+	commits, replays atomic.Int64
 
 	// ckpt is the commit-vs-checkpoint lock: a commit holds it shared
 	// from its append until its last table has applied, a checkpoint
@@ -122,7 +122,9 @@ func Attach(l *Log, sr ScanResult, tables []Table, opt OwnerOptions) (*Owner, er
 	}
 	reg := opt.Metrics
 	l.RegisterMetrics(reg)
-	o.commits, o.replays, o.checkpoints = reg.Counter(MetricTxnCommits), reg.Counter(MetricWalReplays), reg.Counter(MetricCheckpoints)
+	reg.CounterFunc(MetricTxnCommits, o.commits.Load)
+	reg.CounterFunc(MetricWalReplays, o.replays.Load)
+	reg.CounterFunc(MetricCheckpoints, func() int64 { return l.tr.Count(trace.EvCheckpoint, 0) })
 	return o, nil
 }
 
@@ -150,7 +152,7 @@ func (o *Owner) Recover() ([]Replayed, error) {
 			reps[i].Txns++
 			reps[i].Ops += len(ops)
 		}
-		o.replays.Inc()
+		o.replays.Add(1)
 	}
 	if len(o.pending) == 0 && o.settled {
 		return reps, nil
@@ -222,7 +224,7 @@ func (o *Owner) Commit(led *oplog.Ledger, ops []Op) error {
 			return o.poison(fmt.Errorf("wal: commit %d: table %d: %w", lsn, i, err))
 		}
 	}
-	o.commits.Inc()
+	o.commits.Add(1)
 	return nil
 }
 
@@ -286,7 +288,6 @@ func (o *Owner) checkpoint(force bool) error {
 	}
 	o.ckptLSN.Store(lsn)
 	if held != 0 {
-		o.checkpoints.Inc()
 		o.log.tr.Emit(trace.EvCheckpoint, lsn, epoch, uint64(size), 0)
 	}
 	return nil
@@ -315,6 +316,9 @@ func (o *Owner) each(fn func(i int) error) error {
 	}
 	return errors.Join(errs...)
 }
+
+// Commits reports how many transactions the owner has committed.
+func (o *Owner) Commits() int64 { return o.commits.Load() }
 
 // Log is the owned log, for its statistics and LSNs and for closing its
 // device.

@@ -152,7 +152,7 @@ type ScanResult struct {
 type Log struct {
 	dev  Device
 	cost CostModel
-	tr   *trace.Tracer
+	tr   *trace.Tracer // counts appends, fsyncs and checkpoints; publishes them to the ring
 
 	mu            sync.Mutex // serializes Append/Reset and guards the fields below
 	size          int64      // valid end of the log; next append offset
@@ -185,9 +185,10 @@ type Log struct {
 
 // Open scans the device and returns a Log positioned to append after the
 // last committed transaction. Torn tails are not erased — the size is
-// simply rewound so the next append overwrites them. tr may be nil.
-func Open(dev Device, cost CostModel, tr *trace.Tracer) (*Log, ScanResult, error) {
-	l := &Log{dev: dev, cost: cost, tr: tr}
+// simply rewound so the next append overwrites them. ring is the trace
+// ring the log's events join (nil: tracing off).
+func Open(dev Device, cost CostModel, ring *trace.Ring) (*Log, ScanResult, error) {
+	l := &Log{dev: dev, cost: cost, tr: trace.NewTracer(ring)}
 	l.sc.cond = sync.NewCond(&l.sc.mu)
 	sr, err := l.scan()
 	if err != nil {
@@ -357,13 +358,8 @@ func (l *Log) Append(ops []Op) (commitLSN uint64, end int64, err error) {
 	}
 	l.size += int64(len(buf))
 	l.lastLSN.Store(commitLSN)
-	l.charge(l.cost.AppendCost, func(s *Stats) {
-		s.Appends++
-		s.AppendedBytes += int64(len(buf))
-	})
-	if l.tr != nil {
-		l.tr.Emit(trace.EvWalAppend, commitLSN, uint64(len(ops)), uint64(len(buf)), 0)
-	}
+	l.charge(l.cost.AppendCost, func(s *Stats) { s.AppendedBytes += int64(len(buf)) })
+	l.tr.Emit(trace.EvWalAppend, commitLSN, uint64(len(ops)), uint64(len(buf)), 0)
 	return commitLSN, l.size, nil
 }
 
@@ -424,10 +420,8 @@ func (l *Log) SyncToOp(led *oplog.Ledger, end int64) error {
 	if err != nil {
 		l.countError()
 	} else {
-		l.charge(l.cost.SyncCost, func(s *Stats) { s.Fsyncs++ })
-		if l.tr != nil {
-			l.tr.Emit(trace.EvWalFsync, l.lastLSN.Load(), uint64(covered), 0, 0)
-		}
+		l.charge(l.cost.SyncCost, func(*Stats) {})
+		l.tr.Emit(trace.EvWalFsync, l.lastLSN.Load(), uint64(covered), 0, 0)
 	}
 
 	l.sc.mu.Lock()
@@ -535,11 +529,14 @@ func (l *Log) Size() int64 {
 	return l.size
 }
 
-// Stats returns a snapshot of the log's counters.
+// Stats returns a snapshot of the log's counters. Appends and fsyncs are
+// the counts of their events.
 func (l *Log) Stats() Stats {
 	l.stMu.Lock()
-	defer l.stMu.Unlock()
-	return l.st
+	st := l.st
+	l.stMu.Unlock()
+	st.Appends, st.Fsyncs = l.tr.Count(trace.EvWalAppend, 0), l.tr.Count(trace.EvWalFsync, 0)
+	return st
 }
 
 // RegisterMetrics exposes the log counters on reg under wal_-prefixed
@@ -555,9 +552,9 @@ func (l *Log) RegisterMetrics(reg *metrics.Registry) {
 			return f(&l.st)
 		}
 	}
-	reg.CounterFunc("wal_appends_total", get(func(s *Stats) int64 { return s.Appends }))
+	reg.CounterFunc("wal_appends_total", func() int64 { return l.tr.Count(trace.EvWalAppend, 0) })
 	reg.CounterFunc("wal_appended_bytes_total", get(func(s *Stats) int64 { return s.AppendedBytes }))
-	reg.CounterFunc("wal_fsyncs_total", get(func(s *Stats) int64 { return s.Fsyncs }))
+	reg.CounterFunc("wal_fsyncs_total", func() int64 { return l.tr.Count(trace.EvWalFsync, 0) })
 	reg.CounterFunc("wal_fsync_joins_total", get(func(s *Stats) int64 { return s.FsyncJoins }))
 	reg.CounterFunc("wal_resets_total", get(func(s *Stats) int64 { return s.Resets }))
 	reg.CounterFunc("wal_errors_total", get(func(s *Stats) int64 { return s.Errors }))
