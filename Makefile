@@ -73,8 +73,10 @@ bench:
 # The per-layer microbenchmarks, one iteration each so they cannot rot:
 # what a live op ledger adds to a warm Get, what one page fault costs at
 # a 16- and a 2048-page pool, what a lone pair's PutBatch costs at 1,
-# 2 and 8 shards, what a durable log commit costs on a real file
-# with 1 and 2 committers (and how many commits one fsync covers), and
+# 2 and 8 shards, what benchmark/'s 200 000-pair preload costs in
+# process with a 64 MiB and the default pool, what a durable log commit
+# costs on a real file with 1 and 2 committers (and how many commits
+# one fsync covers), and
 # what a 64-PUT and a 16-GET pipeline window cost through a served
 # connection (with allocs/op). For numbers, raise -benchtime.
 micro:
@@ -82,6 +84,7 @@ micro:
 	$(GO) test -run=NONE -bench=BenchmarkPoolFault -benchtime=1x ./internal/buffer
 	$(GO) test -run=NONE -bench=BenchmarkShardedPutBatch -benchtime=1x ./internal/db
 	$(GO) test -run=NONE -bench=BenchmarkShardedGetParallel -benchtime=1x -cpu=1,2 ./internal/db
+	$(GO) test -run=NONE -bench=BenchmarkBulkLoad -benchtime=1x ./internal/db
 	$(GO) test -run=NONE -bench=BenchmarkLogCommitFile -benchtime=1x ./internal/wal
 	$(GO) test -run=NONE -bench=BenchmarkServerWindow -benchtime=1x ./internal/server
 

@@ -29,7 +29,7 @@ import (
 // than the table — so a miss faults the pages it touches, and a batch
 // of absent keys (uniformly spread over the buckets) is timed twice:
 // filter consulted, and filter ignored (Options.DisableFilter — the
-// pages are identical, the option only gates the read side).
+// pages are identical, the option only gates the consults).
 //
 // Timing follows the harness's paper methodology: user is measured wall
 // time, sys is the simulated cost of the pages moved, elapsed is their

@@ -79,15 +79,12 @@ func (t *Table) putBatch(pairs []Pair, led *oplog.Ledger) error {
 		}
 	}
 
-	sp := opsPool.Get().(*[]writeOp)
-	ops := slices.Grow((*sp)[:0], len(pairs))[:len(pairs)]
+	sp := writeSet(len(pairs))
 	for i := range pairs {
-		ops[i] = writeOp{key: pairs[i].Key, data: pairs[i].Data}
+		(*sp)[i] = writeOp{key: pairs[i].Key, data: pairs[i].Data}
 	}
-	buckets, err := t.applySet(ops, true, led)
-	clear(ops) // the pool keeps no caller's bytes
-	*sp = ops[:0]
-	opsPool.Put(sp)
+	buckets, err := t.applySet(*sp, true, led)
+	releaseWriteSet(sp)
 	if err != nil {
 		return err
 	}
@@ -105,8 +102,21 @@ func (t *Table) putBatch(pairs []Pair, led *oplog.Ledger) error {
 	return nil
 }
 
-// opsPool recycles putBatch's write sets, so a batch allocates none.
+// opsPool recycles the write sets of batches and commits, so neither
+// allocates one: writeSet takes a set of n ops, releaseWriteSet returns it.
 var opsPool = sync.Pool{New: func() any { return new([]writeOp) }}
+
+func writeSet(n int) *[]writeOp {
+	sp := opsPool.Get().(*[]writeOp)
+	*sp = slices.Grow((*sp)[:0], n)[:n]
+	return sp
+}
+
+func releaseWriteSet(sp *[]writeOp) {
+	clear(*sp) // the pool keeps no caller's bytes
+	*sp = (*sp)[:0]
+	opsPool.Put(sp)
+}
 
 // presize expands an empty table's geometry straight to the bucket
 // count that storing n keys at the configured fill factor implies — the
@@ -157,6 +167,7 @@ type writeOp struct {
 	del       bool
 	dead      bool // superseded by a later op on the same key
 	found     bool // the copy that predates the set was on the chain and is removed
+	absent    bool // the primary's filter proves no copy predates the set
 	placed    bool // put: the new copy is on a page
 }
 

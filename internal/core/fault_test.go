@@ -167,81 +167,105 @@ func TestStorePageSizeMismatch(t *testing.T) {
 	}
 }
 
+// midChainWrites are the write entry points a mid-chain fault is driven
+// through, each storing the given fresh pairs.
+var midChainWrites = map[string]func(*Table, []Pair) error{
+	"PutBatch": func(tbl *Table, ps []Pair) error { return tbl.PutBatch(ps) },
+	"Put":      func(tbl *Table, ps []Pair) error { return tbl.Put(ps[0].Key, ps[0].Data) },
+	"Commit": func(tbl *Table, ps []Pair) error {
+		x, err := tbl.Begin()
+		if err != nil {
+			return err
+		}
+		if err := x.Put(ps[0].Key, ps[0].Data); err != nil {
+			return err
+		}
+		return x.Commit()
+	},
+}
+
+// midChainKeys is how many keys midChainTable loads: two 104-byte pairs
+// a page, and 24 tags fit the filter's 32.
+const midChainKeys = 24
+
+// midChainTable opens one bucket whose chain is longer than the pool (the
+// 8-buffer floor), with room opened on chain position 3, synced and with
+// every page evicted, so each page the next write reaches is a store
+// read. It returns the fault store, the physical page at chain position
+// 8, and two fresh pairs — keys absent from the table — whose tags the
+// primary's filter carries (maybe, true) or lacks (maybe, false).
+func midChainTable(t *testing.T, maybe bool) (*Table, *pagefile.FaultStore, uint32, []Pair) {
+	t.Helper()
+	const roomPos, faultPos = 3, 8
+	fs := pagefile.NewFault(pagefile.NewMem(256, pagefile.CostModel{}))
+	tbl := mustOpen(t, "", &Options{
+		Store: fs, Bsize: 256, CacheSize: 4 * 256, WALDevice: wal.NewMemDevice(),
+		Ffactor: 1 << 20, ControlledOnly: true, // one bucket, never split
+	})
+	t.Cleanup(func() { tbl.Close() })
+	for i := 0; i < midChainKeys; i++ {
+		if err := tbl.Put(key(i), bytes.Repeat([]byte{'v'}, 90)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The chain as laid out: physical page and first key of every
+	// position.
+	var pages []uint32
+	var firstKey [][]byte
+	if err := tbl.walkChain(nil, 0, func(b *buffer.Buf) (bool, error) {
+		pg := tbl.hdr.bucketToPage(0)
+		if b.Addr.Ovfl {
+			pg = tbl.hdr.oaddrToPage(oaddr(b.Addr.N))
+		}
+		pages = append(pages, pg)
+		e, err := page(b.Page).entryAt(0)
+		firstKey = append(firstKey, append([]byte(nil), e.key...))
+		return false, err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(pages) <= faultPos {
+		t.Fatalf("chain has %d pages, want more than %d", len(pages), faultPos)
+	}
+	if err := tbl.Delete(firstKey[roomPos]); err != nil {
+		t.Fatal(err)
+	}
+	pb, err := tbl.getBucketPage(nil, 0)
+	if err != nil || page(pb.Page).fltSaturatedBit() {
+		t.Fatalf("primary filter unusable (err %v): the test would be vacuous", err)
+	}
+	var fresh []Pair
+	for i := 0; len(fresh) < 2; i++ {
+		k := []byte(fmt.Sprintf("fresh-%d", i))
+		if (page(pb.Page).filterHints(tbl.hash(k)) != 0) == maybe {
+			fresh = append(fresh, Pair{Key: k, Data: []byte("f")})
+		}
+	}
+	tbl.pool.Put(pb)
+	if err := tbl.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.pool.InvalidateAll(); err != nil {
+		t.Fatal(err)
+	}
+	return tbl, fs, pages[faultPos], fresh
+}
+
 // TestFaultMidChainWriteKeepsFilter pins the one direction DESIGN §14
 // forbids against a write that fails part-way down a chain: whatever a
 // failed PutBatch, Put or commit apply managed to place must be known to
 // the primary's tag filter, or Get answers "definitely absent" for a key
-// that Seq and Check can see. One bucket holds a chain longer than the
-// pool (the 8-buffer floor), with room opened on chain position 3, so a
-// fresh pair lands there before the walk reaches the page whose read
+// that Seq and Check can see. The fresh keys share a tag with a resident
+// key, so the filter cannot prove them absent: the walk goes on past
+// chain position 3, where a fresh pair lands, to the page whose read
 // faults.
 func TestFaultMidChainWriteKeepsFilter(t *testing.T) {
-	const nkeys, roomPos, faultPos = 24, 3, 8 // two 104-byte pairs a page; 24 tags fit the filter's 32
-	fresh := func(i int) Pair { return Pair{Key: []byte(fmt.Sprintf("fresh-%d", i)), Data: []byte("f")} }
-	writes := map[string]func(*Table) error{
-		"PutBatch": func(tbl *Table) error { return tbl.PutBatch([]Pair{fresh(0), fresh(1)}) },
-		"Put":      func(tbl *Table) error { return tbl.Put(fresh(0).Key, fresh(0).Data) },
-		"Commit": func(tbl *Table) error {
-			x, err := tbl.Begin()
-			if err != nil {
-				return err
-			}
-			if err := x.Put(fresh(0).Key, fresh(0).Data); err != nil {
-				return err
-			}
-			return x.Commit()
-		},
-	}
-	for name, write := range writes {
+	for name, write := range midChainWrites {
 		write := write
 		t.Run(name, func(t *testing.T) {
-			fs := pagefile.NewFault(pagefile.NewMem(256, pagefile.CostModel{}))
-			tbl := mustOpen(t, "", &Options{
-				Store: fs, Bsize: 256, CacheSize: 4 * 256, WALDevice: wal.NewMemDevice(),
-				Ffactor: 1 << 20, ControlledOnly: true, // one bucket, never split
-			})
-			defer tbl.Close()
-			for i := 0; i < nkeys; i++ {
-				if err := tbl.Put(key(i), bytes.Repeat([]byte{'v'}, 90)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// The chain as laid out: physical page and first key of every
-			// position.
-			var pages []uint32
-			var firstKey [][]byte
-			if err := tbl.walkChain(nil, 0, func(b *buffer.Buf) (bool, error) {
-				pg := tbl.hdr.bucketToPage(0)
-				if b.Addr.Ovfl {
-					pg = tbl.hdr.oaddrToPage(oaddr(b.Addr.N))
-				}
-				pages = append(pages, pg)
-				e, err := page(b.Page).entryAt(0)
-				firstKey = append(firstKey, append([]byte(nil), e.key...))
-				return false, err
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if len(pages) <= faultPos {
-				t.Fatalf("chain has %d pages, want more than %d", len(pages), faultPos)
-			}
-			if err := tbl.Delete(firstKey[roomPos]); err != nil {
-				t.Fatal(err)
-			}
-			if pb, err := tbl.getBucketPage(nil, 0); err != nil || page(pb.Page).fltSaturatedBit() {
-				t.Fatalf("primary filter unusable (err %v): the test would be vacuous", err)
-			} else {
-				tbl.pool.Put(pb)
-			}
-			if err := tbl.Sync(); err != nil {
-				t.Fatal(err)
-			}
-			if err := tbl.pool.InvalidateAll(); err != nil { // every page is a store read from here
-				t.Fatal(err)
-			}
-
-			fs.Inject(pagefile.Fault{Op: pagefile.OpRead, After: 1, Err: errors.New("injected read fault"), Page: pages[faultPos]})
-			werr := write(tbl)
+			tbl, fs, faultPage, fresh := midChainTable(t, true)
+			fs.Inject(pagefile.Fault{Op: pagefile.OpRead, After: 1, Err: errors.New("injected read fault"), Page: faultPage})
+			werr := write(tbl, fresh)
 			fs.Clear()
 			if werr == nil {
 				t.Fatal("write succeeded across a faulted chain page")
@@ -253,11 +277,34 @@ func TestFaultMidChainWriteKeepsFilter(t *testing.T) {
 					t.Errorf("Seq yields %q but Get says %v (the write returned %v)", it.Key(), err, werr)
 				}
 			}
-			if seen < nkeys-1 {
-				t.Errorf("Seq yielded %d keys, want at least %d", seen, nkeys-1)
+			if seen < midChainKeys-1 {
+				t.Errorf("Seq yielded %d keys, want at least %d", seen, midChainKeys-1)
 			}
 			if err := tbl.Check(); err != nil {
 				t.Errorf("Check after the write returned %v: %v", werr, err)
+			}
+		})
+	}
+}
+
+// TestFaultMidChainAbsentKeySkipsChain: a fresh key the primary's filter
+// rules out has no copy to look for, so its write stops at chain position
+// 3, the first page with room, and never reads the faulted page beyond.
+func TestFaultMidChainAbsentKeySkipsChain(t *testing.T) {
+	for name, write := range midChainWrites {
+		write := write
+		t.Run(name, func(t *testing.T) {
+			tbl, fs, faultPage, fresh := midChainTable(t, false)
+			fs.Inject(pagefile.Fault{Op: pagefile.OpRead, After: 1, Err: errors.New("injected read fault"), Page: faultPage})
+			if err := write(tbl, fresh); err != nil {
+				t.Fatalf("write of a key the filter rules out: %v", err)
+			}
+			fs.Clear()
+			if got, err := tbl.Get(fresh[0].Key); err != nil || !bytes.Equal(got, fresh[0].Data) {
+				t.Fatalf("Get(%q) = %q, %v", fresh[0].Key, got, err)
+			}
+			if err := tbl.Check(); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

@@ -54,16 +54,7 @@ const (
 // pages, fill factor ~8) the 32 tags cover a bucket several times over;
 // saturation only happens on pathological skew, where the filter would
 // not help anyway.
-func tagCapFor(n int) int {
-	c := n / 8
-	if c < 8 {
-		c = 8
-	}
-	if c > 120 {
-		c = 120
-	}
-	return c
-}
+func tagCapFor(n int) int { return min(max(n/8, 8), 120) }
 
 // slotBaseFor returns the offset of the first slot on a page of n bytes.
 func slotBaseFor(n int) int { return pageHdrSize + fltMetaSize + tagCapFor(n) }
@@ -176,6 +167,12 @@ func (p page) filterRemove(h uint32, pos int) {
 		}
 	}
 	p[fltFlagsOff] |= fltSaturated
+}
+
+// filterAnswers reports whether pg's filter may answer a read or a write:
+// filters are on, none awaits Recover's rebuild, and the tag set is whole.
+func (t *Table) filterAnswers(pg page) bool {
+	return t.filtersOn && !t.needsRecovery && !pg.fltSaturatedBit()
 }
 
 // filterHints reports which chain positions may hold a key with hash h:

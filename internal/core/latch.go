@@ -269,7 +269,10 @@ func (t *Table) splitBucket(oldB, newB uint32) (moved, nchain int, err error) {
 
 	// Reset the old primary, reclaim the chain (freeOvfl discards any
 	// resident buffer for each freed page) and initialize the new primary.
-	if err := t.formatPrimary(oldB); err != nil {
+	// Both primaries stay pinned, and so does every page their chains
+	// grow, until the last pair is placed.
+	defer t.releaseSplitPages()
+	if err := t.formatPrimary(0, oldB); err != nil {
 		return 0, len(chain), err
 	}
 	for _, o := range chain {
@@ -277,7 +280,7 @@ func (t *Table) splitBucket(oldB, newB uint32) (moved, nchain int, err error) {
 			return 0, len(chain), err
 		}
 	}
-	if err := t.formatPrimary(newB); err != nil {
+	if err := t.formatPrimary(1, newB); err != nil {
 		return 0, len(chain), err
 	}
 	for i := range entries {
@@ -288,8 +291,9 @@ func (t *Table) splitBucket(oldB, newB uint32) (moved, nchain int, err error) {
 	return len(entries), len(chain), nil
 }
 
-// formatPrimary empties bucket b's primary page in place.
-func (t *Table) formatPrimary(b uint32) error {
+// formatPrimary empties bucket b's primary page in place and keeps it
+// pinned as the head of the split's destination chain d (0 old, 1 new).
+func (t *Table) formatPrimary(d int, b uint32) error {
 	pb, err := t.getBucketPage(nil, b)
 	if err != nil {
 		return err
@@ -297,12 +301,24 @@ func (t *Table) formatPrimary(b uint32) error {
 	clear(pb.Page)
 	initPage(page(pb.Page))
 	pb.Dirty.Store(true)
-	t.pool.Put(pb)
+	t.split.dest[d] = append(t.split.dest[d], pb)
 	return nil
 }
 
-// placeSplitEntry inserts one gathered pair into whichever of the two
-// buckets the new geometry routes it to. Caller holds both latches.
+// releaseSplitPages unpins the split's destination chains.
+func (t *Table) releaseSplitPages() {
+	for d, pages := range t.split.dest {
+		for _, b := range pages {
+			t.pool.Put(b)
+		}
+		clear(pages)
+		t.split.dest[d] = pages[:0]
+	}
+}
+
+// placeSplitEntry places one gathered pair first fit on the pinned chain
+// of whichever bucket the new geometry routes it to, growing the chain
+// when no page has room, and tags it on that pinned primary.
 func (t *Table) placeSplitEntry(oldB, newB uint32, e *splitEntry) error {
 	key := e.key
 	if e.ref != 0 {
@@ -316,5 +332,23 @@ func (t *Table) placeSplitEntry(oldB, newB uint32, e *splitEntry) error {
 	if dest != oldB && dest != newB {
 		return fmt.Errorf("%w: split of bucket %d sent key to bucket %d (new %d)", ErrCorrupt, oldB, dest, newB)
 	}
-	return t.insert(dest, h, &writeOp{key: e.key, data: e.data, ref: e.ref})
+	op := writeOp{key: e.key, data: e.data, ref: e.ref}
+	pages := &t.split.dest[boolArg(dest == newB)] // 0 old, 1 new
+	pos := 0
+	for pos < len(*pages) && !op.fits(page((*pages)[pos].Page)) {
+		pos++
+	}
+	if pos == len(*pages) {
+		nb, err := t.appendOvfl((*pages)[pos-1])
+		if err != nil {
+			return err
+		}
+		if *pages = append(*pages, nb); !op.fits(page(nb.Page)) {
+			return fmt.Errorf("%w: pair does not fit on empty page", ErrCorrupt)
+		}
+	}
+	op.addTo(page((*pages)[pos].Page))
+	(*pages)[pos].Dirty.Store(true)
+	page((*pages)[0].Page).filterAdd(h, pos)
+	return nil
 }

@@ -165,20 +165,21 @@ const (
 // passing the entry index (0-based over entries, not slots). fn may not
 // modify the page. Iteration stops early if fn returns false.
 func (p page) forEach(fn func(i int, e entry) bool) error {
-	ns := p.nslots()
+	ns, base := p.nslots(), p.slotBase()
 	// Bounds-check the slot array before indexing: on a garbage page
 	// (torn write, corruption) nslots can claim more slots than fit.
-	if p.slotBase()+ns*slotSize > len(p) {
+	if base+ns*slotSize > len(p) {
 		return fmt.Errorf("%w: %d slots do not fit on a %d-byte page", ErrCorrupt, ns, len(p))
 	}
 	if p.low() > len(p) {
 		return fmt.Errorf("%w: data low watermark %d beyond page end %d", ErrCorrupt, p.low(), len(p))
 	}
+	slots := p[base : base+ns*slotSize] // the slot base, computed once
 	low := len(p)
 	idx := 0
 	for s := 0; s+1 < ns; s += 2 {
-		first := p.slot(s)
-		second := p.slot(s + 1)
+		first := le.Uint16(slots[s*slotSize:])
+		second := le.Uint16(slots[(s+1)*slotSize:])
 		switch first {
 		case markOvfl:
 			if s != ns-2 {

@@ -99,12 +99,12 @@ type Options struct {
 	// Sync flushes pages without moving the header's checkpoint LSN.
 	// Overrides WAL and WALDevice.
 	SharedLog bool
-	// DisableFilter stops reads from consulting the per-bucket tag
-	// filters (see filter.go). The filter bytes are still maintained by
-	// every write — they are persistent page state, and a table mutated
+	// DisableFilter stops reads and writes from consulting the per-bucket
+	// tag filters (see filter.go). The filter bytes are still maintained
+	// by every write — they are persistent page state, and a table mutated
 	// with filters off must still answer correctly when reopened without
-	// the option — so this only removes the read-side consult. It exists
-	// for the A/B miss benchmarks.
+	// the option — so this only removes the consults. It exists for the
+	// A/B benchmarks.
 	DisableFilter bool
 }
 
@@ -181,7 +181,7 @@ type Table struct {
 	readonly       bool
 	closed         bool
 	controlledOnly bool
-	filtersOn      bool // reads consult the per-bucket tag filters
+	filtersOn      bool // reads and writes consult the per-bucket tag filters
 
 	// Bucket-granular concurrency state (see latch.go). geo publishes
 	// hdr.maxBucket for shared-phase routing; stripes are the per-bucket
@@ -198,11 +198,12 @@ type Table struct {
 	dirtyHdr  atomic.Bool
 	addedOvfl atomic.Bool // an insert grew a chain: uncontrolled split pending
 
-	// split is splitBucket's gather scratch, touched only under splitMu.
+	// split is splitBucket's scratch, touched only under splitMu.
 	split struct {
 		entries []splitEntry
 		chain   []oaddr
-		bytes   []byte // the regular entries' key and data bytes
+		bytes   []byte           // the regular entries' key and data bytes
+		dest    [2][]*buffer.Buf // the pinned pages of the old and new chains
 	}
 
 	// ovflMu serializes the overflow allocator and bitmap state (ovfl.go)
@@ -737,7 +738,7 @@ func (t *Table) getFromBucket(bucket, h uint32, key, dst []byte, led *oplog.Ledg
 		pos++
 		pg := page(buf.Page)
 		if pos == 0 {
-			if t.filtersOn && !t.needsRecovery && !pg.fltSaturatedBit() {
+			if t.filterAnswers(pg) {
 				filtered = true
 				exact = !pg.fltInexactBit()
 				hints = pg.filterHints(h)
@@ -943,15 +944,16 @@ func (t *Table) applyOne(led *oplog.Ledger, op writeOp, replace bool) error {
 // first, then pending puts are packed into the space (including what the
 // removals just opened); an overflow page left empty is unlinked and
 // reclaimed; puts that fit nowhere go onto fresh overflow pages at the
-// tail. The walk stops as soon as every op is settled. The primary page
+// tail. The walk stops as soon as every op is settled; an op whose key the
+// primary's filter proves absent has no copy to find. The primary page
 // stays pinned throughout and every placement and removal settles its
 // filter tag there in the same step, so no exit path — error paths
 // included — leaves a key on the chain that the filter does not know
 // (the false negative DESIGN §14 forbids).
 //
 // With replace false (PutNew, a set of one) nothing is written — the file
-// is not even marked dirty — until the walk has proved the key absent;
-// the first page with room stays pinned to take the pair.
+// is not even marked dirty — until the walk or the filter has proved the
+// key absent; the first page with room stays pinned to take the pair.
 func (t *Table) applyBucket(ops []writeOp, replace bool, led *oplog.Ledger) error {
 	if replace {
 		// Durably mark the file dirty before the first page mutation.
@@ -964,11 +966,15 @@ func (t *Table) applyBucket(ops []writeOp, replace bool, led *oplog.Ledger) erro
 		return err
 	}
 	primary.Pin() // cur's pin moves down the chain; this one holds the filter page
+	fpg := page(primary.Page)
+	trust := t.filterAnswers(fpg)
 	unfound, unplaced := 0, 0
 	for i := range ops {
-		if !ops[i].dead {
-			unfound++
-			if !ops[i].del {
+		if op := &ops[i]; !op.dead {
+			if op.absent = trust && fpg.filterHints(op.hash) == 0; !op.absent {
+				unfound++
+			}
+			if !op.del {
 				unplaced++
 			}
 		}
@@ -1009,7 +1015,7 @@ func (t *Table) applyBucket(ops []writeOp, replace bool, led *oplog.Ledger) erro
 				return err
 			}
 		}
-		if next == 0 || unfound == 0 && unplaced == 0 {
+		if next == 0 || unfound == 0 && (unplaced == 0 || room != nil) {
 			break
 		}
 		nb, err := t.pool.GetOp(led, ovflBufAddr(next), cur, false)
@@ -1165,7 +1171,7 @@ func (t *Table) matchOp(ops []writeOp, e *entry) (int, error) {
 		}
 	}
 	for j := lo; j < hi; j++ {
-		if op := &ops[j]; !op.dead && !op.found && bytes.Equal(op.key, key) {
+		if op := &ops[j]; !op.dead && !op.found && !op.absent && bytes.Equal(op.key, key) {
 			return j, nil
 		}
 	}
@@ -1192,46 +1198,6 @@ func (t *Table) packOps(buf, primary *buffer.Buf, pos int, ops []writeOp) int {
 		primary.Dirty.Store(true)
 	}
 	return n
-}
-
-// insert places one gathered pair — key and data, or a big pair's ref —
-// into bucket without checking for duplicates (h is the key's hash): the
-// split's redistribution step, whose pairs are already counted in nkeys
-// and the pair checksum.
-func (t *Table) insert(bucket, h uint32, op *writeOp) error {
-	pos := -1
-	err := t.walkChain(nil, bucket, func(buf *buffer.Buf) (bool, error) {
-		pos++
-		if !op.fits(page(buf.Page)) {
-			if page(buf.Page).ovflLink() != 0 {
-				return false, nil
-			}
-			// End of chain: grow it.
-			nb, err := t.appendOvfl(buf)
-			if err != nil {
-				return false, err
-			}
-			defer t.pool.Put(nb)
-			if buf, pos = nb, pos+1; !op.fits(page(buf.Page)) {
-				return false, fmt.Errorf("%w: pair does not fit on empty page", ErrCorrupt)
-			}
-		}
-		op.addTo(page(buf.Page))
-		buf.Dirty.Store(true)
-		return true, nil
-	})
-	if err != nil {
-		return err
-	}
-	// Tag the pair on the bucket's primary page.
-	pb, err := t.getBucketPage(nil, bucket)
-	if err != nil {
-		return err
-	}
-	page(pb.Page).filterAdd(h, pos)
-	pb.Dirty.Store(true)
-	t.pool.Put(pb)
-	return nil
 }
 
 // appendOvfl allocates an overflow page, links it after tail (which must

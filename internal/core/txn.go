@@ -42,8 +42,13 @@ var (
 type Txn struct {
 	log  *wal.Owner
 	ops  []wal.Op
+	buf  []byte // the ops' key and data bytes, copied in
 	led  *oplog.Ledger
 	done bool
+
+	// Room for a small transaction, so it allocates only the Txn.
+	opsArr [4]wal.Op
+	bufArr [256]byte
 }
 
 // SetOplog attaches an op ledger to the transaction. Commit charges its
@@ -74,7 +79,9 @@ func Begin(log *wal.Owner) (*Txn, error) {
 	if err := log.Ready(); err != nil {
 		return nil, err
 	}
-	return &Txn{log: log}, nil
+	x := &Txn{log: log}
+	x.ops, x.buf = x.opsArr[:0], x.bufArr[:0]
+	return x, nil
 }
 
 // Put buffers an insert-or-replace of key → data. Bytes are copied, so
@@ -86,11 +93,16 @@ func (x *Txn) Put(key, data []byte) error {
 	if len(key) == 0 {
 		return ErrEmptyKey
 	}
-	x.ops = append(x.ops, wal.Op{
-		Key:  append([]byte(nil), key...),
-		Data: append([]byte(nil), data...),
-	})
+	x.ops = append(x.ops, wal.Op{Key: x.copy(key), Data: x.copy(data)})
 	return nil
+}
+
+// copy appends b to the transaction's bytes and returns the copy; earlier
+// ops keep a regrown buffer's old block alive.
+func (x *Txn) copy(b []byte) []byte {
+	n := len(x.buf)
+	x.buf = append(x.buf, b...)
+	return x.buf[n:len(x.buf):len(x.buf)]
 }
 
 // Delete buffers a delete of key. Deleting an absent key is not an
@@ -102,7 +114,7 @@ func (x *Txn) Delete(key []byte) error {
 	if len(key) == 0 {
 		return ErrEmptyKey
 	}
-	x.ops = append(x.ops, wal.Op{Delete: true, Key: append([]byte(nil), key...)})
+	x.ops = append(x.ops, wal.Op{Delete: true, Key: x.copy(key)})
 	return nil
 }
 
@@ -153,15 +165,17 @@ func (t *Table) ApplyCommitted(led *oplog.Ledger, commitLSN uint64, ops []wal.Op
 	if err := t.checkWritable(); err != nil {
 		return err
 	}
-	set := make([]writeOp, len(ops))
+	sp := writeSet(len(ops))
 	for i := range ops {
-		set[i] = writeOp{key: ops[i].Key, data: ops[i].Data, del: ops[i].Delete}
+		(*sp)[i] = writeOp{key: ops[i].Key, data: ops[i].Data, del: ops[i].Delete}
 	}
-	if _, err := t.applySet(set, true, led); err != nil {
+	_, err := t.applySet(*sp, true, led)
+	releaseWriteSet(sp)
+	if err != nil {
 		return fmt.Errorf("hash: committed transaction %d applied partially (reopen or Recover to converge): %w", commitLSN, err)
 	}
 	t.raiseAppliedLSN(commitLSN)
-	_, err := t.settleSplits(led)
+	_, err = t.settleSplits(led)
 	return err
 }
 

@@ -109,7 +109,7 @@ func Attach(l *Log, sr ScanResult, tables []Table, opt OwnerOptions) (*Owner, er
 	o.ckptLSN.Store(high)
 	l.EnsureLSN(high)
 	for _, tx := range sr.Txns {
-		per, above := o.split(tx.Ops), false
+		per, above := o.split(nil, tx.Ops), false
 		for i := range per {
 			if tx.LSN <= stamps[i] {
 				per[i] = nil
@@ -165,18 +165,25 @@ func (o *Owner) Recover() ([]Replayed, error) {
 	return reps, nil
 }
 
-// split partitions ops by table, preserving order within each.
-func (o *Owner) split(ops []Op) [][]Op {
-	if o.opt.Route == nil {
-		return [][]Op{ops}
+// split partitions ops by table into per, one list per table reused from
+// its start, preserving order within each.
+func (o *Owner) split(per [][]Op, ops []Op) [][]Op {
+	per = slices.Grow(per[:0], len(o.tables))[:len(o.tables)]
+	for i := range per {
+		per[i] = per[i][:0]
 	}
-	per := make([][]Op, len(o.tables))
 	for _, op := range ops {
-		i := o.opt.Route(op.Key)
+		i := 0
+		if o.opt.Route != nil {
+			i = o.opt.Route(op.Key)
+		}
 		per[i] = append(per[i], op)
 	}
 	return per
 }
+
+// perPool recycles Commit's partitions, so a commit allocates none.
+var perPool = sync.Pool{New: func() any { return new([][]Op) }}
 
 // Ready reports why a commit would be refused now (closed or damaged),
 // or nil. It takes no lock, so a caller may hold a table lock.
@@ -212,7 +219,15 @@ func (o *Owner) Commit(led *oplog.Ledger, ops []Op) error {
 	if err != nil {
 		return o.poison(fmt.Errorf("wal: commit: %w", err))
 	}
-	per := o.split(ops)
+	sp := perPool.Get().(*[][]Op)
+	per := o.split(*sp, ops)
+	defer func() {
+		for i := range per {
+			clear(per[i]) // the pool keeps no caller's bytes
+		}
+		*sp = per
+		perPool.Put(sp)
+	}()
 	if o.opt.Route != nil {
 		led.Count(oplog.PhaseRoute)
 	}
