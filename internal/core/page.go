@@ -55,10 +55,14 @@ func (p page) setNslots(n int) { le.PutUint16(p[0:2], uint16(n)) }
 func (p page) low() int        { return int(le.Uint16(p[2:4])) }
 func (p page) setLow(n int)    { le.PutUint16(p[2:4], uint16(n)) }
 
-func (p page) slot(i int) uint16 { return le.Uint16(p[p.slotBase()+i*slotSize:]) }
+func (p page) slot(i int) uint16 { return slotAt(p[p.slotBase():], i) }
 func (p page) setSlot(i int, v uint16) {
 	le.PutUint16(p[p.slotBase()+i*slotSize:], v)
 }
+
+// slotAt decodes slot i of a slot array that starts at slots[0], so a
+// loop over a page's slots takes the base once.
+func slotAt(slots []byte, i int) uint16 { return le.Uint16(slots[i*slotSize:]) }
 
 // initPage formats a zeroed buffer as an empty data page.
 func initPage(p page) {
@@ -174,12 +178,12 @@ func (p page) forEach(fn func(i int, e entry) bool) error {
 	if p.low() > len(p) {
 		return fmt.Errorf("%w: data low watermark %d beyond page end %d", ErrCorrupt, p.low(), len(p))
 	}
-	slots := p[base : base+ns*slotSize] // the slot base, computed once
+	slots := p[base : base+ns*slotSize]
 	low := len(p)
 	idx := 0
 	for s := 0; s+1 < ns; s += 2 {
-		first := le.Uint16(slots[s*slotSize:])
-		second := le.Uint16(slots[(s+1)*slotSize:])
+		first := slotAt(slots, s)
+		second := slotAt(slots, s+1)
 		switch first {
 		case markOvfl:
 			if s != ns-2 {

@@ -45,10 +45,6 @@ type Txn struct {
 	buf  []byte // the ops' key and data bytes, copied in
 	led  *oplog.Ledger
 	done bool
-
-	// Room for a small transaction, so it allocates only the Txn.
-	opsArr [4]wal.Op
-	bufArr [256]byte
 }
 
 // SetOplog attaches an op ledger to the transaction. Commit charges its
@@ -79,9 +75,7 @@ func Begin(log *wal.Owner) (*Txn, error) {
 	if err := log.Ready(); err != nil {
 		return nil, err
 	}
-	x := &Txn{log: log}
-	x.ops, x.buf = x.opsArr[:0], x.bufArr[:0]
-	return x, nil
+	return &Txn{log: log}, nil
 }
 
 // Put buffers an insert-or-replace of key → data. Bytes are copied, so

@@ -234,17 +234,25 @@ func runNoDuplicates(t *testing.T, seed int64, o Options, crashEvery int) (map[s
 			err = tbl.Put(k, v)
 			live[string(k)] = string(v)
 		case op < 6:
+			// A held key is deleted (nil); any other answers ErrNotFound,
+			// whether the filter or the chain walk rules it out.
 			err = tbl.Delete(k)
-			if _, ok := live[string(k)]; !ok && errors.Is(err, ErrNotFound) {
-				err = nil
+			if _, held := live[string(k)]; !held {
+				if err == nil {
+					err = errors.New("Delete of an absent key returned nil")
+				} else if errors.Is(err, ErrNotFound) {
+					err = nil
+				}
 			}
 			delete(live, string(k))
 		case op < 7:
 			err = tbl.PutNew(k, v)
-			if _, ok := live[string(k)]; ok && errors.Is(err, ErrKeyExists) {
-				err = nil
-			} else {
+			if _, held := live[string(k)]; !held {
 				live[string(k)] = string(v)
+			} else if err == nil {
+				err = errors.New("PutNew of a held key returned nil")
+			} else if errors.Is(err, ErrKeyExists) {
+				err = nil
 			}
 		case op < 8:
 			pairs := []Pair{{k, v}}
