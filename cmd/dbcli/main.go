@@ -443,8 +443,6 @@ func printHeatmap(h *core.Heatmap, verbose bool) {
 			flt := fmt.Sprintf("%d/%d", row.FilterTags, h.FilterTagCap)
 			if row.FilterSaturated {
 				flt += " sat"
-			} else if row.FilterInexact {
-				flt += " inex"
 			}
 			fmt.Printf("%6d  %7d  %7d  %5d  %3.0f%%  %s\n",
 				row.Bucket, row.Entries, row.BigRefs, row.ChainPages, 100*row.Fill, flt)

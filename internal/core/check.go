@@ -100,37 +100,29 @@ func (t *Table) checkAllocated(o oaddr) error {
 	return nil
 }
 
-// fltOp is one key as a bucket walk found it — its hash and chain
-// position — for validation against the primary's tag filter.
-type fltOp struct {
-	h   uint32
-	pos int
-}
-
 // checkBucket walks one bucket's chain, accumulating the key count and
 // the XOR pair fingerprint, then validates the primary page's tag
 // filter against the keys the walk actually found.
 func (t *Table) checkBucket(bucket uint32, claim func(oaddr, string) error, count *int64, sum *uint64) error {
 	seen := 0
 	var chainErr error
-	// Filter state snapshot from the primary, and every key's (hash,
-	// chain position) as found by the walk.
-	var fltSat, fltInex bool
+	// Filter state snapshot from the primary, and every key's hash as
+	// found by the walk.
+	var fltSat bool
 	var fltTags []byte
 	fltChain := 0
-	var keys []fltOp
+	var keys []uint32
 	err := t.walkChain(nil, bucket, func(buf *buffer.Buf) (bool, error) {
 		if seen++; seen > 1<<16 {
 			return false, fmt.Errorf("hash check: bucket %d chain exceeds 65536 pages (cycle?)", bucket)
 		}
-		pos := seen - 1
 		pg := page(buf.Page)
 		if buf.Addr.Ovfl {
 			if err := claim(oaddr(buf.Addr.N), fmt.Sprintf("bucket %d chain", bucket)); err != nil {
 				return false, err
 			}
 		} else {
-			fltSat, fltInex = pg.fltSaturatedBit(), pg.fltInexactBit()
+			fltSat = pg.fltSaturatedBit()
 			fltChain = pg.fltChainLen()
 			fltTags = append([]byte(nil), pg[fltTagsOff:fltTagsOff+pg.fltCount()]...)
 		}
@@ -142,7 +134,7 @@ func (t *Table) checkBucket(bucket uint32, claim func(oaddr, string) error, coun
 						truncKey(e.key), bucket, want)
 					return false
 				}
-				keys = append(keys, fltOp{h: t.hash(e.key), pos: pos})
+				keys = append(keys, t.hash(e.key))
 				*count++
 				*sum ^= pairHash(e.key, e.data)
 			case entryBig:
@@ -167,7 +159,7 @@ func (t *Table) checkBucket(bucket uint32, claim func(oaddr, string) error, coun
 					chainErr = err
 					return false
 				}
-				keys = append(keys, fltOp{h: t.hash(key), pos: pos})
+				keys = append(keys, t.hash(key))
 				*count++
 				*sum ^= pairHash(key, data)
 			}
@@ -184,14 +176,14 @@ func (t *Table) checkBucket(bucket uint32, claim func(oaddr, string) error, coun
 	if err != nil {
 		return err
 	}
-	return t.checkFilter(bucket, fltSat, fltInex, fltChain, fltTags, seen-1, keys)
+	return t.checkFilter(bucket, fltSat, fltChain, fltTags, seen-1, keys)
 }
 
 // checkFilter validates one bucket's tag filter against the keys its
 // chain walk found. A saturated filter answers nothing and is vacuously
 // valid; fltChainLen is validated whenever it is below its saturation
 // point (a value under 255 is maintained exactly).
-func (t *Table) checkFilter(bucket uint32, sat, inexact bool, chainLen int, tags []byte, novfl int, keys []fltOp) error {
+func (t *Table) checkFilter(bucket uint32, sat bool, chainLen int, tags []byte, novfl int, keys []uint32) error {
 	if t.needsRecovery {
 		return nil // torn filter bytes are rebuilt by Recover, not Check
 	}
@@ -206,21 +198,10 @@ func (t *Table) checkFilter(bucket uint32, sat, inexact bool, chainLen int, tags
 		return fmt.Errorf("hash check: bucket %d filter holds %d tags for %d keys",
 			bucket, len(tags), len(keys))
 	}
-	for _, k := range keys {
-		hints := tagHints(tags, k.h)
-		if hints == 0 {
-			return fmt.Errorf("hash check: bucket %d filter has no tag for a key at chain position %d (false negative)",
-				bucket, k.pos)
-		}
-		if !inexact {
-			hb := k.pos
-			if hb > maxHint {
-				hb = maxHint
-			}
-			if hints&(1<<hb) == 0 {
-				return fmt.Errorf("hash check: bucket %d filter hints %#x miss a key at chain position %d",
-					bucket, hints, k.pos)
-			}
+	for _, h := range keys {
+		if tagIndex(tags, h) < 0 {
+			return fmt.Errorf("hash check: bucket %d filter has no tag for key hash %#x (false negative)",
+				bucket, h)
 		}
 	}
 	return nil

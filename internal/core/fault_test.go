@@ -237,7 +237,7 @@ func midChainTable(t *testing.T, maybe bool) (*Table, *pagefile.FaultStore, uint
 	var fresh []Pair
 	for i := 0; len(fresh) < 2; i++ {
 		k := []byte(fmt.Sprintf("fresh-%d", i))
-		if (page(pb.Page).filterHints(tbl.hash(k)) != 0) == maybe {
+		if page(pb.Page).filterHas(tbl.hash(k)) == maybe {
 			fresh = append(fresh, Pair{Key: k, Data: []byte("f")})
 		}
 	}

@@ -10,24 +10,27 @@ package core
 //	byte 6        chainLen  — overflow pages in the chain (saturates 255)
 //	bytes 7..7+C  tags      — one byte per resident key (C = tagCapFor)
 //
-// Each tag byte packs a 2-bit position hint with 6 bits of the key's
-// hash: hint<<6 | (h>>26)&0x3f, where hint = min(chainPos, 3) and
-// chainPos 0 is the primary page. A Get consults the filter before
-// touching the chain: no tag with matching hash bits means the key is
-// definitely absent (zero chain-page reads); on a possible hit the
-// hints say which chain positions can hold it, so non-matching overflow
-// pages are skipped. False positives cost a wasted probe; false
-// negatives are forbidden, so any anomaly degrades the filter toward
-// "search everything":
+// The filter is a membership set: each tag holds 6 bits of the key's
+// hash, (h>>26)&0x3f. A Get consults it before touching the chain: no tag
+// with matching bits means the key is definitely absent (zero chain-page
+// reads), and a write takes the same answer as proof that the key has no
+// copy to find. False positives cost a wasted walk; false negatives are
+// forbidden, so any anomaly degrades the filter toward "search
+// everything":
 //
 //   - more resident keys than tag capacity sets fltSaturated: the
 //     filter answers nothing until a rebuild shrinks the bucket's load
 //     (adds and removes become no-ops; chainLen stays maintained).
-//   - unlinking an overflow page shifts later positions, so it sets
-//     fltInexact: membership answers (tag bits) stay exact, position
-//     hints are ignored until a rebuild.
 //   - a remove that cannot find its tag means the filter lost sync
 //     with the pair data; it self-saturates rather than risk a miss.
+//
+// Older builds packed a 2-bit chain-position hint into the top of each
+// tag and skipped the slot search of pages no hint named. Every
+// comparison here masks with tagMask, so their files read by the low 6
+// bits. Those builds trust the hints while fltInexact is clear, so this
+// build sets fltInexact whenever it changes a primary's tags or shortens
+// its chain; v5 defines that state as "membership only". Nothing here
+// reads the bit: it is written for older readers alone.
 //
 // Overflow pages carry the region too (the slot codec is uniform) but
 // leave it zeroed — which is exactly an empty filter, so zero-filled
@@ -40,13 +43,9 @@ const (
 	fltMetaSize = 3
 
 	fltSaturated = 1 << 0 // tag set incomplete: filter answers nothing
-	fltInexact   = 1 << 1 // position hints stale: membership only
+	fltInexact   = 1 << 1 // membership only: written for older readers, read by none
 
 	tagMask = 0x3f // low 6 bits of a tag byte hold hash bits
-
-	// maxHint caps the position hint: hint 3 means "chain position 3 or
-	// beyond", so pages past position 2 can never be skipped by hints.
-	maxHint = 3
 )
 
 // tagCapFor returns the tag capacity for a page of n bytes: one eighth
@@ -67,16 +66,7 @@ func (p page) slotBase() int { return slotBaseFor(len(p)) }
 // the ideal n/64 per probe.
 func filterTag6(h uint32) byte { return byte(h>>26) & tagMask }
 
-// filterTagByte packs hash bits and a chain-position hint into one tag.
-func filterTagByte(h uint32, pos int) byte {
-	if pos > maxHint {
-		pos = maxHint
-	}
-	return byte(pos)<<6 | filterTag6(h)
-}
-
 func (p page) fltSaturatedBit() bool { return p[fltFlagsOff]&fltSaturated != 0 }
-func (p page) fltInexactBit() bool   { return p[fltFlagsOff]&fltInexact != 0 }
 func (p page) fltCount() int         { return int(p[fltCountOff]) }
 
 // fltChainLen returns the recorded number of overflow pages chained
@@ -92,7 +82,11 @@ func (p page) fltChainInc() {
 	}
 }
 
+// fltChainDec records an unlinked overflow page. The pages after it
+// moved up one position, so an older reader's hints may name the wrong
+// ones: the filter becomes membership only.
 func (p page) fltChainDec() {
+	p[fltFlagsOff] |= fltInexact
 	// Once saturated the true length is unknown; stay pinned high.
 	if c := p[fltChainOff]; c > 0 && c < 255 {
 		p[fltChainOff] = c - 1
@@ -107,10 +101,6 @@ func (p page) setFltChainLen(n int) {
 	p[fltChainOff] = byte(n)
 }
 
-// setFltInexact marks the position hints stale (an unlink renumbered
-// chain positions); membership answers stay exact.
-func (p page) setFltInexact() { p[fltFlagsOff] |= fltInexact }
-
 // filterReset clears the filter to empty (no tags, no flags, chain
 // length zero). Tag bytes beyond count are never read, so they need not
 // be zeroed.
@@ -120,8 +110,10 @@ func (p page) filterReset() {
 	p[fltChainOff] = 0
 }
 
-// filterAdd records a resident key with hash h at chain position pos.
-func (p page) filterAdd(h uint32, pos int) {
+// filterAdd records a resident key with hash h. Like every change to
+// the tag set it sets fltInexact, for older readers.
+func (p page) filterAdd(h uint32) {
+	p[fltFlagsOff] |= fltInexact
 	if p[fltFlagsOff]&fltSaturated != 0 {
 		return
 	}
@@ -130,41 +122,28 @@ func (p page) filterAdd(h uint32, pos int) {
 		p[fltFlagsOff] |= fltSaturated
 		return
 	}
-	p[fltTagsOff+c] = filterTagByte(h, pos)
+	p[fltTagsOff+c] = filterTag6(h)
 	p[fltCountOff] = byte(c + 1)
 }
 
 func (p page) tagCap() int { return tagCapFor(len(p)) }
 
-// filterRemove drops the tag recorded for a key with hash h at chain
-// position pos. If the exact tag is gone (hints already stale, or the
-// filter lost sync) it falls back to removing any tag with the same
-// hash bits — membership stays exact — and failing that, saturates: a
-// filter that cannot account for its keys must not answer "absent".
-func (p page) filterRemove(h uint32, pos int) {
+// filterRemove drops one tag with the hash bits of a key with hash h.
+// Keys that share those bits are interchangeable here, so any such tag
+// will do. If there is none the filter lost sync with the pair data, and
+// it saturates: a filter that cannot account for its keys must not
+// answer "absent".
+func (p page) filterRemove(h uint32) {
+	p[fltFlagsOff] |= fltInexact
 	if p[fltFlagsOff]&fltSaturated != 0 {
 		return
 	}
 	c := int(p[fltCountOff])
 	tags := p[fltTagsOff : fltTagsOff+c]
-	if p[fltFlagsOff]&fltInexact == 0 {
-		want := filterTagByte(h, pos)
-		for i, t := range tags {
-			if t == want {
-				tags[i] = tags[c-1]
-				p[fltCountOff] = byte(c - 1)
-				return
-			}
-		}
-	}
-	t6 := filterTag6(h)
-	for i, t := range tags {
-		if t&tagMask == t6 {
-			tags[i] = tags[c-1]
-			p[fltCountOff] = byte(c - 1)
-			p[fltFlagsOff] |= fltInexact
-			return
-		}
+	if i := tagIndex(tags, h); i >= 0 {
+		tags[i] = tags[c-1]
+		p[fltCountOff] = byte(c - 1)
+		return
 	}
 	p[fltFlagsOff] |= fltSaturated
 }
@@ -175,25 +154,21 @@ func (t *Table) filterAnswers(pg page) bool {
 	return t.filtersOn && !t.needsRecovery && !pg.fltSaturatedBit()
 }
 
-// filterHints reports which chain positions may hold a key with hash h:
-// bit i set means position i (0 = primary) must be searched, bit 3
-// means some position >= 3 must be. Zero means the key is definitely
-// absent. Membership (zero vs nonzero) is exact even when fltInexact is
-// set; the per-position bits are only meaningful while hints are exact.
-// The caller must check fltSaturatedBit first.
-func (p page) filterHints(h uint32) uint8 {
-	return tagHints(p[fltTagsOff:fltTagsOff+int(p[fltCountOff])], h)
+// filterHas reports whether a key with hash h may be resident: false
+// means definitely absent. The caller must check fltSaturatedBit first.
+func (p page) filterHas(h uint32) bool {
+	return tagIndex(p[fltTagsOff:fltTagsOff+int(p[fltCountOff])], h) >= 0
 }
 
-// tagHints is filterHints over a bare tag slice (Check validates a
-// snapshot of the region taken before the chain walk).
-func tagHints(tags []byte, h uint32) uint8 {
+// tagIndex returns the index of a tag in tags holding h's hash bits, or
+// -1 (Check searches a snapshot of the region taken before the chain
+// walk).
+func tagIndex(tags []byte, h uint32) int {
 	t6 := filterTag6(h)
-	var m uint8
-	for _, t := range tags {
+	for i, t := range tags {
 		if t&tagMask == t6 {
-			m |= 1 << (t >> 6)
+			return i
 		}
 	}
-	return m
+	return -1
 }

@@ -26,7 +26,6 @@ type BucketHeat struct {
 	// table-wide FilterTagCap) and the degraded states.
 	FilterTags      int  `json:"filter_tags"`
 	FilterSaturated bool `json:"filter_saturated,omitempty"`
-	FilterInexact   bool `json:"filter_inexact,omitempty"`
 }
 
 // Heatmap is the full per-bucket report.
@@ -52,7 +51,6 @@ type Heatmap struct {
 	FilterTagCap    int     `json:"filter_tag_cap"`
 	FilterOccupancy float64 `json:"filter_occupancy"`
 	FilterSaturated int     `json:"filter_saturated_buckets"`
-	FilterInexact   int     `json:"filter_inexact_buckets"`
 	// Filter effectiveness so far (lifetime counters): of the Gets that
 	// consulted a filter, the fraction answered "absent" with zero chain
 	// reads (skip rate) and the fraction that probed and still missed
@@ -75,8 +73,8 @@ func (h *Heatmap) String() string {
 			s += fmt.Sprintf(" chain[%d]=%d", depth, n)
 		}
 	}
-	s += fmt.Sprintf("\nfilters: occupancy=%.0f%% (cap %d/bucket) saturated=%d inexact=%d skiprate=%.0f%% fprate=%.0f%%",
-		100*h.FilterOccupancy, h.FilterTagCap, h.FilterSaturated, h.FilterInexact,
+	s += fmt.Sprintf("\nfilters: occupancy=%.0f%% (cap %d/bucket) saturated=%d skiprate=%.0f%% fprate=%.0f%%",
+		100*h.FilterOccupancy, h.FilterTagCap, h.FilterSaturated,
 		100*h.FilterSkipRate, 100*h.FilterFPRate)
 	return s
 }
@@ -115,7 +113,6 @@ func (t *Table) Heatmap() (*Heatmap, error) {
 			if !buf.Addr.Ovfl {
 				row.FilterTags = pg.fltCount()
 				row.FilterSaturated = pg.fltSaturatedBit()
-				row.FilterInexact = pg.fltInexactBit()
 			}
 			used += usable - pg.freeSpace()
 			return false, pg.forEach(func(_ int, e entry) bool {
@@ -149,9 +146,6 @@ func (t *Table) Heatmap() (*Heatmap, error) {
 		tagsTotal += row.FilterTags
 		if row.FilterSaturated {
 			h.FilterSaturated++
-		}
-		if row.FilterInexact {
-			h.FilterInexact++
 		}
 		h.PerBucket = append(h.PerBucket, row)
 	}

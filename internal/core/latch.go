@@ -349,6 +349,6 @@ func (t *Table) placeSplitEntry(oldB, newB uint32, e *splitEntry) error {
 	}
 	op.addTo(page((*pages)[pos].Page))
 	(*pages)[pos].Dirty.Store(true)
-	page((*pages)[0].Page).filterAdd(h, pos)
+	page((*pages)[0].Page).filterAdd(h)
 	return nil
 }

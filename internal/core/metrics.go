@@ -50,12 +50,10 @@ const (
 	// Read acceleration (see filter.go). Skips are filter consults that
 	// proved a key absent with zero chain reads; hits are consults
 	// confirmed by a found key; false positives are consults that passed
-	// but found nothing; page skips are overflow pages a walk bypassed on
-	// position hints.
-	MetricFilterHits      = "hash_filter_hits_total"
-	MetricFilterSkips     = "hash_filter_skips_total"
-	MetricFilterFPs       = "hash_filter_false_positives_total"
-	MetricFilterPageSkips = "hash_filter_page_skips_total"
+	// but found nothing.
+	MetricFilterHits  = "hash_filter_hits_total"
+	MetricFilterSkips = "hash_filter_skips_total"
+	MetricFilterFPs   = "hash_filter_false_positives_total"
 )
 
 // counts are a table's own operation counters, one padded cell each,
@@ -65,11 +63,11 @@ const (
 // recovery steps, batch phases) are counted by the table's tracer
 // instead: one record per fact.
 type counts struct {
-	gets, getMisses, puts, dels            metrics.Counter
-	chainWalks, chainPages, batchPairs     metrics.Counter
-	filterHits, filterFPs, filterPageSkips metrics.Counter
-	recoverFailures, recoverRepairs        metrics.Counter
-	syncLatency                            metrics.Histogram
+	gets, getMisses, puts, dels        metrics.Counter
+	chainWalks, chainPages, batchPairs metrics.Counter
+	filterHits, filterFPs              metrics.Counter
+	recoverFailures, recoverRepairs    metrics.Counter
+	syncLatency                        metrics.Histogram
 }
 
 // Counts is a table's operation counters at one moment (Table.Counts).
@@ -78,7 +76,7 @@ type Counts struct {
 	SplitsControlled, SplitsUncontrolled int64
 	OvflAllocs, OvflFrees, Syncs         int64
 	// Read-acceleration counters: tag-filter outcomes on Get.
-	FilterHits, FilterSkips, FilterFalsePositives, FilterPageSkips int64
+	FilterHits, FilterSkips, FilterFalsePositives int64
 }
 
 // Add folds o into c, field by field.
@@ -95,7 +93,6 @@ func (c *Counts) Add(o Counts) {
 	c.FilterHits += o.FilterHits
 	c.FilterSkips += o.FilterSkips
 	c.FilterFalsePositives += o.FilterFalsePositives
-	c.FilterPageSkips += o.FilterPageSkips
 }
 
 // Counts reads the table's own counters. It takes no lock and stays
@@ -115,7 +112,6 @@ func (t *Table) Counts() Counts {
 		FilterHits:           n.filterHits.Load(),
 		FilterSkips:          ev(trace.EvFilterSkip, 0),
 		FilterFalsePositives: n.filterFPs.Load(),
-		FilterPageSkips:      n.filterPageSkips.Load(),
 	}
 }
 
@@ -155,7 +151,6 @@ func (t *Table) registerMetrics() {
 	reg.CounterFunc(MetricFilterHits, n.filterHits.Load)
 	reg.CounterFunc(MetricFilterSkips, ev(trace.EvFilterSkip, 0))
 	reg.CounterFunc(MetricFilterFPs, n.filterFPs.Load)
-	reg.CounterFunc(MetricFilterPageSkips, n.filterPageSkips.Load)
 	reg.GaugeFunc(MetricKeys, t.nkeysA.Load)
 	reg.GaugeFunc(MetricBuckets, func() int64 { return int64(t.geo.Load()) + 1 })
 	reg.AddHistogram(MetricSyncLatency, &n.syncLatency)
@@ -165,7 +160,6 @@ func (t *Table) registerMetrics() {
 	reg.Help(MetricFilterHits, "Tag-filter consults that matched: the key may be present, the walk proceeds")
 	reg.Help(MetricFilterSkips, "Tag-filter consults that proved the key absent without touching the chain")
 	reg.Help(MetricFilterFPs, "Tag-filter matches where the full walk then missed (false positives)")
-	reg.Help(MetricFilterPageSkips, "Chain pages bypassed on tag-filter position hints")
 }
 
 // MetricsRegistry exposes the table's metric registry. It is the one the

@@ -451,24 +451,24 @@ func (t *Table) rebuildFilters() (int, error) {
 		pg := page(buf)
 		copy(before, buf[pageHdrSize:base])
 		pg.filterReset()
-		// Walk the (already repaired) chain, tagging every key at its
-		// chain position. Filter bytes always live on the primary, so
-		// filterAdd targets pg regardless of which page holds the pair.
-		pos, novfl := 0, 0
+		// Walk the (already repaired) chain, tagging every key. Filter
+		// bytes always live on the primary, so filterAdd targets pg
+		// regardless of which page holds the pair.
+		novfl := 0
 		cur := pg
 		for {
 			var inner error
 			ferr := cur.forEach(func(_ int, e entry) bool {
 				switch e.kind {
 				case entryRegular:
-					pg.filterAdd(t.hash(e.key), pos)
+					pg.filterAdd(t.hash(e.key))
 				case entryBig:
 					bk, err := t.bigKey(e.ref)
 					if err != nil {
 						inner = err
 						return false
 					}
-					pg.filterAdd(t.hash(bk), pos)
+					pg.filterAdd(t.hash(bk))
 				}
 				return true
 			})
@@ -490,7 +490,6 @@ func (t *Table) rebuildFilters() (int, error) {
 				return written, err
 			}
 			cur = page(cbuf)
-			pos++
 		}
 		pg.setFltChainLen(novfl)
 		if !bytes.Equal(before, buf[pageHdrSize:base]) {

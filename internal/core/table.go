@@ -722,46 +722,24 @@ func (t *Table) getBuf(key, dst []byte, led *oplog.Ledger) ([]byte, error) {
 // getFromBucket walks one latched bucket chain for key (h is the key's
 // hash, computed once by the caller). The primary page's tag filter is
 // consulted before anything else: no tag matching the hash means the key
-// is definitely absent and the miss costs zero chain-page reads; exact
-// position hints let the walk skip pages that cannot hold the key. Every
+// is definitely absent and the miss costs zero chain-page reads. Every
 // chain page the walk reaches is demand-faulted through the pool. Caller
 // holds the bucket's stripe shared.
 func (t *Table) getFromBucket(bucket, h uint32, key, dst []byte, led *oplog.Ledger) ([]byte, error) {
 	out := dst[:0]
 	found := false
 	filtered := false // the primary's filter was consulted
-	exact := false    // ... and its position hints are trustworthy
 	skipped := false  // ... and it answered "definitely absent"
-	var hints uint8
-	pos := -1
 	err := t.walkChain(led, bucket, func(buf *buffer.Buf) (bool, error) {
-		pos++
 		pg := page(buf.Page)
-		if pos == 0 {
-			if t.filterAnswers(pg) {
-				filtered = true
-				exact = !pg.fltInexactBit()
-				hints = pg.filterHints(h)
-				led.Count(oplog.PhaseFilter)
-				if hints == 0 {
-					// Definitely absent: stop before any chain read.
-					skipped = true
-					t.tr.Emit(trace.EvFilterSkip, uint64(bucket), uint64(pg.fltChainLen()), 0, 0)
-					return true, nil
-				}
-			}
-		}
-		if filtered && exact {
-			hb := pos
-			if hb > maxHint {
-				hb = maxHint
-			}
-			if hints&(1<<hb) == 0 {
-				// No tag points at this chain position: skip the search
-				// (the page itself stays on the walk — it carries the
-				// link to its successor).
-				t.n.filterPageSkips.Inc()
-				return false, nil
+		if !buf.Addr.Ovfl && t.filterAnswers(pg) {
+			filtered = true
+			led.Count(oplog.PhaseFilter)
+			if !pg.filterHas(h) {
+				// Definitely absent: stop before any chain read.
+				skipped = true
+				t.tr.Emit(trace.EvFilterSkip, uint64(bucket), uint64(pg.fltChainLen()), 0, 0)
+				return true, nil
 			}
 		}
 		var inner error
@@ -971,7 +949,7 @@ func (t *Table) applyBucket(ops []writeOp, replace bool, led *oplog.Ledger) erro
 	unfound, unplaced := 0, 0
 	for i := range ops {
 		if op := &ops[i]; !op.dead {
-			if op.absent = trust && fpg.filterHints(op.hash) == 0; !op.absent {
+			if op.absent = trust && !fpg.filterHas(op.hash); !op.absent {
 				unfound++
 			}
 			if !op.del {
@@ -981,7 +959,7 @@ func (t *Table) applyBucket(ops []writeOp, replace bool, led *oplog.Ledger) erro
 	}
 
 	var prev, room *buffer.Buf
-	cur, pos, roomPos, ovflPages := primary, 0, 0, int64(0)
+	cur, ovflPages := primary, int64(0)
 	defer func() {
 		for _, b := range [...]*buffer.Buf{primary, prev, cur, room} {
 			if b != nil {
@@ -994,23 +972,22 @@ func (t *Table) applyBucket(ops []writeOp, replace bool, led *oplog.Ledger) erro
 		}
 	}()
 	for {
-		n, err := t.dropStale(cur, primary, pos, ops, unfound, replace)
+		n, err := t.dropStale(cur, primary, ops, unfound, replace)
 		if err != nil {
 			return err
 		}
 		unfound -= n
 		pg := page(cur.Page)
 		if replace {
-			unplaced -= t.packOps(cur, primary, pos, ops)
+			unplaced -= t.packOps(cur, primary, ops)
 		} else if room == nil && ops[0].fits(pg) {
-			room, roomPos = cur, pos
+			room = cur
 			room.Pin()
 		}
 		next := pg.ovflLink()
 		if replace && cur.Addr.Ovfl && pg.nentries() == 0 {
 			gone := cur
 			cur, prev = prev, nil
-			pos--
 			if err := t.unlinkOvfl(cur, gone, primary); err != nil {
 				return err
 			}
@@ -1027,7 +1004,6 @@ func (t *Table) applyBucket(ops []writeOp, replace bool, led *oplog.Ledger) erro
 			t.pool.Put(prev)
 		}
 		prev, cur = cur, nb
-		pos++
 	}
 
 	if !replace {
@@ -1035,7 +1011,7 @@ func (t *Table) applyBucket(ops []writeOp, replace bool, led *oplog.Ledger) erro
 			return err
 		}
 		if room != nil {
-			unplaced -= t.packOps(room, primary, roomPos, ops)
+			unplaced -= t.packOps(room, primary, ops)
 		}
 	}
 	// Whatever did not fit on the existing chain goes onto fresh overflow
@@ -1049,8 +1025,7 @@ func (t *Table) applyBucket(ops []writeOp, replace bool, led *oplog.Ledger) erro
 			t.pool.Put(prev)
 		}
 		prev, cur = cur, nb
-		pos++
-		n := t.packOps(cur, primary, pos, ops)
+		n := t.packOps(cur, primary, ops)
 		if n == 0 {
 			return fmt.Errorf("%w: pair does not fit on empty page", ErrCorrupt)
 		}
@@ -1059,13 +1034,13 @@ func (t *Table) applyBucket(ops []writeOp, replace bool, led *oplog.Ledger) erro
 	return nil
 }
 
-// dropStale removes from buf's page (chain position pos) the entry each
+// dropStale removes from buf's page the entry each
 // live op of the set supersedes — the copy it replaces or deletes — if it
 // is there, keeping nkeys, the pair checksum and the primary's filter
 // current, and reports how many ops found theirs; want is how many are
 // still looking. With replace false a match is ErrKeyExists and nothing
 // is touched.
-func (t *Table) dropStale(buf, primary *buffer.Buf, pos int, ops []writeOp, want int, replace bool) (int, error) {
+func (t *Table) dropStale(buf, primary *buffer.Buf, ops []writeOp, want int, replace bool) (int, error) {
 	if want == 0 {
 		return 0, nil
 	}
@@ -1126,7 +1101,7 @@ func (t *Table) dropStale(buf, primary *buffer.Buf, pos int, ops []writeOp, want
 		buf.Dirty.Store(true)
 		t.nkeysA.Add(-1)
 		t.xorPairSum(r.sum)
-		page(primary.Page).filterRemove(op.hash, pos)
+		page(primary.Page).filterRemove(op.hash)
 		primary.Dirty.Store(true)
 	}
 	return len(rems), nil
@@ -1179,9 +1154,9 @@ func (t *Table) matchOp(ops []writeOp, e *entry) (int, error) {
 }
 
 // packOps places every live, unplaced put of the set that fits on buf's
-// page (chain position pos), tagging each on the primary's filter as it
+// page, tagging each on the primary's filter as it
 // lands, and reports how many it placed.
-func (t *Table) packOps(buf, primary *buffer.Buf, pos int, ops []writeOp) int {
+func (t *Table) packOps(buf, primary *buffer.Buf, ops []writeOp) int {
 	pg, n := page(buf.Page), 0
 	for i := range ops {
 		op := &ops[i]
@@ -1194,7 +1169,7 @@ func (t *Table) packOps(buf, primary *buffer.Buf, pos int, ops []writeOp) int {
 		buf.Dirty.Store(true)
 		t.nkeysA.Add(1)
 		t.xorPairSum(pairHash(op.key, op.data))
-		page(primary.Page).filterAdd(op.hash, pos)
+		page(primary.Page).filterAdd(op.hash)
 		primary.Dirty.Store(true)
 	}
 	return n
@@ -1253,15 +1228,8 @@ func (t *Table) unlinkOvfl(prev, buf, primary *buffer.Buf) error {
 	}
 	prev.Dirty.Store(true)
 	// Account the unlink on the primary's filter region: the chain is
-	// one page shorter, and when the removed page had successors their
-	// positions all shifted down — position hints can no longer be
-	// trusted (a hint one past a key's real page would make a hinted
-	// walk skip it: a forbidden false negative).
-	fpg := page(primary.Page)
-	fpg.fltChainDec()
-	if succ != 0 {
-		fpg.setFltInexact()
-	}
+	// one page shorter.
+	page(primary.Page).fltChainDec()
 	primary.Dirty.Store(true)
 	o := oaddr(buf.Addr.N)
 	t.pool.Drop(buf)

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"unixhash/internal/buffer"
 	"unixhash/internal/pagefile"
 	"unixhash/internal/wal"
 )
@@ -89,8 +91,8 @@ func replaceOnChain(t *testing.T, tbl *Table, k []byte, n int, fn func(k, v []by
 // TestWriteFilterFallbacks: the write path consults the filter only when
 // a read would. A saturated filter, a table awaiting recovery and
 // DisableFilter each leave the key's tag missing, and the write must
-// still find the copy on the chain; an inexact filter is trusted for
-// membership, which stays exact.
+// still find the copy on the chain. Unlinking a page that has
+// successors leaves membership exact, so that filter is still trusted.
 func TestWriteFilterFallbacks(t *testing.T) {
 	t.Run("saturated", func(t *testing.T) {
 		const n = 40 // 32 tags fit a 256-byte page
@@ -101,7 +103,7 @@ func TestWriteFilterFallbacks(t *testing.T) {
 				t.Fatal("filter not saturated")
 			}
 			for i := n - 1; i >= 0 && k == nil; i-- {
-				if pg.filterHints(tbl.hash(wkey(i))) == 0 {
+				if !pg.filterHas(tbl.hash(wkey(i))) {
 					k = wkey(i)
 				}
 			}
@@ -112,19 +114,20 @@ func TestWriteFilterFallbacks(t *testing.T) {
 		replaceOnChain(t, tbl, k, n, tbl.Put)
 	})
 
-	t.Run("inexact", func(t *testing.T) {
+	t.Run("unlink-with-successors", func(t *testing.T) {
 		const n = 10
 		tbl := oneBucket(t, n, Options{})
 		// Position 1 holds wkey(2) and wkey(3): emptying it unlinks a page
-		// with successors, which leaves the position hints stale.
+		// with successors.
 		for _, i := range []int{2, 3} {
 			if err := tbl.Delete(wkey(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		primaryFilter(t, tbl, func(pg page) {
-			if !pg.fltInexactBit() || pg.fltSaturatedBit() {
-				t.Fatalf("filter flags %#x, want inexact and not saturated", pg[fltFlagsOff])
+			if pg.fltSaturatedBit() || pg.fltChainLen() != n/2-2 {
+				t.Fatalf("filter flags %#x, chain of %d overflow pages; want unsaturated and %d",
+					pg[fltFlagsOff], pg.fltChainLen(), n/2-2)
 			}
 		})
 		replaceOnChain(t, tbl, wkey(n-1), n-2, tbl.Put)
@@ -132,7 +135,7 @@ func TestWriteFilterFallbacks(t *testing.T) {
 		// deleted without a chain read.
 		miss := []byte("no-such-key")
 		primaryFilter(t, tbl, func(pg page) {
-			for pg.filterHints(tbl.hash(miss)) != 0 {
+			for pg.filterHas(tbl.hash(miss)) {
 				miss = append(miss, '!')
 			}
 		})
@@ -175,25 +178,49 @@ func TestWriteFilterFallbacks(t *testing.T) {
 	})
 }
 
-// modelStates tallies the primary-filter states a model run passed
-// through, so a run can show it exercised them.
-type modelStates struct{ saturated, inexact int }
+// modelStates tallies what a model run passed through, so a run can
+// show it exercised it: saturated primary filters, and overflow pages
+// unlinked while they had successors.
+type modelStates struct {
+	saturated, midUnlinks int
+	chains                map[uint32][]uint32 // each bucket's overflow pages at the last observe
+}
 
-// observe scans every primary page of tbl.
+// observe scans every bucket chain of tbl. It also holds each primary to
+// the rule older builds read by: a primary holding tags has fltInexact
+// set, so they take its tags for membership only.
 func (s *modelStates) observe(t *testing.T, tbl *Table) {
 	t.Helper()
+	prev := s.chains
+	s.chains = map[uint32][]uint32{}
 	for b := uint32(0); b <= tbl.Geometry().MaxBucket; b++ {
-		pb, err := tbl.getBucketPage(nil, b)
+		var chain []uint32
+		err := tbl.walkChain(nil, b, func(buf *buffer.Buf) (bool, error) {
+			if buf.Addr.Ovfl {
+				chain = append(chain, buf.Addr.N)
+				return false, nil
+			}
+			pg := page(buf.Page)
+			if pg.fltSaturatedBit() {
+				s.saturated++
+			}
+			if pg.fltCount() > 0 && pg[fltFlagsOff]&fltInexact == 0 {
+				t.Errorf("bucket %d: %d tags with fltInexact clear", b, pg.fltCount())
+			}
+			return false, nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		switch pg := page(pb.Page); {
-		case pg.fltSaturatedBit():
-			s.saturated++
-		case pg.fltInexactBit():
-			s.inexact++
+		s.chains[b] = chain
+		// A page gone from the chain whose successor is still on it.
+		if old := prev[b]; len(old) > 1 {
+			for i, o := range old[:len(old)-1] {
+				if !slices.Contains(chain, o) && slices.Contains(chain, old[i+1]) {
+					s.midUnlinks++
+				}
+			}
 		}
-		tbl.pool.Put(pb)
 	}
 }
 
@@ -294,6 +321,7 @@ func runNoDuplicates(t *testing.T, seed int64, o Options, crashEvery int) (map[s
 				t.Fatalf("step %d: Recover after a crash: %v", step, rerr)
 			}
 			live = maps.Clone(durable)
+			states.chains = nil // the chains went back to the checkpoint
 		case step%crashEvery == crashEvery/2:
 			if err := tbl.Sync(); err != nil {
 				t.Fatalf("step %d: Sync: %v", step, err)
@@ -317,8 +345,8 @@ func runNoDuplicates(t *testing.T, seed int64, o Options, crashEvery int) (map[s
 
 // TestModelWritesNeverDuplicate: a write never stores a second copy of a
 // key, however the filter answers. One bucket with a long chain passes
-// through saturated filters and through unlinks that leave the hints
-// stale; a splitting table spreads the keys. The same seed with
+// through saturated filters and through unlinks of pages that have
+// successors; a splitting table spreads the keys. The same seed with
 // DisableFilter, where every write walks its whole chain, ends with the
 // same contents.
 func TestModelWritesNeverDuplicate(t *testing.T) {
@@ -340,11 +368,166 @@ func TestModelWritesNeverDuplicate(t *testing.T) {
 					t.Errorf("DisableFilter ends with %d keys, the filtered run with %d", len(got), len(on))
 				}
 				seen.saturated += states.saturated
-				seen.inexact += states.inexact
+				seen.midUnlinks += states.midUnlinks
 			})
 		}
-		if c.name == "chain" && (seen.saturated == 0 || seen.inexact == 0) {
-			t.Errorf("the chain runs saw %d saturated and %d inexact filters, want both", seen.saturated, seen.inexact)
+		if c.name == "chain" && (seen.saturated == 0 || seen.midUnlinks == 0) {
+			t.Errorf("the chain runs saw %d saturated filters and %d unlinks of pages with successors, want both",
+				seen.saturated, seen.midUnlinks)
 		}
+	}
+}
+
+// TestFilterReadsOlderTags: files from older builds carry a chain-position
+// hint in the top 2 bits of every tag, with fltInexact clear. This build
+// treats every tag by its low 6 bits, on reads and writes alike, and
+// what it writes is marked membership only for those older readers.
+func TestFilterReadsOlderTags(t *testing.T) {
+	const n = 10 // five pages: the primary and four overflow pages
+	tbl := oneBucket(t, n, Options{})
+	stampOlderTags(t, tbl, n)
+	if err := tbl.Check(); err != nil {
+		t.Fatalf("Check of hinted tags: %v", err)
+	}
+	val := bytes.Repeat([]byte{'v'}, 90)
+	want := map[string]string{}
+	for i := range n {
+		want[string(wkey(i))] = string(val)
+		if got, err := tbl.Get(wkey(i)); err != nil || !bytes.Equal(got, val) {
+			t.Fatalf("Get(%q) = %.8q, %v", wkey(i), got, err)
+		}
+	}
+	for _, i := range []int{0, 5} {
+		if err := tbl.Delete(wkey(i)); err != nil {
+			t.Fatalf("Delete(%q): %v", wkey(i), err)
+		}
+		if _, err := tbl.Get(wkey(i)); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Get(%q) after its delete: %v", wkey(i), err)
+		}
+		delete(want, string(wkey(i)))
+	}
+	// A removal may take the tag of another key with the same hash bits,
+	// whose hint then names the wrong page.
+	requireInexact(t, tbl)
+	replaceOnChain(t, tbl, wkey(n-1), n-2, tbl.Put)
+	want[string(wkey(n-1))] = "replaced"
+	if err := tbl.PutNew(wkey(1), []byte("dup")); !errors.Is(err, ErrKeyExists) {
+		t.Fatalf("PutNew of a held key: %v", err)
+	}
+	if err := tbl.PutNew(wkey(0), []byte("new")); err != nil {
+		t.Fatalf("PutNew of a deleted key: %v", err)
+	}
+	want[string(wkey(0))] = "new"
+	if err := tbl.Check(); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]string{}
+	for it := tbl.Iter(); it.Next(); {
+		if _, dup := got[string(it.Key())]; dup {
+			t.Errorf("%q stored twice", it.Key())
+		}
+		got[string(it.Key())] = string(it.Value())
+	}
+	if !maps.Equal(got, want) {
+		t.Errorf("table holds %d keys, want %d", len(got), len(want))
+	}
+	primaryFilter(t, tbl, func(pg page) {
+		if pg.fltCount() != len(want) {
+			t.Errorf("filter holds %d tags, want %d", pg.fltCount(), len(want))
+		}
+	})
+	requireInexact(t, tbl)
+}
+
+// stampOlderTags puts chain-position hints 1-3 into the top bits of
+// bucket 0's n tags and clears fltInexact, as an older build left them.
+func stampOlderTags(t *testing.T, tbl *Table, n int) {
+	t.Helper()
+	primaryFilter(t, tbl, func(pg page) {
+		if pg.fltSaturatedBit() || pg.fltCount() != n {
+			t.Fatalf("filter holds %d tags (flags %#x), want %d unsaturated", pg.fltCount(), pg[fltFlagsOff], n)
+		}
+		for i := range n {
+			pg[fltTagsOff+i] |= byte(1+i%3) << 6
+		}
+		pg[fltFlagsOff] &^= fltInexact
+	})
+}
+
+// requireInexact fails unless bucket 0's primary has fltInexact set.
+func requireInexact(t *testing.T, tbl *Table) {
+	t.Helper()
+	primaryFilter(t, tbl, func(pg page) {
+		if pg[fltFlagsOff]&fltInexact == 0 {
+			t.Errorf("filter flags %#x: fltInexact clear, older readers would trust the hints", pg[fltFlagsOff])
+		}
+	})
+}
+
+// TestUnlinkMarksMembershipOnly: an overflow page an older build left
+// empty mid-chain is unlinked by the next write that walks it, with no
+// tag removed on the way. Its successors move up one position, so the
+// primary must be marked membership only for older readers.
+func TestUnlinkMarksMembershipOnly(t *testing.T) {
+	const n = 10
+	tbl := oneBucket(t, n, Options{})
+	stampOlderTags(t, tbl, n)
+	// Empty chain position 2 (wkey(4) and wkey(5)) and take their tags.
+	var gone [][]byte
+	if err := tbl.walkChain(nil, 0, func(b *buffer.Buf) (bool, error) {
+		if len(gone) > 0 || page(b.Page).nentries() != 2 {
+			return false, nil
+		}
+		e, err := page(b.Page).entryAt(0)
+		if err != nil || !bytes.Equal(e.key, wkey(4)) {
+			return false, err
+		}
+		for page(b.Page).nentries() > 0 {
+			e, _ := page(b.Page).entryAt(0)
+			gone = append(gone, append([]byte(nil), e.key...))
+			tbl.xorPairSum(pairHash(e.key, e.data))
+			if err := page(b.Page).removeEntry(0); err != nil {
+				return false, err
+			}
+			tbl.nkeysA.Add(-1)
+		}
+		b.Dirty.Store(true)
+		return true, nil
+	}); err != nil || len(gone) != 2 {
+		t.Fatalf("emptying position 2: %v, %d keys taken", err, len(gone))
+	}
+	primaryFilter(t, tbl, func(pg page) {
+		for _, k := range gone {
+			pg.filterRemove(tbl.hash(k))
+		}
+		pg[fltFlagsOff] &^= fltInexact
+	})
+	if err := tbl.Check(); err != nil {
+		t.Fatalf("Check with an empty page mid-chain: %v", err)
+	}
+	// A Delete of an absent key the filter cannot rule out walks the
+	// chain and unlinks the empty page.
+	var miss []byte
+	primaryFilter(t, tbl, func(pg page) {
+		for i := 0; miss == nil; i++ {
+			if k := []byte(fmt.Sprintf("absent-%d", i)); pg.filterHas(tbl.hash(k)) {
+				miss = k
+			}
+		}
+	})
+	if err := tbl.Delete(miss); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Delete(%q) = %v, want ErrNotFound", miss, err)
+	}
+	primaryFilter(t, tbl, func(pg page) {
+		if pg.fltChainLen() != n/2-2 {
+			t.Fatalf("chain of %d overflow pages, want %d: the empty page was not unlinked", pg.fltChainLen(), n/2-2)
+		}
+	})
+	requireInexact(t, tbl)
+	if err := tbl.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if got := tbl.Len(); got != n-2 {
+		t.Errorf("Len = %d, want %d", got, n-2)
 	}
 }

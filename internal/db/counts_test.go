@@ -142,7 +142,7 @@ func shardCounts(h *HashStats) map[string]int64 {
 		"SplitsControlled": h.SplitsControlled, "SplitsUncontrolled": h.SplitsUncontrolled,
 		"OvflAllocs": h.OvflAllocs, "OvflFrees": h.OvflFrees, "Syncs": h.Syncs,
 		"FilterHits": h.FilterHits, "FilterSkips": h.FilterSkips,
-		"FilterFalsePositives": h.FilterFalsePositives, "FilterPageSkips": h.FilterPageSkips,
+		"FilterFalsePositives": h.FilterFalsePositives,
 	}
 }
 

@@ -128,16 +128,24 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
 
 // Snapshot copies the histogram's state.
-func (h *Histogram) Snapshot() HistogramSnapshot {
+func (h *Histogram) Snapshot() HistogramSnapshot { return Merge(h) }
+
+// Merge snapshots hs as one histogram: counts, sums and every bucket
+// add up.
+func Merge(hs ...*Histogram) HistogramSnapshot {
 	var s HistogramSnapshot
-	s.Count = h.count.Load()
-	s.SumNanos = h.sum.Load()
-	for i := range h.buckets {
-		n := h.buckets[i].Load()
-		if n == 0 {
-			continue
+	var buckets [nBuckets]int64
+	for _, h := range hs {
+		s.Count += h.count.Load()
+		s.SumNanos += h.sum.Load()
+		for i := range h.buckets {
+			buckets[i] += h.buckets[i].Load()
 		}
-		s.Buckets = append(s.Buckets, BucketCount{Bound: BucketBound(i), Count: n})
+	}
+	for i, n := range buckets {
+		if n != 0 {
+			s.Buckets = append(s.Buckets, BucketCount{Bound: BucketBound(i), Count: n})
+		}
 	}
 	return s
 }
@@ -218,29 +226,6 @@ func (e *entry) value() int64 {
 		return v
 	}
 	return 0
-}
-
-// histSnapshot merges the entry's histograms into one snapshot.
-func (e *entry) histSnapshot() HistogramSnapshot {
-	if len(e.hs) == 1 {
-		return e.hs[0].Snapshot()
-	}
-	var s HistogramSnapshot
-	var buckets [nBuckets]int64
-	for _, h := range e.hs {
-		s.Count += h.count.Load()
-		s.SumNanos += h.sum.Load()
-		for i := range h.buckets {
-			buckets[i] += h.buckets[i].Load()
-		}
-	}
-	for i, n := range buckets {
-		if n == 0 {
-			continue
-		}
-		s.Buckets = append(s.Buckets, BucketCount{Bound: BucketBound(i), Count: n})
-	}
-	return s
 }
 
 // Registry is an ordered, deduplicating collection of named metrics.
@@ -390,7 +375,7 @@ func (r *Registry) Snapshot() Snapshot {
 		case kindGauge, kindGaugeFunc:
 			s.Gauges[e.name] = e.value()
 		case kindHistogram:
-			s.Histograms[e.name] = e.histSnapshot()
+			s.Histograms[e.name] = Merge(e.hs...)
 		}
 	}
 	return s

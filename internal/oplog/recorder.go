@@ -203,15 +203,19 @@ func (r *Recorder) Snapshot() Summary {
 		return Summary{}
 	}
 	var s Summary
-	// Aggregate across shards by summing snapshots.
+	// Aggregate across shards by merging each histogram's shard copies.
+	hs := make([]*metrics.Histogram, len(r.shards))
 	for c := Cmd(0); c < NumCmds; c++ {
-		var op metrics.HistogramSnapshot
+		for i, sr := range r.shards {
+			hs[i] = &sr.op[c]
+		}
+		op := metrics.Merge(hs...)
 		var phases [NumPhases]metrics.HistogramSnapshot
-		for _, sr := range r.shards {
-			op = sumSnap(op, sr.op[c].Snapshot())
-			for p := 0; p < NumPhases; p++ {
-				phases[p] = sumSnap(phases[p], sr.phase[c][p].Snapshot())
+		for p := range phases {
+			for i, sr := range r.shards {
+				hs[i] = &sr.phase[c][p]
 			}
+			phases[p] = metrics.Merge(hs...)
 		}
 		if cs, ok := cmdStat(c, op, phases[:]); ok {
 			s.Commands = append(s.Commands, cs)
@@ -263,37 +267,6 @@ func cmdStat(c Cmd, op metrics.HistogramSnapshot, phases []metrics.HistogramSnap
 		})
 	}
 	return cs, true
-}
-
-// sumSnap merges two histogram snapshots bucket-wise.
-func sumSnap(a, b metrics.HistogramSnapshot) metrics.HistogramSnapshot {
-	if b.Count == 0 {
-		return a
-	}
-	if a.Count == 0 {
-		return b
-	}
-	a.Count += b.Count
-	a.SumNanos += b.SumNanos
-	merged := map[time.Duration]int64{}
-	for _, bc := range a.Buckets {
-		merged[bc.Bound] += bc.Count
-	}
-	for _, bc := range b.Buckets {
-		merged[bc.Bound] += bc.Count
-	}
-	out := a.Buckets[:0:0]
-	for i := 0; ; i++ {
-		bound := metrics.BucketBound(i)
-		if n := merged[bound]; n > 0 {
-			out = append(out, metrics.BucketCount{Bound: bound, Count: n})
-		}
-		if bound < 0 {
-			break
-		}
-	}
-	a.Buckets = out
-	return a
 }
 
 // pctUS estimates percentile q (0..1) from a snapshot's power-of-two

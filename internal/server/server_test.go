@@ -373,7 +373,11 @@ func TestServerOplogAccounting(t *testing.T) {
 	if err := d.PutBatch(pre); err != nil {
 		t.Fatal(err)
 	}
-	readDelay.Store(int64(time.Millisecond))
+	// Each read sleeps 20 ms, so a faulting exemplar's other work plus a
+	// scheduling stall of up to ~2 ms (a runnable goroutine waiting for a
+	// CPU while other packages test beside this one) stays under the 10 %
+	// the accounting check below leaves it.
+	readDelay.Store(int64(20 * time.Millisecond))
 
 	rec := oplog.NewRecorder(nil, nshards)
 	s, err := Serve("127.0.0.1:0", Options{DB: d, Oplog: rec})
@@ -457,7 +461,7 @@ func TestServerOplogAccounting(t *testing.T) {
 	}
 
 	seen := map[string]bool{}
-	faulting := 0
+	faulting, minShare := 0, 1.0
 	for _, e := range rec.Exemplars() {
 		seen[e.Cmd] = true
 		// Every single-key op and every one-shard batch names its shard.
@@ -478,9 +482,10 @@ func TestServerOplogAccounting(t *testing.T) {
 				fault = ps.Total * 1e3
 			}
 		}
-		// Every fault sleeps 1ms in the store: the waiting must be named.
+		// Every fault sleeps in the store: the waiting must be named.
 		if fault > 0 && (e.Cmd == "get" || e.Cmd == "delete") {
 			faulting++
+			minShare = min(minShare, fault/e.ElapsedUS)
 			if fault < 0.9*e.ElapsedUS {
 				t.Errorf("%s exemplar: buffer_fault %.0fus of %.0fus elapsed, want >= 90%%: %+v", e.Cmd, fault, e.ElapsedUS, e.Phases)
 			}
@@ -494,6 +499,7 @@ func TestServerOplogAccounting(t *testing.T) {
 	if faulting == 0 {
 		t.Error("no faulting get or delete exemplar: the slow store was never read")
 	}
+	t.Logf("%d faulting exemplars, smallest buffer_fault share %.1f%%", faulting, 100*minShare)
 }
 
 func TestServerTxnAtomicityAcrossConnections(t *testing.T) {
