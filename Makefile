@@ -39,9 +39,11 @@ race:
 	$(GO) test -race -count=3 -run 'Storm|MidSplit' ./internal/core
 
 # Power-cut simulation: every write prefix of a workload (torn pages
-# included) must recover to the last-synced state or fail loudly.
+# included) must recover to the last-synced state or fail loudly. Check's
+# detection tests and the big-pair boundary tests run beside them: Check
+# and Recover share one certifying walk and one big-pair chain reader.
 crash:
-	$(GO) test -count=1 -run 'Crash|Fault|Recover|Durab|Sync' ./internal/core ./internal/pagefile
+	$(GO) test -count=1 -run 'Crash|Fault|Recover|Durab|Sync|Check|BigPair' ./internal/core ./internal/pagefile
 
 fuzz-crash:
 	$(GO) test -run=NONE -fuzz=FuzzTableCrashRecovery -fuzztime=30s ./internal/core

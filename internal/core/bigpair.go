@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"unixhash/internal/trace"
 )
@@ -111,45 +112,97 @@ func (t *Table) putBigPair(key, data []byte) (oaddr, error) {
 	return addrs[0], nil
 }
 
-// readBigChainPage fetches one chain page into buf (a page-sized scratch
-// buffer owned by the caller) and returns (payload view, next address).
-func (t *Table) readBigChainPage(o oaddr, buf []byte) ([]byte, oaddr, error) {
-	b, err := t.pool.GetOwned(ovflBufAddr(o), uint32(o), false)
-	if err != nil {
-		return nil, 0, fmt.Errorf("hash: big pair chain page %v: %w", o, err)
+// bigPart names the payload bytes a chain read streams: the key, the
+// data, or the whole pair. The zero bigPart streams none.
+type bigPart uint8
+
+const (
+	bigKeyPart bigPart = iota + 1
+	bigDataPart
+	bigPairPart
+)
+
+// chainRead is one read of a big-pair chain.
+type chainRead struct {
+	store bool    // read from the store (recovery), not the pool
+	part  bigPart // the payload bytes fn receives
+	// sized, if set, sees the lengths before any byte is streamed; false
+	// stops the read.
+	sized func(klen, dlen int) bool
+	// visit, if set, sees each page's address before the page is read,
+	// and makes the read go on to the chain's last page.
+	visit func(o oaddr) error
+	fn    func(b []byte) bool // the range in order; false stops the read
+}
+
+// readChain is the one loop that follows a big-pair chain. It reads the
+// chain at o page by page into a scratch copy, parses the length prefix
+// on the first page, and streams the bytes of c.part to c.fn; a range of
+// zero length is done as soon as the lengths are known. A chain that is
+// not big-pair pages throughout, or that ends before its lengths do, is
+// ErrCorrupt.
+func (t *Table) readChain(o oaddr, c *chainRead) (klen, dlen int, err error) {
+	buf := t.getScratch()
+	defer t.putScratch(buf)
+	from, to := 0, 0 // the range, as payload offsets past the prefix
+	for pos, hops := 0, 0; ; hops++ {
+		if hops > 1<<16 {
+			return 0, 0, fmt.Errorf("%w: big-pair chain exceeds 65536 pages (cycle?)", ErrCorrupt)
+		}
+		if c.visit != nil {
+			if err := c.visit(o); err != nil {
+				return 0, 0, err
+			}
+		}
+		if err := t.readPage(c.store, ovflBufAddr(o), uint32(o), buf); err != nil {
+			return 0, 0, fmt.Errorf("hash: big pair chain page %v: %w", o, err)
+		}
+		if !isBigPage(buf) {
+			return 0, 0, fmt.Errorf("%w: page %v is not a big-pair page", ErrCorrupt, o)
+		}
+		chunk := buf[bigHdrSize:]
+		if hops == 0 {
+			klen, dlen = int(le.Uint32(chunk[0:])), int(le.Uint32(chunk[4:]))
+			if klen == 0 {
+				return 0, 0, fmt.Errorf("%w: big pair at %v has an empty key", ErrCorrupt, o)
+			}
+			if c.sized != nil && !c.sized(klen, dlen) {
+				return klen, dlen, nil
+			}
+			switch c.part {
+			case bigKeyPart:
+				to = klen
+			case bigDataPart:
+				from, to = klen, klen+dlen
+			case bigPairPart:
+				to = klen + dlen
+			}
+			chunk = chunk[bigLenPrefix:]
+		}
+		if lo, hi := max(from, pos), min(to, pos+len(chunk)); lo < hi && !c.fn(chunk[lo-pos:hi-pos]) {
+			return klen, dlen, nil
+		}
+		pos += len(chunk)
+		next := oaddr(le.Uint16(buf[bigNextOffset:]))
+		if next == 0 || pos >= to && c.visit == nil {
+			if pos < to {
+				return 0, 0, fmt.Errorf("%w: big-pair chain truncated (%d of %d bytes)", ErrCorrupt, max(pos, from)-from, to-from)
+			}
+			return klen, dlen, nil
+		}
+		o = next
 	}
-	copy(buf, b.Page)
-	t.pool.Put(b)
-	if !isBigPage(buf) {
-		return nil, 0, fmt.Errorf("%w: page %v is not a big-pair page", ErrCorrupt, o)
-	}
-	next := oaddr(le.Uint16(buf[bigNextOffset:]))
-	return buf[bigHdrSize:], next, nil
 }
 
 // readBig materializes the whole pair stored on the chain at o.
 func (t *Table) readBig(o oaddr) (key, data []byte, err error) {
-	buf := t.getScratch()
-	defer t.putScratch(buf)
-	payload, next, err := t.readBigChainPage(o, buf)
+	var out []byte
+	klen, _, err := t.readChain(o, &chainRead{part: bigPairPart,
+		sized: func(k, d int) bool { out = make([]byte, 0, k+d); return true },
+		fn:    func(b []byte) bool { out = append(out, b...); return true }})
 	if err != nil {
 		return nil, nil, err
 	}
-	klen := int(le.Uint32(payload[0:]))
-	dlen := int(le.Uint32(payload[4:]))
-	out := make([]byte, 0, klen+dlen)
-	out = append(out, payload[bigLenPrefix:]...)
-	for len(out) < klen+dlen {
-		if next == 0 {
-			return nil, nil, fmt.Errorf("%w: big-pair chain truncated (%d of %d bytes)", ErrCorrupt, len(out), klen+dlen)
-		}
-		payload, next, err = t.readBigChainPage(next, buf)
-		if err != nil {
-			return nil, nil, err
-		}
-		out = append(out, payload...)
-	}
-	out = out[:klen+dlen]
 	return out[:klen:klen], out[klen:], nil
 }
 
@@ -157,127 +210,55 @@ func (t *Table) readBig(o oaddr) (key, data []byte, err error) {
 // skipping the key — the GetBuf path, which avoids materializing the key
 // a second time after bigKeyEquals has already matched it.
 func (t *Table) readBigData(o oaddr, dst []byte) ([]byte, error) {
-	buf := t.getScratch()
-	defer t.putScratch(buf)
-	payload, next, err := t.readBigChainPage(o, buf)
+	_, _, err := t.readChain(o, &chainRead{part: bigDataPart,
+		sized: func(_, d int) bool { dst = slices.Grow(dst, d); return true },
+		fn:    func(b []byte) bool { dst = append(dst, b...); return true }})
 	if err != nil {
 		return nil, err
 	}
-	klen := int(le.Uint32(payload[0:]))
-	dlen := int(le.Uint32(payload[4:]))
-	if cap(dst)-len(dst) < dlen {
-		grown := make([]byte, len(dst), len(dst)+dlen)
-		copy(grown, dst)
-		dst = grown
-	}
-	skip := klen // key bytes still to skip before data starts
-	chunk := payload[bigLenPrefix:]
-	need := dlen
-	for {
-		if skip > 0 {
-			n := min(skip, len(chunk))
-			chunk = chunk[n:]
-			skip -= n
-		}
-		if skip == 0 && len(chunk) > 0 {
-			n := min(need, len(chunk))
-			dst = append(dst, chunk[:n]...)
-			need -= n
-			if need == 0 {
-				return dst, nil
-			}
-		}
-		if next == 0 {
-			return nil, fmt.Errorf("%w: big-pair chain truncated (%d data bytes missing)", ErrCorrupt, need)
-		}
-		chunk, next, err = t.readBigChainPage(next, buf)
-		if err != nil {
-			return nil, err
-		}
-	}
+	return dst, nil
 }
 
 // bigKeyEquals streams the chain's key bytes, comparing against key
 // without materializing the data.
 func (t *Table) bigKeyEquals(o oaddr, key []byte) (bool, error) {
-	buf := t.getScratch()
-	defer t.putScratch(buf)
-	payload, next, err := t.readBigChainPage(o, buf)
-	if err != nil {
-		return false, err
-	}
-	klen := int(le.Uint32(payload[0:]))
-	if klen != len(key) {
-		return false, nil
-	}
-	rest := key
-	chunk := payload[bigLenPrefix:]
-	for {
-		n := len(chunk)
-		if n > len(rest) {
-			n = len(rest)
-		}
-		if !bytes.Equal(chunk[:n], rest[:n]) {
-			return false, nil
-		}
-		rest = rest[n:]
-		if len(rest) == 0 {
-			return true, nil
-		}
-		if next == 0 {
-			return false, fmt.Errorf("%w: big-pair chain truncated during key compare", ErrCorrupt)
-		}
-		chunk, next, err = t.readBigChainPage(next, buf)
-		if err != nil {
-			return false, err
-		}
-	}
+	rest, eq := key, false
+	_, _, err := t.readChain(o, &chainRead{part: bigKeyPart,
+		sized: func(k, _ int) bool { eq = k == len(key); return eq },
+		fn: func(b []byte) bool {
+			eq = bytes.Equal(b, rest[:len(b)])
+			rest = rest[len(b):]
+			return eq
+		}})
+	return eq && err == nil, err
 }
 
 // bigKey materializes just the key of the chain at o (used when splitting
 // a bucket, where the key must be rehashed).
 func (t *Table) bigKey(o oaddr) ([]byte, error) {
-	buf := t.getScratch()
-	defer t.putScratch(buf)
-	payload, next, err := t.readBigChainPage(o, buf)
+	var key []byte
+	_, _, err := t.readChain(o, &chainRead{part: bigKeyPart,
+		sized: func(k, _ int) bool { key = make([]byte, 0, k); return true },
+		fn:    func(b []byte) bool { key = append(key, b...); return true }})
 	if err != nil {
 		return nil, err
 	}
-	klen := int(le.Uint32(payload[0:]))
-	key := make([]byte, 0, klen)
-	chunk := payload[bigLenPrefix:]
-	for {
-		n := len(chunk)
-		if n > klen-len(key) {
-			n = klen - len(key)
-		}
-		key = append(key, chunk[:n]...)
-		if len(key) == klen {
-			return key, nil
-		}
-		if next == 0 {
-			return nil, fmt.Errorf("%w: big-pair chain truncated during key read", ErrCorrupt)
-		}
-		chunk, next, err = t.readBigChainPage(next, buf)
-		if err != nil {
-			return nil, err
-		}
-	}
+	return key, nil
 }
 
-// freeBigChain reclaims every page of the chain starting at o.
+// freeBigChain reclaims every page of the chain starting at o, once the
+// whole chain has been read.
 func (t *Table) freeBigChain(o oaddr) error {
-	buf := t.getScratch()
-	defer t.putScratch(buf)
-	for o != 0 {
-		_, next, err := t.readBigChainPage(o, buf)
-		if err != nil {
-			return err
-		}
+	var pagesArr [16]oaddr
+	pages := pagesArr[:0]
+	if _, _, err := t.readChain(o, &chainRead{
+		visit: func(p oaddr) error { pages = append(pages, p); return nil }}); err != nil {
+		return err
+	}
+	for _, o := range pages {
 		if err := t.freeOvfl(o); err != nil {
 			return err
 		}
-		o = next
 	}
 	return nil
 }

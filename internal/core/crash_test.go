@@ -126,7 +126,7 @@ func checkCrashState(t *testing.T, cs *pagefile.CrashStore, snaps []crashSnap, n
 		}
 	}
 
-	tbl, rep, err := Recover("", &Options{Store: ms, Bsize: 128, Ffactor: 4})
+	tbl, rep, err := Recover("", &Options{Store: ms, Bsize: ms.PageSize(), Ffactor: 4})
 	if err != nil {
 		// Loud failure is within contract for mid-protocol states, but a
 		// crash exactly at a completed sync (untorn) must recover.
@@ -511,22 +511,36 @@ func TestMarkDirtyFaultLeavesTableUnchanged(t *testing.T) {
 
 // FuzzTableCrashRecovery drives a randomized workload/crash-point pair
 // through the recovery contract. It is the smoke target for the CI
-// crash job (-fuzz=FuzzTable matches only this function).
+// crash job (-fuzz=FuzzTable matches only this function). A non-zero
+// bigKlen first stores a bigKlen-byte key with an empty value on
+// 256-byte pages, where a 244-byte key fills its chain exactly.
 func FuzzTableCrashRecovery(f *testing.F) {
-	f.Add(uint8(30), uint8(7), uint16(40), uint8(0))
-	f.Add(uint8(50), uint8(11), uint16(500), uint8(63))
-	f.Add(uint8(10), uint8(3), uint16(2), uint8(127))
+	f.Add(uint8(30), uint8(7), uint16(40), uint8(0), uint8(0))
+	f.Add(uint8(50), uint8(11), uint16(500), uint8(63), uint8(0))
+	f.Add(uint8(10), uint8(3), uint16(2), uint8(127), uint8(0))
+	f.Add(uint8(30), uint8(7), uint16(200), uint8(0), uint8(244))
 
-	f.Fuzz(func(t *testing.T, nops, syncEvery uint8, prefix uint16, torn uint8) {
+	f.Fuzz(func(t *testing.T, nops, syncEvery uint8, prefix uint16, torn, bigKlen uint8) {
 		if syncEvery == 0 {
 			syncEvery = 1
 		}
-		cs := pagefile.NewCrash(pagefile.NewMem(128, pagefile.CostModel{}))
-		tbl, err := Open("", &Options{Store: cs, Bsize: 128, Ffactor: 4, CacheSize: 1024})
+		bsize := 128
+		if bigKlen > 0 {
+			bsize = 256
+		}
+		cs := pagefile.NewCrash(pagefile.NewMem(bsize, pagefile.CostModel{}))
+		tbl, err := Open("", &Options{Store: cs, Bsize: bsize, Ffactor: 4, CacheSize: 1024})
 		if err != nil {
 			t.Fatal(err)
 		}
 		model := map[string]string{}
+		if bigKlen > 0 {
+			k := bytes.Repeat([]byte{'K'}, int(bigKlen))
+			if err := tbl.Put(k, nil); err != nil {
+				t.Fatal(err)
+			}
+			model[string(k)] = ""
+		}
 		snaps := []crashSnap{{events: 0, epoch: 0, state: map[string]string{}}}
 		for i := 0; i < int(nops); i++ {
 			if i%5 == 4 && i > 5 {

@@ -212,7 +212,7 @@ func midChainTable(t *testing.T, maybe bool) (*Table, *pagefile.FaultStore, uint
 	// position.
 	var pages []uint32
 	var firstKey [][]byte
-	if err := tbl.walkChain(nil, 0, func(b *buffer.Buf) (bool, error) {
+	if err := tbl.walkChain(nil, 0, false, func(b *buffer.Buf) (bool, error) {
 		pg := tbl.hdr.bucketToPage(0)
 		if b.Addr.Ovfl {
 			pg = tbl.hdr.oaddrToPage(oaddr(b.Addr.N))

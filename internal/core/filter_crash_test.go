@@ -224,3 +224,69 @@ func TestConcurrentMissStormDuringSplits(t *testing.T) {
 		t.Fatalf("post-storm check: %v", err)
 	}
 }
+
+// TestRecoverReadsEachPageOnce: a dirty Recover certifies the file and
+// rebuilds its filters in one walk, so it reads the store at most once
+// per page reachable from the buckets, plus the header pages, plus once
+// per page it plans to rewrite (torn filter regions here).
+func TestRecoverReadsEachPageOnce(t *testing.T) {
+	for _, nbig := range []int{0, 80} {
+		t.Run(fmt.Sprintf("big%d", nbig), func(t *testing.T) {
+			ms := pagefile.NewMem(256, pagefile.CostModel{})
+			tbl := mustOpen(t, "", &Options{Store: ms, Bsize: 256, Ffactor: 16})
+			for i := 0; i < 3000; i++ {
+				if err := tbl.Put(key(i), val(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < nbig; i++ {
+				if err := tbl.Put(key(5000+i), bytes.Repeat([]byte{'b'}, 600)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tbl.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			nbuckets := tbl.hdr.maxBucket + 1
+			// Tear the filter region of every tenth primary, then mark
+			// the file dirty and abandon the table.
+			buf := make([]byte, 256)
+			for b := uint32(0); b < nbuckets; b += 10 {
+				pn := tbl.hdr.bucketToPage(b)
+				if err := ms.ReadPage(pn, buf); err != nil {
+					t.Fatal(err)
+				}
+				buf[fltChainOff] ^= 0x7f
+				if err := ms.WritePage(pn, buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tbl.Put(key(9999), val(9999)); err != nil {
+				t.Fatal(err)
+			}
+
+			before := ms.Stats().Reads
+			rec, rep, err := Recover("", &Options{Store: ms})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rec.Close()
+			reads := ms.Stats().Reads - before
+			_, inUse, err := rec.allocatedPages()
+			if err != nil {
+				t.Fatal(err)
+			}
+			reachable := int64(nbuckets) + int64(inUse)
+			planned := int64(rep.PagesReset + rep.LinksCut + rep.RefsDropped + rep.FiltersRebuilt)
+			hdrPages := int64((headerSize + 255) / 256)
+			t.Logf("%d reachable pages, %d planned, %d reads", reachable, planned, reads)
+			if rep.FiltersRebuilt == 0 {
+				t.Fatal("no torn filter was rebuilt")
+			}
+			if reads > reachable+hdrPages+planned {
+				t.Fatalf("Recover read the store %d times: %d reachable pages, %d header pages, %d planned rewrites",
+					reads, reachable, hdrPages, planned)
+			}
+		})
+	}
+}

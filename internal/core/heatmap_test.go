@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 )
@@ -93,5 +94,35 @@ func TestHeatmapChainLength(t *testing.T) {
 	}
 	if h.OverflowPages != h.MaxChain {
 		t.Fatalf("OverflowPages = %d, MaxChain = %d overflow pages", h.OverflowPages, h.MaxChain)
+	}
+}
+
+// TestStatsWalksLeaveChainCounters: the chain counters describe the
+// walks operations make (their mean overflow depth per walk), so the
+// statistics walks of Heatmap and Dump must not add to them.
+func TestStatsWalksLeaveChainCounters(t *testing.T) {
+	tbl := mustOpen(t, "", &Options{Bsize: 256, Ffactor: 40, ControlledOnly: true})
+	defer tbl.Close()
+	for i := 0; i < 3000; i++ {
+		if err := tbl.Put(key(i), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h, err := tbl.Heatmap()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.OverflowPages == 0 {
+		t.Fatal("the table has no overflow chains to walk")
+	}
+	pages, walks := tbl.n.chainPages.Load(), tbl.n.chainWalks.Load()
+	if _, err := tbl.Heatmap(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Dump(io.Discard, true); err != nil {
+		t.Fatal(err)
+	}
+	if p, w := tbl.n.chainPages.Load(), tbl.n.chainWalks.Load(); p != pages || w != walks {
+		t.Fatalf("Heatmap and Dump moved the chain counters: pages %d -> %d, walks %d -> %d", pages, p, walks, w)
 	}
 }

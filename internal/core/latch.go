@@ -242,7 +242,7 @@ type splitEntry struct {
 func (t *Table) splitBucket(oldB, newB uint32) (moved, nchain int, err error) {
 	s := &t.split
 	s.entries, s.chain, s.bytes = s.entries[:0], s.chain[:0], s.bytes[:0]
-	err = t.walkChain(nil, oldB, func(buf *buffer.Buf) (bool, error) {
+	err = t.walkChain(nil, oldB, true, func(buf *buffer.Buf) (bool, error) {
 		if buf.Addr.Ovfl {
 			s.chain = append(s.chain, oaddr(buf.Addr.N))
 		}

@@ -532,7 +532,7 @@ func TestSplitWaitIsLatchWait(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ref oaddr
-	if err := tbl.walkChain(nil, oldB, func(b *buffer.Buf) (bool, error) {
+	if err := tbl.walkChain(nil, oldB, false, func(b *buffer.Buf) (bool, error) {
 		return false, page(b.Page).forEach(func(_ int, e entry) bool {
 			if e.kind == entryBig {
 				ref = e.ref

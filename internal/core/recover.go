@@ -7,6 +7,7 @@ import (
 	"os"
 	"sort"
 
+	"unixhash/internal/buffer"
 	"unixhash/internal/pagefile"
 	"unixhash/internal/trace"
 	"unixhash/internal/wal"
@@ -18,10 +19,11 @@ import (
 // on-disk header is always the header of the last completed sync, plus
 // the flag: geometry, spares, key count and pair fingerprint all describe
 // the state every pair of which was durably on disk. Recovery therefore
-// has an exact target. The walker below reads the pages directly from
-// the store (bypassing the buffer pool), recomputes (nkeys, pairSum) for
-// the reachable pairs, and plans repairs for artifacts that are provably
-// post-sync:
+// has an exact target. One certifying walk reads every reachable page
+// once, straight from the store (bypassing the buffer pool), recomputes
+// (nkeys, pairSum) for the reachable pairs, records what each bucket's
+// tag filter must hold, and plans repairs for artifacts that are
+// provably post-sync:
 //
 //   - an overflow link or big-pair reference pointing beyond the
 //     last-synced allocation (those pages did not exist at the sync, so
@@ -38,11 +40,13 @@ import (
 // sound: a crash mid-split can lose pre-sync pairs while post-sync
 // inserts mask the count.)
 //
-// After acceptance the repairs are applied, the overflow-use bitmaps are
-// rebuilt from reachability, and a normal two-phase sync stamps the file
-// clean. Recovery crashing mid-repair is itself recoverable: the header
-// stays dirty until the final sync, and re-running recovery converges
-// (repairs only remove post-sync artifacts).
+// After acceptance one loop writes the repairs and every rebuilt filter
+// region that differs from the page's, the overflow-use bitmaps are
+// rebuilt from the walk's claims, and a normal two-phase sync stamps the
+// file clean. Recovery crashing mid-repair is itself recoverable: the
+// header stays dirty until the final sync, and re-running recovery
+// converges (repairs only remove post-sync artifacts). Check runs the
+// same walk over the pool's pages of a live table.
 
 // errPostSync marks a structural anomaly that a planned repair can
 // remove: the content is provably (or gate-checkably) post-sync.
@@ -78,20 +82,52 @@ func (r RecoveryReport) String() string {
 
 // pageRepair is the planned edit for one physical page.
 type pageRepair struct {
-	reset   bool  // rewrite as an empty data page
-	cutLink bool  // clear the trailing overflow link
-	drops   []int // entry indices to remove (as seen by forEach)
+	reset   bool   // rewrite as an empty data page
+	cutLink bool   // clear the trailing overflow link
+	drops   []int  // entry indices to remove (as seen by forEach)
+	filter  []byte // a primary's rebuilt filter region (nil: keep it)
 }
 
-// recovery is one dry-run walk over a dirty file.
+// recovery is one certifying walk over every bucket chain: recovery's dry
+// run, reading the store, or Check, reading the pool.
 type recovery struct {
 	t       *Table
+	store   bool                   // pages come from the store (recovery), not the pool (Check)
 	claimed map[oaddr]string       // overflow page -> what references it
 	plans   map[uint32]*pageRepair // physical page -> planned repair
 	order   []uint32               // deterministic apply order
+	repairs int                    // pages with a structural repair (not filter-only)
+	why     string                 // the first structural repair's cause
 	count   int64
 	sum     uint64
 	filters int // primary pages whose tag filters applyRecovery rewrote
+	bitmaps int // overflow-use bitmaps applyRecovery rebuilt
+
+	// What walkBucket certified of the last bucket it walked: the primary
+	// as read (nil if unwritten or reset), the hash of every certified
+	// pair, and the overflow pages kept.
+	prim   page
+	hashes []uint32
+	novfl  int
+
+	pbuf, cbuf page // the primary's and the chain pages' reads
+}
+
+// newRecovery starts a walk once the bitmap addressing invariants hold,
+// as they must before any oaddr can be trusted: each populated split
+// point's bitmap is its first page.
+func (t *Table) newRecovery(store bool) (*recovery, error) {
+	for s := uint32(0); s <= t.hdr.ovflPoint; s++ {
+		alloc, bm := t.hdr.allocatedAt(s), t.hdr.bitmaps[s]
+		if alloc > 0 && bm != uint16(makeOaddr(s, 1)) {
+			return nil, fmt.Errorf("%w: split point %d has %d pages but bitmap address %v", ErrUnrecoverable, s, alloc, oaddr(bm))
+		}
+		if alloc == 0 && bm != 0 {
+			return nil, fmt.Errorf("%w: split point %d has a bitmap but no pages", ErrUnrecoverable, s)
+		}
+	}
+	return &recovery{t: t, store: store, claimed: map[oaddr]string{}, plans: map[uint32]*pageRepair{},
+		pbuf: make(page, t.hdr.bsize), cbuf: make(page, t.hdr.bsize)}, nil
 }
 
 func (r *recovery) plan(pageno uint32) *pageRepair {
@@ -104,11 +140,46 @@ func (r *recovery) plan(pageno uint32) *pageRepair {
 	return p
 }
 
+// repair plans a structural repair of pageno, noting the first cause.
+func (r *recovery) repair(pageno uint32, format string, args ...any) *pageRepair {
+	if r.why == "" {
+		r.why = fmt.Sprintf("page %d: ", pageno) + fmt.Sprintf(format, args...)
+	}
+	p := r.plan(pageno)
+	if !p.reset && !p.cutLink && len(p.drops) == 0 {
+		r.repairs++
+	}
+	return p
+}
+
 // linkValid reports whether o addresses a page that existed at the last
 // sync, per the header's spares. Anything else is a post-sync pointer.
 func (r *recovery) linkValid(o oaddr) bool {
 	s, pn := o.split(), o.pagenum()
 	return s < maxSplits && s <= r.t.hdr.ovflPoint && pn >= 1 && pn <= r.t.hdr.allocatedAt(s)
+}
+
+// readPage copies page a into buf: from the pool, which holds a live
+// table's newest pages (owner names the chain whose pool shard caches
+// them), or with fromStore straight from the store, as recovery reads
+// pages it may yet reject.
+func (t *Table) readPage(fromStore bool, a buffer.Addr, owner uint32, buf []byte) error {
+	if fromStore {
+		return t.store.ReadPage(t.mapPage(a), buf)
+	}
+	var b *buffer.Buf
+	var err error
+	if a.Ovfl {
+		b, err = t.pool.GetOwned(a, owner, false)
+	} else {
+		b, err = t.getBucketPage(nil, a.N)
+	}
+	if err != nil {
+		return err
+	}
+	copy(buf, b.Page)
+	t.pool.Put(b)
+	return nil
 }
 
 // scanResult is what one page contributes if it survives intact. Side
@@ -118,31 +189,24 @@ type scanResult struct {
 	count  int64
 	sum    uint64
 	drops  []int
-	claims []oaddr // big-chain pages claimed by entries on this page
+	why    string         // the first drop's cause
+	claims map[oaddr]bool // big-chain pages claimed by entries on this page
 }
 
 // recoverLocked dry-runs the walk and the acceptance gate. On success the
 // returned recovery holds the verified accounting, the claims and the
-// planned repairs; nothing has been written. The caller holds t.mu.
+// planned repairs, each primary's rebuilt filter among them; nothing has
+// been written. The caller holds t.mu.
 func (t *Table) recoverLocked() (*recovery, error) {
-	r := &recovery{t: t, claimed: map[oaddr]string{}, plans: map[uint32]*pageRepair{}}
-
-	// The bitmap addressing invariants must hold before any oaddr can be
-	// trusted: each populated split point's bitmap is its first page.
-	for s := uint32(0); s <= t.hdr.ovflPoint; s++ {
-		alloc, bm := t.hdr.allocatedAt(s), t.hdr.bitmaps[s]
-		if alloc > 0 && bm != uint16(makeOaddr(s, 1)) {
-			return nil, fmt.Errorf("%w: split point %d has %d pages but bitmap address %v", ErrUnrecoverable, s, alloc, oaddr(bm))
-		}
-		if alloc == 0 && bm != 0 {
-			return nil, fmt.Errorf("%w: split point %d has a bitmap but no pages", ErrUnrecoverable, s)
-		}
+	r, err := t.newRecovery(true)
+	if err != nil {
+		return nil, err
 	}
-
 	for b := uint32(0); b <= t.hdr.maxBucket; b++ {
 		if err := r.walkBucket(b); err != nil {
 			return nil, err
 		}
+		r.planFilter(t.hdr.bucketToPage(b))
 	}
 
 	if r.count != t.hdr.nkeys || r.sum != t.hdr.pairSum {
@@ -152,123 +216,141 @@ func (t *Table) recoverLocked() (*recovery, error) {
 	return r, nil
 }
 
-// walkBucket walks one bucket's chain with direct store reads.
+// planFilter plans a rewrite of the filter region of the primary at
+// pageno when the one the walk's certified pairs rebuild differs from
+// the region as read. Tag filters are pure acceleration state and never
+// trusted across a crash: a torn filter write could hide a surviving pair
+// (a false-negative hazard) without perturbing the count/fingerprint
+// gate, which deliberately ignores the filter bytes. A reset or unwritten
+// primary's region is empty already.
+func (r *recovery) planFilter(pageno uint32) {
+	if r.prim == nil {
+		return
+	}
+	base := r.prim.slotBase()
+	pg := r.cbuf
+	copy(pg[pageHdrSize:base], r.prim[pageHdrSize:base])
+	pg.filterReset()
+	for _, h := range r.hashes {
+		pg.filterAdd(h)
+	}
+	pg.setFltChainLen(r.novfl)
+	if !bytes.Equal(pg[pageHdrSize:base], r.prim[pageHdrSize:base]) {
+		r.plan(pageno).filter = bytes.Clone(pg[pageHdrSize:base])
+	}
+}
+
+// walkBucket walks one bucket's chain, reading each page once, and
+// commits each page that survives intact.
 func (r *recovery) walkBucket(b uint32) error {
 	t := r.t
-	buf := make([]byte, t.hdr.bsize)
-	pageno := t.hdr.bucketToPage(b)
-
-	if err := t.store.ReadPage(pageno, buf); err != nil {
-		if errors.Is(err, pagefile.ErrNotAllocated) {
-			return nil // never written: an empty bucket
+	r.prim, r.hashes, r.novfl = nil, r.hashes[:0], 0
+	a, buf := t.bucketAddr(b), r.pbuf
+	var holder uint32 // the page whose link points at the page under scan
+	for hops := 0; ; hops++ {
+		pageno := t.mapPage(a)
+		if err := t.readPage(r.store, a, b, buf); err != nil {
+			if !errors.Is(err, pagefile.ErrNotAllocated) {
+				return fmt.Errorf("%w: bucket %d page %d unreadable: %v", ErrUnrecoverable, b, pageno, err)
+			}
+			if a.Ovfl {
+				r.repair(holder, "bucket %d links to unwritten page %v", b, oaddr(a.N)).cutLink = true
+			}
+			return nil // an unwritten primary is an empty bucket
 		}
-		return fmt.Errorf("%w: bucket %d primary page %d unreadable: %v", ErrUnrecoverable, b, pageno, err)
-	}
-	res, err := r.scanPage(b, page(buf))
-	if err != nil {
+		res, err := r.scanPage(b, buf)
 		if errors.Is(err, errPostSync) {
-			// A torn or overwritten primary: plan a reset to empty. Any
-			// chain behind it is unreachable and stays unclaimed — if it
-			// held last-synced pairs the gate rejects the file.
-			r.plan(pageno).reset = true
-			return nil
-		}
-		return err
-	}
-	r.commit(pageno, res)
-
-	holder := pageno // the page whose link points at the page under scan
-	next := res.next
-	for hops := 0; next != 0; hops++ {
-		if hops > 1<<16 {
-			return fmt.Errorf("%w: bucket %d chain exceeds 65536 pages", ErrUnrecoverable, b)
-		}
-		if !r.linkValid(next) {
-			r.plan(holder).cutLink = true
-			return nil
-		}
-		if prev, dup := r.claimed[next]; dup {
-			return fmt.Errorf("%w: overflow page %v claimed by both %s and bucket %d's chain", ErrUnrecoverable, next, prev, b)
-		}
-		pageno = t.hdr.oaddrToPage(next)
-		if err := t.store.ReadPage(pageno, buf); err != nil {
-			if errors.Is(err, pagefile.ErrNotAllocated) {
-				r.plan(holder).cutLink = true
-				return nil
+			// A torn or overwritten page. A chain page is cut at its
+			// predecessor; a primary is reset to empty, and any chain
+			// behind it stays unclaimed — if that held last-synced pairs
+			// the gate rejects the file.
+			if a.Ovfl {
+				r.repair(holder, "bucket %d overflow page %v: %v", b, oaddr(a.N), err).cutLink = true
+			} else {
+				r.repair(pageno, "bucket %d primary: %v", b, err).reset = true
 			}
-			return fmt.Errorf("%w: overflow page %v unreadable: %v", ErrUnrecoverable, next, err)
+			return nil
 		}
-		res, err := r.scanPage(b, page(buf))
 		if err != nil {
-			if errors.Is(err, errPostSync) {
-				r.plan(holder).cutLink = true
-				return nil
-			}
 			return err
 		}
-		r.claimed[next] = fmt.Sprintf("bucket %d's chain", b)
-		r.commit(pageno, res)
-		holder, next = pageno, res.next
+		if a.Ovfl {
+			r.claimed[oaddr(a.N)] = fmt.Sprintf("bucket %d's chain", b)
+			r.novfl++
+		} else {
+			r.prim = buf
+		}
+		r.count += res.count
+		r.sum ^= res.sum
+		if len(res.drops) > 0 {
+			p := r.repair(pageno, "%s", res.why)
+			p.drops = append(p.drops, res.drops...)
+		}
+		for o := range res.claims {
+			r.claimed[o] = fmt.Sprintf("big pair via page %d", pageno)
+		}
+
+		next := res.next
+		switch _, dup := r.claimed[next]; {
+		case next == 0:
+			return nil
+		case hops >= 1<<16:
+			return fmt.Errorf("%w: bucket %d chain exceeds 65536 pages", ErrUnrecoverable, b)
+		case !r.linkValid(next):
+			r.repair(pageno, "bucket %d links to unallocated page %v", b, next).cutLink = true
+			return nil
+		case dup:
+			return fmt.Errorf("%w: overflow page %v claimed by both %s and bucket %d's chain", ErrUnrecoverable, next, r.claimed[next], b)
+		}
+		holder, a, buf = pageno, ovflBufAddr(next), r.cbuf
 	}
-	return nil
 }
 
-// commit applies a surviving page's deferred contributions.
-func (r *recovery) commit(pageno uint32, res scanResult) {
-	r.count += res.count
-	r.sum ^= res.sum
-	if len(res.drops) > 0 {
-		p := r.plan(pageno)
-		p.drops = append(p.drops, res.drops...)
-	}
-	for _, o := range res.claims {
-		r.claimed[o] = fmt.Sprintf("big pair via page %d", pageno)
-	}
-}
-
-// scanPage validates one chain page and computes its contribution. It
-// returns errPostSync (wrapped) when the page itself cannot be part of
-// the last-synced state and the caller should reset or cut it.
+// scanPage validates one chain page and computes its contribution,
+// appending each certified pair's hash to r.hashes. It returns
+// errPostSync (wrapped) when the page itself cannot be part of the
+// last-synced state and the caller should reset or cut it.
 func (r *recovery) scanPage(b uint32, pg page) (scanResult, error) {
 	t := r.t
-	var res scanResult
+	res := scanResult{claims: map[oaddr]bool{}}
 	var inner error
-	pending := map[oaddr]bool{} // big-chain claims local to this page
+	hashes := len(r.hashes)
+	drop := func(i int, format string, args ...any) {
+		if res.drops = append(res.drops, i); res.why == "" {
+			res.why = fmt.Sprintf("bucket %d: ", b) + fmt.Sprintf(format, args...)
+		}
+	}
 	ferr := pg.forEach(func(i int, e entry) bool {
-		switch e.kind {
-		case entryRegular:
-			if want := t.calcBucket(t.hash(e.key)); want != b {
-				// Hashes elsewhere under the last-synced masks: a
-				// post-sync insert under grown masks. Drop candidate.
-				res.drops = append(res.drops, i)
+		key, data := e.key, e.data
+		var pages []oaddr
+		if e.kind == entryBig {
+			var err error
+			if key, data, pages, err = r.bigPair(e.ref, res.claims); errors.Is(err, errPostSync) {
+				drop(i, "big pair at %v: %v", e.ref, err)
 				return true
-			}
-			res.count++
-			res.sum ^= pairHash(e.key, e.data)
-		case entryBig:
-			key, data, pages, droppable, err := r.walkBigChain(e.ref, pending)
-			if err != nil {
+			} else if err != nil {
 				inner = err
 				return false
 			}
-			if !droppable {
-				if want := t.calcBucket(t.hash(key)); want != b {
-					droppable = true
-				}
-			}
-			if droppable {
-				res.drops = append(res.drops, i)
-				return true
-			}
-			for _, o := range pages {
-				pending[o] = true
-			}
-			res.claims = append(res.claims, pages...)
-			res.count++
-			res.sum ^= pairHash(key, data)
 		}
+		h := t.hash(key)
+		if want := t.calcBucket(h); want != b {
+			// Hashes elsewhere under the last-synced masks: a post-sync
+			// insert under grown masks. Drop candidate.
+			drop(i, "key %q hashes to bucket %d", truncKey(key), want)
+			return true
+		}
+		for _, o := range pages {
+			res.claims[o] = true
+		}
+		r.hashes = append(r.hashes, h)
+		res.count++
+		res.sum ^= pairHash(key, data)
 		return true
 	})
+	if ferr != nil || inner != nil {
+		r.hashes = r.hashes[:hashes]
+	}
 	if ferr != nil {
 		// Structural damage (bad slots, wrong magic, torn write): the
 		// page content is not the last-synced content.
@@ -281,120 +363,115 @@ func (r *recovery) scanPage(b uint32, pg page) (scanResult, error) {
 	return res, nil
 }
 
-// walkBigChain reads a big-pair chain directly from the store. droppable
-// reports a structural anomaly that marks the referencing entry as a
-// post-sync drop candidate; err is reserved for unrecoverable conflicts
-// (a page claimed by two owners).
-func (r *recovery) walkBigChain(start oaddr, pending map[oaddr]bool) (key, data []byte, pages []oaddr, droppable bool, err error) {
-	t := r.t
-	buf := make([]byte, t.hdr.bsize)
+// bigPair reads the big pair at ref through the chain reader. A chain
+// that cannot have been whole at the last sync — a page beyond the
+// synced allocation or never written, a cycle, a page that is not a
+// chain page, a payload shorter than its lengths — returns errPostSync:
+// its reference is a drop candidate. A page claimed elsewhere is
+// ErrUnrecoverable.
+func (r *recovery) bigPair(ref oaddr, pending map[oaddr]bool) (key, data []byte, pages []oaddr, err error) {
 	var payload []byte
 	local := map[oaddr]bool{}
-	for o := start; o != 0; {
-		if !r.linkValid(o) || local[o] || len(pages) > 1<<16 {
-			return nil, nil, nil, true, nil
-		}
-		if prev, dup := r.claimed[o]; dup {
-			return nil, nil, nil, false, fmt.Errorf("%w: overflow page %v claimed by both %s and the big chain at %v", ErrUnrecoverable, o, prev, start)
-		}
-		if pending[o] {
-			return nil, nil, nil, false, fmt.Errorf("%w: overflow page %v claimed by two big chains on one page", ErrUnrecoverable, o)
-		}
-		local[o] = true
-		pages = append(pages, o)
-		if err := t.store.ReadPage(t.hdr.oaddrToPage(o), buf); err != nil {
-			if errors.Is(err, pagefile.ErrNotAllocated) {
-				return nil, nil, nil, true, nil
+	klen, _, err := r.t.readChain(ref, &chainRead{store: r.store, part: bigPairPart,
+		visit: func(o oaddr) error {
+			if !r.linkValid(o) || local[o] {
+				return fmt.Errorf("%w: chain page %v unallocated or repeated", errPostSync, o)
 			}
-			return nil, nil, nil, false, fmt.Errorf("%w: big chain page %v unreadable: %v", ErrUnrecoverable, o, err)
-		}
-		if !isBigPage(buf) {
-			return nil, nil, nil, true, nil
-		}
-		payload = append(payload, buf[bigHdrSize:]...)
-		o = oaddr(le.Uint16(buf[bigNextOffset:]))
+			if prev, dup := r.claimed[o]; dup {
+				return fmt.Errorf("%w: overflow page %v claimed by both %s and the big chain at %v", ErrUnrecoverable, o, prev, ref)
+			}
+			if pending[o] {
+				return fmt.Errorf("%w: overflow page %v claimed by two big chains on one page", ErrUnrecoverable, o)
+			}
+			local[o] = true
+			pages = append(pages, o)
+			return nil
+		},
+		fn: func(b []byte) bool { payload = append(payload, b...); return true }})
+	switch {
+	case err == nil:
+		return payload[:klen], payload[klen:], pages, nil
+	case errors.Is(err, ErrUnrecoverable), errors.Is(err, errPostSync):
+		return nil, nil, nil, err
+	case errors.Is(err, ErrCorrupt), errors.Is(err, pagefile.ErrNotAllocated):
+		return nil, nil, nil, fmt.Errorf("%w: %v", errPostSync, err)
 	}
-	if len(payload) < bigLenPrefix {
-		return nil, nil, nil, true, nil
-	}
-	klen := int(le.Uint32(payload[0:]))
-	dlen := int(le.Uint32(payload[4:]))
-	if bigLenPrefix+klen+dlen > len(payload) || klen == 0 {
-		return nil, nil, nil, true, nil
-	}
-	key = payload[bigLenPrefix : bigLenPrefix+klen]
-	data = payload[bigLenPrefix+klen : bigLenPrefix+klen+dlen]
-	return key, data, pages, false, nil
+	return nil, nil, nil, fmt.Errorf("%w: %v", ErrUnrecoverable, err)
 }
 
-// applyRecovery writes the planned repairs, rebuilds the overflow-use
-// bitmaps from reachability, and stamps the file clean with a two-phase
-// sync. The caller holds t.mu and the gate has passed.
+// claimedBitmaps builds the overflow-use bitmaps the walk's claims
+// imply: at each populated split point its bitmap page and every claimed
+// page are in use, and nothing else. Recovery installs them; Check
+// compares them with the table's.
+func (t *Table) claimedBitmaps(claimed map[oaddr]string) ([maxSplits][]byte, error) {
+	var bms [maxSplits][]byte
+	for s := uint32(0); s <= t.hdr.ovflPoint; s++ {
+		if t.hdr.bitmaps[s] != 0 {
+			bms[s] = make([]byte, t.hdr.bsize)
+			le.PutUint16(bms[s][0:2], bitmapMagic)
+			bitmapSet(bms[s], 0) // the bitmap page itself
+		}
+	}
+	for o := range claimed {
+		bm := bms[o.split()]
+		if bm == nil {
+			return bms, fmt.Errorf("%w: claimed page %v at split point without a bitmap", ErrCorrupt, o)
+		}
+		bitmapSet(bm, o.pagenum()-1)
+	}
+	return bms, nil
+}
+
+// applyRecovery writes the planned repairs and rebuilt filter regions,
+// installs the overflow-use bitmaps rebuilt from reachability, and stamps
+// the file clean with a two-phase sync. The caller holds t.mu and the
+// gate has passed. The header stays dirty until syncLocked, so a crash
+// mid-repair re-runs recovery, which converges.
 func (t *Table) applyRecovery(r *recovery) error {
-	buf := make([]byte, t.hdr.bsize)
+	buf := make(page, t.hdr.bsize)
 	for _, pageno := range r.order {
 		p := r.plans[pageno]
 		if p.reset {
 			clear(buf)
-			initPage(page(buf))
-			if err := t.store.WritePage(pageno, buf); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := t.store.ReadPage(pageno, buf); err != nil {
+			initPage(buf)
+		} else if err := t.store.ReadPage(pageno, buf); err != nil {
 			return err
 		}
-		pg := page(buf)
 		sort.Sort(sort.Reverse(sort.IntSlice(p.drops)))
 		for _, i := range p.drops {
-			if err := pg.removeEntry(i); err != nil {
+			if err := buf.removeEntry(i); err != nil {
 				return err
 			}
 		}
 		if p.cutLink {
-			pg.clearOvflLink()
+			buf.clearOvflLink()
+		}
+		if p.filter != nil {
+			copy(buf[pageHdrSize:], p.filter)
+			r.filters++
 		}
 		if err := t.store.WritePage(pageno, buf); err != nil {
 			return err
 		}
 	}
-	t.tr.Emit(trace.EvRecoveryStep, trace.RecoveryStepRepairs, uint64(len(r.order)), 0, 0)
+	t.tr.Emit(trace.EvRecoveryStep, trace.RecoveryStepRepairs, uint64(r.repairs), 0, 0)
 
-	// Rebuild every bitmap from the claim map: a bit is set for the
-	// bitmap page itself and for each page a verified chain reaches.
-	// Everything else at that split point is free for reuse.
-	used := make([]int, maxSplits)
-	rebuilt := 0
-	for s := range t.bitmapBuf {
-		t.bitmapBuf[s] = nil
-		t.bitmapDirty[s] = false
-		t.freeCount[s] = 0
+	// Every bitmap comes from the claim map: a bit is set for the bitmap
+	// page itself and for each page a verified chain reaches. Everything
+	// else at that split point is free for reuse.
+	bms, err := t.claimedBitmaps(r.claimed)
+	if err != nil {
+		return err
 	}
-	for s := uint32(0); s <= t.hdr.ovflPoint; s++ {
-		if t.hdr.bitmaps[s] == 0 {
-			continue
-		}
-		bm := make([]byte, t.hdr.bsize)
-		le.PutUint16(bm[0:2], bitmapMagic)
-		bm[bitmapHdrSize] |= 1 // bit 0: the bitmap page itself
-		t.bitmapBuf[s] = bm
-		t.bitmapDirty[s] = true
-		used[s] = 1
-		rebuilt++
-	}
-	for o := range r.claimed {
-		s, pn := o.split(), o.pagenum()
-		bm := t.bitmapBuf[s]
-		if bm == nil {
-			return fmt.Errorf("%w: claimed page %v at split point without a bitmap", ErrCorrupt, o)
-		}
-		bitmapSet(bm, pn-1)
-		used[s]++
-	}
-	for s := uint32(0); s <= t.hdr.ovflPoint; s++ {
-		if t.bitmapBuf[s] != nil {
-			t.freeCount[s] = int(t.hdr.allocatedAt(s)) - used[s]
+	for s, bm := range bms {
+		t.bitmapBuf[s], t.bitmapDirty[s], t.freeCount[s] = bm, bm != nil, 0
+		if bm != nil {
+			r.bitmaps++
+			for pn := uint32(1); pn <= t.hdr.allocatedAt(uint32(s)); pn++ {
+				if !bitmapGet(bm, pn-1) {
+					t.freeCount[s]++
+				}
+			}
 		}
 	}
 	t.hdr.lastFreed = 0
@@ -406,100 +483,13 @@ func (t *Table) applyRecovery(r *recovery) error {
 	t.nkeysA.Store(t.hdr.nkeys)
 	t.pairSumA.Store(t.hdr.pairSum)
 	t.publishGeo()
-	t.tr.Emit(trace.EvRecoveryStep, trace.RecoveryStepBitmaps, uint64(rebuilt), 0, 0)
-
-	// Tag filters are pure acceleration state and are never trusted
-	// across a crash: a torn filter write could hide a surviving pair (a
-	// false-negative hazard) without perturbing the count/fingerprint
-	// gate, which deliberately ignores the filter bytes. Rebuild every
-	// bucket's filter from the (now repaired) pair data. The header is
-	// still dirty until syncLocked below, so a crash mid-rebuild re-runs
-	// recovery and converges.
-	filters, err := t.rebuildFilters()
-	if err != nil {
-		return err
-	}
-	r.filters = filters
-	t.tr.Emit(trace.EvRecoveryStep, trace.RecoveryStepFilters, uint64(filters), 0, 0)
+	t.tr.Emit(trace.EvRecoveryStep, trace.RecoveryStepBitmaps, uint64(r.bitmaps), 0, 0)
+	t.tr.Emit(trace.EvRecoveryStep, trace.RecoveryStepFilters, uint64(r.filters), 0, 0)
 	if err := t.syncLocked(); err != nil {
 		return err
 	}
 	t.tr.Emit(trace.EvRecoveryStep, trace.RecoveryStepDone, uint64(t.hdr.nkeys), t.hdr.syncEpoch, 0)
 	return nil
-}
-
-// rebuildFilters recomputes every bucket's tag-filter region from the
-// surviving pair data, with direct store I/O (the buffer pool is still
-// cold at this point, apart from big-pair reads). A bucket's primary is
-// rewritten only when the rebuilt region differs from what was on disk.
-// Returns the number of primary pages rewritten. The caller holds t.mu.
-func (t *Table) rebuildFilters() (int, error) {
-	bsize := int(t.hdr.bsize)
-	base := slotBaseFor(bsize)
-	buf := make([]byte, bsize)
-	cbuf := make([]byte, bsize)
-	before := make([]byte, base-pageHdrSize)
-	written := 0
-	for b := uint32(0); b <= t.hdr.maxBucket; b++ {
-		pageno := t.hdr.bucketToPage(b)
-		if err := t.store.ReadPage(pageno, buf); err != nil {
-			if errors.Is(err, pagefile.ErrNotAllocated) {
-				continue // never written: an empty bucket
-			}
-			return written, err
-		}
-		pg := page(buf)
-		copy(before, buf[pageHdrSize:base])
-		pg.filterReset()
-		// Walk the (already repaired) chain, tagging every key. Filter
-		// bytes always live on the primary, so filterAdd targets pg
-		// regardless of which page holds the pair.
-		novfl := 0
-		cur := pg
-		for {
-			var inner error
-			ferr := cur.forEach(func(_ int, e entry) bool {
-				switch e.kind {
-				case entryRegular:
-					pg.filterAdd(t.hash(e.key))
-				case entryBig:
-					bk, err := t.bigKey(e.ref)
-					if err != nil {
-						inner = err
-						return false
-					}
-					pg.filterAdd(t.hash(bk))
-				}
-				return true
-			})
-			if ferr != nil {
-				return written, fmt.Errorf("%w: bucket %d filter rebuild: %v", ErrCorrupt, b, ferr)
-			}
-			if inner != nil {
-				return written, inner
-			}
-			next := cur.ovflLink()
-			if next == 0 {
-				break
-			}
-			novfl++
-			if novfl > 1<<16 {
-				return written, fmt.Errorf("%w: bucket %d chain exceeds 65536 pages during filter rebuild", ErrUnrecoverable, b)
-			}
-			if err := t.store.ReadPage(t.hdr.oaddrToPage(next), cbuf); err != nil {
-				return written, err
-			}
-			cur = page(cbuf)
-		}
-		pg.setFltChainLen(novfl)
-		if !bytes.Equal(before, buf[pageHdrSize:base]) {
-			if err := t.store.WritePage(pageno, buf); err != nil {
-				return written, err
-			}
-			written++
-		}
-	}
-	return written, nil
 }
 
 // Recover opens the table at path (or Options.Store), and if its dirty
@@ -564,7 +554,7 @@ func (t *Table) recoverPages(rep *RecoveryReport) error {
 	t.tr.Emit(trace.EvRecoveryStep, trace.RecoveryStepWalk, uint64(t.hdr.maxBucket+1), 0, 0)
 	r, err := t.recoverLocked()
 	if err == nil {
-		t.tr.Emit(trace.EvRecoveryStep, trace.RecoveryStepGate, uint64(r.count), uint64(len(r.order)), 0)
+		t.tr.Emit(trace.EvRecoveryStep, trace.RecoveryStepGate, uint64(r.count), uint64(r.repairs), 0)
 		err = t.applyRecovery(r)
 	}
 	if err != nil {
@@ -581,12 +571,7 @@ func (t *Table) recoverPages(rep *RecoveryReport) error {
 		}
 		rep.RefsDropped += len(p.drops)
 	}
-	for s := range t.bitmapBuf {
-		if t.bitmapBuf[s] != nil {
-			rep.BitmapsRebuilt++
-		}
-	}
-	rep.FiltersRebuilt = r.filters
+	rep.BitmapsRebuilt, rep.FiltersRebuilt = r.bitmaps, r.filters
 	t.n.recoverRepairs.Add(int64(rep.PagesReset + rep.LinksCut + rep.RefsDropped))
 	return nil
 }

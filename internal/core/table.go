@@ -730,7 +730,7 @@ func (t *Table) getFromBucket(bucket, h uint32, key, dst []byte, led *oplog.Ledg
 	found := false
 	filtered := false // the primary's filter was consulted
 	skipped := false  // ... and it answered "definitely absent"
-	err := t.walkChain(led, bucket, func(buf *buffer.Buf) (bool, error) {
+	err := t.walkChain(led, bucket, true, func(buf *buffer.Buf) (bool, error) {
 		pg := page(buf.Page)
 		if !buf.Addr.Ovfl && t.filterAnswers(pg) {
 			filtered = true
@@ -806,8 +806,10 @@ func (t *Table) Has(key []byte) (bool, error) {
 // returns done=true to stop early. The predecessor page stays pinned
 // while its successor is fetched, preserving the buffer-chain linkage.
 // The walk's page fetches are charged to led (nil: uncharged; buffer
-// hit/fault phases are discriminated inside the pool).
-func (t *Table) walkChain(led *oplog.Ledger, bucket uint32, fn func(*buffer.Buf) (bool, error)) error {
+// hit/fault phases are discriminated inside the pool). An operation walk
+// (op: a Get or a split) adds to the chain counters; a statistics walk
+// does not, so looking at a table leaves its mean overflow depth alone.
+func (t *Table) walkChain(led *oplog.Ledger, bucket uint32, op bool, fn func(*buffer.Buf) (bool, error)) error {
 	cur, err := t.getBucketPage(led, bucket)
 	if err != nil {
 		return err
@@ -827,7 +829,7 @@ func (t *Table) walkChain(led *oplog.Ledger, bucket uint32, fn func(*buffer.Buf)
 		if cur != nil {
 			t.pool.Put(cur)
 		}
-		if ovflPages > 0 {
+		if op && ovflPages > 0 {
 			t.n.chainPages.Add(ovflPages)
 			t.n.chainWalks.Inc()
 		}

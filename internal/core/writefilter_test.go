@@ -195,7 +195,7 @@ func (s *modelStates) observe(t *testing.T, tbl *Table) {
 	s.chains = map[uint32][]uint32{}
 	for b := uint32(0); b <= tbl.Geometry().MaxBucket; b++ {
 		var chain []uint32
-		err := tbl.walkChain(nil, b, func(buf *buffer.Buf) (bool, error) {
+		err := tbl.walkChain(nil, b, false, func(buf *buffer.Buf) (bool, error) {
 			if buf.Addr.Ovfl {
 				chain = append(chain, buf.Addr.N)
 				return false, nil
@@ -474,7 +474,7 @@ func TestUnlinkMarksMembershipOnly(t *testing.T) {
 	stampOlderTags(t, tbl, n)
 	// Empty chain position 2 (wkey(4) and wkey(5)) and take their tags.
 	var gone [][]byte
-	if err := tbl.walkChain(nil, 0, func(b *buffer.Buf) (bool, error) {
+	if err := tbl.walkChain(nil, 0, false, func(b *buffer.Buf) (bool, error) {
 		if len(gone) > 0 || page(b.Page).nentries() != 2 {
 			return false, nil
 		}

@@ -115,7 +115,10 @@ const (
 	RecoveryStepRepairs = 3 // planned repairs written (arg b: repair count)
 	RecoveryStepBitmaps = 4 // overflow-use bitmaps rebuilt (arg b: bitmaps)
 	RecoveryStepDone    = 5 // file stamped clean
-	RecoveryStepFilters = 6 // tag filters rebuilt from pair data (arg a: pages written)
+	// Tag filters the certifying walk rebuilt from the pairs it verified,
+	// reported after the bitmaps although the repair loop wrote them (arg
+	// a: primaries whose filter region changed).
+	RecoveryStepFilters = 6
 )
 
 // Phase codes carried in EvBatchPhase's first argument.
