@@ -53,7 +53,7 @@ func BenchmarkFig5PageSweep(b *testing.B) {
 
 func fig5Iter(b *testing.B, bs, ff int) int64 {
 	b.Helper()
-	store := pagefile.NewMem(bs, pagefile.CostModel{})
+	store := pagefile.NewMem(bs)
 	t, err := core.Open("", &core.Options{
 		Bsize: bs, Ffactor: ff, CacheSize: 1 << 20, Nelem: benchN, Store: store,
 	})
@@ -115,7 +115,7 @@ func BenchmarkFig7BufferSweep(b *testing.B) {
 		b.Run(fmt.Sprintf("buf=%dKB", buf/1024), func(b *testing.B) {
 			var ios int64
 			for i := 0; i < b.N; i++ {
-				store := pagefile.NewMem(256, pagefile.CostModel{})
+				store := pagefile.NewMem(256)
 				t, err := core.Open("", &core.Options{
 					Bsize: 256, Ffactor: 16, CacheSize: buf, Nelem: benchN, Store: store,
 				})
@@ -154,7 +154,7 @@ func BenchmarkFig8aCreate(b *testing.B) {
 	b.Run("ndbm", func(b *testing.B) {
 		var ios int64
 		for i := 0; i < b.N; i++ {
-			store := pagefile.NewMem(ndbm.DefaultPageSize, pagefile.CostModel{})
+			store := pagefile.NewMem(ndbm.DefaultPageSize)
 			db, err := ndbm.Open("", &ndbm.Options{Store: store})
 			if err != nil {
 				b.Fatal(err)

@@ -15,8 +15,9 @@
 //	                          writes BENCH_misses.json
 //	hashbench all             fig5 through ablate
 //
-// Every figure is user CPU plus simulated I/O (pagefile.CostModel
-// charges accumulated in IOTime; nothing sleeps). Whether a change made
+// Every figure is user CPU plus simulated I/O: the harness charges the
+// page reads, writes and syncs the stores counted at a bench.Cost per
+// operation, and nothing sleeps. Whether a change made
 // the shipped server faster or slower is benchmark/'s question (see
 // benchmark/README.md), not this tool's.
 //

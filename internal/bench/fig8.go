@@ -99,7 +99,7 @@ func fig8Disk(pairs []dataset.Pair) ([]Fig8Row, error) {
 	}
 
 	// --- ndbm ---
-	store := pagefile.NewMem(ndbm.DefaultPageSize, DiskCost)
+	store := pagefile.NewMem(ndbm.DefaultPageSize)
 	db, err := ndbm.Open("", &ndbm.Options{Store: store})
 	if err != nil {
 		return nil, err
@@ -107,7 +107,7 @@ func fig8Disk(pairs []dataset.Pair) ([]Fig8Row, error) {
 	defer db.Close()
 	stores := []pagefile.Store{store}
 
-	nCreate, err := Measure(stores, func() error {
+	nCreate, err := Measure(DiskCost, stores, func() error {
 		for _, p := range pairs {
 			if err := db.Store(p.Key, p.Data, true); err != nil {
 				return err
@@ -118,7 +118,7 @@ func fig8Disk(pairs []dataset.Pair) ([]Fig8Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	nRead, err := Measure(stores, func() error {
+	nRead, err := Measure(DiskCost, stores, func() error {
 		for _, p := range pairs {
 			if _, err := db.Fetch(p.Key); err != nil {
 				return err
@@ -129,7 +129,7 @@ func fig8Disk(pairs []dataset.Pair) ([]Fig8Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	nVerify, err := Measure(stores, func() error {
+	nVerify, err := Measure(DiskCost, stores, func() error {
 		for _, p := range pairs {
 			got, err := db.Fetch(p.Key)
 			if err != nil {
@@ -145,7 +145,7 @@ func fig8Disk(pairs []dataset.Pair) ([]Fig8Row, error) {
 		return nil, err
 	}
 	// Sequential, keys only: the ndbm interface does not return the data.
-	nSeq, err := Measure(stores, func() error {
+	nSeq, err := Measure(DiskCost, stores, func() error {
 		n, sink := 0, 0
 		c := db.First()
 		for {
@@ -168,7 +168,7 @@ func fig8Disk(pairs []dataset.Pair) ([]Fig8Row, error) {
 		return nil, err
 	}
 	// Sequential with data retrieval: a second call per key.
-	nSeqData, err := Measure(stores, func() error {
+	nSeqData, err := Measure(DiskCost, stores, func() error {
 		c := db.First()
 		for {
 			k, err := c.Next()
@@ -215,8 +215,7 @@ func fig8Mem(pairs []dataset.Pair) ([]Fig8Row, error) {
 
 	// --- hsearch, sized exactly to the data set as its interface asks ---
 	tbl := hsearch.New(len(pairs), nil)
-	var zero []pagefile.Store
-	sEnter, err := Measure(zero, func() error {
+	sEnter, err := Measure(Cost{}, nil, func() error {
 		for _, p := range pairs {
 			if err := tbl.Enter(string(p.Key), p.Data); err != nil {
 				return err
@@ -227,7 +226,7 @@ func fig8Mem(pairs []dataset.Pair) ([]Fig8Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	sRead, err := Measure(zero, func() error {
+	sRead, err := Measure(Cost{}, nil, func() error {
 		for _, p := range pairs {
 			if _, ok := tbl.Find(string(p.Key)); !ok {
 				return fmt.Errorf("hsearch lost %q", p.Key)

@@ -36,11 +36,7 @@ import (
 // sum.
 
 // missesCost: 100µs per page I/O; syncs are irrelevant to a read bench.
-var missesCost = pagefile.CostModel{
-	ReadCost:  100 * time.Microsecond,
-	WriteCost: 100 * time.Microsecond,
-	SyncCost:  time.Millisecond,
-}
+var missesCost = Cost{Read: 100 * time.Microsecond, Write: 100 * time.Microsecond, Sync: time.Millisecond}
 
 // missesData is the stored value: 50 bytes, so a 256-byte page holds a
 // few entries and a depth-4 chain stays well inside the primary page's
@@ -123,7 +119,7 @@ func missesBucketKeys(prefix string, perBucket int) [][][]byte {
 // missesThresholds discovers, on a scratch table, the key count at
 // which one bucket's chain first reaches each depth 1..maxDepth.
 func missesThresholds(maxDepth int) ([]int, error) {
-	t, err := core.Open("", missesOpts(pagefile.NewMem(missesBsize, pagefile.CostModel{})))
+	t, err := core.Open("", missesOpts(pagefile.NewMem(missesBsize)))
 	if err != nil {
 		return nil, err
 	}
@@ -216,7 +212,7 @@ func missesTime(store *pagefile.MemStore, nmiss int, disableFilter bool) (Misses
 		return MissesSide{}, err
 	}
 	io := after.Sub(before)
-	elapsed := user + io.IOTime
+	elapsed := user + missesCost.Charge(io)
 	return MissesSide{
 		PerMissReads:  float64(io.Reads) / float64(nmiss),
 		PerMissMicros: float64(elapsed.Microseconds()) / float64(nmiss),
@@ -237,7 +233,7 @@ func Misses(nmiss int) (*MissesResult, error) {
 	}
 	res := &MissesResult{
 		Bsize: missesBsize, Buckets: missesBuckets,
-		ReadCostUS: missesCost.ReadCost.Microseconds(),
+		ReadCostUS: missesCost.Read.Microseconds(),
 	}
 	for depth := 0; depth < missesDepths; depth++ {
 		// Depth 0 loads the primary to the brink of overflow; depth d
@@ -246,7 +242,7 @@ func Misses(nmiss int) (*MissesResult, error) {
 		if depth > 0 {
 			perBucket = thresholds[depth-1]
 		}
-		store := pagefile.NewMem(missesBsize, missesCost)
+		store := pagefile.NewMem(missesBsize)
 		if _, err := missesBuild(store, depth, perBucket); err != nil {
 			return nil, fmt.Errorf("depth %d: %w", depth, err)
 		}

@@ -17,13 +17,15 @@ type HashParams struct {
 	CacheSize      int
 	Nelem          int // 0: grow from a single bucket
 	ControlledOnly bool
-	Cost           pagefile.CostModel
+	Cost           Cost // zero: DiskCost
 }
 
-// hashRun holds an open table and its accounting store.
+// hashRun holds an open table, its accounting store and the cost its
+// counted I/O is charged at.
 type hashRun struct {
 	t     *core.Table
 	store pagefile.Store
+	cost  Cost
 }
 
 func newHashRun(p HashParams) (*hashRun, error) {
@@ -32,10 +34,10 @@ func newHashRun(p HashParams) (*hashRun, error) {
 
 func newHashRunWithHash(p HashParams, fn hashfunc.Func) (*hashRun, error) {
 	cost := p.Cost
-	if cost == (pagefile.CostModel{}) {
+	if cost == (Cost{}) {
 		cost = DiskCost
 	}
-	store := pagefile.NewMem(p.Bsize, cost)
+	store := pagefile.NewMem(p.Bsize)
 	nelem := p.Nelem
 	if nelem <= 0 {
 		nelem = 1
@@ -48,14 +50,14 @@ func newHashRunWithHash(p HashParams, fn hashfunc.Func) (*hashRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &hashRun{t: t, store: store}, nil
+	return &hashRun{t: t, store: store, cost: cost}, nil
 }
 
 func (r *hashRun) stores() []pagefile.Store { return []pagefile.Store{r.store} }
 
 // createAll inserts every pair and flushes the table to its store.
 func (r *hashRun) createAll(pairs []dataset.Pair) (Timing, error) {
-	return Measure(r.stores(), func() error {
+	return Measure(r.cost, r.stores(), func() error {
 		for _, p := range pairs {
 			if err := r.t.Put(p.Key, p.Data); err != nil {
 				return err
@@ -67,7 +69,7 @@ func (r *hashRun) createAll(pairs []dataset.Pair) (Timing, error) {
 
 // enterAll inserts every pair without flushing (memory-resident use).
 func (r *hashRun) enterAll(pairs []dataset.Pair) (Timing, error) {
-	return Measure(r.stores(), func() error {
+	return Measure(r.cost, r.stores(), func() error {
 		for _, p := range pairs {
 			if err := r.t.Put(p.Key, p.Data); err != nil {
 				return err
@@ -79,7 +81,7 @@ func (r *hashRun) enterAll(pairs []dataset.Pair) (Timing, error) {
 
 // readAll looks up every pair.
 func (r *hashRun) readAll(pairs []dataset.Pair) (Timing, error) {
-	return Measure(r.stores(), func() error {
+	return Measure(r.cost, r.stores(), func() error {
 		for _, p := range pairs {
 			if _, err := r.t.Get(p.Key); err != nil {
 				return fmt.Errorf("read %q: %w", p.Key, err)
@@ -92,7 +94,7 @@ func (r *hashRun) readAll(pairs []dataset.Pair) (Timing, error) {
 // verifyAll looks up every pair and compares the data returned against
 // what was stored.
 func (r *hashRun) verifyAll(pairs []dataset.Pair) (Timing, error) {
-	return Measure(r.stores(), func() error {
+	return Measure(r.cost, r.stores(), func() error {
 		for _, p := range pairs {
 			got, err := r.t.Get(p.Key)
 			if err != nil {
@@ -109,7 +111,7 @@ func (r *hashRun) verifyAll(pairs []dataset.Pair) (Timing, error) {
 // seqAll retrieves all pairs in sequential order. The native interface
 // returns both key and data in one call (unlike ndbm).
 func (r *hashRun) seqAll(want int) (Timing, error) {
-	return Measure(r.stores(), func() error {
+	return Measure(r.cost, r.stores(), func() error {
 		n := 0
 		sink := 0
 		it := r.t.Iter()

@@ -18,7 +18,7 @@ func identityMap(a Addr) uint32 {
 
 func newTestPool(t *testing.T, maxBytes int) (*Pool, *pagefile.MemStore) {
 	t.Helper()
-	store := pagefile.NewMem(64, pagefile.CostModel{})
+	store := pagefile.NewMem(64)
 	return New(store, maxBytes, identityMap), store
 }
 

@@ -20,7 +20,7 @@ import (
 // other goroutines force evictions through every shard. The pinned
 // buffer must survive with its identity and contents intact.
 func TestPoolConcurrentPinBlocksEviction(t *testing.T) {
-	store := pagefile.NewMem(64, pagefile.CostModel{})
+	store := pagefile.NewMem(64)
 	p := New(store, 64*8, identityMap) // 8 buffers, 1 shard
 	pinned, err := p.Get(Addr{N: 0}, nil, true)
 	if err != nil {
@@ -74,7 +74,7 @@ func TestPoolConcurrentPinBlocksEviction(t *testing.T) {
 // it lands in its owning bucket's shard, so chain eviction never needs
 // a second shard lock.
 func TestPoolChainShardLocality(t *testing.T) {
-	store := pagefile.NewMem(64, pagefile.CostModel{})
+	store := pagefile.NewMem(64)
 	p := New(store, 64*64, identityMap)
 	if p.ShardCount() < 2 {
 		t.Skipf("pool built only %d shard(s)", p.ShardCount())
@@ -109,7 +109,7 @@ func TestPoolChainShardLocality(t *testing.T) {
 // been evicted, its chained overflow buffers must be gone too — an
 // overflow page never outlives its predecessor in the pool.
 func TestPoolConcurrentChainEvictionOrdering(t *testing.T) {
-	store := pagefile.NewMem(64, pagefile.CostModel{})
+	store := pagefile.NewMem(64)
 	p := New(store, 64*32, identityMap) // 32 buffers across shards
 	const chains = 8
 	for owner := uint32(0); owner < chains; owner++ {
@@ -159,7 +159,7 @@ func TestPoolConcurrentChainEvictionOrdering(t *testing.T) {
 // rather than deadlock or fail, and every pinned page must keep the
 // value its owner wrote.
 func TestPoolConcurrentOvercommit(t *testing.T) {
-	store := pagefile.NewMem(64, pagefile.CostModel{})
+	store := pagefile.NewMem(64)
 	p := New(store, 64*8, identityMap) // 8 buffers, 1 shard
 	cap_ := p.MaxBuffers()
 
@@ -210,7 +210,7 @@ func TestPoolConcurrentOvercommit(t *testing.T) {
 // It exists to give the race detector surface area over the shard maps,
 // LRU lists and pin counts.
 func TestPoolConcurrentHammer(t *testing.T) {
-	store := pagefile.NewMem(64, pagefile.CostModel{})
+	store := pagefile.NewMem(64)
 	p := New(store, 64*24, identityMap)
 
 	// Shared pages, written once before the workers start.

@@ -46,7 +46,7 @@ var _ pagefile.VectorWriter = (*recordingStore)(nil)
 // TestFlushAllOrderAndCoalescing dirties pages in a scrambled order and
 // checks the flush hits the store as ascending, coalesced runs.
 func TestFlushAllOrderAndCoalescing(t *testing.T) {
-	rs := &recordingStore{MemStore: pagefile.NewMem(64, pagefile.CostModel{})}
+	rs := &recordingStore{MemStore: pagefile.NewMem(64)}
 	p := New(rs, 64*256, identityMap)
 
 	// Pages 0..39 and a disjoint run 100..109 (overflow pages land at
@@ -120,7 +120,7 @@ func TestFlushAllOrderAndCoalescing(t *testing.T) {
 // TestFlushAllRunCap: a contiguous dirty run longer than the coalescing
 // cap is split into cap-sized writes, still in ascending order.
 func TestFlushAllRunCap(t *testing.T) {
-	rs := &recordingStore{MemStore: pagefile.NewMem(64, pagefile.CostModel{})}
+	rs := &recordingStore{MemStore: pagefile.NewMem(64)}
 	p := New(rs, 64*512, identityMap)
 	const n = maxCoalesce + 10
 	for i := 0; i < n; i++ {
@@ -146,7 +146,7 @@ func TestFlushAllRunCap(t *testing.T) {
 // TestFlushAllPlainStore: a store without WritePages gets ordered
 // per-page writes.
 func TestFlushAllPlainStore(t *testing.T) {
-	rs := &recordingStore{MemStore: pagefile.NewMem(64, pagefile.CostModel{})}
+	rs := &recordingStore{MemStore: pagefile.NewMem(64)}
 	ps := &plainStore{recordingStore: rs}
 	p := New(ps, 64*256, identityMap)
 	for _, pg := range []uint32{9, 3, 7, 4, 5} {

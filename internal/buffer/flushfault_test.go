@@ -15,7 +15,7 @@ import (
 // clean; runs after it were never attempted and stay dirty.
 func TestFlushAllPartialRunFailure(t *testing.T) {
 	errBoom := errors.New("injected write failure")
-	fs := pagefile.NewFault(pagefile.NewMem(64, pagefile.CostModel{}))
+	fs := pagefile.NewFault(pagefile.NewMem(64))
 	p := New(fs, 64*256, identityMap)
 
 	// Two coalesced runs: 0..5 and 8..13. The fault hits page 10, so the
@@ -87,7 +87,7 @@ func TestFlushAllFaultAtEveryRunBoundary(t *testing.T) {
 		}
 	}
 	for _, faultPage := range pages {
-		fs := pagefile.NewFault(pagefile.NewMem(64, pagefile.CostModel{}))
+		fs := pagefile.NewFault(pagefile.NewMem(64))
 		p := New(fs, 64*256, identityMap)
 		for _, pg := range pages {
 			b, err := p.Get(Addr{N: pg}, nil, true)

@@ -101,7 +101,7 @@ func TestPoolChainLinkInvariant(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		pages := 8 + int(seed%3)*4 // 8, 12 or 16 pages: one or two shards
 		t.Run(fmt.Sprintf("seed=%d/pages=%d", seed, pages), func(t *testing.T) {
-			store := pagefile.NewMem(64, pagefile.CostModel{})
+			store := pagefile.NewMem(64)
 			pg := make([]byte, 64)
 			for o := uint32(0); o < chainOwners; o++ {
 				store.WritePage(identityMap(Addr{N: o}), pg)
@@ -220,7 +220,7 @@ func checkLinks(t *testing.T, p *Pool) {
 func faultPool(tb testing.TB, pages, storePages int) (*Pool, []Addr) {
 	tb.Helper()
 	const bsize = 4096 // the page size the benchmark workloads run
-	store := pagefile.NewMem(bsize, pagefile.CostModel{})
+	store := pagefile.NewMem(bsize)
 	pg := make([]byte, bsize)
 	order := make([]Addr, storePages)
 	for i, n := range rand.New(rand.NewSource(1)).Perm(len(order)) {

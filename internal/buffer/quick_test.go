@@ -16,7 +16,7 @@ func TestPoolCoherence(t *testing.T) {
 	for _, maxBytes := range []int{1, 64 * 10, 64 * 100} {
 		maxBytes := maxBytes
 		t.Run(fmt.Sprintf("maxBytes=%d", maxBytes), func(t *testing.T) {
-			store := pagefile.NewMem(64, pagefile.CostModel{})
+			store := pagefile.NewMem(64)
 			p := New(store, maxBytes, identityMap)
 			rng := rand.New(rand.NewSource(int64(maxBytes)))
 
@@ -80,7 +80,7 @@ func TestPoolCoherence(t *testing.T) {
 // TestPoolRecycleKeepsDataIntact exercises the evicted-buffer free list:
 // reuse must never alias a live buffer's memory.
 func TestPoolRecycleKeepsDataIntact(t *testing.T) {
-	store := pagefile.NewMem(64, pagefile.CostModel{})
+	store := pagefile.NewMem(64)
 	p := New(store, 1, identityMap) // MinBuffers pages
 	cap_ := p.MaxBuffers()
 

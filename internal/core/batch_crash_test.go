@@ -24,7 +24,7 @@ import (
 // table, so crash points inside presized geometry are in the matrix too.
 func crashBatchWorkload(t *testing.T, batches, perBatch int) (*pagefile.CrashStore, []crashSnap) {
 	t.Helper()
-	cs := pagefile.NewCrash(pagefile.NewMem(128, pagefile.CostModel{}))
+	cs := pagefile.NewCrash(pagefile.NewMem(128))
 	opts := &Options{Store: cs, Bsize: 128, Ffactor: 4, CacheSize: 1024}
 	tbl := mustOpen(t, "", opts)
 
@@ -130,7 +130,7 @@ func TestBatchCrashMatrix(t *testing.T) {
 // sync is dominated by split writes; every prefix in that window must
 // recover to the pre-batch synced state.
 func TestBatchCrashInsideSplitPass(t *testing.T) {
-	cs := pagefile.NewCrash(pagefile.NewMem(128, pagefile.CostModel{}))
+	cs := pagefile.NewCrash(pagefile.NewMem(128))
 	opts := &Options{Store: cs, Bsize: 128, Ffactor: 4, CacheSize: 1024}
 	tbl := mustOpen(t, "", opts)
 

@@ -337,7 +337,7 @@ func TestBatchDoesNotQuiesceReaders(t *testing.T) {
 	parkPage.Store(-1)
 	parked, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
-	store := &hookStore{Store: pagefile.NewMem(256, pagefile.CostModel{}), onRead: func(pageno uint32) {
+	store := &hookStore{Store: pagefile.NewMem(256), onRead: func(pageno uint32) {
 		if int64(pageno) == parkPage.Load() {
 			once.Do(func() { close(parked) })
 			<-release

@@ -142,8 +142,9 @@ type chainRead struct {
 // not big-pair pages throughout, or that ends before its lengths do, is
 // ErrCorrupt.
 func (t *Table) readChain(o oaddr, c *chainRead) (klen, dlen int, err error) {
-	buf := t.getScratch()
-	defer t.putScratch(buf)
+	sp := t.getScratch()
+	defer t.putScratch(sp)
+	buf := *sp
 	from, to := 0, 0 // the range, as payload offsets past the prefix
 	for pos, hops := 0, 0; ; hops++ {
 		if hops > 1<<16 {

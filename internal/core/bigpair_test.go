@@ -29,7 +29,7 @@ func TestBigPairBoundary(t *testing.T) {
 }
 
 func testBigPairBoundary(t *testing.T, bsize, klen, dlen int) {
-	ms := pagefile.NewMem(bsize, pagefile.CostModel{})
+	ms := pagefile.NewMem(bsize)
 	tbl := mustOpen(t, "", &Options{Store: ms, Bsize: bsize})
 	k := bytes.Repeat([]byte{'k'}, klen)
 	d1, d2 := bytes.Repeat([]byte{'a'}, dlen), bytes.Repeat([]byte{'b'}, dlen)

@@ -38,7 +38,7 @@ func cloneState(m map[string]string) map[string]string {
 // pre-create state).
 func crashWorkload(t *testing.T, nops, syncEvery int) (*pagefile.CrashStore, []crashSnap) {
 	t.Helper()
-	cs := pagefile.NewCrash(pagefile.NewMem(128, pagefile.CostModel{}))
+	cs := pagefile.NewCrash(pagefile.NewMem(128))
 	opts := &Options{Store: cs, Bsize: 128, Ffactor: 4, CacheSize: 1024}
 	tbl := mustOpen(t, "", opts)
 
@@ -225,7 +225,7 @@ func TestCrashMatrix(t *testing.T) {
 // AllowDirty opens it for inspection only — Verify reports the problem,
 // mutations and Sync are rejected, and Close does not stamp it clean.
 func TestCrashDirtyOpenRefused(t *testing.T) {
-	cs := pagefile.NewCrash(pagefile.NewMem(128, pagefile.CostModel{}))
+	cs := pagefile.NewCrash(pagefile.NewMem(128))
 	tbl := mustOpen(t, "", &Options{Store: cs, Bsize: 128, Ffactor: 4})
 	for i := 0; i < 20; i++ {
 		if err := tbl.Put(key(i), val(i)); err != nil {
@@ -432,7 +432,7 @@ func TestSyncFaultPaths(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			inner := pagefile.NewMem(128, pagefile.CostModel{})
+			inner := pagefile.NewMem(128)
 			fs := pagefile.NewFault(inner)
 			tbl := mustOpen(t, "", &Options{Store: fs, Bsize: 128, Ffactor: 4})
 
@@ -489,7 +489,7 @@ func TestSyncFaultPaths(t *testing.T) {
 // itself fails, the mutation that triggered it must not happen.
 func TestMarkDirtyFaultLeavesTableUnchanged(t *testing.T) {
 	errBoom := errors.New("boom")
-	inner := pagefile.NewMem(128, pagefile.CostModel{})
+	inner := pagefile.NewMem(128)
 	fs := pagefile.NewFault(inner)
 	tbl := mustOpen(t, "", &Options{Store: fs, Bsize: 128, Ffactor: 4})
 
@@ -528,7 +528,7 @@ func FuzzTableCrashRecovery(f *testing.F) {
 		if bigKlen > 0 {
 			bsize = 256
 		}
-		cs := pagefile.NewCrash(pagefile.NewMem(bsize, pagefile.CostModel{}))
+		cs := pagefile.NewCrash(pagefile.NewMem(bsize))
 		tbl, err := Open("", &Options{Store: cs, Bsize: bsize, Ffactor: 4, CacheSize: 1024})
 		if err != nil {
 			t.Fatal(err)

@@ -54,7 +54,7 @@ func TestOpenNotAFile(t *testing.T) {
 }
 
 func TestWriteFaultSurfaces(t *testing.T) {
-	inner := pagefile.NewMem(256, pagefile.CostModel{})
+	inner := pagefile.NewMem(256)
 	fs := pagefile.NewFault(inner)
 	tbl, err := Open("", &Options{Store: fs, Bsize: 256, CacheSize: 1})
 	if err != nil {
@@ -81,7 +81,7 @@ func TestWriteFaultSurfaces(t *testing.T) {
 }
 
 func TestReadFaultSurfaces(t *testing.T) {
-	inner := pagefile.NewMem(256, pagefile.CostModel{})
+	inner := pagefile.NewMem(256)
 	{
 		tbl, err := Open("", &Options{Store: inner, Bsize: 256})
 		if err != nil {
@@ -118,7 +118,7 @@ func TestReadFaultSurfaces(t *testing.T) {
 }
 
 func TestCallerOwnedStoreStaysOpen(t *testing.T) {
-	store := pagefile.NewMem(256, pagefile.CostModel{})
+	store := pagefile.NewMem(256)
 	tbl, err := Open("", &Options{Store: store, Bsize: 256})
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestCallerOwnedStoreStaysOpen(t *testing.T) {
 }
 
 func TestStorePageSizeMismatch(t *testing.T) {
-	store := pagefile.NewMem(256, pagefile.CostModel{})
+	store := pagefile.NewMem(256)
 	tbl, err := Open("", &Options{Store: store, Bsize: 256})
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +197,7 @@ const midChainKeys = 24
 func midChainTable(t *testing.T, maybe bool) (*Table, *pagefile.FaultStore, uint32, []Pair) {
 	t.Helper()
 	const roomPos, faultPos = 3, 8
-	fs := pagefile.NewFault(pagefile.NewMem(256, pagefile.CostModel{}))
+	fs := pagefile.NewFault(pagefile.NewMem(256))
 	tbl := mustOpen(t, "", &Options{
 		Store: fs, Bsize: 256, CacheSize: 4 * 256, WALDevice: wal.NewMemDevice(),
 		Ffactor: 1 << 20, ControlledOnly: true, // one bucket, never split

@@ -57,7 +57,7 @@ func TestCrashTornFilterBytes(t *testing.T) {
 // found (the planted bytes would answer "absent" if trusted), and
 // Check's filter invariants pass.
 func TestRecoverIgnoresGarbageFilterBytes(t *testing.T) {
-	ms := pagefile.NewMem(128, pagefile.CostModel{})
+	ms := pagefile.NewMem(128)
 	opts := &Options{Store: ms, Bsize: 128, Ffactor: 4}
 	tbl := mustOpen(t, "", opts)
 	const nkeys = 60
@@ -232,7 +232,7 @@ func TestConcurrentMissStormDuringSplits(t *testing.T) {
 func TestRecoverReadsEachPageOnce(t *testing.T) {
 	for _, nbig := range []int{0, 80} {
 		t.Run(fmt.Sprintf("big%d", nbig), func(t *testing.T) {
-			ms := pagefile.NewMem(256, pagefile.CostModel{})
+			ms := pagefile.NewMem(256)
 			tbl := mustOpen(t, "", &Options{Store: ms, Bsize: 256, Ffactor: 16})
 			for i := 0; i < 3000; i++ {
 				if err := tbl.Put(key(i), val(i)); err != nil {

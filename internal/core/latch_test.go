@@ -332,7 +332,7 @@ func TestSplitStormConcurrentOps(t *testing.T) {
 // must recover to exactly the synced state — a half-moved bucket never
 // leaks into what Recover accepts.
 func TestCrashMidSplit(t *testing.T) {
-	cs := pagefile.NewCrash(pagefile.NewMem(128, pagefile.CostModel{}))
+	cs := pagefile.NewCrash(pagefile.NewMem(128))
 	// CacheSize of a few pages: split page writes reach the journal
 	// immediately through eviction, so prefixes cut mid-split.
 	tbl := mustOpen(t, "", &Options{Store: cs, Bsize: 128, Ffactor: 4, CacheSize: 1024})
@@ -485,7 +485,7 @@ func TestSplitWaitIsLatchWait(t *testing.T) {
 	}
 	var armed atomic.Bool
 	var next atomic.Int32 // parks[next] is the read that parks next
-	store := &hookStore{Store: pagefile.NewMem(256, pagefile.CostModel{}), onRead: func(pageno uint32) {
+	store := &hookStore{Store: pagefile.NewMem(256), onRead: func(pageno uint32) {
 		if !armed.Load() {
 			return
 		}

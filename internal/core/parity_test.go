@@ -84,7 +84,7 @@ func observed(snap metrics.Snapshot) string {
 func TestObservabilityParity(t *testing.T) {
 	tr := trace.New(1 << 14)
 	dev := wal.NewMemDevice()
-	ms := pagefile.NewMem(256, pagefile.CostModel{})
+	ms := pagefile.NewMem(256)
 	opts := func(reg *metrics.Registry) *Options {
 		return &Options{Store: ms, WALDevice: dev, Bsize: 256, Ffactor: 8, CacheSize: 1 << 20, Metrics: reg, Trace: tr}
 	}

@@ -122,3 +122,32 @@ func TestSplitAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBigGetBufAllocs: a GetBuf of a big pair into a dst that already
+// has room allocates nothing. The key compare and the data read each
+// borrow a page-sized scratch buffer from the table's pool, and handing
+// it back must not box it.
+func TestBigGetBufAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	tbl := mustOpen(t, "", &Options{Bsize: 1024, Ffactor: 16})
+	defer tbl.Close()
+	key, val := []byte("big-key"), bytes.Repeat([]byte("x"), 5000)
+	if err := tbl.Put(key, val); err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]byte, 0, len(val))
+	allocs := testing.AllocsPerRun(200, func() {
+		var err error
+		if dst, err = tbl.GetBuf(key, dst[:0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !bytes.Equal(dst, val) {
+		t.Fatalf("GetBuf returned %d bytes, want the %d stored", len(dst), len(val))
+	}
+	if allocs != 0 {
+		t.Fatalf("big-pair GetBuf allocated %.1f times per op, want 0", allocs)
+	}
+}

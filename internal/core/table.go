@@ -50,8 +50,9 @@ type Options struct {
 	// Without it, Open fails with ErrNeedsRecovery; see Recover.
 	AllowDirty bool
 	// Store overrides the backing store (for tests, fault injection and
-	// benchmarks with simulated disks). The caller retains ownership:
-	// Close leaves it open. When set, the path argument is ignored.
+	// the paper harness, which charges the I/O the store counts as
+	// simulated disk time). The caller retains ownership: Close leaves
+	// it open. When set, the path argument is ignored.
 	Store pagefile.Store
 	// ControlledOnly disables uncontrolled (overflow-triggered) splits,
 	// leaving only the fill-factor policy — dynahash's behaviour. It
@@ -237,7 +238,8 @@ type Table struct {
 	freeCount   [maxSplits]int
 
 	// scratch recycles page-sized buffers for big-pair chain I/O; each
-	// operation takes its own so concurrent readers never share one.
+	// operation takes its own so concurrent readers never share one. It
+	// holds *[]byte, so giving one back boxes nothing.
 	scratch sync.Pool
 
 	// Write-ahead log state. log owns the sidecar log (Options.WAL) with
@@ -281,7 +283,7 @@ func Open(path string, o *Options) (*Table, error) {
 		t.store = opts.Store
 		existing = t.store.NPages() > 0
 	case path == "":
-		t.store = pagefile.NewMem(opts.Bsize, pagefile.CostModel{})
+		t.store = pagefile.NewMem(opts.Bsize)
 		t.ownStore = true
 	default:
 		bsize, exists, err := peekBsize(path)
@@ -369,7 +371,10 @@ func Open(path string, o *Options) (*Table, error) {
 		return fail(err)
 	}
 
-	t.scratch.New = func() any { return make([]byte, t.hdr.bsize) }
+	t.scratch.New = func() any {
+		b := make([]byte, t.hdr.bsize)
+		return &b
+	}
 	cfg := buffer.Config{OnLoad: onPageLoad}
 	if opts.Trace != nil {
 		// The eviction hook exists only when tracing is on, so a disabled
@@ -502,9 +507,9 @@ func onPageLoad(a buffer.Addr, pg []byte) bool {
 }
 
 // getScratch borrows a page-sized buffer for big-pair chain I/O.
-func (t *Table) getScratch() []byte { return t.scratch.Get().([]byte) }
+func (t *Table) getScratch() *[]byte { return t.scratch.Get().(*[]byte) }
 
-func (t *Table) putScratch(buf []byte) { t.scratch.Put(buf) }
+func (t *Table) putScratch(buf *[]byte) { t.scratch.Put(buf) }
 
 // peekBsize reads an existing file's header prefix to learn its page size
 // before the page store is opened. It reports exists=false for missing or

@@ -89,7 +89,7 @@ func TestTxnCommitVisible(t *testing.T) {
 // log did — and Recover replays it.
 func TestTxnDurability(t *testing.T) {
 	dev := wal.NewMemDevice()
-	cs := pagefile.NewCrash(pagefile.NewMem(128, pagefile.CostModel{}))
+	cs := pagefile.NewCrash(pagefile.NewMem(128))
 	tbl := mustOpen(t, "", walOpts(dev, cs))
 
 	for i := 0; i < 20; i++ {
@@ -458,7 +458,7 @@ func TestWALAutoAttach(t *testing.T) {
 
 	// A store-backed WAL table whose device is not handed back must
 	// refuse to open rather than silently roll back to the checkpoint.
-	store := pagefile.NewMem(256, pagefile.CostModel{})
+	store := pagefile.NewMem(256)
 	dev := wal.NewMemDevice()
 	mt := mustOpen(t, "", &Options{Store: store, WALDevice: dev, Bsize: 256, Ffactor: 8})
 	x, err = mt.Begin()

@@ -48,7 +48,7 @@ func walCrashOpts(store pagefile.Store, dev wal.Device) *Options {
 // only in the log.
 func walCrashWorkload(t *testing.T, nops, syncEvery int) (*pagefile.CrashStore, *wal.CrashDevice, []walPoint) {
 	t.Helper()
-	cs := pagefile.NewCrash(pagefile.NewMem(128, pagefile.CostModel{}))
+	cs := pagefile.NewCrash(pagefile.NewMem(128))
 	cd := wal.NewCrashDevice()
 	tbl := mustOpen(t, "", walCrashOpts(cs, cd))
 
@@ -273,7 +273,7 @@ func TestWALCrashMatrix(t *testing.T) {
 // byte boundary. Replay must re-run the splits deterministically and land
 // on the committed state, never on a half-split table.
 func TestWALRecoverMidSplitTornTail(t *testing.T) {
-	cs := pagefile.NewCrash(pagefile.NewMem(128, pagefile.CostModel{}))
+	cs := pagefile.NewCrash(pagefile.NewMem(128))
 	cd := wal.NewCrashDevice()
 	tbl := mustOpen(t, "", walCrashOpts(cs, cd))
 

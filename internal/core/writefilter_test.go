@@ -235,7 +235,7 @@ func (s *modelStates) observe(t *testing.T, tbl *Table) {
 func runNoDuplicates(t *testing.T, seed int64, o Options, crashEvery int) (map[string]string, modelStates) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	store, dev := pagefile.NewMem(256, pagefile.CostModel{}), wal.NewMemDevice()
+	store, dev := pagefile.NewMem(256), wal.NewMemDevice()
 	o.Store, o.WALDevice, o.Bsize, o.CacheSize = store, dev, 256, 1<<20 // no eviction between checkpoints
 	tbl := mustOpen(t, "", &o)
 	defer func() { tbl.Close() }()

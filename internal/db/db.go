@@ -148,7 +148,6 @@ type HashStats struct {
 	WalFsyncs        int64
 	WalFsyncJoins    int64 // commits that shared another committer's fsync
 	WalAppendedBytes int64
-	WalIOTimeNS      int64
 }
 
 // Cursor iterates key/data pairs. Key and Value are valid until the next
@@ -260,7 +259,7 @@ func (d *hashDB) Stats() (Stats, error) {
 func (h *HashStats) setLog(o *wal.Owner) {
 	ws := o.Log().Stats()
 	h.WalAppends, h.WalFsyncs, h.WalFsyncJoins = ws.Appends, ws.Fsyncs, ws.FsyncJoins
-	h.WalAppendedBytes, h.WalIOTimeNS = ws.AppendedBytes, int64(ws.IOTime)
+	h.WalAppendedBytes = ws.AppendedBytes
 	h.TxnCommits = o.Commits()
 	h.WalLastLSN = o.Log().LastLSN()
 	if h.WalLastLSN > h.WalLSN {

@@ -102,8 +102,8 @@ func TestShardedBatchFaultNamesShards(t *testing.T) {
 	const bsize = 512
 	open := func() (*Sharded, []*pagefile.FaultStore, []Pair) {
 		faults := []*pagefile.FaultStore{
-			pagefile.NewFault(pagefile.NewMem(bsize, pagefile.CostModel{})),
-			pagefile.NewFault(pagefile.NewMem(bsize, pagefile.CostModel{})),
+			pagefile.NewFault(pagefile.NewMem(bsize)),
+			pagefile.NewFault(pagefile.NewMem(bsize)),
 		}
 		s, err := OpenShardedStores([]pagefile.Store{faults[0], faults[1]},
 			&Config{Hash: &core.Options{Bsize: bsize, Ffactor: 8, CacheSize: 1}})

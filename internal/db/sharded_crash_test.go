@@ -76,7 +76,7 @@ func runCrashWorkload(t *testing.T) *crashRig {
 	r := &crashRig{t: t, dev: wal.NewCrashDevice()}
 	stores := make([]pagefile.Store, crashShards)
 	for i := range stores {
-		r.stores[i] = pagefile.NewCrash(pagefile.NewMem(128, pagefile.CostModel{}))
+		r.stores[i] = pagefile.NewCrash(pagefile.NewMem(128))
 		stores[i] = r.stores[i]
 	}
 	s, _, err := openSharded("", crashShards, crashConfig(r.dev), stores, false)
@@ -455,7 +455,7 @@ func TestShardedLogFaultPoisons(t *testing.T) {
 					fs := make([]*pagefile.FaultStore, shape.tables)
 					stores := make([]pagefile.Store, shape.tables)
 					for i := range fs {
-						fs[i] = pagefile.NewFault(pagefile.NewMem(128, pagefile.CostModel{}))
+						fs[i] = pagefile.NewFault(pagefile.NewMem(128))
 						stores[i] = fs[i]
 					}
 					s, err := shape.open(dev, stores, false)

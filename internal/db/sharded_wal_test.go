@@ -458,7 +458,7 @@ func TestShardedCommitCheckpointStress(t *testing.T) {
 	crash := make([]*pagefile.CrashStore, nshards)
 	stores := make([]pagefile.Store, nshards)
 	for i := range stores {
-		crash[i] = pagefile.NewCrash(pagefile.NewMem(256, pagefile.CostModel{}))
+		crash[i] = pagefile.NewCrash(pagefile.NewMem(256))
 		stores[i] = crash[i]
 	}
 	cfg := &Config{Hash: &core.Options{Bsize: 256, Ffactor: 8, CacheSize: 4 << 20, WALDevice: dev}}

@@ -56,7 +56,6 @@ func (b bucketPage) data() dpage.Page {
 type Options struct {
 	PageSize int
 	Store    pagefile.Store
-	Cost     pagefile.CostModel
 }
 
 // DB is a gdbm database.
@@ -91,10 +90,10 @@ func Open(path string, opts *Options) (*DB, error) {
 	case o.Store != nil:
 		db.store = o.Store
 	case path == "":
-		db.store = pagefile.NewMem(o.PageSize, o.Cost)
+		db.store = pagefile.NewMem(o.PageSize)
 		db.ownStore = true
 	default:
-		fs, err := pagefile.OpenFile(path, o.PageSize, o.Cost)
+		fs, err := pagefile.OpenFile(path, o.PageSize, pagefile.CostModel{})
 		if err != nil {
 			return nil, err
 		}

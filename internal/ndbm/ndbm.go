@@ -48,8 +48,6 @@ type Options struct {
 	// Store overrides the .pag backing store; the caller retains
 	// ownership and the path argument is ignored.
 	Store pagefile.Store
-	// Cost is the simulated I/O cost model for self-created stores.
-	Cost pagefile.CostModel
 }
 
 // DB is an ndbm database: a page file of buckets plus the split-history
@@ -87,10 +85,10 @@ func Open(path string, opts *Options) (*DB, error) {
 	case o.Store != nil:
 		db.store = o.Store
 	case path == "":
-		db.store = pagefile.NewMem(o.PageSize, o.Cost)
+		db.store = pagefile.NewMem(o.PageSize)
 		db.ownStore = true
 	default:
-		fs, err := pagefile.OpenFile(path+".pag", o.PageSize, o.Cost)
+		fs, err := pagefile.OpenFile(path+".pag", o.PageSize, pagefile.CostModel{})
 		if err != nil {
 			return nil, err
 		}

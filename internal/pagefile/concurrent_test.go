@@ -17,7 +17,7 @@ func TestConcurrentStoreAccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	stores := map[string]Store{"file": fs, "mem": NewMem(128, CostModel{})}
+	stores := map[string]Store{"file": fs, "mem": NewMem(128)}
 
 	for name, s := range stores {
 		s := s
@@ -61,7 +61,7 @@ func TestConcurrentStoreAccess(t *testing.T) {
 // TestConcurrentStatsReaders checks that Snapshot is safe against
 // concurrent operations.
 func TestConcurrentStatsReaders(t *testing.T) {
-	s := NewMem(64, CostModel{})
+	s := NewMem(64)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)

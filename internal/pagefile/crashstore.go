@@ -109,7 +109,7 @@ func (c *CrashStore) Materialize(n int, tornBytes int) (*MemStore, error) {
 	c.mu.Unlock()
 
 	ps := c.Inner.PageSize()
-	ms := NewMem(ps, CostModel{})
+	ms := NewMem(ps)
 	buf := make([]byte, ps)
 	for i, ev := range events {
 		if ev.Sync {

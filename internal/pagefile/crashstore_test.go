@@ -39,7 +39,7 @@ func TestFileStoreCloseSyncs(t *testing.T) {
 // sync fault must fire regardless of its Page field.
 func TestFaultStoreSyncIsPageless(t *testing.T) {
 	errBoom := errors.New("boom")
-	fs := NewFault(NewMem(64, CostModel{}))
+	fs := NewFault(NewMem(64))
 
 	// A write fault aimed at page 0 must not block syncs (distinct ops),
 	// and a read fault aimed at page 0 must not either.
@@ -61,7 +61,7 @@ func TestFaultStoreSyncIsPageless(t *testing.T) {
 // fault-injection runs report what the caller asked for.
 func TestStatsCountFaultedAttempts(t *testing.T) {
 	errBoom := errors.New("boom")
-	inner := NewMem(64, CostModel{})
+	inner := NewMem(64)
 	fs := NewFault(inner)
 	buf := make([]byte, 64)
 
@@ -93,7 +93,7 @@ func TestStatsCountFaultedAttempts(t *testing.T) {
 }
 
 func TestCrashStoreJournalAndMaterialize(t *testing.T) {
-	cs := NewCrash(NewMem(64, CostModel{}))
+	cs := NewCrash(NewMem(64))
 	page := func(fill byte) []byte { return bytes.Repeat([]byte{fill}, 64) }
 
 	if err := cs.WritePage(0, page(1)); err != nil {
@@ -155,7 +155,7 @@ func TestCrashStoreJournalAndMaterialize(t *testing.T) {
 	}
 
 	// Torn write to a never-written page: tail is zeros.
-	cs2 := NewCrash(NewMem(64, CostModel{}))
+	cs2 := NewCrash(NewMem(64))
 	if err := cs2.WritePage(5, page(7)); err != nil {
 		t.Fatal(err)
 	}

@@ -5,10 +5,11 @@
 // measured user/system/elapsed time with getrusage. This substrate
 // preserves what drives those measurements — the number of pages moved
 // between the buffer pool and the disk — by counting every page read,
-// write and sync, and by charging a configurable per-operation cost that
-// the benchmark harness reports as "system time". Stores may be backed by
-// a real file (FileStore) or by memory (MemStore), and a fault-injecting
-// wrapper (FaultStore) is provided for failure testing.
+// write and sync. A store charges nothing for them: the paper harness
+// (internal/bench) prices the counted operations as simulated system
+// time. Stores may be backed by a real file (FileStore) or by memory
+// (MemStore), and a fault-injecting wrapper (FaultStore) is provided
+// for failure testing.
 package pagefile
 
 import (
@@ -57,28 +58,21 @@ type Store interface {
 // run of consecutive pages in one device operation. buf holds the pages
 // back to back (len(buf) must be a multiple of PageSize), destined for
 // pages [pageno, pageno+len(buf)/PageSize). The buffer pool's FlushAll
-// uses this to turn a sorted flush into large sequential writes; stores
-// that do not implement it (notably the fault-injecting and journaling
-// wrappers, whose page-granular accounting must see every write) are
-// served page by page.
+// uses this to turn a sorted flush into large sequential writes. The
+// file, memory and fault-injecting stores implement it (the last with
+// a fault check per page); the crash-simulating CrashStore does not,
+// since its journal must see every page write, so it is served page by
+// page.
 type VectorWriter interface {
 	WritePages(pageno uint32, buf []byte) error
 }
 
-// CostModel assigns a simulated cost to each I/O operation, standing in
-// for the 1991 disk the paper measured. Costs only accumulate in
-// Stats.IOTime; no operation waits for them.
-type CostModel struct {
-	ReadCost  time.Duration
-	WriteCost time.Duration
-	SyncCost  time.Duration
-}
-
-// DefaultCostModel approximates a late-1980s SCSI disk: dominated by
-// seek/rotation, identical for read and write at hash-page sizes.
-func DefaultCostModel() CostModel {
-	return CostModel{ReadCost: 20 * time.Millisecond, WriteCost: 20 * time.Millisecond, SyncCost: time.Millisecond}
-}
+// CostModel is an empty placeholder. A store counts its I/O and charges
+// nothing; the paper harness's bench.Cost prices the counts. The type
+// survives only because benchmark/ calls OpenFile(…, CostModel{}), and
+// goes with OpenFile's parameter when that directory next changes
+// (ROADMAP item 1(d)).
+type CostModel struct{}
 
 // Stats counts the I/O a store has performed. Reads, Writes and Syncs
 // count *attempted* operations — an operation that fails (including one
@@ -94,12 +88,10 @@ type Stats struct {
 	Errors       int64 // failed operations (real or injected)
 	BytesRead    int64
 	BytesWritten int64
-	IOTime       time.Duration // accumulated simulated cost
-	cost         CostModel
 
-	// Real (wall-clock) latency of the underlying device operations,
-	// recorded alongside the simulated cost model. The histograms are
-	// atomic and may be read while the store is in use.
+	// Real (wall-clock) latency of the underlying device operations.
+	// The histograms are atomic and may be read while the store is in
+	// use.
 	ReadLatency  metrics.Histogram
 	WriteLatency metrics.Histogram
 	SyncLatency  metrics.Histogram
@@ -160,7 +152,6 @@ func (s *Stats) Register(reg *metrics.Registry, prefix string) {
 	reg.CounterFunc(prefix+"errors_total", get(func(s *Stats) int64 { return s.Errors }))
 	reg.CounterFunc(prefix+"read_bytes_total", get(func(s *Stats) int64 { return s.BytesRead }))
 	reg.CounterFunc(prefix+"written_bytes_total", get(func(s *Stats) int64 { return s.BytesWritten }))
-	reg.CounterFunc(prefix+"simulated_io_seconds_total", get(func(s *Stats) int64 { return int64(s.IOTime.Seconds()) }))
 	reg.AddHistogram(prefix+"read_seconds", &s.ReadLatency)
 	reg.AddHistogram(prefix+"write_seconds", &s.WriteLatency)
 	reg.AddHistogram(prefix+"sync_seconds", &s.SyncLatency)
@@ -170,7 +161,6 @@ func (s *Stats) addRead(n int) {
 	s.mu.Lock()
 	s.Reads++
 	s.BytesRead += int64(n)
-	s.IOTime += s.cost.ReadCost
 	s.mu.Unlock()
 }
 
@@ -178,29 +168,25 @@ func (s *Stats) addWrite(n int) {
 	s.mu.Lock()
 	s.Writes++
 	s.BytesWritten += int64(n)
-	s.IOTime += s.cost.WriteCost
 	s.mu.Unlock()
 }
 
 func (s *Stats) addSync() {
 	s.mu.Lock()
 	s.Syncs++
-	s.IOTime += s.cost.SyncCost
 	s.mu.Unlock()
 }
 
 // addWriteVec accounts a vectored write of npages pages (n bytes total)
-// exactly as npages individual page writes: the stats model deliberately
-// measures pages moved and charges the cost model per page, so
-// coalescing never changes a benchmark's simulated I/O time or write
-// count. The real savings — one syscall, one seek — show up in wall
-// clock and in the WriteLatency histogram, which records one observation
-// per device operation.
+// exactly as npages individual page writes: the stats deliberately
+// count pages moved, so coalescing never changes a benchmark's write
+// count or the simulated time charged for it. The real savings — one
+// syscall, one seek — show up in wall clock and in the WriteLatency
+// histogram, which records one observation per device operation.
 func (s *Stats) addWriteVec(npages, n int) {
 	s.mu.Lock()
 	s.Writes += int64(npages)
 	s.BytesWritten += int64(n)
-	s.IOTime += time.Duration(npages) * s.cost.WriteCost
 	s.mu.Unlock()
 }
 
@@ -211,7 +197,6 @@ func (s *Stats) addReadVec(npages, n int) {
 	s.mu.Lock()
 	s.Reads += int64(npages)
 	s.BytesRead += int64(n)
-	s.IOTime += time.Duration(npages) * s.cost.ReadCost
 	s.mu.Unlock()
 }
 
@@ -227,17 +212,16 @@ func (s *Stats) Snapshot() StatsSnapshot {
 	defer s.mu.Unlock()
 	return StatsSnapshot{
 		Reads: s.Reads, Writes: s.Writes, Syncs: s.Syncs, Errors: s.Errors,
-		BytesRead: s.BytesRead, BytesWritten: s.BytesWritten, IOTime: s.IOTime,
+		BytesRead: s.BytesRead, BytesWritten: s.BytesWritten,
 	}
 }
 
-// Reset zeroes the counters (the cost model is kept).
+// Reset zeroes the counters.
 func (s *Stats) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.Reads, s.Writes, s.Syncs, s.Errors = 0, 0, 0, 0
 	s.BytesRead, s.BytesWritten = 0, 0
-	s.IOTime = 0
 }
 
 // StatsSnapshot is a point-in-time copy of a Stats.
@@ -248,7 +232,6 @@ type StatsSnapshot struct {
 	Errors       int64
 	BytesRead    int64
 	BytesWritten int64
-	IOTime       time.Duration
 }
 
 // Sub returns the component-wise difference s - o, for measuring the I/O
@@ -258,16 +241,11 @@ func (s StatsSnapshot) Sub(o StatsSnapshot) StatsSnapshot {
 		Reads: s.Reads - o.Reads, Writes: s.Writes - o.Writes, Syncs: s.Syncs - o.Syncs,
 		Errors:    s.Errors - o.Errors,
 		BytesRead: s.BytesRead - o.BytesRead, BytesWritten: s.BytesWritten - o.BytesWritten,
-		IOTime: s.IOTime - o.IOTime,
 	}
 }
 
-// Ops reports the total page operations in the snapshot.
-func (s StatsSnapshot) Ops() int64 { return s.Reads + s.Writes }
-
 func (s StatsSnapshot) String() string {
-	return fmt.Sprintf("reads=%d writes=%d syncs=%d errors=%d iotime=%v",
-		s.Reads, s.Writes, s.Syncs, s.Errors, s.IOTime)
+	return fmt.Sprintf("reads=%d writes=%d syncs=%d errors=%d", s.Reads, s.Writes, s.Syncs, s.Errors)
 }
 
 func validPageSize(n int) error {
@@ -292,7 +270,7 @@ type FileStore struct {
 
 // OpenFile opens (creating if necessary) a file-backed store at path. An
 // existing file must have a length that is a multiple of pagesize.
-func OpenFile(path string, pagesize int, cost CostModel) (*FileStore, error) {
+func OpenFile(path string, pagesize int, _ CostModel) (*FileStore, error) {
 	if err := validPageSize(pagesize); err != nil {
 		return nil, err
 	}
@@ -309,9 +287,7 @@ func OpenFile(path string, pagesize int, cost CostModel) (*FileStore, error) {
 		f.Close()
 		return nil, fmt.Errorf("pagefile: %s: size %d is not a multiple of page size %d", path, fi.Size(), pagesize)
 	}
-	fs := &FileStore{f: f, pagesize: pagesize, npages: uint32(fi.Size() / int64(pagesize))}
-	fs.stats.cost = cost
-	return fs, nil
+	return &FileStore{f: f, pagesize: pagesize, npages: uint32(fi.Size() / int64(pagesize))}, nil
 }
 
 // PageSize implements Store.
@@ -492,8 +468,8 @@ func (fs *FileStore) Close() error {
 // MemStore
 
 // MemStore is a Store kept entirely in memory. It is used for pure
-// in-memory hash tables (the hsearch replacement mode) and for benchmarks
-// where the cost model, not a real disk, supplies the I/O cost.
+// in-memory hash tables (the hsearch replacement mode) and for the paper
+// harness, which charges the counted I/O instead of doing real I/O.
 type MemStore struct {
 	mu       sync.Mutex
 	pages    map[uint32][]byte
@@ -503,10 +479,8 @@ type MemStore struct {
 }
 
 // NewMem creates an empty in-memory store.
-func NewMem(pagesize int, cost CostModel) *MemStore {
-	ms := &MemStore{pages: make(map[uint32][]byte), pagesize: pagesize}
-	ms.stats.cost = cost
-	return ms
+func NewMem(pagesize int) *MemStore {
+	return &MemStore{pages: make(map[uint32][]byte), pagesize: pagesize}
 }
 
 // PageSize implements Store.
@@ -564,7 +538,7 @@ func (ms *MemStore) WritePage(pageno uint32, buf []byte) error {
 
 // WritePages implements VectorWriter with the same per-page stats
 // accounting as the file-backed store (see addWriteVec), so benchmarks
-// over MemStore report identical simulated I/O.
+// over MemStore count the same page writes.
 func (ms *MemStore) WritePages(pageno uint32, buf []byte) error {
 	if len(buf) == 0 || len(buf)%ms.pagesize != 0 {
 		return fmt.Errorf("pagefile: vector write of %d bytes is not a multiple of page size %d", len(buf), ms.pagesize)

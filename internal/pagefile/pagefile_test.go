@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func testStores(t *testing.T, pagesize int) map[string]Store {
@@ -19,7 +18,7 @@ func testStores(t *testing.T, pagesize int) map[string]Store {
 	t.Cleanup(func() { fs.Close() })
 	return map[string]Store{
 		"file": fs,
-		"mem":  NewMem(pagesize, CostModel{}),
+		"mem":  NewMem(pagesize),
 	}
 }
 
@@ -77,7 +76,7 @@ func TestStoreRejectsWrongBufferSize(t *testing.T) {
 }
 
 func TestStoreStats(t *testing.T) {
-	s := NewMem(64, CostModel{ReadCost: time.Millisecond, WriteCost: 2 * time.Millisecond})
+	s := NewMem(64)
 	buf := make([]byte, 64)
 	for i := uint32(0); i < 10; i++ {
 		if err := s.WritePage(i, buf); err != nil {
@@ -97,12 +96,6 @@ func TestStoreStats(t *testing.T) {
 	if snap.BytesWritten != 640 || snap.BytesRead != 320 {
 		t.Fatalf("byte counts = %+v", snap)
 	}
-	if want := 10*2*time.Millisecond + 5*time.Millisecond; snap.IOTime != want {
-		t.Fatalf("IOTime = %v, want %v", snap.IOTime, want)
-	}
-	if snap.Ops() != 15 {
-		t.Fatalf("Ops = %d", snap.Ops())
-	}
 
 	base := snap
 	s.ReadPage(0, buf)
@@ -112,7 +105,7 @@ func TestStoreStats(t *testing.T) {
 	}
 
 	s.Stats().Reset()
-	if got := s.Stats().Snapshot(); got.Reads != 0 || got.IOTime != 0 {
+	if got := s.Stats().Snapshot(); got != (StatsSnapshot{}) {
 		t.Fatalf("after Reset: %+v", got)
 	}
 }
@@ -182,7 +175,7 @@ func TestFileClosedOps(t *testing.T) {
 }
 
 func TestFaultStore(t *testing.T) {
-	inner := NewMem(64, CostModel{})
+	inner := NewMem(64)
 	fs := NewFault(inner)
 	errBoom := errors.New("boom")
 
@@ -233,7 +226,7 @@ func TestQuickRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	ms := NewMem(ps, CostModel{})
+	ms := NewMem(ps)
 
 	f := func(pageno uint16, content [ps]byte) bool {
 		for _, s := range []Store{fs, ms} {

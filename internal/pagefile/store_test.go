@@ -5,15 +5,8 @@ import (
 	"testing"
 )
 
-func TestDefaultCostModel(t *testing.T) {
-	c := DefaultCostModel()
-	if c.ReadCost <= 0 || c.WriteCost <= 0 {
-		t.Fatalf("default cost model = %+v", c)
-	}
-}
-
 func TestSnapshotString(t *testing.T) {
-	s := NewMem(64, CostModel{})
+	s := NewMem(64)
 	s.WritePage(0, make([]byte, 64))
 	out := s.Stats().Snapshot().String()
 	if !strings.Contains(out, "writes=1") {
@@ -40,7 +33,7 @@ func TestInvalidPageSize(t *testing.T) {
 }
 
 func TestFaultStorePassthroughMethods(t *testing.T) {
-	inner := NewMem(128, CostModel{})
+	inner := NewMem(128)
 	f := NewFault(inner)
 	if f.PageSize() != 128 {
 		t.Fatalf("PageSize = %d", f.PageSize())

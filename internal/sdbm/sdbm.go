@@ -47,7 +47,6 @@ const maxDepth = 28 // trie depth bound; the split loop gives up past it
 type Options struct {
 	PageSize int
 	Store    pagefile.Store
-	Cost     pagefile.CostModel
 }
 
 // DB is an sdbm database: bucket pages plus the linearized radix trie
@@ -83,10 +82,10 @@ func Open(path string, opts *Options) (*DB, error) {
 	case o.Store != nil:
 		db.store = o.Store
 	case path == "":
-		db.store = pagefile.NewMem(o.PageSize, o.Cost)
+		db.store = pagefile.NewMem(o.PageSize)
 		db.ownStore = true
 	default:
-		fs, err := pagefile.OpenFile(path+".pag", o.PageSize, o.Cost)
+		fs, err := pagefile.OpenFile(path+".pag", o.PageSize, pagefile.CostModel{})
 		if err != nil {
 			return nil, err
 		}

@@ -336,7 +336,7 @@ func TestServerOplogAccounting(t *testing.T) {
 	var readDelay atomic.Int64
 	stores := make([]pagefile.Store, nshards)
 	for i := range stores {
-		stores[i] = slowReadStore{pagefile.NewMem(bsize, pagefile.CostModel{}), &readDelay}
+		stores[i] = slowReadStore{pagefile.NewMem(bsize), &readDelay}
 	}
 	// The smallest pool, so requests for the preloaded keys fault.
 	d, err := db.OpenShardedStores(stores, &db.Config{Hash: &core.Options{WAL: true, Bsize: bsize, Ffactor: 8, CacheSize: 1}})

@@ -38,7 +38,6 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"unixhash/internal/metrics"
 	"unixhash/internal/oplog"
@@ -81,22 +80,13 @@ var (
 	ErrBroken = errors.New("wal: log device failed; commits refused")
 )
 
-// CostModel charges simulated latencies to log I/O, mirroring
-// pagefile.CostModel so benchmarks can compare a seek-bound page flush
-// against a sequential log append on the same footing. Charges only
-// accumulate in Stats.IOTime; zero values charge nothing.
-type CostModel struct {
-	// AppendCost per Append call: a sequential write at the tail, no
-	// seek, so typically one to two orders of magnitude below a random
-	// page write.
-	AppendCost time.Duration
-	// SyncCost per device fsync: settles a short sequential tail, so
-	// cheaper than fsyncing scattered dirty pages.
-	SyncCost time.Duration
-}
+// CostModel is an empty placeholder: the log counts its appends and
+// fsyncs and charges nothing for them. The type survives only because
+// benchmark/ calls Open(…, CostModel{}, …), and goes with Open's
+// parameter when that directory next changes (ROADMAP item 1(d)).
+type CostModel struct{}
 
-// Stats counts log activity. IOTime accumulates the simulated CostModel
-// charges, not wall-clock time.
+// Stats counts log activity.
 type Stats struct {
 	Appends       int64
 	AppendedBytes int64
@@ -104,7 +94,6 @@ type Stats struct {
 	FsyncJoins    int64
 	Resets        int64
 	Errors        int64
-	IOTime        time.Duration
 }
 
 // Op is one logical mutation inside a transaction.
@@ -150,9 +139,8 @@ type ScanResult struct {
 // leader/follower group-fsync protocol, so concurrent committers share
 // one device fsync.
 type Log struct {
-	dev  Device
-	cost CostModel
-	tr   *trace.Tracer // counts appends, fsyncs and checkpoints; publishes them to the ring
+	dev Device
+	tr  *trace.Tracer // counts appends, fsyncs and checkpoints; publishes them to the ring
 
 	mu            sync.Mutex // serializes Append/Reset and guards the fields below
 	size          int64      // valid end of the log; next append offset
@@ -187,8 +175,8 @@ type Log struct {
 // last committed transaction. Torn tails are not erased — the size is
 // simply rewound so the next append overwrites them. ring is the trace
 // ring the log's events join (nil: tracing off).
-func Open(dev Device, cost CostModel, ring *trace.Ring) (*Log, ScanResult, error) {
-	l := &Log{dev: dev, cost: cost, tr: trace.NewTracer(ring)}
+func Open(dev Device, _ CostModel, ring *trace.Ring) (*Log, ScanResult, error) {
+	l := &Log{dev: dev, tr: trace.NewTracer(ring)}
 	l.sc.cond = sync.NewCond(&l.sc.mu)
 	sr, err := l.scan()
 	if err != nil {
@@ -358,7 +346,7 @@ func (l *Log) Append(ops []Op) (commitLSN uint64, end int64, err error) {
 	}
 	l.size += int64(len(buf))
 	l.lastLSN.Store(commitLSN)
-	l.charge(l.cost.AppendCost, func(s *Stats) { s.AppendedBytes += int64(len(buf)) })
+	l.count(func(s *Stats) { s.AppendedBytes += int64(len(buf)) })
 	l.tr.Emit(trace.EvWalAppend, commitLSN, uint64(len(ops)), uint64(len(buf)), 0)
 	return commitLSN, l.size, nil
 }
@@ -420,7 +408,6 @@ func (l *Log) SyncToOp(led *oplog.Ledger, end int64) error {
 	if err != nil {
 		l.countError()
 	} else {
-		l.charge(l.cost.SyncCost, func(*Stats) {})
 		l.tr.Emit(trace.EvWalFsync, l.lastLSN.Load(), uint64(covered), 0, 0)
 	}
 
@@ -503,7 +490,7 @@ func (l *Log) Reset(checkpointLSN, epoch uint64) error {
 	l.sc.synced = HeaderSize
 	l.sc.gen++
 	l.sc.mu.Unlock()
-	l.charge(l.cost.AppendCost+l.cost.SyncCost, func(s *Stats) { s.Resets++ })
+	l.count(func(s *Stats) { s.Resets++ })
 	return nil
 }
 
@@ -558,16 +545,14 @@ func (l *Log) RegisterMetrics(reg *metrics.Registry) {
 	reg.CounterFunc("wal_fsync_joins_total", get(func(s *Stats) int64 { return s.FsyncJoins }))
 	reg.CounterFunc("wal_resets_total", get(func(s *Stats) int64 { return s.Resets }))
 	reg.CounterFunc("wal_errors_total", get(func(s *Stats) int64 { return s.Errors }))
-	reg.CounterFunc("wal_simulated_io_seconds_total", get(func(s *Stats) int64 { return int64(s.IOTime.Seconds()) }))
 }
 
 // Close closes the underlying device.
 func (l *Log) Close() error { return l.dev.Close() }
 
-func (l *Log) charge(d time.Duration, f func(*Stats)) {
+func (l *Log) count(f func(*Stats)) {
 	l.stMu.Lock()
 	f(&l.st)
-	l.st.IOTime += d
 	l.stMu.Unlock()
 }
 
