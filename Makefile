@@ -33,10 +33,12 @@ test:
 	$(GO) test ./...
 
 # The split stress tests run three times more: a pool race that unpinned
-# a buffer before dropping it only showed up when they were repeated.
+# a buffer before dropping it only showed up when they were repeated. So
+# does the search-hint stress: readers building one page's hint beside
+# writers on the same stripe.
 race:
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race -count=3 -run 'Storm|MidSplit' ./internal/core
+	$(GO) test -race -count=3 -run 'Storm|MidSplit|HintRace' ./internal/core
 
 # Power-cut simulation: every write prefix of a workload (torn pages
 # included) must recover to the last-synced state or fail loudly. Check's
@@ -73,7 +75,9 @@ bench:
 	$(GO) test -run=NONE -bench=. -benchmem .
 
 # The per-layer microbenchmarks, one iteration each so they cannot rot:
-# what a live op ledger adds to a warm Get, what one page fault costs at
+# what a live op ledger adds to a warm Get, what a warm Get costs at the
+# end-to-end benchmark's geometry (200 000 pairs, 4096/24, 64 MiB pool,
+# random order: cache-cold pages), what one page fault costs at
 # a 16- and a 2048-page pool, what a lone pair's PutBatch costs at 1,
 # 2 and 8 shards, what benchmark/'s 200 000-pair preload costs in
 # process with a 64 MiB and the default pool, what a durable log commit
@@ -83,6 +87,7 @@ bench:
 # connection (with allocs/op). For numbers, raise -benchtime.
 micro:
 	$(GO) test -run=NONE -bench='BenchmarkGetBuf$$' -benchtime=1x -cpu=1 .
+	$(GO) test -run=NONE -bench='BenchmarkGetBufResident$$' -benchtime=1x -cpu=1 .
 	$(GO) test -run=NONE -bench=BenchmarkPoolFault -benchtime=1x ./internal/buffer
 	$(GO) test -run=NONE -bench=BenchmarkShardedPutBatch -benchtime=1x ./internal/db
 	$(GO) test -run=NONE -bench=BenchmarkShardedGetParallel -benchtime=1x -cpu=1,2 ./internal/db

@@ -506,6 +506,48 @@ func BenchmarkGetBuf(b *testing.B) {
 	}
 }
 
+// BenchmarkGetBufResident is a warm GetBuf at the end-to-end
+// benchmark's geometry: 200 000 pairs of a 13-byte key and a 100-byte
+// value at bsize 4096, ffactor 24, every page resident in a 64 MiB pool,
+// read in a seeded random order so each lookup meets a cache-cold page
+// (BenchmarkGetBuf's small table, read in key order, stays in the CPU
+// caches).
+func BenchmarkGetBufResident(b *testing.B) {
+	const n = 200_000
+	t, err := core.Open("", &core.Options{Bsize: 4096, Ffactor: 24, CacheSize: 64 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer t.Close()
+	keys := make([][]byte, n)
+	val := make([]byte, 100)
+	pairs := make([]core.Pair, 0, 1000)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key-%09d", i))
+		if pairs = append(pairs, core.Pair{Key: keys[i], Data: val}); len(pairs) == cap(pairs) {
+			if err := t.PutBatch(pairs); err != nil {
+				b.Fatal(err)
+			}
+			pairs = pairs[:0]
+		}
+	}
+	rand.New(rand.NewSource(1)).Shuffle(n, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	dst := make([]byte, 0, 256)
+	for _, k := range keys { // fault every page in
+		if dst, err = t.GetBuf(k, dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if dst, err = t.GetBuf(keys[i%n], dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer() // the deferred Close is not a Get
+}
+
 // warmTable opens a memory table holding benchDict with every page
 // resident: the fixture of the Parallel benchmarks.
 func warmTable(b *testing.B) *core.Table {

@@ -247,8 +247,37 @@ func TestFig5DefaultsAndMissingPoint(t *testing.T) {
 		t.Fatalf("missing cell not rendered: %q", s)
 	}
 	empty := &Fig5Result{}
-	if bs, ff := empty.Best(); bs != 0 || ff != 0 {
-		t.Fatalf("Best on empty = %d/%d", bs, ff)
+	if best, ties := empty.Best(); best.Bsize != 0 || best.Ffactor != 0 || ties != nil {
+		t.Fatalf("Best on empty = %d/%d, ties %v", best.Bsize, best.Ffactor, ties)
+	}
+}
+
+// TestFig5BestTies: cells that tie on simulated sys are ranked by page
+// I/O count, then by the smaller bsize, never by measured user time,
+// and String names every cell tied with the best.
+func TestFig5BestTies(t *testing.T) {
+	cell := func(bs, ff int, user, sys time.Duration, ios int64) Fig5Point {
+		return Fig5Point{Bsize: bs, Ffactor: ff, Total: Timing{User: user, Sys: sys, Elapsed: user + sys, Writes: ios}}
+	}
+	r := &Fig5Result{Bsizes: []int{256, 4096, 8192}, Ffactors: []int{8, 128}, Points: []Fig5Point{
+		cell(256, 8, 1*time.Millisecond, 900*time.Millisecond, 60),
+		cell(8192, 128, 1*time.Millisecond, 683*time.Millisecond, 34),  // faster user time
+		cell(4096, 128, 40*time.Millisecond, 683*time.Millisecond, 34), // the smaller bsize
+	}}
+	best, ties := r.Best()
+	if best.Bsize != 4096 || best.Ffactor != 128 {
+		t.Fatalf("Best = %d/%d, want 4096/128 (smaller bsize of two tied on sys and page I/O)", best.Bsize, best.Ffactor)
+	}
+	if len(ties) != 1 || ties[0].Bsize != 8192 {
+		t.Fatalf("ties = %v, want the 8192/128 cell", ties)
+	}
+	if s := r.String(); !strings.Contains(s, "bsize=4096 ffactor=128") || !strings.Contains(s, "ties on sys: bsize=8192 ffactor=128") {
+		t.Fatalf("String does not name the best cell and its tie:\n%s", s)
+	}
+	// Fewer page I/Os win a tie on sys before the bsize is looked at.
+	r.Points[1].Total.Writes = 33
+	if best, _ := r.Best(); best.Bsize != 8192 {
+		t.Fatalf("Best = %d/%d, want 8192/128 (fewer page I/Os)", best.Bsize, best.Ffactor)
 	}
 }
 

@@ -68,11 +68,16 @@ func (a Addr) String() string {
 // be set by a caller that has exclusive use of the page (the table's
 // bucket latch); concurrent readers must treat Page as read-only. Dirty
 // is atomic so the flush paths can observe it without the page owner's
-// latch.
+// latch. Hint and HintState belong to the page's owner (a search hint
+// valid for one residency, where HintState 0 means none): the pool never
+// reads them, and empties both when the buffer is reused for a new page
+// (Hint keeps its capacity).
 type Buf struct {
-	Addr  Addr
-	Page  []byte
-	Dirty atomic.Bool
+	Addr      Addr
+	Page      []byte
+	Dirty     atomic.Bool
+	Hint      []byte
+	HintState atomic.Uint32
 
 	pins  atomic.Int32
 	owner uint32 // bucket whose chain this page belongs to (shard key)
@@ -81,6 +86,13 @@ type Buf struct {
 	pred  *Buf // the one buffer whose ovfl is this buffer, if any
 	prev  *Buf // shard LRU list
 	next  *Buf
+}
+
+// MarkDirty records a change to the page: it sets Dirty and zeroes
+// HintState, so every page mutation drops the search hint.
+func (b *Buf) MarkDirty() {
+	b.HintState.Store(0)
+	b.Dirty.Store(true)
 }
 
 // Pin marks the buffer in-use; a pinned buffer (and any chain containing
@@ -480,6 +492,8 @@ func (p *Pool) alloc(sh *shard, addr Addr, owner uint32) (*Buf, error) {
 func (b *Buf) reset(addr Addr, owner uint32, sh *shard) {
 	b.Addr = addr
 	b.Dirty.Store(false)
+	b.Hint = b.Hint[:0]
+	b.HintState.Store(0)
 	b.pins.Store(0)
 	b.owner = owner
 	b.sh = sh

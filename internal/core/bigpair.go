@@ -105,7 +105,7 @@ func (t *Table) putBigPair(key, data []byte) (oaddr, error) {
 				seg, segOff = seg+1, 0
 			}
 		}
-		b.Dirty.Store(true)
+		b.MarkDirty()
 		t.pool.Put(b)
 	}
 	t.tr.Emit(trace.EvBigPairWrite, uint64(len(addrs)), uint64(len(key)), uint64(len(data)), uint64(addrs[0]))

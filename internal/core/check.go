@@ -19,7 +19,8 @@ import (
 //     must hold a matching tag for every resident key (a false negative
 //     would make Get answer "absent" for a stored key), the tag count
 //     must equal the bucket's key count, and the recorded chain length
-//     must match the real one while below its saturation point.
+//     must match the real one while below its saturation point;
+//   - every ready search hint matches its page (hint.go).
 //
 // It runs recovery's certifying walk over the pool's pages: any repair
 // that walk would plan is an error, and so is any difference between the
@@ -48,6 +49,9 @@ func (t *Table) Check() error {
 			return fmt.Errorf("hash check: %s", r.why)
 		}
 		if err := t.checkFilter(b, r.prim, r.novfl, r.hashes); err != nil {
+			return err
+		}
+		if err := t.checkHints(b); err != nil {
 			return err
 		}
 	}

@@ -218,9 +218,12 @@ func midChainTable(t *testing.T, maybe bool) (*Table, *pagefile.FaultStore, uint
 			pg = tbl.hdr.oaddrToPage(oaddr(b.Addr.N))
 		}
 		pages = append(pages, pg)
-		e, err := page(b.Page).entryAt(0)
-		firstKey = append(firstKey, append([]byte(nil), e.key...))
-		return false, err
+		k, _, ok := page(b.Page).pairAt(0)
+		if !ok {
+			return false, fmt.Errorf("page %d: entry 0 is not a regular pair", pg)
+		}
+		firstKey = append(firstKey, append([]byte(nil), k...))
+		return false, nil
 	}); err != nil {
 		t.Fatal(err)
 	}

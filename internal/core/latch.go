@@ -300,7 +300,7 @@ func (t *Table) formatPrimary(d int, b uint32) error {
 	}
 	clear(pb.Page)
 	initPage(page(pb.Page))
-	pb.Dirty.Store(true)
+	pb.MarkDirty()
 	t.split.dest[d] = append(t.split.dest[d], pb)
 	return nil
 }
@@ -348,7 +348,7 @@ func (t *Table) placeSplitEntry(oldB, newB uint32, e *splitEntry) error {
 		}
 	}
 	op.addTo(page((*pages)[pos].Page))
-	(*pages)[pos].Dirty.Store(true)
+	(*pages)[pos].MarkDirty()
 	page((*pages)[0].Page).filterAdd(h)
 	return nil
 }

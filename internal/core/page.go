@@ -210,6 +210,24 @@ func (p page) forEach(fn func(i int, e entry) bool) error {
 	return p.checkLow(low)
 }
 
+// pairAt decodes entry i as the regular pair in slots 2i and 2i+1, with
+// forEach's bounds; ok is false when it does not decode that way.
+func (p page) pairAt(i int) (key, data []byte, ok bool) {
+	ns, base, low := p.nslots(), p.slotBase(), len(p)
+	if 2*i+1 >= ns || base+ns*slotSize > len(p) || i > 0 && slotAt(p[base:], 2*i-2) >= markBig {
+		return nil, nil, false
+	}
+	s := p[base:]
+	if i > 0 {
+		low = int(slotAt(s, 2*i-1))
+	}
+	ko, do := int(slotAt(s, 2*i)), int(slotAt(s, 2*i+1))
+	if ko >= markBig || !(pageHdrSize <= do && do <= ko && ko <= low && low <= len(p)) {
+		return nil, nil, false
+	}
+	return p[ko:low], p[do:ko], true
+}
+
 // checkLow verifies the stored low watermark against the lowest pair
 // offset an exhaustive slot walk decoded. The field is redundant with
 // the slot array, but a later insert trusts it when packing new bytes
@@ -221,27 +239,6 @@ func (p page) checkLow(low int) error {
 		return fmt.Errorf("%w: low watermark %d, lowest pair offset %d", ErrCorrupt, p.low(), low)
 	}
 	return nil
-}
-
-// entryAt returns entry i (0-based over entries). It walks the slot array
-// because regular-pair boundaries depend on preceding entries.
-func (p page) entryAt(i int) (entry, error) {
-	var out entry
-	found := false
-	err := p.forEach(func(j int, e entry) bool {
-		if j == i {
-			out, found = e, true
-			return false
-		}
-		return true
-	})
-	if err != nil {
-		return entry{}, err
-	}
-	if !found {
-		return entry{}, fmt.Errorf("%w: entry %d out of range", ErrCorrupt, i)
-	}
-	return out, nil
 }
 
 // addRegular inserts a regular pair. The caller must have checked

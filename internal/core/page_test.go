@@ -289,11 +289,8 @@ func TestPageRoundtripProperty(t *testing.T) {
 			return false
 		}
 		p.addRegular(k, v)
-		e, err := p.entryAt(0)
-		if err != nil {
-			return false
-		}
-		return bytes.Equal(e.key, k) && bytes.Equal(e.data, v)
+		key, data, ok := p.pairAt(0)
+		return ok && bytes.Equal(key, k) && bytes.Equal(data, v)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)

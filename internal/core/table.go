@@ -728,8 +728,8 @@ func (t *Table) getBuf(key, dst []byte, led *oplog.Ledger) ([]byte, error) {
 // hash, computed once by the caller). The primary page's tag filter is
 // consulted before anything else: no tag matching the hash means the key
 // is definitely absent and the miss costs zero chain-page reads. Every
-// chain page the walk reaches is demand-faulted through the pool. Caller
-// holds the bucket's stripe shared.
+// chain page the walk reaches is searched by its hint (hint.go), then
+// scanned. Caller holds the bucket's stripe shared.
 func (t *Table) getFromBucket(bucket, h uint32, key, dst []byte, led *oplog.Ledger) ([]byte, error) {
 	out := dst[:0]
 	found := false
@@ -746,6 +746,10 @@ func (t *Table) getFromBucket(bucket, h uint32, key, dst []byte, led *oplog.Ledg
 				t.tr.Emit(trace.EvFilterSkip, uint64(bucket), uint64(pg.fltChainLen()), 0, 0)
 				return true, nil
 			}
+		}
+		if d, ok := t.hintedData(buf, h, key); ok {
+			out, found = append(out, d...), true
+			return true, nil
 		}
 		var inner error
 		ferr := pg.forEach(func(i int, e entry) bool {
@@ -1105,11 +1109,11 @@ func (t *Table) dropStale(buf, primary *buffer.Buf, ops []writeOp, want int, rep
 		if err := pg.removeEntry(r.entry); err != nil {
 			return 0, err
 		}
-		buf.Dirty.Store(true)
+		buf.MarkDirty()
 		t.nkeysA.Add(-1)
 		t.xorPairSum(r.sum)
 		page(primary.Page).filterRemove(op.hash)
-		primary.Dirty.Store(true)
+		primary.MarkDirty()
 	}
 	return len(rems), nil
 }
@@ -1173,11 +1177,11 @@ func (t *Table) packOps(buf, primary *buffer.Buf, ops []writeOp) int {
 		op.addTo(pg)
 		op.placed = true
 		n++
-		buf.Dirty.Store(true)
+		buf.MarkDirty()
 		t.nkeysA.Add(1)
 		t.xorPairSum(pairHash(op.key, op.data))
 		page(primary.Page).filterAdd(op.hash)
-		primary.Dirty.Store(true)
+		primary.MarkDirty()
 	}
 	return n
 }
@@ -1209,13 +1213,13 @@ func (t *Table) appendOvfl(tail *buffer.Buf) (*buffer.Buf, error) {
 		_ = t.freeOvfl(o)
 		return nil, err
 	}
-	tail.Dirty.Store(true)
+	tail.MarkDirty()
 	// The page may hold stale contents (reclaimed page): reformat.
 	clear(nb.Page)
 	initPage(page(nb.Page))
-	nb.Dirty.Store(true)
+	nb.MarkDirty()
 	page(pb.Page).fltChainInc()
-	pb.Dirty.Store(true)
+	pb.MarkDirty()
 	t.addedOvfl.Store(true)
 	return nb, nil
 }
@@ -1233,11 +1237,11 @@ func (t *Table) unlinkOvfl(prev, buf, primary *buffer.Buf) error {
 		t.pool.Put(buf)
 		return err
 	}
-	prev.Dirty.Store(true)
+	prev.MarkDirty()
 	// Account the unlink on the primary's filter region: the chain is
 	// one page shorter.
 	page(primary.Page).fltChainDec()
-	primary.Dirty.Store(true)
+	primary.MarkDirty()
 	o := oaddr(buf.Addr.N)
 	t.pool.Drop(buf)
 	return t.freeOvfl(o)
