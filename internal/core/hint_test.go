@@ -152,10 +152,10 @@ func TestCheckFindsStaleHint(t *testing.T) {
 }
 
 // TestGetBufHintedZeroAlloc: once one pass has read every key of a
-// multi-page table resident in its pool, building each page's hint, a second full pass of
-// GetBuf allocates nothing at all. Mallocs are counted over the whole
-// pass, not averaged per call, so a single rebuild would show; the warm
-// pass allocates at most once per build.
+// multi-page table resident in its pool, building each page's hint, a
+// second full pass of GetBuf allocates nothing at all. Mallocs are
+// counted over the whole pass, not averaged per call, so a single
+// rebuild would show; the warm pass allocates at most once per build.
 func TestGetBufHintedZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
