@@ -89,7 +89,7 @@ type Buf struct {
 }
 
 // MarkDirty records a change to the page: it sets Dirty and zeroes
-// HintState, so every page mutation drops the search hint.
+// HintState, so the change drops the search hint.
 func (b *Buf) MarkDirty() {
 	b.HintState.Store(0)
 	b.Dirty.Store(true)

@@ -82,6 +82,46 @@ func TestHintBuiltOnSecondSearch(t *testing.T) {
 	}
 }
 
+// TestHintKeptByFilterOnlyWrite: a put and a delete on an overflow page
+// change only the primary's filter region, so the primary keeps its
+// ready hint while the overflow page's is dropped.
+func TestHintKeptByFilterOnlyWrite(t *testing.T) {
+	const n = 100
+	tbl := hintTable(t, n)
+	pb, err := tbl.getBucketPage(nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tbl.pool.Put(pb)
+	readHinted(t, tbl, n)
+	readHinted(t, tbl, n)
+	entries := page(pb.Page).nentries()
+	if entries >= n || pb.HintState.Load() != hintReady {
+		t.Fatalf("primary holds %d of %d keys in hint state %d: want a chain and a ready hint", entries, n, pb.HintState.Load())
+	}
+	for _, write := range []func() error{
+		func() error { return tbl.Put([]byte("w999."), []byte("v999")) },
+		func() error { return tbl.Delete(wkey(n - 1)) },
+	} {
+		if err := write(); err != nil {
+			t.Fatal(err)
+		}
+		if got := page(pb.Page).nentries(); got != entries {
+			t.Fatalf("the write landed on the primary (%d entries, was %d)", got, entries)
+		}
+		if got := pb.HintState.Load(); got != hintReady {
+			t.Fatalf("a write to an overflow page left the primary's hint in state %d", got)
+		}
+		if s := hintStates(t, tbl); s[hintNone] == 0 {
+			t.Fatalf("hint states %v: the written overflow page kept its hint", s)
+		}
+	}
+	readHinted(t, tbl, n-1)
+	if err := tbl.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestHintSkipsBigPairPages: a page that holds a big-pair ref gets no
 // hint, and its lookups still find every key.
 func TestHintSkipsBigPairPages(t *testing.T) {

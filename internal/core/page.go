@@ -150,7 +150,7 @@ func (p page) fitsRef() bool {
 	return 2*slotSize <= free
 }
 
-// entry describes one entry on a page as returned by entryAt.
+// entry describes one entry on a page as passed to forEach's callback.
 type entry struct {
 	kind entryKind
 	key  []byte // regular: view into the page

@@ -1113,7 +1113,7 @@ func (t *Table) dropStale(buf, primary *buffer.Buf, ops []writeOp, want int, rep
 		t.nkeysA.Add(-1)
 		t.xorPairSum(r.sum)
 		page(primary.Page).filterRemove(op.hash)
-		primary.MarkDirty()
+		primary.Dirty.Store(true) // filter only: the primary's hint stands
 	}
 	return len(rems), nil
 }
@@ -1181,7 +1181,7 @@ func (t *Table) packOps(buf, primary *buffer.Buf, ops []writeOp) int {
 		t.nkeysA.Add(1)
 		t.xorPairSum(pairHash(op.key, op.data))
 		page(primary.Page).filterAdd(op.hash)
-		primary.MarkDirty()
+		primary.Dirty.Store(true) // filter only: the primary's hint stands
 	}
 	return n
 }
@@ -1219,7 +1219,7 @@ func (t *Table) appendOvfl(tail *buffer.Buf) (*buffer.Buf, error) {
 	initPage(page(nb.Page))
 	nb.MarkDirty()
 	page(pb.Page).fltChainInc()
-	pb.MarkDirty()
+	pb.Dirty.Store(true) // filter only: the primary's hint stands
 	t.addedOvfl.Store(true)
 	return nb, nil
 }
@@ -1241,7 +1241,7 @@ func (t *Table) unlinkOvfl(prev, buf, primary *buffer.Buf) error {
 	// Account the unlink on the primary's filter region: the chain is
 	// one page shorter.
 	page(primary.Page).fltChainDec()
-	primary.MarkDirty()
+	primary.Dirty.Store(true) // filter only: the primary's hint stands
 	o := oaddr(buf.Addr.N)
 	t.pool.Drop(buf)
 	return t.freeOvfl(o)
