@@ -460,9 +460,9 @@ func BenchmarkGet(b *testing.B) {
 // BenchmarkGetBuf is BenchmarkGet with a caller-supplied buffer (0
 // allocs/op against BenchmarkGet's 1), and the record of what looking
 // costs in-process: the same warm lookup with nothing attached, with a
-// trace ring, under a live op ledger folded into a recorder (StartOp →
+// trace ring, under a live op ledger folded into a recorder (Start →
 // GetBufOp → Finish → Record, what a server connection does per GET),
-// and with both.
+// and with both, the recorder then noting the ledger's ring span.
 func BenchmarkGetBuf(b *testing.B) {
 	for _, tc := range []struct {
 		name           string
@@ -483,7 +483,7 @@ func BenchmarkGetBuf(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			rec := oplog.NewRecorder(metrics.New(), 1)
+			rec := oplog.NewRecorder(metrics.New(), 1, opts.Trace)
 			var led oplog.Ledger
 			dst := make([]byte, 0, 256)
 			b.ReportAllocs()
@@ -493,7 +493,7 @@ func BenchmarkGetBuf(b *testing.B) {
 				if !tc.ledger {
 					dst, err = t.GetBuf(p.Key, dst)
 				} else {
-					led.StartOp(oplog.CmdGet, p.Key)
+					rec.Start(&led, oplog.CmdGet, p.Key, oplog.Clock())
 					dst, err = t.GetBufOp(&led, p.Key, dst)
 					led.Finish()
 					rec.Record(&led)
@@ -502,6 +502,7 @@ func BenchmarkGetBuf(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.StopTimer() // the deferred Close is not a Get
 		})
 	}
 }

@@ -69,10 +69,11 @@
 // telemetry.Serve caller) every INTERVAL (default 2s) and renders the
 // numeric fields that changed since the previous poll as deltas — a
 // portable poor-man's top for a table under load. When the server also
-// exposes /debug/oplog (dbserver -oplog), each tick appends the
-// per-command phase attribution: end-to-end p50/p99 per command plus its
-// heaviest phases, so a latency regression names its phase in the same
-// breath. COUNT limits the number of polls (default: until interrupted).
+// exposes /debug/oplog (dbserver does, its op ledger being on unless
+// run with -oplog=false), each tick appends the per-command phase
+// attribution: end-to-end p50/p99 per command plus its heaviest phases,
+// so a latency regression names its phase in the same breath. COUNT
+// limits the number of polls (default: until interrupted).
 // URL may be a bare host:port; the /stats path is implied.
 //
 // A file another process holds is refused, naming it; so is a shard file
@@ -518,7 +519,8 @@ func hashmon(args []string) error {
 	}
 
 	// The op ledger is optional on the server side: one probe decides,
-	// a 404 (telemetry without -oplog) just drops the extra table.
+	// a 404 (dbserver -oplog=false, or dbcli's own telemetry) just drops
+	// the extra table.
 	oplogURL := strings.TrimSuffix(url, "/stats") + "/debug/oplog"
 	pollOplog := func() *oplog.Summary {
 		resp, err := client.Get(oplogURL)

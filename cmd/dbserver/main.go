@@ -100,11 +100,12 @@ func main() {
 	}
 
 	// The op-ledger recorder spans the stack like the registry: the
-	// server charges each command's phases, the recorder's histograms
-	// land in the shared registry, and telemetry serves the summary.
+	// server charges each command's phases, the recorder notes each
+	// command's span on the trace ring, its histograms land in the shared
+	// registry, and telemetry serves the summary.
 	var rec *oplog.Recorder
 	if *oplogOn {
-		rec = oplog.NewRecorder(reg, d.NShards())
+		rec = oplog.NewRecorder(reg, d.NShards(), tr)
 	}
 
 	// Catch signals before announcing the address: a supervisor (or the

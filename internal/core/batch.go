@@ -36,19 +36,12 @@ type Pair struct {
 // the batch the last occurrence wins, matching the sequential-Put
 // outcome. An empty key anywhere in the batch rejects the entire batch
 // with ErrEmptyKey before anything is written.
-func (t *Table) PutBatch(pairs []Pair) error { return t.putBatch(pairs, nil) }
+func (t *Table) PutBatch(pairs []Pair) error { return t.PutBatchOp(nil, pairs) }
 
 // PutBatchOp is PutBatch with an op ledger: the stripe-latch wait, the
 // split pass and the pool traffic of the bucket passes are charged to
-// led, and the batch's trace-event span is recorded on it.
+// led.
 func (t *Table) PutBatchOp(led *oplog.Ledger, pairs []Pair) error {
-	seq0 := t.tr.Next()
-	err := t.putBatch(pairs, led)
-	led.SetTraceSpan(seq0, t.tr.Next())
-	return err
-}
-
-func (t *Table) putBatch(pairs []Pair, led *oplog.Ledger) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if err := t.checkWritable(); err != nil {

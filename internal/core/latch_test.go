@@ -471,9 +471,9 @@ func TestLatchWaitOnlyWhenContended(t *testing.T) {
 // ledger, for a key in that bucket. The split holds the bucket's stripe
 // from before it publishes the new geometry until its last pair has
 // moved, so the Get waits exactly as it would behind any writer: one
-// latch_wait covering both parks, the split's end event inside the Get's
-// trace span, the right value afterwards, and phases that sum to the
-// elapsed time.
+// latch_wait covering both parks, the split's end event inside the
+// trace span its recorder noted, the right value afterwards, and phases
+// that sum to the elapsed time.
 func TestSplitWaitIsLatchWait(t *testing.T) {
 	type park struct {
 		page            int64
@@ -558,7 +558,8 @@ func TestSplitWaitIsLatchWait(t *testing.T) {
 	<-parks[0].parked
 
 	var led oplog.Ledger
-	led.StartOp(oplog.CmdGet, key(readKey))
+	rec := oplog.NewRecorder(nil, 1, tr)
+	rec.Start(&led, oplog.CmdGet, key(readKey), oplog.Clock())
 	type result struct {
 		v   []byte
 		err error
@@ -581,6 +582,7 @@ func TestSplitWaitIsLatchWait(t *testing.T) {
 	}
 	r := <-getDone
 	led.Finish()
+	rec.Record(&led)
 
 	if r.err != nil || !bytes.Equal(r.v, val(readKey)) {
 		t.Fatalf("Get beside the split = %q, %v; want %q", r.v, r.err, val(readKey))

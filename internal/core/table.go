@@ -692,22 +692,14 @@ func (t *Table) Get(key []byte) ([]byte, error) {
 // to dst[:0] and the resulting slice returned, so a reader looping over
 // keys with a reused buffer performs no per-call value allocation. A nil
 // dst behaves like Get.
-func (t *Table) GetBuf(key, dst []byte) ([]byte, error) { return t.getBuf(key, dst, nil) }
+func (t *Table) GetBuf(key, dst []byte) ([]byte, error) { return t.GetBufOp(nil, key, dst) }
 
 // GetBufOp is GetBuf carrying an op ledger: latch waits, filter
-// consults and buffer traffic on this lookup are charged to
-// led's phases, and the ring positions before and after the call are
-// noted on it so an exemplar can be joined back to its events. A nil
-// ledger, like a nil ring, costs a pointer comparison: no clock reads,
-// no allocation (TestTraceDisabledZeroAlloc, TestNilLedgerZeroAlloc).
+// consults and buffer traffic on this lookup are charged to led's
+// phases. A nil ledger, like a nil ring, costs a pointer comparison: no
+// clock reads, no allocation (TestTraceDisabledZeroAlloc,
+// TestNilLedgerZeroAlloc).
 func (t *Table) GetBufOp(led *oplog.Ledger, key, dst []byte) ([]byte, error) {
-	seq0 := t.tr.Next()
-	out, err := t.getBuf(key, dst, led)
-	led.SetTraceSpan(seq0, t.tr.Next())
-	return out, err
-}
-
-func (t *Table) getBuf(key, dst []byte, led *oplog.Ledger) ([]byte, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if err := t.checkOpen(); err != nil {
@@ -892,15 +884,8 @@ func (t *Table) DeleteOp(led *oplog.Ledger, key []byte) error {
 }
 
 // writeOne is Put, PutNew and Delete: a write set of one (see applySet
-// in batch.go), its ring span noted on the ledger.
+// in batch.go).
 func (t *Table) writeOne(led *oplog.Ledger, op writeOp, replace bool) error {
-	seq0 := t.tr.Next()
-	err := t.applyOne(led, op, replace)
-	led.SetTraceSpan(seq0, t.tr.Next())
-	return err
-}
-
-func (t *Table) applyOne(led *oplog.Ledger, op writeOp, replace bool) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if err := t.checkWritable(); err != nil {

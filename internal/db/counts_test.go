@@ -68,7 +68,7 @@ func TestSeriesNamesGolden(t *testing.T) {
 			if err != nil {
 				return nil, nil, err
 			}
-			return d, d.(*hashDB).table().MetricsRegistry(), nil
+			return d, d.(*hashDB).Table.MetricsRegistry(), nil
 		}},
 		{"series_sharded.golden", func(o *core.Options) (DB, *metrics.Registry, error) {
 			s, err := OpenSharded("", 2, &Config{Hash: o})
@@ -163,7 +163,7 @@ func checkShardSums(t *testing.T, s *Sharded, st Stats) {
 	}
 	var skips, hits, fps int64
 	for i, sh := range s.shards {
-		hm, err := sh.table().Heatmap()
+		hm, err := sh.Table.Heatmap()
 		if err != nil {
 			t.Fatal(err)
 		}

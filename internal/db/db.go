@@ -30,10 +30,12 @@ func (m Method) String() string {
 	return fmt.Sprintf("method(%d)", int(m))
 }
 
-// Errors returned through the DB interface.
+// Errors returned through the DB interface. A missing or existing key
+// is reported with the table's own sentinel, so a caller may match
+// either name.
 var (
-	ErrNotFound  = errors.New("db: key not found")
-	ErrKeyExists = errors.New("db: key already exists")
+	ErrNotFound  = core.ErrNotFound
+	ErrKeyExists = core.ErrKeyExists
 	// ErrBadOptions wraps every option-validation failure from Open. The
 	// error text names the rejected field and value, so a misconfigured
 	// open fails loudly instead of being silently clamped to a default.
@@ -190,41 +192,31 @@ func validate(o *core.Options) error {
 
 // --- hash adapter ---
 
-type hashDB struct{ t *core.Table }
+// hashDB is a single table behind the DB interface: the table's own
+// methods, their ...Op forms included, serve every DB method but Seq,
+// Begin and Stats.
+type hashDB struct{ *core.Table }
 
-// The plain DB methods are the ledger-carrying forms (oplog.go) with
-// attribution off.
-func (d *hashDB) Get(key []byte) ([]byte, error)         { return d.GetBufOp(nil, key, nil) }
-func (d *hashDB) GetBuf(key, dst []byte) ([]byte, error) { return d.GetBufOp(nil, key, dst) }
-func (d *hashDB) Put(key, data []byte) error             { return d.PutOp(nil, key, data) }
-func (d *hashDB) Delete(key []byte) error                { return d.DeleteOp(nil, key) }
+func (d *hashDB) Seq() Cursor { return d.Iter() }
 
-// PutBatch applies the whole batch in one latch epoch: pairs grouped by
-// bucket, splits deferred to one pass at batch end (see
-// core.Table.PutBatch).
-func (d *hashDB) PutBatch(pairs []Pair) error { return d.PutBatchOp(nil, pairs) }
-
-func (d *hashDB) PutNew(key, data []byte) error {
-	err := d.t.PutNew(key, data)
-	if errors.Is(err, core.ErrKeyExists) {
-		return ErrKeyExists
+// Begin returns the core transaction as a Txn, and a nil Txn, not a nil
+// *core.Txn inside one, when the table cannot begin one.
+func (d *hashDB) Begin() (Txn, error) {
+	x, err := d.Table.Begin()
+	if err != nil {
+		return nil, err
 	}
-	return err
+	return x, nil
 }
-
-func (d *hashDB) Seq() Cursor  { return d.t.Iter() }
-func (d *hashDB) Len() int     { return d.t.Len() }
-func (d *hashDB) Sync() error  { return d.t.Sync() }
-func (d *hashDB) Close() error { return d.t.Close() }
 
 // Stats is one Heatmap walk plus the table's counts and the pool's and
 // the log's figures, all under shared locks.
 func (d *hashDB) Stats() (Stats, error) {
-	h, err := d.t.Heatmap()
+	h, err := d.Heatmap()
 	if err != nil {
 		return Stats{}, err
 	}
-	c := d.t.Pool().Counters()
+	c := d.Pool().Counters()
 	hs := &HashStats{
 		Buckets:       h.Buckets,
 		OverflowPages: h.OverflowPages,
@@ -234,19 +226,19 @@ func (d *hashDB) Stats() (Stats, error) {
 		ChainDist:     h.ChainDist,
 		AvgFill:       h.AvgFill,
 		EmptyBuckets:  h.EmptyBuckets,
-		Counts:        d.t.Counts(),
+		Counts:        d.Counts(),
 	}
 	hs.setFilterRate()
-	hs.WalLSN, _ = d.t.Stamp()
-	hs.WalAppliedLSN = d.t.AppliedLSN()
-	if o := d.t.Log(); o != nil {
+	hs.WalLSN, _ = d.Stamp()
+	hs.WalAppliedLSN = d.AppliedLSN()
+	if o := d.Log(); o != nil {
 		hs.setLog(o)
 	}
 	return Stats{
 		Method:        Hash,
 		Keys:          h.NKeys,
-		Pages:         int64(d.t.Store().NPages()),
-		PageSize:      d.t.Store().PageSize(),
+		Pages:         int64(d.Store().NPages()),
+		PageSize:      d.Store().PageSize(),
 		CacheHits:     c.Hits,
 		CacheMisses:   c.Misses,
 		CacheHitRatio: c.HitRatio(),
@@ -274,12 +266,6 @@ func (h *HashStats) setFilterRate() {
 		h.FilterHitRate = float64(h.FilterSkips) / float64(t)
 	}
 }
-
-// table exposes the underlying hash table inside the package (telemetry
-// mounting, Verify, Compact). Deliberately unexported: applications use
-// the DB interface — table-level operations go through Begin, Verify and
-// Compact, never through the concrete table.
-func (d *hashDB) table() *core.Table { return d.t }
 
 // Static interface checks.
 var (

@@ -209,4 +209,5 @@ func BenchmarkShardedGetParallel(b *testing.B) {
 			i++
 		}
 	})
+	b.StopTimer() // the deferred Close is not a Get
 }

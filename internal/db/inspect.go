@@ -24,10 +24,10 @@ var ErrUnsupported = errors.New("db: operation not supported by this database")
 func Verify(d DB) error {
 	switch x := d.(type) {
 	case *hashDB:
-		return x.table().Verify()
+		return x.Verify()
 	case *Sharded:
 		for i, sh := range x.shards {
-			if err := sh.table().Verify(); err != nil {
+			if err := sh.Verify(); err != nil {
 				return fmt.Errorf("shard %d: %w", i, err)
 			}
 		}
@@ -98,5 +98,5 @@ func single(d DB, op string) (*core.Table, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s (%T)", ErrUnsupported, op, d)
 	}
-	return x.t, nil
+	return x.Table, nil
 }

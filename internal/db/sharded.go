@@ -149,13 +149,6 @@ func shardOf(key []byte, n int) int {
 	return int(h % uint64(n))
 }
 
-func (s *Sharded) shard(key []byte) *hashDB {
-	if len(s.shards) == 1 {
-		return s.shards[0]
-	}
-	return s.shards[shardOf(key, len(s.shards))]
-}
-
 // NShards reports the shard count.
 func (s *Sharded) NShards() int { return len(s.shards) }
 
@@ -169,7 +162,7 @@ func (s *Sharded) MetricsRegistry() *metrics.Registry { return s.reg }
 func (s *Sharded) Get(key []byte) ([]byte, error)         { return s.GetBufOp(nil, key, nil) }
 func (s *Sharded) GetBuf(key, dst []byte) ([]byte, error) { return s.GetBufOp(nil, key, dst) }
 func (s *Sharded) Put(key, data []byte) error             { return s.PutOp(nil, key, data) }
-func (s *Sharded) PutNew(key, data []byte) error          { return s.shard(key).PutNew(key, data) }
+func (s *Sharded) PutNew(key, data []byte) error          { return s.route(nil, key).PutNew(key, data) }
 func (s *Sharded) Delete(key []byte) error                { return s.DeleteOp(nil, key) }
 
 // shardBatch is a spanning PutBatch's partition, per[i] being shard i's
@@ -375,7 +368,19 @@ func addShape(agg, sh *HashStats) {
 // after a crash all of its keys are there or none — and atomic per shard
 // for visibility: a concurrent reader may see one shard's part a moment
 // before another's.
-func (s *Sharded) Begin() (Txn, error) { return s.BeginOp(nil) }
+func (s *Sharded) Begin() (Txn, error) {
+	switch {
+	case s.readonly:
+		return nil, core.ErrReadOnly
+	case s.log == nil:
+		return nil, core.ErrNoWAL
+	}
+	x, err := core.Begin(s.log)
+	if err != nil {
+		return nil, err
+	}
+	return x, nil
+}
 
 // shardKeys reports how an example key set distributes over n shards —
 // a test hook kept close to shardOf so the router and its distribution

@@ -479,10 +479,10 @@ func TestShardedLogFaultPoisons(t *testing.T) {
 						var tbls []*core.Table
 						switch x := s.(type) {
 						case *hashDB:
-							tbls = append(tbls, x.t)
+							tbls = append(tbls, x.Table)
 						case *Sharded:
 							for _, sh := range x.shards {
-								tbls = append(tbls, sh.t)
+								tbls = append(tbls, sh.Table)
 							}
 						}
 						for _, tbl := range tbls {

@@ -158,7 +158,7 @@ func (s *Sharded) openLog(dir string, dev wal.Device, recover bool, reports []co
 	n := len(s.shards)
 	tables := make([]wal.Table, n)
 	for i, sh := range s.shards {
-		tables[i] = sh.t
+		tables[i] = sh.Table
 	}
 	l, sr, err := wal.Open(dev, wal.CostModel{}, s.tr)
 	if err != nil {
@@ -194,8 +194,8 @@ func (s *Sharded) openLog(dir string, dev wal.Device, recover bool, reports []co
 		if r.Txns > 0 {
 			reports[i].WALTxns += r.Txns
 			reports[i].WALOps += r.Ops
-			reports[i].NKeys = int64(s.shards[i].t.Len())
-			_, reports[i].SyncEpoch = s.shards[i].t.Stamp()
+			reports[i].NKeys = int64(s.shards[i].Len())
+			_, reports[i].SyncEpoch = s.shards[i].Stamp()
 		}
 	}
 	return nil

@@ -241,8 +241,9 @@ func TestBeginAcrossMethods(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	if _, err := h.Begin(); !errors.Is(err, core.ErrNoWAL) {
-		t.Fatalf("hash without WAL Begin = %v, want ErrNoWAL", err)
+	// The Txn is a nil interface, not a nil *core.Txn inside one.
+	if txn, err := h.Begin(); !errors.Is(err, core.ErrNoWAL) || txn != nil {
+		t.Fatalf("hash without WAL Begin = %#v, %v; want nil, ErrNoWAL", txn, err)
 	}
 	if _, err := OpenShardedBeginProbe(); err != nil {
 		t.Fatal(err)

@@ -352,10 +352,11 @@ func TestShardedStatsCountTheLogOnce(t *testing.T) {
 	var led oplog.Ledger
 	for i := 0; i < txns; i++ {
 		led.StartOp(oplog.CmdTxn, nil)
-		x, err := s.BeginOp(&led)
+		x, err := s.Begin()
 		if err != nil {
 			t.Fatal(err)
 		}
+		x.(*core.Txn).SetOplog(&led)
 		for j := 0; j < 8; j++ { // 8 keys: every shard, almost surely
 			x.Put([]byte(fmt.Sprintf("t%d-%d", i, j)), []byte("v"))
 		}

@@ -112,10 +112,10 @@ func TestFilterHitRateMatchesHeatmap(t *testing.T) {
 			var views []view
 			switch d := d.(type) {
 			case *hashDB:
-				views = append(views, view{s.Hash, d.table()})
+				views = append(views, view{s.Hash, d.Table})
 			case *Sharded:
 				for i, sh := range d.shards {
-					views = append(views, view{s.Shards[i].Hash, sh.table()})
+					views = append(views, view{s.Shards[i].Hash, sh.Table})
 				}
 			}
 			for _, v := range views {
@@ -236,7 +236,7 @@ func TestStatsBesideSplits(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	tbl := d.(*hashDB).table()
+	tbl := d.(*hashDB).Table
 
 	const writers, perWriter = 2, 3000
 	var wg sync.WaitGroup

@@ -35,9 +35,8 @@ func ServeTelemetry(d DB, addr string, rec *oplog.Recorder) (*telemetry.Server, 
 	}
 	switch x := d.(type) {
 	case *hashDB:
-		t := x.table()
-		o.Registry = t.MetricsRegistry()
-		o.Ring = t.Tracer().Ring()
+		o.Registry = x.MetricsRegistry()
+		o.Ring = x.Tracer().Ring()
 		o.Heatmap = func() (any, error) { return Heatmap(d) }
 	case *Sharded:
 		o.Registry = x.reg
@@ -85,7 +84,7 @@ type shardHeat struct {
 func shardedHeatmap(s *Sharded) (any, error) {
 	out := make([]shardHeat, 0, len(s.shards))
 	for i, sh := range s.shards {
-		hm, err := sh.table().Heatmap()
+		hm, err := sh.Heatmap()
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}

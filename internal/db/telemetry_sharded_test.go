@@ -32,7 +32,7 @@ func TestShardedTelemetryFiltered(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	rec := oplog.NewRecorder(reg, s.NShards())
+	rec := oplog.NewRecorder(reg, s.NShards(), nil)
 	front, err := server.Serve("127.0.0.1:0", server.Options{DB: s, Metrics: reg, Oplog: rec})
 	if err != nil {
 		t.Fatal(err)

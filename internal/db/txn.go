@@ -26,9 +26,5 @@ type Txn interface {
 	Rollback() error
 }
 
-// Begin on the hash adapter: the core transaction satisfies Txn
-// directly, so the db layer adds no indirection on the commit path.
-func (d *hashDB) Begin() (Txn, error) { return d.BeginOp(nil) }
-
 // Static check: the core transaction is usable wherever a db.Txn is.
 var _ Txn = (*core.Txn)(nil)

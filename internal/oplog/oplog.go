@@ -35,10 +35,13 @@
 // oplog_phase_* / oplog_op_* series), per-command × per-shard
 // breakdowns for the /debug/oplog endpoint, and a ring of exemplars —
 // the slowest complete ledger per command per window, carrying the
-// trace-ring sequence span of the op. The exemplar is the system's one
-// slow-request record: /debug/oplog/exemplars inlines the ring events
-// of that span (db.ServeTelemetry does the join; this package does not
-// import trace).
+// trace-ring sequence span of the op. The recorder is the one place a
+// request's span is noted: Start reads the database's trace ring when
+// the command opens and Record reads it again, so the span covers the
+// whole command, parse and waits included, and the layers below note
+// nothing. The exemplar is the system's one slow-request record:
+// /debug/oplog/exemplars inlines the ring events of that span
+// (db.ServeTelemetry does the join).
 package oplog
 
 import (
@@ -176,30 +179,26 @@ type Ledger struct {
 	count [NumPhases]uint32 // events per phase
 	start int64             // Clock() at StartOp
 	end   int64             // Clock() at Finish
-	seq0  uint64            // trace-ring sequence span covering the op
-	seq1  uint64
-	shard int32 // -1 until routed
+	seq0  uint64            // trace-ring sequence span covering the op,
+	seq1  uint64            // noted by Recorder.Start and Recorder.Record
+	shard int32             // -1 until routed
 	cmd   Cmd
 	klen  uint8
 	key   [keyPrefixLen]byte // prefix of the request key, for exemplars
 }
 
 // StartOp resets the ledger for a new request starting now. Safe on a
-// nil receiver.
+// nil receiver. A ledger bound for a Recorder is opened by its Start,
+// which also notes where the trace ring stands.
 func (l *Ledger) StartOp(cmd Cmd, key []byte) {
 	if l == nil {
 		return
 	}
-	l.StartOpAt(cmd, key, Clock())
+	l.startAt(cmd, key, Clock())
 }
 
-// StartOpAt is StartOp with a start stamp the caller already read (a
-// server connection stamps a command before parsing it), so the parse
-// is inside the op without a second clock read. Safe on a nil receiver.
-func (l *Ledger) StartOpAt(cmd Cmd, key []byte, start int64) {
-	if l == nil {
-		return
-	}
+// startAt is StartOp with a start stamp the caller already read.
+func (l *Ledger) startAt(cmd Cmd, key []byte, start int64) {
 	*l = Ledger{cmd: cmd, shard: -1, start: start}
 	n := copy(l.key[:], key)
 	l.klen = uint8(n)
@@ -249,20 +248,6 @@ func (l *Ledger) SetShard(s int) {
 		return
 	}
 	atomic.StoreInt32(&l.shard, int32(s))
-}
-
-// SetTraceSpan records the trace-ring sequence window [seq0, seq1)
-// covering the op, linking an exemplar to its trace events. Safe on a
-// nil receiver; an empty window (no events, or no ring) records
-// nothing. The stores are atomic because a sharded batch's sub-batches
-// each note their own window on the one ledger concurrently; the
-// fan-out's owner then sets the enclosing window after the join.
-func (l *Ledger) SetTraceSpan(seq0, seq1 uint64) {
-	if l == nil || seq0 >= seq1 {
-		return
-	}
-	atomic.StoreUint64(&l.seq0, seq0)
-	atomic.StoreUint64(&l.seq1, seq1)
 }
 
 // Finish stamps the end of the request and settles on_cpu: elapsed
@@ -317,7 +302,6 @@ func (l *Ledger) Shard() int { return int(atomic.LoadInt32(&l.shard)) }
 // Cmd returns the command classification.
 func (l *Ledger) Command() Cmd { return l.cmd }
 
-// TraceSpan returns the recorded trace-ring sequence window.
-func (l *Ledger) TraceSpan() (uint64, uint64) {
-	return atomic.LoadUint64(&l.seq0), atomic.LoadUint64(&l.seq1)
-}
+// TraceSpan returns the trace-ring sequence window [seq0, seq1) the
+// recorder noted; both are 0 when its recorder has no ring.
+func (l *Ledger) TraceSpan() (uint64, uint64) { return l.seq0, l.seq1 }

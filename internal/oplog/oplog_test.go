@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"unixhash/internal/metrics"
+	"unixhash/internal/trace"
 )
 
 // TestNilLedgerZeroAlloc is the disabled-path contract: every recording
@@ -18,11 +19,11 @@ func TestNilLedgerZeroAlloc(t *testing.T) {
 	key := []byte("key")
 	allocs := testing.AllocsPerRun(1000, func() {
 		led.StartOp(CmdGet, key)
+		rec.Start(led, CmdGet, key, 0)
 		led.Add(PhaseLatchWait, 10)
 		led.AddN(PhaseCoalesce, 10, 4)
 		led.Since(PhaseFilter, 0)
 		led.SetShard(3)
-		led.SetTraceSpan(1, 2)
 		led.Finish()
 		rec.Record(led)
 	})
@@ -72,7 +73,7 @@ func TestLedgerAccounting(t *testing.T) {
 // series and in the snapshot summary.
 func TestRecorderHistograms(t *testing.T) {
 	reg := metrics.New()
-	rec := NewRecorder(reg, 2)
+	rec := NewRecorder(reg, 2, nil)
 	for i := 0; i < 10; i++ {
 		var led Ledger
 		led.StartOp(CmdGet, []byte("k"))
@@ -117,9 +118,9 @@ func TestRecorderHistograms(t *testing.T) {
 // on_cpu, and the exemplar's phases sum exactly to its elapsed time.
 func TestCountOnlyPhasesNotObserved(t *testing.T) {
 	reg := metrics.New()
-	rec := NewRecorder(reg, 1)
+	rec := NewRecorder(reg, 1, nil)
 	var led Ledger
-	led.StartOpAt(CmdGet, []byte("k"), Clock()-int64(time.Millisecond))
+	rec.Start(&led, CmdGet, []byte("k"), Clock()-int64(time.Millisecond))
 	counted := []int{PhaseParse, PhaseRoute, PhaseFilter, PhaseBufHit}
 	for _, p := range counted {
 		led.Count(p)
@@ -177,7 +178,7 @@ func TestCountOnlyPhasesNotObserved(t *testing.T) {
 // summary as before, and as a registry series an alert can watch.
 func TestRecorderDropsAreMetrics(t *testing.T) {
 	reg := metrics.New()
-	rec := NewRecorder(reg, 2)
+	rec := NewRecorder(reg, 2, nil)
 	var led Ledger
 	led.StartOp(CmdGet, []byte("k"))
 	led.SetShard(7)
@@ -197,21 +198,26 @@ func TestRecorderDropsAreMetrics(t *testing.T) {
 }
 
 // TestRecorderExemplars checks the slowest ledger of a window wins the
-// exemplar slot and survives a window rotation into the ring.
+// exemplar slot, carrying the ring span the recorder noted between Start
+// and Record, and survives a window rotation into the ring.
 func TestRecorderExemplars(t *testing.T) {
-	rec := NewRecorder(nil, 1)
-	record := func(key string, elapsed time.Duration) {
+	ring := trace.New(0)
+	tr := trace.NewTracer(ring)
+	tr.Emit(trace.EvOvflAlloc, 0, 0, 0, 0) // the span need not start at 0
+	rec := NewRecorder(nil, 1, ring)
+	record := func(key string, elapsed time.Duration, events int) {
 		var led Ledger
-		led.StartOp(CmdGet, []byte(key))
-		led.start = Clock() - int64(elapsed) // backdate to control Elapsed
+		rec.Start(&led, CmdGet, []byte(key), Clock()-int64(elapsed)) // backdate to control Elapsed
+		for i := 0; i < events; i++ {
+			tr.Emit(trace.EvOvflAlloc, uint64(i), 0, 0, 0)
+		}
 		led.SetShard(0)
-		led.SetTraceSpan(7, 9)
 		led.Finish()
 		rec.Record(&led)
 	}
-	record("fast", 10*time.Microsecond)
-	record("slow", 10*time.Millisecond)
-	record("mid", 1*time.Millisecond)
+	record("fast", 10*time.Microsecond, 1)
+	record("slow", 10*time.Millisecond, 2)
+	record("mid", 1*time.Millisecond, 0)
 
 	exs := rec.Exemplars()
 	if len(exs) != 1 {
@@ -220,8 +226,8 @@ func TestRecorderExemplars(t *testing.T) {
 	if exs[0].Key != "slow" {
 		t.Fatalf("exemplar key = %q, want the slowest", exs[0].Key)
 	}
-	if exs[0].TraceSeq0 != 7 || exs[0].TraceSeq1 != 9 {
-		t.Fatalf("trace span = %d..%d", exs[0].TraceSeq0, exs[0].TraceSeq1)
+	if exs[0].TraceSeq0 != 2 || exs[0].TraceSeq1 != 4 {
+		t.Fatalf("trace span = [%d, %d), want the slow op's two events [2, 4)", exs[0].TraceSeq0, exs[0].TraceSeq1)
 	}
 
 	// Force a rotation by recording a ledger whose end is a window later.
@@ -262,7 +268,7 @@ func TestPercentileEstimate(t *testing.T) {
 // (the sharded fan-out shape) while another records finished ledgers
 // into a shared recorder and readers snapshot it.
 func TestLedgerTearingRace(t *testing.T) {
-	rec := NewRecorder(metrics.New(), 4)
+	rec := NewRecorder(metrics.New(), 4, nil)
 	const writers = 8
 	var wg, readers sync.WaitGroup
 	stop := make(chan struct{})
@@ -301,7 +307,6 @@ func TestLedgerTearingRace(t *testing.T) {
 						led.Add(PhaseLatchWait, int64(g+1))
 						led.Count(PhaseBufHit)
 						led.SetShard(g)
-						led.SetTraceSpan(uint64(g), uint64(g+2))
 					}(g)
 				}
 				inner.Wait()

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"unixhash/internal/metrics"
+	"unixhash/internal/trace"
 )
 
 // exemplarWindow is how long one "slowest ledger per command" slot
@@ -27,11 +28,15 @@ type shardRec struct {
 	op    [NumCmds]metrics.Histogram
 }
 
-// Recorder folds finished ledgers into histograms and exemplars. One
-// Recorder spans the process: shard -1 (requests that never routed,
-// e.g. STATS) and one slot per database shard.
+// Recorder opens ledgers and folds finished ones into histograms and
+// exemplars. One Recorder spans the process: shard -1 (requests that
+// never routed, e.g. STATS) and one slot per database shard. It holds
+// the database's trace ring, when there is one, and notes each
+// ledger's ring span at Start and Record: once per command, however
+// many layers the command crosses.
 type Recorder struct {
 	shards []*shardRec // index 0 = unrouted, 1..N = shard 0..N-1
+	events *trace.Ring // the database's; nil: spans stay 0
 
 	mu       sync.Mutex
 	winStart atomic.Int64          // Clock() at the current window's start
@@ -51,18 +56,19 @@ type Exemplar struct {
 	Wall   time.Time // wall-clock stamp at record time
 }
 
-// NewRecorder creates a Recorder for nshards database shards and
-// registers its histograms into reg (which may be nil for a
-// registry-less recorder, e.g. in tests). Series:
+// NewRecorder creates a Recorder for nshards database shards, noting
+// spans on ring (nil: tracing off), and registers its histograms into
+// reg (which may be nil for a registry-less recorder, e.g. in tests).
+// Series:
 //
 //	oplog_op_<cmd>_seconds          end-to-end latency per command
 //	oplog_phase_<phase>_seconds     per-phase latency, all commands
 //	oplog_ledgers_dropped_total     ledgers naming a shard out of range
-func NewRecorder(reg *metrics.Registry, nshards int) *Recorder {
+func NewRecorder(reg *metrics.Registry, nshards int, ring *trace.Ring) *Recorder {
 	if nshards < 0 {
 		nshards = 0
 	}
-	r := &Recorder{shards: make([]*shardRec, nshards+1)}
+	r := &Recorder{shards: make([]*shardRec, nshards+1), events: ring}
 	r.winStart.Store(Clock())
 	if reg != nil {
 		reg.CounterFunc("oplog_ledgers_dropped_total", r.dropped.Load)
@@ -97,8 +103,24 @@ func (r *Recorder) NShards() int {
 	return len(r.shards) - 1
 }
 
-// Record folds a finished ledger into the recorder. Safe on a nil
-// recorder and hot-path cheap: per non-empty timed phase (on_cpu
+// Start opens led for a command of kind cmd on key at start stamp st
+// (a server connection stamps a command before parsing it, so the parse
+// is inside the op without a second clock read) and notes where the
+// trace ring stands: the command's events follow. Safe on a nil
+// recorder or ledger.
+func (r *Recorder) Start(led *Ledger, cmd Cmd, key []byte, st int64) {
+	if led == nil {
+		return
+	}
+	led.startAt(cmd, key, st)
+	if r != nil {
+		led.seq0 = r.events.Next()
+	}
+}
+
+// Record notes where the trace ring stands, closing the span Start
+// opened, and folds the finished ledger into the recorder. Safe on a
+// nil recorder and hot-path cheap: per non-empty timed phase (on_cpu
 // included) one histogram observe — count-only phases stay in the
 // ledger and its exemplar — plus a lock-free exemplar admission check
 // that takes the mutex only for a new per-window maximum or a window
@@ -107,6 +129,7 @@ func (r *Recorder) Record(led *Ledger) {
 	if r == nil || led == nil {
 		return
 	}
+	led.seq1 = r.events.Next()
 	slot := led.Shard() + 1
 	if slot < 0 || slot >= len(r.shards) {
 		r.dropped.Add(1)

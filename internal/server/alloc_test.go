@@ -80,7 +80,7 @@ func TestServerCommandAllocs(t *testing.T) {
 		src := bytes.NewReader(nil)
 		c := &conn{srv: s, r: newReader(src), w: newWriter(&out)}
 		if rec != nil {
-			c.led, c.txnLed = new(oplog.Ledger), new(oplog.Ledger)
+			c.led = new(oplog.Ledger)
 		}
 
 		var puts, batch [][]string

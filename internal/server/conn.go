@@ -35,23 +35,20 @@ type conn struct {
 	txn     db.Txn    // open transaction, or nil
 	getBuf  []byte    // reused GetBuf storage
 
-	// Op-ledger state; both ledgers are nil when srv.rec is (attribution
-	// off), and every Ledger method and Recorder.Record is nil-safe, so
-	// each command is written once. led is the per-command scratch ledger
-	// (one command runs at a time on a connection); txnLed is pinned for
-	// the life of an open transaction because BeginOp hands its address
-	// to the transaction.
+	// Op-ledger state: led is nil when srv.rec is (attribution off), and
+	// every Ledger and Recorder method is nil-safe, so each command is
+	// written once. led is the per-command scratch ledger (one command
+	// runs at a time on a connection; a transaction takes it at COMMIT).
 	led    *oplog.Ledger
-	txnLed *oplog.Ledger
 	pendSt int64 // start stamp of the oldest pending PUT
 }
 
-// begin opens led for one command at its start stamp st and counts the
-// command's parse, which st already covers.
-func (c *conn) begin(led *oplog.Ledger, cmd oplog.Cmd, key []byte, st int64) *oplog.Ledger {
-	led.StartOpAt(cmd, key, st)
-	led.Count(oplog.PhaseParse)
-	return led
+// begin opens the connection's ledger for one command at its start
+// stamp st and counts the command's parse, which st already covers.
+func (c *conn) begin(cmd oplog.Cmd, key []byte, st int64) *oplog.Ledger {
+	c.srv.rec.Start(c.led, cmd, key, st)
+	c.led.Count(oplog.PhaseParse)
+	return c.led
 }
 
 // end closes a command's ledger and folds it into the recorder.
@@ -117,11 +114,10 @@ func (c *conn) flushReplies() error {
 		return c.w.Flush()
 	}
 	st := oplog.Clock()
-	led := c.led
-	led.StartOpAt(oplog.CmdOther, nil, st)
+	c.srv.rec.Start(c.led, oplog.CmdOther, nil, st)
 	err := c.w.Flush()
-	led.Since(oplog.PhaseReply, st)
-	c.end(led)
+	c.led.Since(oplog.PhaseReply, st)
+	c.end(c.led)
 	return err
 }
 
@@ -166,7 +162,7 @@ func (c *conn) dispatch(args [][]byte, st int64) bool {
 		if !c.arity(args, 2) {
 			return true
 		}
-		led := c.begin(c.led, oplog.CmdGet, args[1], st)
+		led := c.begin(oplog.CmdGet, args[1], st)
 		v, err := c.srv.ops.GetBufOp(led, args[1], c.getBuf)
 		c.end(led)
 		switch {
@@ -197,7 +193,7 @@ func (c *conn) dispatch(args [][]byte, st int64) bool {
 		// settles — and later parked PUTs count their parses on it.
 		if c.led != nil {
 			if len(c.pending) == 0 {
-				c.begin(c.led, oplog.CmdPut, args[1], st)
+				c.begin(oplog.CmdPut, args[1], st)
 				c.pendSt = st
 			} else {
 				c.led.Count(oplog.PhaseParse)
@@ -219,7 +215,7 @@ func (c *conn) dispatch(args [][]byte, st int64) bool {
 			}
 			return true
 		}
-		led := c.begin(c.led, oplog.CmdDelete, args[1], st)
+		led := c.begin(oplog.CmdDelete, args[1], st)
 		err := c.srv.ops.DeleteOp(led, args[1])
 		c.end(led)
 		switch {
@@ -260,7 +256,7 @@ func (c *conn) batch(args [][]byte, st int64) {
 	for i := 1; i < len(args); i += 2 {
 		pairs = append(pairs, db.Pair{Key: args[i], Data: args[i+1]})
 	}
-	led := c.begin(c.led, oplog.CmdBatch, pairs[0].Key, st)
+	led := c.begin(oplog.CmdBatch, pairs[0].Key, st)
 	err := c.srv.ops.PutBatchOp(led, pairs)
 	c.end(led)
 	clear(pairs)
@@ -277,7 +273,7 @@ func (c *conn) batch(args [][]byte, st int64) {
 // attribution on, the document gains an "Oplog" member carrying the
 // recorder's per-command phase summary.
 func (c *conn) stats(st int64) {
-	led := c.begin(c.led, oplog.CmdStats, nil, st)
+	led := c.begin(oplog.CmdStats, nil, st)
 	defer c.end(led)
 	s, err := c.srv.db.Stats()
 	if err != nil {
@@ -318,9 +314,7 @@ func (c *conn) txnCmd(args [][]byte, st int64) {
 			c.w.Error("transaction already open")
 			return
 		}
-		// The ledger is attached now (the transaction holds its address)
-		// but started at COMMIT, where the phases happen.
-		x, err := c.srv.ops.BeginOp(c.txnLed)
+		x, err := c.srv.db.Begin()
 		if err != nil {
 			c.cmdErr(err)
 			return
@@ -333,7 +327,12 @@ func (c *conn) txnCmd(args [][]byte, st int64) {
 			c.w.Error("no transaction")
 			return
 		}
-		led := c.begin(c.txnLed, oplog.CmdTxn, nil, st)
+		// The phases happen here, so the ledger is attached here; a Txn
+		// that takes none (a caller's own DB) is served the same way.
+		led := c.begin(oplog.CmdTxn, nil, st)
+		if x, ok := c.txn.(interface{ SetOplog(*oplog.Ledger) }); ok {
+			x.SetOplog(led)
+		}
 		err := c.txn.Commit()
 		c.end(led)
 		c.txn = nil

@@ -26,10 +26,13 @@ type Options struct {
 	// Oplog, when non-nil, turns on per-request phase attribution:
 	// every command runs under an op ledger (parse, coalesce wait,
 	// shard route, latch wait, WAL, buffer pool, reply write) recorded
-	// into this recorder. A DB implementing db.OpDB (the hash shapes)
-	// charges its own phases to the ledger; any other is served the
-	// same way and only the server's phases are attributed. Nil keeps
-	// the zero-overhead path: every command carries a nil ledger.
+	// into this recorder, which opens each ledger and, when built with
+	// the database's trace ring, notes the command's ring span. A DB
+	// implementing db.OpDB (the hash shapes) charges its own phases to
+	// the ledger, and a Txn with a SetOplog method takes it at COMMIT;
+	// any other is served the same way and only the server's phases
+	// are attributed. Nil keeps the zero-overhead path: every command
+	// carries a nil ledger.
 	Oplog *oplog.Recorder
 }
 
@@ -108,7 +111,6 @@ func (p plainOps) GetBufOp(_ *oplog.Ledger, key, dst []byte) ([]byte, error) {
 func (p plainOps) PutOp(_ *oplog.Ledger, key, data []byte) error     { return p.Put(key, data) }
 func (p plainOps) PutBatchOp(_ *oplog.Ledger, pairs []db.Pair) error { return p.PutBatch(pairs) }
 func (p plainOps) DeleteOp(_ *oplog.Ledger, key []byte) error        { return p.Delete(key) }
-func (p plainOps) BeginOp(*oplog.Ledger) (db.Txn, error)             { return p.Begin() }
 
 // Addr returns the listener's resolved address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
@@ -122,7 +124,7 @@ func (s *Server) acceptLoop() {
 		}
 		c := &conn{srv: s, nc: nc, r: newReader(nc), w: newWriter(nc)}
 		if s.rec != nil {
-			c.led, c.txnLed = new(oplog.Ledger), new(oplog.Ledger)
+			c.led = new(oplog.Ledger)
 		}
 		s.mu.Lock()
 		if s.closed {

@@ -124,7 +124,7 @@ func startServerOplog(t *testing.T, d db.DB, reg *metrics.Registry, rec *oplog.R
 // the single call site per command is exercised both ways.
 func ledgerModes(t *testing.T, fn func(t *testing.T, rec *oplog.Recorder)) {
 	t.Run("oplog=off", func(t *testing.T) { fn(t, nil) })
-	t.Run("oplog=on", func(t *testing.T) { fn(t, oplog.NewRecorder(nil, 4)) })
+	t.Run("oplog=on", func(t *testing.T) { fn(t, oplog.NewRecorder(nil, 4, nil)) })
 }
 
 func TestServerBasicCommands(t *testing.T) {
@@ -150,7 +150,7 @@ func TestServerBasicCommands(t *testing.T) {
 		if _, ok := d.(db.OpDB); ok {
 			t.Fatal("the embedding wrapper exposes ledger methods; the adapter case needs a plain db.DB")
 		}
-		rec := oplog.NewRecorder(nil, 1)
+		rec := oplog.NewRecorder(nil, 1, nil)
 		basicCommands(t, d, rec, `"Oplog"`)
 		cmds := map[string]int64{}
 		for _, cs := range rec.Snapshot().Commands {
@@ -176,7 +176,7 @@ func TestServerStatsErrorIsRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	rec := oplog.NewRecorder(nil, 1)
+	rec := oplog.NewRecorder(nil, 1, nil)
 	c := dial(t, startServerOplog(t, failStatsDB{h}, nil, rec).Addr())
 	if got := c.do("STATS"); !strings.HasPrefix(got, "-ERR") || !strings.Contains(got, "injected stats failure") {
 		t.Fatalf("STATS = %q, want -ERR naming the failure", got)
@@ -379,7 +379,7 @@ func TestServerOplogAccounting(t *testing.T) {
 	// the accounting check below leaves it.
 	readDelay.Store(int64(20 * time.Millisecond))
 
-	rec := oplog.NewRecorder(nil, nshards)
+	rec := oplog.NewRecorder(nil, nshards, nil)
 	s, err := Serve("127.0.0.1:0", Options{DB: d, Oplog: rec})
 	if err != nil {
 		t.Fatal(err)
@@ -743,44 +743,14 @@ func TestServerProtocolErrors(t *testing.T) {
 }
 
 // TestExemplarCarriesEvents pins the join that replaced the slow-op
-// tracer: a traced sharded database behind the server takes one BATCH
-// large enough to split, and the batch's exemplar on the telemetry
-// surface carries the split events emitted during it, every one inside
-// the ring span the ledger noted.
+// tracer: a traced, logged sharded database behind the server takes one
+// BATCH large enough to split, one TXN and one GET its tag filter rules
+// out, and each command's exemplar on the telemetry surface carries the
+// events emitted during it — the batch's splits, the commit's log append
+// and fsync, the GET's filter skip — every one inside the ring span the
+// recorder noted. A recorder without a ring leaves both ends 0.
 func TestExemplarCarriesEvents(t *testing.T) {
-	tr := trace.New(1 << 14)
-	d, err := db.OpenSharded("", 2, &db.Config{Hash: &core.Options{Bsize: 512, Ffactor: 8, Trace: tr}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	rec := oplog.NewRecorder(nil, d.NShards())
-	s := startServerOplog(t, d, nil, rec)
-	ts, err := db.ServeTelemetry(d, "127.0.0.1:0", rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ts.Close()
-
-	args := []string{"BATCH"}
-	for i := 0; i < 600; i++ {
-		args = append(args, fmt.Sprintf("split-key-%04d", i), "value")
-	}
-	c := dial(t, s.Addr())
-	// A batch into an empty table presizes instead of splitting; seed one
-	// key per shard's worth first (a PUT, so the BATCH below is the only
-	// batch exemplar).
-	for i := 0; i < 8; i++ {
-		c.expect("+OK", "PUT", fmt.Sprintf("seed-%d", i), "v")
-	}
-	c.expect(":600", args...)
-
-	resp, err := http.Get(ts.URL() + "/debug/oplog/exemplars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var exs []struct {
+	type exemplar struct {
 		Cmd       string `json:"cmd"`
 		TraceSeq0 uint64 `json:"trace_seq0"`
 		TraceSeq1 uint64 `json:"trace_seq1"`
@@ -789,28 +759,112 @@ func TestExemplarCarriesEvents(t *testing.T) {
 			Type string `json:"type"`
 		} `json:"events"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&exs); err != nil {
-		t.Fatalf("/debug/oplog/exemplars: %v", err)
+	// drive runs the three commands through a fresh database and server
+	// whose recorder notes spans on ring (nil: none), and returns each
+	// command's exemplar and how many splits the ring holds after the
+	// BATCH.
+	drive := func(t *testing.T, ring bool) (map[string]exemplar, int) {
+		tr := trace.New(1 << 14)
+		d, err := db.OpenSharded("", 2, &db.Config{Hash: &core.Options{Bsize: 512, Ffactor: 8, WAL: true, Trace: tr}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { d.Close() })
+		var rr *trace.Ring
+		if ring {
+			rr = tr
+		}
+		rec := oplog.NewRecorder(nil, d.NShards(), rr)
+		s := startServerOplog(t, d, nil, rec)
+		ts, err := db.ServeTelemetry(d, "127.0.0.1:0", rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ts.Close() })
+
+		args := []string{"BATCH"}
+		for i := 0; i < 600; i++ {
+			args = append(args, fmt.Sprintf("split-key-%04d", i), "value")
+		}
+		c := dial(t, s.Addr())
+		// A batch into an empty table presizes instead of splitting; seed
+		// one key per shard's worth first (a PUT, so the BATCH below is the
+		// only batch exemplar).
+		for i := 0; i < 8; i++ {
+			c.expect("+OK", "PUT", fmt.Sprintf("seed-%d", i), "v")
+		}
+		c.expect(":600", args...)
+		splits := len(tr.Events(0, trace.EvSplitBegin))
+		c.expect("+OK", "TXN", "BEGIN")
+		c.expect("+QUEUED", "PUT", "txn-key", "v")
+		c.expect("+OK", "TXN", "COMMIT")
+		// An absent key the filter rules out, found in process so that the
+		// one GET on the wire is sure to skip.
+		absent := ""
+		for i := 0; absent == ""; i++ {
+			k := fmt.Sprintf("absent-%d", i)
+			skips := len(tr.Events(0, trace.EvFilterSkip))
+			if _, err := d.Get([]byte(k)); !errors.Is(err, db.ErrNotFound) {
+				t.Fatalf("Get(%s) = %v, want ErrNotFound", k, err)
+			}
+			if len(tr.Events(0, trace.EvFilterSkip)) > skips {
+				absent = k
+			}
+		}
+		c.expect("$nil", "GET", absent)
+
+		resp, err := http.Get(ts.URL() + "/debug/oplog/exemplars")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var exs []exemplar
+		if err := json.NewDecoder(resp.Body).Decode(&exs); err != nil {
+			t.Fatalf("/debug/oplog/exemplars: %v", err)
+		}
+		byCmd := map[string]exemplar{}
+		for _, ex := range exs {
+			byCmd[ex.Cmd] = ex
+		}
+		return byCmd, splits
 	}
-	for _, ex := range exs {
-		if ex.Cmd != "batch" {
-			continue
+
+	exs, splits := drive(t, true)
+	for cmd, want := range map[string][]string{
+		"batch": {"split-begin", "split-end"},
+		"txn":   {"wal-append", "wal-fsync"},
+		"get":   {"filter-skip"},
+	} {
+		ex, ok := exs[cmd]
+		if !ok {
+			t.Fatalf("no %s exemplar among %v", cmd, exs)
 		}
 		count := map[string]int{}
 		for _, ev := range ex.Events {
 			if ev.Seq < ex.TraceSeq0 || ev.Seq >= ex.TraceSeq1 {
-				t.Fatalf("event %d (%s) outside the exemplar's span [%d, %d)", ev.Seq, ev.Type, ex.TraceSeq0, ex.TraceSeq1)
+				t.Fatalf("%s: event %d (%s) outside the exemplar's span [%d, %d)", cmd, ev.Seq, ev.Type, ex.TraceSeq0, ex.TraceSeq1)
 			}
 			count[ev.Type]++
 		}
-		if count["split-begin"] == 0 || count["split-end"] == 0 {
-			t.Fatalf("batch exemplar's events carry no split: %v over span [%d, %d)", count, ex.TraceSeq0, ex.TraceSeq1)
+		for _, typ := range want {
+			if count[typ] == 0 {
+				t.Fatalf("%s exemplar's events carry no %s: %v over span [%d, %d)", cmd, typ, count, ex.TraceSeq0, ex.TraceSeq1)
+			}
 		}
-		// Both shards split, so the span is the fan-out's, not one shard's.
-		if begins := len(tr.Events(0, trace.EvSplitBegin)); count["split-begin"] != begins {
-			t.Fatalf("exemplar carries %d of the ring's %d split-begin events", count["split-begin"], begins)
+		// Both shards split, so the batch's span is the fan-out's, not one
+		// shard's.
+		if cmd == "batch" && count["split-begin"] != splits {
+			t.Fatalf("exemplar carries %d of the batch's %d split-begin events", count["split-begin"], splits)
 		}
-		return
 	}
-	t.Fatalf("no batch exemplar among %d", len(exs))
+
+	exs, _ = drive(t, false)
+	for cmd, ex := range exs {
+		if ex.TraceSeq0 != 0 || ex.TraceSeq1 != 0 || len(ex.Events) != 0 {
+			t.Fatalf("%s: a recorder without a ring noted span [%d, %d) with %d events", cmd, ex.TraceSeq0, ex.TraceSeq1, len(ex.Events))
+		}
+	}
+	if len(exs) < 3 {
+		t.Fatalf("%d exemplars without a ring, want one per command", len(exs))
+	}
 }

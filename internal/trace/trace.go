@@ -30,10 +30,11 @@
 //     strictly increasing and never torn.
 //
 // The ring keeps no record of requests. A request is described once, by
-// its op ledger (internal/oplog): the ledger notes the ring position
-// before and after the call (Ring.Next), and the telemetry surface
-// inlines Ring.Range over that span into the request's exemplar — the
-// event trail of one slow Get, Put, batch or commit.
+// its op ledger (internal/oplog): the recorder that owns the ledger
+// notes the ring position when the command starts and when it is
+// recorded (Ring.Next), and the telemetry surface inlines Ring.Range
+// over that span into the request's exemplar — the event trail of one
+// slow Get, Put, batch or commit.
 package trace
 
 import (
@@ -272,8 +273,8 @@ func New(capacity int) *Ring {
 func (r *Ring) Cap() int { return len(r.slots) }
 
 // Next reports the sequence number the next emitted event will receive
-// (0 on a nil ring). A caller brackets an operation with two reads to
-// learn which ring events were emitted while it ran.
+// (0 on a nil ring). The op-ledger recorder reads it when a command
+// starts and when it is recorded: the events between are the command's.
 func (r *Ring) Next() uint64 {
 	if r == nil {
 		return 0
@@ -421,9 +422,6 @@ func NewTracer(r *Ring) *Tracer { return &Tracer{ring: r} }
 // Ring reports the ring the tracer publishes to (nil when tracing is
 // off).
 func (t *Tracer) Ring() *Ring { return t.ring }
-
-// Next reports the ring's next sequence number (0 when tracing is off).
-func (t *Tracer) Next() uint64 { return t.ring.Next() }
 
 // kindOf is the code that sorts a type's events into separately counted
 // kinds, for the types a metric counts by kind: a split's uncontrolled

@@ -203,16 +203,20 @@ func (o *Owner) Ready() error {
 // fsync acknowledges and applies nothing; a failed apply leaves a durable
 // commit partly visible. Either way the owner refuses every later commit
 // and keeps the log as it is, so that Recover after a reopen replays
-// what it holds.
+// what it holds. A non-nil led is charged the append (wal_marshal), the
+// fsync (lead or join) and each table's apply.
 func (o *Owner) Commit(led *oplog.Ledger, ops []Op) error {
 	o.ckpt.RLock()
 	defer o.ckpt.RUnlock()
 	if err := o.Ready(); err != nil {
 		return err
 	}
-	seq0 := o.log.tr.Next()
-	defer func() { led.SetTraceSpan(seq0, o.log.tr.Next()) }()
-	lsn, end, err := o.log.AppendOp(led, ops)
+	var st int64
+	if led != nil {
+		st = oplog.Clock()
+	}
+	lsn, end, err := o.log.Append(ops)
+	led.Since(oplog.PhaseWALMarshal, st)
 	if err == nil {
 		err = o.log.SyncToOp(led, end)
 	}

@@ -426,19 +426,6 @@ func (l *Log) SyncToOp(led *oplog.Ledger, end int64) error {
 	return err
 }
 
-// AppendOp is Append with op-ledger attribution: transaction frame
-// marshal plus the single contiguous log write charge the WAL-marshal
-// phase. A nil ledger is exactly Append.
-func (l *Log) AppendOp(led *oplog.Ledger, ops []Op) (commitLSN uint64, end int64, err error) {
-	if led == nil {
-		return l.Append(ops)
-	}
-	st := oplog.Clock()
-	commitLSN, end, err = l.Append(ops)
-	led.Since(oplog.PhaseWALMarshal, st)
-	return commitLSN, end, err
-}
-
 // Sync makes every appended byte durable.
 func (l *Log) Sync() error {
 	l.mu.Lock()

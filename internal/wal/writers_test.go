@@ -18,7 +18,7 @@ import (
 
 // TestWALOwnerIsTheOnlyWriter keeps the log protocol in one place: no
 // non-test file of the module outside this package calls the methods that
-// write a Log — Append, AppendOp, SyncTo, SyncToOp and Reset — so every
+// write a Log — Append, SyncTo, SyncToOp and Reset — so every
 // commit, checkpoint and recovery goes through Owner. benchmark/ is left
 // out: it times the raw log calls as a per-layer probe. Calls are found by
 // type, not by name, so a bytes.Buffer's Reset is no match.
@@ -56,7 +56,7 @@ func TestWALOwnerIsTheOnlyWriter(t *testing.T) {
 	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		return os.Open(export[path])
 	})
-	writers := map[string]bool{"Append": true, "AppendOp": true, "SyncTo": true, "SyncToOp": true, "Reset": true}
+	writers := map[string]bool{"Append": true, "SyncTo": true, "SyncToOp": true, "Reset": true}
 	for _, p := range targets {
 		var files []*ast.File
 		for _, name := range p.files {

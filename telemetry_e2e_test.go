@@ -21,7 +21,8 @@ import (
 // misses, one TXN), scrapes every endpoint the index lists — plus a
 // one-second CPU profile — and watches the server through `dbcli
 // hashmon`. Any non-200 status or empty body fails; so does an exemplar
-// set in which no request carries the ring events of its span.
+// set in which no request carries the ring events of its span, or in
+// which the TXN's carries no wal-fsync.
 func TestTelemetryEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries; skipped in -short mode")
@@ -159,24 +160,33 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	}
 
 	// The one slow-request record: some exemplar (a splitting BATCH, the
-	// TXN) spans ring events and carries them inline.
+	// TXN) spans ring events and carries them inline, and the TXN's
+	// carries its log fsync — the recorder dbserver builds holds the ring.
 	var exs []struct {
-		Cmd       string            `json:"cmd"`
-		TraceSeq0 uint64            `json:"trace_seq0"`
-		TraceSeq1 uint64            `json:"trace_seq1"`
-		Events    []json.RawMessage `json:"events"`
+		Cmd       string `json:"cmd"`
+		TraceSeq0 uint64 `json:"trace_seq0"`
+		TraceSeq1 uint64 `json:"trace_seq1"`
+		Events    []struct {
+			Type string `json:"type"`
+		} `json:"events"`
 	}
 	if err := json.Unmarshal(get("/debug/oplog/exemplars"), &exs); err != nil {
 		t.Fatalf("/debug/oplog/exemplars not JSON: %v", err)
 	}
-	joined := false
+	joined, txnFsync := false, false
 	for _, ex := range exs {
 		if ex.TraceSeq1 > ex.TraceSeq0 && len(ex.Events) > 0 {
 			joined = true
 		}
+		for _, ev := range ex.Events {
+			txnFsync = txnFsync || ex.Cmd == "txn" && ev.Type == "wal-fsync"
+		}
 	}
 	if !joined {
 		t.Fatalf("no exemplar carries the events of its span: %+v", exs)
+	}
+	if !txnFsync {
+		t.Fatalf("no txn exemplar carries a wal-fsync event: %+v", exs)
 	}
 	get("/debug/pprof/profile?seconds=1")
 
