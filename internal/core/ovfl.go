@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"unixhash/internal/buffer"
+	"unixhash/internal/pagefile"
 	"unixhash/internal/trace"
 )
 
@@ -209,6 +210,7 @@ func (t *Table) freeOvfl(o oaddr) error {
 	bitmapClear(bm, pn-1)
 	t.bitmapDirty[s] = true
 	t.freeCount[s]++
+	t.punch[s] = true
 	t.hdr.lastFreed = uint32(o)
 	t.dirtyHdr.Store(true)
 	t.tr.Emit(trace.EvOvflFree, uint64(s), uint64(pn), uint64(o), 0)
@@ -230,6 +232,31 @@ func (t *Table) flushBitmaps() error {
 		t.bitmapDirty[s] = false
 	}
 	return nil
+}
+
+// punchFree gives back the store blocks of the free pages at each split
+// point that freed one since its last punch, a run of adjacent pages at
+// a time. syncLocked calls it under the exclusive lock once the header
+// that records the frees is durable (DESIGN §8). A failed punch is
+// ignored: the bytes it would give back are already dead.
+func (t *Table) punchFree() {
+	hp, ok := t.store.(pagefile.HolePuncher)
+	for s := uint32(0); ok && s < maxSplits; s++ {
+		bm, last := t.bitmapBuf[s], t.hdr.allocatedAt(s)
+		if !t.punch[s] || bm == nil {
+			continue
+		}
+		t.punch[s] = false
+		base, run := t.hdr.bucketToPage(1<<s-1), uint32(0) // page pn is base+pn
+		for pn := uint32(1); pn <= last+1; pn++ {
+			if pn <= last && !bitmapGet(bm, pn-1) {
+				run++
+			} else if run > 0 {
+				_ = hp.PunchHole(base+pn-run, run)
+				run = 0
+			}
+		}
+	}
 }
 
 // allocatedPages counts the allocator's bitmap pages and the overflow

@@ -470,6 +470,7 @@ func (t *Table) applyRecovery(r *recovery) error {
 			for pn := uint32(1); pn <= t.hdr.allocatedAt(uint32(s)); pn++ {
 				if !bitmapGet(bm, pn-1) {
 					t.freeCount[s]++
+					t.punch[s] = true
 				}
 			}
 		}

@@ -236,6 +236,7 @@ type Table struct {
 	bitmapBuf   [maxSplits][]byte
 	bitmapDirty [maxSplits]bool
 	freeCount   [maxSplits]int
+	punch       [maxSplits]bool // freed a page since the last punchFree
 
 	// scratch recycles page-sized buffers for big-pair chain I/O; each
 	// operation takes its own so concurrent readers never share one. It
@@ -1313,6 +1314,7 @@ func (t *Table) syncLocked() error {
 		return err
 	}
 	t.tr.Emit(trace.EvSyncPhase, trace.SyncPhaseHeader, t.hdr.syncEpoch, 0, 0)
+	t.punchFree()
 	t.dirtyHdr.Store(false)
 	t.dirtyMarked.Store(false)
 	d := time.Since(t0)

@@ -5,9 +5,9 @@ import (
 	"sync"
 )
 
-// CrashStore wraps a Store and journals every WritePage and Sync in
-// order. The journal lets a test materialize the file exactly as it
-// would exist after a power cut at any point in the write stream —
+// CrashStore wraps a Store and journals every WritePage, PunchHole and
+// Sync in order. The journal lets a test materialize the file exactly as
+// it would exist after a power cut at any point in the write stream —
 // including a torn (partially persisted) final page — and reopen it to
 // verify crash recovery. Reads pass through untouched.
 //
@@ -25,11 +25,13 @@ type CrashStore struct {
 }
 
 // CrashEvent is one journaled store operation: either a page write
-// (with a private copy of the written bytes) or a sync barrier.
+// (with a private copy of the written bytes) or a sync barrier. A
+// punched page is journaled as a write of zeros, marked Punch.
 type CrashEvent struct {
-	Sync bool
-	Page uint32
-	Data []byte // nil for sync events
+	Sync  bool
+	Punch bool
+	Page  uint32
+	Data  []byte // nil for sync events
 }
 
 // NewCrash wraps inner, which must be empty, with an empty journal.
@@ -59,6 +61,21 @@ func (c *CrashStore) WritePage(pageno uint32, buf []byte) error {
 	c.mu.Lock()
 	c.events = append(c.events, CrashEvent{Page: pageno, Data: append([]byte(nil), buf...)})
 	c.mu.Unlock()
+	return nil
+}
+
+// PunchHole implements HolePuncher, journaling each page it punches
+// inside the store as a zero-page write (what a hole reads as).
+func (c *CrashStore) PunchHole(pageno, n uint32) error {
+	if err := punchInner(c.Inner, pageno, n); err != nil {
+		return err
+	}
+	end := min(pageno+n, c.Inner.NPages())
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for pn := pageno; pn < end; pn++ {
+		c.events = append(c.events, CrashEvent{Punch: true, Page: pn, Data: make([]byte, c.Inner.PageSize())})
+	}
 	return nil
 }
 

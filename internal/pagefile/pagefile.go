@@ -67,6 +67,13 @@ type VectorWriter interface {
 	WritePages(pageno uint32, buf []byte) error
 }
 
+// HolePuncher is an optional Store extension: a store that can give back
+// the blocks of pages [pageno, pageno+n) and keep its length. A punched
+// page reads as zeros.
+type HolePuncher interface {
+	PunchHole(pageno, n uint32) error
+}
+
 // CostModel is an empty placeholder. A store counts its I/O and charges
 // nothing; the paper harness's bench.Cost prices the counts. The type
 // survives only because benchmark/ calls OpenFile(…, CostModel{}), and
@@ -421,6 +428,20 @@ func (fs *FileStore) WritePages(pageno uint32, buf []byte) error {
 	return nil
 }
 
+// PunchHole implements HolePuncher for the pages inside the file. A
+// failure counts in Stats.Errors.
+func (fs *FileStore) PunchHole(pageno, n uint32) error {
+	end, ps := min(pageno+n, fs.NPages()), int64(fs.pagesize)
+	if pageno >= end {
+		return nil
+	}
+	if err := punchHole(fs.f.Fd(), int64(pageno)*ps, int64(end-pageno)*ps); err != nil {
+		fs.stats.addError()
+		return fmt.Errorf("pagefile: punch pages %d..%d: %w", pageno, end-1, err)
+	}
+	return nil
+}
+
 // Sync implements Store.
 func (fs *FileStore) Sync() error {
 	fs.mu.Lock()
@@ -560,6 +581,17 @@ func (ms *MemStore) WritePages(pageno uint32, buf []byte) error {
 	ms.mu.Unlock()
 	ms.stats.observeWrite(pageno, len(buf), mono()-t0)
 	ms.stats.addWriteVec(len(buf)/ms.pagesize, len(buf))
+	return nil
+}
+
+// PunchHole implements HolePuncher: a written page in the range reads
+// as zeros after it, as a hole in a file does.
+func (ms *MemStore) PunchHole(pageno, n uint32) error {
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	for pn := pageno; pn < pageno+n; pn++ {
+		clear(ms.pages[pn])
+	}
 	return nil
 }
 
@@ -729,6 +761,17 @@ func (f *FaultStore) WritePages(pageno uint32, buf []byte) error {
 	return nil
 }
 
+// PunchHole implements HolePuncher by forwarding to the inner store.
+func (f *FaultStore) PunchHole(pageno, n uint32) error { return punchInner(f.Inner, pageno, n) }
+
+// punchInner punches through to a wrapped store, if it can punch.
+func punchInner(s Store, pageno, n uint32) error {
+	if hp, ok := s.(HolePuncher); ok {
+		return hp.PunchHole(pageno, n)
+	}
+	return nil
+}
+
 // Sync implements Store. Sync faults are page-less: only the Op and
 // After fields of an injected Fault are consulted.
 func (f *FaultStore) Sync() error {
@@ -748,4 +791,8 @@ var (
 	_ VectorWriter = (*FileStore)(nil)
 	_ VectorWriter = (*MemStore)(nil)
 	_ VectorWriter = (*FaultStore)(nil)
+	_ HolePuncher  = (*FileStore)(nil)
+	_ HolePuncher  = (*MemStore)(nil)
+	_ HolePuncher  = (*FaultStore)(nil)
+	_ HolePuncher  = (*CrashStore)(nil)
 )
